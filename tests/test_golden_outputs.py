@@ -1,0 +1,72 @@
+"""Golden fixture: pinned digests of the shipped scenarios and two aggregations.
+
+The determinism tests elsewhere compare a run with itself; these pin the
+numbers across versions.  A change that moves any digest on purpose must
+say so and update the fixture in the same commit.
+"""
+
+import hashlib
+from pathlib import Path
+
+import numpy as np
+import pytest
+
+from otafl.channel import ChannelModel
+from otafl.cli import EXIT_OK, main
+from otafl.ota import PhyConfig, ota_aggregate
+from otafl.sync import SyncConfig
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
+
+CLI_DIGESTS = {
+    ("run", "baseline.cfg", ()):
+        "d3f1c3611795711c1457659bf5afacf05e0edccbcdcc73a5e1bc640f5506fb91",
+    ("run", "digital_baseline.cfg", ()):
+        "af42976ab297675eecf63e01a621fa0ff7da1c62afe0abe5b06cabf54702d713",
+    ("sync-sweep", "sync_stress.cfg", ("--spreads", "256,64,16,4,0", "--seeds", "5")):
+        "e76eb99d33e08abdab9be64378522d818caa48409a4871b361c436845260ea57",
+}
+
+# (clients, channel kind, pilot allocation) -> (repr of agg_nmse_db, sha256 of recovered)
+AGGREGATE_DIGESTS = {
+    (5, "flat_block", "fdm_comb"): (
+        "-19.2366199180064",
+        "331defd715702e5a5cabd0a2e37160e873e5315f970888e71fa6535b33243adf",
+    ),
+    (20, "rayleigh_per_subcarrier", "tdm_full"): (
+        "-18.21116448747706",
+        "7668c7432e640a58be33dd3cb8cf6d32491c107cc20da33c2bbe345f1ff60b5b",
+    ),
+}
+
+
+def _sha256(data: bytes) -> str:
+    return hashlib.sha256(data).hexdigest()
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("command,cfg,extra", list(CLI_DIGESTS))
+def test_cli_csv_digest(command, cfg, extra, threads, tmp_path, monkeypatch):
+    monkeypatch.setenv("OTAFL_THREADS", threads)
+    out = tmp_path / "out.csv"
+    argv = [command, str(SCENARIOS / cfg), *extra, "--seed", "0", "--out", str(out)]
+    assert main(argv) == EXIT_OK
+    assert _sha256(out.read_bytes()) == CLI_DIGESTS[(command, cfg, extra)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("num_ues,kind,allocation", list(AGGREGATE_DIGESTS))
+def test_ota_aggregate_digest(num_ues, kind, allocation, threads, monkeypatch):
+    monkeypatch.setenv("OTAFL_THREADS", threads)
+    rng = np.random.default_rng(0)
+    deltas = [0.1 * rng.standard_normal(71_666) for _ in range(num_ues)]
+    phy = PhyConfig(
+        channel=ChannelModel(kind),
+        pilot_allocation=allocation,
+        sync=SyncConfig(mode="ptp_on"),
+        uplink_snr_db=20.0,
+    )
+    report = ota_aggregate(deltas, phy, master_seed=0)
+    want_nmse, want_digest = AGGREGATE_DIGESTS[(num_ues, kind, allocation)]
+    assert repr(float(report.agg_nmse_db)) == want_nmse
+    assert _sha256(report.recovered.tobytes()) == want_digest
