@@ -32,14 +32,11 @@ from .fl import (
     local_train,
     make_blobs_task,
     make_linear_task,
-    update_variance,
 )
 from .grid import (
-    FrameSpec,
     GridConfig,
     ResourceGrid,
     TimeSignal,
-    assemble_frame,
     detect_frame,
     gold_sequence,
     make_pilot_values,
@@ -73,11 +70,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport", "ChannelEstimate", "ChannelModel", "ChannelRealization",
-    "EnergyModel", "ExperimentResult", "FrameSpec", "GridConfig", "LinkBudget",
+    "EnergyModel", "ExperimentResult", "GridConfig", "LinkBudget",
     "PhyConfig", "ResourceGrid", "RoundState", "RoundTrace", "ScaledUpdate",
     "Scenario", "ScenarioError", "SlotFormat", "SlotPlan", "SpectralProfile",
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",
-    "assemble_frame", "average_deltas", "channel_invert", "compute_alpha",
+    "average_deltas", "channel_invert", "compute_alpha",
     "compute_delta", "detect_frame", "digital_slots", "draw_offsets",
     "energy_gain", "evaluate_loss", "fedavg_digital", "gains_table",
     "gold_sequence", "init_params", "interpolate", "inversion_floor",
@@ -87,5 +84,5 @@ __all__ = [
     "pack_complex", "parse", "parse_file", "peak_spread", "realize_channel",
     "round_energy", "run_experiment", "run_scenario", "scale_updates",
     "serialize", "slot_plan", "spectrum_gain", "superpose", "unmap_from_grids",
-    "unpack_complex", "unscale_updates", "update_variance",
+    "unpack_complex", "unscale_updates",
 ]

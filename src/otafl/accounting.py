@@ -28,18 +28,17 @@ DEFAULT_FIXED_OVERHEAD = 94.0 / 3.0
 
 @dataclass(frozen=True)
 class SlotFormat:
-    """One uplink slot: symbols x subcarriers at a fixed duration."""
+    """One uplink slot: symbols x subcarriers."""
 
     symbols_per_slot: int = 14
     subcarriers: int = 256
     subcarrier_spacing: float = 15e3
-    slot_duration_s: float = 1e-3
 
     def __post_init__(self):
         if self.symbols_per_slot < 1 or self.subcarriers < 1:
             raise ValueError("slot dimensions must be positive")
-        if self.subcarrier_spacing <= 0 or self.slot_duration_s <= 0:
-            raise ValueError("spacing and duration must be positive")
+        if self.subcarrier_spacing <= 0:
+            raise ValueError("subcarrier spacing must be positive")
 
     @property
     def res_per_slot(self) -> int:
@@ -137,7 +136,7 @@ def energy_gain(num_ues: int, digital_slots_per_ue: int, ota_round_slots: int,
 
 def format_from_grid(symbols_per_slot: int, subcarriers: int,
                      subcarrier_spacing: float) -> SlotFormat:
-    """Slot format matching a simulation grid, nominal 1 ms duration."""
+    """Slot format matching a simulation grid."""
     return SlotFormat(
         symbols_per_slot=symbols_per_slot,
         subcarriers=subcarriers,

@@ -8,7 +8,6 @@ where integer sample delays and receiver noise are injected.
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -140,25 +139,6 @@ def decorrelate(
     return ChannelRealization(gains, realization.noise_variance, realization.ue_id)
 
 
-def apply_channel(grid_data: np.ndarray, realization: ChannelRealization, seed) -> np.ndarray:
-    """Elementwise Y = X * H plus complex Gaussian noise, block fading.
-
-    Every symbol row of the grid sees the same per-subcarrier gain.  Noise
-    with the realization's variance is added per resource element; pass a
-    zero-variance realization to apply gains only.
-    """
-    data = np.asarray(grid_data, dtype=np.complex128)
-    if data.ndim != 2 or data.shape[1] != realization.gains.size:
-        raise ValueError(
-            f"grid shape {data.shape} incompatible with {realization.gains.size} gains"
-        )
-    out = data * realization.gains[None, :]
-    if realization.noise_variance > 0:
-        rng = np.random.default_rng(seed)
-        out = out + np.sqrt(realization.noise_variance) * _cn(rng, data.shape)
-    return out
-
-
 def superpose(
     signals: list[tuple[TimeSignal, int]],
     noise_variance: float,
@@ -190,8 +170,3 @@ def superpose(
         rng = np.random.default_rng(seed)
         acc = acc + np.sqrt(noise_variance) * _cn(rng, total)
     return TimeSignal(acc, rate)
-
-
-def zero_noise(realization: ChannelRealization) -> ChannelRealization:
-    """Copy of a realization with the noise turned off (gains only)."""
-    return dataclasses.replace(realization, noise_variance=0.0)

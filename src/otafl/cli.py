@@ -25,6 +25,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import dataclasses
 import sys
 
 from .accounting import (
@@ -82,8 +83,6 @@ def _parse_spreads(text: str) -> list[int]:
 def _cmd_run(args) -> int:
     sc = parse_file(args.scenario)
     if args.rounds is not None:
-        import dataclasses
-
         sc = dataclasses.replace(sc, rounds=args.rounds)
     result = run_scenario(sc, master_seed=args.seed)
     aborted = sum(t.aborted for t in result.traces)
@@ -102,11 +101,13 @@ def _cmd_run(args) -> int:
             rows,
         )
     final_loss = result.traces[-1].global_loss
-    mean_nmse = sum(t.agg_nmse_db for t in result.traces) / len(result.traces)
+    # aborted rounds deliver nothing, so their 0 dB would only dilute the mean
+    delivered = [t.agg_nmse_db for t in result.traces if not t.aborted]
+    mean_nmse = f"{_fmt(sum(delivered) / len(delivered))} dB" if delivered else "n/a"
     print(f"scenario    : {sc.name} ({result.mode})")
     print(f"rounds      : {len(result.traces)} ({aborted} aborted)")
     print(f"final loss  : {_fmt(final_loss)}")
-    print(f"mean NMSE   : {_fmt(mean_nmse)} dB")
+    print(f"mean NMSE   : {mean_nmse}")
     print(f"total slots : {result.total_slots}")
     print(f"energy      : {_fmt(result.total_energy_j)} J")
     if args.out:
@@ -141,8 +142,6 @@ def _cmd_accounting(args) -> int:
 def _cmd_sync_sweep(args) -> int:
     sc = parse_file(args.scenario)
     if args.seed is not None:
-        import dataclasses
-
         sc = dataclasses.replace(sc, master_seed=args.seed)
     rows = sync_sweep(sc, args.spreads, args.seeds)
     header = ["schema_version", "spread_samples", "mean_agg_nmse_db", "seeds"]

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -15,12 +15,9 @@ NMSE_FLOOR_DB = -300.0
 
 @dataclass
 class ChannelEstimate:
-    """Per-subcarrier estimate: raw pilot-position values plus the filled grid."""
+    """Channel estimate filled out to the whole (symbols, subcarriers) grid."""
 
-    pilot_estimates: np.ndarray
     full_grid: np.ndarray
-    ue_id: int = 0
-    pilot_positions: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
 
 
 def ls_estimate(received: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -43,7 +40,6 @@ def interpolate(
     pilot_estimates: np.ndarray,
     pilot_positions: np.ndarray,
     cfg: GridConfig,
-    ue_id: int = 0,
 ) -> ChannelEstimate:
     """Fill a full (symbols, subcarriers) estimate from pilot positions.
 
@@ -62,7 +58,7 @@ def interpolate(
     grid_pos = np.arange(cfg.subcarriers)
     row = np.interp(grid_pos, pos, est.real) + 1j * np.interp(grid_pos, pos, est.imag)
     full = np.broadcast_to(row, (cfg.symbols_per_slot, cfg.subcarriers)).copy()
-    return ChannelEstimate(est, full, ue_id, pos)
+    return ChannelEstimate(full)
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -99,15 +95,7 @@ def quantize_estimate(estimate: ChannelEstimate, bits: int) -> ChannelEstimate:
     levels = 2 ** (bits - 1) - 1
     if levels < 1:
         raise ValueError("need at least 2 bits for a nonzero quantizer")
-
-    def _q(x: np.ndarray) -> np.ndarray:
-        scale = max(np.max(np.abs(x.real)), np.max(np.abs(x.imag)), 1e-300)
-        step = scale / levels
-        return (np.round(x.real / step) + 1j * np.round(x.imag / step)) * step
-
-    return ChannelEstimate(
-        _q(estimate.pilot_estimates),
-        _q(estimate.full_grid),
-        estimate.ue_id,
-        estimate.pilot_positions,
-    )
+    h = estimate.full_grid
+    scale = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)), 1e-300)
+    step = scale / levels
+    return ChannelEstimate((np.round(h.real / step) + 1j * np.round(h.imag / step)) * step)

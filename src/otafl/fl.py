@@ -224,13 +224,6 @@ def fedavg_digital(local_models: list[np.ndarray]) -> np.ndarray:
     return np.mean(np.stack(local_models, axis=0), axis=0)
 
 
-def update_variance(deltas: list[np.ndarray]) -> float:
-    """Pooled population variance across all UEs and parameters."""
-    if not deltas:
-        raise ValueError("need at least one delta")
-    return float(np.var(np.stack(deltas, axis=0)))
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 

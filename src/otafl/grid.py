@@ -1,4 +1,4 @@
-"""OFDM resource grids, Gold-sequence preambles and frame assembly/detection.
+"""OFDM resource grids, Gold-sequence preambles and frame detection.
 
 Conventions that the rest of the package relies on:
 
@@ -16,7 +16,6 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
 
 import numpy as np
@@ -106,30 +105,6 @@ class TimeSignal:
             raise ValueError("time signal must be 1-D")
         if self.sample_rate <= 0:
             raise ValueError("sample_rate must be positive")
-
-
-@dataclass
-class FrameSpec:
-    """Layout of one uplink frame: preamble, one pilot symbol, payload slots."""
-
-    preamble: np.ndarray
-    pilot_values: np.ndarray
-    payload_slot_count: int
-    pilot_symbol_index: int = 0
-
-    def __post_init__(self):
-        self.preamble = np.asarray(self.preamble, dtype=np.float64)
-        self.pilot_values = np.asarray(self.pilot_values, dtype=np.complex128)
-        if self.preamble.ndim != 1 or self.preamble.size == 0:
-            raise ValueError("preamble must be a nonempty 1-D array")
-        if not np.all(np.abs(self.preamble) == 1.0):
-            raise ValueError("preamble must be bipolar (+1/-1)")
-        if not np.allclose(np.abs(self.pilot_values), 1.0, atol=1e-12):
-            raise ValueError("pilot values must be unit modulus")
-        if self.payload_slot_count < 0:
-            raise ValueError("payload_slot_count must be >= 0")
-        if self.pilot_symbol_index != 0:
-            raise ValueError("only a single leading pilot symbol is supported")
 
 
 def _msequence(degree: int, taps: tuple[int, ...]) -> np.ndarray:
@@ -225,58 +200,6 @@ def ofdm_demodulate(signal: TimeSignal, cfg: GridConfig, start: int = 0) -> Reso
     useful = seg[:, cfg.cp_len:]
     spectrum = np.fft.fftshift(np.fft.fft(useful, axis=1, norm="ortho"), axes=1)
     return ResourceGrid(spectrum[:, _occupied_slice(cfg)])
-
-
-def compose_frame(
-    preamble_samples: np.ndarray,
-    pilot_row: np.ndarray,
-    payload_grids: list[ResourceGrid],
-    cfg: GridConfig,
-) -> TimeSignal:
-    """Concatenate an arbitrary preamble burst, one pilot symbol and payload.
-
-    This is the shared frame builder: :func:`assemble_frame` uses it for
-    clean transmit frames, and the uplink simulation uses it directly when
-    the pilot row or payload has already been scaled or faded.
-    """
-    pilot_row = np.asarray(pilot_row, dtype=np.complex128)
-    if pilot_row.shape != (cfg.subcarriers,):
-        raise ValueError("pilot row must hold one value per subcarrier")
-    pilot_cfg = dataclasses.replace(cfg, symbols_per_slot=1)
-    parts = [np.asarray(preamble_samples, dtype=np.complex128)]
-    parts.append(ofdm_modulate(ResourceGrid(pilot_row[None, :]), pilot_cfg).samples)
-    for g in payload_grids:
-        parts.append(ofdm_modulate(g, cfg).samples)
-    return TimeSignal(np.concatenate(parts), cfg.sample_rate)
-
-
-def assemble_frame(
-    frame_spec: FrameSpec,
-    payload: list[ResourceGrid],
-    cfg: GridConfig,
-    reference_amplitude: float = 1.0,
-) -> TimeSignal:
-    """Build one transmit frame: preamble, pilot symbol, payload slots.
-
-    ``reference_amplitude`` scales the preamble and pilot symbol only (the
-    payload is assumed to carry its own power scaling already); the default
-    of 1.0 leaves the reference parts at unit amplitude.  Total length is
-    ``len(preamble) + (1 + payload_slot_count * symbols_per_slot) *
-    (fft_size + cp_len)`` samples.
-    """
-    if len(payload) != frame_spec.payload_slot_count:
-        raise ValueError(
-            f"payload holds {len(payload)} slots, frame expects "
-            f"{frame_spec.payload_slot_count}"
-        )
-    if frame_spec.pilot_values.shape != (cfg.subcarriers,):
-        raise ValueError("pilot values must hold one value per subcarrier")
-    return compose_frame(
-        frame_spec.preamble.astype(np.complex128) * reference_amplitude,
-        frame_spec.pilot_values * reference_amplitude,
-        payload,
-        cfg,
-    )
 
 
 def detect_frame(signal: TimeSignal, preamble: np.ndarray) -> tuple[int, float]:

@@ -68,6 +68,9 @@ SCALE_MODES = ("common", "per_client")
 MODES = ("ota", "digital_fp32", "digital_int8")
 
 DETECT_THRESHOLD = 0.3
+# Per-client preambles: degree-7 Gold family, 129 sequences of 127 chips.
+PREAMBLE_DEGREE = 7
+PREAMBLE_LEN = 2**PREAMBLE_DEGREE - 1
 
 # Stream tags for deterministic seed derivation.
 _TAG_INIT = 11
@@ -108,8 +111,6 @@ class PhyConfig:
     uplink_snr_db: float | None = 20.0
     decorrelation: float = 0.0
     feedback_quant_bits: int = 0
-    preamble_degree: int = 7
-    detect_threshold: float = DETECT_THRESHOLD
 
     def __post_init__(self):
         if self.csi_mode not in CSI_MODES:
@@ -124,15 +125,11 @@ class PhyConfig:
             raise ValueError("decorrelation must lie in [0, 1]")
 
     @property
-    def preamble_len(self) -> int:
-        return 2**self.preamble_degree - 1
-
-    @property
     def preamble_slot_len(self) -> int:
         """Preamble plus a guard gap, so one user's late arrival does not
         leak into the next user's correlation window and distort its
         normalized detection metric (ruinous under near-far power spreads)."""
-        return self.preamble_len + self.grid.cp_len
+        return PREAMBLE_LEN + self.grid.cp_len
 
     def preamble_region_len(self, num_ues: int) -> int:
         return num_ues * self.preamble_slot_len
@@ -256,13 +253,13 @@ def _ue_signal(
     frames carry a single pilot symbol.
     """
     cfg = phy.grid
-    lp = phy.preamble_len
     slot = phy.preamble_slot_len
     rot = np.exp(1j * phase)
     preamble_region = np.zeros(phy.preamble_region_len(num_ues), dtype=np.complex128)
-    p = gold_sequence(phy.preamble_degree, ue, lp)
+    p = gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
     amp = phy.reference_amplitude
-    preamble_region[ue * slot:ue * slot + lp] = amp * _rms_gain_arr(gains) * p * rot
+    rms_gain = float(np.sqrt(np.mean(np.abs(gains) ** 2)))
+    preamble_region[ue * slot:ue * slot + PREAMBLE_LEN] = amp * rms_gain * p * rot
     pilot_row = amp * make_pilot_values(cfg.subcarriers) * pilot_mask * gains * rot
     pilot_cfg = replace(cfg, symbols_per_slot=pilot_symbols)
     pilot_grid = ResourceGrid(np.broadcast_to(pilot_row, (pilot_symbols, cfg.subcarriers)).copy())
@@ -270,10 +267,6 @@ def _ue_signal(
     for g in payload_grids:
         parts.append(ofdm_modulate(ResourceGrid(g.data * gains[None, :] * rot), cfg).samples)
     return TimeSignal(np.concatenate(parts), cfg.sample_rate)
-
-
-def _rms_gain_arr(gains: np.ndarray) -> float:
-    return float(np.sqrt(np.mean(np.abs(gains) ** 2)))
 
 
 def _detect_all(
@@ -292,7 +285,7 @@ def _detect_all(
     metrics = np.zeros(num_ues)
     slot = phy.preamble_slot_len
     for ue in ues:
-        p = gold_sequence(phy.preamble_degree, ue, phy.preamble_len)
+        p = gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
         raw, metric = detect_frame(rx, p)
         offsets[ue] = max(0, raw - ue * slot)
         metrics[ue] = metric
@@ -321,7 +314,7 @@ def ota_aggregate(
 
     Returns the recovered average update together with the exact digital
     average, power-control and detection diagnostics.  A detection metric
-    below ``phy.detect_threshold`` for any client aborts the round: the
+    below ``DETECT_THRESHOLD`` for any client aborts the round: the
     recovered update is zero and the caller leaves the global model
     unchanged.
     """
@@ -329,7 +322,7 @@ def ota_aggregate(
     cfg = phy.grid
     if num_ues < 1:
         raise ValueError("need at least one UE")
-    if num_ues > 2**phy.preamble_degree + 1:
+    if num_ues > 2**PREAMBLE_DEGREE + 1:
         raise ValueError("more UEs than Gold sequences in the preamble family")
     if phy.pilot_allocation == "fdm_comb" and num_ues > cfg.subcarriers:
         raise ValueError("comb pilots need num_ues <= subcarriers")
@@ -417,7 +410,7 @@ def ota_aggregate(
             ramp = _phase_ramp(cfg, int(offsets[ue]) - ref)
             eff = payload_realizations[ue].gains * ramp * np.exp(1j * phases[ue])
             full = np.broadcast_to(eff, (cfg.symbols_per_slot, cfg.subcarriers)).copy()
-            estimates.append(ChannelEstimate(eff.copy(), full, ue, np.arange(cfg.subcarriers)))
+            estimates.append(ChannelEstimate(full))
     else:
         n_pilot = cfg.symbols_per_slot
         sounding = [
@@ -433,7 +426,7 @@ def ota_aggregate(
                                          phy.preamble_region_len(num_ues))
             rx = _add_noise(clean, var, derive_seed(master_seed, round_index, _TAG_NOISE_SOUND))
             s_offsets, s_metrics = _detect_all(rx, num_ues, phy)
-            if np.any(s_metrics < phy.detect_threshold):
+            if np.any(s_metrics < DETECT_THRESHOLD):
                 return _report(zeros.copy(), 0.0, True, "sounding detection failed",
                                s_offsets, s_metrics, no_metrics.copy(), descale)
             ref = int(s_offsets.min())
@@ -454,7 +447,7 @@ def ota_aggregate(
                 o, m = _detect_all(rxs[ue], num_ues, phy, only_ue=ue)
                 s_offsets[ue] = o[ue]
                 s_metrics[ue] = m[ue]
-            if np.any(s_metrics < phy.detect_threshold):
+            if np.any(s_metrics < DETECT_THRESHOLD):
                 return _report(zeros.copy(), 0.0, True, "sounding detection failed",
                                s_offsets, s_metrics, no_metrics.copy(), descale)
             ref = int(s_offsets.min())
@@ -466,7 +459,7 @@ def ota_aggregate(
         for ue in range(num_ues):
             pos = _pilot_positions(ue, num_ues, cfg, phy.pilot_allocation)
             raw = ls_estimate(rows[ue][pos], amp * pilot_vals[pos])
-            est = interpolate(raw, pos, cfg, ue)
+            est = interpolate(raw, pos, cfg)
             estimates.append(quantize_estimate(est, phy.feedback_quant_bits))
 
     # --- precode, shared power control ------------------------------------
@@ -498,7 +491,7 @@ def ota_aggregate(
     )
     rx = _add_noise(clean, var, derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD))
     p_offsets, p_metrics = _detect_all(rx, num_ues, phy)
-    if np.any(p_metrics < phy.detect_threshold):
+    if np.any(p_metrics < DETECT_THRESHOLD):
         return _report(zeros.copy(), 0.0, True, "payload detection failed",
                        p_offsets, p_metrics, max_re_power, descale)
     start = int(p_offsets.min())
@@ -569,12 +562,43 @@ def round_updates(
     master_seed: int,
 ) -> list[np.ndarray]:
     """Local training for one round; returns the per-UE delta updates."""
-    cfgs = train_configs(template, len(tasks), master_seed, state.round_index)
+    return _train_deltas(
+        state, tasks, train_configs(template, len(tasks), master_seed, state.round_index)
+    )
+
+
+def _train_deltas(
+    state: fl.RoundState, tasks: list[fl.Task], train_cfgs: list[fl.TrainConfig]
+) -> list[np.ndarray]:
+    """Every client trains from the global model and returns its delta."""
     locals_ = _map_ues(
-        lambda ue: fl.local_train(state.theta, tasks[ue], cfgs[ue]),
+        lambda ue: fl.local_train(state.theta, tasks[ue], train_cfgs[ue]),
         list(range(len(tasks))),
     )
     return [fl.compute_delta(loc, state.theta) for loc in locals_]
+
+
+def _finish_round(
+    state: fl.RoundState,
+    tasks: list[fl.Task],
+    update: np.ndarray,
+    aborted: bool,
+    **trace_fields,
+) -> tuple[fl.RoundState, RoundTrace]:
+    """Apply the aggregated update, evaluate every client and record the round.
+
+    An aborted round leaves the global model unchanged.
+    """
+    new_theta = state.theta.copy() if aborted else fl.apply_global(state.theta, update)
+    loss_per_ue = np.array([fl.evaluate_loss(new_theta, t) for t in tasks])
+    trace = RoundTrace(
+        round_index=state.round_index,
+        loss_per_ue=loss_per_ue,
+        global_loss=float(np.mean(loss_per_ue)),
+        aborted=aborted,
+        **trace_fields,
+    )
+    return fl.RoundState(new_theta, state.round_index + 1), trace
 
 
 def _int8_dequantize(delta: np.ndarray) -> np.ndarray:
@@ -596,30 +620,16 @@ def run_ota_round(
     energy_model: EnergyModel = EnergyModel(),
 ) -> tuple[fl.RoundState, RoundTrace]:
     """One full analog round: train, aggregate over the air, apply."""
-    num_ues = len(tasks)
-    locals_ = _map_ues(
-        lambda ue: fl.local_train(state.theta, tasks[ue], train_cfgs[ue]),
-        list(range(num_ues)),
-    )
-    deltas = [fl.compute_delta(loc, state.theta) for loc in locals_]
+    deltas = _train_deltas(state, tasks, train_cfgs)
     report = ota_aggregate(deltas, phy, master_seed, state.round_index)
-    if report.aborted:
-        new_theta = state.theta.copy()
-    else:
-        new_theta = fl.apply_global(state.theta, report.recovered)
-    loss_per_ue = np.array([fl.evaluate_loss(new_theta, t) for t in tasks])
-    trace = RoundTrace(
-        round_index=state.round_index,
+    return _finish_round(
+        state, tasks, report.recovered, report.aborted,
         mode="ota",
         agg_nmse_db=report.agg_nmse_db,
-        loss_per_ue=loss_per_ue,
-        global_loss=float(np.mean(loss_per_ue)),
         alpha=report.alpha,
         slots_used=report.slots,
-        energy_j=round_energy(num_ues, report.slots, energy_model),
-        aborted=report.aborted,
+        energy_j=round_energy(len(tasks), report.slots, energy_model),
     )
-    return fl.RoundState(new_theta, state.round_index + 1), trace
 
 
 def run_digital_round(
@@ -634,12 +644,7 @@ def run_digital_round(
     """Digital FedAvg baseline round (fp32 exact or int8-quantized uploads)."""
     if mode not in ("digital_fp32", "digital_int8"):
         raise ValueError(f"not a digital mode: {mode!r}")
-    num_ues = len(tasks)
-    locals_ = _map_ues(
-        lambda ue: fl.local_train(state.theta, tasks[ue], train_cfgs[ue]),
-        list(range(num_ues)),
-    )
-    deltas = [fl.compute_delta(loc, state.theta) for loc in locals_]
+    deltas = _train_deltas(state, tasks, train_cfgs)
     exact = fl.average_deltas(deltas)
     if mode == "digital_int8":
         sent = fl.average_deltas([_int8_dequantize(d) for d in deltas])
@@ -650,23 +655,15 @@ def run_digital_round(
     agg_db = -300.0 if mode == "digital_fp32" else (
         nmse(sent, exact) if float(np.sum(np.abs(exact) ** 2)) > 0 else -300.0
     )
-    new_theta = fl.apply_global(state.theta, sent)
-    loss_per_ue = np.array([fl.evaluate_loss(new_theta, t) for t in tasks])
-    param_count = state.theta.size
-    slots = digital_slots(param_count, bits, profile, fmt)
-    energy = (energy_model.fixed_overhead + slots) * energy_model.slot_energy_j
-    trace = RoundTrace(
-        round_index=state.round_index,
+    slots = digital_slots(state.theta.size, bits, profile, fmt)
+    return _finish_round(
+        state, tasks, sent, False,
         mode=mode,
         agg_nmse_db=agg_db,
-        loss_per_ue=loss_per_ue,
-        global_loss=float(np.mean(loss_per_ue)),
         alpha=0.0,
         slots_used=slots,
-        energy_j=energy,
-        aborted=False,
+        energy_j=(energy_model.fixed_overhead + slots) * energy_model.slot_energy_j,
     )
-    return fl.RoundState(new_theta, state.round_index + 1), trace
 
 
 def run_experiment(

@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .csi import ChannelEstimate
@@ -15,22 +13,6 @@ from .grid import ResourceGrid
 # sides (noise amplification below, truncation bias above).
 DEFAULT_FLOOR_REL = 0.15
 DEFAULT_MARGIN = 0.9
-
-
-@dataclass(frozen=True)
-class PrecodeParams:
-    """Resolved per-round power control record."""
-
-    alpha: float
-    peak_power: float
-    inversion_floor: float
-    margin: float
-
-    def __post_init__(self):
-        if self.alpha < 0 or self.peak_power <= 0:
-            raise ValueError("alpha must be >= 0 and peak_power positive")
-        if self.inversion_floor < 0 or not 0 < self.margin <= 1:
-            raise ValueError("floor must be >= 0 and margin in (0, 1]")
 
 
 def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL) -> float:

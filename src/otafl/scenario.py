@@ -110,53 +110,18 @@ class Scenario:
     acct_bits_int8: int = 8
 
 
+# Key groups: a field named ``<group>_<rest>`` is set by the key ``<group>.<rest>``.
+_KEY_GROUPS = ("task", "train", "grid", "channel", "link", "sync", "phy", "acct")
+
+
+def _dotted(field: str) -> str:
+    group, sep, rest = field.partition("_")
+    return f"{group}.{rest}" if sep and group in _KEY_GROUPS else field
+
+
 # dotted key -> dataclass field, in serialization order
-KEYMAP: dict[str, str] = {
-    "name": "name",
-    "mode": "mode",
-    "rounds": "rounds",
-    "num_ues": "num_ues",
-    "master_seed": "master_seed",
-    "task.kind": "task_kind",
-    "task.samples_per_ue": "task_samples_per_ue",
-    "task.features": "task_features",
-    "task.heterogeneity": "task_heterogeneity",
-    "task.noise_std": "task_noise_std",
-    "task.classes": "task_classes",
-    "task.hidden": "task_hidden",
-    "train.learning_rate": "train_learning_rate",
-    "train.epochs": "train_epochs",
-    "train.batch_size": "train_batch_size",
-    "train.optimizer": "train_optimizer",
-    "grid.subcarriers": "grid_subcarriers",
-    "grid.symbols_per_slot": "grid_symbols_per_slot",
-    "grid.subcarrier_spacing_hz": "grid_subcarrier_spacing_hz",
-    "grid.fft_size": "grid_fft_size",
-    "grid.cp_len": "grid_cp_len",
-    "channel.kind": "channel_kind",
-    "channel.pathloss_exponent": "channel_pathloss_exponent",
-    "channel.carrier_hz": "channel_carrier_hz",
-    "link.tx_power_dbm": "link_tx_power_dbm",
-    "link.distance_m": "link_distance_m",
-    "link.noise_psd_dbm_hz": "link_noise_psd_dbm_hz",
-    "sync.mode": "sync_mode",
-    "sync.ptp_bound_s": "sync_ptp_bound_s",
-    "sync.off_spread": "sync_off_spread",
-    "sync.distribution": "sync_distribution",
-    "sync.phase_offset_rad": "sync_phase_offset_rad",
-    "phy.uplink_snr_db": "phy_uplink_snr_db",
-    "phy.csi_mode": "phy_csi_mode",
-    "phy.pilot_allocation": "phy_pilot_allocation",
-    "phy.scale_mode": "phy_scale_mode",
-    "phy.peak_power": "phy_peak_power",
-    "phy.margin": "phy_margin",
-    "phy.floor_rel": "phy_floor_rel",
-    "phy.decorrelation": "phy_decorrelation",
-    "phy.feedback_quant_bits": "phy_feedback_quant_bits",
-    "acct.spectral_efficiency": "acct_spectral_efficiency",
-    "acct.fixed_overhead": "acct_fixed_overhead",
-    "acct.bits_int8": "acct_bits_int8",
-}
+KEYMAP: dict[str, str] = {_dotted(f.name): f.name for f in dataclasses.fields(Scenario)}
+_KEY_OF = {field: key for key, field in KEYMAP.items()}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
 
@@ -238,17 +203,10 @@ def serialize(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _key_of(field: str) -> str:
-    for key, f in KEYMAP.items():
-        if f == field:
-            return key
-    raise KeyError(field)
-
-
 def validate(sc: Scenario) -> None:
     """Range and choice checks; error messages name the offending key."""
     def fail(field: str, why: str):
-        raise ScenarioError(f"key {_key_of(field)!r}: {why}")
+        raise ScenarioError(f"key {_KEY_OF[field]!r}: {why}")
 
     for field, allowed in _CHOICES.items():
         v = getattr(sc, field)

@@ -32,7 +32,6 @@ class SyncConfig:
     off_spread: int = 0
     distribution: str = "uniform"
     phase_offset_rad: float = 0.0
-    seed: int = 0
 
     def __post_init__(self):
         if self.mode not in MODES:
@@ -50,7 +49,7 @@ def offset_bound(cfg: SyncConfig, sample_rate: float) -> int:
     return cfg.off_spread
 
 
-def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed=None) -> np.ndarray:
+def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed) -> np.ndarray:
     """Per-UE nonnegative integer sample offsets for one round.
 
     Uniform offsets are drawn as floor(u * (bound + 1)) from a shared
@@ -60,7 +59,7 @@ def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed=None) -
     if num_ues < 1:
         raise ValueError("num_ues must be >= 1")
     bound = offset_bound(cfg, sample_rate)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     if bound == 0:
         # keep the draw count stable so downstream streams do not shift
         rng.random(num_ues)
@@ -73,13 +72,13 @@ def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed=None) -
     return np.clip(np.round(g), 0, bound).astype(np.int64)
 
 
-def draw_phase_offsets(cfg: SyncConfig, num_ues: int, seed=None) -> np.ndarray:
+def draw_phase_offsets(cfg: SyncConfig, num_ues: int, seed) -> np.ndarray:
     """Static per-UE carrier phase offsets, uniform in the configured range."""
     if num_ues < 1:
         raise ValueError("num_ues must be >= 1")
     if cfg.phase_offset_rad == 0.0:
         return np.zeros(num_ues)
-    rng = np.random.default_rng(cfg.seed if seed is None else seed)
+    rng = np.random.default_rng(seed)
     return rng.uniform(-cfg.phase_offset_rad, cfg.phase_offset_rad, size=num_ues)
 
 

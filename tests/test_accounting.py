@@ -55,7 +55,6 @@ def test_slot_format_resource_elements():
     assert FMT.res_per_slot == 3584
     small = format_from_grid(2, 8, 15e3)
     assert small.res_per_slot == 16
-    assert small.slot_duration_s == 1e-3
 
 
 def test_slot_counts_validation():

@@ -7,12 +7,10 @@ from otafl.channel import (
     ChannelModel,
     ChannelRealization,
     LinkBudget,
-    apply_channel,
     decorrelate,
     pathloss_amplitude,
     realize_channel,
     superpose,
-    zero_noise,
 )
 from otafl.grid import TimeSignal
 
@@ -112,36 +110,6 @@ def test_pathloss_fading_scales_mean_power():
     for seed in range(200):
         powers.append(np.abs(realize_channel(model, BUDGET, 256, seed).gains) ** 2)
     assert np.mean(powers) == pytest.approx(amp**2, rel=0.03)
-
-
-# ------------------------------------------------------ gain application
-
-
-def test_apply_channel_gains_only():
-    r = ChannelRealization(np.array([1.0, 2.0j, -1.0]), 0.0)
-    x = np.arange(6, dtype=complex).reshape(2, 3)
-    np.testing.assert_array_equal(apply_channel(x, r, seed=0), x * r.gains)
-
-
-def test_apply_channel_noise_statistics():
-    r = ChannelRealization(np.ones(512), 0.25)
-    x = np.zeros((40, 512), dtype=complex)
-    y = apply_channel(x, r, seed=5)
-    assert np.mean(np.abs(y) ** 2) == pytest.approx(0.25, rel=0.03)
-
-
-def test_apply_channel_shape_check():
-    r = ChannelRealization(np.ones(4), 0.0)
-    with pytest.raises(ValueError):
-        apply_channel(np.zeros((2, 5), dtype=complex), r, seed=0)
-
-
-def test_zero_noise_copy():
-    r = ChannelRealization(np.ones(4), 0.7, ue_id=2)
-    quiet = zero_noise(r)
-    assert quiet.noise_variance == 0.0
-    assert r.noise_variance == 0.7
-    np.testing.assert_array_equal(quiet.gains, r.gains)
 
 
 # ----------------------------------------------------------- decorrelate

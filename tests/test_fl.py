@@ -17,7 +17,6 @@ from otafl.fl import (
     loss_and_grad,
     make_blobs_task,
     make_linear_task,
-    update_variance,
 )
 
 
@@ -152,21 +151,11 @@ def test_fedavg_exact_from_zero_global():
     )
 
 
-def test_update_variance_two_pass_oracle():
-    rng = np.random.default_rng(1)
-    deltas = [rng.normal(size=20) for _ in range(4)]
-    stacked = np.stack(deltas)
-    want = np.mean((stacked - stacked.mean()) ** 2)
-    assert update_variance(deltas) == pytest.approx(want, rel=1e-12)
-
-
 def test_aggregation_validation():
     with pytest.raises(ValueError):
         average_deltas([])
     with pytest.raises(ValueError):
         fedavg_digital([])
-    with pytest.raises(ValueError):
-        update_variance([])
     with pytest.raises(ValueError):
         compute_delta(np.ones(3), np.ones(4))
 

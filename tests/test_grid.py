@@ -6,12 +6,9 @@ import numpy as np
 import pytest
 
 from otafl.grid import (
-    FrameSpec,
     GridConfig,
     ResourceGrid,
     TimeSignal,
-    assemble_frame,
-    compose_frame,
     detect_frame,
     gold_sequence,
     make_pilot_values,
@@ -157,43 +154,18 @@ def test_pilot_values_are_unit_modulus_qpsk():
     np.testing.assert_array_equal(pv, make_pilot_values(256))
 
 
-def test_frame_length_formula():
-    preamble = gold_sequence(7, 0, 127)
-    spec = FrameSpec(preamble, make_pilot_values(CFG.subcarriers), 3)
-    payload = [_random_grid(CFG, seed=10 + i) for i in range(3)]
-    frame = assemble_frame(spec, payload, CFG)
-    expected = 127 + (1 + 3 * CFG.symbols_per_slot) * CFG.symbol_len
-    assert frame.samples.size == expected
-
-
-def test_assemble_scales_reference_parts_only():
-    preamble = gold_sequence(7, 0, 127)
-    spec = FrameSpec(preamble, make_pilot_values(CFG.subcarriers), 1)
-    payload = [_random_grid(CFG, seed=20)]
-    f1 = assemble_frame(spec, payload, CFG, reference_amplitude=1.0)
-    f2 = assemble_frame(spec, payload, CFG, reference_amplitude=2.0)
-    head = 127 + CFG.symbol_len  # preamble plus pilot symbol
-    np.testing.assert_allclose(f2.samples[:head], 2.0 * f1.samples[:head], atol=1e-12)
-    np.testing.assert_allclose(f2.samples[head:], f1.samples[head:], atol=1e-12)
-
-
 def test_payload_slots_survive_framing():
-    preamble = gold_sequence(7, 0, 127)
-    spec = FrameSpec(preamble, make_pilot_values(CFG.subcarriers), 2)
+    # preamble burst, one pilot symbol, then the payload slots (the uplink layout)
+    preamble = gold_sequence(7, 0, 127).astype(complex)
+    pilot_cfg = dataclasses.replace(CFG, symbols_per_slot=1)
+    pilot = ofdm_modulate(ResourceGrid(make_pilot_values(CFG.subcarriers)[None, :]), pilot_cfg)
     payload = [_random_grid(CFG, seed=30 + i) for i in range(2)]
-    frame = assemble_frame(spec, payload, CFG)
+    parts = [preamble, pilot.samples] + [ofdm_modulate(g, CFG).samples for g in payload]
+    frame = TimeSignal(np.concatenate(parts), CFG.sample_rate)
     base = 127 + CFG.symbol_len
     for i, g in enumerate(payload):
         back = ofdm_demodulate(frame, CFG, base + i * CFG.slot_len)
         np.testing.assert_allclose(back.data, g.data, atol=1e-12)
-
-
-def test_compose_frame_validation():
-    with pytest.raises(ValueError):
-        compose_frame(np.zeros(4), np.zeros(3), [], CFG)  # pilot row wrong length
-    spec = FrameSpec(gold_sequence(7, 0, 127), make_pilot_values(CFG.subcarriers), 2)
-    with pytest.raises(ValueError):
-        assemble_frame(spec, [_random_grid(CFG, seed=0)], CFG)  # one slot missing
 
 
 # ------------------------------------------------------------ detection

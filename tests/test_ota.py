@@ -7,6 +7,7 @@ from otafl import fl
 from otafl.channel import ChannelModel
 from otafl.grid import GridConfig
 from otafl.ota import (
+    DETECT_THRESHOLD,
     PhyConfig,
     data_seeds,
     derive_seed,
@@ -92,7 +93,7 @@ def test_estimated_csi_with_offsets_clean_channel():
     assert not report.aborted
     assert report.agg_nmse_db < -100.0
     assert np.all(report.offsets >= 0) and np.all(report.offsets <= 1)
-    assert np.all(report.peak_metrics >= phy.detect_threshold)
+    assert np.all(report.peak_metrics >= DETECT_THRESHOLD)
 
 
 def test_comb_pilots_exact_without_offsets():

@@ -7,7 +7,6 @@ from otafl.csi import interpolate
 from otafl.grid import GridConfig, ResourceGrid
 from otafl.precode import (
     DEFAULT_FLOOR_REL,
-    PrecodeParams,
     channel_invert,
     compute_alpha,
     inversion_floor,
@@ -122,11 +121,3 @@ def test_alpha_validation():
         compute_alpha([[g]], 1.0, margin=1.5)
     with pytest.raises(ValueError):
         compute_alpha([[_grid(np.zeros(16))]], 1.0)
-
-
-def test_params_record_validation():
-    PrecodeParams(alpha=0.5, peak_power=1.0, inversion_floor=0.1, margin=0.9)
-    with pytest.raises(ValueError):
-        PrecodeParams(alpha=-1.0, peak_power=1.0, inversion_floor=0.1, margin=0.9)
-    with pytest.raises(ValueError):
-        PrecodeParams(alpha=0.5, peak_power=1.0, inversion_floor=-0.1, margin=0.9)

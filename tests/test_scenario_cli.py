@@ -242,7 +242,9 @@ def test_cli_run_all_aborted_exit_code(tmp_path, capsys):
                .replace("rounds = 2", "rounds = 1")
     scenario = _tiny_file(tmp_path, text=text, name="deaf.cfg")
     assert main(["run", str(scenario)]) == EXIT_DEGENERATE
-    assert "aborted" in capsys.readouterr().err
+    out, err = capsys.readouterr()
+    assert "aborted" in err
+    assert "mean NMSE   : n/a" in out  # no delivered round to average
 
 
 def test_cli_accounting_table(tmp_path, capsys):

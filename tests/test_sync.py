@@ -81,9 +81,6 @@ def test_offsets_deterministic_per_seed():
     np.testing.assert_array_equal(
         draw_offsets(cfg, 6, RATE, seed=7), draw_offsets(cfg, 6, RATE, seed=7)
     )
-    # seed argument overrides the config seed
-    alt = draw_offsets(SyncConfig(mode="ptp_off", off_spread=32, seed=7), 6, RATE)
-    np.testing.assert_array_equal(alt, draw_offsets(cfg, 6, RATE, seed=7))
 
 
 def test_phase_offsets_zero_and_bounded():
@@ -103,7 +100,7 @@ def test_sync_config_validation():
     with pytest.raises(ValueError):
         SyncConfig(off_spread=-1)
     with pytest.raises(ValueError):
-        draw_offsets(SyncConfig(), 0, RATE)
+        draw_offsets(SyncConfig(), 0, RATE, seed=0)
 
 
 # -------------------------------------------------------- peak diagnostics
