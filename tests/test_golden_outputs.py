@@ -1,4 +1,5 @@
-"""Golden fixture: pinned digests of the shipped scenarios and two aggregations.
+"""Golden fixture: pinned digests of the shipped scenarios, two aggregations
+and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
 numbers across versions.  A change that moves any digest on purpose must
@@ -11,9 +12,19 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from otafl import fl
+from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, format_from_grid
 from otafl.channel import ChannelModel
 from otafl.cli import EXIT_OK, main
-from otafl.ota import PhyConfig, ota_aggregate
+from otafl.ota import (
+    PhyConfig,
+    data_seeds,
+    initial_state,
+    ota_aggregate,
+    run_digital_round,
+    run_ota_round,
+    train_configs,
+)
 from otafl.sync import SyncConfig
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
@@ -36,6 +47,20 @@ AGGREGATE_DIGESTS = {
     (20, "rayleigh_per_subcarrier", "tdm_full"): (
         "-18.21116448747706",
         "7668c7432e640a58be33dd3cb8cf6d32491c107cc20da33c2bbe345f1ff60b5b",
+    ),
+}
+
+# Criterion-5 shape: M=5, P=6656, 1664 samples per client, lr 0.05, full
+# batch, seed 0, three chained rounds.
+# mode -> (sha256 of the final theta, repr of each round's global_loss)
+PAPER_SHAPE_DIGESTS = {
+    "ota": (
+        "afdaad0782a8eb3401e97eb1413e9db2cec43cd776c12ac906d535e2c5ee432d",
+        ("0.8976539885360957", "0.6708316035102445", "0.5233187672977356"),
+    ),
+    "digital_fp32": (
+        "61ce39057541e20341e7970be95430d94217f0b26cd92825ffab14a8413b9c2b",
+        ("0.8981618998783862", "0.6712330526897362", "0.5239577735326214"),
     ),
 }
 
@@ -70,3 +95,36 @@ def test_ota_aggregate_digest(num_ues, kind, allocation, threads, monkeypatch):
     want_nmse, want_digest = AGGREGATE_DIGESTS[(num_ues, kind, allocation)]
     assert repr(float(report.agg_nmse_db)) == want_nmse
     assert _sha256(report.recovered.tobytes()) == want_digest
+
+
+@pytest.fixture(scope="module")
+def paper_tasks():
+    return [fl.make_linear_task(*data_seeds(0, ue), 1664, 6656) for ue in range(5)]
+
+
+@pytest.mark.parametrize("threads", ["1", "2"])
+@pytest.mark.parametrize("mode", list(PAPER_SHAPE_DIGESTS))
+def test_paper_shape_rounds_digest(mode, threads, paper_tasks, monkeypatch):
+    monkeypatch.setenv("OTAFL_THREADS", threads)
+    template = fl.TrainConfig(learning_rate=0.05, epochs=1, batch_size=0)
+    phy = PhyConfig(
+        channel=ChannelModel("flat_block"),
+        sync=SyncConfig(mode="ptp_on"),
+        uplink_snr_db=20.0,
+    )
+    profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, len(paper_tasks))
+    fmt = format_from_grid(
+        phy.grid.symbols_per_slot, phy.grid.subcarriers, phy.grid.subcarrier_spacing
+    )
+    state = initial_state(paper_tasks, 0)
+    losses = []
+    for r in range(3):
+        cfgs = train_configs(template, len(paper_tasks), 0, r)
+        if mode == "ota":
+            state, trace = run_ota_round(state, paper_tasks, cfgs, phy, 0)
+        else:
+            state, trace = run_digital_round(state, paper_tasks, cfgs, mode, profile, fmt)
+        losses.append(repr(trace.global_loss))
+    want_digest, want_losses = PAPER_SHAPE_DIGESTS[mode]
+    assert tuple(losses) == want_losses
+    assert _sha256(state.theta.tobytes()) == want_digest
