@@ -81,10 +81,18 @@ class TrainConfig:
 
 @dataclass
 class RoundState:
-    """Global model and round counter threaded through an experiment."""
+    """Global model and round counter threaded through an experiment.
+
+    ``grads``, when set, holds one entry per task in task order: the
+    gradient of that client's full-batch loss at ``theta``.  A round that
+    evaluates every client at its new model fills it in, and the next
+    round's first full-batch training step reuses it instead of
+    recomputing it.  It is a cache only: ``None`` gives the same results.
+    """
 
     theta: np.ndarray
     round_index: int = 0
+    grads: tuple[np.ndarray, ...] | None = None
 
     def __post_init__(self):
         self.theta = np.asarray(self.theta, dtype=np.float64)
@@ -162,11 +170,19 @@ def init_params(task: Task, seed: int = 0) -> np.ndarray:
 # local training and aggregation
 
 
-def local_train(global_theta: np.ndarray, task: Task, cfg: TrainConfig) -> np.ndarray:
+def local_train(
+    global_theta: np.ndarray,
+    task: Task,
+    cfg: TrainConfig,
+    grad0: np.ndarray | None = None,
+) -> np.ndarray:
     """Run ``cfg.epochs`` of seeded mini-batch training from the global model.
 
     Zero epochs return the global model unchanged.  Adam moment state is
     reset at the start of every call (each federated round starts fresh).
+    ``grad0``, when given, must be ``loss_and_grad(global_theta, task)[1]``;
+    it stands in for the first step's gradient when that step is full
+    batch, and is ignored otherwise, so it never changes the result.
     """
     theta = np.array(global_theta, dtype=np.float64, copy=True)
     if theta.size != task.param_count:
@@ -180,10 +196,14 @@ def local_train(global_theta: np.ndarray, task: Task, cfg: TrainConfig) -> np.nd
     v = np.zeros_like(theta)
     step = 0
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if batch < n else np.arange(n)
+        order = rng.permutation(n) if batch < n else None
         for lo in range(0, n, batch):
-            idx = order[lo:lo + batch]
-            _, grad = loss_and_grad(theta, task, idx)
+            if batch < n:
+                _, grad = loss_and_grad(theta, task, order[lo:lo + batch])
+            elif step == 0 and grad0 is not None:
+                grad = grad0
+            else:
+                _, grad = loss_and_grad(theta, task)
             step += 1
             if cfg.optimizer == "sgd":
                 theta -= cfg.learning_rate * grad

@@ -16,6 +16,7 @@ Conventions that the rest of the package relies on:
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -107,11 +108,13 @@ class TimeSignal:
             raise ValueError("sample_rate must be positive")
 
 
+@functools.lru_cache(maxsize=None)
 def _msequence(degree: int, taps: tuple[int, ...]) -> np.ndarray:
     """Maximal-length sequence from a Fibonacci LFSR, all-ones start state.
 
     ``taps`` are the exponents of the feedback polynomial
-    x^m + x^t1 + ... + 1; the output has period 2**m - 1.
+    x^m + x^t1 + ... + 1; the output has period 2**m - 1.  The result is
+    cached and returned read-only.
     """
     n = 2**degree - 1
     state = [1] * degree
@@ -122,6 +125,7 @@ def _msequence(degree: int, taps: tuple[int, ...]) -> np.ndarray:
         for t in taps:
             fb ^= state[t - 1]
         state = [fb] + state[:-1]
+    bits.flags.writeable = False
     return bits
 
 

@@ -570,9 +570,18 @@ def round_updates(
 def _train_deltas(
     state: fl.RoundState, tasks: list[fl.Task], train_cfgs: list[fl.TrainConfig]
 ) -> list[np.ndarray]:
-    """Every client trains from the global model and returns its delta."""
+    """Every client trains from the global model and returns its delta.
+
+    A client starts from its carried full-batch gradient in
+    ``state.grads`` when there is one.
+    """
+    grads = state.grads
+    if grads is not None and len(grads) != len(tasks):
+        raise ValueError(f"state carries {len(grads)} gradients for {len(tasks)} tasks")
     locals_ = _map_ues(
-        lambda ue: fl.local_train(state.theta, tasks[ue], train_cfgs[ue]),
+        lambda ue: fl.local_train(
+            state.theta, tasks[ue], train_cfgs[ue], None if grads is None else grads[ue]
+        ),
         list(range(len(tasks))),
     )
     return [fl.compute_delta(loc, state.theta) for loc in locals_]
@@ -587,10 +596,13 @@ def _finish_round(
 ) -> tuple[fl.RoundState, RoundTrace]:
     """Apply the aggregated update, evaluate every client and record the round.
 
-    An aborted round leaves the global model unchanged.
+    An aborted round leaves the global model unchanged.  The evaluation's
+    full-batch gradients ride along in the returned state for the next
+    round's first training step.
     """
     new_theta = state.theta.copy() if aborted else fl.apply_global(state.theta, update)
-    loss_per_ue = np.array([fl.evaluate_loss(new_theta, t) for t in tasks])
+    losses, grads = zip(*_map_ues(lambda t: fl.loss_and_grad(new_theta, t), tasks))
+    loss_per_ue = np.array(losses)
     trace = RoundTrace(
         round_index=state.round_index,
         loss_per_ue=loss_per_ue,
@@ -598,7 +610,7 @@ def _finish_round(
         aborted=aborted,
         **trace_fields,
     )
-    return fl.RoundState(new_theta, state.round_index + 1), trace
+    return fl.RoundState(new_theta, state.round_index + 1, grads), trace
 
 
 def _int8_dequantize(delta: np.ndarray) -> np.ndarray:

@@ -2,8 +2,9 @@
 
 Run with ``pytest tests/test_acceptance.py -s`` to see the PASS/FAIL lines
 on success as well (pytest hides captured stdout for passing tests).
-Every criterion is self-contained and seeded; the whole module finishes in
-a few minutes on one core.
+Every criterion is self-contained and seeded.  Criterion 5 (50 rounds x
+10 seeds x 2 modes at P = 6656) takes about 70 s on a 2-vCPU VM, against
+its 300 s gate; the other seven take seconds.
 """
 
 import math

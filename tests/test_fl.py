@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from otafl.fl import (
+    OPTIMIZERS,
     RoundState,
     Task,
     TrainConfig,
@@ -123,6 +124,47 @@ def test_local_train_size_check():
     task = make_linear_task(0, 1, n_samples=10, n_features=4)
     with pytest.raises(ValueError):
         local_train(np.zeros(5), task, TrainConfig())
+
+
+# ------------------------------------------- carried first-step gradient
+
+
+def _grad0_case(kind):
+    if kind == "linear":
+        task = make_linear_task(0, 5, n_samples=40, n_features=6)
+    else:
+        task = make_blobs_task(0, 2, n_samples=30, n_features=5, n_classes=3, hidden=4)
+    theta = init_params(task, seed=1)
+    theta = theta + 0.1 * np.random.default_rng(7).normal(size=theta.size)
+    return task, theta
+
+
+@pytest.mark.parametrize("epochs", [1, 2])
+@pytest.mark.parametrize("optimizer", OPTIMIZERS)
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_carried_gradient_is_bit_identical(kind, optimizer, epochs):
+    task, theta = _grad0_case(kind)
+    cfg = TrainConfig(learning_rate=0.05, epochs=epochs, optimizer=optimizer)
+    grad0 = loss_and_grad(theta, task)[1]
+    kept = grad0.copy()
+    with_grad0 = local_train(theta, task, cfg, grad0=grad0)
+    np.testing.assert_array_equal(with_grad0, local_train(theta, task, cfg))
+    np.testing.assert_array_equal(grad0, kept)  # the carried gradient is not modified
+
+
+def test_carried_gradient_is_used_on_full_batch():
+    task, theta = _grad0_case("linear")
+    out = local_train(theta, task, TrainConfig(learning_rate=0.05), grad0=np.zeros_like(theta))
+    np.testing.assert_array_equal(out, theta)
+
+
+@pytest.mark.parametrize("kind", ["linear", "mlp"])
+def test_minibatch_ignores_carried_gradient(kind):
+    task, theta = _grad0_case(kind)
+    cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, optimizer="adam", seed=3)
+    want = local_train(theta, task, cfg)
+    for grad0 in (loss_and_grad(theta, task)[1], np.zeros_like(theta)):
+        np.testing.assert_array_equal(local_train(theta, task, cfg, grad0=grad0), want)
 
 
 # ------------------------------------------------------------ aggregation

@@ -40,6 +40,14 @@ def test_msequence_balance_and_period():
         assert ones == 2 ** (degree - 1)
 
 
+@pytest.mark.parametrize("index", [0, 1, 5])
+def test_gold_sequence_returns_a_fresh_array(index):
+    first = gold_sequence(7, index, 127)
+    want = first.copy()
+    first[:] = 0.0
+    np.testing.assert_array_equal(gold_sequence(7, index, 127), want)
+
+
 def test_bipolar_mapping_matches_reference_lfsr():
     n = 127
     got = gold_sequence(7, 0, n)

@@ -1,5 +1,7 @@
 """End-to-end analog aggregation: transport fidelity, aborts, experiments."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -404,6 +406,37 @@ def test_aborted_round_keeps_global_model():
     np.testing.assert_array_equal(new_state.theta, state.theta)
     assert new_state.round_index == 1
     assert trace.energy_j > 0  # the attempt still cost transmissions
+
+
+def _two_ota_rounds(drop_grads):
+    tasks = _make_tasks(3)
+    template = fl.TrainConfig(learning_rate=0.1, epochs=1)
+    phy = _ideal_phy(channel=ChannelModel("flat_block"), uplink_snr_db=20.0)
+    state = initial_state(tasks, master_seed=4)
+    losses = []
+    for r in range(2):
+        if drop_grads:
+            state = replace(state, grads=None)
+        state, trace = run_ota_round(state, tasks, train_configs(template, 3, 4, r), phy, 4)
+        losses.append(trace.global_loss)
+    return tasks, state, losses
+
+
+def test_carried_gradients_do_not_change_rounds():
+    tasks, carried, carried_losses = _two_ota_rounds(drop_grads=False)
+    _, fresh, fresh_losses = _two_ota_rounds(drop_grads=True)
+    np.testing.assert_array_equal(carried.theta, fresh.theta)
+    assert carried_losses == fresh_losses
+    assert len(carried.grads) == len(tasks)
+    for task, grad in zip(tasks, carried.grads):
+        np.testing.assert_array_equal(grad, fl.loss_and_grad(carried.theta, task)[1])
+
+
+def test_carried_gradient_count_must_match_tasks():
+    tasks, state, _ = _two_ota_rounds(drop_grads=False)
+    cfgs = train_configs(fl.TrainConfig(epochs=1), 3, 4, 2)
+    with pytest.raises(ValueError):
+        run_ota_round(replace(state, grads=state.grads[:2]), tasks, cfgs, _ideal_phy(), 4)
 
 
 def test_round_updates_shape_and_effect():
