@@ -9,7 +9,6 @@ and the spectrum/energy bookkeeping needed to compare the two.
 
 from .accounting import (
     EnergyModel,
-    SlotFormat,
     SpectralProfile,
     digital_slots,
     energy_gain,
@@ -18,7 +17,7 @@ from .accounting import (
     round_energy,
     spectrum_gain,
 )
-from .channel import ChannelModel, ChannelRealization, LinkBudget, realize_channel, superpose
+from .channel import ChannelModel, realize_channel, superpose
 from .csi import ChannelEstimate, interpolate, ls_estimate, nmse
 from .fl import (
     RoundState,
@@ -69,10 +68,10 @@ from .weightcodec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateReport", "ChannelEstimate", "ChannelModel", "ChannelRealization",
-    "EnergyModel", "ExperimentResult", "GridConfig", "LinkBudget",
-    "PhyConfig", "ResourceGrid", "RoundState", "RoundTrace", "ScaledUpdate",
-    "Scenario", "ScenarioError", "SlotFormat", "SlotPlan", "SpectralProfile",
+    "AggregateReport", "ChannelEstimate", "ChannelModel", "EnergyModel",
+    "ExperimentResult", "GridConfig", "PhyConfig", "ResourceGrid",
+    "RoundState", "RoundTrace", "ScaledUpdate", "Scenario", "ScenarioError",
+    "SlotPlan", "SpectralProfile",
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",
     "average_deltas", "channel_invert", "compute_alpha",
     "compute_delta", "detect_frame", "digital_slots", "draw_offsets",

@@ -20,29 +20,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
+from .grid import GridConfig
+from .weightcodec import slot_plan
+
 # Spectral efficiency of the reference uplink MCS (bits per resource element):
 # 256-QAM at coding rate 0.92 ~ 8 * 0.92575.
 DEFAULT_SPECTRAL_EFFICIENCY = 7.4063
 DEFAULT_FIXED_OVERHEAD = 94.0 / 3.0
-
-
-@dataclass(frozen=True)
-class SlotFormat:
-    """One uplink slot: symbols x subcarriers."""
-
-    symbols_per_slot: int = 14
-    subcarriers: int = 256
-    subcarrier_spacing: float = 15e3
-
-    def __post_init__(self):
-        if self.symbols_per_slot < 1 or self.subcarriers < 1:
-            raise ValueError("slot dimensions must be positive")
-        if self.subcarrier_spacing <= 0:
-            raise ValueError("subcarrier spacing must be positive")
-
-    @property
-    def res_per_slot(self) -> int:
-        return self.symbols_per_slot * self.subcarriers
 
 
 @dataclass(frozen=True)
@@ -85,33 +69,31 @@ class EnergyModel:
 
 
 def digital_slots_raw(param_count: int, bits_per_param: int, efficiency: float,
-                      fmt: SlotFormat = SlotFormat()) -> float:
+                      cfg: GridConfig = GridConfig()) -> float:
     """Pre-ceiling slots one client needs: P*b / (m*K)."""
     if param_count < 1 or bits_per_param < 1 or efficiency <= 0:
         raise ValueError("param_count, bits and efficiency must be positive")
-    return param_count * bits_per_param / (efficiency * fmt.res_per_slot)
+    return param_count * bits_per_param / (efficiency * cfg.res_per_slot)
 
 
 def digital_slots(param_count: int, bits_per_param: int, profile: SpectralProfile,
-                  fmt: SlotFormat = SlotFormat()) -> int:
+                  cfg: GridConfig = GridConfig()) -> int:
     """Total slots for all clients, each rounded up to whole slots."""
     return sum(
-        math.ceil(digital_slots_raw(param_count, bits_per_param, m, fmt))
+        math.ceil(digital_slots_raw(param_count, bits_per_param, m, cfg))
         for m in profile.efficiencies
     )
 
 
-def ota_slots(param_count: int, fmt: SlotFormat = SlotFormat()) -> int:
+def ota_slots(param_count: int, cfg: GridConfig = GridConfig()) -> int:
     """Shared analog slots per round: ceil(P / (2 * K)), independent of M."""
-    if param_count < 1:
-        raise ValueError("param_count must be >= 1")
-    return math.ceil(param_count / (2 * fmt.res_per_slot))
+    return slot_plan(param_count, cfg).slots
 
 
 def spectrum_gain(param_count: int, bits_per_param: int, profile: SpectralProfile,
-                  fmt: SlotFormat = SlotFormat()) -> float:
+                  cfg: GridConfig = GridConfig()) -> float:
     """Slot ratio digital / analog for one round."""
-    return digital_slots(param_count, bits_per_param, profile, fmt) / ota_slots(param_count, fmt)
+    return digital_slots(param_count, bits_per_param, profile, cfg) / ota_slots(param_count, cfg)
 
 
 def round_energy(num_ues: int, slots_per_ue: int, model: EnergyModel = EnergyModel()) -> float:
@@ -135,12 +117,17 @@ def energy_gain(num_ues: int, digital_slots_per_ue: int, ota_round_slots: int,
 
 
 def format_from_grid(symbols_per_slot: int, subcarriers: int,
-                     subcarrier_spacing: float) -> SlotFormat:
-    """Slot format matching a simulation grid."""
-    return SlotFormat(
-        symbols_per_slot=symbols_per_slot,
+                     subcarrier_spacing: float) -> GridConfig:
+    """Grid with the given slot dimensions, for the slot bill.
+
+    The FFT size is widened to the subcarrier count when needed; the bill
+    reads only symbols x subcarriers.
+    """
+    return GridConfig(
         subcarriers=subcarriers,
+        symbols_per_slot=symbols_per_slot,
         subcarrier_spacing=subcarrier_spacing,
+        fft_size=max(GridConfig.fft_size, subcarriers),
     )
 
 
@@ -149,16 +136,16 @@ def gains_table(
     param_count: int,
     bits_per_param: int,
     efficiency: float = DEFAULT_SPECTRAL_EFFICIENCY,
-    fmt: SlotFormat = SlotFormat(),
+    cfg: GridConfig = GridConfig(),
     model: EnergyModel = EnergyModel(),
 ) -> list[dict]:
     """Rows of (M, mode, slots, gain, energy_j) over a range of client counts."""
     rows = []
-    per_ue = math.ceil(digital_slots_raw(param_count, bits_per_param, efficiency, fmt))
-    shared = ota_slots(param_count, fmt)
+    per_ue = math.ceil(digital_slots_raw(param_count, bits_per_param, efficiency, cfg))
+    shared = ota_slots(param_count, cfg)
     for m in num_ues_range:
         profile = SpectralProfile.uniform(efficiency, m)
-        dig = digital_slots(param_count, bits_per_param, profile, fmt)
+        dig = digital_slots(param_count, bits_per_param, profile, cfg)
         rows.append({
             "num_ues": m,
             "mode": "digital",

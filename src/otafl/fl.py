@@ -9,7 +9,7 @@ delta updates with a fixed ascending-UE summation order.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 

@@ -42,10 +42,9 @@ from .accounting import (
     EnergyModel,
     SpectralProfile,
     digital_slots,
-    format_from_grid,
     round_energy,
 )
-from .channel import ChannelModel, LinkBudget, decorrelate, realize_channel, superpose
+from .channel import ChannelModel, decorrelate, realize_channel, superpose
 from .csi import ChannelEstimate, interpolate, ls_estimate, nmse, quantize_estimate
 from .grid import (
     GridConfig,
@@ -60,7 +59,14 @@ from .grid import (
 )
 from .precode import DEFAULT_FLOOR_REL, channel_invert, compute_alpha, inversion_floor
 from .sync import SyncConfig, draw_offsets, draw_phase_offsets
-from .weightcodec import map_to_grids, pack_complex, scale_updates, slot_plan, unmap_from_grids
+from .weightcodec import (
+    map_to_grids,
+    pack_complex,
+    scale_updates,
+    shared_peaks,
+    slot_plan,
+    unmap_from_grids,
+)
 
 CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
@@ -100,7 +106,6 @@ class PhyConfig:
 
     grid: GridConfig = GridConfig()
     channel: ChannelModel = ChannelModel()
-    budget: LinkBudget = LinkBudget()
     sync: SyncConfig = SyncConfig()
     peak_power: float = 1.0
     margin: float = 0.9
@@ -345,15 +350,7 @@ def ota_aggregate(
 
     # --- common scale negotiation (error-free control channel) -----------
     if phy.scale_mode == "common":
-        peaks = np.array([
-            [np.max(np.abs(d[0::2])) if d[0::2].size else 0.0,
-             np.max(np.abs(d[1::2])) if d[1::2].size else 0.0]
-            for d in deltas
-        ])
-        shared = (
-            float(peaks[:, 0].max()) or 1.0,
-            float(peaks[:, 1].max()) or 1.0,
-        )
+        shared = shared_peaks(deltas)
         scaled = [scale_updates(d, shared) for d in deltas]
         descale = shared
     else:
@@ -373,21 +370,17 @@ def ota_aggregate(
                        no_metrics, no_metrics.copy(), descale)
 
     # --- channel realizations and timing offsets -------------------------
-    realizations = []
-    payload_realizations = []
-    for ue in range(num_ues):
-        r = realize_channel(
-            phy.channel, phy.budget, cfg.subcarriers,
-            derive_seed(master_seed, round_index, ue, _TAG_CHANNEL), ue,
+    gains = [
+        realize_channel(
+            phy.channel, cfg.subcarriers, derive_seed(master_seed, round_index, ue, _TAG_CHANNEL)
         )
-        realizations.append(r)
-        if phy.decorrelation > 0:
-            payload_realizations.append(decorrelate(
-                r, phy.channel, phy.budget, phy.decorrelation,
-                derive_seed(master_seed, round_index, ue, _TAG_DECORR),
-            ))
-        else:
-            payload_realizations.append(r)
+        for ue in range(num_ues)
+    ]
+    payload_gains = [
+        decorrelate(g, phy.channel, phy.decorrelation,
+                    derive_seed(master_seed, round_index, ue, _TAG_DECORR))
+        for ue, g in enumerate(gains)
+    ]
     offsets = draw_offsets(
         phy.sync, num_ues, cfg.sample_rate,
         seed=derive_seed(master_seed, round_index, _TAG_SYNC),
@@ -408,13 +401,13 @@ def ota_aggregate(
         estimates = []
         for ue in range(num_ues):
             ramp = _phase_ramp(cfg, int(offsets[ue]) - ref)
-            eff = payload_realizations[ue].gains * ramp * np.exp(1j * phases[ue])
+            eff = payload_gains[ue] * ramp * np.exp(1j * phases[ue])
             full = np.broadcast_to(eff, (cfg.symbols_per_slot, cfg.subcarriers)).copy()
             estimates.append(ChannelEstimate(full))
     else:
         n_pilot = cfg.symbols_per_slot
         sounding = [
-            _ue_signal(ue, num_ues, phy, realizations[ue].gains, phases[ue],
+            _ue_signal(ue, num_ues, phy, gains[ue], phases[ue],
                        masks[ue], [], pilot_symbols=n_pilot)
             for ue in range(num_ues)
         ]
@@ -480,7 +473,7 @@ def ota_aggregate(
 
     # --- simultaneous payload transmission --------------------------------
     signals = [
-        _ue_signal(ue, num_ues, phy, payload_realizations[ue].gains, phases[ue],
+        _ue_signal(ue, num_ues, phy, payload_gains[ue], phases[ue],
                    masks[ue], tx_grids[ue])
         for ue in range(num_ues)
     ]
@@ -650,7 +643,7 @@ def run_digital_round(
     train_cfgs: list[fl.TrainConfig],
     mode: str,
     profile: SpectralProfile,
-    fmt,
+    grid: GridConfig,
     energy_model: EnergyModel = EnergyModel(),
 ) -> tuple[fl.RoundState, RoundTrace]:
     """Digital FedAvg baseline round (fp32 exact or int8-quantized uploads)."""
@@ -667,7 +660,7 @@ def run_digital_round(
     agg_db = -300.0 if mode == "digital_fp32" else (
         nmse(sent, exact) if float(np.sum(np.abs(exact) ** 2)) > 0 else -300.0
     )
-    slots = digital_slots(state.theta.size, bits, profile, fmt)
+    slots = digital_slots(state.theta.size, bits, profile, grid)
     return _finish_round(
         state, tasks, sent, False,
         mode=mode,
@@ -703,9 +696,6 @@ def run_experiment(
         raise ValueError("need at least one task")
     if profile is None:
         profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, num_ues)
-    fmt = format_from_grid(
-        phy.grid.symbols_per_slot, phy.grid.subcarriers, phy.grid.subcarrier_spacing
-    )
     state = initial_state(tasks, master_seed)
     traces: list[RoundTrace] = []
     for r in range(rounds):
@@ -713,6 +703,7 @@ def run_experiment(
         if mode == "ota":
             state, trace = run_ota_round(state, tasks, cfgs, phy, master_seed, energy_model)
         else:
-            state, trace = run_digital_round(state, tasks, cfgs, mode, profile, fmt, energy_model)
+            state, trace = run_digital_round(
+                state, tasks, cfgs, mode, profile, phy.grid, energy_model)
         traces.append(trace)
     return ExperimentResult(mode, traces, state.theta)

@@ -31,7 +31,7 @@ from .accounting import (
     EnergyModel,
     SpectralProfile,
 )
-from .channel import ChannelModel, LinkBudget
+from .channel import ChannelModel
 from .fl import Task, TrainConfig, make_blobs_task, make_linear_task
 from .grid import GridConfig
 from .precode import DEFAULT_FLOOR_REL as _DEFAULT_FLOOR
@@ -83,11 +83,7 @@ class Scenario:
     grid_cp_len: int = 16
 
     channel_kind: str = "flat_block"
-    channel_pathloss_exponent: float = 3.0
-    channel_carrier_hz: float = 3.5e9
     link_tx_power_dbm: float = 20.0
-    link_distance_m: float = 20.0
-    link_noise_psd_dbm_hz: float = -174.0
 
     sync_mode: str = "ptp_on"
     sync_ptp_bound_s: float = _sync.DEFAULT_PTP_BOUND_S
@@ -107,7 +103,6 @@ class Scenario:
 
     acct_spectral_efficiency: float = DEFAULT_SPECTRAL_EFFICIENCY
     acct_fixed_overhead: float = DEFAULT_FIXED_OVERHEAD
-    acct_bits_int8: int = 8
 
 
 # Key groups: a field named ``<group>_<rest>`` is set by the key ``<group>.<rest>``.
@@ -257,17 +252,7 @@ def build_grid(sc: Scenario) -> GridConfig:
 def build_phy(sc: Scenario) -> PhyConfig:
     return PhyConfig(
         grid=build_grid(sc),
-        channel=ChannelModel(
-            kind=sc.channel_kind,
-            pathloss_exponent=sc.channel_pathloss_exponent,
-            carrier=sc.channel_carrier_hz,
-        ),
-        budget=LinkBudget(
-            tx_power_dbm=sc.link_tx_power_dbm,
-            distance_m=sc.link_distance_m,
-            noise_psd_dbm_hz=sc.link_noise_psd_dbm_hz,
-            bandwidth_hz=sc.grid_subcarriers * sc.grid_subcarrier_spacing_hz,
-        ),
+        channel=ChannelModel(sc.channel_kind),
         sync=SyncConfig(
             mode=sc.sync_mode,
             ptp_bound_s=sc.sync_ptp_bound_s,

@@ -47,18 +47,24 @@ class SlotPlan:
         return 2 * self.slots * cfg.res_per_slot - self.pad
 
 
-def _component_peak(vals: np.ndarray) -> float:
-    """Peak magnitude with a guard of 1.0 for empty or all-zero components."""
-    if vals.size == 0:
-        return 1.0
-    peak = float(np.max(np.abs(vals)))
-    return peak if peak > 0.0 else 1.0
+def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
+    """Common (I, Q) peak magnitudes of raw updates, with zero guards.
+
+    Each rail takes the largest peak over all clients and falls back to 1.0
+    only when that largest peak is zero or the rail is empty, so a client
+    whose rail is all zero does not force the shared scale to 1.0.
+    """
+    peaks = []
+    for start in (0, 1):
+        rails = [np.asarray(d, dtype=np.float64)[start::2] for d in deltas]
+        peak = max((float(np.max(np.abs(r))) for r in rails if r.size), default=0.0)
+        peaks.append(peak if peak > 0.0 else 1.0)
+    return peaks[0], peaks[1]
 
 
 def component_peaks(delta: np.ndarray) -> tuple[float, float]:
-    """(I, Q) peak magnitudes of a raw update, with zero guards."""
-    d = np.asarray(delta, dtype=np.float64)
-    return _component_peak(d[0::2]), _component_peak(d[1::2])
+    """(I, Q) peak magnitudes of one raw update, with zero guards."""
+    return shared_peaks([delta])
 
 
 def scale_updates(delta: np.ndarray, shared_scale: tuple[float, float] | None = None) -> ScaledUpdate:

@@ -17,7 +17,6 @@ from otafl import fl
 from otafl.accounting import (
     DEFAULT_FIXED_OVERHEAD,
     DEFAULT_SPECTRAL_EFFICIENCY,
-    SlotFormat,
     SpectralProfile,
     digital_slots,
     digital_slots_raw,
@@ -67,7 +66,7 @@ def _ideal_phy(**kw) -> PhyConfig:
 
 
 def test_criterion_1_slot_arithmetic():
-    fmt = SlotFormat()
+    fmt = GridConfig()
     raw = digital_slots_raw(71_666, 32, DEFAULT_SPECTRAL_EFFICIENCY, fmt)
     profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 5)
     total = digital_slots(71_666, 32, profile, fmt)
@@ -172,7 +171,7 @@ def test_criterion_4_power_constraint():
     t0 = time.time()
     grid = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
     rng = np.random.default_rng(7)
-    kinds = ("ideal", "flat_block", "rayleigh_per_subcarrier", "pathloss_fading")
+    kinds = ("ideal", "flat_block", "rayleigh_per_subcarrier")
     violations = 0
     worst_margin = 0.0
     for case in range(200):

@@ -9,7 +9,6 @@ from otafl.accounting import (
     DEFAULT_FIXED_OVERHEAD,
     DEFAULT_SPECTRAL_EFFICIENCY,
     EnergyModel,
-    SlotFormat,
     SpectralProfile,
     digital_slots,
     digital_slots_raw,
@@ -20,9 +19,10 @@ from otafl.accounting import (
     round_energy,
     spectrum_gain,
 )
+from otafl.grid import GridConfig
 
 P = 71_666  # reference parameter count
-FMT = SlotFormat()  # 14 x 256 resource elements
+FMT = GridConfig()  # 14 x 256 resource elements
 
 
 def test_reference_slot_numbers():
@@ -55,6 +55,7 @@ def test_slot_format_resource_elements():
     assert FMT.res_per_slot == 3584
     small = format_from_grid(2, 8, 15e3)
     assert small.res_per_slot == 16
+    assert format_from_grid(14, 300, 15e3).res_per_slot == 14 * 300
 
 
 def test_slot_counts_validation():
@@ -69,7 +70,7 @@ def test_slot_counts_validation():
     with pytest.raises(ValueError):
         SpectralProfile.uniform(7.4, 0)
     with pytest.raises(ValueError):
-        SlotFormat(symbols_per_slot=0)
+        format_from_grid(0, 256, 15e3)
 
 
 # ---------------------------------------------------------------- energy

@@ -7,6 +7,7 @@ import pytest
 
 from otafl.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, SCHEMA_VERSION, main
 from otafl.scenario import (
+    KEYMAP,
     Scenario,
     ScenarioError,
     build_energy_model,
@@ -56,7 +57,7 @@ def test_serialize_parse_round_trip():
         name="sweep",
         rounds=3,
         phy_uplink_snr_db=None,
-        link_noise_psd_dbm_hz=-170.5,
+        link_tx_power_dbm=23.5,
         task_heterogeneity=0.0,
         channel_kind="rayleigh_per_subcarrier",
         phy_pilot_allocation="tdm_full",
@@ -79,6 +80,11 @@ def test_none_keyword_for_snr():
 def test_unknown_key_names_line():
     with pytest.raises(ScenarioError, match=r"line 3.*carrier_freq"):
         parse("rounds = 2\n\ncarrier_freq = 1e9\n")
+    # no absolute pathloss, noise floor or int8 width is modelled, so these are unknown
+    for key in ("channel.pathloss_exponent", "channel.carrier_hz", "link.distance_m",
+                "link.noise_psd_dbm_hz", "acct.bits_int8"):
+        with pytest.raises(ScenarioError, match=rf"line 2: unknown key '{key}'"):
+            parse(f"rounds = 2\n{key} = 1\n")
 
 
 def test_duplicate_key_names_both_lines():
@@ -124,12 +130,13 @@ def test_cross_field_validation():
 
 
 def test_build_phy_wires_the_link_budget():
+    """The link budget is the receiver SNR plus the transmit power, which
+    only the energy bill reads."""
     sc = parse(TINY)
     phy = build_phy(sc)
     assert phy.grid.subcarriers == 32
     assert phy.grid.sample_rate == 32 * 15e3
-    assert phy.budget.bandwidth_hz == 32 * 15e3
-    assert phy.budget.tx_power_dbm == 20.0
+    assert build_energy_model(sc).tx_power_dbm == 20.0
     assert phy.uplink_snr_db is None
     assert phy.sync.mode == "ptp_on"
     assert phy.channel.kind == "flat_block"
@@ -160,6 +167,83 @@ def test_run_scenario_smoke():
     assert len(result.traces) == 2
     assert not result.all_aborted
     assert result.traces[0].slots_used == 1  # 8 params fit one reduced slot
+
+
+# key -> (non-default value, overrides that let the key act)
+KEY_CHANGES = {
+    "mode": ("digital_fp32", {}),
+    "rounds": ("2", {}),
+    "num_ues": ("3", {}),
+    "master_seed": ("1", {}),
+    "task.kind": ("mlp_classification", {}),
+    "task.samples_per_ue": ("48", {}),
+    "task.features": ("6", {}),
+    "task.heterogeneity": ("0.9", {}),
+    "task.noise_std": ("0.5", {}),
+    "task.classes": ("3", {"task.kind": "mlp_classification"}),
+    "task.hidden": ("4", {"task.kind": "mlp_classification"}),
+    "train.learning_rate": ("0.05", {}),
+    "train.epochs": ("2", {}),
+    "train.batch_size": ("8", {}),
+    "train.optimizer": ("adam", {}),
+    "grid.subcarriers": ("16", {}),
+    "grid.symbols_per_slot": ("2", {}),
+    "grid.subcarrier_spacing_hz": ("150000", {}),
+    "grid.fft_size": ("64", {}),
+    "grid.cp_len": ("4", {}),
+    "channel.kind": ("rayleigh_per_subcarrier", {}),
+    "link.tx_power_dbm": ("23", {}),
+    "sync.mode": ("ptp_off", {"sync.off_spread": "6"}),
+    "sync.ptp_bound_s": ("2e-5", {}),
+    "sync.off_spread": ("6", {"sync.mode": "ptp_off"}),
+    "sync.distribution": ("trunc_gauss", {"sync.mode": "ptp_off", "sync.off_spread": "40"}),
+    "sync.phase_offset_rad": ("1.0", {}),
+    "phy.uplink_snr_db": ("5", {}),
+    "phy.csi_mode": ("perfect", {}),
+    "phy.pilot_allocation": ("tdm_full", {}),
+    "phy.scale_mode": ("per_client", {}),
+    "phy.peak_power": ("2", {}),
+    "phy.margin": ("0.5", {}),
+    "phy.floor_rel": ("0.9", {"channel.kind": "rayleigh_per_subcarrier",
+                              "phy.pilot_allocation": "tdm_full"}),
+    "phy.decorrelation": ("0.5", {}),
+    "phy.feedback_quant_bits": ("2", {}),
+    "acct.spectral_efficiency": ("0.5", {"mode": "digital_fp32"}),
+    "acct.fixed_overhead": ("5", {"mode": "digital_fp32"}),
+}
+
+# one round, two clients, a reduced grid and a noisy uplink
+SMALL = {
+    "rounds": "1",
+    "num_ues": "2",
+    "task.samples_per_ue": "32",
+    "task.features": "8",
+    "grid.subcarriers": "32",
+    "grid.symbols_per_slot": "4",
+    "grid.fft_size": "32",
+    "grid.cp_len": "8",
+}
+
+
+def _run_digest(settings: dict) -> str:
+    result = run_scenario(parse("".join(f"{k} = {v}\n" for k, v in settings.items())))
+    rows = [(t.mode, t.agg_nmse_db, t.global_loss, t.alpha, t.slots_used, t.energy_j,
+             t.aborted, t.loss_per_ue.tolist()) for t in result.traces]
+    return repr((rows, result.final_theta.tolist()))
+
+
+def test_every_scenario_key_changes_a_run():
+    """A key whose value reaches no trace field and no model weight is dead.
+
+    Only ``name`` is exempt: it labels the CSV and nothing else.
+    """
+    assert sorted(set(KEYMAP) - {"name"} - set(KEY_CHANGES)) == []
+    idle = []
+    for key, (value, enabling) in KEY_CHANGES.items():
+        base = {**SMALL, **enabling}
+        if _run_digest(base) == _run_digest({**base, key: value}):
+            idle.append(key)
+    assert idle == []
 
 
 def test_blobs_scenario_runs():

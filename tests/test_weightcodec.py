@@ -14,6 +14,7 @@ from otafl.weightcodec import (
     map_to_grids,
     pack_complex,
     scale_updates,
+    shared_peaks,
     slot_plan,
     unmap_from_grids,
     unpack_complex,
@@ -109,6 +110,15 @@ def test_scale_rails_are_independent():
 def test_component_peaks_zero_guard():
     assert component_peaks(np.zeros(4)) == (1.0, 1.0)
     assert component_peaks(np.array([0.0, 3.0])) == (1.0, 3.0)
+
+
+def test_shared_peaks_take_the_max_over_clients():
+    # one client's Q rail is all zero; it must not force the shared Q scale to 1
+    a = np.array([0.5, 0.0, -2.0, 0.0])
+    b = np.array([1.0, -0.3, 0.25, 0.1])
+    assert shared_peaks([a, b]) == (2.0, 0.3)
+    assert shared_peaks([np.zeros(4), np.zeros(4)]) == (1.0, 1.0)
+    assert shared_peaks([np.array([3.0])]) == (3.0, 1.0)  # empty Q rail
 
 
 def test_shared_scale_overrides_own_peaks():
