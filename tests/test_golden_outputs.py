@@ -1,4 +1,4 @@
-"""Golden fixture: pinned digests of the shipped scenarios, two aggregations
+"""Golden fixture: pinned digests of the shipped scenarios, four aggregations
 and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
@@ -7,6 +7,7 @@ say so and update the fixture in the same commit.
 """
 
 import hashlib
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -38,17 +39,32 @@ CLI_DIGESTS = {
         "e76eb99d33e08abdab9be64378522d818caa48409a4871b361c436845260ea57",
 }
 
-# (clients, channel kind, pilot allocation) -> (repr of agg_nmse_db, sha256 of recovered)
+# (clients, channel kind, pilot allocation, PhyConfig overrides)
+#     -> (repr of agg_nmse_db, sha256 of recovered)
 AGGREGATE_DIGESTS = {
-    (5, "flat_block", "fdm_comb"): (
+    (5, "flat_block", "fdm_comb", ()): (
         "-19.2366199180064",
         "331defd715702e5a5cabd0a2e37160e873e5315f970888e71fa6535b33243adf",
     ),
-    (20, "rayleigh_per_subcarrier", "tdm_full"): (
+    (20, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.21116448747706",
         "7668c7432e640a58be33dd3cb8cf6d32491c107cc20da33c2bbe345f1ff60b5b",
     ),
+    (5, "rayleigh_per_subcarrier", "tdm_full", (("uplink_snr_db", None),)): (
+        "-26.337584212422883",
+        "3254bb907ddd6814777ecc4ecbe64df21f97fb0ee6f4a9a665ae861d9744a72a",
+    ),
+    (5, "flat_block", "fdm_comb", (("csi_mode", "perfect"),)): (
+        "-19.992954838284664",
+        "81d7685531938c64649db1fc7337477e87029a69eb25bf3e5ec4845fcc9d7ee1",
+    ),
 }
+
+
+def _aggregate_id(case) -> str:
+    num_ues, kind, allocation, overrides = case
+    return "-".join([str(num_ues), kind, allocation, *(f"{k}={v}" for k, v in overrides)])
+
 
 # Criterion-5 shape: M=5, P=6656, 1664 samples per client, lr 0.05, full
 # batch, seed 0, three chained rounds.
@@ -80,8 +96,11 @@ def test_cli_csv_digest(command, cfg, extra, threads, tmp_path, monkeypatch):
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])
-@pytest.mark.parametrize("num_ues,kind,allocation", list(AGGREGATE_DIGESTS))
-def test_ota_aggregate_digest(num_ues, kind, allocation, threads, monkeypatch):
+@pytest.mark.parametrize(
+    "num_ues,kind,allocation,overrides", list(AGGREGATE_DIGESTS),
+    ids=[_aggregate_id(case) for case in AGGREGATE_DIGESTS],
+)
+def test_ota_aggregate_digest(num_ues, kind, allocation, overrides, threads, monkeypatch):
     monkeypatch.setenv("OTAFL_THREADS", threads)
     rng = np.random.default_rng(0)
     deltas = [0.1 * rng.standard_normal(71_666) for _ in range(num_ues)]
@@ -91,8 +110,8 @@ def test_ota_aggregate_digest(num_ues, kind, allocation, threads, monkeypatch):
         sync=SyncConfig(mode="ptp_on"),
         uplink_snr_db=20.0,
     )
-    report = ota_aggregate(deltas, phy, master_seed=0)
-    want_nmse, want_digest = AGGREGATE_DIGESTS[(num_ues, kind, allocation)]
+    report = ota_aggregate(deltas, replace(phy, **dict(overrides)), master_seed=0)
+    want_nmse, want_digest = AGGREGATE_DIGESTS[(num_ues, kind, allocation, overrides)]
     assert repr(float(report.agg_nmse_db)) == want_nmse
     assert _sha256(report.recovered.tobytes()) == want_digest
 
