@@ -33,6 +33,7 @@ from __future__ import annotations
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
+from typing import ClassVar
 
 import numpy as np
 
@@ -57,7 +58,13 @@ from .grid import (
     ofdm_modulate,
     subcarrier_bins,
 )
-from .precode import DEFAULT_FLOOR_REL, channel_invert, compute_alpha, inversion_floor
+from .precode import (
+    DEFAULT_FLOOR_REL,
+    DEFAULT_MARGIN,
+    channel_invert,
+    compute_alpha,
+    inversion_floor,
+)
 from .sync import SyncConfig, draw_offsets, draw_phase_offsets
 from .weightcodec import (
     map_to_grids,
@@ -102,13 +109,19 @@ def data_seeds(master_seed: int, ue: int):
 
 @dataclass(frozen=True)
 class PhyConfig:
-    """Everything the physical layer needs for one experiment."""
+    """Everything the physical layer needs for one experiment.
+
+    Every client transmits under one peak power per resource element.  It is
+    a constant, not a knob: the receiver noise follows the received power
+    through ``uplink_snr_db``, so the absolute transmit scale cancels out of
+    every result except ``alpha``.
+    """
+
+    peak_power: ClassVar[float] = 1.0
 
     grid: GridConfig = GridConfig()
     channel: ChannelModel = ChannelModel()
     sync: SyncConfig = SyncConfig()
-    peak_power: float = 1.0
-    margin: float = 0.9
     floor_rel: float = DEFAULT_FLOOR_REL
     csi_mode: str = "estimated"
     pilot_allocation: str = "fdm_comb"
@@ -124,8 +137,8 @@ class PhyConfig:
             raise ValueError(f"unknown pilot_allocation {self.pilot_allocation!r}")
         if self.scale_mode not in SCALE_MODES:
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
-        if self.peak_power <= 0 or not 0 < self.margin <= 1 or self.floor_rel < 0:
-            raise ValueError("peak_power, margin, floor_rel out of range")
+        if self.floor_rel < 0:
+            raise ValueError("floor_rel must be >= 0")
         if not 0 <= self.decorrelation <= 1:
             raise ValueError("decorrelation must lie in [0, 1]")
 
@@ -142,7 +155,7 @@ class PhyConfig:
     @property
     def reference_amplitude(self) -> float:
         """Amplitude of preamble/pilot parts: stays inside the power budget."""
-        return self.margin * np.sqrt(self.peak_power)
+        return DEFAULT_MARGIN * np.sqrt(self.peak_power)
 
 
 @dataclass
@@ -210,34 +223,6 @@ def _map_ues(fn, items):
         return list(pool.map(fn, items))
 
 
-def _target_noise_variance(clean: TimeSignal, snr_db: float | None,
-                           info_start: int = 0) -> float:
-    """Receiver noise variance for a target received SNR.
-
-    The SNR is pinned to the mean power of the information-bearing part of
-    the noise-free superposition -- the pilot symbol for sounding events,
-    the payload slots for data events -- starting at ``info_start``.
-    Pegging to the whole event would let the strong constant-amplitude
-    preamble dominate the reference power, so a payload attenuated by
-    power control would see a far worse SNR than the knob claims.
-    """
-    if snr_db is None:
-        return 0.0
-    seg = clean.samples[info_start:]
-    if seg.size == 0:
-        seg = clean.samples
-    power = float(np.mean(np.abs(seg) ** 2))
-    return power / 10.0 ** (snr_db / 10.0)
-
-
-def _add_noise(clean: TimeSignal, variance: float, seed) -> TimeSignal:
-    if variance <= 0:
-        return clean
-    rng = np.random.default_rng(seed)
-    n = (rng.standard_normal(clean.samples.size) + 1j * rng.standard_normal(clean.samples.size))
-    return TimeSignal(clean.samples + np.sqrt(variance / 2.0) * n, clean.sample_rate)
-
-
 def _ue_signal(
     ue: int,
     num_ues: int,
@@ -274,27 +259,40 @@ def _ue_signal(
     return TimeSignal(np.concatenate(parts), cfg.sample_rate)
 
 
-def _detect_all(
-    rx: TimeSignal,
-    num_ues: int,
+def _receive(
+    sent: list[tuple[TimeSignal, int]],
+    ues: list[int],
     phy: PhyConfig,
-    only_ue: int | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-UE preamble detection against a common frame timeline.
+    info_start: int,
+    seed,
+) -> tuple[TimeSignal, np.ndarray, np.ndarray]:
+    """One receive event: superpose the ``(frame, delay)`` pairs, add the
+    receiver noise and detect the preamble of every client in ``ues``.
 
-    Each UE's preamble lives in its own slot of the preamble region, so the
-    position argmax minus the slot start is that UE's arrival offset.
+    The noise pins ``phy.uplink_snr_db`` to the mean power of the noise-free
+    superposition from ``info_start`` on -- the pilot symbols for sounding
+    events, the payload slots for data events.  Pegging to the whole event
+    would let the strong constant-amplitude preamble dominate the reference
+    power, so a payload attenuated by power control would see a far worse
+    SNR than the knob claims.
+
+    Each client's preamble lives in its own slot of the preamble region, so
+    the position argmax minus the slot start is that client's arrival
+    offset.  Offsets and detection metrics come back in ``ues`` order.
     """
-    ues = range(num_ues) if only_ue is None else [only_ue]
-    offsets = np.zeros(num_ues, dtype=np.int64)
-    metrics = np.zeros(num_ues)
-    slot = phy.preamble_slot_len
-    for ue in ues:
-        p = gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
-        raw, metric = detect_frame(rx, p)
-        offsets[ue] = max(0, raw - ue * slot)
-        metrics[ue] = metric
-    return offsets, metrics
+    rx = superpose(sent, 0.0, 0)
+    if phy.uplink_snr_db is not None:
+        power = float(np.mean(np.abs(rx.samples[info_start:]) ** 2))
+        variance = power / 10.0 ** (phy.uplink_snr_db / 10.0)
+        rng = np.random.default_rng(seed)
+        n = rng.standard_normal(rx.samples.size) + 1j * rng.standard_normal(rx.samples.size)
+        rx = TimeSignal(rx.samples + np.sqrt(variance / 2.0) * n, rx.sample_rate)
+    offsets = np.zeros(len(ues), dtype=np.int64)
+    metrics = np.zeros(len(ues))
+    for i, ue in enumerate(ues):
+        raw, metrics[i] = detect_frame(rx, gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN))
+        offsets[i] = max(0, raw - ue * phy.preamble_slot_len)
+    return rx, offsets, metrics
 
 
 def _pilot_positions(ue: int, num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
@@ -390,11 +388,10 @@ def ota_aggregate(
     )
 
     # --- sounding pass: effective-channel estimates at a common reference -
-    masks = []
-    for ue in range(num_ues):
-        mask = np.zeros(cfg.subcarriers)
-        mask[_pilot_positions(ue, num_ues, cfg, phy.pilot_allocation)] = 1.0
-        masks.append(mask)
+    pilots = [_pilot_positions(ue, num_ues, cfg, phy.pilot_allocation) for ue in range(num_ues)]
+    masks = np.zeros((num_ues, cfg.subcarriers))
+    for ue, pos in enumerate(pilots):
+        masks[ue, pos] = 1.0
 
     if phy.csi_mode == "perfect":
         ref = int(offsets.min())
@@ -405,55 +402,42 @@ def ota_aggregate(
             full = np.broadcast_to(eff, (cfg.symbols_per_slot, cfg.subcarriers)).copy()
             estimates.append(ChannelEstimate(full))
     else:
-        n_pilot = cfg.symbols_per_slot
-        sounding = [
-            _ue_signal(ue, num_ues, phy, gains[ue], phases[ue],
-                       masks[ue], [], pilot_symbols=n_pilot)
-            for ue in range(num_ues)
-        ]
-        pilot_vals = make_pilot_values(cfg.subcarriers)
-        amp = phy.reference_amplitude
+        # Comb pilots share one superposed sounding frame; full-band pilots
+        # need one frame per client.
         if phy.pilot_allocation == "fdm_comb":
-            clean = superpose([(s, int(d)) for s, d in zip(sounding, offsets)], 0.0, 0)
-            var = _target_noise_variance(clean, phy.uplink_snr_db,
-                                         phy.preamble_region_len(num_ues))
-            rx = _add_noise(clean, var, derive_seed(master_seed, round_index, _TAG_NOISE_SOUND))
-            s_offsets, s_metrics = _detect_all(rx, num_ues, phy)
-            if np.any(s_metrics < DETECT_THRESHOLD):
-                return _report(zeros.copy(), 0.0, True, "sounding detection failed",
-                               s_offsets, s_metrics, no_metrics.copy(), descale)
-            ref = int(s_offsets.min())
-            rows = [_demod_pilot_block(rx, cfg, ref, num_ues, phy, n_pilot)] * num_ues
+            events = [(list(range(num_ues)),
+                       derive_seed(master_seed, round_index, _TAG_NOISE_SOUND))]
         else:
-            rows = []
-            s_offsets = np.zeros(num_ues, dtype=np.int64)
-            s_metrics = np.zeros(num_ues)
-            rxs = []
-            for ue in range(num_ues):
-                clean = superpose([(sounding[ue], int(offsets[ue]))], 0.0, 0)
-                var = _target_noise_variance(clean, phy.uplink_snr_db,
-                                             phy.preamble_region_len(num_ues))
-                rxs.append(_add_noise(
-                    clean, var,
-                    derive_seed(master_seed, round_index, ue, _TAG_NOISE_SOUND),
-                ))
-                o, m = _detect_all(rxs[ue], num_ues, phy, only_ue=ue)
-                s_offsets[ue] = o[ue]
-                s_metrics[ue] = m[ue]
-            if np.any(s_metrics < DETECT_THRESHOLD):
-                return _report(zeros.copy(), 0.0, True, "sounding detection failed",
-                               s_offsets, s_metrics, no_metrics.copy(), descale)
-            ref = int(s_offsets.min())
-            rows = [
-                _demod_pilot_block(rxs[ue], cfg, ref, num_ues, phy, n_pilot)
-                for ue in range(num_ues)
+            events = [([ue], derive_seed(master_seed, round_index, ue, _TAG_NOISE_SOUND))
+                      for ue in range(num_ues)]
+        s_offsets = np.zeros(num_ues, dtype=np.int64)
+        s_metrics = np.zeros(num_ues)
+        received = []
+        for ues, seed in events:
+            sent = [
+                (_ue_signal(ue, num_ues, phy, gains[ue], phases[ue], masks[ue], [],
+                            pilot_symbols=cfg.symbols_per_slot), int(offsets[ue]))
+                for ue in ues
             ]
-        estimates = []
-        for ue in range(num_ues):
-            pos = _pilot_positions(ue, num_ues, cfg, phy.pilot_allocation)
-            raw = ls_estimate(rows[ue][pos], amp * pilot_vals[pos])
-            est = interpolate(raw, pos, cfg)
-            estimates.append(quantize_estimate(est, phy.feedback_quant_bits))
+            rx, s_offsets[ues], s_metrics[ues] = _receive(
+                sent, ues, phy, phy.preamble_region_len(num_ues), seed)
+            received.append(rx)
+        if np.any(s_metrics < DETECT_THRESHOLD):
+            return _report(zeros.copy(), 0.0, True, "sounding detection failed",
+                           s_offsets, s_metrics, no_metrics.copy(), descale)
+        # Every event is read at the earliest client's timing, so the
+        # estimates absorb each client's residual offset as a phase ramp.
+        pilot_start = int(s_offsets.min()) + phy.preamble_region_len(num_ues)
+        pilot_vals = make_pilot_values(cfg.subcarriers)
+        estimates = [None] * num_ues
+        for (ues, _), rx in zip(events, received):
+            at = max(0, min(pilot_start, rx.samples.size - cfg.slot_len))
+            row = ofdm_demodulate(rx, cfg, at).data.mean(axis=0)
+            for ue in ues:
+                pos = pilots[ue]
+                raw = ls_estimate(row[pos], phy.reference_amplitude * pilot_vals[pos])
+                est = interpolate(raw, pos, cfg)
+                estimates[ue] = quantize_estimate(est, phy.feedback_quant_bits)
 
     # --- precode, shared power control ------------------------------------
     payload = [map_to_grids(pack_complex(s.values), plan, cfg) for s in scaled]
@@ -461,7 +445,7 @@ def ota_aggregate(
         channel_invert(payload[ue], estimates[ue], inversion_floor(estimates[ue], phy.floor_rel))
         for ue in range(num_ues)
     ]
-    alpha = compute_alpha(precoded, phy.peak_power, phy.margin)
+    alpha = compute_alpha(precoded, phy.peak_power)
     tx_grids = [[ResourceGrid(alpha * g.data) for g in grids] for grids in precoded]
     max_re_power = np.array([
         max(
@@ -472,18 +456,15 @@ def ota_aggregate(
     ])
 
     # --- simultaneous payload transmission --------------------------------
-    signals = [
-        _ue_signal(ue, num_ues, phy, payload_gains[ue], phases[ue],
-                   masks[ue], tx_grids[ue])
+    sent = [
+        (_ue_signal(ue, num_ues, phy, payload_gains[ue], phases[ue], masks[ue], tx_grids[ue]),
+         int(offsets[ue]))
         for ue in range(num_ues)
     ]
-    clean = superpose([(s, int(d)) for s, d in zip(signals, offsets)], 0.0, 0)
-    var = _target_noise_variance(
-        clean, phy.uplink_snr_db,
-        phy.preamble_region_len(num_ues) + cfg.symbol_len,
+    rx, p_offsets, p_metrics = _receive(
+        sent, list(range(num_ues)), phy, phy.preamble_region_len(num_ues) + cfg.symbol_len,
+        derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD),
     )
-    rx = _add_noise(clean, var, derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD))
-    p_offsets, p_metrics = _detect_all(rx, num_ues, phy)
     if np.any(p_metrics < DETECT_THRESHOLD):
         return _report(zeros.copy(), 0.0, True, "payload detection failed",
                        p_offsets, p_metrics, max_re_power, descale)
@@ -500,20 +481,6 @@ def ota_aggregate(
         rx_grids.append(ResourceGrid(g.data / (num_ues * alpha)))
     recovered = unmap_from_grids(rx_grids, plan, descale, cfg)
     return _report(recovered, alpha, False, "", p_offsets, p_metrics, max_re_power, descale)
-
-
-def _demod_pilot_block(rx: TimeSignal, cfg: GridConfig, ref: int, num_ues: int,
-                       phy: PhyConfig, pilot_symbols: int) -> np.ndarray:
-    """Demodulate the sounding pilot symbols and average them.
-
-    All symbols repeat the same pilot row, so the mean keeps the channel
-    response while shrinking the noise variance by the symbol count.
-    """
-    pilot_cfg = replace(cfg, symbols_per_slot=pilot_symbols)
-    start = ref + phy.preamble_region_len(num_ues)
-    latest = rx.samples.size - pilot_symbols * cfg.symbol_len
-    start = max(0, min(start, latest))
-    return ofdm_demodulate(rx, pilot_cfg, start).data.mean(axis=0)
 
 
 # ---------------------------------------------------------------------------

@@ -95,8 +95,6 @@ class Scenario:
     phy_csi_mode: str = "estimated"
     phy_pilot_allocation: str = "fdm_comb"
     phy_scale_mode: str = "common"
-    phy_peak_power: float = 1.0
-    phy_margin: float = 0.9
     phy_floor_rel: float = _DEFAULT_FLOOR
     phy_decorrelation: float = 0.0
     phy_feedback_quant_bits: int = 0
@@ -210,8 +208,7 @@ def validate(sc: Scenario) -> None:
     positive = (
         "rounds", "num_ues", "task_samples_per_ue", "task_features",
         "grid_subcarriers", "grid_symbols_per_slot", "grid_fft_size",
-        "phy_peak_power", "train_learning_rate", "grid_subcarrier_spacing_hz",
-        "acct_spectral_efficiency",
+        "train_learning_rate", "grid_subcarrier_spacing_hz", "acct_spectral_efficiency",
     )
     for field in positive:
         if getattr(sc, field) <= 0:
@@ -225,8 +222,6 @@ def validate(sc: Scenario) -> None:
     for field in nonneg:
         if getattr(sc, field) < 0:
             fail(field, "must be >= 0")
-    if not 0 < sc.phy_margin <= 1:
-        fail("phy_margin", "must lie in (0, 1]")
     if sc.task_kind == "mlp_classification" and (sc.task_classes < 2 or sc.task_hidden < 1):
         fail("task_classes", "classification needs >= 2 classes and >= 1 hidden unit")
     if sc.grid_fft_size < sc.grid_subcarriers:
@@ -260,8 +255,6 @@ def build_phy(sc: Scenario) -> PhyConfig:
             distribution=sc.sync_distribution,
             phase_offset_rad=sc.sync_phase_offset_rad,
         ),
-        peak_power=sc.phy_peak_power,
-        margin=sc.phy_margin,
         floor_rel=sc.phy_floor_rel,
         csi_mode=sc.phy_csi_mode,
         pilot_allocation=sc.phy_pilot_allocation,

@@ -185,8 +185,6 @@ def test_criterion_4_power_constraint():
             uplink_snr_db=snr,
             pilot_allocation=str(rng.choice(("fdm_comb", "tdm_full"))),
             scale_mode=str(rng.choice(("common", "per_client"))),
-            peak_power=1.0,
-            margin=0.9,
         )
         deltas = [rng.normal(size=params) * rng.uniform(0.01, 5) for _ in range(num_ues)]
         report = ota_aggregate(deltas, phy, master_seed=case)

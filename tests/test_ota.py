@@ -126,7 +126,6 @@ def test_transmitted_power_stays_under_peak():
         pilot_allocation="tdm_full",
         sync=SyncConfig(mode="ptp_on"),
         uplink_snr_db=20.0,
-        peak_power=1.0,
     )
     for seed in range(10):
         deltas = _random_deltas(4, 256, seed=seed)
@@ -186,12 +185,17 @@ def test_feedback_quantization_degrades_recovery():
     assert coarse.agg_nmse_db > exact.agg_nmse_db
 
 
-def test_abort_on_undetectable_preambles():
-    phy = _ideal_phy(uplink_snr_db=-30.0, channel=ChannelModel("flat_block"))
+@pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
+def test_abort_on_undetectable_preambles(allocation):
+    phy = _ideal_phy(uplink_snr_db=-30.0, channel=ChannelModel("flat_block"),
+                     pilot_allocation=allocation)
     deltas = _random_deltas(3, 100, seed=10)
     report = ota_aggregate(deltas, phy, master_seed=4)
     assert report.aborted
-    assert "detection" in report.abort_reason
+    assert report.abort_reason == "sounding detection failed"
+    assert report.offsets.shape == (3,)
+    assert report.peak_metrics.shape == (3,)
+    assert np.all(report.peak_metrics < DETECT_THRESHOLD)
     np.testing.assert_array_equal(report.recovered, np.zeros(100))
     assert report.agg_nmse_db == 0.0  # zero estimate of a nonzero truth
 
@@ -467,6 +471,12 @@ def test_phy_config_validation():
     with pytest.raises(ValueError):
         PhyConfig(scale_mode="max")
     with pytest.raises(ValueError):
-        PhyConfig(margin=0.0)
+        PhyConfig(floor_rel=-0.1)
     with pytest.raises(ValueError):
         PhyConfig(decorrelation=1.5)
+    # the transmit scale cancels out of every result, so it is no field
+    assert PhyConfig().peak_power == 1.0
+    with pytest.raises(TypeError):
+        PhyConfig(peak_power=2.0)
+    with pytest.raises(TypeError):
+        PhyConfig(margin=0.5)

@@ -80,9 +80,10 @@ def test_none_keyword_for_snr():
 def test_unknown_key_names_line():
     with pytest.raises(ScenarioError, match=r"line 3.*carrier_freq"):
         parse("rounds = 2\n\ncarrier_freq = 1e9\n")
-    # no absolute pathloss, noise floor or int8 width is modelled, so these are unknown
+    # no absolute pathloss, noise floor, transmit scale or int8 width is
+    # modelled, so these are unknown
     for key in ("channel.pathloss_exponent", "channel.carrier_hz", "link.distance_m",
-                "link.noise_psd_dbm_hz", "acct.bits_int8"):
+                "link.noise_psd_dbm_hz", "acct.bits_int8", "phy.peak_power", "phy.margin"):
         with pytest.raises(ScenarioError, match=rf"line 2: unknown key '{key}'"):
             parse(f"rounds = 2\n{key} = 1\n")
 
@@ -96,7 +97,7 @@ def test_type_error_names_key_and_type():
     with pytest.raises(ScenarioError, match=r"line 1.*'rounds'.*int"):
         parse("rounds = many")
     with pytest.raises(ScenarioError, match=r"float"):
-        parse("phy.margin = wide")
+        parse("phy.floor_rel = wide")
 
 
 def test_missing_equals_sign():
@@ -122,8 +123,8 @@ def test_cross_field_validation():
         parse("task.kind = mlp_classification\ntask.classes = 1")
     with pytest.raises(ScenarioError, match=r"'rounds'"):
         parse("rounds = 0")
-    with pytest.raises(ScenarioError, match=r"'phy.margin'"):
-        parse("phy.margin = 1.5")
+    with pytest.raises(ScenarioError, match=r"'phy.floor_rel'"):
+        parse("phy.floor_rel = -0.1")
 
 
 # ---------------------------------------------------------------- builders
@@ -202,8 +203,6 @@ KEY_CHANGES = {
     "phy.csi_mode": ("perfect", {}),
     "phy.pilot_allocation": ("tdm_full", {}),
     "phy.scale_mode": ("per_client", {}),
-    "phy.peak_power": ("2", {}),
-    "phy.margin": ("0.5", {}),
     "phy.floor_rel": ("0.9", {"channel.kind": "rayleigh_per_subcarrier",
                               "phy.pilot_allocation": "tdm_full"}),
     "phy.decorrelation": ("0.5", {}),
@@ -226,14 +225,23 @@ SMALL = {
 
 
 def _run_digest(settings: dict) -> str:
+    """Every trace field but ``alpha``, and the final weights, at CSV precision.
+
+    ``alpha`` is left out because the noise follows the received power, so a
+    key that only rescales the transmit amplitude changes nothing else.
+    """
     result = run_scenario(parse("".join(f"{k} = {v}\n" for k, v in settings.items())))
-    rows = [(t.mode, t.agg_nmse_db, t.global_loss, t.alpha, t.slots_used, t.energy_j,
-             t.aborted, t.loss_per_ue.tolist()) for t in result.traces]
-    return repr((rows, result.final_theta.tolist()))
+    numbers = [x for t in result.traces
+               for x in (t.agg_nmse_db, t.global_loss, t.slots_used, t.energy_j,
+                         *t.loss_per_ue)]
+    numbers += result.final_theta.tolist()
+    labels = [(t.mode, t.aborted) for t in result.traces]
+    return repr(labels) + ",".join(f"{x:.12g}" for x in numbers)
 
 
 def test_every_scenario_key_changes_a_run():
-    """A key whose value reaches no trace field and no model weight is dead.
+    """A key whose value reaches no trace field but ``alpha`` and no model
+    weight, at CSV precision, is dead.
 
     Only ``name`` is exempt: it labels the CSV and nothing else.
     """
