@@ -65,7 +65,7 @@ from .precode import (
     compute_alpha,
     inversion_floor,
 )
-from .sync import SyncConfig, draw_offsets, draw_phase_offsets
+from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound
 from .weightcodec import (
     map_to_grids,
     pack_complex,
@@ -84,6 +84,7 @@ DETECT_THRESHOLD = 0.3
 # Per-client preambles: degree-7 Gold family, 129 sequences of 127 chips.
 PREAMBLE_DEGREE = 7
 PREAMBLE_LEN = 2**PREAMBLE_DEGREE - 1
+PREAMBLE_FAMILY = 2**PREAMBLE_DEGREE + 1
 
 # Stream tags for deterministic seed derivation.
 _TAG_INIT = 11
@@ -276,9 +277,11 @@ def _receive(
     power, so a payload attenuated by power control would see a far worse
     SNR than the knob claims.
 
-    Each client's preamble lives in its own slot of the preamble region, so
-    the position argmax minus the slot start is that client's arrival
-    offset.  Offsets and detection metrics come back in ``ues`` order.
+    Each client's preamble can only start in its own slot of the preamble
+    region, at most ``offset_bound(phy.sync)`` samples late, so each client
+    is searched only within ``offset_bound + PREAMBLE_LEN`` samples of its
+    slot start: the argmax in that window is its arrival offset.  Offsets
+    and detection metrics come back in ``ues`` order.
     """
     rx = superpose(sent, 0.0, 0)
     if phy.uplink_snr_db is not None:
@@ -287,11 +290,14 @@ def _receive(
         rng = np.random.default_rng(seed)
         n = rng.standard_normal(rx.samples.size) + 1j * rng.standard_normal(rx.samples.size)
         rx = TimeSignal(rx.samples + np.sqrt(variance / 2.0) * n, rx.sample_rate)
+    span = offset_bound(phy.sync, phy.grid.sample_rate) + PREAMBLE_LEN
     offsets = np.zeros(len(ues), dtype=np.int64)
     metrics = np.zeros(len(ues))
     for i, ue in enumerate(ues):
-        raw, metrics[i] = detect_frame(rx, gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN))
-        offsets[i] = max(0, raw - ue * phy.preamble_slot_len)
+        lo = ue * phy.preamble_slot_len
+        window = TimeSignal(rx.samples[lo:lo + span], rx.sample_rate)
+        offsets[i], metrics[i] = detect_frame(
+            window, gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN))
     return rx, offsets, metrics
 
 
@@ -325,7 +331,7 @@ def ota_aggregate(
     cfg = phy.grid
     if num_ues < 1:
         raise ValueError("need at least one UE")
-    if num_ues > 2**PREAMBLE_DEGREE + 1:
+    if num_ues > PREAMBLE_FAMILY:
         raise ValueError("more UEs than Gold sequences in the preamble family")
     if phy.pilot_allocation == "fdm_comb" and num_ues > cfg.subcarriers:
         raise ValueError("comb pilots need num_ues <= subcarriers")
@@ -423,8 +429,10 @@ def ota_aggregate(
                 sent, ues, phy, phy.preamble_region_len(num_ues), seed)
             received.append(rx)
         if np.any(s_metrics < DETECT_THRESHOLD):
+            # every client did send its preamble and pilots at the reference power
             return _report(zeros.copy(), 0.0, True, "sounding detection failed",
-                           s_offsets, s_metrics, no_metrics.copy(), descale)
+                           s_offsets, s_metrics,
+                           np.full(num_ues, phy.reference_amplitude**2), descale)
         # Every event is read at the earliest client's timing, so the
         # estimates absorb each client's residual offset as a phase ramp.
         pilot_start = int(s_offsets.min()) + phy.preamble_region_len(num_ues)

@@ -39,6 +39,7 @@ from .ota import (
     CSI_MODES,
     MODES,
     PILOT_ALLOCATIONS,
+    PREAMBLE_FAMILY,
     SCALE_MODES,
     ExperimentResult,
     PhyConfig,
@@ -228,6 +229,10 @@ def validate(sc: Scenario) -> None:
         fail("grid_fft_size", "must be >= grid.subcarriers")
     if sc.phy_pilot_allocation == "fdm_comb" and sc.num_ues > sc.grid_subcarriers:
         fail("num_ues", "comb pilots need num_ues <= grid.subcarriers")
+    if sc.num_ues > PREAMBLE_FAMILY:
+        fail("num_ues", f"the preamble family has only {PREAMBLE_FAMILY} Gold sequences")
+    if sc.phy_feedback_quant_bits == 1:
+        fail("phy_feedback_quant_bits", "must be 0 (lossless) or >= 2 for a nonzero quantizer")
 
 
 # ---------------------------------------------------------------------------

@@ -5,11 +5,13 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from otafl import fl
+from otafl import fl, grid, ota
 from otafl.channel import ChannelModel
 from otafl.grid import GridConfig
 from otafl.ota import (
     DETECT_THRESHOLD,
+    PREAMBLE_DEGREE,
+    PREAMBLE_LEN,
     PhyConfig,
     data_seeds,
     derive_seed,
@@ -20,7 +22,7 @@ from otafl.ota import (
     run_ota_round,
     train_configs,
 )
-from otafl.sync import SyncConfig
+from otafl.sync import SyncConfig, offset_bound
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -196,8 +198,91 @@ def test_abort_on_undetectable_preambles(allocation):
     assert report.offsets.shape == (3,)
     assert report.peak_metrics.shape == (3,)
     assert np.all(report.peak_metrics < DETECT_THRESHOLD)
+    # every client still sent its preamble and pilots at the reference power
+    np.testing.assert_array_equal(report.max_re_power, np.full(3, phy.reference_amplitude**2))
     np.testing.assert_array_equal(report.recovered, np.zeros(100))
     assert report.agg_nmse_db == 0.0  # zero estimate of a nonzero truth
+
+
+# ------------------------------------------------------ preamble search windows
+
+
+@pytest.mark.parametrize("sync", [
+    SyncConfig(mode="ptp_on"),
+    SyncConfig(mode="ptp_off", off_spread=64),
+], ids=["ptp_on", "ptp_off_64"])
+def test_receive_finds_a_preamble_at_the_offset_bound(sync):
+    """The last lag of a client's search window is its offset bound; a
+    client arriving exactly that late is still found at its true delay,
+    even when the delay runs past the guard gap into the next slot."""
+    phy = PhyConfig(channel=ChannelModel("flat_block"), sync=sync, uplink_snr_db=20.0)
+    bound = offset_bound(sync, phy.grid.sample_rate)
+    delays = [0, bound, 1]
+    gains = np.ones(phy.grid.subcarriers, dtype=complex)
+    mask = np.ones(phy.grid.subcarriers)
+    sent = [
+        (ota._ue_signal(ue, 3, phy, gains, 0.0, mask, [], pilot_symbols=2), d)
+        for ue, d in enumerate(delays)
+    ]
+    _, offsets, metrics = ota._receive(sent, [0, 1, 2], phy, phy.preamble_region_len(3), 5)
+    np.testing.assert_array_equal(offsets, delays)
+    assert np.all(metrics >= DETECT_THRESHOLD)
+
+
+@pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
+@pytest.mark.parametrize("spread", [64, 256])
+def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, spread):
+    """At the sync-stress shape, with offsets well past the cyclic prefix,
+    every detected client's windowed offset equals the full-frame argmax
+    minus its slot start."""
+    calls = []
+    original = ota._receive
+
+    def recording(sent, ues, phy, info_start, seed):
+        rx, offsets, metrics = original(sent, ues, phy, info_start, seed)
+        calls.append((rx, list(ues), offsets, metrics))
+        return rx, offsets, metrics
+
+    monkeypatch.setattr(ota, "_receive", recording)
+    phy = PhyConfig(
+        channel=ChannelModel("flat_block"),
+        sync=SyncConfig(mode="ptp_off", off_spread=spread),
+        pilot_allocation=allocation,
+        uplink_snr_db=60.0,
+    )
+    for seed in range(4):
+        ota_aggregate(_random_deltas(5, 65, seed=seed), phy, master_seed=seed)
+    checked = 0
+    for rx, ues, offsets, metrics in calls:
+        for ue, off, metric in zip(ues, offsets, metrics):
+            if metric < DETECT_THRESHOLD:
+                continue
+            preamble = grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
+            full, _ = grid.detect_frame(rx, preamble)
+            assert off == full - ue * phy.preamble_slot_len
+            checked += 1
+    assert checked >= 20
+
+
+def test_detection_scans_only_the_search_windows(monkeypatch):
+    """No preamble search may grow back to the whole received frame."""
+    sizes = []
+    original = ota.detect_frame
+
+    def counting(signal, preamble):
+        sizes.append(signal.samples.size)
+        return original(signal, preamble)
+
+    monkeypatch.setattr(ota, "detect_frame", counting)
+    phy = PhyConfig(
+        channel=ChannelModel("rayleigh_per_subcarrier"),
+        pilot_allocation="tdm_full",
+        uplink_snr_db=20.0,
+    )
+    report = ota_aggregate(_random_deltas(20, 100, seed=8), phy, master_seed=8)
+    assert not report.aborted
+    assert len(sizes) == 2 * 20  # one sounding and one payload search per client
+    assert max(sizes) <= offset_bound(phy.sync, phy.grid.sample_rate) + PREAMBLE_LEN
 
 
 def test_all_zero_updates_skip_the_air_interface():

@@ -127,6 +127,20 @@ def test_cross_field_validation():
         parse("phy.floor_rel = -0.1")
 
 
+@pytest.mark.parametrize("key, bad, good", [
+    ("phy.feedback_quant_bits", "1", "2"),
+    ("num_ues", "130", "129"),
+])
+def test_unsimulatable_values_name_their_key(key, bad, good):
+    """Values the uplink cannot run fail at parse time, not deep in a round:
+    a 1-bit quantizer has no nonzero level, and the degree-7 Gold family
+    has 129 preambles.  Both hold for ``tdm_full`` too."""
+    pilots = "phy.pilot_allocation = tdm_full\n"
+    with pytest.raises(ScenarioError, match=rf"'{key}'"):
+        parse(f"{pilots}{key} = {bad}")
+    assert getattr(parse(f"{pilots}{key} = {good}"), KEYMAP[key]) == int(good)
+
+
 # ---------------------------------------------------------------- builders
 
 
