@@ -1,4 +1,4 @@
-"""Golden fixture: pinned digests of the shipped scenarios, four aggregations
+"""Golden fixture: pinned digests of the shipped scenarios, ten aggregations
 and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
@@ -7,7 +7,7 @@ say so and update the fixture in the same commit.
 """
 
 import hashlib
-from dataclasses import replace
+from dataclasses import fields, is_dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -39,31 +39,73 @@ CLI_DIGESTS = {
         "e76eb99d33e08abdab9be64378522d818caa48409a4871b361c436845260ea57",
 }
 
-# (clients, channel kind, pilot allocation, PhyConfig overrides)
+# Paper-scale parameter count: 10 payload slots on the default grid.
+PAPER_PARAMS = 71_666
+
+# (clients, parameter count, channel kind, pilot allocation, PhyConfig overrides)
 #     -> (repr of agg_nmse_db, sha256 of recovered)
 AGGREGATE_DIGESTS = {
-    (5, "flat_block", "fdm_comb", ()): (
+    (5, PAPER_PARAMS, "flat_block", "fdm_comb", ()): (
         "-19.2366199180064",
         "331defd715702e5a5cabd0a2e37160e873e5315f970888e71fa6535b33243adf",
     ),
-    (20, "rayleigh_per_subcarrier", "tdm_full", ()): (
+    (20, PAPER_PARAMS, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.21116448747706",
         "7668c7432e640a58be33dd3cb8cf6d32491c107cc20da33c2bbe345f1ff60b5b",
     ),
-    (5, "rayleigh_per_subcarrier", "tdm_full", (("uplink_snr_db", None),)): (
+    (5, PAPER_PARAMS, "rayleigh_per_subcarrier", "tdm_full", (("uplink_snr_db", None),)): (
         "-26.337584212422883",
         "3254bb907ddd6814777ecc4ecbe64df21f97fb0ee6f4a9a665ae861d9744a72a",
     ),
-    (5, "flat_block", "fdm_comb", (("csi_mode", "perfect"),)): (
+    (5, PAPER_PARAMS, "flat_block", "fdm_comb", (("csi_mode", "perfect"),)): (
         "-19.992954838284664",
         "81d7685531938c64649db1fc7337477e87029a69eb25bf3e5ec4845fcc9d7ee1",
+    ),
+    # Transmit-side edges at two payload slots: an odd parameter count (the
+    # zero-padded pack tail), per-client scales, quantized feedback, stale
+    # CSI, a common phase offset and an inversion floor that clips about a
+    # third of the subcarriers.
+    (5, 10_001, "flat_block", "fdm_comb", ()): (
+        "-20.419789874889936",
+        "d57a309d1b3d0d3f18db408b61145333681a906f4ccee8e1bc88fc4cf1cdba87",
+    ),
+    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("scale_mode", "per_client"),)): (
+        "-17.301722275685957",
+        "0151666b29fa4027f034baa45d632d9fbb5376e1e9e53c3957411d4d8341ca42",
+    ),
+    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("feedback_quant_bits", 4),)): (
+        "-7.92347013149307",
+        "5a74270bbd320f059e3c05b15cb77580743159ac53c7870956a24435a1a86006",
+    ),
+    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("decorrelation", 0.5),)): (
+        "0.5665291831897019",
+        "db0b2848efdfff9339c38a94ba63a618b1770093fc04517dac787f9e834ce353",
+    ),
+    (5, 10_000, "flat_block", "fdm_comb",
+     (("sync", SyncConfig(mode="ptp_on", phase_offset_rad=0.5)),)): (
+        "-20.4512989756725",
+        "97a857a41ad12e84e59299a0fb05f2c4ba12bdc92e7f9b1e6af288b44c553d95",
+    ),
+    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("floor_rel", 0.8),)): (
+        "-11.289130592151205",
+        "da5799f1d1b0613ebf26b15a37bd30601f103d46af84237a9ef1c94ce6193d3e",
     ),
 }
 
 
+def _override_id(key, value) -> str:
+    """``key=value``; a config value shows only its non-default fields."""
+    if is_dataclass(value):
+        return "-".join(f"{f.name}={getattr(value, f.name)}" for f in fields(value)
+                        if getattr(value, f.name) != f.default)
+    return f"{key}={value}"
+
+
 def _aggregate_id(case) -> str:
-    num_ues, kind, allocation, overrides = case
-    return "-".join([str(num_ues), kind, allocation, *(f"{k}={v}" for k, v in overrides)])
+    num_ues, params, kind, allocation, overrides = case
+    size = [] if params == PAPER_PARAMS else [f"P={params}"]
+    return "-".join([str(num_ues), *size, kind, allocation,
+                     *(_override_id(k, v) for k, v in overrides)])
 
 
 # Criterion-5 shape: M=5, P=6656, 1664 samples per client, lr 0.05, full
@@ -97,13 +139,14 @@ def test_cli_csv_digest(command, cfg, extra, threads, tmp_path, monkeypatch):
 
 @pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
-    "num_ues,kind,allocation,overrides", list(AGGREGATE_DIGESTS),
+    "num_ues,params,kind,allocation,overrides", list(AGGREGATE_DIGESTS),
     ids=[_aggregate_id(case) for case in AGGREGATE_DIGESTS],
 )
-def test_ota_aggregate_digest(num_ues, kind, allocation, overrides, threads, monkeypatch):
+def test_ota_aggregate_digest(num_ues, params, kind, allocation, overrides, threads,
+                              monkeypatch):
     monkeypatch.setenv("OTAFL_THREADS", threads)
     rng = np.random.default_rng(0)
-    deltas = [0.1 * rng.standard_normal(71_666) for _ in range(num_ues)]
+    deltas = [0.1 * rng.standard_normal(params) for _ in range(num_ues)]
     phy = PhyConfig(
         channel=ChannelModel(kind),
         pilot_allocation=allocation,
@@ -111,7 +154,7 @@ def test_ota_aggregate_digest(num_ues, kind, allocation, overrides, threads, mon
         uplink_snr_db=20.0,
     )
     report = ota_aggregate(deltas, replace(phy, **dict(overrides)), master_seed=0)
-    want_nmse, want_digest = AGGREGATE_DIGESTS[(num_ues, kind, allocation, overrides)]
+    want_nmse, want_digest = AGGREGATE_DIGESTS[(num_ues, params, kind, allocation, overrides)]
     assert repr(float(report.agg_nmse_db)) == want_nmse
     assert _sha256(report.recovered.tobytes()) == want_digest
 
