@@ -5,10 +5,10 @@ Conventions that the rest of the package relies on:
 * The DFT is unitary in both directions (``norm="ortho"``), so a resource
   grid and the useful portion of its time-domain signal carry identical
   energy.  No extra scaling constants appear anywhere downstream.
-* The occupied subcarriers sit centred on DC.  Subcarrier ``n`` of a grid
-  maps to physical FFT bin ``(n - subcarriers//2) mod fft_size`` (after
-  ``ifftshift``), which matters when reasoning about the per-subcarrier
-  phase ramp caused by a timing offset inside the cyclic prefix.
+* The occupied subcarriers sit centred on DC: subcarrier ``n`` of a grid
+  sits at physical FFT bin ``subcarrier_bins(cfg)[n]``, which matters when
+  reasoning about the per-subcarrier phase ramp caused by a timing offset
+  inside the cyclic prefix.
 * Preambles are bipolar (+1/-1) Gold sequences transmitted as raw time
   samples ahead of the first OFDM symbol; frame detection is a normalized
   cross-correlation peak search.
@@ -171,10 +171,36 @@ def _occupied_slice(cfg: GridConfig) -> slice:
 
 
 def subcarrier_bins(cfg: GridConfig) -> np.ndarray:
-    """Physical FFT bin index for each subcarrier (after ifftshift)."""
+    """Physical FFT bin index for each subcarrier."""
     occ = _occupied_slice(cfg)
     centered = np.arange(occ.start, occ.stop)
     return (centered - cfg.fft_size // 2) % cfg.fft_size
+
+
+def ofdm_modulate_into(symbols: np.ndarray, cfg: GridConfig, out: np.ndarray) -> None:
+    """Modulate ``(n, subcarriers)`` symbols into ``out``, an ``(n, symbol_len)`` view.
+
+    Each symbol's subcarriers go straight into their FFT bins in the useful
+    part of its row, the unitary IFFT runs in place there and the cyclic
+    prefix is copied in front: no zero-padded spectrum, shift or
+    concatenation.
+    """
+    n = symbols.shape[0]
+    if symbols.shape != (n, cfg.subcarriers) or out.shape != (n, cfg.symbol_len):
+        raise ValueError(
+            f"cannot modulate symbols of shape {symbols.shape} into samples of "
+            f"shape {out.shape}"
+        )
+    sub, fft = cfg.subcarriers, cfg.fft_size
+    # subcarriers from ``split`` on sit at and above DC, bins 0, 1, ...; the
+    # ones below it wrap around to the top bins
+    split = fft // 2 - (fft - sub) // 2
+    useful = out[:, cfg.cp_len:]
+    useful[:, :sub - split] = symbols[:, split:]
+    useful[:, sub - split:fft - split] = 0.0
+    useful[:, fft - split:] = symbols[:, :split]
+    np.fft.ifft(useful, axis=1, norm="ortho", out=useful)
+    out[:, :cfg.cp_len] = out[:, fft:]
 
 
 def ofdm_modulate(grid: ResourceGrid, cfg: GridConfig) -> TimeSignal:
@@ -185,11 +211,9 @@ def ofdm_modulate(grid: ResourceGrid, cfg: GridConfig) -> TimeSignal:
             f"grid shape {data.shape} does not match config "
             f"({cfg.symbols_per_slot}, {cfg.subcarriers})"
         )
-    spectrum = np.zeros((data.shape[0], cfg.fft_size), dtype=np.complex128)
-    spectrum[:, _occupied_slice(cfg)] = data
-    time = np.fft.ifft(np.fft.ifftshift(spectrum, axes=1), axis=1, norm="ortho")
-    with_cp = np.concatenate([time[:, cfg.fft_size - cfg.cp_len:], time], axis=1)
-    return TimeSignal(with_cp.reshape(-1), cfg.sample_rate)
+    out = np.empty((cfg.symbols_per_slot, cfg.symbol_len), dtype=np.complex128)
+    ofdm_modulate_into(data, cfg, out)
+    return TimeSignal(out.reshape(-1), cfg.sample_rate)
 
 
 def ofdm_demodulate(signal: TimeSignal, cfg: GridConfig, start: int = 0) -> ResourceGrid:

@@ -12,8 +12,10 @@ One uplink round, as simulated here:
     reference -- the estimate then absorbs both the fading gain and the
     per-client timing phase ramp, so channel inversion pre-compensates
     residual sample offsets that fall inside the cyclic prefix.
-4.  Updates are mapped to payload grids, divided by the estimates, scaled
-    by the shared power-control factor alpha and transmitted
+4.  Updates are packed into payload grids and divided by the estimates,
+    one client at a time; once every client's peak is known they are
+    scaled by the shared power-control factor alpha and modulated into
+    one preallocated frame buffer, a row per client, and transmitted
     simultaneously; the multiple-access channel sums them in the air.
 5.  The receiver detects the superposed frame, demodulates the payload,
     descales by M * alpha and the shared peak scales, and applies the
@@ -30,6 +32,7 @@ subcarriers).
 
 from __future__ import annotations
 
+import functools
 import os
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
@@ -55,20 +58,21 @@ from .grid import (
     gold_sequence,
     make_pilot_values,
     ofdm_demodulate,
-    ofdm_modulate,
+    ofdm_modulate_into,
     subcarrier_bins,
 )
 from .precode import (
     DEFAULT_FLOOR_REL,
-    DEFAULT_MARGIN,
-    channel_invert,
+    MARGIN,
+    PEAK_POWER,
     compute_alpha,
+    inversion_divisor,
     inversion_floor,
 )
 from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound
 from .weightcodec import (
-    map_to_grids,
-    pack_complex,
+    component_peaks,
+    pack_into,
     scale_updates,
     shared_peaks,
     slot_plan,
@@ -112,13 +116,11 @@ def data_seeds(master_seed: int, ue: int):
 class PhyConfig:
     """Everything the physical layer needs for one experiment.
 
-    Every client transmits under one peak power per resource element.  It is
-    a constant, not a knob: the receiver noise follows the received power
-    through ``uplink_snr_db``, so the absolute transmit scale cancels out of
-    every result except ``alpha``.
+    ``peak_power`` is ``precode.PEAK_POWER``, the constant power budget of
+    every resource element, not a knob.
     """
 
-    peak_power: ClassVar[float] = 1.0
+    peak_power: ClassVar[float] = PEAK_POWER
 
     grid: GridConfig = GridConfig()
     channel: ChannelModel = ChannelModel()
@@ -156,7 +158,7 @@ class PhyConfig:
     @property
     def reference_amplitude(self) -> float:
         """Amplitude of preamble/pilot parts: stays inside the power budget."""
-        return DEFAULT_MARGIN * np.sqrt(self.peak_power)
+        return MARGIN * np.sqrt(PEAK_POWER)
 
 
 @dataclass
@@ -224,40 +226,80 @@ def _map_ues(fn, items):
         return list(pool.map(fn, items))
 
 
-def _ue_signal(
-    ue: int,
+@functools.cache
+def _preamble_bank() -> np.ndarray:
+    """Every client's Gold preamble, one read-only row per family member."""
+    bank = np.stack([gold_sequence(PREAMBLE_DEGREE, k, PREAMBLE_LEN)
+                     for k in range(PREAMBLE_FAMILY)])
+    bank.flags.writeable = False
+    return bank
+
+
+@functools.lru_cache(maxsize=None)
+def _pilot_values(subcarriers: int) -> np.ndarray:
+    """Read-only pilot symbol of a grid width, shared by both link ends."""
+    pilots = make_pilot_values(subcarriers)
+    pilots.flags.writeable = False
+    return pilots
+
+
+def _uplink_frames(
+    ues: list[int],
     num_ues: int,
     phy: PhyConfig,
-    gains: np.ndarray,
-    phase: float,
-    pilot_mask: np.ndarray,
-    payload_grids: list[ResourceGrid],
-    pilot_symbols: int = 1,
-) -> TimeSignal:
-    """Post-channel transmit frame of one UE (before delay and noise).
+    gains: list[np.ndarray],
+    phases: np.ndarray,
+    masks: np.ndarray,
+    pilot_symbols: int,
+    payload: list[ResourceGrid] | None = None,
+    alpha: float = 0.0,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Post-channel transmit frames of the clients ``ues`` (before delay and
+    noise), one row each of a single ``(len(ues), frame_len)`` buffer.
+
+    A row holds the client's Gold preamble in its own slot of the preamble
+    region, ``pilot_symbols`` OFDM symbols of its pilot row and then, when
+    ``payload`` is given, the symbols of its precoded grid
+    ``payload[ue]``.  Sounding frames repeat the pilot row so the receiver
+    can average down the estimation noise; payload frames carry one pilot
+    symbol.  Each payload grid is scaled by ``alpha`` and faded in place.
 
     Fading is applied per subcarrier in the frequency domain; the preamble
     burst, which is a raw time-domain sequence, is scaled by the channel's
     RMS gain instead (a scalar stand-in that preserves detection power).
-    Sounding frames repeat the pilot row over ``pilot_symbols`` OFDM
-    symbols so the receiver can average down the estimation noise; payload
-    frames carry a single pilot symbol.
+    Also returns each row's peak resource-element power before fading:
+    its scaled payload's or the reference power of preamble and pilots,
+    whichever is higher.
     """
     cfg = phy.grid
-    slot = phy.preamble_slot_len
-    rot = np.exp(1j * phase)
-    preamble_region = np.zeros(phy.preamble_region_len(num_ues), dtype=np.complex128)
-    p = gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
+    region = phy.preamble_region_len(num_ues)
+    body = pilot_symbols + (0 if payload is None else payload[0].data.shape[0])
+    frames = np.zeros((len(ues), region + body * cfg.symbol_len), dtype=np.complex128)
     amp = phy.reference_amplitude
-    rms_gain = float(np.sqrt(np.mean(np.abs(gains) ** 2)))
-    preamble_region[ue * slot:ue * slot + PREAMBLE_LEN] = amp * rms_gain * p * rot
-    pilot_row = amp * make_pilot_values(cfg.subcarriers) * pilot_mask * gains * rot
-    pilot_cfg = replace(cfg, symbols_per_slot=pilot_symbols)
-    pilot_grid = ResourceGrid(np.broadcast_to(pilot_row, (pilot_symbols, cfg.subcarriers)).copy())
-    parts = [preamble_region, ofdm_modulate(pilot_grid, pilot_cfg).samples]
-    for g in payload_grids:
-        parts.append(ofdm_modulate(ResourceGrid(g.data * gains[None, :] * rot), cfg).samples)
-    return TimeSignal(np.concatenate(parts), cfg.sample_rate)
+    peaks = np.full(len(ues), amp**2)
+    for i, ue in enumerate(ues):
+        row, g = frames[i], gains[ue]
+        rot = np.exp(1j * phases[ue])
+        rms_gain = float(np.sqrt(np.mean(np.abs(g) ** 2)))
+        lo = ue * phy.preamble_slot_len
+        row[lo:lo + PREAMBLE_LEN] = amp * rms_gain * _preamble_bank()[ue] * rot
+        symbols = row[region:].reshape(body, cfg.symbol_len)
+        pilot_row = amp * _pilot_values(cfg.subcarriers) * masks[ue] * g * rot
+        ofdm_modulate_into(np.broadcast_to(pilot_row, (pilot_symbols, cfg.subcarriers)),
+                           cfg, symbols[:pilot_symbols])
+        if payload is not None:
+            data = payload[ue].data
+            data *= alpha
+            peaks[i] = max(float(np.max(np.abs(data) ** 2)), peaks[i])
+            data *= g
+            data *= rot
+            ofdm_modulate_into(data, cfg, symbols[pilot_symbols:])
+    return frames, peaks
+
+
+def _sent(frames: np.ndarray, ues: list[int], offsets: np.ndarray, sample_rate: float):
+    """``(frame, delay)`` pairs of the clients ``ues`` for :func:`_receive`."""
+    return [(TimeSignal(row, sample_rate), int(offsets[ue])) for row, ue in zip(frames, ues)]
 
 
 def _receive(
@@ -296,8 +338,7 @@ def _receive(
     for i, ue in enumerate(ues):
         lo = ue * phy.preamble_slot_len
         window = TimeSignal(rx.samples[lo:lo + span], rx.sample_rate)
-        offsets[i], metrics[i] = detect_frame(
-            window, gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN))
+        offsets[i], metrics[i] = detect_frame(window, _preamble_bank()[ue])
     return rx, offsets, metrics
 
 
@@ -354,16 +395,15 @@ def ota_aggregate(
 
     # --- common scale negotiation (error-free control channel) -----------
     if phy.scale_mode == "common":
-        shared = shared_peaks(deltas)
-        scaled = [scale_updates(d, shared) for d in deltas]
-        descale = shared
+        client_scales = [shared_peaks(deltas)] * num_ues
+        descale = client_scales[0]
     else:
-        scaled = [scale_updates(d) for d in deltas]
+        client_scales = [component_peaks(d) for d in deltas]
         # receiver cannot undo per-client scales after the analog sum; it
         # descales with their mean, which reproduces the bias of that variant
         descale = (
-            float(np.mean([s.scale_i for s in scaled])),
-            float(np.mean([s.scale_q for s in scaled])),
+            float(np.mean([s[0] for s in client_scales])),
+            float(np.mean([s[1] for s in client_scales])),
         )
 
     zeros = np.zeros(param_count)
@@ -420,13 +460,11 @@ def ota_aggregate(
         s_metrics = np.zeros(num_ues)
         received = []
         for ues, seed in events:
-            sent = [
-                (_ue_signal(ue, num_ues, phy, gains[ue], phases[ue], masks[ue], [],
-                            pilot_symbols=cfg.symbols_per_slot), int(offsets[ue]))
-                for ue in ues
-            ]
+            frames, _ = _uplink_frames(ues, num_ues, phy, gains, phases, masks,
+                                       cfg.symbols_per_slot)
             rx, s_offsets[ues], s_metrics[ues] = _receive(
-                sent, ues, phy, phy.preamble_region_len(num_ues), seed)
+                _sent(frames, ues, offsets, cfg.sample_rate), ues, phy,
+                phy.preamble_region_len(num_ues), seed)
             received.append(rx)
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
@@ -436,7 +474,7 @@ def ota_aggregate(
         # Every event is read at the earliest client's timing, so the
         # estimates absorb each client's residual offset as a phase ramp.
         pilot_start = int(s_offsets.min()) + phy.preamble_region_len(num_ues)
-        pilot_vals = make_pilot_values(cfg.subcarriers)
+        pilot_vals = _pilot_values(cfg.subcarriers)
         estimates = [None] * num_ues
         for (ues, _), rx in zip(events, received):
             at = max(0, min(pilot_start, rx.samples.size - cfg.slot_len))
@@ -448,29 +486,27 @@ def ota_aggregate(
                 estimates[ue] = quantize_estimate(est, phy.feedback_quant_bits)
 
     # --- precode, shared power control ------------------------------------
-    payload = [map_to_grids(pack_complex(s.values), plan, cfg) for s in scaled]
-    precoded = [
-        channel_invert(payload[ue], estimates[ue], inversion_floor(estimates[ue], phy.floor_rel))
-        for ue in range(num_ues)
-    ]
-    alpha = compute_alpha(precoded, phy.peak_power)
-    tx_grids = [[ResourceGrid(alpha * g.data) for g in grids] for grids in precoded]
-    max_re_power = np.array([
-        max(
-            max((float(np.max(np.abs(g.data) ** 2)) for g in grids), default=0.0),
-            phy.reference_amplitude**2,
-        )
-        for grids in tx_grids
-    ])
+    # Each client's scaled update is packed straight into its block of
+    # payload symbols and divided by its floored estimate, one client at a
+    # time; building the ResourceGrid checks the result is finite.
+    payload = np.empty((num_ues, plan.slots * cfg.symbols_per_slot, cfg.subcarriers),
+                       dtype=np.complex128)
+    precoded = []
+    for ue in range(num_ues):
+        pack_into(scale_updates(deltas[ue], client_scales[ue]).values, payload[ue].reshape(-1))
+        by_slot = payload[ue].reshape(plan.slots, cfg.symbols_per_slot, cfg.subcarriers)
+        est = estimates[ue]
+        by_slot /= inversion_divisor(est, inversion_floor(est, phy.floor_rel))
+        precoded.append(ResourceGrid(payload[ue]))
+    alpha = compute_alpha(precoded)
 
     # --- simultaneous payload transmission --------------------------------
-    sent = [
-        (_ue_signal(ue, num_ues, phy, payload_gains[ue], phases[ue], masks[ue], tx_grids[ue]),
-         int(offsets[ue]))
-        for ue in range(num_ues)
-    ]
+    ues = list(range(num_ues))
+    frames, max_re_power = _uplink_frames(ues, num_ues, phy, payload_gains, phases, masks, 1,
+                                          precoded, alpha)
     rx, p_offsets, p_metrics = _receive(
-        sent, list(range(num_ues)), phy, phy.preamble_region_len(num_ues) + cfg.symbol_len,
+        _sent(frames, ues, offsets, cfg.sample_rate), ues, phy,
+        phy.preamble_region_len(num_ues) + cfg.symbol_len,
         derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD),
     )
     if np.any(p_metrics < DETECT_THRESHOLD):

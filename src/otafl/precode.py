@@ -12,7 +12,12 @@ from .grid import ResourceGrid
 # the aggregation error is flat between 0.10 and 0.20 and degrades on both
 # sides (noise amplification below, truncation bias above).
 DEFAULT_FLOOR_REL = 0.15
-DEFAULT_MARGIN = 0.9
+# Every client transmits under one unit peak power per resource element and
+# backs off from it by a fixed margin.  Both are constants, not knobs: the
+# receiver noise follows the received power, so the absolute transmit scale
+# cancels out of every result except alpha.
+PEAK_POWER = 1.0
+MARGIN = 0.9
 
 
 def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL) -> float:
@@ -22,17 +27,14 @@ def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_
     return floor_rel * float(np.median(np.abs(estimate.full_grid)))
 
 
-def channel_invert(
-    grids: list[ResourceGrid],
-    estimate: ChannelEstimate,
-    floor: float,
-) -> list[ResourceGrid]:
-    """Divide payload grids elementwise by the channel estimate.
+def inversion_divisor(estimate: ChannelEstimate, floor: float) -> np.ndarray:
+    """The channel estimate with magnitudes below ``floor`` raised to it.
 
-    Estimates with magnitude below ``floor`` are clamped to the floor while
-    keeping their phase, which caps the inversion gain at 1/floor in deep
-    fades.  A zero estimate with a positive floor divides by the (real)
-    floor itself; a zero estimate with floor = 0 is an error.
+    Clamped estimates keep their phase, which caps the inversion gain at
+    1/floor in deep fades.  A zero estimate with a positive floor becomes
+    the (real) floor itself; a zero estimate with floor = 0 is an error.
+    When nothing is clamped the result is the estimate's own array, so
+    callers must not write to it.
     """
     if floor < 0:
         raise ValueError("floor must be >= 0")
@@ -40,7 +42,7 @@ def channel_invert(
     mag = np.abs(h)
     if np.any(mag == 0) and floor == 0:
         raise ValueError("zero channel estimate cannot be inverted without a floor")
-    divisor = h.copy()
+    divisor = h
     if floor > 0:
         weak = mag < floor
         dead = mag == 0
@@ -48,37 +50,40 @@ def channel_invert(
             safe_mag = np.where(dead, 1.0, mag)
             divisor = np.where(weak, floor * h / safe_mag, divisor)
             divisor = np.where(dead, floor, divisor)
+    return divisor
+
+
+def channel_invert(
+    grids: list[ResourceGrid],
+    estimate: ChannelEstimate,
+    floor: float,
+) -> list[ResourceGrid]:
+    """Divide payload grids elementwise by :func:`inversion_divisor`."""
+    divisor = inversion_divisor(estimate, floor)
     out = []
     for g in grids:
-        if g.data.shape != h.shape:
-            raise ValueError(f"payload grid shape {g.data.shape} != estimate {h.shape}")
+        if g.data.shape != divisor.shape:
+            raise ValueError(f"payload grid shape {g.data.shape} != estimate {divisor.shape}")
         out.append(ResourceGrid(g.data / divisor))
     return out
 
 
-def compute_alpha(
-    precoded_per_ue: list[list[ResourceGrid]],
-    peak_power: float,
-    margin: float = DEFAULT_MARGIN,
-) -> float:
-    """Largest shared scaling every UE can transmit within ``peak_power``.
+def compute_alpha(precoded_per_ue: list[ResourceGrid]) -> float:
+    """Largest shared scaling every UE can transmit within ``PEAK_POWER``.
 
-    alpha = margin * min over UEs of sqrt(peak_power / max |precoded|^2),
+    alpha = MARGIN * min over UEs of sqrt(PEAK_POWER / max |precoded|^2),
     so after scaling no resource element of any UE exceeds the peak power
-    (strictly below it for margin < 1).  UEs whose payload is entirely zero
-    impose no constraint; all UEs zero is an error.
+    (strictly below it, as MARGIN < 1).  Each UE brings one grid holding all
+    of its precoded symbols.  UEs whose payload is entirely zero impose no
+    constraint; all UEs zero is an error.
     """
-    if peak_power <= 0:
-        raise ValueError("peak_power must be positive")
-    if not 0 < margin <= 1:
-        raise ValueError("margin must lie in (0, 1]")
     if not precoded_per_ue:
         raise ValueError("need at least one UE")
     alpha = np.inf
-    for grids in precoded_per_ue:
-        peak = max((float(np.max(np.abs(g.data) ** 2)) for g in grids), default=0.0)
+    for grid in precoded_per_ue:
+        peak = float(np.max(np.abs(grid.data) ** 2))
         if peak > 0:
-            alpha = min(alpha, margin * np.sqrt(peak_power / peak))
+            alpha = min(alpha, MARGIN * np.sqrt(PEAK_POWER / peak))
     if not np.isfinite(alpha):
         raise ValueError("all precoded payloads are zero; alpha undefined")
     return float(alpha)

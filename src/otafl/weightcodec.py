@@ -101,11 +101,24 @@ def unscale_updates(update: ScaledUpdate) -> np.ndarray:
 def pack_complex(values: np.ndarray) -> np.ndarray:
     """Pair consecutive reals into complex symbols, zero-padding odd tails."""
     v = np.asarray(values, dtype=np.float64)
+    out = np.empty((v.size + 1) // 2, dtype=np.complex128)
+    pack_into(v, out)
+    return out
+
+
+def pack_into(values: np.ndarray, out: np.ndarray) -> None:
+    """:func:`pack_complex` written into the front of the 1-D ``out``; the
+    rest of ``out`` is zeroed, so it can be a whole zero-padded payload."""
+    v = np.asarray(values, dtype=np.float64)
     if v.ndim != 1 or v.size == 0:
         raise ValueError("values must be a nonempty 1-D vector")
-    if v.size % 2:
-        v = np.concatenate([v, [0.0]])
-    return v[0::2] + 1j * v[1::2]
+    pairs, symbols = v.size // 2, (v.size + 1) // 2
+    if out.ndim != 1 or out.size < symbols:
+        raise ValueError(f"{symbols} symbols do not fit into {out.size}")
+    # v_even + 1j * v_odd, the odd tail paired with zero, computed in place
+    out[pairs:] = 0.0
+    np.multiply(v[1::2], 1j, out=out[:pairs])
+    np.add(out[:symbols], v[0::2], out=out[:symbols])
 
 
 def unpack_complex(symbols: np.ndarray, count: int) -> np.ndarray:

@@ -14,6 +14,7 @@ from otafl.grid import (
     make_pilot_values,
     ofdm_demodulate,
     ofdm_modulate,
+    ofdm_modulate_into,
     subcarrier_bins,
 )
 
@@ -141,6 +142,45 @@ def test_demodulate_rejects_out_of_range_window():
 def test_modulate_rejects_wrong_shape():
     with pytest.raises(ValueError):
         ofdm_modulate(ResourceGrid(np.zeros((2, 2), dtype=complex)), CFG)
+    with pytest.raises(ValueError):
+        ofdm_modulate_into(np.zeros((3, CFG.subcarriers)), CFG,
+                           np.zeros((3, CFG.symbol_len - 1), dtype=complex))
+
+
+def _shifted_spectrum_modulate(data, cfg):
+    """Reference modulator: zero-padded centred spectrum, ifftshift, IFFT and
+    a concatenated cyclic prefix, one symbol row at a time."""
+    lo = (cfg.fft_size - cfg.subcarriers) // 2
+    rows = []
+    for row in data:
+        spectrum = np.zeros(cfg.fft_size, dtype=complex)
+        spectrum[lo:lo + cfg.subcarriers] = row
+        time = np.fft.ifft(np.fft.ifftshift(spectrum), norm="ortho")
+        rows.append(np.concatenate([time[cfg.fft_size - cfg.cp_len:], time]))
+    return np.concatenate(rows)
+
+
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    GridConfig(subcarriers=120, symbols_per_slot=3, fft_size=256),
+    GridConfig(subcarriers=31, symbols_per_slot=2, fft_size=64, cp_len=5),
+    GridConfig(subcarriers=33, symbols_per_slot=2, fft_size=65, cp_len=0),
+    GridConfig(subcarriers=1, symbols_per_slot=1, fft_size=2, cp_len=1),
+], ids=lambda c: f"{c.subcarriers}of{c.fft_size}cp{c.cp_len}")
+def test_modulate_into_matches_the_shifted_spectrum_reference(cfg):
+    """Direct bin placement and the in-place IFFT give the reference's
+    samples bit for bit, whether written into a slot's own buffer or into a
+    strided window of a longer frame."""
+    rows = 3 * cfg.symbols_per_slot
+    data = _random_grid(dataclasses.replace(cfg, symbols_per_slot=rows), seed=6).data
+    want = _shifted_spectrum_modulate(data, cfg)
+    frame = np.full(rows * cfg.symbol_len + 7, np.nan, dtype=complex)
+    ofdm_modulate_into(data, cfg, frame[5:-2].reshape(rows, cfg.symbol_len))
+    assert frame[5:-2].tobytes() == want.tobytes()
+    assert np.isnan(frame[:5]).all() and np.isnan(frame[-2:]).all()
+    slot = _random_grid(cfg, seed=7)
+    assert (ofdm_modulate(slot, cfg).samples.tobytes()
+            == _shifted_spectrum_modulate(slot.data, cfg).tobytes())
 
 
 # ------------------------------------------------------------- framing

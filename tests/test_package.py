@@ -1,11 +1,13 @@
 """The package's public surface and its import hygiene."""
 
 import ast
+import importlib
 from pathlib import Path
 
 import otafl
 
 PACKAGE_DIR = Path(otafl.__file__).resolve().parent
+BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
 
 
 def test_all_names_resolve_once():
@@ -43,3 +45,22 @@ def test_no_unused_imports():
         and (found := _unused_imports(path.read_text(encoding="utf-8")))
     }
     assert stale == {}
+
+
+def test_bench_traced_names_resolve():
+    """Every function the benchmark's tracer wraps still exists in its module,
+    so a traced run cannot silently lose a layer."""
+    tree = ast.parse(BENCH_SPANS.read_text(encoding="utf-8"))
+    traced = next(
+        ast.literal_eval(node.value) for node in tree.body
+        if isinstance(node, ast.Assign)
+        and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
+    )
+    assert traced
+    missing = [
+        f"{module}.{name}"
+        for module, names in traced.values()
+        for name in names
+        if not callable(getattr(importlib.import_module(f"otafl.{module}"), name, None))
+    ]
+    assert missing == []

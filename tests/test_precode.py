@@ -7,8 +7,11 @@ from otafl.csi import interpolate
 from otafl.grid import GridConfig, ResourceGrid
 from otafl.precode import (
     DEFAULT_FLOOR_REL,
+    MARGIN,
+    PEAK_POWER,
     channel_invert,
     compute_alpha,
+    inversion_divisor,
     inversion_floor,
 )
 
@@ -55,6 +58,8 @@ def test_zero_estimate_without_floor_raises():
     h = _estimate([0.0] + [1.0] * 7)
     with pytest.raises(ValueError):
         channel_invert([_grid(np.ones(16))], h, floor=0.0)
+    with pytest.raises(ValueError):
+        inversion_divisor(h, floor=0.0)
 
 
 def test_invert_validation():
@@ -82,42 +87,42 @@ def test_inversion_floor_tracks_median():
 
 
 def test_alpha_hand_oracle():
-    # single UE, peak |x|^2 = 4, peak_power 1, margin 0.9 -> 0.9 * 1/2
+    # single UE, peak |x|^2 = 4, unit peak power, margin 0.9 -> 0.9 * 1/2
+    assert (PEAK_POWER, MARGIN) == (1.0, 0.9)
     g = _grid([2.0] + [0.0] * 15)
-    assert compute_alpha([[g]], 1.0, margin=0.9) == pytest.approx(0.45, rel=1e-12)
+    assert compute_alpha([g]) == pytest.approx(0.45, rel=1e-12)
 
 
 def test_alpha_minimum_over_ues():
     weak = _grid([4.0] + [0.0] * 15)   # needs alpha <= 0.9 * 1/4
     mild = _grid([1.0] + [0.0] * 15)   # would allow 0.9
-    alpha = compute_alpha([[mild], [weak]], 1.0, margin=0.9)
+    alpha = compute_alpha([mild, weak])
     assert alpha == pytest.approx(0.225, rel=1e-12)
 
 
 def test_alpha_enforces_peak_power_property():
     rng = np.random.default_rng(3)
-    ues = []
-    for _ in range(5):
-        ues.append([_grid(rng.normal(size=16) * rng.uniform(0.1, 10))])
-    alpha = compute_alpha(ues, peak_power=2.0, margin=0.9)
-    worst = max(np.max(np.abs(alpha * g.data) ** 2) for grids in ues for g in grids)
-    assert worst <= 2.0 * 0.9**2 + 1e-12
+    ues = [_grid(rng.normal(size=16) * rng.uniform(0.1, 10)) for _ in range(5)]
+    alpha = compute_alpha(ues)
+    worst = max(np.max(np.abs(alpha * g.data) ** 2) for g in ues)
+    assert worst <= PEAK_POWER * MARGIN**2 + 1e-12
 
 
 def test_alpha_ignores_all_zero_ues():
     active = _grid([1.0] + [0.0] * 15)
     silent = _grid(np.zeros(16))
-    alpha = compute_alpha([[active], [silent]], 1.0, margin=1.0)
-    assert alpha == pytest.approx(1.0, rel=1e-12)
+    alpha = compute_alpha([active, silent])
+    assert alpha == pytest.approx(MARGIN, rel=1e-12)
 
 
 def test_alpha_validation():
     g = _grid(np.ones(16))
     with pytest.raises(ValueError):
-        compute_alpha([], 1.0)
+        compute_alpha([])
     with pytest.raises(ValueError):
-        compute_alpha([[g]], 0.0)
-    with pytest.raises(ValueError):
-        compute_alpha([[g]], 1.0, margin=1.5)
-    with pytest.raises(ValueError):
-        compute_alpha([[_grid(np.zeros(16))]], 1.0)
+        compute_alpha([_grid(np.zeros(16))])
+    # the power budget and the margin are constants, not arguments
+    with pytest.raises(TypeError):
+        compute_alpha([g], 1.0)
+    with pytest.raises(TypeError):
+        compute_alpha([g], margin=0.5)
