@@ -1,4 +1,4 @@
-"""Golden fixture: pinned digests of the shipped scenarios, ten aggregations
+"""Golden fixture: pinned digests of the shipped scenarios, fourteen aggregations
 and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
@@ -89,6 +89,28 @@ AGGREGATE_DIGESTS = {
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("floor_rel", 0.8),)): (
         "-11.289130592151205",
         "da5799f1d1b0613ebf26b15a37bd30601f103d46af84237a9ef1c94ce6193d3e",
+    ),
+    # Receive-side order: without PTP the offsets reach 50 samples, so late
+    # preambles run into the next client's slot and every sample sums
+    # several clients.  Then the perfect-CSI estimate on per-subcarrier
+    # fading, and the benchmark's client count.
+    (5, 10_000, "flat_block", "fdm_comb",
+     (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
+        "5.029357819321244",
+        "cc104bd17210bc0eae91f5914f5dc18e954fc0cb31350ee88a4381db34c52c62",
+    ),
+    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full",
+     (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
+        "3.3426538581329575",
+        "a6633f9ac6ec4027058f5408e47768aaf16278acb6278f622caeeabcb3b12c6c",
+    ),
+    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("csi_mode", "perfect"),)): (
+        "-19.964541451114904",
+        "f007390abc033424545ad6cafe589b3fcce42076c26280905022e56836db1a15",
+    ),
+    (60, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
+        "-18.6203752046387",
+        "0b07b1a02fc0a9c822d98ba7e526bd86c09a7574d347d033f9a066ec6cf0bec7",
     ),
 }
 
