@@ -15,9 +15,10 @@ NMSE_FLOOR_DB = -300.0
 
 @dataclass
 class ChannelEstimate:
-    """Channel estimate filled out to the whole (symbols, subcarriers) grid."""
+    """One complex gain per subcarrier, held for every symbol of the round
+    (block fading)."""
 
-    full_grid: np.ndarray
+    gains: np.ndarray
 
 
 def ls_estimate(received: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -41,11 +42,11 @@ def interpolate(
     pilot_positions: np.ndarray,
     cfg: GridConfig,
 ) -> ChannelEstimate:
-    """Fill a full (symbols, subcarriers) estimate from pilot positions.
+    """Fill one gain per subcarrier from pilot positions.
 
     Linear interpolation in frequency (real and imaginary parts separately,
-    ends held at the outermost pilot value) and replication across the time
-    axis, which is exact for block fading with a single pilot symbol.
+    ends held at the outermost pilot value).  Under block fading that one
+    row is the estimate for every symbol of the round.
     """
     est = np.asarray(pilot_estimates, dtype=np.complex128)
     pos = np.asarray(pilot_positions, dtype=np.int64)
@@ -56,9 +57,8 @@ def interpolate(
     if np.any(np.diff(pos) <= 0):
         raise ValueError("pilot positions must be strictly increasing")
     grid_pos = np.arange(cfg.subcarriers)
-    row = np.interp(grid_pos, pos, est.real) + 1j * np.interp(grid_pos, pos, est.imag)
-    full = np.broadcast_to(row, (cfg.symbols_per_slot, cfg.subcarriers)).copy()
-    return ChannelEstimate(full)
+    return ChannelEstimate(
+        np.interp(grid_pos, pos, est.real) + 1j * np.interp(grid_pos, pos, est.imag))
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -95,7 +95,7 @@ def quantize_estimate(estimate: ChannelEstimate, bits: int) -> ChannelEstimate:
     levels = 2 ** (bits - 1) - 1
     if levels < 1:
         raise ValueError("need at least 2 bits for a nonzero quantizer")
-    h = estimate.full_grid
+    h = estimate.gains
     scale = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)), 1e-300)
     step = scale / levels
     return ChannelEstimate((np.round(h.real / step) + 1j * np.round(h.imag / step)) * step)

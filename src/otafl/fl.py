@@ -226,10 +226,22 @@ def compute_delta(local_theta: np.ndarray, global_theta: np.ndarray) -> np.ndarr
 
 
 def average_deltas(deltas: list[np.ndarray]) -> np.ndarray:
-    """Mean update in fixed ascending-UE order (deterministic summation)."""
+    """Mean update, summed in ascending-UE order into one accumulator.
+
+    For two or more parameters this equals ``np.mean(np.stack(deltas),
+    axis=0)`` bit for bit without stacking a copy of every delta.  With a
+    single parameter and eight or more clients numpy sums that contiguous
+    column pairwise, so the last bit can differ from this in-order sum.
+    """
     if not deltas:
         raise ValueError("need at least one delta")
-    return np.mean(np.stack(deltas, axis=0), axis=0)
+    total = np.array(deltas[0], dtype=np.float64)
+    for d in deltas[1:]:
+        if np.shape(d) != total.shape:
+            raise ValueError("all deltas must share one shape")
+        total += d
+    total /= len(deltas)
+    return total
 
 
 def apply_global(global_theta: np.ndarray, avg_delta: np.ndarray) -> np.ndarray:

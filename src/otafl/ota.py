@@ -12,11 +12,12 @@ One uplink round, as simulated here:
     reference -- the estimate then absorbs both the fading gain and the
     per-client timing phase ramp, so channel inversion pre-compensates
     residual sample offsets that fall inside the cyclic prefix.
-4.  Updates are packed into payload grids and divided by the estimates,
-    one client at a time; once every client's peak is known they are
-    scaled by the shared power-control factor alpha and modulated into
-    one preallocated frame buffer, a row per client, and transmitted
-    simultaneously; the multiple-access channel sums them in the air.
+4.  Updates are packed into payload grids and divided by the estimates
+    (one gain per subcarrier), one client at a time; once every client's
+    peak is known they are scaled by the shared power-control factor alpha,
+    modulated and transmitted simultaneously.  The multiple-access channel
+    sums them in the air, so each client's delayed frame is added straight
+    into the one receive buffer of the event.
 5.  The receiver detects the superposed frame, demodulates the payload,
     descales by M * alpha and the shared peak scales, and applies the
     recovered average update to the global model.
@@ -48,7 +49,7 @@ from .accounting import (
     digital_slots,
     round_energy,
 )
-from .channel import ChannelModel, decorrelate, realize_channel, superpose
+from .channel import ChannelModel, decorrelate, realize_channel
 from .csi import ChannelEstimate, interpolate, ls_estimate, nmse, quantize_estimate
 from .grid import (
     GridConfig,
@@ -243,50 +244,58 @@ def _pilot_values(subcarriers: int) -> np.ndarray:
     return pilots
 
 
-def _uplink_frames(
+def _superposed_frame(
     ues: list[int],
     num_ues: int,
     phy: PhyConfig,
     gains: list[np.ndarray],
     phases: np.ndarray,
     masks: np.ndarray,
+    offsets: np.ndarray,
     pilot_symbols: int,
     payload: list[ResourceGrid] | None = None,
     alpha: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
-    """Post-channel transmit frames of the clients ``ues`` (before delay and
-    noise), one row each of a single ``(len(ues), frame_len)`` buffer.
+    """Noise-free receive buffer of one event: the post-channel frames of
+    the clients ``ues``, each delayed by its ``offsets[ue]`` and summed in
+    the air.
 
-    A row holds the client's Gold preamble in its own slot of the preamble
+    A client's frame is its Gold preamble in its own slot of the preamble
     region, ``pilot_symbols`` OFDM symbols of its pilot row and then, when
-    ``payload`` is given, the symbols of its precoded grid
-    ``payload[ue]``.  Sounding frames repeat the pilot row so the receiver
-    can average down the estimation noise; payload frames carry one pilot
-    symbol.  Each payload grid is scaled by ``alpha`` and faded in place.
+    ``payload`` is given, the symbols of its precoded grid ``payload[ue]``.
+    Sounding frames repeat the pilot row so the receiver can average down
+    the estimation noise; payload frames carry one pilot symbol.  Each
+    payload grid is scaled by ``alpha`` and faded in place.
 
     Fading is applied per subcarrier in the frequency domain; the preamble
     burst, which is a raw time-domain sequence, is scaled by the channel's
     RMS gain instead (a scalar stand-in that preserves detection power).
-    Also returns each row's peak resource-element power before fading:
-    its scaled payload's or the reference power of preamble and pilots,
-    whichever is higher.
+
+    The buffer spans the latest arrival.  Clients are added one at a time
+    in ascending order -- the preamble chips, then the pilot-and-payload
+    body modulated into one scratch block every client reuses -- so each
+    sample sums its clients in that order and the silent stretches of a
+    frame are never added.  Also returns each client's peak resource-element
+    power before fading: its scaled payload's or the reference power of
+    preamble and pilots, whichever is higher.
     """
     cfg = phy.grid
     region = phy.preamble_region_len(num_ues)
     body = pilot_symbols + (0 if payload is None else payload[0].data.shape[0])
-    frames = np.zeros((len(ues), region + body * cfg.symbol_len), dtype=np.complex128)
+    frame_len = region + body * cfg.symbol_len
+    rx = np.zeros(int(offsets[ues].max()) + frame_len, dtype=np.complex128)
+    symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
     amp = phy.reference_amplitude
     peaks = np.full(len(ues), amp**2)
     for i, ue in enumerate(ues):
-        row, g = frames[i], gains[ue]
+        g, delay = gains[ue], int(offsets[ue])
         rot = np.exp(1j * phases[ue])
         rms_gain = float(np.sqrt(np.mean(np.abs(g) ** 2)))
-        lo = ue * phy.preamble_slot_len
-        row[lo:lo + PREAMBLE_LEN] = amp * rms_gain * _preamble_bank()[ue] * rot
-        symbols = row[region:].reshape(body, cfg.symbol_len)
+        lo = delay + ue * phy.preamble_slot_len
+        rx[lo:lo + PREAMBLE_LEN] += amp * rms_gain * _preamble_bank()[ue] * rot
         pilot_row = amp * _pilot_values(cfg.subcarriers) * masks[ue] * g * rot
-        ofdm_modulate_into(np.broadcast_to(pilot_row, (pilot_symbols, cfg.subcarriers)),
-                           cfg, symbols[:pilot_symbols])
+        ofdm_modulate_into(pilot_row[np.newaxis], cfg, symbols[:1])
+        symbols[1:pilot_symbols] = symbols[0]
         if payload is not None:
             data = payload[ue].data
             data *= alpha
@@ -294,30 +303,27 @@ def _uplink_frames(
             data *= g
             data *= rot
             ofdm_modulate_into(data, cfg, symbols[pilot_symbols:])
-    return frames, peaks
-
-
-def _sent(frames: np.ndarray, ues: list[int], offsets: np.ndarray, sample_rate: float):
-    """``(frame, delay)`` pairs of the clients ``ues`` for :func:`_receive`."""
-    return [(TimeSignal(row, sample_rate), int(offsets[ue])) for row, ue in zip(frames, ues)]
+        rx[delay + region:delay + frame_len] += symbols.reshape(-1)
+    return rx, peaks
 
 
 def _receive(
-    sent: list[tuple[TimeSignal, int]],
+    rx: np.ndarray,
     ues: list[int],
     phy: PhyConfig,
     info_start: int,
     seed,
 ) -> tuple[TimeSignal, np.ndarray, np.ndarray]:
-    """One receive event: superpose the ``(frame, delay)`` pairs, add the
-    receiver noise and detect the preamble of every client in ``ues``.
+    """One receive event: add the receiver noise to the superposed buffer
+    ``rx`` in place and detect the preamble of every client in ``ues``.
 
     The noise pins ``phy.uplink_snr_db`` to the mean power of the noise-free
     superposition from ``info_start`` on -- the pilot symbols for sounding
     events, the payload slots for data events.  Pegging to the whole event
     would let the strong constant-amplitude preamble dominate the reference
     power, so a payload attenuated by power control would see a far worse
-    SNR than the knob claims.
+    SNR than the knob claims.  The real parts of the noise are drawn first,
+    then the imaginary parts.
 
     Each client's preamble can only start in its own slot of the preamble
     region, at most ``offset_bound(phy.sync)`` samples late, so each client
@@ -325,21 +331,22 @@ def _receive(
     slot start: the argmax in that window is its arrival offset.  Offsets
     and detection metrics come back in ``ues`` order.
     """
-    rx = superpose(sent, 0.0, 0)
     if phy.uplink_snr_db is not None:
-        power = float(np.mean(np.abs(rx.samples[info_start:]) ** 2))
+        power = float(np.mean(np.abs(rx[info_start:]) ** 2))
         variance = power / 10.0 ** (phy.uplink_snr_db / 10.0)
         rng = np.random.default_rng(seed)
-        n = rng.standard_normal(rx.samples.size) + 1j * rng.standard_normal(rx.samples.size)
-        rx = TimeSignal(rx.samples + np.sqrt(variance / 2.0) * n, rx.sample_rate)
+        for part in (rx.real, rx.imag):
+            noise = rng.standard_normal(rx.size)
+            noise *= np.sqrt(variance / 2.0)
+            part += noise
     span = offset_bound(phy.sync, phy.grid.sample_rate) + PREAMBLE_LEN
     offsets = np.zeros(len(ues), dtype=np.int64)
     metrics = np.zeros(len(ues))
     for i, ue in enumerate(ues):
         lo = ue * phy.preamble_slot_len
-        window = TimeSignal(rx.samples[lo:lo + span], rx.sample_rate)
+        window = TimeSignal(rx[lo:lo + span], phy.grid.sample_rate)
         offsets[i], metrics[i] = detect_frame(window, _preamble_bank()[ue])
-    return rx, offsets, metrics
+    return TimeSignal(rx, phy.grid.sample_rate), offsets, metrics
 
 
 def _pilot_positions(ue: int, num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
@@ -445,8 +452,7 @@ def ota_aggregate(
         for ue in range(num_ues):
             ramp = _phase_ramp(cfg, int(offsets[ue]) - ref)
             eff = payload_gains[ue] * ramp * np.exp(1j * phases[ue])
-            full = np.broadcast_to(eff, (cfg.symbols_per_slot, cfg.subcarriers)).copy()
-            estimates.append(ChannelEstimate(full))
+            estimates.append(ChannelEstimate(eff))
     else:
         # Comb pilots share one superposed sounding frame; full-band pilots
         # need one frame per client.
@@ -460,11 +466,10 @@ def ota_aggregate(
         s_metrics = np.zeros(num_ues)
         received = []
         for ues, seed in events:
-            frames, _ = _uplink_frames(ues, num_ues, phy, gains, phases, masks,
-                                       cfg.symbols_per_slot)
+            frame, _ = _superposed_frame(ues, num_ues, phy, gains, phases, masks, offsets,
+                                         cfg.symbols_per_slot)
             rx, s_offsets[ues], s_metrics[ues] = _receive(
-                _sent(frames, ues, offsets, cfg.sample_rate), ues, phy,
-                phy.preamble_region_len(num_ues), seed)
+                frame, ues, phy, phy.preamble_region_len(num_ues), seed)
             received.append(rx)
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
@@ -502,11 +507,10 @@ def ota_aggregate(
 
     # --- simultaneous payload transmission --------------------------------
     ues = list(range(num_ues))
-    frames, max_re_power = _uplink_frames(ues, num_ues, phy, payload_gains, phases, masks, 1,
-                                          precoded, alpha)
+    frame, max_re_power = _superposed_frame(ues, num_ues, phy, payload_gains, phases, masks,
+                                            offsets, 1, precoded, alpha)
     rx, p_offsets, p_metrics = _receive(
-        _sent(frames, ues, offsets, cfg.sample_rate), ues, phy,
-        phy.preamble_region_len(num_ues) + cfg.symbol_len,
+        frame, ues, phy, phy.preamble_region_len(num_ues) + cfg.symbol_len,
         derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD),
     )
     if np.any(p_metrics < DETECT_THRESHOLD):

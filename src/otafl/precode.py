@@ -21,10 +21,11 @@ MARGIN = 0.9
 
 
 def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL) -> float:
-    """Magnitude floor: ``floor_rel`` times the median estimated |H|."""
+    """Magnitude floor: ``floor_rel`` times the median estimated |H| over the
+    subcarriers."""
     if floor_rel < 0:
         raise ValueError("floor_rel must be >= 0")
-    return floor_rel * float(np.median(np.abs(estimate.full_grid)))
+    return floor_rel * float(np.median(np.abs(estimate.gains)))
 
 
 def inversion_divisor(estimate: ChannelEstimate, floor: float) -> np.ndarray:
@@ -38,7 +39,7 @@ def inversion_divisor(estimate: ChannelEstimate, floor: float) -> np.ndarray:
     """
     if floor < 0:
         raise ValueError("floor must be >= 0")
-    h = estimate.full_grid
+    h = estimate.gains
     mag = np.abs(h)
     if np.any(mag == 0) and floor == 0:
         raise ValueError("zero channel estimate cannot be inverted without a floor")
@@ -58,12 +59,14 @@ def channel_invert(
     estimate: ChannelEstimate,
     floor: float,
 ) -> list[ResourceGrid]:
-    """Divide payload grids elementwise by :func:`inversion_divisor`."""
+    """Divide every symbol of the payload grids by :func:`inversion_divisor`,
+    one gain per subcarrier."""
     divisor = inversion_divisor(estimate, floor)
     out = []
     for g in grids:
-        if g.data.shape != divisor.shape:
-            raise ValueError(f"payload grid shape {g.data.shape} != estimate {divisor.shape}")
+        if g.data.shape[1:] != divisor.shape:
+            raise ValueError(f"payload grid shape {g.data.shape} does not end in the "
+                             f"estimate's {divisor.shape}")
         out.append(ResourceGrid(g.data / divisor))
     return out
 

@@ -40,11 +40,11 @@ def test_interpolate_exact_at_pilots_and_holds_ends():
     pos = np.array([4, 8, 12])
     vals = np.array([1 + 1j, 2 - 1j, -3 + 0.5j])
     est = interpolate(vals, pos, CFG)
-    assert est.full_grid.shape == (3, 16)
-    np.testing.assert_allclose(est.full_grid[0, pos], vals, atol=1e-15)
+    assert est.gains.shape == (16,)
+    np.testing.assert_array_equal(est.gains[pos], vals)
     # outside the pilot span the nearest pilot value is held
-    np.testing.assert_allclose(est.full_grid[:, :4], vals[0], atol=1e-15)
-    np.testing.assert_allclose(est.full_grid[:, 13:], vals[-1], atol=1e-15)
+    np.testing.assert_array_equal(est.gains[:4], np.full(4, vals[0]))
+    np.testing.assert_array_equal(est.gains[13:], np.full(3, vals[-1]))
 
 
 def test_interpolate_recovers_linear_ramp_exactly():
@@ -55,12 +55,15 @@ def test_interpolate_recovers_linear_ramp_exactly():
     truth = (0.5 + 0.25j) * np.arange(n) + (1 - 2j)
     pos = np.array([0, 5, 10, n - 1])
     est = interpolate(truth[pos], pos, CFG)
-    np.testing.assert_allclose(est.full_grid, np.broadcast_to(truth, (3, n)), atol=1e-12)
+    np.testing.assert_allclose(est.gains, truth, atol=1e-12)
 
 
-def test_interpolate_replicates_across_symbols():
+def test_interpolate_gives_one_gain_per_subcarrier():
+    """Block fading holds one gain per subcarrier for the whole round, so
+    the estimate is a single row whatever the symbols per slot."""
     est = interpolate(np.array([1.0 + 0j]), np.array([7]), CFG)
-    assert np.all(est.full_grid == est.full_grid[0])
+    assert est.gains.shape == (CFG.subcarriers,)
+    np.testing.assert_array_equal(est.gains, np.ones(CFG.subcarriers, dtype=complex))
 
 
 def test_interpolate_validation():
@@ -120,10 +123,11 @@ def test_quantize_error_bound():
         q = quantize_estimate(est, bits)
         levels = 2 ** (bits - 1) - 1
         scale = max(
-            np.max(np.abs(est.full_grid.real)), np.max(np.abs(est.full_grid.imag))
+            np.max(np.abs(est.gains.real)), np.max(np.abs(est.gains.imag))
         )
         step = scale / levels
-        err = q.full_grid - est.full_grid
+        assert q.gains.shape == est.gains.shape == (CFG.subcarriers,)
+        err = q.gains - est.gains
         assert np.max(np.abs(err.real)) <= step / 2 + 1e-12
         assert np.max(np.abs(err.imag)) <= step / 2 + 1e-12
 
@@ -131,7 +135,7 @@ def test_quantize_error_bound():
 def test_quantize_error_shrinks_with_bits():
     est = _estimate_fixture()
     errs = [
-        np.max(np.abs(quantize_estimate(est, b).full_grid - est.full_grid))
+        np.max(np.abs(quantize_estimate(est, b).gains - est.gains))
         for b in (3, 6, 10)
     ]
     assert errs[0] > errs[1] > errs[2]

@@ -193,9 +193,26 @@ def test_fedavg_exact_from_zero_global():
     )
 
 
+@pytest.mark.parametrize("num_ues", [1, 2, 5, 8, 60, 129])
+@pytest.mark.parametrize("params", [2, 3, 65, 10_001])
+def test_average_deltas_matches_the_stacked_mean(params, num_ues):
+    """Summing in client order into one accumulator gives the bits of
+    ``np.mean(np.stack(deltas), axis=0)`` for two or more parameters."""
+    rng = np.random.default_rng(params * 1000 + num_ues)
+    deltas = [rng.uniform(0.01, 100.0) * rng.normal(size=params) for _ in range(num_ues)]
+    before = [d.copy() for d in deltas]
+    got = average_deltas(deltas)
+    np.testing.assert_array_equal(got.view(np.uint64),
+                                  np.mean(np.stack(deltas), axis=0).view(np.uint64))
+    for d, b in zip(deltas, before):
+        np.testing.assert_array_equal(d, b)  # the inputs are left alone
+
+
 def test_aggregation_validation():
     with pytest.raises(ValueError):
         average_deltas([])
+    with pytest.raises(ValueError):
+        average_deltas([np.ones(3), np.ones(1)])
     with pytest.raises(ValueError):
         fedavg_digital([])
     with pytest.raises(ValueError):

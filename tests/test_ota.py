@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from otafl import fl, grid, ota
-from otafl.channel import ChannelModel
+from otafl.channel import ChannelModel, superpose
 from otafl.grid import GridConfig, ResourceGrid, TimeSignal, ofdm_demodulate
 from otafl.ota import (
     DETECT_THRESHOLD,
@@ -23,7 +23,7 @@ from otafl.ota import (
     run_ota_round,
     train_configs,
 )
-from otafl.sync import SyncConfig, offset_bound
+from otafl.sync import SyncConfig, draw_offsets, offset_bound
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -221,9 +221,9 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     delays = [0, bound, 1]
     gains = [np.ones(phy.grid.subcarriers, dtype=complex)] * 3
     masks = np.ones((3, phy.grid.subcarriers))
-    frames, _ = ota._uplink_frames([0, 1, 2], 3, phy, gains, np.zeros(3), masks, 2)
-    sent = ota._sent(frames, [0, 1, 2], np.array(delays), phy.grid.sample_rate)
-    _, offsets, metrics = ota._receive(sent, [0, 1, 2], phy, phy.preamble_region_len(3), 5)
+    rx, _ = ota._superposed_frame([0, 1, 2], 3, phy, gains, np.zeros(3), masks,
+                                  np.array(delays), 2)
+    _, offsets, metrics = ota._receive(rx, [0, 1, 2], phy, phy.preamble_region_len(3), 5)
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
 
@@ -284,38 +284,51 @@ def test_detection_scans_only_the_search_windows(monkeypatch):
     assert max(sizes) <= offset_bound(phy.sync, phy.grid.sample_rate) + PREAMBLE_LEN
 
 
-# ---------------------------------------------------------- frame builder
+# ---------------------------------------------------------- receive buffer
+
+# Narrower than the FFT, so the empty bins are exercised too.
+ORACLE_GRID = GridConfig(subcarriers=24, symbols_per_slot=4, fft_size=32, cp_len=8)
 
 
-def test_uplink_frames_oracle():
-    """Every row of the frame buffer carries its client's Gold chips in its
-    own preamble slot and nothing else in the preamble region, then pilot
-    rows that demodulate to amp * pilot * mask * gains * rot and payload
-    symbols that demodulate to alpha * precoded * gains * rot.  The
-    receiver's demodulator is the oracle; the grid is narrower than the FFT
-    so the empty bins are exercised too."""
-    cfg = GridConfig(subcarriers=24, symbols_per_slot=4, fft_size=32, cp_len=8)
-    phy = PhyConfig(grid=cfg)
-    num_ues, pilot_symbols, rows, sub = 3, 2, 2 * cfg.symbols_per_slot, cfg.subcarriers
-    rng = np.random.default_rng(11)
+def _oracle_inputs(num_ues, allocation, seed=11):
+    """Random gains, phases, pilot masks and two slots of precoded payload."""
+    sub = ORACLE_GRID.subcarriers
+    rows = 2 * ORACLE_GRID.symbols_per_slot
+    rng = np.random.default_rng(seed)
     gains = [rng.normal(size=sub) + 1j * rng.normal(size=sub) for _ in range(num_ues)]
-    phases = np.array([0.0, 0.4, 1.3])
+    phases = rng.uniform(-np.pi, np.pi, size=num_ues)
     masks = np.zeros((num_ues, sub))
     for ue in range(num_ues):
-        masks[ue, ue::num_ues] = 1.0
+        masks[ue, ota._pilot_positions(ue, num_ues, ORACLE_GRID, allocation)] = 1.0
     precoded = [rng.normal(size=(rows, sub)) + 1j * rng.normal(size=(rows, sub))
                 for _ in range(num_ues)]
-    alpha = 0.5
-    frames, peaks = ota._uplink_frames(
-        list(range(num_ues)), num_ues, phy, gains, phases, masks, pilot_symbols,
-        [ResourceGrid(p.copy()) for p in precoded], alpha)
+    return gains, phases, masks, precoded
 
+
+def _payload(precoded):
+    return [ResourceGrid(p.copy()) for p in precoded]
+
+
+def test_single_client_frame_oracle():
+    """A client's frame built alone at delay 0 carries its Gold chips in its
+    own preamble slot and nothing else in the preamble region, then pilot
+    symbols that demodulate to amp * pilot * mask * gains * rot and payload
+    symbols that demodulate to alpha * precoded * gains * rot.  The
+    receiver's demodulator is the oracle."""
+    cfg = ORACLE_GRID
+    phy = PhyConfig(grid=cfg)
+    num_ues, pilot_symbols, sub = 3, 2, cfg.subcarriers
+    gains, phases, masks, precoded = _oracle_inputs(num_ues, "fdm_comb")
+    alpha = 0.5
     region = phy.preamble_region_len(num_ues)
     amp = phy.reference_amplitude
-    assert frames.shape == (num_ues, region + (pilot_symbols + rows) * cfg.symbol_len)
     pilot_cfg = replace(cfg, symbols_per_slot=pilot_symbols)
-    payload_cfg = replace(cfg, symbols_per_slot=rows)
-    for ue, row in enumerate(frames):
+    payload_cfg = replace(cfg, symbols_per_slot=len(precoded[0]))
+    for ue in range(num_ues):
+        row, peaks = ota._superposed_frame([ue], num_ues, phy, gains, phases, masks,
+                                           np.zeros(num_ues, dtype=np.int64), pilot_symbols,
+                                           _payload(precoded), alpha)
+        assert row.shape == (region + (pilot_symbols + len(precoded[ue])) * cfg.symbol_len,)
         rot = np.exp(1j * phases[ue])
         start = ue * phy.preamble_slot_len
         chips = grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
@@ -335,20 +348,86 @@ def test_uplink_frames_oracle():
         symbols = row[region:].reshape(-1, cfg.symbol_len)
         np.testing.assert_array_equal(symbols[:, :cfg.cp_len], symbols[:, -cfg.cp_len:])
         want_peak = max(np.max(np.abs(alpha * precoded[ue]) ** 2), amp**2)
-        assert peaks[ue] == pytest.approx(want_peak, rel=1e-12)
+        assert peaks.shape == (1,)
+        assert peaks[0] == pytest.approx(want_peak, rel=1e-12)
 
 
-def test_sounding_frames_carry_only_preamble_and_pilots():
+def test_sounding_frame_carries_only_preamble_and_pilots():
+    """A sounding frame repeats one modulated pilot symbol and sends nothing
+    in the preamble region outside the client's slot, shifted by its delay."""
     cfg = SMALL_GRID
     phy = PhyConfig(grid=cfg)
     gains = [np.full(cfg.subcarriers, 0.5 + 0.5j)] * 4
     masks = np.ones((4, cfg.subcarriers))
-    frames, peaks = ota._uplink_frames([2], 4, phy, gains, np.zeros(4), masks, 3)
-    assert frames.shape == (1, phy.preamble_region_len(4) + 3 * cfg.symbol_len)
+    delays = np.array([0, 0, 7, 0])
+    rx, peaks = ota._superposed_frame([2], 4, phy, gains, np.zeros(4), masks, delays, 3)
+    region = phy.preamble_region_len(4)
+    assert rx.shape == (7 + region + 3 * cfg.symbol_len,)
     np.testing.assert_array_equal(peaks, [phy.reference_amplitude**2])
-    region = frames[0, :phy.preamble_region_len(4)]
-    assert np.flatnonzero(region).tolist() == list(
-        range(2 * phy.preamble_slot_len, 2 * phy.preamble_slot_len + PREAMBLE_LEN))
+    start = 7 + 2 * phy.preamble_slot_len
+    assert np.flatnonzero(rx[:7 + region]).tolist() == list(range(start, start + PREAMBLE_LEN))
+    symbols = rx[7 + region:].reshape(3, cfg.symbol_len)
+    np.testing.assert_array_equal(symbols[1:], np.broadcast_to(symbols[0], (2, cfg.symbol_len)))
+
+
+@pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
+@pytest.mark.parametrize("event", ["sounding", "payload"])
+@pytest.mark.parametrize("spread", [0, 4, 64, 256])
+def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, spread):
+    """The receive buffer equals ``channel.superpose`` over each client's
+    frame built alone at delay 0, bit for bit.  Offsets up to 256 samples run
+    late preambles and bodies into the next clients' samples, so this pins
+    the ascending order in which every sample sums its clients."""
+    cfg = ORACLE_GRID
+    phy = PhyConfig(grid=cfg, pilot_allocation=allocation)
+    num_ues = 5
+    gains, phases, masks, precoded = _oracle_inputs(num_ues, allocation, seed=spread)
+    offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
+                           cfg.sample_rate, seed=spread)
+    if spread >= 64:  # some preamble runs past its guard gap into the next slot
+        assert offsets.max() > phy.preamble_slot_len - PREAMBLE_LEN
+    sounding = event == "sounding"
+    pilot_symbols = cfg.symbols_per_slot if sounding else 1
+
+    def payload():  # a fresh copy per build: the payload is scaled in place
+        return None if sounding else _payload(precoded)
+
+    ues = list(range(num_ues))
+    rx, peaks = ota._superposed_frame(ues, num_ues, phy, gains, phases, masks, offsets,
+                                      pilot_symbols, payload(), 0.7)
+    singles, single_peaks = [], []
+    for ue in ues:
+        frame, peak = ota._superposed_frame([ue], num_ues, phy, gains, phases, masks,
+                                            np.zeros(num_ues, dtype=np.int64),
+                                            pilot_symbols, payload(), 0.7)
+        singles.append((TimeSignal(frame, cfg.sample_rate), int(offsets[ue])))
+        single_peaks.append(peak[0])
+    want = superpose(singles, 0.0, 0).samples
+    assert rx.shape == want.shape
+    np.testing.assert_array_equal(rx.view(np.float64), want.view(np.float64))
+    np.testing.assert_array_equal(peaks, single_peaks)
+
+
+@pytest.mark.parametrize("snr_db", [20.0, -5.0])
+def test_receive_adds_noise_in_place(snr_db):
+    """The in-place noise equals ``rx + sqrt(v/2) * (a + 1j*b)`` bit for bit,
+    with ``a`` and ``b`` the next real draws of the event's generator and
+    ``v`` the noise variance referenced from ``info_start``."""
+    cfg = ORACLE_GRID
+    phy = PhyConfig(grid=cfg, uplink_snr_db=snr_db)
+    gains, phases, masks, precoded = _oracle_inputs(3, "fdm_comb")
+    offsets = np.array([0, 3, 1])
+    rx, _ = ota._superposed_frame([0, 1, 2], 3, phy, gains, phases, masks, offsets, 1,
+                                  _payload(precoded), 0.7)
+    info_start = phy.preamble_region_len(3) + cfg.symbol_len
+    clean = rx.copy()
+    got, _, _ = ota._receive(rx, [0, 1, 2], phy, info_start, derive_seed(5, 1))
+    assert got.samples is rx  # no second buffer
+    variance = np.mean(np.abs(clean[info_start:]) ** 2) / 10.0 ** (snr_db / 10.0)
+    rng = np.random.default_rng(derive_seed(5, 1))
+    n = rng.standard_normal(clean.size) + 1j * rng.standard_normal(clean.size)
+    want = clean + np.sqrt(variance / 2.0) * n
+    np.testing.assert_array_equal(got.samples.view(np.float64), want.view(np.float64))
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -357,13 +436,13 @@ def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
     """A non-finite entry makes the client's precoded grid non-finite, which
     must raise before any payload frame is built."""
     payload_frames = []
-    original = ota._uplink_frames
+    original = ota._superposed_frame
 
     def recording(*args, **kwargs):
-        payload_frames.append(len(args) > 7 or "payload" in kwargs)
+        payload_frames.append(len(args) > 8 or "payload" in kwargs)
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(ota, "_uplink_frames", recording)
+    monkeypatch.setattr(ota, "_superposed_frame", recording)
     deltas = _random_deltas(3, 200, seed=12)
     deltas[1][17] = bad
     with pytest.raises(ValueError, match="resource grid entries must be finite"):
@@ -372,11 +451,11 @@ def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
 
 
 # Peak traced allocation of one aggregation at M = 20, P = 71 666,
-# `tdm_full`, as a multiple of the deltas' own bytes.  The frame buffer and
-# one block of precoded symbols per client measure 3.1; the list-of-grids
-# transmit chain that kept the scaled, mapped, inverted and alpha-scaled
-# copies of every client at once measured 6.1.
-AGGREGATE_MEMORY_MULTIPLE = 4.0
+# `tdm_full`, as a multiple of the deltas' own bytes.  One receive buffer
+# per event and one block of precoded symbols per client measure 1.95; a
+# `(clients x frame_len)` transmit matrix walked again by `superpose`, plus
+# a stacked copy of the deltas for their mean, measured 3.19.
+AGGREGATE_MEMORY_MULTIPLE = 2.5
 
 
 def test_aggregate_memory_stays_near_the_updates_size():

@@ -32,7 +32,7 @@ def test_inversion_is_exact_above_floor():
     x = _grid(np.random.default_rng(0).normal(size=16))
     out = channel_invert([x], h, floor=0.1)
     # transmit * channel should reproduce the payload exactly
-    np.testing.assert_allclose(out[0].data * h.full_grid, x.data, atol=1e-12)
+    np.testing.assert_allclose(out[0].data * h.gains, x.data, atol=1e-12)
 
 
 def test_floor_clamps_magnitude_keeps_phase():
@@ -66,14 +66,18 @@ def test_invert_validation():
     h = _estimate(np.ones(8))
     with pytest.raises(ValueError):
         channel_invert([_grid(np.ones(16))], h, floor=-0.1)
-    wrong = ResourceGrid(np.ones((3, 8), dtype=complex))
+    wrong = ResourceGrid(np.ones((2, 7), dtype=complex))
     with pytest.raises(ValueError):
         channel_invert([wrong], h, floor=0.1)
+    # one gain per subcarrier divides every symbol, however many there are
+    three = channel_invert([ResourceGrid(np.ones((3, 8), dtype=complex))], h, floor=0.1)
+    np.testing.assert_array_equal(three[0].data, np.ones((3, 8), dtype=complex))
 
 
 def test_inversion_floor_tracks_median():
     h = _estimate([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
-    med = np.median(np.abs(h.full_grid))
+    assert h.gains.shape == (8,)
+    med = np.median(np.abs(h.gains))
     assert inversion_floor(h, 0.2) == pytest.approx(0.2 * med, rel=1e-12)
     assert inversion_floor(h, 0.0) == 0.0
     with pytest.raises(ValueError):
@@ -81,6 +85,16 @@ def test_inversion_floor_tracks_median():
     # the default is deliberately mid-range: strong enough to cap deep-fade
     # noise amplification, weak enough to leave typical gains untouched
     assert 0.0 < DEFAULT_FLOOR_REL < 0.5
+
+
+@pytest.mark.parametrize("symbols", [1, 2, 13, 14])
+@pytest.mark.parametrize("subcarriers", [1, 2, 7, 8, 255, 256])
+def test_row_median_equals_the_replicated_grid_median(subcarriers, symbols):
+    """The floor of one gain per subcarrier is bit-equal to the floor of
+    that row copied into every symbol of a slot."""
+    rng = np.random.default_rng(subcarriers * 100 + symbols)
+    row = np.abs(rng.normal(size=subcarriers) + 1j * rng.normal(size=subcarriers))
+    assert np.median(row) == np.median(np.tile(row, (symbols, 1)))
 
 
 # ---------------------------------------------------------------- alpha
