@@ -1,4 +1,4 @@
-"""Golden fixture: pinned digests of the shipped scenarios, fourteen aggregations
+"""Golden fixture: pinned digests of the shipped scenarios, seventeen aggregations
 and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
@@ -111,6 +111,23 @@ AGGREGATE_DIGESTS = {
     (60, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.6203752046387",
         "0b07b1a02fc0a9c822d98ba7e526bd86c09a7574d347d033f9a066ec6cf0bec7",
+    ),
+    # Channel-estimate rows: twelve comb clients split 256 subcarriers into
+    # pilot sets of 22 and 21, so each client's held ends differ; late
+    # unsynchronized arrivals, and quantized feedback with a full scale per
+    # client.  Then a single full-band client.
+    (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb",
+     (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
+        "9.68376303655549",
+        "085aed00400cc927aef2e5a0fe71f3b2b5e40e1d80ec1b1cbd9f1d418fd57d59",
+    ),
+    (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb", (("feedback_quant_bits", 4),)): (
+        "8.383609032125054",
+        "102e69ea667918c5ad863545db0cee83603f9159da9cc25a07e01c5df4f07b0c",
+    ),
+    (1, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
+        "-19.29570013565652",
+        "26085a9ce79cf0f58c301d7ae826297a83358122c375ef23c045d9947c91cabc",
     ),
 }
 
