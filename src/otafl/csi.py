@@ -16,7 +16,8 @@ NMSE_FLOOR_DB = -300.0
 @dataclass
 class ChannelEstimate:
     """One complex gain per subcarrier, held for every symbol of the round
-    (block fading)."""
+    (block fading): a ``(subcarriers,)`` row for one client, or one row per
+    client as ``(clients, subcarriers)``."""
 
     gains: np.ndarray
 
@@ -24,22 +25,23 @@ class ChannelEstimate:
 def ls_estimate(received: np.ndarray, known: np.ndarray) -> np.ndarray:
     """Least squares on known pilots: H_hat = Y / X elementwise.
 
-    For unit-modulus pilots the division rotates but never amplifies the
-    observation noise, so the estimate variance equals the channel noise
-    variance.
+    ``received`` may hold one row per client; ``known`` then matches either
+    its shape or its last axis.  For unit-modulus pilots the division
+    rotates but never amplifies the observation noise, so the estimate
+    variance equals the channel noise variance.
     """
     y = np.asarray(received, dtype=np.complex128)
     x = np.asarray(known, dtype=np.complex128)
-    if y.shape != x.shape:
-        raise ValueError("received and known pilots must have equal shape")
+    if x.shape not in (y.shape, y.shape[-1:]):
+        raise ValueError("known pilots must match the received shape or its last axis")
     if np.any(np.abs(x) == 0):
         raise ValueError("known pilot values must be nonzero")
     return y / x
 
 
 def interpolate(
-    pilot_estimates: np.ndarray,
-    pilot_positions: np.ndarray,
+    pilot_estimates,
+    pilot_positions,
     cfg: GridConfig,
 ) -> ChannelEstimate:
     """Fill one gain per subcarrier from pilot positions.
@@ -47,18 +49,40 @@ def interpolate(
     Linear interpolation in frequency (real and imaginary parts separately,
     ends held at the outermost pilot value).  Under block fading that one
     row is the estimate for every symbol of the round.
+
+    A 1-D estimate and position array is one client and gives one row.  A
+    2-D array, or a sequence of 1-D rows whose lengths may differ, is one
+    client per row and gives ``(clients, subcarriers)``.  Every client's
+    pilots are shifted into their own range of ``subcarriers`` positions,
+    and each query is clipped to its client's outermost pilots, so one
+    ``np.interp`` per part serves all clients and returns exactly what a
+    call per client would.
     """
-    est = np.asarray(pilot_estimates, dtype=np.complex128)
-    pos = np.asarray(pilot_positions, dtype=np.int64)
-    if est.ndim != 1 or pos.shape != est.shape or est.size == 0:
+    one = isinstance(pilot_positions, np.ndarray) and pilot_positions.ndim == 1
+    est_rows = [pilot_estimates] if one else pilot_estimates
+    pos_rows = [pilot_positions] if one else pilot_positions
+    if len(est_rows) != len(pos_rows) or len(pos_rows) == 0:
+        raise ValueError("need one row of pilot estimates per row of positions")
+    sizes = np.array([np.size(p) for p in pos_rows])
+    if any(np.ndim(e) != 1 or np.ndim(p) != 1 or np.size(e) != n
+           for e, p, n in zip(est_rows, pos_rows, sizes)) or np.any(sizes == 0):
         raise ValueError("pilot estimates/positions must be matching 1-D arrays")
+    est = np.concatenate(est_rows).astype(np.complex128, copy=False)
+    pos = np.concatenate(pos_rows).astype(np.int64, copy=False)
     if np.any(pos < 0) or np.any(pos >= cfg.subcarriers):
         raise ValueError("pilot positions outside the subcarrier range")
+    # Row r's positions move to r * subcarriers + p.  In-range positions then
+    # always rise across a row boundary, so one diff checks every row.
+    shift = np.repeat(np.arange(sizes.size) * cfg.subcarriers, sizes)
+    pos = pos + shift
     if np.any(np.diff(pos) <= 0):
         raise ValueError("pilot positions must be strictly increasing")
-    grid_pos = np.arange(cfg.subcarriers)
-    return ChannelEstimate(
-        np.interp(grid_pos, pos, est.real) + 1j * np.interp(grid_pos, pos, est.imag))
+    last = np.cumsum(sizes) - 1
+    first = last - sizes + 1
+    query = np.clip(shift[first, np.newaxis] + np.arange(cfg.subcarriers),
+                    pos[first, np.newaxis], pos[last, np.newaxis])
+    gains = np.interp(query, pos, est.real) + 1j * np.interp(query, pos, est.imag)
+    return ChannelEstimate(gains[0] if one else gains)
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -85,8 +109,9 @@ def quantize_estimate(estimate: ChannelEstimate, bits: int) -> ChannelEstimate:
     """Optional feedback quantization: symmetric per-part uniform grid.
 
     ``bits`` = 0 means lossless feedback (returned unchanged).  Real and
-    imaginary parts are quantized independently with a shared full-scale
-    equal to the largest magnitude present.
+    imaginary parts are quantized independently with a full scale shared by
+    both parts of a row: the largest magnitude in that row, so every client
+    quantizes against its own estimate.
     """
     if bits < 0:
         raise ValueError("bits must be >= 0")
@@ -96,6 +121,7 @@ def quantize_estimate(estimate: ChannelEstimate, bits: int) -> ChannelEstimate:
     if levels < 1:
         raise ValueError("need at least 2 bits for a nonzero quantizer")
     h = estimate.gains
-    scale = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)), 1e-300)
+    scale = np.maximum(np.maximum(np.max(np.abs(h.real), axis=-1, keepdims=True),
+                                  np.max(np.abs(h.imag), axis=-1, keepdims=True)), 1e-300)
     step = scale / levels
     return ChannelEstimate((np.round(h.real / step) + 1j * np.round(h.imag / step)) * step)

@@ -225,9 +225,14 @@ def ofdm_demodulate(signal: TimeSignal, cfg: GridConfig, start: int = 0) -> Reso
             f"of {signal.samples.size} samples"
         )
     seg = signal.samples[start:start + need].reshape(cfg.symbols_per_slot, cfg.symbol_len)
-    useful = seg[:, cfg.cp_len:]
-    spectrum = np.fft.fftshift(np.fft.fft(useful, axis=1, norm="ortho"), axes=1)
-    return ResourceGrid(spectrum[:, _occupied_slice(cfg)])
+    spectrum = np.fft.fft(seg[:, cfg.cp_len:], axis=1, norm="ortho")
+    # the inverse of the bin placement in ofdm_modulate_into
+    sub, fft = cfg.subcarriers, cfg.fft_size
+    split = fft // 2 - (fft - sub) // 2
+    grid = np.empty((cfg.symbols_per_slot, sub), dtype=np.complex128)
+    grid[:, split:] = spectrum[:, :sub - split]
+    grid[:, :split] = spectrum[:, fft - split:]
+    return ResourceGrid(grid)
 
 
 def detect_frame(signal: TimeSignal, preamble: np.ndarray) -> tuple[int, float]:

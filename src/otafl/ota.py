@@ -11,11 +11,15 @@ One uplink round, as simulated here:
     and estimates every client's *effective* channel at that common
     reference -- the estimate then absorbs both the fading gain and the
     per-client timing phase ramp, so channel inversion pre-compensates
-    residual sample offsets that fall inside the cyclic prefix.
-4.  Updates are packed into payload grids and divided by the estimates
-    (one gain per subcarrier), one client at a time; once every client's
-    peak is known they are scaled by the shared power-control factor alpha,
-    modulated and transmitted simultaneously.  The multiple-access channel
+    residual sample offsets that fall inside the cyclic prefix.  The
+    estimates are one ``(clients, subcarriers)`` array, and each estimation
+    stage (least squares, interpolation, quantization) is one call for all
+    clients.
+4.  Every client's update is scaled straight into its row of one
+    ``(clients, payload symbols, subcarriers)`` block, and the block is
+    divided by the floored estimates in one call.  The shared power-control
+    factor alpha comes from each row's peak; the clients then scale,
+    modulate and transmit simultaneously.  The multiple-access channel
     sums them in the air, so each client's delayed frame is added straight
     into the one receive buffer of the event.
 5.  The receiver detects the superposed frame, demodulates the payload,
@@ -71,14 +75,7 @@ from .precode import (
     inversion_floor,
 )
 from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound
-from .weightcodec import (
-    component_peaks,
-    pack_into,
-    scale_updates,
-    shared_peaks,
-    slot_plan,
-    unmap_from_grids,
-)
+from .weightcodec import component_peaks, shared_peaks, slot_plan, unmap_from_grids
 
 CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
@@ -248,12 +245,12 @@ def _superposed_frame(
     ues: list[int],
     num_ues: int,
     phy: PhyConfig,
-    gains: list[np.ndarray],
+    gains: np.ndarray,
     phases: np.ndarray,
     masks: np.ndarray,
     offsets: np.ndarray,
     pilot_symbols: int,
-    payload: list[ResourceGrid] | None = None,
+    payload: np.ndarray | None = None,
     alpha: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free receive buffer of one event: the post-channel frames of
@@ -262,46 +259,52 @@ def _superposed_frame(
 
     A client's frame is its Gold preamble in its own slot of the preamble
     region, ``pilot_symbols`` OFDM symbols of its pilot row and then, when
-    ``payload`` is given, the symbols of its precoded grid ``payload[ue]``.
-    Sounding frames repeat the pilot row so the receiver can average down
-    the estimation noise; payload frames carry one pilot symbol.  Each
-    payload grid is scaled by ``alpha`` and faded in place.
+    ``payload`` is given, the symbols of its precoded block ``payload[ue]``.
+    ``gains``, ``masks`` and ``payload`` hold one row per client.  Sounding
+    frames repeat the pilot row so the receiver can average down the
+    estimation noise; payload frames carry one pilot symbol.  Each payload
+    block is scaled by ``alpha`` and faded in place.
 
     Fading is applied per subcarrier in the frequency domain; the preamble
     burst, which is a raw time-domain sequence, is scaled by the channel's
     RMS gain instead (a scalar stand-in that preserves detection power).
 
-    The buffer spans the latest arrival.  Clients are added one at a time
-    in ascending order -- the preamble chips, then the pilot-and-payload
-    body modulated into one scratch block every client reuses -- so each
-    sample sums its clients in that order and the silent stretches of a
-    frame are never added.  Also returns each client's peak resource-element
-    power before fading: its scaled payload's or the reference power of
-    preamble and pilots, whichever is higher.
+    Every client's RMS gain, preamble chips and pilot row are built as one
+    array each, and all pilot rows are modulated in one call.  The buffer
+    spans the latest arrival.  Clients are then added one at a time in
+    ascending order -- the preamble chips, then the pilot-and-payload body
+    in one scratch block every client reuses -- so each sample sums its
+    clients in that order and the silent stretches of a frame are never
+    added.  Also returns each client's peak resource-element power before
+    fading: its scaled payload's or the reference power of preamble and
+    pilots, whichever is higher.
     """
     cfg = phy.grid
     region = phy.preamble_region_len(num_ues)
-    body = pilot_symbols + (0 if payload is None else payload[0].data.shape[0])
+    body = pilot_symbols + (0 if payload is None else payload.shape[1])
     frame_len = region + body * cfg.symbol_len
     rx = np.zeros(int(offsets[ues].max()) + frame_len, dtype=np.complex128)
     symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
     amp = phy.reference_amplitude
+    g = gains[ues]
+    rot = np.exp(1j * phases[ues])[:, np.newaxis]
+    rms_gain = np.sqrt(np.mean(np.abs(g) ** 2, axis=1))
+    chips = (amp * rms_gain)[:, np.newaxis] * _preamble_bank()[ues] * rot
+    pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
+    ofdm_modulate_into(amp * _pilot_values(cfg.subcarriers) * masks[ues] * g * rot, cfg, pilots)
     peaks = np.full(len(ues), amp**2)
     for i, ue in enumerate(ues):
-        g, delay = gains[ue], int(offsets[ue])
-        rot = np.exp(1j * phases[ue])
-        rms_gain = float(np.sqrt(np.mean(np.abs(g) ** 2)))
+        delay = int(offsets[ue])
         lo = delay + ue * phy.preamble_slot_len
-        rx[lo:lo + PREAMBLE_LEN] += amp * rms_gain * _preamble_bank()[ue] * rot
-        pilot_row = amp * _pilot_values(cfg.subcarriers) * masks[ue] * g * rot
-        ofdm_modulate_into(pilot_row[np.newaxis], cfg, symbols[:1])
-        symbols[1:pilot_symbols] = symbols[0]
+        rx[lo:lo + PREAMBLE_LEN] += chips[i]
+        symbols[:pilot_symbols] = pilots[i]
         if payload is not None:
-            data = payload[ue].data
+            data = payload[ue]
             data *= alpha
-            peaks[i] = max(float(np.max(np.abs(data) ** 2)), peaks[i])
-            data *= g
-            data *= rot
+            largest = float(np.max(np.abs(data)))
+            peaks[i] = max(largest * largest, peaks[i])
+            data *= g[i]
+            data *= rot[i]
             ofdm_modulate_into(data, cfg, symbols[pilot_symbols:])
         rx[delay + region:delay + frame_len] += symbols.reshape(-1)
     return rx, peaks
@@ -322,8 +325,8 @@ def _receive(
     events, the payload slots for data events.  Pegging to the whole event
     would let the strong constant-amplitude preamble dominate the reference
     power, so a payload attenuated by power control would see a far worse
-    SNR than the knob claims.  The real parts of the noise are drawn first,
-    then the imaginary parts.
+    SNR than the knob claims.  The noise is one draw of twice the buffer
+    length: the real parts first, then the imaginary parts.
 
     Each client's preamble can only start in its own slot of the preamble
     region, at most ``offset_bound(phy.sync)`` samples late, so each client
@@ -334,11 +337,11 @@ def _receive(
     if phy.uplink_snr_db is not None:
         power = float(np.mean(np.abs(rx[info_start:]) ** 2))
         variance = power / 10.0 ** (phy.uplink_snr_db / 10.0)
-        rng = np.random.default_rng(seed)
-        for part in (rx.real, rx.imag):
-            noise = rng.standard_normal(rx.size)
-            noise *= np.sqrt(variance / 2.0)
-            part += noise
+        noise = np.random.default_rng(seed).standard_normal(2 * rx.size)
+        noise *= np.sqrt(variance / 2.0)
+        real, imag = rx.real, rx.imag
+        real += noise[:rx.size]
+        imag += noise[rx.size:]
     span = offset_bound(phy.sync, phy.grid.sample_rate) + PREAMBLE_LEN
     offsets = np.zeros(len(ues), dtype=np.int64)
     metrics = np.zeros(len(ues))
@@ -355,8 +358,9 @@ def _pilot_positions(ue: int, num_ues: int, cfg: GridConfig, allocation: str) ->
     return np.arange(ue, cfg.subcarriers, num_ues)
 
 
-def _phase_ramp(cfg: GridConfig, delay: int) -> np.ndarray:
-    """Per-subcarrier rotation caused by sampling ``delay`` samples early."""
+def _phase_ramp(cfg: GridConfig, delay) -> np.ndarray:
+    """Per-subcarrier rotation caused by sampling ``delay`` samples early;
+    ``delay`` may be a column of one delay per client."""
     bins = subcarrier_bins(cfg)
     return np.exp(-2j * np.pi * bins * delay / cfg.fft_size)
 
@@ -421,17 +425,17 @@ def ota_aggregate(
                        no_metrics, no_metrics.copy(), descale)
 
     # --- channel realizations and timing offsets -------------------------
-    gains = [
+    gains = np.stack([
         realize_channel(
             phy.channel, cfg.subcarriers, derive_seed(master_seed, round_index, ue, _TAG_CHANNEL)
         )
         for ue in range(num_ues)
-    ]
-    payload_gains = [
+    ])
+    payload_gains = gains if phy.decorrelation == 0.0 else np.stack([
         decorrelate(g, phy.channel, phy.decorrelation,
                     derive_seed(master_seed, round_index, ue, _TAG_DECORR))
         for ue, g in enumerate(gains)
-    ]
+    ])
     offsets = draw_offsets(
         phy.sync, num_ues, cfg.sample_rate,
         seed=derive_seed(master_seed, round_index, _TAG_SYNC),
@@ -447,12 +451,9 @@ def ota_aggregate(
         masks[ue, pos] = 1.0
 
     if phy.csi_mode == "perfect":
-        ref = int(offsets.min())
-        estimates = []
-        for ue in range(num_ues):
-            ramp = _phase_ramp(cfg, int(offsets[ue]) - ref)
-            eff = payload_gains[ue] * ramp * np.exp(1j * phases[ue])
-            estimates.append(ChannelEstimate(eff))
+        ramps = _phase_ramp(cfg, offsets[:, np.newaxis] - int(offsets.min()))
+        estimate = ChannelEstimate(
+            payload_gains * ramps * np.exp(1j * phases)[:, np.newaxis])
     else:
         # Comb pilots share one superposed sounding frame; full-band pilots
         # need one frame per client.
@@ -478,37 +479,40 @@ def ota_aggregate(
                            np.full(num_ues, phy.reference_amplitude**2), descale)
         # Every event is read at the earliest client's timing, so the
         # estimates absorb each client's residual offset as a phase ramp.
+        # One pilot row per event: the comb's single row holds every
+        # client's pilots, the full band's rows one client each.
         pilot_start = int(s_offsets.min()) + phy.preamble_region_len(num_ues)
-        pilot_vals = _pilot_values(cfg.subcarriers)
-        estimates = [None] * num_ues
-        for (ues, _), rx in zip(events, received):
-            at = max(0, min(pilot_start, rx.samples.size - cfg.slot_len))
-            row = ofdm_demodulate(rx, cfg, at).data.mean(axis=0)
-            for ue in ues:
-                pos = pilots[ue]
-                raw = ls_estimate(row[pos], phy.reference_amplitude * pilot_vals[pos])
-                est = interpolate(raw, pos, cfg)
-                estimates[ue] = quantize_estimate(est, phy.feedback_quant_bits)
+        rows = np.stack([
+            ofdm_demodulate(rx, cfg, max(0, min(pilot_start, rx.samples.size - cfg.slot_len)))
+            .data.mean(axis=0)
+            for rx in received
+        ])
+        raw = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
+        if phy.pilot_allocation == "fdm_comb":
+            raw = [raw[0, pos] for pos in pilots]
+        estimate = quantize_estimate(interpolate(raw, pilots, cfg), phy.feedback_quant_bits)
 
     # --- precode, shared power control ------------------------------------
-    # Each client's scaled update is packed straight into its block of
-    # payload symbols and divided by its floored estimate, one client at a
-    # time; building the ResourceGrid checks the result is finite.
+    # Each client's update is scaled straight into its block of payload
+    # symbols, seen as interleaved reals (even -> I, odd -> Q), and the whole
+    # block is divided by the floored estimates; compute_alpha checks that
+    # the result is finite.
     payload = np.empty((num_ues, plan.slots * cfg.symbols_per_slot, cfg.subcarriers),
                        dtype=np.complex128)
-    precoded = []
-    for ue in range(num_ues):
-        pack_into(scale_updates(deltas[ue], client_scales[ue]).values, payload[ue].reshape(-1))
-        by_slot = payload[ue].reshape(plan.slots, cfg.symbols_per_slot, cfg.subcarriers)
-        est = estimates[ue]
-        by_slot /= inversion_divisor(est, inversion_floor(est, phy.floor_rel))
-        precoded.append(ResourceGrid(payload[ue]))
-    alpha = compute_alpha(precoded)
+    reals = payload.reshape(num_ues, -1).view(np.float64)
+    for ue, (d, (scale_i, scale_q)) in enumerate(zip(deltas, client_scales)):
+        d = np.asarray(d, dtype=np.float64)
+        np.divide(d[0::2], scale_i, out=reals[ue, 0:param_count:2])
+        np.divide(d[1::2], scale_q, out=reals[ue, 1:param_count:2])
+    reals[:, param_count:] = 0.0
+    divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
+    payload /= divisor[:, np.newaxis, :]
+    alpha = compute_alpha(payload)
 
     # --- simultaneous payload transmission --------------------------------
     ues = list(range(num_ues))
     frame, max_re_power = _superposed_frame(ues, num_ues, phy, payload_gains, phases, masks,
-                                            offsets, 1, precoded, alpha)
+                                            offsets, 1, payload, alpha)
     rx, p_offsets, p_metrics = _receive(
         frame, ues, phy, phy.preamble_region_len(num_ues) + cfg.symbol_len,
         derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD),

@@ -20,38 +20,38 @@ PEAK_POWER = 1.0
 MARGIN = 0.9
 
 
-def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL) -> float:
+def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL):
     """Magnitude floor: ``floor_rel`` times the median estimated |H| over the
-    subcarriers."""
+    subcarriers, one floor per row of the estimate (a scalar for one row)."""
     if floor_rel < 0:
         raise ValueError("floor_rel must be >= 0")
-    return floor_rel * float(np.median(np.abs(estimate.gains)))
+    return floor_rel * np.median(np.abs(estimate.gains), axis=-1)
 
 
-def inversion_divisor(estimate: ChannelEstimate, floor: float) -> np.ndarray:
+def inversion_divisor(estimate: ChannelEstimate, floor) -> np.ndarray:
     """The channel estimate with magnitudes below ``floor`` raised to it.
 
-    Clamped estimates keep their phase, which caps the inversion gain at
-    1/floor in deep fades.  A zero estimate with a positive floor becomes
-    the (real) floor itself; a zero estimate with floor = 0 is an error.
-    When nothing is clamped the result is the estimate's own array, so
-    callers must not write to it.
+    ``floor`` is a scalar or one value per row of the estimate, as
+    :func:`inversion_floor` returns it.  Clamped estimates keep their phase,
+    which caps the inversion gain at 1/floor in deep fades.  A zero estimate
+    with a positive floor becomes the (real) floor itself; a zero estimate
+    in a row whose floor is 0 is an error.  When nothing is clamped the
+    result is the estimate's own array, so callers must not write to it.
     """
-    if floor < 0:
+    floor = np.asarray(floor, dtype=np.float64)[..., np.newaxis]
+    if np.any(floor < 0):
         raise ValueError("floor must be >= 0")
     h = estimate.gains
     mag = np.abs(h)
-    if np.any(mag == 0) and floor == 0:
+    dead = mag == 0
+    if np.any(dead & (floor == 0)):
         raise ValueError("zero channel estimate cannot be inverted without a floor")
-    divisor = h
-    if floor > 0:
-        weak = mag < floor
-        dead = mag == 0
-        if np.any(weak):
-            safe_mag = np.where(dead, 1.0, mag)
-            divisor = np.where(weak, floor * h / safe_mag, divisor)
-            divisor = np.where(dead, floor, divisor)
-    return divisor
+    weak = mag < floor
+    if not np.any(weak):
+        return h
+    safe_mag = np.where(dead, 1.0, mag)
+    divisor = np.where(weak, floor * h / safe_mag, h)
+    return np.where(dead, floor, divisor)
 
 
 def channel_invert(
@@ -71,22 +71,24 @@ def channel_invert(
     return out
 
 
-def compute_alpha(precoded_per_ue: list[ResourceGrid]) -> float:
+def compute_alpha(precoded: np.ndarray) -> float:
     """Largest shared scaling every UE can transmit within ``PEAK_POWER``.
 
     alpha = MARGIN * min over UEs of sqrt(PEAK_POWER / max |precoded|^2),
     so after scaling no resource element of any UE exceeds the peak power
-    (strictly below it, as MARGIN < 1).  Each UE brings one grid holding all
-    of its precoded symbols.  UEs whose payload is entirely zero impose no
-    constraint; all UEs zero is an error.
+    (strictly below it, as MARGIN < 1).  ``precoded`` holds one UE per
+    leading row, each row all of that UE's precoded symbols; a UE's peak is
+    its largest |x|, squared.  A non-finite entry makes its row's largest
+    |x| non-finite and is an error.  UEs whose payload is entirely zero
+    impose no constraint; all UEs zero is an error.
     """
-    if not precoded_per_ue:
+    if len(precoded) == 0:
         raise ValueError("need at least one UE")
-    alpha = np.inf
-    for grid in precoded_per_ue:
-        peak = float(np.max(np.abs(grid.data) ** 2))
-        if peak > 0:
-            alpha = min(alpha, MARGIN * np.sqrt(PEAK_POWER / peak))
-    if not np.isfinite(alpha):
+    largest = np.array([np.max(np.abs(row)) for row in precoded])
+    if not np.all(np.isfinite(largest)):
+        raise ValueError("precoded resource grid entries must be finite")
+    peaks = largest * largest
+    active = peaks[peaks > 0]
+    if active.size == 0:
         raise ValueError("all precoded payloads are zero; alpha undefined")
-    return float(alpha)
+    return float(np.min(MARGIN * np.sqrt(PEAK_POWER / active)))

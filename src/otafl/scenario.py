@@ -20,6 +20,7 @@ parse(serialize(x)) == x.
 from __future__ import annotations
 
 import dataclasses
+import math
 from dataclasses import dataclass
 
 from . import channel as _channel
@@ -206,6 +207,10 @@ def validate(sc: Scenario) -> None:
         v = getattr(sc, field)
         if v not in allowed:
             fail(field, f"{v!r} is not one of {', '.join(allowed)}")
+    for field, ftype in _FIELD_TYPES.items():
+        v = getattr(sc, field)
+        if ftype.startswith("float") and v is not None and not math.isfinite(v):
+            fail(field, f"must be finite, got {v!r}")
     positive = (
         "rounds", "num_ues", "task_samples_per_ue", "task_features",
         "grid_subcarriers", "grid_symbols_per_slot", "grid_fft_size",
@@ -227,6 +232,10 @@ def validate(sc: Scenario) -> None:
         fail("task_classes", "classification needs >= 2 classes and >= 1 hidden unit")
     if sc.grid_fft_size < sc.grid_subcarriers:
         fail("grid_fft_size", "must be >= grid.subcarriers")
+    if sc.grid_cp_len >= sc.grid_fft_size:
+        fail("grid_cp_len", "must be < grid.fft_size")
+    if sc.phy_decorrelation > 1:
+        fail("phy_decorrelation", "must lie in [0, 1]")
     if sc.phy_pilot_allocation == "fdm_comb" and sc.num_ues > sc.grid_subcarriers:
         fail("num_ues", "comb pilots need num_ues <= grid.subcarriers")
     if sc.num_ues > PREAMBLE_FAMILY:

@@ -3,7 +3,14 @@
 import numpy as np
 import pytest
 
-from otafl.csi import NMSE_FLOOR_DB, ls_estimate, interpolate, nmse, quantize_estimate
+from otafl.csi import (
+    NMSE_FLOOR_DB,
+    ChannelEstimate,
+    interpolate,
+    ls_estimate,
+    nmse,
+    quantize_estimate,
+)
 from otafl.grid import GridConfig
 
 CFG = GridConfig(subcarriers=16, symbols_per_slot=3)
@@ -29,6 +36,8 @@ def test_ls_noise_passthrough_for_unit_pilots():
 def test_ls_validation():
     with pytest.raises(ValueError):
         ls_estimate(np.ones(3), np.ones(4))
+    with pytest.raises(ValueError):
+        ls_estimate(np.ones((2, 3)), np.ones(2))
     with pytest.raises(ValueError):
         ls_estimate(np.ones(3), np.array([1.0, 0.0, 1.0]))
 
@@ -73,6 +82,105 @@ def test_interpolate_validation():
         interpolate(np.ones(2), np.array([3, 3]), CFG)  # not increasing
     with pytest.raises(ValueError):
         interpolate(np.ones(2), np.array([3, 99]), CFG)  # out of range
+    with pytest.raises(ValueError):
+        interpolate([np.ones(2), np.ones(1)], [np.array([1, 2]), np.array([5, 6])], CFG)
+    with pytest.raises(ValueError):
+        interpolate([np.ones(2), np.ones(2)], [np.array([1, 2]), np.array([6, 5])], CFG)
+    with pytest.raises(ValueError):
+        interpolate([np.ones(2), np.ones(0)], [np.array([1, 2]), np.array([], int)], CFG)
+    with pytest.raises(ValueError):
+        interpolate([np.ones(2)], [np.array([1, 2]), np.array([5, 6])], CFG)
+
+
+# ------------------------------------------------- one row per client, bit for bit
+#
+# Each stage called once on every client's row must give the same bits as
+# one call per row, and as the per-row formula written out here.
+
+WIDE = GridConfig(subcarriers=256)
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.complex128).view(np.uint64)
+
+
+def _rows(num, width, seed):
+    """Random complex rows with some weak and some dead (zero) entries."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(num, width)) + 1j * rng.normal(size=(num, width))
+    rows[rng.random((num, width)) < 0.1] *= 1e-3
+    rows[rng.random((num, width)) < 0.05] = 0.0
+    return rows
+
+
+def _comb(num_ues, width):
+    return [np.arange(ue, width, num_ues) for ue in range(num_ues)]
+
+
+def _interp_reference(values, positions, width):
+    grid_pos = np.arange(width)
+    return np.interp(grid_pos, positions, values.real) + 1j * np.interp(
+        grid_pos, positions, values.imag)
+
+
+@pytest.mark.parametrize("num_ues", [1, 2, 5, 12, 60])
+def test_ls_estimate_rows_match_per_row_calls(num_ues):
+    received = _rows(num_ues, WIDE.subcarriers, seed=num_ues)
+    known = np.exp(1j * np.linspace(0, 6, WIDE.subcarriers))
+    got = ls_estimate(received, known)
+    assert got.shape == received.shape
+    for ue in range(num_ues):
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(ls_estimate(received[ue], known)))
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(received[ue] / known))
+
+
+@pytest.mark.parametrize("num_ues", [1, 3, 5, 12, 60])
+def test_comb_interpolation_rows_match_per_row_calls(num_ues):
+    """Comb position sets of unequal length (256 = 12 * 21 + 4), so every
+    client holds different ends."""
+    pos = _comb(num_ues, WIDE.subcarriers)
+    full = _rows(1, WIDE.subcarriers, seed=num_ues)[0]
+    values = [full[p] for p in pos]
+    got = interpolate(values, pos, WIDE).gains
+    assert got.shape == (num_ues, WIDE.subcarriers)
+    for ue in range(num_ues):
+        row = interpolate(values[ue], pos[ue], WIDE).gains
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(row))
+        want = _interp_reference(values[ue], pos[ue], WIDE.subcarriers)
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(want))
+
+
+def test_ragged_interpolation_rows_match_per_row_calls():
+    """Arbitrary increasing pilot sets, one of a single pilot, and a 2-D
+    array of full-band rows, which interpolation returns unchanged."""
+    rng = np.random.default_rng(4)
+    width = WIDE.subcarriers
+    pos = [np.sort(rng.choice(width, size=k, replace=False)) for k in (1, 2, 7, 40, width)]
+    values = [_rows(1, p.size, seed=k)[0] for k, p in enumerate(pos)]
+    got = interpolate(values, pos, WIDE).gains
+    for ue, (v, p) in enumerate(zip(values, pos)):
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(interpolate(v, p, WIDE).gains))
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(_interp_reference(v, p, width)))
+    full = _rows(4, width, seed=9)
+    same = interpolate(full, np.broadcast_to(np.arange(width), full.shape), WIDE).gains
+    np.testing.assert_array_equal(_bits(same), _bits(full))
+
+
+@pytest.mark.parametrize("bits", [2, 4, 8])
+def test_quantize_rows_match_per_row_calls(bits):
+    """Each row is quantized against its own full scale, an all-zero row
+    included."""
+    rows = _rows(6, WIDE.subcarriers, seed=bits)
+    rows[2] *= 100.0
+    rows[4] = 0.0
+    got = quantize_estimate(ChannelEstimate(rows), bits).gains
+    levels = 2 ** (bits - 1) - 1
+    for ue, h in enumerate(rows):
+        row = quantize_estimate(ChannelEstimate(h), bits).gains
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(row))
+        step = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)), 1e-300) / levels
+        want = (np.round(h.real / step) + 1j * np.round(h.imag / step)) * step
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(want))
 
 
 # ------------------------------------------------------------------ nmse

@@ -8,7 +8,7 @@ import pytest
 
 from otafl import fl, grid, ota
 from otafl.channel import ChannelModel, superpose
-from otafl.grid import GridConfig, ResourceGrid, TimeSignal, ofdm_demodulate
+from otafl.grid import GridConfig, TimeSignal, ofdm_demodulate
 from otafl.ota import (
     DETECT_THRESHOLD,
     PREAMBLE_DEGREE,
@@ -24,6 +24,7 @@ from otafl.ota import (
     train_configs,
 )
 from otafl.sync import SyncConfig, draw_offsets, offset_bound
+from otafl.weightcodec import component_peaks, pack_complex, scale_updates, shared_peaks
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -219,7 +220,7 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     phy = PhyConfig(channel=ChannelModel("flat_block"), sync=sync, uplink_snr_db=20.0)
     bound = offset_bound(sync, phy.grid.sample_rate)
     delays = [0, bound, 1]
-    gains = [np.ones(phy.grid.subcarriers, dtype=complex)] * 3
+    gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers))
     rx, _ = ota._superposed_frame([0, 1, 2], 3, phy, gains, np.zeros(3), masks,
                                   np.array(delays), 2)
@@ -295,18 +296,19 @@ def _oracle_inputs(num_ues, allocation, seed=11):
     sub = ORACLE_GRID.subcarriers
     rows = 2 * ORACLE_GRID.symbols_per_slot
     rng = np.random.default_rng(seed)
-    gains = [rng.normal(size=sub) + 1j * rng.normal(size=sub) for _ in range(num_ues)]
+    gains = np.stack([rng.normal(size=sub) + 1j * rng.normal(size=sub)
+                      for _ in range(num_ues)])
     phases = rng.uniform(-np.pi, np.pi, size=num_ues)
     masks = np.zeros((num_ues, sub))
     for ue in range(num_ues):
         masks[ue, ota._pilot_positions(ue, num_ues, ORACLE_GRID, allocation)] = 1.0
-    precoded = [rng.normal(size=(rows, sub)) + 1j * rng.normal(size=(rows, sub))
-                for _ in range(num_ues)]
+    precoded = np.stack([rng.normal(size=(rows, sub)) + 1j * rng.normal(size=(rows, sub))
+                         for _ in range(num_ues)])
     return gains, phases, masks, precoded
 
 
 def _payload(precoded):
-    return [ResourceGrid(p.copy()) for p in precoded]
+    return precoded.copy()
 
 
 def test_single_client_frame_oracle():
@@ -357,7 +359,7 @@ def test_sounding_frame_carries_only_preamble_and_pilots():
     in the preamble region outside the client's slot, shifted by its delay."""
     cfg = SMALL_GRID
     phy = PhyConfig(grid=cfg)
-    gains = [np.full(cfg.subcarriers, 0.5 + 0.5j)] * 4
+    gains = np.full((4, cfg.subcarriers), 0.5 + 0.5j)
     masks = np.ones((4, cfg.subcarriers))
     delays = np.array([0, 0, 7, 0])
     rx, peaks = ota._superposed_frame([2], 4, phy, gains, np.zeros(4), masks, delays, 3)
@@ -448,6 +450,56 @@ def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
     with pytest.raises(ValueError, match="resource grid entries must be finite"):
         ota_aggregate(deltas, _ideal_phy(), master_seed=0)
     assert payload_frames == [False]  # the sounding event only
+
+
+STAGES = ("ls_estimate", "interpolate", "quantize_estimate", "inversion_floor",
+          "inversion_divisor", "compute_alpha")
+
+
+@pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
+def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
+    """Estimation and precoding take every client's row in one call, however
+    many clients there are."""
+    calls = dict.fromkeys(STAGES, 0)
+    for name in STAGES:
+        def counting(*args, _stage=getattr(ota, name), _name=name, **kwargs):
+            calls[_name] += 1
+            return _stage(*args, **kwargs)
+        monkeypatch.setattr(ota, name, counting)
+    phy = PhyConfig(channel=ChannelModel("flat_block"), pilot_allocation=allocation,
+                    feedback_quant_bits=8, uplink_snr_db=30.0)
+    report = ota_aggregate(_random_deltas(12, 301, seed=3), phy, master_seed=3)
+    assert not report.aborted
+    assert calls == dict.fromkeys(STAGES, 1)
+
+
+@pytest.mark.parametrize("scale_mode", ["common", "per_client"])
+@pytest.mark.parametrize("params", [1, 2, 301, 2 * 32 * 4])
+def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, params):
+    """Before the division, each client's payload row is the codec's packed,
+    scaled update (even -> I, odd -> Q) followed by zeros, to the last
+    symbol of its last slot."""
+    seen = []
+    monkeypatch.setattr(ota, "inversion_divisor",
+                        lambda est, floor: np.ones_like(est.gains))
+    original = ota.compute_alpha
+
+    def recording(block):
+        seen.append(block.copy())
+        return original(block)
+
+    monkeypatch.setattr(ota, "compute_alpha", recording)
+    deltas = _random_deltas(3, params, seed=params)
+    ota_aggregate(deltas, _ideal_phy(scale_mode=scale_mode), master_seed=0)
+    (block,) = seen
+    slots = ota.slot_plan(params, SMALL_GRID).slots
+    assert block.shape == (3, slots * SMALL_GRID.symbols_per_slot, SMALL_GRID.subcarriers)
+    shared = shared_peaks(deltas)
+    for d, row in zip(deltas, block):
+        scales = shared if scale_mode == "common" else component_peaks(d)
+        want = pack_complex(scale_updates(d, scales).values)
+        np.testing.assert_array_equal(row.reshape(-1)[:want.size], want)
+        assert not row.reshape(-1)[want.size:].any()
 
 
 # Peak traced allocation of one aggregation at M = 20, P = 71 666,

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otafl.csi import interpolate
+from otafl.csi import ChannelEstimate, interpolate
 from otafl.grid import GridConfig, ResourceGrid
 from otafl.precode import (
     DEFAULT_FLOOR_REL,
@@ -97,46 +97,135 @@ def test_row_median_equals_the_replicated_grid_median(subcarriers, symbols):
     assert np.median(row) == np.median(np.tile(row, (symbols, 1)))
 
 
+# ------------------------------------------------- one row per client, bit for bit
+
+
+def _bits(a):
+    return np.asarray(a, dtype=np.complex128).view(np.uint64)
+
+
+def _estimate_rows(num, width=256, seed=0):
+    """Random estimate rows with weak and dead (zero) subcarriers."""
+    rng = np.random.default_rng(seed)
+    rows = rng.normal(size=(num, width)) + 1j * rng.normal(size=(num, width))
+    rows[rng.random((num, width)) < 0.2] *= 1e-2
+    rows[rng.random((num, width)) < 0.05] = 0.0
+    return ChannelEstimate(rows)
+
+
+@pytest.mark.parametrize("num_ues", [1, 2, 5, 60])
+@pytest.mark.parametrize("floor_rel", [0.15, 0.8])
+def test_floor_and_divisor_rows_match_per_row_calls(num_ues, floor_rel):
+    """Per-row medians and divisors equal one call per row, and the
+    divisor equals the clamp written out with a scalar floor."""
+    est = _estimate_rows(num_ues, seed=num_ues)
+    floors = inversion_floor(est, floor_rel)
+    divisor = inversion_divisor(est, floors)
+    assert floors.shape == (num_ues,) and divisor.shape == est.gains.shape
+    for ue, h in enumerate(est.gains):
+        floor = inversion_floor(ChannelEstimate(h), floor_rel)
+        assert np.float64(floor).view(np.uint64) == floors[ue].view(np.uint64)
+        assert floor == floor_rel * float(np.median(np.abs(h)))
+        row = inversion_divisor(ChannelEstimate(h), floor)
+        np.testing.assert_array_equal(_bits(divisor[ue]), _bits(row))
+        mag = np.abs(h)
+        want = np.where(mag < floor, floor * h / np.where(mag == 0, 1.0, mag), h)
+        want = np.where(mag == 0, floor, want)
+        np.testing.assert_array_equal(_bits(divisor[ue]), _bits(want))
+
+
+def test_divisor_rows_leave_unclamped_rows_alone():
+    est = ChannelEstimate(np.ones((3, 8), dtype=complex))
+    assert inversion_divisor(est, np.array([0.5, 0.0, 0.9])) is est.gains
+
+
+def test_zero_row_without_floor_raises():
+    """A client whose whole estimate is zero gets a zero floor from the
+    median at any ``floor_rel``, and at ``floor_rel = 0`` the other rows
+    cannot clamp it either."""
+    est = _estimate_rows(4, seed=7)
+    est.gains[2] = 0.0
+    floors = inversion_floor(est, 0.0)
+    np.testing.assert_array_equal(floors, np.zeros(4))
+    with pytest.raises(ValueError, match="without a floor"):
+        inversion_divisor(est, floors)
+    with pytest.raises(ValueError, match="without a floor"):
+        inversion_divisor(est, inversion_floor(est, 0.15))
+    with pytest.raises(ValueError):
+        inversion_divisor(est, np.array([0.1, 0.1, 0.1, -0.1]))
+
+
+@pytest.mark.parametrize("num_ues", [1, 2, 5, 60])
+def test_alpha_of_the_block_matches_per_row_peaks(num_ues):
+    """alpha of the whole block is the minimum of each row's alpha, each
+    from max |x|^2 as the per-client formula takes it, a silent row
+    included."""
+    rng = np.random.default_rng(num_ues)
+    block = (rng.normal(size=(num_ues, 3, 16)) + 1j * rng.normal(size=(num_ues, 3, 16))
+             ) * rng.uniform(0.01, 10.0, size=(num_ues, 1, 1))
+    if num_ues > 1:
+        block[1] = 0.0
+    alpha = compute_alpha(block)
+    per_row = [compute_alpha(block[ue:ue + 1]) for ue in range(num_ues) if block[ue].any()]
+    assert alpha == min(per_row)
+    peaks = [float(np.max(np.abs(row) ** 2)) for row in block]
+    want = min(MARGIN * np.sqrt(PEAK_POWER / p) for p in peaks if p > 0)
+    assert np.float64(alpha).view(np.uint64) == np.float64(want).view(np.uint64)
+
+
 # ---------------------------------------------------------------- alpha
+
+
+def _block(*rows):
+    """One precoded ``(2, 8)`` payload per UE, stacked as the pipeline holds them."""
+    return np.stack([np.asarray(r, dtype=complex).reshape(2, 8) for r in rows])
 
 
 def test_alpha_hand_oracle():
     # single UE, peak |x|^2 = 4, unit peak power, margin 0.9 -> 0.9 * 1/2
     assert (PEAK_POWER, MARGIN) == (1.0, 0.9)
-    g = _grid([2.0] + [0.0] * 15)
-    assert compute_alpha([g]) == pytest.approx(0.45, rel=1e-12)
+    assert compute_alpha(_block([2.0] + [0.0] * 15)) == pytest.approx(0.45, rel=1e-12)
 
 
 def test_alpha_minimum_over_ues():
-    weak = _grid([4.0] + [0.0] * 15)   # needs alpha <= 0.9 * 1/4
-    mild = _grid([1.0] + [0.0] * 15)   # would allow 0.9
-    alpha = compute_alpha([mild, weak])
+    weak = [4.0] + [0.0] * 15   # needs alpha <= 0.9 * 1/4
+    mild = [1.0] + [0.0] * 15   # would allow 0.9
+    alpha = compute_alpha(_block(mild, weak))
     assert alpha == pytest.approx(0.225, rel=1e-12)
 
 
 def test_alpha_enforces_peak_power_property():
     rng = np.random.default_rng(3)
-    ues = [_grid(rng.normal(size=16) * rng.uniform(0.1, 10)) for _ in range(5)]
+    ues = _block(*(rng.normal(size=16) * rng.uniform(0.1, 10) for _ in range(5)))
     alpha = compute_alpha(ues)
-    worst = max(np.max(np.abs(alpha * g.data) ** 2) for g in ues)
+    worst = np.max(np.abs(alpha * ues) ** 2)
     assert worst <= PEAK_POWER * MARGIN**2 + 1e-12
 
 
 def test_alpha_ignores_all_zero_ues():
-    active = _grid([1.0] + [0.0] * 15)
-    silent = _grid(np.zeros(16))
-    alpha = compute_alpha([active, silent])
+    alpha = compute_alpha(_block([1.0] + [0.0] * 15, np.zeros(16)))
     assert alpha == pytest.approx(MARGIN, rel=1e-12)
 
 
+@pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+@pytest.mark.parametrize("bad", [np.nan, np.inf, complex(np.nan, 1.0), complex(1.0, -np.inf)])
+def test_alpha_rejects_non_finite_entries(bad):
+    """A non-finite entry anywhere in a UE's row makes its largest |x|
+    non-finite, so no alpha is computed from it."""
+    rows = _block(np.ones(16), np.ones(16))
+    rows[1, 1, 5] = bad
+    with pytest.raises(ValueError, match="must be finite"):
+        compute_alpha(rows)
+
+
 def test_alpha_validation():
-    g = _grid(np.ones(16))
+    g = _block(np.ones(16))
     with pytest.raises(ValueError):
-        compute_alpha([])
+        compute_alpha(np.empty((0, 2, 8), dtype=complex))
     with pytest.raises(ValueError):
-        compute_alpha([_grid(np.zeros(16))])
+        compute_alpha(_block(np.zeros(16)))
     # the power budget and the margin are constants, not arguments
     with pytest.raises(TypeError):
-        compute_alpha([g], 1.0)
+        compute_alpha(g, 1.0)
     with pytest.raises(TypeError):
-        compute_alpha([g], margin=0.5)
+        compute_alpha(g, margin=0.5)

@@ -130,15 +130,38 @@ def test_cross_field_validation():
 @pytest.mark.parametrize("key, bad, good", [
     ("phy.feedback_quant_bits", "1", "2"),
     ("num_ues", "130", "129"),
+    ("phy.uplink_snr_db", "nan", "-5"),
+    ("phy.uplink_snr_db", "-inf", "none"),
+    ("phy.floor_rel", "nan", "0"),
+    ("train.learning_rate", "inf", "0.05"),
+    ("task.noise_std", "nan", "0"),
+    ("phy.decorrelation", "1.5", "1"),
+    ("grid.cp_len", "256", "255"),
 ])
 def test_unsimulatable_values_name_their_key(key, bad, good):
     """Values the uplink cannot run fail at parse time, not deep in a round:
-    a 1-bit quantizer has no nonzero level, and the degree-7 Gold family
-    has 129 preambles.  Both hold for ``tdm_full`` too."""
+    a 1-bit quantizer has no nonzero level, the degree-7 Gold family has 129
+    preambles, a non-finite SNR or floor silently aborts or unfloors every
+    round, a non-finite learning rate or label noise poisons the payload, a
+    decorrelation weight lies in [0, 1] and the cyclic prefix is shorter
+    than the FFT.  All hold for ``tdm_full`` too; ``none`` stays the
+    noiseless SNR."""
     pilots = "phy.pilot_allocation = tdm_full\n"
     with pytest.raises(ScenarioError, match=rf"'{key}'"):
         parse(f"{pilots}{key} = {bad}")
-    assert getattr(parse(f"{pilots}{key} = {good}"), KEYMAP[key]) == int(good)
+    value = getattr(parse(f"{pilots}{key} = {good}"), KEYMAP[key])
+    assert value == (None if good == "none" else float(good))
+
+
+_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
+FLOAT_KEYS = [key for key, field in KEYMAP.items() if _TYPES[field].startswith("float")]
+
+
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+@pytest.mark.parametrize("key", FLOAT_KEYS)
+def test_non_finite_floats_name_their_key(key, bad):
+    with pytest.raises(ScenarioError, match=rf"key '{key}': must be finite"):
+        parse(f"{key} = {bad}")
 
 
 # ---------------------------------------------------------------- builders
