@@ -61,27 +61,28 @@ def interpolate(
     one = isinstance(pilot_positions, np.ndarray) and pilot_positions.ndim == 1
     est_rows = [pilot_estimates] if one else pilot_estimates
     pos_rows = [pilot_positions] if one else pilot_positions
-    if len(est_rows) != len(pos_rows) or len(pos_rows) == 0:
-        raise ValueError("need one row of pilot estimates per row of positions")
-    sizes = np.array([np.size(p) for p in pos_rows])
-    if any(np.ndim(e) != 1 or np.ndim(p) != 1 or np.size(e) != n
-           for e, p, n in zip(est_rows, pos_rows, sizes)) or np.any(sizes == 0):
-        raise ValueError("pilot estimates/positions must be matching 1-D arrays")
+    sizes = [len(p) for p in pos_rows]
+    if not sizes or 0 in sizes or [len(e) for e in est_rows] != sizes:
+        raise ValueError("pilot estimates/positions must be matching nonempty rows")
     est = np.concatenate(est_rows).astype(np.complex128, copy=False)
     pos = np.concatenate(pos_rows).astype(np.int64, copy=False)
-    if np.any(pos < 0) or np.any(pos >= cfg.subcarriers):
+    if est.ndim != 1 or pos.ndim != 1:
+        raise ValueError("pilot estimates/positions must be matching 1-D arrays")
+    if pos.min() < 0 or pos.max() >= cfg.subcarriers:
         raise ValueError("pilot positions outside the subcarrier range")
     # Row r's positions move to r * subcarriers + p.  In-range positions then
-    # always rise across a row boundary, so one diff checks every row.
-    shift = np.repeat(np.arange(sizes.size) * cfg.subcarriers, sizes)
-    pos = pos + shift
-    if np.any(np.diff(pos) <= 0):
+    # always rise across a row boundary, so one comparison checks every row.
+    shift = np.repeat(np.arange(len(sizes)) * cfg.subcarriers, sizes)
+    pos += shift
+    if (pos[1:] <= pos[:-1]).any():
         raise ValueError("pilot positions must be strictly increasing")
     last = np.cumsum(sizes) - 1
     first = last - sizes + 1
-    query = np.clip(shift[first, np.newaxis] + np.arange(cfg.subcarriers),
-                    pos[first, np.newaxis], pos[last, np.newaxis])
-    gains = np.interp(query, pos, est.real) + 1j * np.interp(query, pos, est.imag)
+    query = shift[first, np.newaxis] + np.arange(cfg.subcarriers, dtype=np.float64)
+    np.maximum(query, pos[first, np.newaxis], out=query)
+    np.minimum(query, pos[last, np.newaxis], out=query)
+    nodes = pos.astype(np.float64)
+    gains = np.interp(query, nodes, est.real) + 1j * np.interp(query, nodes, est.imag)
     return ChannelEstimate(gains[0] if one else gains)
 
 

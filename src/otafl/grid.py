@@ -256,13 +256,13 @@ def detect_frame(signal: TimeSignal, preamble: np.ndarray) -> tuple[int, float]:
     if s.size < p.size:
         raise ValueError("signal shorter than preamble")
     corr = np.correlate(s, p, mode="valid")
-    power = np.abs(s) ** 2
-    csum = np.concatenate([[0.0], np.cumsum(power)])
+    csum = np.zeros(s.size + 1)
+    np.cumsum(np.abs(s) ** 2, out=csum[1:])
     window_energy = csum[p.size:] - csum[:-p.size]
-    denom = window_energy * np.sum(np.abs(p) ** 2)
+    denom = window_energy * (np.abs(p) ** 2).sum()
     ratio = np.divide(
         np.abs(corr) ** 2, denom,
         out=np.zeros(corr.size), where=denom > 0.0,
     )
-    offset = int(np.argmax(ratio))
+    offset = int(ratio.argmax())
     return offset, min(float(ratio[offset]), 1.0)

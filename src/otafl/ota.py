@@ -254,8 +254,8 @@ def _superposed_frame(
     alpha: float = 0.0,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Noise-free receive buffer of one event: the post-channel frames of
-    the clients ``ues``, each delayed by its ``offsets[ue]`` and summed in
-    the air.
+    the clients ``ues``, a run of consecutive clients in ascending order,
+    each delayed by its ``offsets[ue]`` and summed in the air.
 
     A client's frame is its Gold preamble in its own slot of the preamble
     region, ``pilot_symbols`` OFDM symbols of its pilot row and then, when
@@ -279,19 +279,25 @@ def _superposed_frame(
     fading: its scaled payload's or the reference power of preamble and
     pilots, whichever is higher.
     """
+    if ues[-1] - ues[0] + 1 != len(ues):
+        raise ValueError("an event sends a run of consecutive clients")
+    run = slice(ues[0], ues[-1] + 1)
     cfg = phy.grid
     region = phy.preamble_region_len(num_ues)
     body = pilot_symbols + (0 if payload is None else payload.shape[1])
     frame_len = region + body * cfg.symbol_len
-    rx = np.zeros(int(offsets[ues].max()) + frame_len, dtype=np.complex128)
+    rx = np.zeros(int(offsets[run].max()) + frame_len, dtype=np.complex128)
     symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
     amp = phy.reference_amplitude
-    g = gains[ues]
-    rot = np.exp(1j * phases[ues])[:, np.newaxis]
+    g = gains[run]
+    rot = np.exp(1j * phases[run])[:, np.newaxis]
     rms_gain = np.sqrt(np.mean(np.abs(g) ** 2, axis=1))
-    chips = (amp * rms_gain)[:, np.newaxis] * _preamble_bank()[ues] * rot
+    chips = (amp * rms_gain)[:, np.newaxis] * _preamble_bank()[run] * rot
+    pilot_rows = masks[run] * (amp * _pilot_values(cfg.subcarriers))
+    pilot_rows *= g
+    pilot_rows *= rot
     pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
-    ofdm_modulate_into(amp * _pilot_values(cfg.subcarriers) * masks[ues] * g * rot, cfg, pilots)
+    ofdm_modulate_into(pilot_rows, cfg, pilots)
     peaks = np.full(len(ues), amp**2)
     for i, ue in enumerate(ues):
         delay = int(offsets[ue])
@@ -335,7 +341,8 @@ def _receive(
     and detection metrics come back in ``ues`` order.
     """
     if phy.uplink_snr_db is not None:
-        power = float(np.mean(np.abs(rx[info_start:]) ** 2))
+        info = rx[info_start:]
+        power = float((np.abs(info) ** 2).sum()) / info.size
         variance = power / 10.0 ** (phy.uplink_snr_db / 10.0)
         noise = np.random.default_rng(seed).standard_normal(2 * rx.size)
         noise *= np.sqrt(variance / 2.0)
@@ -458,10 +465,11 @@ def ota_aggregate(
         # Comb pilots share one superposed sounding frame; full-band pilots
         # need one frame per client.
         if phy.pilot_allocation == "fdm_comb":
-            events = [(list(range(num_ues)),
+            events = [(range(num_ues),
                        derive_seed(master_seed, round_index, _TAG_NOISE_SOUND))]
         else:
-            events = [([ue], derive_seed(master_seed, round_index, ue, _TAG_NOISE_SOUND))
+            events = [(range(ue, ue + 1),
+                       derive_seed(master_seed, round_index, ue, _TAG_NOISE_SOUND))
                       for ue in range(num_ues)]
         s_offsets = np.zeros(num_ues, dtype=np.int64)
         s_metrics = np.zeros(num_ues)
@@ -487,6 +495,7 @@ def ota_aggregate(
             .data.mean(axis=0)
             for rx in received
         ])
+        del received  # free the sounding buffers before the payload block
         raw = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
         if phy.pilot_allocation == "fdm_comb":
             raw = [raw[0, pos] for pos in pilots]
@@ -510,7 +519,7 @@ def ota_aggregate(
     alpha = compute_alpha(payload)
 
     # --- simultaneous payload transmission --------------------------------
-    ues = list(range(num_ues))
+    ues = range(num_ues)
     frame, max_re_power = _superposed_frame(ues, num_ues, phy, payload_gains, phases, masks,
                                             offsets, 1, payload, alpha)
     rx, p_offsets, p_metrics = _receive(

@@ -54,12 +54,14 @@ def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
     only when that largest peak is zero or the rail is empty, so a client
     whose rail is all zero does not force the shared scale to 1.0.
     """
-    peaks = []
-    for start in (0, 1):
-        rails = [np.asarray(d, dtype=np.float64)[start::2] for d in deltas]
-        peak = max((float(np.max(np.abs(r))) for r in rails if r.size), default=0.0)
-        peaks.append(peak if peak > 0.0 else 1.0)
-    return peaks[0], peaks[1]
+    rails = ([], [])
+    for d in deltas:
+        magnitude = np.abs(np.asarray(d, dtype=np.float64))
+        for start, peaks in enumerate(rails):
+            if magnitude.size > start:
+                peaks.append(float(magnitude[start::2].max()))
+    peak_i, peak_q = (max(peaks, default=0.0) for peaks in rails)
+    return (peak_i if peak_i > 0.0 else 1.0), (peak_q if peak_q > 0.0 else 1.0)
 
 
 def component_peaks(delta: np.ndarray) -> tuple[float, float]:
