@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -40,8 +41,8 @@ def ls_estimate(received: np.ndarray, known: np.ndarray) -> np.ndarray:
 
 
 def interpolate(
-    pilot_estimates,
-    pilot_positions,
+    pilot_estimates: np.ndarray | Sequence[np.ndarray],
+    pilot_positions: np.ndarray | Sequence[np.ndarray],
     cfg: GridConfig,
 ) -> ChannelEstimate:
     """Fill one gain per subcarrier from pilot positions.

@@ -165,16 +165,15 @@ def make_pilot_values(subcarriers: int, seed: int = PILOT_SEED) -> np.ndarray:
     return np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrant))
 
 
-def _occupied_slice(cfg: GridConfig) -> slice:
-    lo = (cfg.fft_size - cfg.subcarriers) // 2
-    return slice(lo, lo + cfg.subcarriers)
+def _dc_split(cfg: GridConfig) -> int:
+    """Subcarriers from this index on sit at and above DC, in FFT bins 0, 1,
+    ...; the ones below it wrap around to the top bins."""
+    return cfg.fft_size // 2 - (cfg.fft_size - cfg.subcarriers) // 2
 
 
 def subcarrier_bins(cfg: GridConfig) -> np.ndarray:
     """Physical FFT bin index for each subcarrier."""
-    occ = _occupied_slice(cfg)
-    centered = np.arange(occ.start, occ.stop)
-    return (centered - cfg.fft_size // 2) % cfg.fft_size
+    return (np.arange(cfg.subcarriers) - _dc_split(cfg)) % cfg.fft_size
 
 
 def ofdm_modulate_into(symbols: np.ndarray, cfg: GridConfig, out: np.ndarray) -> None:
@@ -191,10 +190,7 @@ def ofdm_modulate_into(symbols: np.ndarray, cfg: GridConfig, out: np.ndarray) ->
             f"cannot modulate symbols of shape {symbols.shape} into samples of "
             f"shape {out.shape}"
         )
-    sub, fft = cfg.subcarriers, cfg.fft_size
-    # subcarriers from ``split`` on sit at and above DC, bins 0, 1, ...; the
-    # ones below it wrap around to the top bins
-    split = fft // 2 - (fft - sub) // 2
+    sub, fft, split = cfg.subcarriers, cfg.fft_size, _dc_split(cfg)
     useful = out[:, cfg.cp_len:]
     useful[:, :sub - split] = symbols[:, split:]
     useful[:, sub - split:fft - split] = 0.0
@@ -217,7 +213,8 @@ def ofdm_modulate(grid: ResourceGrid, cfg: GridConfig) -> TimeSignal:
 
 
 def ofdm_demodulate(signal: TimeSignal, cfg: GridConfig, start: int = 0) -> ResourceGrid:
-    """Strip cyclic prefixes and FFT back to a (symbols, subcarriers) grid."""
+    """Strip cyclic prefixes and FFT back to a (symbols, subcarriers) grid,
+    reading each subcarrier straight from its FFT bin."""
     need = cfg.symbols_per_slot * cfg.symbol_len
     if start < 0 or start + need > signal.samples.size:
         raise ValueError(
@@ -226,9 +223,7 @@ def ofdm_demodulate(signal: TimeSignal, cfg: GridConfig, start: int = 0) -> Reso
         )
     seg = signal.samples[start:start + need].reshape(cfg.symbols_per_slot, cfg.symbol_len)
     spectrum = np.fft.fft(seg[:, cfg.cp_len:], axis=1, norm="ortho")
-    # the inverse of the bin placement in ofdm_modulate_into
-    sub, fft = cfg.subcarriers, cfg.fft_size
-    split = fft // 2 - (fft - sub) // 2
+    sub, fft, split = cfg.subcarriers, cfg.fft_size, _dc_split(cfg)
     grid = np.empty((cfg.symbols_per_slot, sub), dtype=np.complex128)
     grid[:, split:] = spectrum[:, :sub - split]
     grid[:, :split] = spectrum[:, fft - split:]

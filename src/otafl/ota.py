@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import functools
 import os
+from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -242,7 +243,7 @@ def _pilot_values(subcarriers: int) -> np.ndarray:
 
 
 def _superposed_frame(
-    ues: list[int],
+    ues: Sequence[int],
     num_ues: int,
     phy: PhyConfig,
     gains: np.ndarray,
@@ -318,7 +319,7 @@ def _superposed_frame(
 
 def _receive(
     rx: np.ndarray,
-    ues: list[int],
+    ues: Sequence[int],
     phy: PhyConfig,
     info_start: int,
     seed,

@@ -20,7 +20,9 @@ PEAK_POWER = 1.0
 MARGIN = 0.9
 
 
-def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL):
+def inversion_floor(
+    estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL
+) -> float | np.ndarray:
     """Magnitude floor: ``floor_rel`` times the median estimated |H| over the
     subcarriers, one floor per row of the estimate (a scalar for one row)."""
     if floor_rel < 0:
@@ -28,7 +30,7 @@ def inversion_floor(estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_
     return floor_rel * np.median(np.abs(estimate.gains), axis=-1)
 
 
-def inversion_divisor(estimate: ChannelEstimate, floor) -> np.ndarray:
+def inversion_divisor(estimate: ChannelEstimate, floor: float | np.ndarray) -> np.ndarray:
     """The channel estimate with magnitudes below ``floor`` raised to it.
 
     ``floor`` is a scalar or one value per row of the estimate, as

@@ -183,6 +183,27 @@ def test_modulate_into_matches_the_shifted_spectrum_reference(cfg):
             == _shifted_spectrum_modulate(slot.data, cfg).tobytes())
 
 
+@pytest.mark.parametrize("cfg", [
+    CFG,
+    GridConfig(subcarriers=120, symbols_per_slot=3, fft_size=256),
+    GridConfig(subcarriers=31, symbols_per_slot=2, fft_size=64, cp_len=5),
+    GridConfig(subcarriers=33, symbols_per_slot=2, fft_size=65, cp_len=0),
+    GridConfig(subcarriers=1, symbols_per_slot=1, fft_size=2, cp_len=1),
+], ids=lambda c: f"{c.subcarriers}of{c.fft_size}cp{c.cp_len}")
+def test_demodulate_matches_the_shifted_spectrum_reference(cfg):
+    """Reading each subcarrier straight from its FFT bin gives the bits of
+    an fftshift of the spectrum and a centred slice, at any start."""
+    rng = np.random.default_rng(cfg.fft_size)
+    n = cfg.slot_len + 9
+    signal = TimeSignal(rng.normal(size=n) + 1j * rng.normal(size=n), cfg.sample_rate)
+    lo = (cfg.fft_size - cfg.subcarriers) // 2
+    for start in (0, 9):
+        seg = signal.samples[start:start + cfg.slot_len].reshape(cfg.symbols_per_slot, -1)
+        spectrum = np.fft.fft(seg[:, cfg.cp_len:], axis=1, norm="ortho")
+        want = np.fft.fftshift(spectrum, axes=1)[:, lo:lo + cfg.subcarriers]
+        assert ofdm_demodulate(signal, cfg, start).data.tobytes() == want.tobytes()
+
+
 # ------------------------------------------------------------- framing
 
 

@@ -13,7 +13,6 @@ from otafl.weightcodec import (
     component_peaks,
     map_to_grids,
     pack_complex,
-    pack_into,
     scale_updates,
     shared_peaks,
     slot_plan,
@@ -87,22 +86,17 @@ def test_pack_validation():
         pack_complex(np.empty(0))
     with pytest.raises(ValueError):
         pack_complex(np.zeros((2, 2)))
-    with pytest.raises(ValueError):
-        pack_into(np.ones(5), np.empty(2, dtype=complex))  # 3 symbols needed
 
 
 @pytest.mark.parametrize("size", [1, 2, 7, 8])
-def test_pack_into_fills_a_padded_payload(size):
-    """Packing into a longer buffer writes the same symbols bit for bit,
-    signed zeros included, and zeroes the padding after them."""
+def test_pack_complex_pairs_reals_bit_for_bit(size):
+    """Packing gives the paired reals bit for bit, signed zeros included,
+    with an odd tail paired with zero."""
     v = np.random.default_rng(size).normal(size=size)
     v[::3] = -0.0
-    out = np.full(6, np.nan, dtype=complex)
-    pack_into(v, out)
     want = (np.concatenate([v, [0.0]]) if size % 2 else v)
     want = want[0::2] + 1j * want[1::2]
-    assert out[:want.size].tobytes() == want.tobytes()
-    np.testing.assert_array_equal(out[want.size:], 0.0)
+    assert pack_complex(v).tobytes() == want.tobytes()
 
 
 # --------------------------------------------------------- scale/unscale
