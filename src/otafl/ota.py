@@ -139,10 +139,12 @@ class PhyConfig:
             raise ValueError(f"unknown pilot_allocation {self.pilot_allocation!r}")
         if self.scale_mode not in SCALE_MODES:
             raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
-        if self.floor_rel < 0:
+        if not self.floor_rel >= 0:
             raise ValueError("floor_rel must be >= 0")
         if not 0 <= self.decorrelation <= 1:
             raise ValueError("decorrelation must lie in [0, 1]")
+        if self.uplink_snr_db is not None and not np.isfinite(self.uplink_snr_db):
+            raise ValueError("uplink_snr_db must be finite, or None for no noise")
 
     @property
     def preamble_slot_len(self) -> int:

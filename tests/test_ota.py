@@ -802,6 +802,12 @@ def test_phy_config_validation():
         PhyConfig(floor_rel=-0.1)
     with pytest.raises(ValueError):
         PhyConfig(decorrelation=1.5)
+    # a NaN floor used to run unfloored, and a NaN SNR aborted every round
+    for bad in (dict(floor_rel=np.nan), dict(decorrelation=np.nan),
+                dict(uplink_snr_db=np.nan), dict(uplink_snr_db=np.inf)):
+        with pytest.raises(ValueError):
+            PhyConfig(**bad)
+    assert PhyConfig(uplink_snr_db=None).uplink_snr_db is None
     # the transmit scale cancels out of every result, so it is no field
     assert PhyConfig().peak_power == 1.0
     with pytest.raises(TypeError):
