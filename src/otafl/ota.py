@@ -441,6 +441,7 @@ def ota_aggregate(
         )
         for ue in range(num_ues)
     ])
+    # at zero decorrelation the payload sees the sounding gains; skip the seeds
     payload_gains = gains if phy.decorrelation == 0.0 else np.stack([
         decorrelate(g, phy.channel, phy.decorrelation,
                     derive_seed(master_seed, round_index, ue, _TAG_DECORR))

@@ -54,13 +54,14 @@ def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
     only when that largest peak is zero or the rail is empty, so a client
     whose rail is all zero does not force the shared scale to 1.0.
     """
-    rails = ([], [])
+    peaks_i, peaks_q = [], []
     for d in deltas:
         magnitude = np.abs(np.asarray(d, dtype=np.float64))
-        for start, peaks in enumerate(rails):
-            if magnitude.size > start:
-                peaks.append(float(magnitude[start::2].max()))
-    peak_i, peak_q = (max(peaks, default=0.0) for peaks in rails)
+        if magnitude.size > 0:
+            peaks_i.append(float(magnitude[0::2].max()))
+        if magnitude.size > 1:
+            peaks_q.append(float(magnitude[1::2].max()))
+    peak_i, peak_q = max(peaks_i, default=0.0), max(peaks_q, default=0.0)
     return (peak_i if peak_i > 0.0 else 1.0), (peak_q if peak_q > 0.0 else 1.0)
 
 
