@@ -55,13 +55,11 @@ from .scenario import Scenario, ScenarioError, parse, parse_file, run_scenario, 
 from .sync import SyncConfig, draw_offsets, offset_bound, peak_spread
 from .weightcodec import (
     ScaledUpdate,
-    SlotPlan,
     map_to_grids,
     pack_complex,
     scale_updates,
     slot_plan,
     unmap_from_grids,
-    unpack_complex,
     unscale_updates,
 )
 
@@ -71,7 +69,7 @@ __all__ = [
     "AggregateReport", "ChannelEstimate", "ChannelModel", "EnergyModel",
     "ExperimentResult", "GridConfig", "PhyConfig", "ResourceGrid",
     "RoundState", "RoundTrace", "ScaledUpdate", "Scenario", "ScenarioError",
-    "SlotPlan", "SpectralProfile",
+    "SpectralProfile",
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",
     "average_deltas", "channel_invert", "compute_alpha",
     "compute_delta", "detect_frame", "digital_slots", "draw_offsets",
@@ -83,5 +81,5 @@ __all__ = [
     "pack_complex", "parse", "parse_file", "peak_spread", "realize_channel",
     "round_energy", "run_experiment", "run_scenario", "scale_updates",
     "serialize", "slot_plan", "spectrum_gain", "superpose", "unmap_from_grids",
-    "unpack_complex", "unscale_updates",
+    "unscale_updates",
 ]

@@ -36,8 +36,8 @@ class SpectralProfile:
     efficiencies: tuple[float, ...]
 
     def __post_init__(self):
-        if not self.efficiencies or any(m <= 0 for m in self.efficiencies):
-            raise ValueError("profile needs positive per-client efficiencies")
+        if not self.efficiencies or not all(0 < m < math.inf for m in self.efficiencies):
+            raise ValueError("profile needs positive, finite per-client efficiencies")
 
     @classmethod
     def uniform(cls, efficiency: float, num_ues: int) -> "SpectralProfile":
@@ -59,8 +59,10 @@ class EnergyModel:
     fixed_overhead: float = DEFAULT_FIXED_OVERHEAD
 
     def __post_init__(self):
-        if self.slot_duration_s <= 0 or self.fixed_overhead < 0:
-            raise ValueError("duration must be positive and overhead >= 0")
+        if not math.isfinite(self.tx_power_dbm):
+            raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm!r}")
+        if not 0 < self.slot_duration_s < math.inf or not 0 <= self.fixed_overhead < math.inf:
+            raise ValueError("duration must be positive and overhead >= 0, both finite")
 
     @property
     def slot_energy_j(self) -> float:
@@ -71,8 +73,8 @@ class EnergyModel:
 def digital_slots_raw(param_count: int, bits_per_param: int, efficiency: float,
                       cfg: GridConfig = GridConfig()) -> float:
     """Pre-ceiling slots one client needs: P*b / (m*K)."""
-    if param_count < 1 or bits_per_param < 1 or efficiency <= 0:
-        raise ValueError("param_count, bits and efficiency must be positive")
+    if param_count < 1 or bits_per_param < 1 or not 0 < efficiency < math.inf:
+        raise ValueError("param_count, bits and efficiency must be positive and finite")
     return param_count * bits_per_param / (efficiency * cfg.res_per_slot)
 
 
@@ -87,7 +89,7 @@ def digital_slots(param_count: int, bits_per_param: int, profile: SpectralProfil
 
 def ota_slots(param_count: int, cfg: GridConfig = GridConfig()) -> int:
     """Shared analog slots per round: ceil(P / (2 * K)), independent of M."""
-    return slot_plan(param_count, cfg).slots
+    return slot_plan(param_count, cfg)
 
 
 def spectrum_gain(param_count: int, bits_per_param: int, profile: SpectralProfile,

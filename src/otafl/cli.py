@@ -26,6 +26,7 @@ from __future__ import annotations
 import argparse
 import csv
 import dataclasses
+import math
 import sys
 
 from .accounting import (
@@ -68,6 +69,16 @@ def _parse_range(text: str) -> range:
     if a < 1 or b < a:
         raise argparse.ArgumentTypeError("range needs 1 <= A <= B")
     return range(a, b + 1)
+
+
+def _finite_float(text: str) -> float:
+    try:
+        value = float(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid float value: {text!r}") from None
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text!r}")
+    return value
 
 
 def _parse_spreads(text: str) -> list[int]:
@@ -181,10 +192,10 @@ def build_parser() -> argparse.ArgumentParser:
                        help="bits per parameter for the digital upload")
     p_acc.add_argument("--m-range", type=_parse_range, default=range(2, 21),
                        help="client counts as A..B inclusive (default 2..20)")
-    p_acc.add_argument("--efficiency", type=float, default=DEFAULT_SPECTRAL_EFFICIENCY,
+    p_acc.add_argument("--efficiency", type=_finite_float, default=DEFAULT_SPECTRAL_EFFICIENCY,
                        help="digital spectral efficiency, bits per resource element")
-    p_acc.add_argument("--tx-power-dbm", type=float, default=20.0)
-    p_acc.add_argument("--overhead", type=float, default=DEFAULT_FIXED_OVERHEAD,
+    p_acc.add_argument("--tx-power-dbm", type=_finite_float, default=20.0)
+    p_acc.add_argument("--overhead", type=_finite_float, default=DEFAULT_FIXED_OVERHEAD,
                        help="fixed per-round overhead in slot energies")
     p_acc.add_argument("--out", default=None, help="write the table as CSV here")
     p_acc.set_defaults(func=_cmd_accounting)

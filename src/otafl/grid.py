@@ -200,31 +200,30 @@ def ofdm_modulate_into(symbols: np.ndarray, cfg: GridConfig, out: np.ndarray) ->
 
 
 def ofdm_modulate(grid: ResourceGrid, cfg: GridConfig) -> TimeSignal:
-    """Unitary IFFT per symbol plus cyclic prefix, symbols concatenated."""
-    data = grid.data
-    if data.shape != (cfg.symbols_per_slot, cfg.subcarriers):
-        raise ValueError(
-            f"grid shape {data.shape} does not match config "
-            f"({cfg.symbols_per_slot}, {cfg.subcarriers})"
-        )
-    out = np.empty((cfg.symbols_per_slot, cfg.symbol_len), dtype=np.complex128)
-    ofdm_modulate_into(data, cfg, out)
+    """Unitary IFFT per symbol plus cyclic prefix, any number of symbols
+    concatenated."""
+    out = np.empty((grid.data.shape[0], cfg.symbol_len), dtype=np.complex128)
+    ofdm_modulate_into(grid.data, cfg, out)
     return TimeSignal(out.reshape(-1), cfg.sample_rate)
 
 
-def ofdm_demodulate(signal: TimeSignal, cfg: GridConfig, start: int = 0) -> ResourceGrid:
-    """Strip cyclic prefixes and FFT back to a (symbols, subcarriers) grid,
-    reading each subcarrier straight from its FFT bin."""
-    need = cfg.symbols_per_slot * cfg.symbol_len
+def ofdm_demodulate(
+    signal: TimeSignal, cfg: GridConfig, start: int = 0, symbols: int | None = None
+) -> ResourceGrid:
+    """Strip cyclic prefixes and FFT ``symbols`` OFDM symbols (one slot's by
+    default) from ``start`` on back to a (symbols, subcarriers) grid in one
+    call, reading each subcarrier straight from its FFT bin."""
+    n = cfg.symbols_per_slot if symbols is None else symbols
+    need = n * cfg.symbol_len
     if start < 0 or start + need > signal.samples.size:
         raise ValueError(
             f"demodulation window [{start}, {start + need}) exceeds signal "
             f"of {signal.samples.size} samples"
         )
-    seg = signal.samples[start:start + need].reshape(cfg.symbols_per_slot, cfg.symbol_len)
+    seg = signal.samples[start:start + need].reshape(n, cfg.symbol_len)
     spectrum = np.fft.fft(seg[:, cfg.cp_len:], axis=1, norm="ortho")
     sub, fft, split = cfg.subcarriers, cfg.fft_size, _dc_split(cfg)
-    grid = np.empty((cfg.symbols_per_slot, sub), dtype=np.complex128)
+    grid = np.empty((n, sub), dtype=np.complex128)
     grid[:, split:] = spectrum[:, :sub - split]
     grid[:, :split] = spectrum[:, fft - split:]
     return ResourceGrid(grid)

@@ -15,16 +15,16 @@ One uplink round, as simulated here:
     estimates are one ``(clients, subcarriers)`` array, and each estimation
     stage (least squares, interpolation, quantization) is one call for all
     clients.
-4.  Every client's update is scaled straight into its row of one
+4.  The codec packs every client's scaled update into its row of one
     ``(clients, payload symbols, subcarriers)`` block, and the block is
     divided by the floored estimates in one call.  The shared power-control
     factor alpha comes from each row's peak; the clients then scale,
     modulate and transmit simultaneously.  The multiple-access channel
     sums them in the air, so each client's delayed frame is added straight
     into the one receive buffer of the event.
-5.  The receiver detects the superposed frame, demodulates the payload,
-    descales by M * alpha and the shared peak scales, and applies the
-    recovered average update to the global model.
+5.  The receiver detects the superposed frame, demodulates the payload
+    block in one call, descales it by M * alpha and, through the codec, by
+    the shared peak scales, and applies the recovered average update.
 
 Each client prepends its own Gold preamble in a dedicated time slot of the
 preamble region (staggered, like sounding reference signals), keeping the
@@ -58,7 +58,6 @@ from .channel import ChannelModel, decorrelate, realize_channel
 from .csi import ChannelEstimate, interpolate, ls_estimate, nmse, quantize_estimate
 from .grid import (
     GridConfig,
-    ResourceGrid,
     TimeSignal,
     detect_frame,
     gold_sequence,
@@ -76,7 +75,7 @@ from .precode import (
     inversion_floor,
 )
 from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound
-from .weightcodec import component_peaks, shared_peaks, slot_plan, unmap_from_grids
+from .weightcodec import component_peaks, pack_payload, shared_peaks, slot_plan, unmap_from_grids
 
 CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
@@ -362,6 +361,26 @@ def _receive(
     return TimeSignal(rx, phy.grid.sample_rate), offsets, metrics
 
 
+def _read_symbols(
+    rx: TimeSignal, offsets: np.ndarray, phy: PhyConfig, num_ues: int, skip: int, n: int
+) -> np.ndarray:
+    """Demodulate ``n`` OFDM symbols ``skip`` symbols past the preamble
+    region at the earliest detected timing, in one call; a start that would
+    read past the end of ``rx`` moves back to its last full window."""
+    cfg = phy.grid
+    start = int(offsets.min()) + phy.preamble_region_len(num_ues) + skip * cfg.symbol_len
+    start = min(start, rx.samples.size - n * cfg.symbol_len)
+    return ofdm_demodulate(rx, cfg, start, n).data
+
+
+def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
+    """NMSE of an aggregate in dB; against a zero exact average it reads the
+    -300 dB floor when the aggregate is exactly zero too, else 0 dB."""
+    if float(np.sum(np.abs(exact) ** 2)) == 0.0:
+        return -300.0 if np.array_equal(sent, exact) else 0.0
+    return nmse(sent, exact)
+
+
 def _pilot_positions(ue: int, num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
     if allocation == "tdm_full":
         return np.arange(cfg.subcarriers)
@@ -401,18 +420,8 @@ def ota_aggregate(
     for d in deltas:
         if d.shape != (param_count,):
             raise ValueError("all deltas must be equal-length vectors")
-    plan = slot_plan(param_count, cfg)
+    slots = slot_plan(param_count, cfg)
     exact_avg = fl.average_deltas(deltas)
-
-    def _report(recovered, alpha, aborted, reason, offsets, metrics, powers, scales):
-        if float(np.sum(np.abs(exact_avg) ** 2)) == 0.0:
-            agg = -300.0 if np.array_equal(recovered, exact_avg) else 0.0
-        else:
-            agg = nmse(recovered, exact_avg)
-        return AggregateReport(
-            recovered, exact_avg, alpha, plan.slots, aborted, reason,
-            agg, offsets, metrics, powers, scales,
-        )
 
     # --- common scale negotiation (error-free control channel) -----------
     if phy.scale_mode == "common":
@@ -427,12 +436,16 @@ def ota_aggregate(
             float(np.mean([s[1] for s in client_scales])),
         )
 
-    zeros = np.zeros(param_count)
-    no_metrics = np.zeros(num_ues)
+    def _report(recovered, alpha, offsets, metrics, powers, abort_reason=""):
+        return AggregateReport(
+            recovered, exact_avg, alpha, slots, bool(abort_reason), abort_reason,
+            _aggregate_nmse_db(recovered, exact_avg), offsets, metrics, powers, descale,
+        )
+
     if all(float(np.max(np.abs(d))) == 0.0 for d in deltas):
         # nothing to send: skip the air interface, deliver the exact zero
-        return _report(zeros.copy(), 0.0, False, "", np.zeros(num_ues, dtype=np.int64),
-                       no_metrics, no_metrics.copy(), descale)
+        return _report(np.zeros(param_count), 0.0, np.zeros(num_ues, dtype=np.int64),
+                       np.zeros(num_ues), np.zeros(num_ues))
 
     # --- channel realizations and timing offsets -------------------------
     gains = np.stack([
@@ -486,17 +499,15 @@ def ota_aggregate(
             received.append(rx)
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
-            return _report(zeros.copy(), 0.0, True, "sounding detection failed",
-                           s_offsets, s_metrics,
-                           np.full(num_ues, phy.reference_amplitude**2), descale)
+            return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
+                           np.full(num_ues, phy.reference_amplitude**2),
+                           "sounding detection failed")
         # Every event is read at the earliest client's timing, so the
         # estimates absorb each client's residual offset as a phase ramp.
         # One pilot row per event: the comb's single row holds every
         # client's pilots, the full band's rows one client each.
-        pilot_start = int(s_offsets.min()) + phy.preamble_region_len(num_ues)
         rows = np.stack([
-            ofdm_demodulate(rx, cfg, max(0, min(pilot_start, rx.samples.size - cfg.slot_len)))
-            .data.mean(axis=0)
+            _read_symbols(rx, s_offsets, phy, num_ues, 0, cfg.symbols_per_slot).mean(axis=0)
             for rx in received
         ])
         del received  # free the sounding buffers before the payload block
@@ -506,18 +517,9 @@ def ota_aggregate(
         estimate = quantize_estimate(interpolate(raw, pilots, cfg), phy.feedback_quant_bits)
 
     # --- precode, shared power control ------------------------------------
-    # Each client's update is scaled straight into its block of payload
-    # symbols, seen as interleaved reals (even -> I, odd -> Q), and the whole
-    # block is divided by the floored estimates; compute_alpha checks that
-    # the result is finite.
-    payload = np.empty((num_ues, plan.slots * cfg.symbols_per_slot, cfg.subcarriers),
-                       dtype=np.complex128)
-    reals = payload.reshape(num_ues, -1).view(np.float64)
-    for ue, (d, (scale_i, scale_q)) in enumerate(zip(deltas, client_scales)):
-        d = np.asarray(d, dtype=np.float64)
-        np.divide(d[0::2], scale_i, out=reals[ue, 0:param_count:2])
-        np.divide(d[1::2], scale_q, out=reals[ue, 1:param_count:2])
-    reals[:, param_count:] = 0.0
+    # The whole payload block is divided by the floored estimates;
+    # compute_alpha checks that the result is finite.
+    payload = pack_payload(deltas, client_scales, cfg)
     divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
     payload /= divisor[:, np.newaxis, :]
     alpha = compute_alpha(payload)
@@ -531,21 +533,14 @@ def ota_aggregate(
         derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD),
     )
     if np.any(p_metrics < DETECT_THRESHOLD):
-        return _report(zeros.copy(), 0.0, True, "payload detection failed",
-                       p_offsets, p_metrics, max_re_power, descale)
-    start = int(p_offsets.min())
-    frame_body = (1 + plan.slots * cfg.symbols_per_slot) * cfg.symbol_len
-    latest = rx.samples.size - (phy.preamble_region_len(num_ues) + frame_body)
-    start = max(0, min(start, latest))
+        return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
+                       "payload detection failed")
 
     # --- demodulate, descale, compare -------------------------------------
-    rx_grids = []
-    base = start + phy.preamble_region_len(num_ues) + cfg.symbol_len
-    for s in range(plan.slots):
-        g = ofdm_demodulate(rx, cfg, base + s * cfg.slot_len)
-        rx_grids.append(ResourceGrid(g.data / (num_ues * alpha)))
-    recovered = unmap_from_grids(rx_grids, plan, descale, cfg)
-    return _report(recovered, alpha, False, "", p_offsets, p_metrics, max_re_power, descale)
+    # the payload follows the frame's one pilot symbol
+    block = _read_symbols(rx, p_offsets, phy, num_ues, 1, payload.shape[1])
+    recovered = unmap_from_grids(block / (num_ues * alpha), param_count, descale)
+    return _report(recovered, alpha, p_offsets, p_metrics, max_re_power)
 
 
 # ---------------------------------------------------------------------------
@@ -689,14 +684,11 @@ def run_digital_round(
     else:
         sent = exact
         bits = 32
-    agg_db = -300.0 if mode == "digital_fp32" else (
-        nmse(sent, exact) if float(np.sum(np.abs(exact) ** 2)) > 0 else -300.0
-    )
     slots = digital_slots(state.theta.size, bits, profile, grid)
     return _finish_round(
         state, tasks, sent, False,
         mode=mode,
-        agg_nmse_db=agg_db,
+        agg_nmse_db=_aggregate_nmse_db(sent, exact),
         alpha=0.0,
         slots_used=slots,
         energy_j=(energy_model.fixed_overhead + slots) * energy_model.slot_energy_j,

@@ -5,7 +5,6 @@ from __future__ import annotations
 import numpy as np
 
 from .csi import ChannelEstimate
-from .grid import ResourceGrid
 
 # Default inversion floor as a fraction of the median estimated magnitude.
 # Chosen empirically on per-subcarrier Rayleigh fading at 20 dB receive SNR:
@@ -57,20 +56,20 @@ def inversion_divisor(estimate: ChannelEstimate, floor: float | np.ndarray) -> n
 
 
 def channel_invert(
-    grids: list[ResourceGrid],
+    block: np.ndarray,
     estimate: ChannelEstimate,
-    floor: float,
-) -> list[ResourceGrid]:
-    """Divide every symbol of the payload grids by :func:`inversion_divisor`,
-    one gain per subcarrier."""
-    divisor = inversion_divisor(estimate, floor)
-    out = []
-    for g in grids:
-        if g.data.shape[1:] != divisor.shape:
-            raise ValueError(f"payload grid shape {g.data.shape} does not end in the "
-                             f"estimate's {divisor.shape}")
-        out.append(ResourceGrid(g.data / divisor))
-    return out
+    floor: float | np.ndarray,
+) -> np.ndarray:
+    """Divide every symbol of a payload block by :func:`inversion_divisor`,
+    one gain per subcarrier: a ``(symbols, subcarriers)`` block by a one-row
+    estimate, or a ``(clients, symbols, subcarriers)`` block by one row per
+    client."""
+    divisor = inversion_divisor(estimate, floor)[..., np.newaxis, :]
+    block = np.asarray(block, dtype=np.complex128)
+    if block.ndim != divisor.ndim or block.shape[-1] != divisor.shape[-1]:
+        raise ValueError(f"payload block shape {block.shape} does not end in the "
+                         f"estimate's {divisor.shape[-1]} subcarriers")
+    return block / divisor
 
 
 def compute_alpha(precoded: np.ndarray) -> float:

@@ -1,19 +1,20 @@
-"""Mapping between model-update vectors and OFDM resource grids.
+"""Mapping between model-update vectors and OFDM payload blocks.
 
-A real update vector is peak-normalized per I/Q component, packed two reals
-per complex symbol (even positions become real parts, odd positions become
-imaginary parts) and written row-major into as many payload slots as the
-parameter count requires.  The receiver walks the same path backwards.
+A real update vector is peak-normalized per I/Q component and packed two
+reals per resource element (even positions real, odd imaginary), row-major
+into one ``(slots * symbols_per_slot, subcarriers)`` block: the block's
+float64 view is the scaled update, then zeros.  Both link ends use it.
 """
 
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
 
-from .grid import GridConfig, ResourceGrid
+from .grid import GridConfig
 
 
 @dataclass
@@ -30,21 +31,6 @@ class ScaledUpdate:
             raise ValueError("scaled update must be a nonempty vector")
         if self.scale_i <= 0 or self.scale_q <= 0:
             raise ValueError("scales must be positive")
-
-
-@dataclass(frozen=True)
-class SlotPlan:
-    """How many payload slots a parameter count occupies and the padding."""
-
-    slots: int
-    pad: int
-
-    def __post_init__(self):
-        if self.slots < 1 or self.pad < 0:
-            raise ValueError("slot plan needs slots >= 1 and pad >= 0")
-
-    def param_count(self, cfg: GridConfig) -> int:
-        return 2 * self.slots * cfg.res_per_slot - self.pad
 
 
 def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
@@ -111,49 +97,57 @@ def pack_complex(values: np.ndarray) -> np.ndarray:
     return v[0::2] + 1j * odd
 
 
-def unpack_complex(symbols: np.ndarray, count: int) -> np.ndarray:
-    """Inverse of :func:`pack_complex`, truncated to ``count`` reals."""
-    s = np.asarray(symbols, dtype=np.complex128)
-    out = np.empty(2 * s.size, dtype=np.float64)
-    out[0::2] = s.real
-    out[1::2] = s.imag
-    return out[:count]
-
-
-def slot_plan(param_count: int, cfg: GridConfig) -> SlotPlan:
-    """Slots needed for ``param_count`` reals at 2 reals per resource element."""
+def slot_plan(param_count: int, cfg: GridConfig) -> int:
+    """Payload slots needed for ``param_count`` reals at 2 reals per resource element."""
     if param_count < 1:
         raise ValueError("param_count must be >= 1")
-    capacity = 2 * cfg.res_per_slot
-    slots = math.ceil(param_count / capacity)
-    return SlotPlan(slots=slots, pad=slots * capacity - param_count)
+    return math.ceil(param_count / (2 * cfg.res_per_slot))
 
 
-def map_to_grids(symbols: np.ndarray, plan: SlotPlan, cfg: GridConfig) -> list[ResourceGrid]:
-    """Write complex symbols row-major into ``plan.slots`` payload grids."""
+def pack_payload(
+    deltas: Sequence[np.ndarray],
+    scales: Sequence[tuple[float, float]],
+    cfg: GridConfig,
+) -> np.ndarray:
+    """Every client's update, divided by its (I, Q) scales, in its row of one
+    ``(clients, slots * symbols_per_slot, subcarriers)`` payload block.
+
+    The updates are written straight into the block's float64 view, which
+    interleaves real and imaginary parts as :func:`pack_complex` pairs them
+    (even -> I, odd -> Q); every real after the last parameter is zero.
+    """
+    param_count = deltas[0].size
+    symbols = slot_plan(param_count, cfg) * cfg.symbols_per_slot
+    block = np.empty((len(deltas), symbols, cfg.subcarriers), dtype=np.complex128)
+    reals = block.reshape(len(deltas), -1).view(np.float64)
+    for row, d, (scale_i, scale_q) in zip(reals, deltas, scales):
+        d = np.asarray(d, dtype=np.float64)
+        np.divide(d[0::2], scale_i, out=row[0:param_count:2])
+        np.divide(d[1::2], scale_q, out=row[1:param_count:2])
+    reals[:, param_count:] = 0.0
+    return block
+
+
+def map_to_grids(symbols: np.ndarray, slots: int, cfg: GridConfig) -> np.ndarray:
+    """Write complex symbols row-major into a ``(slots * symbols_per_slot,
+    subcarriers)`` payload block, zero after the last symbol."""
     s = np.asarray(symbols, dtype=np.complex128)
-    total = plan.slots * cfg.res_per_slot
-    if s.ndim != 1 or s.size > total:
-        raise ValueError(f"{s.size} symbols exceed a {plan.slots}-slot plan")
-    flat = np.zeros(total, dtype=np.complex128)
-    flat[:s.size] = s
-    cube = flat.reshape(plan.slots, cfg.symbols_per_slot, cfg.subcarriers)
-    return [ResourceGrid(cube[k]) for k in range(plan.slots)]
+    block = np.zeros((slots * cfg.symbols_per_slot, cfg.subcarriers), dtype=np.complex128)
+    if s.ndim != 1 or s.size > block.size:
+        raise ValueError(f"{s.size} symbols exceed a {slots}-slot payload")
+    block.reshape(-1)[:s.size] = s
+    return block
 
 
 def unmap_from_grids(
-    grids: list[ResourceGrid],
-    plan: SlotPlan,
-    scales: tuple[float, float],
-    cfg: GridConfig,
+    block: np.ndarray, param_count: int, scales: tuple[float, float]
 ) -> np.ndarray:
-    """Inverse of the map: flatten, unpack and restore the component scales."""
-    if len(grids) != plan.slots:
-        raise ValueError(f"expected {plan.slots} grids, got {len(grids)}")
-    flat = np.concatenate([g.data.reshape(-1) for g in grids])
-    count = plan.param_count(cfg)
-    symbols = flat[:math.ceil(count / 2)]
-    out = unpack_complex(symbols, count)
+    """The first ``param_count`` reals of a payload block's float64 view
+    (even -> I, odd -> Q), multiplied back by the component scales."""
+    reals = np.ascontiguousarray(block, dtype=np.complex128).reshape(-1).view(np.float64)
+    if not 1 <= param_count <= reals.size:
+        raise ValueError(f"a block of {reals.size} reals cannot hold {param_count} parameters")
+    out = reals[:param_count].copy()
     out[0::2] *= scales[0]
     out[1::2] *= scales[1]
     return out

@@ -127,10 +127,9 @@ def test_criterion_3_codec_phy_round_trips():
     for _ in range(500):
         params = int(rng.integers(1, 20_000))
         delta = rng.normal(size=params) * rng.uniform(0.01, 10)
-        plan = slot_plan(params, cfg)
         scaled = scale_updates(delta)
-        grids = map_to_grids(pack_complex(scaled.values), plan, cfg)
-        back = unmap_from_grids(grids, plan, (scaled.scale_i, scaled.scale_q), cfg)
+        block = map_to_grids(pack_complex(scaled.values), slot_plan(params, cfg), cfg)
+        back = unmap_from_grids(block, params, (scaled.scale_i, scaled.scale_q))
         codec_worst = max(codec_worst, float(np.max(np.abs(back - delta))))
 
     # OFDM round trip

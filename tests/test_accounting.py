@@ -73,6 +73,19 @@ def test_slot_counts_validation():
         format_from_grid(0, 256, 15e3)
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
+def test_non_finite_inputs_are_rejected(bad):
+    for kwargs in ({"tx_power_dbm": bad}, {"fixed_overhead": bad}, {"slot_duration_s": bad}):
+        with pytest.raises(ValueError):
+            EnergyModel(**kwargs)
+    with pytest.raises(ValueError):
+        SpectralProfile((7.4, bad))
+    with pytest.raises(ValueError):
+        SpectralProfile.uniform(bad, 2)
+    with pytest.raises(ValueError):
+        digital_slots_raw(P, 32, bad, FMT)
+
+
 # ---------------------------------------------------------------- energy
 
 

@@ -160,13 +160,21 @@ def _shifted_spectrum_modulate(data, cfg):
     return np.concatenate(rows)
 
 
-@pytest.mark.parametrize("cfg", [
+# Grid shapes the modulator and demodulator are checked on bit for bit.
+SHAPES = [
     CFG,
     GridConfig(subcarriers=120, symbols_per_slot=3, fft_size=256),
     GridConfig(subcarriers=31, symbols_per_slot=2, fft_size=64, cp_len=5),
     GridConfig(subcarriers=33, symbols_per_slot=2, fft_size=65, cp_len=0),
     GridConfig(subcarriers=1, symbols_per_slot=1, fft_size=2, cp_len=1),
-], ids=lambda c: f"{c.subcarriers}of{c.fft_size}cp{c.cp_len}")
+]
+
+
+def _shape_id(cfg):
+    return f"{cfg.subcarriers}of{cfg.fft_size}cp{cfg.cp_len}"
+
+
+@pytest.mark.parametrize("cfg", SHAPES, ids=_shape_id)
 def test_modulate_into_matches_the_shifted_spectrum_reference(cfg):
     """Direct bin placement and the in-place IFFT give the reference's
     samples bit for bit, whether written into a slot's own buffer or into a
@@ -183,13 +191,7 @@ def test_modulate_into_matches_the_shifted_spectrum_reference(cfg):
             == _shifted_spectrum_modulate(slot.data, cfg).tobytes())
 
 
-@pytest.mark.parametrize("cfg", [
-    CFG,
-    GridConfig(subcarriers=120, symbols_per_slot=3, fft_size=256),
-    GridConfig(subcarriers=31, symbols_per_slot=2, fft_size=64, cp_len=5),
-    GridConfig(subcarriers=33, symbols_per_slot=2, fft_size=65, cp_len=0),
-    GridConfig(subcarriers=1, symbols_per_slot=1, fft_size=2, cp_len=1),
-], ids=lambda c: f"{c.subcarriers}of{c.fft_size}cp{c.cp_len}")
+@pytest.mark.parametrize("cfg", SHAPES, ids=_shape_id)
 def test_demodulate_matches_the_shifted_spectrum_reference(cfg):
     """Reading each subcarrier straight from its FFT bin gives the bits of
     an fftshift of the spectrum and a centred slice, at any start."""
@@ -202,6 +204,25 @@ def test_demodulate_matches_the_shifted_spectrum_reference(cfg):
         spectrum = np.fft.fft(seg[:, cfg.cp_len:], axis=1, norm="ortho")
         want = np.fft.fftshift(spectrum, axes=1)[:, lo:lo + cfg.subcarriers]
         assert ofdm_demodulate(signal, cfg, start).data.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("cfg", SHAPES, ids=_shape_id)
+def test_demodulating_many_symbols_equals_one_slot_at_a_time(cfg):
+    """One call over n symbols gives the bits of n / symbols_per_slot
+    one-slot calls, at any start; a window past the end is rejected."""
+    slots = 3
+    rng = np.random.default_rng(cfg.fft_size + 1)
+    n = slots * cfg.slot_len + 5
+    signal = TimeSignal(rng.normal(size=n) + 1j * rng.normal(size=n), cfg.sample_rate)
+    symbols = slots * cfg.symbols_per_slot
+    for start in (0, 5):
+        got = ofdm_demodulate(signal, cfg, start, symbols).data
+        want = np.concatenate([ofdm_demodulate(signal, cfg, start + k * cfg.slot_len).data
+                               for k in range(slots)])
+        assert got.shape == (symbols, cfg.subcarriers)
+        assert got.tobytes() == want.tobytes()
+    with pytest.raises(ValueError):
+        ofdm_demodulate(signal, cfg, 6, symbols)
 
 
 # ------------------------------------------------------------- framing

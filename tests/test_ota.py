@@ -492,7 +492,7 @@ def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, pa
     deltas = _random_deltas(3, params, seed=params)
     ota_aggregate(deltas, _ideal_phy(scale_mode=scale_mode), master_seed=0)
     (block,) = seen
-    slots = ota.slot_plan(params, SMALL_GRID).slots
+    slots = ota.slot_plan(params, SMALL_GRID)
     assert block.shape == (3, slots * SMALL_GRID.symbols_per_slot, SMALL_GRID.subcarriers)
     shared = shared_peaks(deltas)
     for d, row in zip(deltas, block):
@@ -500,6 +500,32 @@ def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, pa
         want = pack_complex(scale_updates(d, scales).values)
         np.testing.assert_array_equal(row.reshape(-1)[:want.size], want)
         assert not row.reshape(-1)[want.size:].any()
+
+
+def test_read_symbols_moves_a_late_start_back_inside_the_buffer():
+    """The receive window starts ``skip`` symbols past the preamble region at
+    the earliest offset; a start that would read past the buffer's end reads
+    the buffer's last full window instead."""
+    phy = _ideal_phy()
+    cfg = phy.grid
+    num_ues, n = 3, 2 * cfg.symbols_per_slot
+    region = phy.preamble_region_len(num_ues)
+    size = region + (1 + n) * cfg.symbol_len + 10
+    rng = np.random.default_rng(4)
+    rx = TimeSignal(rng.normal(size=size) + 1j * rng.normal(size=size), cfg.sample_rate)
+    last = size - n * cfg.symbol_len
+
+    def read(offsets, skip):
+        return ota._read_symbols(rx, np.array(offsets), phy, num_ues, skip, n).tobytes()
+
+    def window(start):
+        return ofdm_demodulate(rx, cfg, start, n).data.tobytes()
+
+    assert read([9, 7, 8], 1) == window(7 + region + cfg.symbol_len)
+    assert read([0], 0) == window(region)
+    assert read([10, 12], 1) == window(last)  # exactly the last window
+    assert read([11, 12, 30], 1) == window(last)  # one sample late
+    assert read([400, 500], 0) == window(last)
 
 
 # Peak traced allocation of one aggregation at M = 20, P = 71 666,
@@ -702,6 +728,26 @@ def test_digital_int8_quantization_is_small_but_visible():
     res = run_experiment("digital_int8", 3, tasks, template, _ideal_phy(), master_seed=2)
     for t in res.traces:
         assert -300.0 < t.agg_nmse_db < -25.0  # quantized, not exact
+
+
+def test_zero_exact_average_reads_0_db_when_anything_was_sent(monkeypatch):
+    """Updates that cancel exactly have a zero average.  An aggregate that
+    is not exactly zero then reads 0 dB in every mode, and only an exact
+    one reads the -300 dB floor."""
+    rng = np.random.default_rng(0)
+    a = rng.normal(size=4)
+    b = 3 * rng.normal(size=4)
+    deltas = [a, b, -(a + b)]
+    assert fl.average_deltas(deltas).tobytes() == bytes(32)
+    monkeypatch.setattr(ota, "_train_deltas", lambda state, tasks, cfgs: deltas)
+    tasks = _make_tasks(3, features=4)
+    state = initial_state(tasks, master_seed=0)
+    cfgs = train_configs(fl.TrainConfig(), 3, master_seed=0, round_index=0)
+    profile = ota.SpectralProfile.uniform(7.0, 3)
+    _, int8 = ota.run_digital_round(state, tasks, cfgs, "digital_int8", profile, SMALL_GRID)
+    _, fp32 = ota.run_digital_round(state, tasks, cfgs, "digital_fp32", profile, SMALL_GRID)
+    _, air = run_ota_round(state, tasks, cfgs, _ideal_phy(), master_seed=0)
+    assert (int8.agg_nmse_db, fp32.agg_nmse_db, air.agg_nmse_db) == (0.0, -300.0, 0.0)
 
 
 def test_slots_and_energy_bookkeeping():

@@ -2,12 +2,39 @@
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import otafl
 
 PACKAGE_DIR = Path(otafl.__file__).resolve().parent
-BENCH_SPANS = Path(__file__).resolve().parent.parent / "bench" / "spans.py"
+TESTS_DIR = Path(__file__).resolve().parent
+BENCH_SPANS = TESTS_DIR.parent / "bench" / "spans.py"
+BENCH_WORKLOADS = TESTS_DIR.parent / "bench" / "workloads.py"
+
+TRACED_BY_BENCH = "traced by bench/spans.py"
+READ_BY_WORKLOADS = "read by bench/workloads.py"
+TEST_ORACLE = "test oracle"
+
+# Public functions and classes that no code in the package calls, each with
+# the reason it stays.  The list can only shrink: a new uncalled name fails
+# the ratchet below, and so does a listed name that gains a caller.
+PIPELINE_FREE = {
+    "accounting.format_from_grid": READ_BY_WORKLOADS,
+    "accounting.spectrum_gain": TEST_ORACLE,
+    "channel.superpose": TRACED_BY_BENCH,
+    "fl.evaluate_loss": TRACED_BY_BENCH,
+    "fl.fedavg_digital": TEST_ORACLE,
+    "grid.ofdm_modulate": TRACED_BY_BENCH,
+    "precode.channel_invert": TRACED_BY_BENCH,
+    "scenario.serialize": TEST_ORACLE,
+    "sync.peak_spread": TEST_ORACLE,
+    "sync.spread_of": TEST_ORACLE,
+    "weightcodec.map_to_grids": TRACED_BY_BENCH,
+    "weightcodec.pack_complex": TRACED_BY_BENCH,
+    "weightcodec.scale_updates": TRACED_BY_BENCH,
+    "weightcodec.unscale_updates": TEST_ORACLE,
+}
 
 
 def test_all_names_resolve_once():
@@ -47,15 +74,20 @@ def test_no_unused_imports():
     assert stale == {}
 
 
-def test_bench_traced_names_resolve():
-    """Every function the benchmark's tracer wraps still exists in its module,
-    so a traced run cannot silently lose a layer."""
+def _bench_traced() -> dict:
+    """``bench/spans.py``'s ``TRACED`` table, read without importing it."""
     tree = ast.parse(BENCH_SPANS.read_text(encoding="utf-8"))
-    traced = next(
+    return next(
         ast.literal_eval(node.value) for node in tree.body
         if isinstance(node, ast.Assign)
         and any(isinstance(t, ast.Name) and t.id == "TRACED" for t in node.targets)
     )
+
+
+def test_bench_traced_names_resolve():
+    """Every function the benchmark's tracer wraps still exists in its module,
+    so a traced run cannot silently lose a layer."""
+    traced = _bench_traced()
     assert traced
     missing = [
         f"{module}.{name}"
@@ -64,3 +96,56 @@ def test_bench_traced_names_resolve():
         if not callable(getattr(importlib.import_module(f"otafl.{module}"), name, None))
     ]
     assert missing == []
+
+
+def _uncalled_public_names(package_dir: Path = PACKAGE_DIR) -> set[str]:
+    """``module.name`` of every top-level public ``def`` or ``class`` in the
+    package that no package module reads outside that definition itself;
+    ``__init__.py``'s re-exports do not count as readers."""
+    defined, read = set(), set()
+    for path in sorted(package_dir.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        for node in ast.parse(path.read_text(encoding="utf-8")).body:
+            own = getattr(node, "name", None)
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
+                defined.add(f"{path.stem}.{own}")
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name is not None and name != own:
+                    read.add(name)
+    return {name for name in defined if name.rpartition(".")[2] not in read}
+
+
+def test_uncalled_public_names_are_exactly_the_listed_ones():
+    assert _uncalled_public_names() == set(PIPELINE_FREE)
+
+
+def test_uncalled_public_name_check_sees_a_caller_gained_or_lost(tmp_path):
+    for path in PACKAGE_DIR.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "ota.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\ndef lonely():\n    return lonely\n\n\n_CALLS = (superpose,)\n")
+    want = set(PIPELINE_FREE) - {"channel.superpose"} | {"ota.lonely"}
+    assert _uncalled_public_names(tmp_path) == want
+
+
+def test_pipeline_free_reasons_hold():
+    """A traced name is in ``TRACED``, a workload name is read by
+    ``bench/workloads.py`` and an oracle is called by some test."""
+    traced = {f"{module}.{fn}" for module, fns in _bench_traced().values() for fn in fns}
+    workloads = BENCH_WORKLOADS.read_text(encoding="utf-8")
+    tests = "\n".join(path.read_text(encoding="utf-8")
+                      for path in TESTS_DIR.glob("test_*.py") if path.name != "test_package.py")
+    wrong = []
+    for name, reason in PIPELINE_FREE.items():
+        called = re.compile(rf"\b{name.rpartition('.')[2]}\(")
+        holds = {
+            TRACED_BY_BENCH: name in traced,
+            READ_BY_WORKLOADS: called.search(workloads) is not None,
+            TEST_ORACLE: called.search(tests) is not None,
+        }.get(reason, False)
+        if not holds:
+            wrong.append(f"{name}: {reason}")
+    assert wrong == []

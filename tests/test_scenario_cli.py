@@ -397,6 +397,16 @@ def test_cli_accounting_rejects_bad_range(capsys):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("value", ["nan", "inf"])
+@pytest.mark.parametrize("flag", ["--tx-power-dbm", "--overhead", "--efficiency"])
+def test_cli_accounting_rejects_non_finite_floats(capsys, flag, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["accounting", "--params", "6656", "--m-range", "2..3", flag, value])
+    assert exc.value.code == 2
+    err = capsys.readouterr().err
+    assert f"argument {flag}: must be finite, got '{value}'" in err
+
+
 def test_cli_sync_sweep(tmp_path, capsys):
     scenario = _tiny_file(tmp_path)
     out = tmp_path / "sweep.csv"

@@ -1,4 +1,4 @@
-"""Update-vector <-> resource-grid codec: bijection and slot arithmetic."""
+"""Update-vector <-> payload-block codec: bijection and slot arithmetic."""
 
 import numpy as np
 import pytest
@@ -9,15 +9,14 @@ from hypothesis.extra import numpy as hnp
 from otafl.grid import GridConfig
 from otafl.weightcodec import (
     ScaledUpdate,
-    SlotPlan,
     component_peaks,
     map_to_grids,
     pack_complex,
+    pack_payload,
     scale_updates,
     shared_peaks,
     slot_plan,
     unmap_from_grids,
-    unpack_complex,
     unscale_updates,
 )
 
@@ -43,26 +42,20 @@ vectors = hnp.arrays(np.float64, st.integers(1, 300), elements=finite_floats)
     ],
 )
 def test_slot_plan_defaults(params, slots, pad):
-    plan = slot_plan(params, CFG)
-    assert (plan.slots, plan.pad) == (slots, pad)
-    assert plan.param_count(CFG) == params
+    assert slot_plan(params, CFG) == slots
+    assert slots * 2 * CFG.res_per_slot - params == pad
 
 
 def test_slot_plan_capacity_identity():
     # slots * (2 reals per resource element) covers params plus padding
     for p in (1, 100, 3584, 7168, 50_000):
-        plan = slot_plan(p, CFG)
-        assert plan.slots * 2 * CFG.res_per_slot == p + plan.pad
-        assert plan.pad < 2 * CFG.res_per_slot
+        pad = slot_plan(p, CFG) * 2 * CFG.res_per_slot - p
+        assert 0 <= pad < 2 * CFG.res_per_slot
 
 
 def test_slot_plan_validation():
     with pytest.raises(ValueError):
         slot_plan(0, CFG)
-    with pytest.raises(ValueError):
-        SlotPlan(slots=0, pad=0)
-    with pytest.raises(ValueError):
-        SlotPlan(slots=1, pad=-1)
 
 
 # ----------------------------------------------------------- pack/unpack
@@ -73,7 +66,7 @@ def test_slot_plan_validation():
 def test_pack_unpack_bijection(v):
     symbols = pack_complex(v)
     assert symbols.size == (v.size + 1) // 2
-    np.testing.assert_array_equal(unpack_complex(symbols, v.size), v)
+    np.testing.assert_array_equal(unmap_from_grids(symbols, v.size, (1.0, 1.0)), v)
 
 
 def test_pack_layout():
@@ -155,11 +148,11 @@ def test_scale_validation():
 def test_map_unmap_round_trip(params):
     rng = np.random.default_rng(params)
     delta = rng.normal(size=params)
-    plan = slot_plan(params, CFG)
+    slots = slot_plan(params, CFG)
     scaled = scale_updates(delta)
-    grids = map_to_grids(pack_complex(scaled.values), plan, CFG)
-    assert len(grids) == plan.slots
-    back = unmap_from_grids(grids, plan, (scaled.scale_i, scaled.scale_q), CFG)
+    block = map_to_grids(pack_complex(scaled.values), slots, CFG)
+    assert block.shape == (slots * CFG.symbols_per_slot, CFG.subcarriers)
+    back = unmap_from_grids(block, params, (scaled.scale_i, scaled.scale_q))
     np.testing.assert_allclose(back, delta, atol=1e-12, rtol=1e-12)
 
 
@@ -167,25 +160,66 @@ def test_map_unmap_small_grid_config():
     cfg = GridConfig(subcarriers=8, symbols_per_slot=2, fft_size=8, cp_len=2)
     rng = np.random.default_rng(1)
     delta = rng.normal(size=77)
-    plan = slot_plan(77, cfg)
-    assert plan.slots == 3  # 32 reals per slot
+    slots = slot_plan(77, cfg)
+    assert slots == 3  # 32 reals per slot
     scaled = scale_updates(delta)
-    grids = map_to_grids(pack_complex(scaled.values), plan, cfg)
-    back = unmap_from_grids(grids, plan, (scaled.scale_i, scaled.scale_q), cfg)
+    block = map_to_grids(pack_complex(scaled.values), slots, cfg)
+    back = unmap_from_grids(block, 77, (scaled.scale_i, scaled.scale_q))
     np.testing.assert_allclose(back, delta, atol=1e-12, rtol=1e-12)
 
 
 def test_padding_symbols_are_zero():
-    plan = slot_plan(10, CFG)
-    grids = map_to_grids(pack_complex(np.ones(10)), plan, CFG)
-    flat = grids[0].data.reshape(-1)
+    block = map_to_grids(pack_complex(np.ones(10)), slot_plan(10, CFG), CFG)
+    flat = block.reshape(-1)
     assert np.all(flat[5:] == 0)
 
 
 def test_map_validation():
-    plan = slot_plan(10, CFG)
     too_many = np.ones(CFG.res_per_slot + 1, dtype=complex)
     with pytest.raises(ValueError):
-        map_to_grids(too_many, plan, CFG)
+        map_to_grids(too_many, slot_plan(10, CFG), CFG)
     with pytest.raises(ValueError):
-        unmap_from_grids([], plan, (1.0, 1.0), CFG)
+        unmap_from_grids(np.zeros((1, 2), dtype=complex), 5, (1.0, 1.0))
+    with pytest.raises(ValueError):
+        unmap_from_grids(np.zeros((1, 2), dtype=complex), 0, (1.0, 1.0))
+
+
+# ------------------------------------------------------- payload blocks
+
+SMALL = GridConfig(subcarriers=8, symbols_per_slot=2, fft_size=8, cp_len=2)
+
+
+@pytest.mark.parametrize("params", [1, 2, 31, 32, 33, 77])
+def test_block_decoder_matches_the_unscale_oracle(params):
+    """The decoder reads the first P reals of a packed block, padding and
+    all, and gives the scale -> unscale oracle's bits for odd and even P."""
+    rng = np.random.default_rng(params)
+    deltas = [rng.normal(size=params) for _ in range(3)]
+    deltas[1][::4] = -0.0
+    scales = [(0.75, 3.0), shared_peaks(deltas), component_peaks(deltas[2])]
+    block = pack_payload(deltas, scales, SMALL)
+    slots = slot_plan(params, SMALL)
+    assert block.shape == (3, slots * SMALL.symbols_per_slot, SMALL.subcarriers)
+    for row, d, sc in zip(block, deltas, scales):
+        want = unscale_updates(scale_updates(d, sc))
+        assert unmap_from_grids(row, params, sc).tobytes() == want.tobytes()
+        # the padding is zero and the decoder never reads it
+        reals = row.reshape(-1).view(np.float64)
+        assert reals[params:].tobytes() == bytes(8 * (reals.size - params))
+        noisy = row.copy()
+        noisy.reshape(-1).view(np.float64)[params:] = 5.0
+        assert unmap_from_grids(noisy, params, sc).tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("params", [1, 2, 31, 32, 77])
+def test_packed_rows_equal_the_packed_scaled_updates(params):
+    """Each row of the payload block holds pack_complex(scale_updates(...))
+    bit for bit in the slots map_to_grids fills, zeros after it."""
+    rng = np.random.default_rng(100 + params)
+    deltas = [rng.normal(size=params) for _ in range(2)]
+    scales = [(2.0, 0.5), (0.3, 7.0)]
+    block = pack_payload(deltas, scales, SMALL)
+    for row, d, sc in zip(block, deltas, scales):
+        want = map_to_grids(pack_complex(scale_updates(d, sc).values),
+                            slot_plan(params, SMALL), SMALL)
+        assert row.tobytes() == want.tobytes()
