@@ -581,6 +581,36 @@ def test_rayleigh_regression_bound():
     assert np.mean(vals) <= -15.0
 
 
+@pytest.mark.parametrize("snr_db", [0.0, 10.0, 30.0])
+@pytest.mark.parametrize("num_ues", [2, 20, 60])
+def test_perfect_csi_on_flat_fading_meets_the_snr_oracle(num_ues, snr_db):
+    """Analytic oracle of the noise rule: with perfect CSI on ``flat_block``
+    fading the inversion is exact and never clipped, so the received payload
+    is alpha times the sum of the scaled updates and the receiver noise is
+    pinned to its power.  The aggregation NMSE is then -SNR for every client
+    count.  One full slot of parameters keeps zero padding out of the power
+    reference.
+
+    At 0 dB with many clients each payload preamble sits below the noise of
+    the M-client payload and may miss the detection threshold.  Such a
+    round aborts and reads 0 dB, which would meet the oracle vacuously, so
+    it is counted apart and may only happen at 0 dB."""
+    params = 2 * GridConfig().res_per_slot
+    phy = PhyConfig(channel=ChannelModel("flat_block"), csi_mode="perfect",
+                    sync=SyncConfig(mode="ptp_on"), uplink_snr_db=snr_db)
+    delivered = []
+    for seed in range(3):
+        deltas = _random_deltas(num_ues, params, seed=seed)
+        report = ota_aggregate(deltas, phy, master_seed=seed)
+        if report.aborted:
+            assert report.abort_reason == "payload detection failed"
+            assert snr_db == 0.0 and num_ues > 2
+            continue
+        delivered.append(report.agg_nmse_db)
+    assert np.all(np.abs(np.array(delivered) + snr_db) <= 0.6), delivered
+    assert delivered or snr_db == 0.0
+
+
 def test_nmse_improves_monotonically_with_snr():
     phy0 = dict(
         channel=ChannelModel("rayleigh_per_subcarrier"),
