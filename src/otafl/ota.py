@@ -16,30 +16,32 @@ One uplink round, as simulated here:
     stage (least squares, interpolation, quantization) is one call for all
     clients.
 4.  The codec packs every client's scaled update into its row of one
-    ``(clients, payload symbols, subcarriers)`` block, and the block is
-    divided by the floored estimates in one call.  The shared power-control
-    factor alpha comes from each row's peak; the clients then scale,
-    modulate and transmit simultaneously.  The multiple-access channel
-    sums them in the air, so each client's delayed frame is added straight
-    into the one receive buffer of the event.
-5.  The receiver detects the superposed frame, demodulates the payload
-    block in one call, descales it by M * alpha and, through the codec, by
-    the shared peak scales, and applies the recovered average update.
+    ``(clients, payload symbols, subcarriers)`` block.  One pass over the
+    block reads each client's peak against the floored estimates and gives
+    the shared power-control factor alpha.  The block is then scaled by
+    alpha / estimate * gain * phase in one multiply; clients that arrive
+    with the same delay are summed in the frequency domain, and each
+    distinct delay is modulated once and added into the one receive buffer
+    of the event, as the multiple-access channel sums them in the air.
+5.  The receiver adds noise from the round's one generator (the sounding
+    events draw first), detects the superposed frame, demodulates the
+    payload block that follows the preamble region in one call, descales
+    it by M * alpha and, through the codec, by the shared peak scales, and
+    applies the recovered average update.
 
 Each client prepends its own Gold preamble in a dedicated time slot of the
-preamble region (staggered, like sounding reference signals), keeping the
-normalized detection metric meaningful per client.  Pilot subcarriers are
-either interleaved combs (one superposed sounding frame, suited to
-frequency-flat channels) or full-band per-client sounding frames
-(one frame per client, required when the channel decorrelates across
-subcarriers).
+event's preamble region (staggered, like sounding reference signals),
+keeping the normalized detection metric meaningful per client.  Pilot
+subcarriers are either interleaved combs (one superposed sounding event,
+suited to frequency-flat channels) or full band (one event per client
+holding only its preamble slot and its pilot slot, required when the
+channel decorrelates across subcarriers).
 """
 
 from __future__ import annotations
 
 import functools
 import os
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -96,8 +98,7 @@ _TAG_CHANNEL = 14
 _TAG_DECORR = 15
 _TAG_SYNC = 16
 _TAG_PHASE = 17
-_TAG_NOISE_SOUND = 18
-_TAG_NOISE_PAYLOAD = 19
+_TAG_NOISE = 18
 
 
 def derive_seed(*parts: int) -> np.random.SeedSequence:
@@ -244,97 +245,91 @@ def _pilot_values(subcarriers: int) -> np.ndarray:
 
 
 def _superposed_frame(
-    ues: Sequence[int],
-    num_ues: int,
+    ues: range,
     phy: PhyConfig,
     gains: np.ndarray,
     phases: np.ndarray,
-    masks: np.ndarray,
     offsets: np.ndarray,
-    pilot_symbols: int,
+    masks: np.ndarray | None = None,
     payload: np.ndarray | None = None,
-    alpha: float = 0.0,
-) -> tuple[np.ndarray, np.ndarray]:
+    weights: np.ndarray | None = None,
+) -> np.ndarray:
     """Noise-free receive buffer of one event: the post-channel frames of
-    the clients ``ues``, a run of consecutive clients in ascending order,
-    each delayed by its ``offsets[ue]`` and summed in the air.
+    the clients in the range ``ues``, each delayed by its ``offsets[ue]``
+    and summed in the air.
 
-    A client's frame is its Gold preamble in its own slot of the preamble
-    region, ``pilot_symbols`` OFDM symbols of its pilot row and then, when
-    ``payload`` is given, the symbols of its precoded block ``payload[ue]``.
-    ``gains``, ``masks`` and ``payload`` hold one row per client.  Sounding
-    frames repeat the pilot row so the receiver can average down the
-    estimation noise; payload frames carry one pilot symbol.  Each payload
-    block is scaled by ``alpha`` and faded in place.
+    The event's preamble region holds one slot per client it carries, in
+    that order, and each client sends its Gold preamble in its own slot.
+    The region is followed by the body: for a sounding event (``masks``
+    given) one slot of the client's pilot row, the pilot symbol times
+    ``masks[ue]``; for a payload event the client's row ``payload[ue]`` of
+    the packed block, precoded by ``weights[ue]`` (alpha over the floored
+    estimate).  ``gains``, ``masks``, ``payload`` and ``weights`` hold one
+    row per client of the round.
 
     Fading is applied per subcarrier in the frequency domain; the preamble
     burst, which is a raw time-domain sequence, is scaled by the channel's
     RMS gain instead (a scalar stand-in that preserves detection power).
 
-    Every client's RMS gain, preamble chips and pilot row are built as one
-    array each, and all pilot rows are modulated in one call.  The buffer
-    spans the latest arrival.  Clients are then added one at a time in
-    ascending order -- the preamble chips, then the pilot-and-payload body
-    in one scratch block every client reuses -- so each sample sums its
-    clients in that order and the silent stretches of a frame are never
-    added.  Also returns each client's peak resource-element power before
-    fading: its scaled payload's or the reference power of preamble and
-    pilots, whichever is higher.
+    The buffer spans the latest arrival.  Sounding adds each client in
+    ascending order, its chips and then its repeated pilot symbol, so each
+    sample sums its clients in that order.  The payload is scaled by
+    weights * gain * phase in one multiply, in place; then every client
+    adds its chips, and the payload rows of clients sharing a delay are
+    summed into the first one's row, so one IFFT per distinct delay
+    modulates them.  The payload block is consumed.
     """
-    if ues[-1] - ues[0] + 1 != len(ues):
-        raise ValueError("an event sends a run of consecutive clients")
-    run = slice(ues[0], ues[-1] + 1)
+    run = slice(ues.start, ues.stop)
     cfg = phy.grid
-    region = phy.preamble_region_len(num_ues)
-    body = pilot_symbols + (0 if payload is None else payload.shape[1])
-    frame_len = region + body * cfg.symbol_len
-    rx = np.zeros(int(offsets[run].max()) + frame_len, dtype=np.complex128)
-    symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
+    region = phy.preamble_region_len(len(ues))
+    body = cfg.symbols_per_slot if payload is None else payload.shape[1]
+    span = body * cfg.symbol_len
+    delays = offsets[run]
+    rx = np.zeros(int(delays.max()) + region + span, dtype=np.complex128)
     amp = phy.reference_amplitude
     g = gains[run]
     rot = np.exp(1j * phases[run])[:, np.newaxis]
     rms_gain = np.sqrt(np.mean(np.abs(g) ** 2, axis=1))
     chips = (amp * rms_gain)[:, np.newaxis] * _preamble_bank()[run] * rot
-    pilot_rows = masks[run] * (amp * _pilot_values(cfg.subcarriers))
-    pilot_rows *= g
-    pilot_rows *= rot
-    pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
-    ofdm_modulate_into(pilot_rows, cfg, pilots)
-    peaks = np.full(len(ues), amp**2)
-    for i, ue in enumerate(ues):
-        delay = int(offsets[ue])
-        lo = delay + ue * phy.preamble_slot_len
+    if payload is None:
+        pilot_rows = masks[run] * (amp * _pilot_values(cfg.subcarriers))
+        pilot_rows *= g
+        pilot_rows *= rot
+        pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
+        ofdm_modulate_into(pilot_rows, cfg, pilots)
+    for i, delay in enumerate(delays.tolist()):
+        lo = delay + i * phy.preamble_slot_len
         rx[lo:lo + PREAMBLE_LEN] += chips[i]
-        symbols[:pilot_symbols] = pilots[i]
-        if payload is not None:
-            data = payload[ue]
-            data *= alpha
-            largest = float(np.max(np.abs(data)))
-            peaks[i] = max(largest * largest, peaks[i])
-            data *= g[i]
-            data *= rot[i]
-            ofdm_modulate_into(data, cfg, symbols[pilot_symbols:])
-        rx[delay + region:delay + frame_len] += symbols.reshape(-1)
-    return rx, peaks
+        if payload is None:
+            symbols = rx[delay + region:delay + region + span].reshape(body, cfg.symbol_len)
+            symbols += pilots[i]
+    if payload is not None:
+        block = payload[run]
+        block *= (weights[run] * g * rot)[:, np.newaxis, :]
+        symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
+        for delay in np.unique(delays).tolist():
+            first, *rest = np.flatnonzero(delays == delay)
+            for i in rest:
+                block[first] += block[i]
+            ofdm_modulate_into(block[first], cfg, symbols)
+            rx[delay + region:delay + region + span] += symbols.reshape(-1)
+    return rx
 
 
 def _receive(
-    rx: np.ndarray,
-    ues: Sequence[int],
-    phy: PhyConfig,
-    info_start: int,
-    seed,
+    rx: np.ndarray, ues: range, phy: PhyConfig, noise: np.random.Generator
 ) -> tuple[TimeSignal, np.ndarray, np.ndarray]:
     """One receive event: add the receiver noise to the superposed buffer
     ``rx`` in place and detect the preamble of every client in ``ues``.
 
     The noise pins ``phy.uplink_snr_db`` to the mean power of the noise-free
-    superposition from ``info_start`` on -- the pilot symbols for sounding
-    events, the payload slots for data events.  Pegging to the whole event
+    superposition after the event's preamble region -- the pilot slot of a
+    sounding event, the payload of a data event.  Pegging to the whole event
     would let the strong constant-amplitude preamble dominate the reference
     power, so a payload attenuated by power control would see a far worse
-    SNR than the knob claims.  The noise is one draw of twice the buffer
-    length: the real parts first, then the imaginary parts.
+    SNR than the knob claims.  The noise is the round generator ``noise``'s
+    next twice-the-buffer-length normal draws, read as (real, imaginary)
+    pairs.
 
     Each client's preamble can only start in its own slot of the preamble
     region, at most ``offset_bound(phy.sync)`` samples late, so each client
@@ -343,32 +338,31 @@ def _receive(
     and detection metrics come back in ``ues`` order.
     """
     if phy.uplink_snr_db is not None:
-        info = rx[info_start:]
+        info = rx[phy.preamble_region_len(len(ues)):]
         power = float((np.abs(info) ** 2).sum()) / info.size
         variance = power / 10.0 ** (phy.uplink_snr_db / 10.0)
-        noise = np.random.default_rng(seed).standard_normal(2 * rx.size)
-        noise *= np.sqrt(variance / 2.0)
-        real, imag = rx.real, rx.imag
-        real += noise[:rx.size]
-        imag += noise[rx.size:]
+        samples = noise.standard_normal(2 * rx.size)
+        samples *= np.sqrt(variance / 2.0)
+        rx += samples.view(np.complex128)
     span = offset_bound(phy.sync, phy.grid.sample_rate) + PREAMBLE_LEN
     offsets = np.zeros(len(ues), dtype=np.int64)
     metrics = np.zeros(len(ues))
     for i, ue in enumerate(ues):
-        lo = ue * phy.preamble_slot_len
+        lo = i * phy.preamble_slot_len
         window = TimeSignal(rx[lo:lo + span], phy.grid.sample_rate)
         offsets[i], metrics[i] = detect_frame(window, _preamble_bank()[ue])
     return TimeSignal(rx, phy.grid.sample_rate), offsets, metrics
 
 
 def _read_symbols(
-    rx: TimeSignal, offsets: np.ndarray, phy: PhyConfig, num_ues: int, skip: int, n: int
+    rx: TimeSignal, offsets: np.ndarray, phy: PhyConfig, clients: int, n: int
 ) -> np.ndarray:
-    """Demodulate ``n`` OFDM symbols ``skip`` symbols past the preamble
-    region at the earliest detected timing, in one call; a start that would
-    read past the end of ``rx`` moves back to its last full window."""
+    """Demodulate, in one call, the ``n`` OFDM symbols that follow the
+    preamble region of an event carrying ``clients`` clients, at the
+    earliest detected timing of the round; a start that would read past
+    the end of ``rx`` moves back to its last full window."""
     cfg = phy.grid
-    start = int(offsets.min()) + phy.preamble_region_len(num_ues) + skip * cfg.symbol_len
+    start = int(offsets.min()) + phy.preamble_region_len(clients)
     start = min(start, rx.samples.size - n * cfg.symbol_len)
     return ofdm_demodulate(rx, cfg, start, n).data
 
@@ -468,35 +462,33 @@ def ota_aggregate(
         phy.sync, num_ues, seed=derive_seed(master_seed, round_index, _TAG_PHASE)
     )
 
-    # --- sounding pass: effective-channel estimates at a common reference -
-    pilots = [_pilot_positions(ue, num_ues, cfg, phy.pilot_allocation) for ue in range(num_ues)]
-    masks = np.zeros((num_ues, cfg.subcarriers))
-    for ue, pos in enumerate(pilots):
-        masks[ue, pos] = 1.0
+    # one generator for every receive event of the round, in event order
+    noise = np.random.default_rng(derive_seed(master_seed, round_index, _TAG_NOISE))
 
+    # --- sounding pass: effective-channel estimates at a common reference -
     if phy.csi_mode == "perfect":
         ramps = _phase_ramp(cfg, offsets[:, np.newaxis] - int(offsets.min()))
         estimate = ChannelEstimate(
             payload_gains * ramps * np.exp(1j * phases)[:, np.newaxis])
     else:
-        # Comb pilots share one superposed sounding frame; full-band pilots
-        # need one frame per client.
+        pilots = [_pilot_positions(ue, num_ues, cfg, phy.pilot_allocation)
+                  for ue in range(num_ues)]
+        masks = np.zeros((num_ues, cfg.subcarriers))
+        for ue, pos in enumerate(pilots):
+            masks[ue, pos] = 1.0
+        # Comb pilots share one superposed sounding event; full-band pilots
+        # need one event per client, holding only that client's slots.
         if phy.pilot_allocation == "fdm_comb":
-            events = [(range(num_ues),
-                       derive_seed(master_seed, round_index, _TAG_NOISE_SOUND))]
+            events = [range(num_ues)]
         else:
-            events = [(range(ue, ue + 1),
-                       derive_seed(master_seed, round_index, ue, _TAG_NOISE_SOUND))
-                      for ue in range(num_ues)]
+            events = [range(ue, ue + 1) for ue in range(num_ues)]
         s_offsets = np.zeros(num_ues, dtype=np.int64)
         s_metrics = np.zeros(num_ues)
         received = []
-        for ues, seed in events:
-            frame, _ = _superposed_frame(ues, num_ues, phy, gains, phases, masks, offsets,
-                                         cfg.symbols_per_slot)
-            rx, s_offsets[ues], s_metrics[ues] = _receive(
-                frame, ues, phy, phy.preamble_region_len(num_ues), seed)
-            received.append(rx)
+        for ues in events:
+            frame = _superposed_frame(ues, phy, gains, phases, offsets, masks=masks)
+            rx, s_offsets[ues], s_metrics[ues] = _receive(frame, ues, phy, noise)
+            received.append((rx, len(ues)))
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
             return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
@@ -507,8 +499,8 @@ def ota_aggregate(
         # One pilot row per event: the comb's single row holds every
         # client's pilots, the full band's rows one client each.
         rows = np.stack([
-            _read_symbols(rx, s_offsets, phy, num_ues, 0, cfg.symbols_per_slot).mean(axis=0)
-            for rx in received
+            _read_symbols(rx, s_offsets, phy, clients, cfg.symbols_per_slot).mean(axis=0)
+            for rx, clients in received
         ])
         del received  # free the sounding buffers before the payload block
         raw = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
@@ -517,29 +509,28 @@ def ota_aggregate(
         estimate = quantize_estimate(interpolate(raw, pilots, cfg), phy.feedback_quant_bits)
 
     # --- precode, shared power control ------------------------------------
-    # The whole payload block is divided by the floored estimates;
-    # compute_alpha checks that the result is finite.
+    # compute_alpha reads every client's peak against its floored estimate
+    # and checks that it is finite; the frame applies the precoding.
     payload = pack_payload(deltas, client_scales, cfg)
     divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
-    payload /= divisor[:, np.newaxis, :]
-    alpha = compute_alpha(payload)
+    alpha, largest = compute_alpha(payload, divisor)
+    max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
 
     # --- simultaneous payload transmission --------------------------------
     ues = range(num_ues)
-    frame, max_re_power = _superposed_frame(ues, num_ues, phy, payload_gains, phases, masks,
-                                            offsets, 1, payload, alpha)
-    rx, p_offsets, p_metrics = _receive(
-        frame, ues, phy, phy.preamble_region_len(num_ues) + cfg.symbol_len,
-        derive_seed(master_seed, round_index, _TAG_NOISE_PAYLOAD),
-    )
+    symbols = payload.shape[1]
+    frame = _superposed_frame(ues, phy, payload_gains, phases, offsets,
+                              payload=payload, weights=alpha / divisor)
+    del payload  # consumed by the frame; free it before the receive buffers
+    rx, p_offsets, p_metrics = _receive(frame, ues, phy, noise)
     if np.any(p_metrics < DETECT_THRESHOLD):
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
                        "payload detection failed")
 
     # --- demodulate, descale, compare -------------------------------------
-    # the payload follows the frame's one pilot symbol
-    block = _read_symbols(rx, p_offsets, phy, num_ues, 1, payload.shape[1])
-    recovered = unmap_from_grids(block / (num_ues * alpha), param_count, descale)
+    block = _read_symbols(rx, p_offsets, phy, num_ues, symbols)
+    block /= num_ues * alpha
+    recovered = unmap_from_grids(block, param_count, descale)
     return _report(recovered, alpha, p_offsets, p_metrics, max_re_power)
 
 

@@ -72,24 +72,31 @@ def channel_invert(
     return block / divisor
 
 
-def compute_alpha(precoded: np.ndarray) -> float:
-    """Largest shared scaling every UE can transmit within ``PEAK_POWER``.
+def compute_alpha(block: np.ndarray, divisor: np.ndarray) -> tuple[float, np.ndarray]:
+    """Largest shared scaling every UE can transmit within ``PEAK_POWER``,
+    and each UE's precoded peak magnitude.
 
-    alpha = MARGIN * min over UEs of sqrt(PEAK_POWER / max |precoded|^2),
-    so after scaling no resource element of any UE exceeds the peak power
-    (strictly below it, as MARGIN < 1).  ``precoded`` holds one UE per
-    leading row, each row all of that UE's precoded symbols; a UE's peak is
-    its largest |x|, squared.  A non-finite entry makes its row's largest
-    |x| non-finite and is an error.  UEs whose payload is entirely zero
-    impose no constraint; all UEs zero is an error.
+    ``block`` holds one UE's payload per leading row and ``divisor`` one
+    floored estimate row per UE, as :func:`inversion_divisor` returns it;
+    the UE transmits its row divided by its divisor.  A UE's peak is its
+    largest |x| / |d|: the per-subcarrier peaks of its row, max |x| over
+    its symbols, read against |divisor|, one row at a time, so the block is
+    neither divided nor taken the magnitude of as a whole.
+
+    alpha = MARGIN * min over UEs of sqrt(PEAK_POWER / peak^2), so after
+    scaling no resource element of any UE exceeds the peak power (strictly
+    below it, as MARGIN < 1).  A non-finite entry makes its row's peak
+    non-finite and is an error.  UEs whose payload is entirely zero impose
+    no constraint; all UEs zero is an error.
     """
-    if len(precoded) == 0:
+    if len(block) == 0:
         raise ValueError("need at least one UE")
-    largest = np.array([np.max(np.abs(row)) for row in precoded])
+    largest = np.array([np.max(np.max(np.abs(row), axis=0) / np.abs(d))
+                        for row, d in zip(block, divisor, strict=True)])
     if not np.all(np.isfinite(largest)):
         raise ValueError("precoded resource grid entries must be finite")
     peaks = largest * largest
     active = peaks[peaks > 0]
     if active.size == 0:
         raise ValueError("all precoded payloads are zero; alpha undefined")
-    return float(np.min(MARGIN * np.sqrt(PEAK_POWER / active)))
+    return float(np.min(MARGIN * np.sqrt(PEAK_POWER / active))), largest

@@ -32,11 +32,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CLI_DIGESTS = {
     ("run", "baseline.cfg", ()):
-        "d3f1c3611795711c1457659bf5afacf05e0edccbcdcc73a5e1bc640f5506fb91",
+        "99d67dcc9f9e8902824852f4d8ff0c5e7e7fa7838f18b50a777ce6f2000b84f6",
     ("run", "digital_baseline.cfg", ()):
         "af42976ab297675eecf63e01a621fa0ff7da1c62afe0abe5b06cabf54702d713",
     ("sync-sweep", "sync_stress.cfg", ("--spreads", "256,64,16,4,0", "--seeds", "5")):
-        "e76eb99d33e08abdab9be64378522d818caa48409a4871b361c436845260ea57",
+        "9716e1d9f8dc92d53f7f6611622ad99f7313b8ddb394923baa6dea88124dfa66",
 }
 
 # Paper-scale parameter count: 10 payload slots on the default grid.
@@ -46,49 +46,49 @@ PAPER_PARAMS = 71_666
 #     -> (repr of agg_nmse_db, sha256 of recovered)
 AGGREGATE_DIGESTS = {
     (5, PAPER_PARAMS, "flat_block", "fdm_comb", ()): (
-        "-19.2366199180064",
-        "331defd715702e5a5cabd0a2e37160e873e5315f970888e71fa6535b33243adf",
+        "-19.329998951023832",
+        "fa17356e1854e90152c94ab301487b09a9d2f8e249406d388151f1b6b14fa710",
     ),
     (20, PAPER_PARAMS, "rayleigh_per_subcarrier", "tdm_full", ()): (
-        "-18.21116448747706",
-        "7668c7432e640a58be33dd3cb8cf6d32491c107cc20da33c2bbe345f1ff60b5b",
+        "-18.24118925708489",
+        "2936425a94b49e61d7c7a4742c3823a347aa6d14431faa7bbe3191f07deb2d51",
     ),
     (5, PAPER_PARAMS, "rayleigh_per_subcarrier", "tdm_full", (("uplink_snr_db", None),)): (
         "-26.337584212422883",
-        "3254bb907ddd6814777ecc4ecbe64df21f97fb0ee6f4a9a665ae861d9744a72a",
+        "61d4d6f8916d7b7ed2d1adc0045ef8c8aa825ac7eb967185068f1cc0a23f1fd2",
     ),
     (5, PAPER_PARAMS, "flat_block", "fdm_comb", (("csi_mode", "perfect"),)): (
-        "-19.992954838284664",
-        "81d7685531938c64649db1fc7337477e87029a69eb25bf3e5ec4845fcc9d7ee1",
+        "-19.948519083707343",
+        "e7a0ceacafe1debb66a8e553f437e8b1539b97b674ed3759721e3fa86cf28166",
     ),
     # Transmit-side edges at two payload slots: an odd parameter count (the
     # zero-padded pack tail), per-client scales, quantized feedback, stale
     # CSI, a common phase offset and an inversion floor that clips about a
     # third of the subcarriers.
     (5, 10_001, "flat_block", "fdm_comb", ()): (
-        "-20.419789874889936",
-        "d57a309d1b3d0d3f18db408b61145333681a906f4ccee8e1bc88fc4cf1cdba87",
+        "-20.524950084883024",
+        "6cba284f4f47469dde5cc9faec10af72d3a2668bcbafa12f1a8b9c5f5a2eca4a",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("scale_mode", "per_client"),)): (
-        "-17.301722275685957",
-        "0151666b29fa4027f034baa45d632d9fbb5376e1e9e53c3957411d4d8341ca42",
+        "-17.337516725683223",
+        "b14f62c70c168f493867dee8041e1ff99b0c7615610c101a42c0014fa484c5fc",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("feedback_quant_bits", 4),)): (
-        "-7.92347013149307",
-        "5a74270bbd320f059e3c05b15cb77580743159ac53c7870956a24435a1a86006",
+        "-7.5204555889701314",
+        "abb3a6d92e42ff0862ff7fa6c0bc7c97b3e2abd326f3d304282ec7293a49a6dd",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("decorrelation", 0.5),)): (
-        "0.5665291831897019",
-        "db0b2848efdfff9339c38a94ba63a618b1770093fc04517dac787f9e834ce353",
+        "0.6435039009412389",
+        "6c145950ad5cd6effdda0cae1be3f06602ad449d9d6eb40de6ce54fb6c871cb5",
     ),
     (5, 10_000, "flat_block", "fdm_comb",
      (("sync", SyncConfig(mode="ptp_on", phase_offset_rad=0.5)),)): (
-        "-20.4512989756725",
-        "97a857a41ad12e84e59299a0fb05f2c4ba12bdc92e7f9b1e6af288b44c553d95",
+        "-20.601227702354798",
+        "6e2f8dedd03a0a722214b80fdbf899b3ada08e5fcaaa046578c8e4edb3f41bbf",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("floor_rel", 0.8),)): (
-        "-11.289130592151205",
-        "da5799f1d1b0613ebf26b15a37bd30601f103d46af84237a9ef1c94ce6193d3e",
+        "-11.331505441910883",
+        "0a64db27f99345ca45069759900777d6f2de3fa8fc01b3bb21c040766226c7bf",
     ),
     # Receive-side order: without PTP the offsets reach 50 samples, so late
     # preambles run into the next client's slot and every sample sums
@@ -96,21 +96,21 @@ AGGREGATE_DIGESTS = {
     # fading, and the benchmark's client count.
     (5, 10_000, "flat_block", "fdm_comb",
      (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
-        "5.029357819321244",
-        "cc104bd17210bc0eae91f5914f5dc18e954fc0cb31350ee88a4381db34c52c62",
+        "4.158190568184464",
+        "cc43dd4ec33751d79dcb46281af5873d69928a585bc97654a2779a500230225c",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full",
      (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
-        "3.3426538581329575",
-        "a6633f9ac6ec4027058f5408e47768aaf16278acb6278f622caeeabcb3b12c6c",
+        "0.08430149197242719",
+        "37c929273ba84bae0f3861607afb99d91c501b93e02f684049936ef5e4f9d7a2",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("csi_mode", "perfect"),)): (
-        "-19.964541451114904",
-        "f007390abc033424545ad6cafe589b3fcce42076c26280905022e56836db1a15",
+        "-20.220927808909344",
+        "7c15a24f3466d8d86d6a6c254fe52858186a153d23aa99dcc416c4df142a83eb",
     ),
     (60, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
-        "-18.6203752046387",
-        "0b07b1a02fc0a9c822d98ba7e526bd86c09a7574d347d033f9a066ec6cf0bec7",
+        "-18.99946491659546",
+        "e4168c1df8913a1891dbd7573d4a4f0a7bd927265869dda9d5fc32978225f2b6",
     ),
     # Channel-estimate rows: twelve comb clients split 256 subcarriers into
     # pilot sets of 22 and 21, so each client's held ends differ; late
@@ -118,16 +118,16 @@ AGGREGATE_DIGESTS = {
     # client.  Then a single full-band client.
     (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb",
      (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
-        "9.68376303655549",
-        "085aed00400cc927aef2e5a0fe71f3b2b5e40e1d80ec1b1cbd9f1d418fd57d59",
+        "9.683604972875054",
+        "18f13e602fbe945d3daf8e006b3f30e8972053e44f673f68a91ef5a5b8313013",
     ),
     (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb", (("feedback_quant_bits", 4),)): (
-        "8.383609032125054",
-        "102e69ea667918c5ad863545db0cee83603f9159da9cc25a07e01c5df4f07b0c",
+        "8.570923013093083",
+        "bbae0881967e7395c2218d412a61f2b0c6601da0cefdaf08b71a8db037f1bc7c",
     ),
     (1, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
-        "-19.29570013565652",
-        "26085a9ce79cf0f58c301d7ae826297a83358122c375ef23c045d9947c91cabc",
+        "-18.923248168554302",
+        "845dfc16512d68a77a4a633ecf49b6a71bd0194ae3bbac724a72812ff745c0d5",
     ),
 }
 
@@ -152,8 +152,8 @@ def _aggregate_id(case) -> str:
 # mode -> (sha256 of the final theta, repr of each round's global_loss)
 PAPER_SHAPE_DIGESTS = {
     "ota": (
-        "afdaad0782a8eb3401e97eb1413e9db2cec43cd776c12ac906d535e2c5ee432d",
-        ("0.8976539885360957", "0.6708316035102445", "0.5233187672977356"),
+        "4052ee90bfd02af0ded03108e3aebbeb01d0542c47848ffbc3542201f2e9df0d",
+        ("0.8962980575629702", "0.6696752059095308", "0.5221237606204585"),
     ),
     "digital_fp32": (
         "61ce39057541e20341e7970be95430d94217f0b26cd92825ffab14a8413b9c2b",

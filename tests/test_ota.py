@@ -222,9 +222,8 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     delays = [0, bound, 1]
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers))
-    rx, _ = ota._superposed_frame([0, 1, 2], 3, phy, gains, np.zeros(3), masks,
-                                  np.array(delays), 2)
-    _, offsets, metrics = ota._receive(rx, [0, 1, 2], phy, phy.preamble_region_len(3), 5)
+    rx = ota._superposed_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks=masks)
+    _, offsets, metrics = ota._receive(rx, range(3), phy, np.random.default_rng(5))
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
 
@@ -234,12 +233,12 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
 def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, spread):
     """At the sync-stress shape, with offsets well past the cyclic prefix,
     every detected client's windowed offset equals the full-frame argmax
-    minus its slot start."""
+    minus the start of its slot in the event."""
     calls = []
     original = ota._receive
 
-    def recording(sent, ues, phy, info_start, seed):
-        rx, offsets, metrics = original(sent, ues, phy, info_start, seed)
+    def recording(sent, ues, phy, noise):
+        rx, offsets, metrics = original(sent, ues, phy, noise)
         calls.append((rx, list(ues), offsets, metrics))
         return rx, offsets, metrics
 
@@ -254,12 +253,12 @@ def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, sprea
         ota_aggregate(_random_deltas(5, 65, seed=seed), phy, master_seed=seed)
     checked = 0
     for rx, ues, offsets, metrics in calls:
-        for ue, off, metric in zip(ues, offsets, metrics):
+        for slot, (ue, off, metric) in enumerate(zip(ues, offsets, metrics)):
             if metric < DETECT_THRESHOLD:
                 continue
             preamble = grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
             full, _ = grid.detect_frame(rx, preamble)
-            assert off == full - ue * phy.preamble_slot_len
+            assert off == full - slot * phy.preamble_slot_len
             checked += 1
     assert checked >= 20
 
@@ -292,143 +291,144 @@ ORACLE_GRID = GridConfig(subcarriers=24, symbols_per_slot=4, fft_size=32, cp_len
 
 
 def _oracle_inputs(num_ues, allocation, seed=11):
-    """Random gains, phases, pilot masks and two slots of precoded payload."""
+    """Random gains, phases, pilot masks, two slots of packed payload and a
+    precoding weight per subcarrier, one row per client."""
     sub = ORACLE_GRID.subcarriers
     rows = 2 * ORACLE_GRID.symbols_per_slot
     rng = np.random.default_rng(seed)
-    gains = np.stack([rng.normal(size=sub) + 1j * rng.normal(size=sub)
-                      for _ in range(num_ues)])
+
+    def cn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    gains = cn(num_ues, sub)
     phases = rng.uniform(-np.pi, np.pi, size=num_ues)
     masks = np.zeros((num_ues, sub))
     for ue in range(num_ues):
         masks[ue, ota._pilot_positions(ue, num_ues, ORACLE_GRID, allocation)] = 1.0
-    precoded = np.stack([rng.normal(size=(rows, sub)) + 1j * rng.normal(size=(rows, sub))
-                         for _ in range(num_ues)])
-    return gains, phases, masks, precoded
-
-
-def _payload(precoded):
-    return precoded.copy()
+    return gains, phases, masks, cn(num_ues, rows, sub), cn(num_ues, sub)
 
 
 def test_single_client_frame_oracle():
-    """A client's frame built alone at delay 0 carries its Gold chips in its
-    own preamble slot and nothing else in the preamble region, then pilot
-    symbols that demodulate to amp * pilot * mask * gains * rot and payload
-    symbols that demodulate to alpha * precoded * gains * rot.  The
+    """A client's event built alone at delay 0 holds one preamble slot with
+    its Gold chips and nothing else, then its body: a sounding event's slot
+    of pilot symbols demodulates to amp * pilot * mask * gains * rot, and a
+    payload event's symbols to packed * weights * gains * rot.  The
     receiver's demodulator is the oracle."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg)
-    num_ues, pilot_symbols, sub = 3, 2, cfg.subcarriers
-    gains, phases, masks, precoded = _oracle_inputs(num_ues, "fdm_comb")
-    alpha = 0.5
-    region = phy.preamble_region_len(num_ues)
+    num_ues, sub, slot = 3, cfg.subcarriers, phy.preamble_slot_len
+    gains, phases, masks, packed, weights = _oracle_inputs(num_ues, "fdm_comb")
     amp = phy.reference_amplitude
-    pilot_cfg = replace(cfg, symbols_per_slot=pilot_symbols)
-    payload_cfg = replace(cfg, symbols_per_slot=len(precoded[0]))
+    delays = np.zeros(num_ues, dtype=np.int64)
     for ue in range(num_ues):
-        row, peaks = ota._superposed_frame([ue], num_ues, phy, gains, phases, masks,
-                                           np.zeros(num_ues, dtype=np.int64), pilot_symbols,
-                                           _payload(precoded), alpha)
-        assert row.shape == (region + (pilot_symbols + len(precoded[ue])) * cfg.symbol_len,)
+        one = range(ue, ue + 1)
         rot = np.exp(1j * phases[ue])
-        start = ue * phy.preamble_slot_len
-        chips = grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
+        pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue] * rot
+        events = [
+            (ota._superposed_frame(one, phy, gains, phases, delays, masks=masks),
+             np.tile(pilots, (cfg.symbols_per_slot, 1))),
+            (ota._superposed_frame(one, phy, gains, phases, delays,
+                                   payload=packed.copy(), weights=weights),
+             packed[ue] * weights[ue] * gains[ue] * rot),
+        ]
         rms = np.sqrt(np.mean(np.abs(gains[ue]) ** 2))
-        np.testing.assert_allclose(row[start:start + PREAMBLE_LEN], amp * rms * chips * rot,
-                                   rtol=0, atol=1e-12)
-        assert not np.delete(row[:region], np.arange(start, start + PREAMBLE_LEN)).any()
-
-        signal = TimeSignal(row, cfg.sample_rate)
-        want_pilot = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue] * rot
-        got_pilot = ofdm_demodulate(signal, pilot_cfg, region).data
-        np.testing.assert_allclose(got_pilot, np.tile(want_pilot, (pilot_symbols, 1)),
-                                   rtol=0, atol=1e-12)
-        got = ofdm_demodulate(signal, payload_cfg, region + pilot_symbols * cfg.symbol_len).data
-        np.testing.assert_allclose(got, alpha * precoded[ue] * gains[ue] * rot,
-                                   rtol=0, atol=1e-12)
-        symbols = row[region:].reshape(-1, cfg.symbol_len)
-        np.testing.assert_array_equal(symbols[:, :cfg.cp_len], symbols[:, -cfg.cp_len:])
-        want_peak = max(np.max(np.abs(alpha * precoded[ue]) ** 2), amp**2)
-        assert peaks.shape == (1,)
-        assert peaks[0] == want_peak  # max |x| squared is max(|x|^2), bit for bit
+        chips = amp * rms * grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN) * rot
+        for frame, want in events:
+            assert frame.shape == (slot + len(want) * cfg.symbol_len,)
+            np.testing.assert_allclose(frame[:PREAMBLE_LEN], chips, rtol=0, atol=1e-12)
+            assert not frame[PREAMBLE_LEN:slot].any()
+            got = ofdm_demodulate(TimeSignal(frame, cfg.sample_rate),
+                                  replace(cfg, symbols_per_slot=len(want)), slot).data
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+            symbols = frame[slot:].reshape(-1, cfg.symbol_len)
+            np.testing.assert_array_equal(symbols[:, :cfg.cp_len], symbols[:, -cfg.cp_len:])
 
 
 def test_sounding_frame_carries_only_preamble_and_pilots():
-    """A sounding frame repeats one modulated pilot symbol and sends nothing
-    in the preamble region outside the client's slot, shifted by its delay."""
+    """A full-band sounding event holds only its client's preamble slot and
+    one slot of its repeated pilot symbol, shifted by its delay, so its
+    length follows its own delay and not the client count."""
     cfg = SMALL_GRID
     phy = PhyConfig(grid=cfg)
     gains = np.full((4, cfg.subcarriers), 0.5 + 0.5j)
     masks = np.ones((4, cfg.subcarriers))
     delays = np.array([0, 0, 7, 0])
-    rx, peaks = ota._superposed_frame([2], 4, phy, gains, np.zeros(4), masks, delays, 3)
-    region = phy.preamble_region_len(4)
-    assert rx.shape == (7 + region + 3 * cfg.symbol_len,)
-    np.testing.assert_array_equal(peaks, [phy.reference_amplitude**2])
-    start = 7 + 2 * phy.preamble_slot_len
-    assert np.flatnonzero(rx[:7 + region]).tolist() == list(range(start, start + PREAMBLE_LEN))
-    symbols = rx[7 + region:].reshape(3, cfg.symbol_len)
-    np.testing.assert_array_equal(symbols[1:], np.broadcast_to(symbols[0], (2, cfg.symbol_len)))
+    rx = ota._superposed_frame(range(2, 3), phy, gains, np.zeros(4), delays, masks=masks)
+    slot, n = phy.preamble_slot_len, cfg.symbols_per_slot
+    assert rx.shape == (7 + slot + n * cfg.symbol_len,)
+    assert np.flatnonzero(rx[:7 + slot]).tolist() == list(range(7, 7 + PREAMBLE_LEN))
+    symbols = rx[7 + slot:].reshape(n, cfg.symbol_len)
+    np.testing.assert_array_equal(symbols[1:], np.broadcast_to(symbols[0], (n - 1, cfg.symbol_len)))
 
 
 @pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
 @pytest.mark.parametrize("event", ["sounding", "payload"])
-@pytest.mark.parametrize("spread", [0, 4, 64, 256])
+@pytest.mark.parametrize("spread", [0, 4, 64, 256, "shared"])
 def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, spread):
     """The receive buffer equals ``channel.superpose`` over each client's
-    frame built alone at delay 0, bit for bit.  Offsets up to 256 samples run
-    late preambles and bodies into the next clients' samples, so this pins
-    the ascending order in which every sample sums its clients."""
+    event built alone at delay 0, with its preamble slot moved to the
+    client's slot of the whole event and its body to the end of the
+    region.  Offsets up to 256 samples run late preambles and bodies into
+    the next clients' samples.
+
+    A sounding event matches bit for bit, which pins the ascending order in
+    which every sample sums its clients.  A payload event sums the clients
+    that share a delay in the frequency domain and runs one IFFT per delay,
+    so it matches to 1e-12 of the buffer's peak; ``shared`` puts the five
+    clients on three delays."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg, pilot_allocation=allocation)
     num_ues = 5
-    gains, phases, masks, precoded = _oracle_inputs(num_ues, allocation, seed=spread)
-    offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
-                           cfg.sample_rate, seed=spread)
-    if spread >= 64:  # some preamble runs past its guard gap into the next slot
+    if spread == "shared":
+        offsets = np.array([3, 0, 3, 1, 0])
+        gains, phases, masks, packed, weights = _oracle_inputs(num_ues, allocation, seed=5)
+    else:
+        offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
+                               cfg.sample_rate, seed=spread)
+        gains, phases, masks, packed, weights = _oracle_inputs(num_ues, allocation, seed=spread)
+    if spread in (64, 256):  # some preamble runs past its guard gap into the next slot
         assert offsets.max() > phy.preamble_slot_len - PREAMBLE_LEN
-    sounding = event == "sounding"
-    pilot_symbols = cfg.symbols_per_slot if sounding else 1
 
-    def payload():  # a fresh copy per build: the payload is scaled in place
-        return None if sounding else _payload(precoded)
+    def build(ues, delays):  # a fresh payload per build: the frame consumes it
+        body = (dict(masks=masks) if event == "sounding"
+                else dict(payload=packed.copy(), weights=weights))
+        return ota._superposed_frame(ues, phy, gains, phases, delays, **body)
 
-    ues = list(range(num_ues))
-    rx, peaks = ota._superposed_frame(ues, num_ues, phy, gains, phases, masks, offsets,
-                                      pilot_symbols, payload(), 0.7)
-    singles, single_peaks = [], []
-    for ue in ues:
-        frame, peak = ota._superposed_frame([ue], num_ues, phy, gains, phases, masks,
-                                            np.zeros(num_ues, dtype=np.int64),
-                                            pilot_symbols, payload(), 0.7)
-        singles.append((TimeSignal(frame, cfg.sample_rate), int(offsets[ue])))
-        single_peaks.append(peak[0])
-    want = superpose(singles, 0.0, 0).samples
+    rx = build(range(num_ues), offsets)
+    slot, region = phy.preamble_slot_len, phy.preamble_region_len(num_ues)
+    pieces = []
+    for ue in range(num_ues):
+        frame = build(range(ue, ue + 1), np.zeros(num_ues, dtype=np.int64))
+        delay = int(offsets[ue])
+        pieces += [(TimeSignal(frame[:slot], cfg.sample_rate), delay + ue * slot),
+                   (TimeSignal(frame[slot:], cfg.sample_rate), delay + region)]
+    want = superpose(pieces, 0.0, 0).samples
     assert rx.shape == want.shape
-    np.testing.assert_array_equal(rx.view(np.float64), want.view(np.float64))
-    np.testing.assert_array_equal(peaks, single_peaks)
+    if event == "sounding":
+        np.testing.assert_array_equal(rx.view(np.float64), want.view(np.float64))
+    else:
+        assert np.max(np.abs(rx - want)) <= 1e-12 * np.max(np.abs(want))
 
 
 @pytest.mark.parametrize("snr_db", [20.0, -5.0])
 def test_receive_adds_noise_in_place(snr_db):
     """The in-place noise equals ``rx + sqrt(v/2) * (a + 1j*b)`` bit for bit,
-    with ``a`` and ``b`` the next real draws of the event's generator and
-    ``v`` the noise variance referenced from ``info_start``."""
+    with ``a`` and ``b`` the even and odd draws of the round generator's
+    next twice-the-buffer-length normals and ``v`` the noise variance
+    referenced to the samples after the preamble region."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg, uplink_snr_db=snr_db)
-    gains, phases, masks, precoded = _oracle_inputs(3, "fdm_comb")
+    gains, phases, masks, packed, weights = _oracle_inputs(3, "fdm_comb")
     offsets = np.array([0, 3, 1])
-    rx, _ = ota._superposed_frame([0, 1, 2], 3, phy, gains, phases, masks, offsets, 1,
-                                  _payload(precoded), 0.7)
-    info_start = phy.preamble_region_len(3) + cfg.symbol_len
+    rx = ota._superposed_frame(range(3), phy, gains, phases, offsets,
+                               payload=packed, weights=weights)
+    region = phy.preamble_region_len(3)
     clean = rx.copy()
-    got, _, _ = ota._receive(rx, [0, 1, 2], phy, info_start, derive_seed(5, 1))
+    got, _, _ = ota._receive(rx, range(3), phy, np.random.default_rng(derive_seed(5, 1)))
     assert got.samples is rx  # no second buffer
-    variance = np.mean(np.abs(clean[info_start:]) ** 2) / 10.0 ** (snr_db / 10.0)
-    rng = np.random.default_rng(derive_seed(5, 1))
-    n = rng.standard_normal(clean.size) + 1j * rng.standard_normal(clean.size)
-    want = clean + np.sqrt(variance / 2.0) * n
+    variance = np.mean(np.abs(clean[region:]) ** 2) / 10.0 ** (snr_db / 10.0)
+    draws = np.random.default_rng(derive_seed(5, 1)).standard_normal(2 * clean.size)
+    want = clean + np.sqrt(variance / 2.0) * (draws[0::2] + 1j * draws[1::2])
     np.testing.assert_array_equal(got.samples.view(np.float64), want.view(np.float64))
 
 
@@ -441,7 +441,7 @@ def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
     original = ota._superposed_frame
 
     def recording(*args, **kwargs):
-        payload_frames.append(len(args) > 8 or "payload" in kwargs)
+        payload_frames.append(kwargs.get("payload") is not None)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ota, "_superposed_frame", recording)
@@ -476,17 +476,15 @@ def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
 @pytest.mark.parametrize("scale_mode", ["common", "per_client"])
 @pytest.mark.parametrize("params", [1, 2, 301, 2 * 32 * 4])
 def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, params):
-    """Before the division, each client's payload row is the codec's packed,
-    scaled update (even -> I, odd -> Q) followed by zeros, to the last
-    symbol of its last slot."""
+    """The block whose peaks set alpha holds, in each client's row, the
+    codec's packed, scaled update (even -> I, odd -> Q) followed by zeros,
+    to the last symbol of its last slot."""
     seen = []
-    monkeypatch.setattr(ota, "inversion_divisor",
-                        lambda est, floor: np.ones_like(est.gains))
     original = ota.compute_alpha
 
-    def recording(block):
+    def recording(block, divisor):
         seen.append(block.copy())
-        return original(block)
+        return original(block, divisor)
 
     monkeypatch.setattr(ota, "compute_alpha", recording)
     deltas = _random_deltas(3, params, seed=params)
@@ -503,35 +501,130 @@ def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, pa
 
 
 def test_read_symbols_moves_a_late_start_back_inside_the_buffer():
-    """The receive window starts ``skip`` symbols past the preamble region at
-    the earliest offset; a start that would read past the buffer's end reads
-    the buffer's last full window instead."""
+    """The receive window starts right after the event's preamble region at
+    the earliest offset; a start that would read past the buffer's end
+    reads the buffer's last full window instead."""
     phy = _ideal_phy()
     cfg = phy.grid
     num_ues, n = 3, 2 * cfg.symbols_per_slot
     region = phy.preamble_region_len(num_ues)
-    size = region + (1 + n) * cfg.symbol_len + 10
+    size = region + n * cfg.symbol_len + 10
     rng = np.random.default_rng(4)
     rx = TimeSignal(rng.normal(size=size) + 1j * rng.normal(size=size), cfg.sample_rate)
     last = size - n * cfg.symbol_len
 
-    def read(offsets, skip):
-        return ota._read_symbols(rx, np.array(offsets), phy, num_ues, skip, n).tobytes()
+    def read(offsets, clients=num_ues):
+        return ota._read_symbols(rx, np.array(offsets), phy, clients, n).tobytes()
 
     def window(start):
         return ofdm_demodulate(rx, cfg, start, n).data.tobytes()
 
-    assert read([9, 7, 8], 1) == window(7 + region + cfg.symbol_len)
-    assert read([0], 0) == window(region)
-    assert read([10, 12], 1) == window(last)  # exactly the last window
-    assert read([11, 12, 30], 1) == window(last)  # one sample late
-    assert read([400, 500], 0) == window(last)
+    assert read([9, 7, 8]) == window(7 + region)
+    assert read([0]) == window(region)
+    assert read([5], clients=1) == window(5 + phy.preamble_slot_len)
+    assert read([10, 12]) == window(last)  # exactly the last window
+    assert read([11, 12, 30]) == window(last)  # one sample late
+    assert read([400, 500]) == window(last)
+
+
+# ------------------------------------------------------ cost linear in M
+
+
+def _recording_noise_seeds(monkeypatch):
+    """Every SeedSequence ``ota_aggregate`` derives for the noise stream."""
+    seeds = []
+    original = ota.derive_seed
+
+    def recording(*parts):
+        seq = original(*parts)
+        if parts[-1] == ota._TAG_NOISE:
+            seeds.append(seq)
+        return seq
+
+    monkeypatch.setattr(ota, "derive_seed", recording)
+    return seeds
+
+
+def test_tdm_full_noise_draws_grow_linearly_in_the_client_count(monkeypatch):
+    """Each full-band sounding event spans only its client's preamble slot
+    and one pilot slot, and the payload event the M preamble slots and the
+    payload symbols.  At zero offsets one aggregation therefore draws
+    2 * (M * (2 * slot + S * L) + N * L) noise samples, all from the one
+    generator of the round: its state after the aggregation is that of a
+    fresh generator after exactly that many draws.  The count has a zero
+    second difference over equally spaced M."""
+    events, generators = [], []
+    original = ota._receive
+
+    def recording(rx, ues, phy, noise):
+        events.append(rx.size)
+        generators.append(noise)
+        return original(rx, ues, phy, noise)
+
+    monkeypatch.setattr(ota, "_receive", recording)
+    seeds = _recording_noise_seeds(monkeypatch)
+    phy = PhyConfig(channel=ChannelModel("rayleigh_per_subcarrier"), pilot_allocation="tdm_full",
+                    sync=SyncConfig(mode="ptp_off", off_spread=0), uplink_snr_db=20.0)
+    cfg, slot = phy.grid, phy.preamble_slot_len
+    sounding = slot + cfg.symbols_per_slot * cfg.symbol_len
+    drawn = []
+    for m in (20, 60, 100):
+        events.clear(), generators.clear(), seeds.clear()
+        report = ota_aggregate(_random_deltas(m, 100, seed=m), phy, master_seed=m)
+        assert not report.aborted
+        payload = m * slot + ota.slot_plan(100, cfg) * cfg.symbols_per_slot * cfg.symbol_len
+        assert events == [sounding] * m + [payload]
+        (seed,) = seeds
+        assert all(g is generators[0] for g in generators)
+        fresh = np.random.default_rng(seed)
+        fresh.standard_normal(2 * (m * sounding + payload))
+        assert generators[0].bit_generator.state == fresh.bit_generator.state
+        drawn.append(2 * sum(events))
+    assert drawn[2] - 2 * drawn[1] + drawn[0] == 0
+
+
+@pytest.mark.parametrize("allocation,csi_mode", [
+    ("fdm_comb", "estimated"), ("tdm_full", "estimated"), ("tdm_full", "perfect"),
+])
+def test_payload_is_modulated_once_per_distinct_delay(monkeypatch, allocation, csi_mode):
+    """Payload blocks of clients that share a delay are summed before the
+    IFFT, so the payload takes one ``ofdm_modulate_into`` call per distinct
+    delay; sounding takes one call per event.  One noise seed is derived
+    per aggregation."""
+    rows, drawn = [], []
+    modulate, draw = ota.ofdm_modulate_into, ota.draw_offsets
+
+    def counting(symbols, cfg, out):
+        rows.append(len(symbols))
+        modulate(symbols, cfg, out)
+
+    def recording(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(ota, "ofdm_modulate_into", counting)
+    monkeypatch.setattr(ota, "draw_offsets", recording)
+    seeds = _recording_noise_seeds(monkeypatch)
+    phy = PhyConfig(channel=ChannelModel("flat_block"), pilot_allocation=allocation,
+                    csi_mode=csi_mode, sync=SyncConfig(mode="ptp_on"), uplink_snr_db=30.0)
+    m = 20
+    report = ota_aggregate(_random_deltas(m, 20_000, seed=1), phy, master_seed=1)
+    assert not report.aborted
+    (offsets,) = drawn
+    delays = len(np.unique(offsets))
+    assert 1 < delays < m
+    sounding = {("fdm_comb", "estimated"): [m], ("tdm_full", "estimated"): [1] * m,
+                ("tdm_full", "perfect"): []}[allocation, csi_mode]
+    symbols = ota.slot_plan(20_000, phy.grid) * phy.grid.symbols_per_slot
+    assert rows == sounding + [symbols] * delays
+    assert len(seeds) == 1
 
 
 # Peak traced allocation of one aggregation at M = 20, P = 71 666,
 # `tdm_full`, as a multiple of the deltas' own bytes.  One receive buffer
 # per event, one payload block for all clients and the sounding buffers
-# freed before it measure 1.78; a `(clients x frame_len)` transmit matrix
+# freed before it measure 1.78, and 1.35 once the block is precoded in
+# place with no divided copy; a `(clients x frame_len)` transmit matrix
 # walked again by `superpose`, plus a stacked copy of the deltas for their
 # mean, measured 3.19.
 AGGREGATE_MEMORY_MULTIPLE = 2.5

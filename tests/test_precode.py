@@ -155,22 +155,50 @@ def test_zero_row_without_floor_raises():
         inversion_divisor(est, np.array([0.1, 0.1, 0.1, -0.1]))
 
 
+def _unit(block):
+    """A divisor of ones: one row per UE of the block."""
+    return np.ones((len(block), block.shape[-1]))
+
+
+def _alpha(block):
+    return compute_alpha(block, _unit(block))[0]
+
+
 @pytest.mark.parametrize("num_ues", [1, 2, 5, 60])
 def test_alpha_of_the_block_matches_per_row_peaks(num_ues):
     """alpha of the whole block is the minimum of each row's alpha, each
     from max |x|^2 as the per-client formula takes it, a silent row
-    included."""
+    included; the peaks come back as each row's max |x|."""
     rng = np.random.default_rng(num_ues)
     block = (rng.normal(size=(num_ues, 3, 16)) + 1j * rng.normal(size=(num_ues, 3, 16))
              ) * rng.uniform(0.01, 10.0, size=(num_ues, 1, 1))
     if num_ues > 1:
         block[1] = 0.0
-    alpha = compute_alpha(block)
-    per_row = [compute_alpha(block[ue:ue + 1]) for ue in range(num_ues) if block[ue].any()]
+    alpha, largest = compute_alpha(block, _unit(block))
+    per_row = [_alpha(block[ue:ue + 1]) for ue in range(num_ues) if block[ue].any()]
     assert alpha == min(per_row)
     peaks = [float(np.max(np.abs(row) ** 2)) for row in block]
     want = min(MARGIN * np.sqrt(PEAK_POWER / p) for p in peaks if p > 0)
     assert np.float64(alpha).view(np.uint64) == np.float64(want).view(np.uint64)
+    np.testing.assert_array_equal(largest, [np.max(np.abs(row)) for row in block])
+
+
+@pytest.mark.parametrize("floor_rel", [0.0, 0.15, 0.8])
+def test_alpha_against_the_divisor_matches_the_divided_block(floor_rel):
+    """Reading each row's per-subcarrier peaks against |divisor| gives the
+    alpha and peaks of the block divided by the floored estimate, to
+    rounding, without dividing the block."""
+    rng = np.random.default_rng(9)
+    block = rng.normal(size=(6, 14, 32)) + 1j * rng.normal(size=(6, 14, 32))
+    est = ChannelEstimate(rng.normal(size=(6, 32)) + 1j * rng.normal(size=(6, 32)))
+    divisor = inversion_divisor(est, inversion_floor(est, floor_rel))
+    kept = block.copy()
+    alpha, largest = compute_alpha(block, divisor)
+    np.testing.assert_array_equal(block, kept)
+    divided = block / divisor[:, np.newaxis, :]
+    want_alpha, want_largest = compute_alpha(divided, _unit(divided))
+    assert alpha == pytest.approx(want_alpha, rel=1e-15)
+    np.testing.assert_allclose(largest, want_largest, rtol=1e-15, atol=0)
 
 
 # ---------------------------------------------------------------- alpha
@@ -184,26 +212,36 @@ def _block(*rows):
 def test_alpha_hand_oracle():
     # single UE, peak |x|^2 = 4, unit peak power, margin 0.9 -> 0.9 * 1/2
     assert (PEAK_POWER, MARGIN) == (1.0, 0.9)
-    assert compute_alpha(_block([2.0] + [0.0] * 15)) == pytest.approx(0.45, rel=1e-12)
+    assert _alpha(_block([2.0] + [0.0] * 15)) == pytest.approx(0.45, rel=1e-12)
+
+
+def test_alpha_hand_oracle_with_a_divisor():
+    # peak |x| / |d| = 2 / 0.5 = 4 on the second subcarrier -> 0.9 / 4
+    block = _block([0.0, 2.0] + [0.0] * 14)
+    divisor = np.ones((1, 8), dtype=complex)
+    divisor[0, 1] = 0.3 + 0.4j
+    alpha, largest = compute_alpha(block, divisor)
+    assert largest.tolist() == [4.0]
+    assert alpha == pytest.approx(0.225, rel=1e-12)
 
 
 def test_alpha_minimum_over_ues():
     weak = [4.0] + [0.0] * 15   # needs alpha <= 0.9 * 1/4
     mild = [1.0] + [0.0] * 15   # would allow 0.9
-    alpha = compute_alpha(_block(mild, weak))
+    alpha = _alpha(_block(mild, weak))
     assert alpha == pytest.approx(0.225, rel=1e-12)
 
 
 def test_alpha_enforces_peak_power_property():
     rng = np.random.default_rng(3)
     ues = _block(*(rng.normal(size=16) * rng.uniform(0.1, 10) for _ in range(5)))
-    alpha = compute_alpha(ues)
+    alpha = _alpha(ues)
     worst = np.max(np.abs(alpha * ues) ** 2)
     assert worst <= PEAK_POWER * MARGIN**2 + 1e-12
 
 
 def test_alpha_ignores_all_zero_ues():
-    alpha = compute_alpha(_block([1.0] + [0.0] * 15, np.zeros(16)))
+    alpha = _alpha(_block([1.0] + [0.0] * 15, np.zeros(16)))
     assert alpha == pytest.approx(MARGIN, rel=1e-12)
 
 
@@ -215,17 +253,19 @@ def test_alpha_rejects_non_finite_entries(bad):
     rows = _block(np.ones(16), np.ones(16))
     rows[1, 1, 5] = bad
     with pytest.raises(ValueError, match="must be finite"):
-        compute_alpha(rows)
+        _alpha(rows)
 
 
 def test_alpha_validation():
     g = _block(np.ones(16))
     with pytest.raises(ValueError):
-        compute_alpha(np.empty((0, 2, 8), dtype=complex))
+        compute_alpha(np.empty((0, 2, 8), dtype=complex), np.empty((0, 8)))
     with pytest.raises(ValueError):
-        compute_alpha(_block(np.zeros(16)))
+        _alpha(_block(np.zeros(16)))
+    with pytest.raises(ValueError):  # one divisor row per UE
+        compute_alpha(_block(np.ones(16), np.ones(16)), np.ones((1, 8)))
     # the power budget and the margin are constants, not arguments
     with pytest.raises(TypeError):
-        compute_alpha(g, 1.0)
+        compute_alpha(g, _unit(g), 1.0)
     with pytest.raises(TypeError):
-        compute_alpha(g, margin=0.5)
+        compute_alpha(g, _unit(g), margin=0.5)
