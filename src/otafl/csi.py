@@ -92,10 +92,10 @@ def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
 
     10*log10( sum|est - truth|^2 / sum|truth|^2 ), clamped below at
     -300 dB; an exact match reports the floor, an all-zero estimate
-    reports 0 dB.
+    reports 0 dB.  Real inputs are not cast to complex.
     """
-    e = np.asarray(estimate, dtype=np.complex128)
-    t = np.asarray(truth, dtype=np.complex128)
+    dtype = np.complex128 if np.iscomplexobj(estimate) or np.iscomplexobj(truth) else np.float64
+    e, t = np.asarray(estimate, dtype=dtype), np.asarray(truth, dtype=dtype)
     if e.shape != t.shape:
         raise ValueError("estimate and truth must have equal shape")
     denom = float(np.sum(np.abs(t) ** 2))

@@ -15,14 +15,13 @@ One uplink round, as simulated here:
     estimates are one ``(clients, subcarriers)`` array, and each estimation
     stage (least squares, interpolation, quantization) is one call for all
     clients.
-4.  The codec packs every client's scaled update into its row of one
-    ``(clients, payload symbols, subcarriers)`` block.  One pass over the
-    block reads each client's peak against the floored estimates and gives
-    the shared power-control factor alpha.  The block is then scaled by
-    alpha / estimate * gain * phase in one multiply; clients that arrive
-    with the same delay are summed in the frequency domain, and each
-    distinct delay is modulated once and added into the one receive buffer
-    of the event, as the multiple-access channel sums them in the air.
+4.  The codec packs one client's scaled update at a time into a reused
+    block.  One pass over the clients reads each one's peak against its
+    floored estimate and gives the shared power-control factor alpha.
+    Each client is packed again and scaled by alpha / estimate * gain *
+    phase; clients that share a delay are summed in the frequency domain,
+    and each distinct delay is modulated once and added into the event's
+    one receive buffer, as the multiple-access channel sums them in the air.
 5.  The receiver adds noise from the round's one generator (the sounding
     events draw first), detects the superposed frame, demodulates the
     payload block that follows the preamble region in one call, descales
@@ -251,7 +250,8 @@ def _superposed_frame(
     phases: np.ndarray,
     offsets: np.ndarray,
     masks: np.ndarray | None = None,
-    payload: np.ndarray | None = None,
+    deltas: list[np.ndarray] | None = None,
+    scales: list[tuple[float, float]] | None = None,
     weights: np.ndarray | None = None,
 ) -> np.ndarray:
     """Noise-free receive buffer of one event: the post-channel frames of
@@ -262,10 +262,10 @@ def _superposed_frame(
     that order, and each client sends its Gold preamble in its own slot.
     The region is followed by the body: for a sounding event (``masks``
     given) one slot of the client's pilot row, the pilot symbol times
-    ``masks[ue]``; for a payload event the client's row ``payload[ue]`` of
-    the packed block, precoded by ``weights[ue]`` (alpha over the floored
-    estimate).  ``gains``, ``masks``, ``payload`` and ``weights`` hold one
-    row per client of the round.
+    ``masks[ue]``; for a payload event the update ``deltas[ue]``, packed
+    with its ``scales[ue]`` and precoded by ``weights[ue]`` (alpha over the
+    floored estimate).  ``gains``, ``masks``, ``deltas``, ``scales`` and
+    ``weights`` hold one entry per client of the round.
 
     Fading is applied per subcarrier in the frequency domain; the preamble
     burst, which is a raw time-domain sequence, is scaled by the channel's
@@ -273,16 +273,16 @@ def _superposed_frame(
 
     The buffer spans the latest arrival.  Sounding adds each client in
     ascending order, its chips and then its repeated pilot symbol, so each
-    sample sums its clients in that order.  The payload is scaled by
-    weights * gain * phase in one multiply, in place; then every client
-    adds its chips, and the payload rows of clients sharing a delay are
-    summed into the first one's row, so one IFFT per distinct delay
-    modulates them.  The payload block is consumed.
+    sample sums its clients in that order.  The payload adds every client's
+    chips, then walks the distinct delays in ascending order: each client
+    of a delay, in ascending order, is packed into one of two reused
+    blocks, scaled by weights * gain * phase and summed into the first
+    client's block, which is modulated once.
     """
     run = slice(ues.start, ues.stop)
     cfg = phy.grid
     region = phy.preamble_region_len(len(ues))
-    body = cfg.symbols_per_slot if payload is None else payload.shape[1]
+    body = cfg.symbols_per_slot * (1 if deltas is None else slot_plan(deltas[0].size, cfg))
     span = body * cfg.symbol_len
     delays = offsets[run]
     rx = np.zeros(int(delays.max()) + region + span, dtype=np.complex128)
@@ -291,7 +291,7 @@ def _superposed_frame(
     rot = np.exp(1j * phases[run])[:, np.newaxis]
     rms_gain = np.sqrt(np.mean(np.abs(g) ** 2, axis=1))
     chips = (amp * rms_gain)[:, np.newaxis] * _preamble_bank()[run] * rot
-    if payload is None:
+    if deltas is None:
         pilot_rows = masks[run] * (amp * _pilot_values(cfg.subcarriers))
         pilot_rows *= g
         pilot_rows *= rot
@@ -300,19 +300,23 @@ def _superposed_frame(
     for i, delay in enumerate(delays.tolist()):
         lo = delay + i * phy.preamble_slot_len
         rx[lo:lo + PREAMBLE_LEN] += chips[i]
-        if payload is None:
+        if deltas is None:
             symbols = rx[delay + region:delay + region + span].reshape(body, cfg.symbol_len)
             symbols += pilots[i]
-    if payload is not None:
-        block = payload[run]
-        block *= (weights[run] * g * rot)[:, np.newaxis, :]
+    if deltas is not None:
+        precode = weights[run] * g * rot
+        deltas, scales = deltas[run], scales[run]
+        acc, scratch = np.empty((2, body, cfg.subcarriers), dtype=np.complex128)
         symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
-        for delay in np.unique(delays).tolist():
-            first, *rest = np.flatnonzero(delays == delay)
-            for i in rest:
-                block[first] += block[i]
-            ofdm_modulate_into(block[first], cfg, symbols)
-            rx[delay + region:delay + region + span] += symbols.reshape(-1)
+        order = np.argsort(delays, kind="stable")
+        for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
+            for k, i in enumerate(group.tolist()):
+                row = pack_payload(deltas[i], scales[i], scratch if k else acc)
+                row *= precode[i]
+                if k:
+                    acc += row
+            ofdm_modulate_into(acc, cfg, symbols)
+            rx[int(delays[group[0]]) + region:][:span] += symbols.reshape(-1)
     return rx
 
 
@@ -502,26 +506,27 @@ def ota_aggregate(
             _read_symbols(rx, s_offsets, phy, clients, cfg.symbols_per_slot).mean(axis=0)
             for rx, clients in received
         ])
-        del received  # free the sounding buffers before the payload block
+        del received  # free the sounding buffers before the payload event
         raw = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
         if phy.pilot_allocation == "fdm_comb":
             raw = [raw[0, pos] for pos in pilots]
         estimate = quantize_estimate(interpolate(raw, pilots, cfg), phy.feedback_quant_bits)
 
     # --- precode, shared power control ------------------------------------
-    # compute_alpha reads every client's peak against its floored estimate
-    # and checks that it is finite; the frame applies the precoding.
-    payload = pack_payload(deltas, client_scales, cfg)
+    # compute_alpha reads each client's peak against its floored estimate,
+    # packed into one reused block; the frame packs it again to precode it.
+    symbols = slots * cfg.symbols_per_slot
+    row = np.empty((symbols, cfg.subcarriers), dtype=np.complex128)
     divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
-    alpha, largest = compute_alpha(payload, divisor)
+    alpha, largest = compute_alpha(
+        (pack_payload(d, s, row) for d, s in zip(deltas, client_scales)), divisor)
     max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
+    del row
 
     # --- simultaneous payload transmission --------------------------------
     ues = range(num_ues)
-    symbols = payload.shape[1]
     frame = _superposed_frame(ues, phy, payload_gains, phases, offsets,
-                              payload=payload, weights=alpha / divisor)
-    del payload  # consumed by the frame; free it before the receive buffers
+                              deltas=deltas, scales=client_scales, weights=alpha / divisor)
     rx, p_offsets, p_metrics = _receive(frame, ues, phy, noise)
     if np.any(p_metrics < DETECT_THRESHOLD):
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections.abc import Iterable
+
 import numpy as np
 
 from .csi import ChannelEstimate
@@ -72,27 +74,27 @@ def channel_invert(
     return block / divisor
 
 
-def compute_alpha(block: np.ndarray, divisor: np.ndarray) -> tuple[float, np.ndarray]:
+def compute_alpha(rows: Iterable[np.ndarray], divisor: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest shared scaling every UE can transmit within ``PEAK_POWER``,
     and each UE's precoded peak magnitude.
 
-    ``block`` holds one UE's payload per leading row and ``divisor`` one
-    floored estimate row per UE, as :func:`inversion_divisor` returns it;
-    the UE transmits its row divided by its divisor.  A UE's peak is its
-    largest |x| / |d|: the per-subcarrier peaks of its row, max |x| over
-    its symbols, read against |divisor|, one row at a time, so the block is
-    neither divided nor taken the magnitude of as a whole.
+    ``rows`` yields one UE's payload block at a time and ``divisor`` holds
+    one floored estimate row per UE, as :func:`inversion_divisor` returns
+    it.  Each block is read before the next is asked for, so the caller
+    may reuse one buffer.  A UE's peak is its largest |x| / |d|: the
+    per-subcarrier peaks of its block, max |x| over its symbols, read
+    against |divisor|, so no block is divided.
 
     alpha = MARGIN * min over UEs of sqrt(PEAK_POWER / peak^2), so after
     scaling no resource element of any UE exceeds the peak power (strictly
-    below it, as MARGIN < 1).  A non-finite entry makes its row's peak
-    non-finite and is an error.  UEs whose payload is entirely zero impose
-    no constraint; all UEs zero is an error.
+    below it, as MARGIN < 1).  No rows, a row count other than the
+    divisor's, or a non-finite entry is an error.  UEs whose payload is
+    entirely zero impose no constraint; all UEs zero is an error.
     """
-    if len(block) == 0:
-        raise ValueError("need at least one UE")
     largest = np.array([np.max(np.max(np.abs(row), axis=0) / np.abs(d))
-                        for row, d in zip(block, divisor, strict=True)])
+                        for row, d in zip(rows, divisor, strict=True)])
+    if largest.size == 0:
+        raise ValueError("need at least one UE")
     if not np.all(np.isfinite(largest)):
         raise ValueError("precoded resource grid entries must be finite")
     peaks = largest * largest

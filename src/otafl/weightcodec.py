@@ -2,14 +2,13 @@
 
 A real update vector is peak-normalized per I/Q component and packed two
 reals per resource element (even positions real, odd imaginary), row-major
-into one ``(slots * symbols_per_slot, subcarriers)`` block: the block's
+into one client's ``(slots * symbols_per_slot, subcarriers)`` block: its
 float64 view is the scaled update, then zeros.  Both link ends use it.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
 
 import numpy as np
@@ -42,11 +41,12 @@ def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
     """
     peaks_i, peaks_q = [], []
     for d in deltas:
-        magnitude = np.abs(np.asarray(d, dtype=np.float64))
-        if magnitude.size > 0:
-            peaks_i.append(float(magnitude[0::2].max()))
-        if magnitude.size > 1:
-            peaks_q.append(float(magnitude[1::2].max()))
+        d = np.asarray(d, dtype=np.float64)
+        # each rail's magnitudes from its own strided view: no |d| copy
+        if d.size > 0:
+            peaks_i.append(float(np.abs(d[0::2]).max()))
+        if d.size > 1:
+            peaks_q.append(float(np.abs(d[1::2]).max()))
     peak_i, peak_q = max(peaks_i, default=0.0), max(peaks_q, default=0.0)
     return (peak_i if peak_i > 0.0 else 1.0), (peak_q if peak_q > 0.0 else 1.0)
 
@@ -105,27 +105,20 @@ def slot_plan(param_count: int, cfg: GridConfig) -> int:
 
 
 def pack_payload(
-    deltas: Sequence[np.ndarray],
-    scales: Sequence[tuple[float, float]],
-    cfg: GridConfig,
+    delta: np.ndarray, scales: tuple[float, float], out: np.ndarray
 ) -> np.ndarray:
-    """Every client's update, divided by its (I, Q) scales, in its row of one
-    ``(clients, slots * symbols_per_slot, subcarriers)`` payload block.
-
-    The updates are written straight into the block's float64 view, which
-    interleaves real and imaginary parts as :func:`pack_complex` pairs them
-    (even -> I, odd -> Q); every real after the last parameter is zero.
+    """Write one client's update, divided by its (I, Q) scales, into the
+    caller's C-contiguous payload block ``out`` and return it: its float64
+    view interleaves real and imaginary parts as :func:`pack_complex` pairs
+    them (even -> I, odd -> Q), and every real after the last parameter is
+    zero, so one block serves every client in turn.
     """
-    param_count = deltas[0].size
-    symbols = slot_plan(param_count, cfg) * cfg.symbols_per_slot
-    block = np.empty((len(deltas), symbols, cfg.subcarriers), dtype=np.complex128)
-    reals = block.reshape(len(deltas), -1).view(np.float64)
-    for row, d, (scale_i, scale_q) in zip(reals, deltas, scales):
-        d = np.asarray(d, dtype=np.float64)
-        np.divide(d[0::2], scale_i, out=row[0:param_count:2])
-        np.divide(d[1::2], scale_q, out=row[1:param_count:2])
-    reals[:, param_count:] = 0.0
-    return block
+    d = np.asarray(delta, dtype=np.float64)
+    reals = out.reshape(-1).view(np.float64)
+    np.divide(d[0::2], scales[0], out=reals[0:d.size:2])
+    np.divide(d[1::2], scales[1], out=reals[1:d.size:2])
+    reals[d.size:] = 0.0
+    return out
 
 
 def map_to_grids(symbols: np.ndarray, slots: int, cfg: GridConfig) -> np.ndarray:

@@ -202,6 +202,16 @@ def test_nmse_pools_over_all_elements():
     assert nmse(e, t) == pytest.approx(10 * np.log10(0.01), abs=1e-9)
 
 
+@pytest.mark.parametrize("size", [1, 2, 64, 10_001])
+def test_nmse_of_real_vectors_matches_the_complex_cast(size):
+    """Real inputs are not cast to complex, and the result keeps its bits."""
+    rng = np.random.default_rng(size)
+    t = rng.normal(size=size)
+    e = t + 0.1 * rng.normal(size=size)
+    assert nmse(e, t) == nmse(e.astype(complex), t.astype(complex))
+    assert nmse(t, t) == NMSE_FLOOR_DB
+
+
 def test_nmse_validation():
     with pytest.raises(ValueError):
         nmse(np.ones(3), np.ones(4))

@@ -24,7 +24,14 @@ from otafl.ota import (
     train_configs,
 )
 from otafl.sync import SyncConfig, draw_offsets, offset_bound
-from otafl.weightcodec import component_peaks, pack_complex, scale_updates, shared_peaks
+from otafl.weightcodec import (
+    component_peaks,
+    map_to_grids,
+    pack_complex,
+    pack_payload,
+    scale_updates,
+    shared_peaks,
+)
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -290,11 +297,15 @@ def test_detection_scans_only_the_search_windows(monkeypatch):
 ORACLE_GRID = GridConfig(subcarriers=24, symbols_per_slot=4, fft_size=32, cp_len=8)
 
 
+# Two payload slots of ORACLE_GRID, five reals short of full, so the odd
+# last parameter and the zero padding are exercised too.
+ORACLE_PARAMS = 4 * ORACLE_GRID.res_per_slot - 5
+
+
 def _oracle_inputs(num_ues, allocation, seed=11):
-    """Random gains, phases, pilot masks, two slots of packed payload and a
-    precoding weight per subcarrier, one row per client."""
+    """Random gains, phases, pilot masks, updates with their own (I, Q)
+    scales and a precoding weight per subcarrier, one entry per client."""
     sub = ORACLE_GRID.subcarriers
-    rows = 2 * ORACLE_GRID.symbols_per_slot
     rng = np.random.default_rng(seed)
 
     def cn(*shape):
@@ -305,7 +316,15 @@ def _oracle_inputs(num_ues, allocation, seed=11):
     masks = np.zeros((num_ues, sub))
     for ue in range(num_ues):
         masks[ue, ota._pilot_positions(ue, num_ues, ORACLE_GRID, allocation)] = 1.0
-    return gains, phases, masks, cn(num_ues, rows, sub), cn(num_ues, sub)
+    deltas = list(rng.normal(size=(num_ues, ORACLE_PARAMS)))
+    scales = [tuple(pair) for pair in rng.uniform(0.5, 2.0, size=(num_ues, 2)).tolist()]
+    return gains, phases, masks, deltas, scales, cn(num_ues, sub)
+
+
+def _packed(delta, scales):
+    """The codec's block of one client, from the scale -> pair oracle."""
+    return map_to_grids(pack_complex(scale_updates(delta, scales).values),
+                        ota.slot_plan(delta.size, ORACLE_GRID), ORACLE_GRID)
 
 
 def test_single_client_frame_oracle():
@@ -317,7 +336,7 @@ def test_single_client_frame_oracle():
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg)
     num_ues, sub, slot = 3, cfg.subcarriers, phy.preamble_slot_len
-    gains, phases, masks, packed, weights = _oracle_inputs(num_ues, "fdm_comb")
+    gains, phases, masks, deltas, scales, weights = _oracle_inputs(num_ues, "fdm_comb")
     amp = phy.reference_amplitude
     delays = np.zeros(num_ues, dtype=np.int64)
     for ue in range(num_ues):
@@ -328,8 +347,8 @@ def test_single_client_frame_oracle():
             (ota._superposed_frame(one, phy, gains, phases, delays, masks=masks),
              np.tile(pilots, (cfg.symbols_per_slot, 1))),
             (ota._superposed_frame(one, phy, gains, phases, delays,
-                                   payload=packed.copy(), weights=weights),
-             packed[ue] * weights[ue] * gains[ue] * rot),
+                                   deltas=deltas, scales=scales, weights=weights),
+             _packed(deltas[ue], scales[ue]) * weights[ue] * gains[ue] * rot),
         ]
         rms = np.sqrt(np.mean(np.abs(gains[ue]) ** 2))
         chips = amp * rms * grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN) * rot
@@ -381,17 +400,19 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
     num_ues = 5
     if spread == "shared":
         offsets = np.array([3, 0, 3, 1, 0])
-        gains, phases, masks, packed, weights = _oracle_inputs(num_ues, allocation, seed=5)
+        gains, phases, masks, deltas, scales, weights = _oracle_inputs(num_ues, allocation,
+                                                                       seed=5)
     else:
         offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
                                cfg.sample_rate, seed=spread)
-        gains, phases, masks, packed, weights = _oracle_inputs(num_ues, allocation, seed=spread)
+        gains, phases, masks, deltas, scales, weights = _oracle_inputs(num_ues, allocation,
+                                                                       seed=spread)
     if spread in (64, 256):  # some preamble runs past its guard gap into the next slot
         assert offsets.max() > phy.preamble_slot_len - PREAMBLE_LEN
 
-    def build(ues, delays):  # a fresh payload per build: the frame consumes it
+    def build(ues, delays):
         body = (dict(masks=masks) if event == "sounding"
-                else dict(payload=packed.copy(), weights=weights))
+                else dict(deltas=deltas, scales=scales, weights=weights))
         return ota._superposed_frame(ues, phy, gains, phases, delays, **body)
 
     rx = build(range(num_ues), offsets)
@@ -410,6 +431,56 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
         assert np.max(np.abs(rx - want)) <= 1e-12 * np.max(np.abs(want))
 
 
+def _block_path_frame(phy, gains, phases, offsets, deltas, scales, weights):
+    """The payload event as a whole-block transmitter builds it: every
+    client's chips added in ascending order, then all rows packed into one
+    ``(clients, symbols, subcarriers)`` block, multiplied by weights * gain
+    * phase, the rows sharing a delay summed in ascending client order and
+    one IFFT per delay, the delays in ascending order."""
+    cfg, num_ues = phy.grid, len(deltas)
+    region = phy.preamble_region_len(num_ues)
+    rows = ota.slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot
+    rx = np.zeros(int(offsets.max()) + region + rows * cfg.symbol_len, dtype=complex)
+    rot = np.exp(1j * phases)[:, np.newaxis]
+    rms = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
+    chips = (phy.reference_amplitude * rms)[:, np.newaxis] * ota._preamble_bank()[:num_ues] * rot
+    for ue, delay in enumerate(offsets.tolist()):
+        rx[delay + ue * phy.preamble_slot_len:][:PREAMBLE_LEN] += chips[ue]
+    block = np.empty((num_ues, rows, cfg.subcarriers), dtype=complex)
+    for ue in range(num_ues):
+        pack_payload(deltas[ue], scales[ue], block[ue])
+    block *= (weights * gains * rot)[:, np.newaxis, :]
+    symbols = np.empty((rows, cfg.symbol_len), dtype=complex)
+    for delay in np.unique(offsets).tolist():
+        first, *rest = np.flatnonzero(offsets == delay)
+        for ue in rest:
+            block[first] += block[ue]
+        grid.ofdm_modulate_into(block[first], cfg, symbols)
+        rx[delay + region:][:symbols.size] += symbols.reshape(-1)
+    return rx
+
+
+@pytest.mark.parametrize("num_ues", [1, 5, 60])
+@pytest.mark.parametrize("spread", [0, 4, 64, "shared"])
+def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
+    """Packing one client at a time into two reused blocks gives the whole
+    block path's payload event bit for bit: the same products, the same
+    ascending sum within each delay and the same ascending delays.  Every
+    client has its own scales, so a client packed with another's scales
+    shows, and ``shared`` interleaves three delays across the clients."""
+    phy = PhyConfig(grid=ORACLE_GRID)
+    gains, phases, _, deltas, scales, weights = _oracle_inputs(num_ues, "fdm_comb", seed=num_ues)
+    if spread == "shared":
+        offsets = np.array([(2 * ue) % 3 * 5 for ue in range(num_ues)])
+    else:
+        offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
+                               ORACLE_GRID.sample_rate, seed=num_ues)
+    got = ota._superposed_frame(range(num_ues), phy, gains, phases, offsets,
+                                deltas=deltas, scales=scales, weights=weights)
+    want = _block_path_frame(phy, gains, phases, offsets, deltas, scales, weights)
+    assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+
+
 @pytest.mark.parametrize("snr_db", [20.0, -5.0])
 def test_receive_adds_noise_in_place(snr_db):
     """The in-place noise equals ``rx + sqrt(v/2) * (a + 1j*b)`` bit for bit,
@@ -418,10 +489,10 @@ def test_receive_adds_noise_in_place(snr_db):
     referenced to the samples after the preamble region."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg, uplink_snr_db=snr_db)
-    gains, phases, masks, packed, weights = _oracle_inputs(3, "fdm_comb")
+    gains, phases, masks, deltas, scales, weights = _oracle_inputs(3, "fdm_comb")
     offsets = np.array([0, 3, 1])
     rx = ota._superposed_frame(range(3), phy, gains, phases, offsets,
-                               payload=packed, weights=weights)
+                               deltas=deltas, scales=scales, weights=weights)
     region = phy.preamble_region_len(3)
     clean = rx.copy()
     got, _, _ = ota._receive(rx, range(3), phy, np.random.default_rng(derive_seed(5, 1)))
@@ -441,7 +512,7 @@ def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
     original = ota._superposed_frame
 
     def recording(*args, **kwargs):
-        payload_frames.append(kwargs.get("payload") is not None)
+        payload_frames.append(kwargs.get("deltas") is not None)
         return original(*args, **kwargs)
 
     monkeypatch.setattr(ota, "_superposed_frame", recording)
@@ -476,24 +547,27 @@ def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
 @pytest.mark.parametrize("scale_mode", ["common", "per_client"])
 @pytest.mark.parametrize("params", [1, 2, 301, 2 * 32 * 4])
 def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, params):
-    """The block whose peaks set alpha holds, in each client's row, the
-    codec's packed, scaled update (even -> I, odd -> Q) followed by zeros,
-    to the last symbol of its last slot."""
+    """Each row whose peaks set alpha holds the codec's packed, scaled
+    update of its client (even -> I, odd -> Q) followed by zeros, to the
+    last symbol of its last slot; the rows come one per client, in order."""
     seen = []
     original = ota.compute_alpha
 
-    def recording(block, divisor):
-        seen.append(block.copy())
-        return original(block, divisor)
+    def recording(rows, divisor):
+        def copies():
+            for row in rows:
+                seen.append(row.copy())  # the caller reuses one buffer
+                yield row
+        return original(copies(), divisor)
 
     monkeypatch.setattr(ota, "compute_alpha", recording)
     deltas = _random_deltas(3, params, seed=params)
     ota_aggregate(deltas, _ideal_phy(scale_mode=scale_mode), master_seed=0)
-    (block,) = seen
+    assert len(seen) == 3
     slots = ota.slot_plan(params, SMALL_GRID)
-    assert block.shape == (3, slots * SMALL_GRID.symbols_per_slot, SMALL_GRID.subcarriers)
     shared = shared_peaks(deltas)
-    for d, row in zip(deltas, block):
+    for d, row in zip(deltas, seen):
+        assert row.shape == (slots * SMALL_GRID.symbols_per_slot, SMALL_GRID.subcarriers)
         scales = shared if scale_mode == "common" else component_peaks(d)
         want = pack_complex(scale_updates(d, scales).values)
         np.testing.assert_array_equal(row.reshape(-1)[:want.size], want)
@@ -620,18 +694,19 @@ def test_payload_is_modulated_once_per_distinct_delay(monkeypatch, allocation, c
     assert len(seeds) == 1
 
 
-# Peak traced allocation of one aggregation at M = 20, P = 71 666,
-# `tdm_full`, as a multiple of the deltas' own bytes.  One receive buffer
-# per event, one payload block for all clients and the sounding buffers
-# freed before it measure 1.78, and 1.35 once the block is precoded in
-# place with no divided copy; a `(clients x frame_len)` transmit matrix
-# walked again by `superpose`, plus a stacked copy of the deltas for their
-# mean, measured 3.19.
-AGGREGATE_MEMORY_MULTIPLE = 2.5
+# Peak traced allocation of one aggregation at P = 71 666, `tdm_full`, as a
+# multiple of the deltas' own bytes.  Packing one client at a time into
+# reused blocks, with no `(clients, symbols, subcarriers)` payload block,
+# measures 0.47 at M = 20 and 0.16 at M = 60.  One payload block for all
+# clients measured 1.35 and 1.11; a `(clients x frame_len)` transmit
+# matrix walked again by `superpose`, plus a stacked copy of the deltas
+# for their mean, measured 3.19 at M = 20.
+AGGREGATE_MEMORY_MULTIPLE = 0.75
 
 
-def test_aggregate_memory_stays_near_the_updates_size():
-    deltas = _random_deltas(20, 71_666, seed=13)
+@pytest.mark.parametrize("num_ues", [20, 60])
+def test_aggregate_memory_stays_near_the_updates_size(num_ues):
+    deltas = _random_deltas(num_ues, 71_666, seed=13)
     phy = PhyConfig(
         channel=ChannelModel("rayleigh_per_subcarrier"),
         pilot_allocation="tdm_full",

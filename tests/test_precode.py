@@ -201,6 +201,30 @@ def test_alpha_against_the_divisor_matches_the_divided_block(floor_rel):
     np.testing.assert_allclose(largest, want_largest, rtol=1e-15, atol=0)
 
 
+def test_alpha_reads_rows_one_at_a_time_from_one_buffer():
+    """Rows packed in turn into one reused buffer give the stacked block's
+    alpha and peaks bit for bit: each row is read before the next is
+    written."""
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(5, 3, 16)) + 1j * rng.normal(size=(5, 3, 16))
+    divisor = rng.normal(size=(5, 16)) + 1j * rng.normal(size=(5, 16))
+    buffer = np.empty((3, 16), dtype=complex)
+
+    def rows():
+        for row in block:
+            buffer[...] = row
+            yield buffer
+
+    alpha, largest = compute_alpha(rows(), divisor)
+    want_alpha, want_largest = compute_alpha(block, divisor)
+    assert alpha == want_alpha
+    assert largest.tobytes() == want_largest.tobytes()
+    with pytest.raises(ValueError):  # one divisor row per UE
+        compute_alpha(rows(), divisor[:4])
+    with pytest.raises(ValueError, match="at least one UE"):
+        compute_alpha(iter([]), divisor[:0])
+
+
 # ---------------------------------------------------------------- alpha
 
 

@@ -125,6 +125,18 @@ def test_shared_peaks_take_the_max_over_clients():
     assert shared_peaks([np.array([3.0])]) == (3.0, 1.0)  # empty Q rail
 
 
+@pytest.mark.parametrize("params", [1, 2, 3, 64, 10_001])
+def test_shared_peaks_match_the_full_magnitude_oracle(params):
+    """Each rail's peak is, bit for bit, the largest entry of that rail in
+    a full |d| copy, at odd and even P and with signed zeros about."""
+    rng = np.random.default_rng(params)
+    deltas = [rng.normal(size=params) * 10.0 ** rng.uniform(-3, 3) for _ in range(4)]
+    deltas[1][::3] = -0.0
+    want_i = max(float(np.abs(d)[0::2].max()) for d in deltas)
+    want_q = max((float(np.abs(d)[1::2].max()) for d in deltas if d.size > 1), default=1.0)
+    assert shared_peaks(deltas) == (want_i, want_q)
+
+
 def test_shared_scale_overrides_own_peaks():
     v = np.array([1.0, 1.0])
     scaled = scale_updates(v, shared_scale=(2.0, 4.0))
@@ -189,6 +201,12 @@ def test_map_validation():
 SMALL = GridConfig(subcarriers=8, symbols_per_slot=2, fft_size=8, cp_len=2)
 
 
+def _buffer(params):
+    """An uninitialized payload block of one client on the SMALL grid."""
+    symbols = slot_plan(params, SMALL) * SMALL.symbols_per_slot
+    return np.empty((symbols, SMALL.subcarriers), dtype=complex)
+
+
 @pytest.mark.parametrize("params", [1, 2, 31, 32, 33, 77])
 def test_block_decoder_matches_the_unscale_oracle(params):
     """The decoder reads the first P reals of a packed block, padding and
@@ -197,10 +215,8 @@ def test_block_decoder_matches_the_unscale_oracle(params):
     deltas = [rng.normal(size=params) for _ in range(3)]
     deltas[1][::4] = -0.0
     scales = [(0.75, 3.0), shared_peaks(deltas), component_peaks(deltas[2])]
-    block = pack_payload(deltas, scales, SMALL)
-    slots = slot_plan(params, SMALL)
-    assert block.shape == (3, slots * SMALL.symbols_per_slot, SMALL.subcarriers)
-    for row, d, sc in zip(block, deltas, scales):
+    for d, sc in zip(deltas, scales):
+        row = pack_payload(d, sc, _buffer(params))
         want = unscale_updates(scale_updates(d, sc))
         assert unmap_from_grids(row, params, sc).tobytes() == want.tobytes()
         # the padding is zero and the decoder never reads it
@@ -213,13 +229,17 @@ def test_block_decoder_matches_the_unscale_oracle(params):
 
 @pytest.mark.parametrize("params", [1, 2, 31, 32, 77])
 def test_packed_rows_equal_the_packed_scaled_updates(params):
-    """Each row of the payload block holds pack_complex(scale_updates(...))
-    bit for bit in the slots map_to_grids fills, zeros after it."""
+    """A packed block holds pack_complex(scale_updates(...)) bit for bit in
+    the slots map_to_grids fills, zeros after it, whatever the buffer held
+    before: one buffer packs every client in turn, starting from NaNs."""
     rng = np.random.default_rng(100 + params)
     deltas = [rng.normal(size=params) for _ in range(2)]
     scales = [(2.0, 0.5), (0.3, 7.0)]
-    block = pack_payload(deltas, scales, SMALL)
-    for row, d, sc in zip(block, deltas, scales):
+    reused = _buffer(params)
+    reused.fill(complex(np.nan, np.nan))
+    for d, sc in zip(deltas, scales):
+        row = pack_payload(d, sc, reused)
+        assert row is reused
         want = map_to_grids(pack_complex(scale_updates(d, sc).values),
                             slot_plan(params, SMALL), SMALL)
         assert row.tobytes() == want.tobytes()
