@@ -18,7 +18,7 @@ from .accounting import (
     spectrum_gain,
 )
 from .channel import ChannelModel, realize_channel, superpose
-from .csi import ChannelEstimate, interpolate, ls_estimate, nmse
+from .csi import interpolate, ls_estimate, nmse
 from .fl import (
     RoundState,
     Task,
@@ -34,7 +34,6 @@ from .fl import (
 )
 from .grid import (
     GridConfig,
-    ResourceGrid,
     TimeSignal,
     detect_frame,
     gold_sequence,
@@ -66,8 +65,8 @@ from .weightcodec import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "AggregateReport", "ChannelEstimate", "ChannelModel", "EnergyModel",
-    "ExperimentResult", "GridConfig", "PhyConfig", "ResourceGrid",
+    "AggregateReport", "ChannelModel", "EnergyModel",
+    "ExperimentResult", "GridConfig", "PhyConfig",
     "RoundState", "RoundTrace", "ScaledUpdate", "Scenario", "ScenarioError",
     "SpectralProfile",
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",

@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -12,15 +11,6 @@ from .grid import GridConfig
 # Reporting floor: ratios at or below 1e-30 (including exact equality) are
 # clamped to -300 dB so traces stay finite.
 NMSE_FLOOR_DB = -300.0
-
-
-@dataclass
-class ChannelEstimate:
-    """One complex gain per subcarrier, held for every symbol of the round
-    (block fading): a ``(subcarriers,)`` row for one client, or one row per
-    client as ``(clients, subcarriers)``."""
-
-    gains: np.ndarray
 
 
 def ls_estimate(received: np.ndarray, known: np.ndarray) -> np.ndarray:
@@ -41,32 +31,28 @@ def ls_estimate(received: np.ndarray, known: np.ndarray) -> np.ndarray:
 
 
 def interpolate(
-    pilot_estimates: np.ndarray | Sequence[np.ndarray],
-    pilot_positions: np.ndarray | Sequence[np.ndarray],
+    pilot_estimates: Sequence[np.ndarray],
+    pilot_positions: Sequence[np.ndarray],
     cfg: GridConfig,
-) -> ChannelEstimate:
-    """Fill one gain per subcarrier from pilot positions.
+) -> np.ndarray:
+    """Fill one gain per subcarrier from pilot positions, one row per client.
 
     Linear interpolation in frequency (real and imaginary parts separately,
-    ends held at the outermost pilot value).  Under block fading that one
-    row is the estimate for every symbol of the round.
+    ends held at the outermost pilot value).  Under block fading a client's
+    row is its estimate for every symbol of the round.
 
-    A 1-D estimate and position array is one client and gives one row.  A
-    2-D array, or a sequence of 1-D rows whose lengths may differ, is one
-    client per row and gives ``(clients, subcarriers)``.  Every client's
-    pilots are shifted into their own range of ``subcarriers`` positions,
-    and each query is clipped to its client's outermost pilots, so one
-    ``np.interp`` per part serves all clients and returns exactly what a
-    call per client would.
+    Estimates and positions are sequences of 1-D rows, one per client,
+    whose lengths may differ; a 2-D array counts as its rows.  The result
+    is ``(clients, subcarriers)``.  Every client's pilots are shifted into
+    their own range of ``subcarriers`` positions, and each query is clipped
+    to its client's outermost pilots, so one ``np.interp`` per part serves
+    all clients and returns exactly what a call per client would.
     """
-    one = isinstance(pilot_positions, np.ndarray) and pilot_positions.ndim == 1
-    est_rows = [pilot_estimates] if one else pilot_estimates
-    pos_rows = [pilot_positions] if one else pilot_positions
-    sizes = [len(p) for p in pos_rows]
-    if not sizes or 0 in sizes or [len(e) for e in est_rows] != sizes:
+    sizes = [len(p) for p in pilot_positions]
+    if not sizes or 0 in sizes or [len(e) for e in pilot_estimates] != sizes:
         raise ValueError("pilot estimates/positions must be matching nonempty rows")
-    est = np.concatenate(est_rows).astype(np.complex128, copy=False)
-    pos = np.concatenate(pos_rows).astype(np.int64, copy=False)
+    est = np.concatenate(pilot_estimates).astype(np.complex128, copy=False)
+    pos = np.concatenate(pilot_positions).astype(np.int64, copy=False)
     if est.ndim != 1 or pos.ndim != 1:
         raise ValueError("pilot estimates/positions must be matching 1-D arrays")
     if pos.min() < 0 or pos.max() >= cfg.subcarriers:
@@ -83,8 +69,7 @@ def interpolate(
     np.maximum(query, pos[first, np.newaxis], out=query)
     np.minimum(query, pos[last, np.newaxis], out=query)
     nodes = pos.astype(np.float64)
-    gains = np.interp(query, nodes, est.real) + 1j * np.interp(query, nodes, est.imag)
-    return ChannelEstimate(gains[0] if one else gains)
+    return np.interp(query, nodes, est.real) + 1j * np.interp(query, nodes, est.imag)
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -107,13 +92,14 @@ def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     return max(10.0 * np.log10(ratio), NMSE_FLOOR_DB)
 
 
-def quantize_estimate(estimate: ChannelEstimate, bits: int) -> ChannelEstimate:
+def quantize_estimate(estimate: np.ndarray, bits: int) -> np.ndarray:
     """Optional feedback quantization: symmetric per-part uniform grid.
 
-    ``bits`` = 0 means lossless feedback (returned unchanged).  Real and
-    imaginary parts are quantized independently with a full scale shared by
-    both parts of a row: the largest magnitude in that row, so every client
-    quantizes against its own estimate.
+    ``estimate`` holds one row of gains per client.  ``bits`` = 0 means
+    lossless feedback (returned unchanged).  Real and imaginary parts are
+    quantized independently with a full scale shared by both parts of a
+    row: the largest magnitude in that row, so every client quantizes
+    against its own estimate.
     """
     if bits < 0:
         raise ValueError("bits must be >= 0")
@@ -122,8 +108,8 @@ def quantize_estimate(estimate: ChannelEstimate, bits: int) -> ChannelEstimate:
     levels = 2 ** (bits - 1) - 1
     if levels < 1:
         raise ValueError("need at least 2 bits for a nonzero quantizer")
-    h = estimate.gains
+    h = estimate
     scale = np.maximum(np.maximum(np.max(np.abs(h.real), axis=-1, keepdims=True),
                                   np.max(np.abs(h.imag), axis=-1, keepdims=True)), 1e-300)
     step = scale / levels
-    return ChannelEstimate((np.round(h.real / step) + 1j * np.round(h.imag / step)) * step)
+    return (np.round(h.real / step) + 1j * np.round(h.imag / step)) * step

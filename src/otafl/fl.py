@@ -71,8 +71,8 @@ class TrainConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ValueError("learning_rate must be positive")
+        if not 0 < self.learning_rate < np.inf:
+            raise ValueError("learning_rate must be positive and finite")
         if self.epochs < 0 or self.batch_size < 0:
             raise ValueError("epochs and batch_size must be >= 0")
         if self.optimizer not in OPTIMIZERS:

@@ -57,8 +57,8 @@ class GridConfig:
             raise ValueError("fft_size must be >= subcarriers")
         if self.cp_len < 0 or self.cp_len >= self.fft_size:
             raise ValueError("cp_len must lie in [0, fft_size)")
-        if self.subcarrier_spacing <= 0:
-            raise ValueError("subcarrier_spacing must be positive")
+        if not 0 < self.subcarrier_spacing < np.inf:
+            raise ValueError("subcarrier_spacing must be positive and finite")
 
     @property
     def sample_rate(self) -> float:
@@ -77,20 +77,6 @@ class GridConfig:
     def res_per_slot(self) -> int:
         """Resource elements per slot (symbols x subcarriers)."""
         return self.symbols_per_slot * self.subcarriers
-
-
-@dataclass
-class ResourceGrid:
-    """Complex symbols laid out as (symbols, subcarriers)."""
-
-    data: np.ndarray
-
-    def __post_init__(self):
-        self.data = np.asarray(self.data, dtype=np.complex128)
-        if self.data.ndim != 2:
-            raise ValueError("resource grid must be 2-D")
-        if not np.all(np.isfinite(self.data.view(np.float64))):
-            raise ValueError("resource grid entries must be finite")
 
 
 @dataclass
@@ -199,19 +185,24 @@ def ofdm_modulate_into(symbols: np.ndarray, cfg: GridConfig, out: np.ndarray) ->
     out[:, :cfg.cp_len] = out[:, fft:]
 
 
-def ofdm_modulate(grid: ResourceGrid, cfg: GridConfig) -> TimeSignal:
-    """Unitary IFFT per symbol plus cyclic prefix, any number of symbols
-    concatenated."""
-    out = np.empty((grid.data.shape[0], cfg.symbol_len), dtype=np.complex128)
-    ofdm_modulate_into(grid.data, cfg, out)
+def ofdm_modulate(grid: np.ndarray, cfg: GridConfig) -> TimeSignal:
+    """Unitary IFFT per symbol plus cyclic prefix, any number of symbols of a
+    finite ``(symbols, subcarriers)`` grid concatenated."""
+    grid = np.asarray(grid, dtype=np.complex128)
+    if grid.ndim != 2:
+        raise ValueError("resource grid must be 2-D")
+    if not np.all(np.isfinite(grid.view(np.float64))):
+        raise ValueError("resource grid entries must be finite")
+    out = np.empty((grid.shape[0], cfg.symbol_len), dtype=np.complex128)
+    ofdm_modulate_into(grid, cfg, out)
     return TimeSignal(out.reshape(-1), cfg.sample_rate)
 
 
 def ofdm_demodulate(
     signal: TimeSignal, cfg: GridConfig, start: int = 0, symbols: int | None = None
-) -> ResourceGrid:
+) -> np.ndarray:
     """Strip cyclic prefixes and FFT ``symbols`` OFDM symbols (one slot's by
-    default) from ``start`` on back to a (symbols, subcarriers) grid in one
+    default) from ``start`` on back to a (symbols, subcarriers) array in one
     call, reading each subcarrier straight from its FFT bin."""
     n = cfg.symbols_per_slot if symbols is None else symbols
     need = n * cfg.symbol_len
@@ -226,7 +217,7 @@ def ofdm_demodulate(
     grid = np.empty((n, sub), dtype=np.complex128)
     grid[:, split:] = spectrum[:, :sub - split]
     grid[:, :split] = spectrum[:, fft - split:]
-    return ResourceGrid(grid)
+    return grid
 
 
 def detect_frame(signal: TimeSignal, preamble: np.ndarray) -> tuple[int, float]:

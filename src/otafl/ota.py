@@ -13,8 +13,8 @@ One uplink round, as simulated here:
     per-client timing phase ramp, so channel inversion pre-compensates
     residual sample offsets that fall inside the cyclic prefix.  The
     estimates are one ``(clients, subcarriers)`` array, and each estimation
-    stage (least squares, interpolation, quantization) is one call for all
-    clients.
+    stage (least squares, comb interpolation, quantization) is one call for
+    all clients.
 4.  The codec packs one client's scaled update at a time into a reused
     block.  One pass over the clients reads each one's peak against its
     floored estimate and gives the shared power-control factor alpha.
@@ -56,7 +56,7 @@ from .accounting import (
     round_energy,
 )
 from .channel import ChannelModel, decorrelate, realize_channel
-from .csi import ChannelEstimate, interpolate, ls_estimate, nmse, quantize_estimate
+from .csi import interpolate, ls_estimate, nmse, quantize_estimate
 from .grid import (
     GridConfig,
     TimeSignal,
@@ -368,7 +368,7 @@ def _read_symbols(
     cfg = phy.grid
     start = int(offsets.min()) + phy.preamble_region_len(clients)
     start = min(start, rx.samples.size - n * cfg.symbol_len)
-    return ofdm_demodulate(rx, cfg, start, n).data
+    return ofdm_demodulate(rx, cfg, start, n)
 
 
 def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
@@ -472,8 +472,7 @@ def ota_aggregate(
     # --- sounding pass: effective-channel estimates at a common reference -
     if phy.csi_mode == "perfect":
         ramps = _phase_ramp(cfg, offsets[:, np.newaxis] - int(offsets.min()))
-        estimate = ChannelEstimate(
-            payload_gains * ramps * np.exp(1j * phases)[:, np.newaxis])
+        estimate = payload_gains * ramps * np.exp(1j * phases)[:, np.newaxis]
     else:
         pilots = [_pilot_positions(ue, num_ues, cfg, phy.pilot_allocation)
                   for ue in range(num_ues)]
@@ -507,10 +506,12 @@ def ota_aggregate(
             for rx, clients in received
         ])
         del received  # free the sounding buffers before the payload event
-        raw = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
+        estimate = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
+        # Full-band rows already hold a gain on every subcarrier; only the
+        # comb fills the subcarriers between a client's pilots.
         if phy.pilot_allocation == "fdm_comb":
-            raw = [raw[0, pos] for pos in pilots]
-        estimate = quantize_estimate(interpolate(raw, pilots, cfg), phy.feedback_quant_bits)
+            estimate = interpolate([estimate[0, pos] for pos in pilots], pilots, cfg)
+        estimate = quantize_estimate(estimate, phy.feedback_quant_bits)
 
     # --- precode, shared power control ------------------------------------
     # compute_alpha reads each client's peak against its floored estimate,

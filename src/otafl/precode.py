@@ -6,8 +6,6 @@ from collections.abc import Iterable
 
 import numpy as np
 
-from .csi import ChannelEstimate
-
 # Default inversion floor as a fraction of the median estimated magnitude.
 # Chosen empirically on per-subcarrier Rayleigh fading at 20 dB receive SNR:
 # the aggregation error is flat between 0.10 and 0.20 and degrades on both
@@ -22,16 +20,16 @@ MARGIN = 0.9
 
 
 def inversion_floor(
-    estimate: ChannelEstimate, floor_rel: float = DEFAULT_FLOOR_REL
+    estimate: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL
 ) -> float | np.ndarray:
     """Magnitude floor: ``floor_rel`` times the median estimated |H| over the
     subcarriers, one floor per row of the estimate (a scalar for one row)."""
-    if floor_rel < 0:
+    if not floor_rel >= 0:
         raise ValueError("floor_rel must be >= 0")
-    return floor_rel * np.median(np.abs(estimate.gains), axis=-1)
+    return floor_rel * np.median(np.abs(estimate), axis=-1)
 
 
-def inversion_divisor(estimate: ChannelEstimate, floor: float | np.ndarray) -> np.ndarray:
+def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray) -> np.ndarray:
     """The channel estimate with magnitudes below ``floor`` raised to it.
 
     ``floor`` is a scalar or one value per row of the estimate, as
@@ -42,9 +40,9 @@ def inversion_divisor(estimate: ChannelEstimate, floor: float | np.ndarray) -> n
     result is the estimate's own array, so callers must not write to it.
     """
     floor = np.asarray(floor, dtype=np.float64)[..., np.newaxis]
-    if np.any(floor < 0):
+    if not np.all(floor >= 0):
         raise ValueError("floor must be >= 0")
-    h = estimate.gains
+    h = estimate
     mag = np.abs(h)
     dead = mag == 0
     if np.any(dead & (floor == 0)):
@@ -59,7 +57,7 @@ def inversion_divisor(estimate: ChannelEstimate, floor: float | np.ndarray) -> n
 
 def channel_invert(
     block: np.ndarray,
-    estimate: ChannelEstimate,
+    estimate: np.ndarray,
     floor: float | np.ndarray,
 ) -> np.ndarray:
     """Divide every symbol of a payload block by :func:`inversion_divisor`,

@@ -38,8 +38,9 @@ class SyncConfig:
             raise ValueError(f"unknown sync mode {self.mode!r}")
         if self.distribution not in DISTRIBUTIONS:
             raise ValueError(f"unknown offset distribution {self.distribution!r}")
-        if self.ptp_bound_s < 0 or self.off_spread < 0 or self.phase_offset_rad < 0:
-            raise ValueError("sync parameters must be >= 0")
+        for name in ("ptp_bound_s", "off_spread", "phase_offset_rad"):
+            if not 0 <= getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be finite and >= 0")
 
 
 def offset_bound(cfg: SyncConfig, sample_rate: float) -> int:

@@ -5,7 +5,6 @@ import pytest
 
 from otafl.csi import (
     NMSE_FLOOR_DB,
-    ChannelEstimate,
     interpolate,
     ls_estimate,
     nmse,
@@ -48,12 +47,12 @@ def test_ls_validation():
 def test_interpolate_exact_at_pilots_and_holds_ends():
     pos = np.array([4, 8, 12])
     vals = np.array([1 + 1j, 2 - 1j, -3 + 0.5j])
-    est = interpolate(vals, pos, CFG)
-    assert est.gains.shape == (16,)
-    np.testing.assert_array_equal(est.gains[pos], vals)
+    est = interpolate([vals], [pos], CFG)[0]
+    assert est.shape == (16,)
+    np.testing.assert_array_equal(est[pos], vals)
     # outside the pilot span the nearest pilot value is held
-    np.testing.assert_array_equal(est.gains[:4], np.full(4, vals[0]))
-    np.testing.assert_array_equal(est.gains[13:], np.full(3, vals[-1]))
+    np.testing.assert_array_equal(est[:4], np.full(4, vals[0]))
+    np.testing.assert_array_equal(est[13:], np.full(3, vals[-1]))
 
 
 def test_interpolate_recovers_linear_ramp_exactly():
@@ -63,25 +62,25 @@ def test_interpolate_recovers_linear_ramp_exactly():
     n = CFG.subcarriers
     truth = (0.5 + 0.25j) * np.arange(n) + (1 - 2j)
     pos = np.array([0, 5, 10, n - 1])
-    est = interpolate(truth[pos], pos, CFG)
-    np.testing.assert_allclose(est.gains, truth, atol=1e-12)
+    est = interpolate([truth[pos]], [pos], CFG)[0]
+    np.testing.assert_allclose(est, truth, atol=1e-12)
 
 
 def test_interpolate_gives_one_gain_per_subcarrier():
     """Block fading holds one gain per subcarrier for the whole round, so
     the estimate is a single row whatever the symbols per slot."""
-    est = interpolate(np.array([1.0 + 0j]), np.array([7]), CFG)
-    assert est.gains.shape == (CFG.subcarriers,)
-    np.testing.assert_array_equal(est.gains, np.ones(CFG.subcarriers, dtype=complex))
+    est = interpolate([np.array([1.0 + 0j])], [np.array([7])], CFG)[0]
+    assert est.shape == (CFG.subcarriers,)
+    np.testing.assert_array_equal(est, np.ones(CFG.subcarriers, dtype=complex))
 
 
 def test_interpolate_validation():
     with pytest.raises(ValueError):
-        interpolate(np.ones(2), np.array([3]), CFG)  # length mismatch
+        interpolate([np.ones(2)], [np.array([3])], CFG)  # length mismatch
     with pytest.raises(ValueError):
-        interpolate(np.ones(2), np.array([3, 3]), CFG)  # not increasing
+        interpolate([np.ones(2)], [np.array([3, 3])], CFG)  # not increasing
     with pytest.raises(ValueError):
-        interpolate(np.ones(2), np.array([3, 99]), CFG)  # out of range
+        interpolate([np.ones(2)], [np.array([3, 99])], CFG)  # out of range
     with pytest.raises(ValueError):
         interpolate([np.ones(2), np.ones(1)], [np.array([1, 2]), np.array([5, 6])], CFG)
     with pytest.raises(ValueError):
@@ -141,10 +140,10 @@ def test_comb_interpolation_rows_match_per_row_calls(num_ues):
     pos = _comb(num_ues, WIDE.subcarriers)
     full = _rows(1, WIDE.subcarriers, seed=num_ues)[0]
     values = [full[p] for p in pos]
-    got = interpolate(values, pos, WIDE).gains
+    got = interpolate(values, pos, WIDE)
     assert got.shape == (num_ues, WIDE.subcarriers)
     for ue in range(num_ues):
-        row = interpolate(values[ue], pos[ue], WIDE).gains
+        row = interpolate([values[ue]], [pos[ue]], WIDE)[0]
         np.testing.assert_array_equal(_bits(got[ue]), _bits(row))
         want = _interp_reference(values[ue], pos[ue], WIDE.subcarriers)
         np.testing.assert_array_equal(_bits(got[ue]), _bits(want))
@@ -157,12 +156,12 @@ def test_ragged_interpolation_rows_match_per_row_calls():
     width = WIDE.subcarriers
     pos = [np.sort(rng.choice(width, size=k, replace=False)) for k in (1, 2, 7, 40, width)]
     values = [_rows(1, p.size, seed=k)[0] for k, p in enumerate(pos)]
-    got = interpolate(values, pos, WIDE).gains
+    got = interpolate(values, pos, WIDE)
     for ue, (v, p) in enumerate(zip(values, pos)):
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(interpolate(v, p, WIDE).gains))
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(interpolate([v], [p], WIDE)[0]))
         np.testing.assert_array_equal(_bits(got[ue]), _bits(_interp_reference(v, p, width)))
     full = _rows(4, width, seed=9)
-    same = interpolate(full, np.broadcast_to(np.arange(width), full.shape), WIDE).gains
+    same = interpolate(full, np.broadcast_to(np.arange(width), full.shape), WIDE)
     np.testing.assert_array_equal(_bits(same), _bits(full))
 
 
@@ -173,10 +172,10 @@ def test_quantize_rows_match_per_row_calls(bits):
     rows = _rows(6, WIDE.subcarriers, seed=bits)
     rows[2] *= 100.0
     rows[4] = 0.0
-    got = quantize_estimate(ChannelEstimate(rows), bits).gains
+    got = quantize_estimate(rows, bits)
     levels = 2 ** (bits - 1) - 1
     for ue, h in enumerate(rows):
-        row = quantize_estimate(ChannelEstimate(h), bits).gains
+        row = quantize_estimate(h, bits)
         np.testing.assert_array_equal(_bits(got[ue]), _bits(row))
         step = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)), 1e-300) / levels
         want = (np.round(h.real / step) + 1j * np.round(h.imag / step)) * step
@@ -226,7 +225,7 @@ def _estimate_fixture():
     rng = np.random.default_rng(5)
     pos = np.arange(0, 16, 2)
     vals = rng.normal(size=8) + 1j * rng.normal(size=8)
-    return interpolate(vals, pos, CFG)
+    return interpolate([vals], [pos], CFG)[0]
 
 
 def test_quantize_zero_bits_is_identity():
@@ -241,11 +240,11 @@ def test_quantize_error_bound():
         q = quantize_estimate(est, bits)
         levels = 2 ** (bits - 1) - 1
         scale = max(
-            np.max(np.abs(est.gains.real)), np.max(np.abs(est.gains.imag))
+            np.max(np.abs(est.real)), np.max(np.abs(est.imag))
         )
         step = scale / levels
-        assert q.gains.shape == est.gains.shape == (CFG.subcarriers,)
-        err = q.gains - est.gains
+        assert q.shape == est.shape == (CFG.subcarriers,)
+        err = q - est
         assert np.max(np.abs(err.real)) <= step / 2 + 1e-12
         assert np.max(np.abs(err.imag)) <= step / 2 + 1e-12
 
@@ -253,7 +252,7 @@ def test_quantize_error_bound():
 def test_quantize_error_shrinks_with_bits():
     est = _estimate_fixture()
     errs = [
-        np.max(np.abs(quantize_estimate(est, b).gains - est.gains))
+        np.max(np.abs(quantize_estimate(est, b) - est))
         for b in (3, 6, 10)
     ]
     assert errs[0] > errs[1] > errs[2]

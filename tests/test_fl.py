@@ -120,6 +120,12 @@ def test_sgd_reduces_loss_on_convex_task():
     assert evaluate_loss(after, task) < evaluate_loss(theta, task)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf, 0.0])
+def test_train_config_rejects_a_non_finite_or_non_positive_learning_rate(bad):
+    with pytest.raises(ValueError, match="learning_rate must be positive and finite"):
+        TrainConfig(learning_rate=bad)
+
+
 def test_local_train_size_check():
     task = make_linear_task(0, 1, n_samples=10, n_features=4)
     with pytest.raises(ValueError):

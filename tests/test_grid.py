@@ -7,7 +7,6 @@ import pytest
 
 from otafl.grid import (
     GridConfig,
-    ResourceGrid,
     TimeSignal,
     detect_frame,
     gold_sequence,
@@ -31,7 +30,7 @@ def _bins_oracle(cfg):
 def _random_grid(cfg, seed):
     rng = np.random.default_rng(seed)
     shape = (cfg.symbols_per_slot, cfg.subcarriers)
-    return ResourceGrid(rng.normal(size=shape) + 1j * rng.normal(size=shape))
+    return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
 
 # ---------------------------------------------------------------- config
@@ -53,6 +52,8 @@ def test_config_defaults():
         dict(cp_len=-1),
         dict(cp_len=256),
         dict(subcarrier_spacing=0.0),
+        dict(subcarrier_spacing=np.nan),
+        dict(subcarrier_spacing=np.inf),
     ],
 )
 def test_config_rejects_bad_values(kwargs):
@@ -61,10 +62,10 @@ def test_config_rejects_bad_values(kwargs):
 
 
 def test_resource_grid_validation():
-    with pytest.raises(ValueError):
-        ResourceGrid(np.zeros(4))
-    with pytest.raises(ValueError):
-        ResourceGrid(np.array([[np.nan, 0.0]]))
+    with pytest.raises(ValueError, match="resource grid must be 2-D"):
+        ofdm_modulate(np.zeros(4), CFG)
+    with pytest.raises(ValueError, match="resource grid entries must be finite"):
+        ofdm_modulate(np.array([[np.nan, 0.0]]), CFG)
     with pytest.raises(ValueError):
         TimeSignal(np.zeros((2, 2)), 1.0)
     with pytest.raises(ValueError):
@@ -79,14 +80,14 @@ def test_modulate_demodulate_round_trip():
     sig = ofdm_modulate(grid, CFG)
     assert sig.samples.size == CFG.slot_len
     back = ofdm_demodulate(sig, CFG, 0)
-    np.testing.assert_allclose(back.data, grid.data, atol=1e-12)
+    np.testing.assert_allclose(back, grid, atol=1e-12)
 
 
 def test_round_trip_with_partial_occupation():
     cfg = GridConfig(subcarriers=120, symbols_per_slot=3, fft_size=256)
     grid = _random_grid(cfg, seed=1)
     back = ofdm_demodulate(ofdm_modulate(grid, cfg), cfg, 0)
-    np.testing.assert_allclose(back.data, grid.data, atol=1e-12)
+    np.testing.assert_allclose(back, grid, atol=1e-12)
 
 
 def test_unitary_energy_preservation():
@@ -96,7 +97,7 @@ def test_unitary_energy_preservation():
     sig = ofdm_modulate(grid, cfg)
     np.testing.assert_allclose(
         np.sum(np.abs(sig.samples) ** 2),
-        np.sum(np.abs(grid.data) ** 2),
+        np.sum(np.abs(grid) ** 2),
         rtol=1e-12,
     )
 
@@ -128,7 +129,7 @@ def test_early_window_produces_known_phase_ramp(early):
     )
     got = ofdm_demodulate(shifted, CFG, 0)
     ramp = np.exp(-2j * np.pi * _bins_oracle(CFG) * early / CFG.fft_size)
-    np.testing.assert_allclose(got.data, grid.data * ramp[None, :], atol=1e-10)
+    np.testing.assert_allclose(got, grid * ramp[None, :], atol=1e-10)
 
 
 def test_demodulate_rejects_out_of_range_window():
@@ -141,7 +142,7 @@ def test_demodulate_rejects_out_of_range_window():
 
 def test_modulate_rejects_wrong_shape():
     with pytest.raises(ValueError):
-        ofdm_modulate(ResourceGrid(np.zeros((2, 2), dtype=complex)), CFG)
+        ofdm_modulate(np.zeros((2, 2), dtype=complex), CFG)
     with pytest.raises(ValueError):
         ofdm_modulate_into(np.zeros((3, CFG.subcarriers)), CFG,
                            np.zeros((3, CFG.symbol_len - 1), dtype=complex))
@@ -180,7 +181,7 @@ def test_modulate_into_matches_the_shifted_spectrum_reference(cfg):
     samples bit for bit, whether written into a slot's own buffer or into a
     strided window of a longer frame."""
     rows = 3 * cfg.symbols_per_slot
-    data = _random_grid(dataclasses.replace(cfg, symbols_per_slot=rows), seed=6).data
+    data = _random_grid(dataclasses.replace(cfg, symbols_per_slot=rows), seed=6)
     want = _shifted_spectrum_modulate(data, cfg)
     frame = np.full(rows * cfg.symbol_len + 7, np.nan, dtype=complex)
     ofdm_modulate_into(data, cfg, frame[5:-2].reshape(rows, cfg.symbol_len))
@@ -188,7 +189,7 @@ def test_modulate_into_matches_the_shifted_spectrum_reference(cfg):
     assert np.isnan(frame[:5]).all() and np.isnan(frame[-2:]).all()
     slot = _random_grid(cfg, seed=7)
     assert (ofdm_modulate(slot, cfg).samples.tobytes()
-            == _shifted_spectrum_modulate(slot.data, cfg).tobytes())
+            == _shifted_spectrum_modulate(slot, cfg).tobytes())
 
 
 @pytest.mark.parametrize("cfg", SHAPES, ids=_shape_id)
@@ -203,7 +204,7 @@ def test_demodulate_matches_the_shifted_spectrum_reference(cfg):
         seg = signal.samples[start:start + cfg.slot_len].reshape(cfg.symbols_per_slot, -1)
         spectrum = np.fft.fft(seg[:, cfg.cp_len:], axis=1, norm="ortho")
         want = np.fft.fftshift(spectrum, axes=1)[:, lo:lo + cfg.subcarriers]
-        assert ofdm_demodulate(signal, cfg, start).data.tobytes() == want.tobytes()
+        assert ofdm_demodulate(signal, cfg, start).tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("cfg", SHAPES, ids=_shape_id)
@@ -216,8 +217,8 @@ def test_demodulating_many_symbols_equals_one_slot_at_a_time(cfg):
     signal = TimeSignal(rng.normal(size=n) + 1j * rng.normal(size=n), cfg.sample_rate)
     symbols = slots * cfg.symbols_per_slot
     for start in (0, 5):
-        got = ofdm_demodulate(signal, cfg, start, symbols).data
-        want = np.concatenate([ofdm_demodulate(signal, cfg, start + k * cfg.slot_len).data
+        got = ofdm_demodulate(signal, cfg, start, symbols)
+        want = np.concatenate([ofdm_demodulate(signal, cfg, start + k * cfg.slot_len)
                                for k in range(slots)])
         assert got.shape == (symbols, cfg.subcarriers)
         assert got.tobytes() == want.tobytes()
@@ -240,14 +241,14 @@ def test_payload_slots_survive_framing():
     # preamble burst, one pilot symbol, then the payload slots (the uplink layout)
     preamble = gold_sequence(7, 0, 127).astype(complex)
     pilot_cfg = dataclasses.replace(CFG, symbols_per_slot=1)
-    pilot = ofdm_modulate(ResourceGrid(make_pilot_values(CFG.subcarriers)[None, :]), pilot_cfg)
+    pilot = ofdm_modulate(make_pilot_values(CFG.subcarriers)[None, :], pilot_cfg)
     payload = [_random_grid(CFG, seed=30 + i) for i in range(2)]
     parts = [preamble, pilot.samples] + [ofdm_modulate(g, CFG).samples for g in payload]
     frame = TimeSignal(np.concatenate(parts), CFG.sample_rate)
     base = 127 + CFG.symbol_len
     for i, g in enumerate(payload):
         back = ofdm_demodulate(frame, CFG, base + i * CFG.slot_len)
-        np.testing.assert_allclose(back.data, g.data, atol=1e-12)
+        np.testing.assert_allclose(back, g, atol=1e-12)
 
 
 # ------------------------------------------------------------ detection

@@ -8,6 +8,7 @@ import pytest
 
 from otafl import fl, grid, ota
 from otafl.channel import ChannelModel, superpose
+from otafl.csi import ls_estimate
 from otafl.grid import GridConfig, TimeSignal, ofdm_demodulate
 from otafl.ota import (
     DETECT_THRESHOLD,
@@ -357,7 +358,7 @@ def test_single_client_frame_oracle():
             np.testing.assert_allclose(frame[:PREAMBLE_LEN], chips, rtol=0, atol=1e-12)
             assert not frame[PREAMBLE_LEN:slot].any()
             got = ofdm_demodulate(TimeSignal(frame, cfg.sample_rate),
-                                  replace(cfg, symbols_per_slot=len(want)), slot).data
+                                  replace(cfg, symbols_per_slot=len(want)), slot)
             np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
             symbols = frame[slot:].reshape(-1, cfg.symbol_len)
             np.testing.assert_array_equal(symbols[:, :cfg.cp_len], symbols[:, -cfg.cp_len:])
@@ -530,7 +531,7 @@ STAGES = ("ls_estimate", "interpolate", "quantize_estimate", "inversion_floor",
 @pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
 def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
     """Estimation and precoding take every client's row in one call, however
-    many clients there are."""
+    many clients there are; full-band pilots need no interpolation."""
     calls = dict.fromkeys(STAGES, 0)
     for name in STAGES:
         def counting(*args, _stage=getattr(ota, name), _name=name, **kwargs):
@@ -541,7 +542,36 @@ def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
                     feedback_quant_bits=8, uplink_snr_db=30.0)
     report = ota_aggregate(_random_deltas(12, 301, seed=3), phy, master_seed=3)
     assert not report.aborted
-    assert calls == dict.fromkeys(STAGES, 1)
+    assert calls == dict(dict.fromkeys(STAGES, 1), interpolate=int(allocation == "fdm_comb"))
+
+
+def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
+    """With full-band pilots the estimate handed to the floor is, bit for
+    bit, the least-squares division of each sounding event's slot-averaged
+    pilot row by the known pilots."""
+    reads, floored = [], []
+    read, floor = ota._read_symbols, ota.inversion_floor
+
+    def reading(*args):
+        block = read(*args)
+        reads.append(block.copy())
+        return block
+
+    def flooring(estimate, floor_rel):
+        floored.append(estimate.copy())
+        return floor(estimate, floor_rel)
+
+    monkeypatch.setattr(ota, "_read_symbols", reading)
+    monkeypatch.setattr(ota, "inversion_floor", flooring)
+    num_ues = 4
+    phy = PhyConfig(grid=SMALL_GRID, channel=ChannelModel("rayleigh_per_subcarrier"),
+                    pilot_allocation="tdm_full", uplink_snr_db=20.0)
+    report = ota_aggregate(_random_deltas(num_ues, 301, seed=8), phy, master_seed=8)
+    assert not report.aborted
+    assert len(reads) == num_ues + 1 and len(floored) == 1  # sounding events, payload
+    rows = np.stack([block.mean(axis=0) for block in reads[:num_ues]])
+    pilots = phy.reference_amplitude * grid.make_pilot_values(SMALL_GRID.subcarriers)
+    assert floored[0].tobytes() == ls_estimate(rows, pilots).tobytes()
 
 
 @pytest.mark.parametrize("scale_mode", ["common", "per_client"])
@@ -591,7 +621,7 @@ def test_read_symbols_moves_a_late_start_back_inside_the_buffer():
         return ota._read_symbols(rx, np.array(offsets), phy, clients, n).tobytes()
 
     def window(start):
-        return ofdm_demodulate(rx, cfg, start, n).data.tobytes()
+        return ofdm_demodulate(rx, cfg, start, n).tobytes()
 
     assert read([9, 7, 8]) == window(7 + region)
     assert read([0]) == window(region)

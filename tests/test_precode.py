@@ -3,8 +3,6 @@
 import numpy as np
 import pytest
 
-from otafl.csi import ChannelEstimate, interpolate
-from otafl.grid import GridConfig
 from otafl.precode import (
     DEFAULT_FLOOR_REL,
     MARGIN,
@@ -15,12 +13,9 @@ from otafl.precode import (
     inversion_floor,
 )
 
-CFG = GridConfig(subcarriers=8, symbols_per_slot=2, fft_size=8, cp_len=2)
-
 
 def _estimate(values):
-    vals = np.asarray(values, dtype=complex)
-    return interpolate(vals, np.arange(vals.size), CFG)
+    return np.asarray(values, dtype=complex)
 
 
 def _grid(data):
@@ -32,7 +27,7 @@ def test_inversion_is_exact_above_floor():
     x = _grid(np.random.default_rng(0).normal(size=16))
     out = channel_invert(x, h, floor=0.1)
     # transmit * channel should reproduce the payload exactly
-    np.testing.assert_allclose(out * h.gains, x, atol=1e-12)
+    np.testing.assert_allclose(out * h, x, atol=1e-12)
 
 
 def test_floor_clamps_magnitude_keeps_phase():
@@ -76,8 +71,8 @@ def test_invert_validation():
 
 def test_inversion_floor_tracks_median():
     h = _estimate([0.5, 1.0, 1.5, 2.0, 2.5, 3.0, 3.5, 4.0])
-    assert h.gains.shape == (8,)
-    med = np.median(np.abs(h.gains))
+    assert h.shape == (8,)
+    med = np.median(np.abs(h))
     assert inversion_floor(h, 0.2) == pytest.approx(0.2 * med, rel=1e-12)
     assert inversion_floor(h, 0.0) == 0.0
     with pytest.raises(ValueError):
@@ -85,6 +80,23 @@ def test_inversion_floor_tracks_median():
     # the default is deliberately mid-range: strong enough to cap deep-fade
     # noise amplification, weak enough to leave typical gains untouched
     assert 0.0 < DEFAULT_FLOOR_REL < 0.5
+
+
+def test_inversion_floor_rejects_a_nan_floor_rel():
+    """NaN compares false both ways, so a plain ``< 0`` check would pass it
+    through as a NaN floor."""
+    with pytest.raises(ValueError, match="floor_rel must be >= 0"):
+        inversion_floor(_estimate(np.ones(8)), np.nan)
+
+
+def test_inversion_divisor_rejects_a_nan_floor():
+    """A NaN floor clamps nothing, so a plain ``< 0`` check would hand back
+    the estimate unfloored."""
+    h = _estimate(np.full(8, 0.01))
+    with pytest.raises(ValueError, match="floor must be >= 0"):
+        inversion_divisor(h, np.nan)
+    with pytest.raises(ValueError, match="floor must be >= 0"):
+        inversion_divisor(np.stack([h, h]), np.array([0.1, np.nan]))
 
 
 @pytest.mark.parametrize("symbols", [1, 2, 13, 14])
@@ -110,7 +122,7 @@ def _estimate_rows(num, width=256, seed=0):
     rows = rng.normal(size=(num, width)) + 1j * rng.normal(size=(num, width))
     rows[rng.random((num, width)) < 0.2] *= 1e-2
     rows[rng.random((num, width)) < 0.05] = 0.0
-    return ChannelEstimate(rows)
+    return rows
 
 
 @pytest.mark.parametrize("num_ues", [1, 2, 5, 60])
@@ -121,12 +133,12 @@ def test_floor_and_divisor_rows_match_per_row_calls(num_ues, floor_rel):
     est = _estimate_rows(num_ues, seed=num_ues)
     floors = inversion_floor(est, floor_rel)
     divisor = inversion_divisor(est, floors)
-    assert floors.shape == (num_ues,) and divisor.shape == est.gains.shape
-    for ue, h in enumerate(est.gains):
-        floor = inversion_floor(ChannelEstimate(h), floor_rel)
+    assert floors.shape == (num_ues,) and divisor.shape == est.shape
+    for ue, h in enumerate(est):
+        floor = inversion_floor(h, floor_rel)
         assert np.float64(floor).view(np.uint64) == floors[ue].view(np.uint64)
         assert floor == floor_rel * float(np.median(np.abs(h)))
-        row = inversion_divisor(ChannelEstimate(h), floor)
+        row = inversion_divisor(h, floor)
         np.testing.assert_array_equal(_bits(divisor[ue]), _bits(row))
         mag = np.abs(h)
         want = np.where(mag < floor, floor * h / np.where(mag == 0, 1.0, mag), h)
@@ -135,8 +147,8 @@ def test_floor_and_divisor_rows_match_per_row_calls(num_ues, floor_rel):
 
 
 def test_divisor_rows_leave_unclamped_rows_alone():
-    est = ChannelEstimate(np.ones((3, 8), dtype=complex))
-    assert inversion_divisor(est, np.array([0.5, 0.0, 0.9])) is est.gains
+    est = np.ones((3, 8), dtype=complex)
+    assert inversion_divisor(est, np.array([0.5, 0.0, 0.9])) is est
 
 
 def test_zero_row_without_floor_raises():
@@ -144,7 +156,7 @@ def test_zero_row_without_floor_raises():
     median at any ``floor_rel``, and at ``floor_rel = 0`` the other rows
     cannot clamp it either."""
     est = _estimate_rows(4, seed=7)
-    est.gains[2] = 0.0
+    est[2] = 0.0
     floors = inversion_floor(est, 0.0)
     np.testing.assert_array_equal(floors, np.zeros(4))
     with pytest.raises(ValueError, match="without a floor"):
@@ -190,7 +202,7 @@ def test_alpha_against_the_divisor_matches_the_divided_block(floor_rel):
     rounding, without dividing the block."""
     rng = np.random.default_rng(9)
     block = rng.normal(size=(6, 14, 32)) + 1j * rng.normal(size=(6, 14, 32))
-    est = ChannelEstimate(rng.normal(size=(6, 32)) + 1j * rng.normal(size=(6, 32)))
+    est = rng.normal(size=(6, 32)) + 1j * rng.normal(size=(6, 32))
     divisor = inversion_divisor(est, inversion_floor(est, floor_rel))
     kept = block.copy()
     alpha, largest = compute_alpha(block, divisor)

@@ -103,6 +103,15 @@ def test_sync_config_validation():
         draw_offsets(SyncConfig(), 0, RATE, seed=0)
 
 
+@pytest.mark.parametrize("field", ["ptp_bound_s", "off_spread", "phase_offset_rad"])
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+def test_sync_config_rejects_non_finite_values(field, bad):
+    """A NaN or infinite bound would only fail later, as an integer
+    conversion in ``offset_bound`` or an overflow in the phase draw."""
+    with pytest.raises(ValueError, match=f"{field} must be finite"):
+        SyncConfig(**{field: bad})
+
+
 # -------------------------------------------------------- peak diagnostics
 
 
