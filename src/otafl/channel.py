@@ -78,8 +78,8 @@ def superpose(
     """
     if not signals:
         raise ValueError("superpose needs at least one signal")
-    if noise_variance < 0:
-        raise ValueError("noise_variance must be >= 0")
+    if not noise_variance >= 0:
+        raise ValueError(f"noise_variance must be >= 0, got {noise_variance}")
     rate = signals[0][0].sample_rate
     total = 0
     for sig, delay in signals:

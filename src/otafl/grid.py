@@ -90,8 +90,8 @@ class TimeSignal:
         self.samples = np.asarray(self.samples, dtype=np.complex128)
         if self.samples.ndim != 1:
             raise ValueError("time signal must be 1-D")
-        if self.sample_rate <= 0:
-            raise ValueError("sample_rate must be positive")
+        if not self.sample_rate > 0:
+            raise ValueError(f"sample_rate must be positive, got {self.sample_rate}")
 
 
 @functools.lru_cache(maxsize=None)

@@ -16,12 +16,15 @@ One uplink round, as simulated here:
     stage (least squares, comb interpolation, quantization) is one call for
     all clients.
 4.  The codec packs one client's scaled update at a time into a reused
-    block.  One pass over the clients reads each one's peak against its
-    floored estimate and gives the shared power-control factor alpha.
-    Each client is packed again and scaled by alpha / estimate * gain *
-    phase; clients that share a delay are summed in the frequency domain,
-    and each distinct delay is modulated once and added into the event's
-    one receive buffer, as the multiple-access channel sums them in the air.
+    block, once per client.  The per-subcarrier peaks of the packed block
+    are read, and the block is precoded by gain * phase / estimate (the
+    floored estimate); clients that share a delay are summed in the
+    frequency domain, and each distinct delay is modulated once and added
+    into the event's one receive buffer, as the multiple-access channel
+    sums them in the air.  The peaks against the estimates give the shared
+    power-control factor alpha, and since every client scales by the same
+    alpha and the air sum is linear, the summed payload is scaled by alpha
+    once before the preambles are added.
 5.  The receiver adds noise from the round's one generator (the sounding
     events draw first), detects the superposed frame, demodulates the
     payload block that follows the preamble region in one call, descales
@@ -76,7 +79,7 @@ from .precode import (
     inversion_floor,
 )
 from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound
-from .weightcodec import component_peaks, pack_payload, shared_peaks, slot_plan, unmap_from_grids
+from .weightcodec import pack_payload, peak_scales, rail_peaks, slot_plan, unmap_from_grids
 
 CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
@@ -243,81 +246,121 @@ def _pilot_values(subcarriers: int) -> np.ndarray:
     return pilots
 
 
-def _superposed_frame(
+def _preamble_chips(run: slice, phy: PhyConfig, gains: np.ndarray, rot: np.ndarray) -> np.ndarray:
+    """The Gold chips the clients ``run`` send, one row per client.
+
+    Fading is applied per subcarrier in the frequency domain; the preamble
+    burst, which is a raw time-domain sequence, is scaled by the channel's
+    RMS gain instead (a scalar stand-in that preserves detection power).
+    """
+    rms_gain = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
+    return (phy.reference_amplitude * rms_gain)[:, np.newaxis] * _preamble_bank()[run] * rot
+
+
+def _sounding_frame(
     ues: range,
     phy: PhyConfig,
     gains: np.ndarray,
     phases: np.ndarray,
     offsets: np.ndarray,
-    masks: np.ndarray | None = None,
-    deltas: list[np.ndarray] | None = None,
-    scales: list[tuple[float, float]] | None = None,
-    weights: np.ndarray | None = None,
+    masks: np.ndarray,
 ) -> np.ndarray:
-    """Noise-free receive buffer of one event: the post-channel frames of
-    the clients in the range ``ues``, each delayed by its ``offsets[ue]``
-    and summed in the air.
+    """Noise-free receive buffer of one sounding event: the post-channel
+    frames of the clients in the range ``ues``, each delayed by its
+    ``offsets[ue]`` and summed in the air.
 
     The event's preamble region holds one slot per client it carries, in
     that order, and each client sends its Gold preamble in its own slot.
-    The region is followed by the body: for a sounding event (``masks``
-    given) one slot of the client's pilot row, the pilot symbol times
-    ``masks[ue]``; for a payload event the update ``deltas[ue]``, packed
-    with its ``scales[ue]`` and precoded by ``weights[ue]`` (alpha over the
-    floored estimate).  ``gains``, ``masks``, ``deltas``, ``scales`` and
-    ``weights`` hold one entry per client of the round.
+    The region is followed by one slot of the client's pilot row, the
+    pilot symbol times ``masks[ue]``.  ``gains`` and ``masks`` hold one row
+    per client of the round.
 
-    Fading is applied per subcarrier in the frequency domain; the preamble
-    burst, which is a raw time-domain sequence, is scaled by the channel's
-    RMS gain instead (a scalar stand-in that preserves detection power).
-
-    The buffer spans the latest arrival.  Sounding adds each client in
-    ascending order, its chips and then its repeated pilot symbol, so each
-    sample sums its clients in that order.  The payload adds every client's
-    chips, then walks the distinct delays in ascending order: each client
-    of a delay, in ascending order, is packed into one of two reused
-    blocks, scaled by weights * gain * phase and summed into the first
-    client's block, which is modulated once.
+    The buffer spans the latest arrival.  Each client is added in ascending
+    order, its chips and then its repeated pilot symbol, so each sample sums
+    its clients in that order.
     """
     run = slice(ues.start, ues.stop)
     cfg = phy.grid
     region = phy.preamble_region_len(len(ues))
-    body = cfg.symbols_per_slot * (1 if deltas is None else slot_plan(deltas[0].size, cfg))
+    body = cfg.symbols_per_slot
     span = body * cfg.symbol_len
     delays = offsets[run]
     rx = np.zeros(int(delays.max()) + region + span, dtype=np.complex128)
-    amp = phy.reference_amplitude
     g = gains[run]
     rot = np.exp(1j * phases[run])[:, np.newaxis]
-    rms_gain = np.sqrt(np.mean(np.abs(g) ** 2, axis=1))
-    chips = (amp * rms_gain)[:, np.newaxis] * _preamble_bank()[run] * rot
-    if deltas is None:
-        pilot_rows = masks[run] * (amp * _pilot_values(cfg.subcarriers))
-        pilot_rows *= g
-        pilot_rows *= rot
-        pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
-        ofdm_modulate_into(pilot_rows, cfg, pilots)
+    chips = _preamble_chips(run, phy, g, rot)
+    pilot_rows = masks[run] * (phy.reference_amplitude * _pilot_values(cfg.subcarriers))
+    pilot_rows *= g
+    pilot_rows *= rot
+    pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
+    ofdm_modulate_into(pilot_rows, cfg, pilots)
     for i, delay in enumerate(delays.tolist()):
         lo = delay + i * phy.preamble_slot_len
         rx[lo:lo + PREAMBLE_LEN] += chips[i]
-        if deltas is None:
-            symbols = rx[delay + region:delay + region + span].reshape(body, cfg.symbol_len)
-            symbols += pilots[i]
-    if deltas is not None:
-        precode = weights[run] * g * rot
-        deltas, scales = deltas[run], scales[run]
-        acc, scratch = np.empty((2, body, cfg.subcarriers), dtype=np.complex128)
-        symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
-        order = np.argsort(delays, kind="stable")
-        for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
-            for k, i in enumerate(group.tolist()):
-                row = pack_payload(deltas[i], scales[i], scratch if k else acc)
-                row *= precode[i]
-                if k:
-                    acc += row
-            ofdm_modulate_into(acc, cfg, symbols)
-            rx[int(delays[group[0]]) + region:][:span] += symbols.reshape(-1)
+        symbols = rx[delay + region:delay + region + span].reshape(body, cfg.symbol_len)
+        symbols += pilots[i]
     return rx
+
+
+def _payload_frame(
+    ues: range,
+    phy: PhyConfig,
+    gains: np.ndarray,
+    phases: np.ndarray,
+    offsets: np.ndarray,
+    deltas: list[np.ndarray],
+    scales: list[tuple[float, float]],
+    divisor: np.ndarray,
+) -> tuple[np.ndarray, float, np.ndarray]:
+    """Noise-free receive buffer of one payload event, with the shared
+    power-control factor alpha and each client's precoded peak, as
+    :func:`compute_alpha` returns them.
+
+    The event is laid out as a sounding event (see :func:`_sounding_frame`),
+    and its body is the update ``deltas[ue]``, packed with its
+    ``scales[ue]``.  ``gains``, ``deltas``, ``scales`` and ``divisor`` (the
+    floored estimate) hold one entry per client of the round.
+
+    Each client is packed once.  The clients are walked by distinct delay,
+    in ascending order, and within a delay in ascending order: a client is
+    packed into one of two reused blocks, its per-subcarrier peaks are read
+    from the packed block, and it is precoded by gain * phase / divisor and
+    summed into the delay's first block, which is modulated once.  alpha
+    is common to every client and the air sum is linear, so the summed
+    payload is scaled by alpha once, in place; the preamble chips, which
+    are not power-controlled, are added after that.
+    """
+    run = slice(ues.start, ues.stop)
+    cfg = phy.grid
+    region = phy.preamble_region_len(len(ues))
+    body = cfg.symbols_per_slot * slot_plan(deltas[0].size, cfg)
+    span = body * cfg.symbol_len
+    delays = offsets[run]
+    rx = np.zeros(int(delays.max()) + region + span, dtype=np.complex128)
+    g = gains[run]
+    rot = np.exp(1j * phases[run])[:, np.newaxis]
+    precode = g * (rot / divisor[run])
+    deltas, scales = deltas[run], scales[run]
+    peaks = np.empty(g.shape)
+    acc, scratch = np.empty((2, body, cfg.subcarriers), dtype=np.complex128)
+    symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
+    order = np.argsort(delays, kind="stable")
+    for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
+        for k, i in enumerate(group.tolist()):
+            row = pack_payload(deltas[i], scales[i], scratch if k else acc)
+            np.max(np.abs(row), axis=0, out=peaks[i])
+            row *= precode[i]
+            if k:
+                acc += row
+        ofdm_modulate_into(acc, cfg, symbols)
+        rx[int(delays[group[0]]) + region:][:span] += symbols.reshape(-1)
+    alpha, largest = compute_alpha(peaks, divisor[run])
+    rx *= alpha
+    chips = _preamble_chips(run, phy, g, rot)
+    for i, delay in enumerate(delays.tolist()):
+        lo = delay + i * phy.preamble_slot_len
+        rx[lo:lo + PREAMBLE_LEN] += chips[i]
+    return rx, alpha, largest
 
 
 def _receive(
@@ -422,11 +465,12 @@ def ota_aggregate(
     exact_avg = fl.average_deltas(deltas)
 
     # --- common scale negotiation (error-free control channel) -----------
+    rails = rail_peaks(deltas)
     if phy.scale_mode == "common":
-        client_scales = [shared_peaks(deltas)] * num_ues
+        client_scales = [peak_scales(rails)] * num_ues
         descale = client_scales[0]
     else:
-        client_scales = [component_peaks(d) for d in deltas]
+        client_scales = [peak_scales(r) for r in rails]
         # receiver cannot undo per-client scales after the analog sum; it
         # descales with their mean, which reproduces the bias of that variant
         descale = (
@@ -440,7 +484,7 @@ def ota_aggregate(
             _aggregate_nmse_db(recovered, exact_avg), offsets, metrics, powers, descale,
         )
 
-    if all(float(np.max(np.abs(d))) == 0.0 for d in deltas):
+    if not rails.any():
         # nothing to send: skip the air interface, deliver the exact zero
         return _report(np.zeros(param_count), 0.0, np.zeros(num_ues, dtype=np.int64),
                        np.zeros(num_ues), np.zeros(num_ues))
@@ -489,7 +533,7 @@ def ota_aggregate(
         s_metrics = np.zeros(num_ues)
         received = []
         for ues in events:
-            frame = _superposed_frame(ues, phy, gains, phases, offsets, masks=masks)
+            frame = _sounding_frame(ues, phy, gains, phases, offsets, masks)
             rx, s_offsets[ues], s_metrics[ues] = _receive(frame, ues, phy, noise)
             received.append((rx, len(ues)))
         if np.any(s_metrics < DETECT_THRESHOLD):
@@ -513,28 +557,23 @@ def ota_aggregate(
             estimate = interpolate([estimate[0, pos] for pos in pilots], pilots, cfg)
         estimate = quantize_estimate(estimate, phy.feedback_quant_bits)
 
-    # --- precode, shared power control ------------------------------------
-    # compute_alpha reads each client's peak against its floored estimate,
-    # packed into one reused block; the frame packs it again to precode it.
-    symbols = slots * cfg.symbols_per_slot
-    row = np.empty((symbols, cfg.subcarriers), dtype=np.complex128)
+    # --- precode, shared power control, simultaneous transmission --------
+    finite = np.isfinite(rails).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
+                         "precoded resource grid entries must be finite")
     divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
-    alpha, largest = compute_alpha(
-        (pack_payload(d, s, row) for d, s in zip(deltas, client_scales)), divisor)
-    max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
-    del row
-
-    # --- simultaneous payload transmission --------------------------------
     ues = range(num_ues)
-    frame = _superposed_frame(ues, phy, payload_gains, phases, offsets,
-                              deltas=deltas, scales=client_scales, weights=alpha / divisor)
+    frame, alpha, largest = _payload_frame(ues, phy, payload_gains, phases, offsets,
+                                           deltas, client_scales, divisor)
+    max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
     rx, p_offsets, p_metrics = _receive(frame, ues, phy, noise)
     if np.any(p_metrics < DETECT_THRESHOLD):
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
                        "payload detection failed")
 
     # --- demodulate, descale, compare -------------------------------------
-    block = _read_symbols(rx, p_offsets, phy, num_ues, symbols)
+    block = _read_symbols(rx, p_offsets, phy, num_ues, slots * cfg.symbols_per_slot)
     block /= num_ues * alpha
     recovered = unmap_from_grids(block, param_count, descale)
     return _report(recovered, alpha, p_offsets, p_metrics, max_re_power)

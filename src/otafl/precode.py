@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-from collections.abc import Iterable
-
 import numpy as np
 
 # Default inversion floor as a fraction of the median estimated magnitude.
@@ -72,31 +70,34 @@ def channel_invert(
     return block / divisor
 
 
-def compute_alpha(rows: Iterable[np.ndarray], divisor: np.ndarray) -> tuple[float, np.ndarray]:
+def compute_alpha(peaks: np.ndarray, divisor: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest shared scaling every UE can transmit within ``PEAK_POWER``,
     and each UE's precoded peak magnitude.
 
-    ``rows`` yields one UE's payload block at a time and ``divisor`` holds
-    one floored estimate row per UE, as :func:`inversion_divisor` returns
-    it.  Each block is read before the next is asked for, so the caller
-    may reuse one buffer.  A UE's peak is its largest |x| / |d|: the
-    per-subcarrier peaks of its block, max |x| over its symbols, read
-    against |divisor|, so no block is divided.
+    ``peaks`` holds one row per UE: the per-subcarrier peaks of its payload
+    block, max |x| over its symbols.  ``divisor`` holds one floored estimate
+    row per UE, as :func:`inversion_divisor` returns it.  A UE's precoded
+    peak is its largest peak / |d|, so no block is divided.  alpha is common
+    to every UE, so a caller may scale the superposed payload by it once
+    instead of scaling each UE's block.
 
     alpha = MARGIN * min over UEs of sqrt(PEAK_POWER / peak^2), so after
     scaling no resource element of any UE exceeds the peak power (strictly
-    below it, as MARGIN < 1).  No rows, a row count other than the
-    divisor's, or a non-finite entry is an error.  UEs whose payload is
-    entirely zero impose no constraint; all UEs zero is an error.
+    below it, as MARGIN < 1).  No rows, a shape other than the divisor's,
+    or a non-finite entry is an error.  UEs whose payload is entirely zero
+    impose no constraint; all UEs zero is an error.
     """
-    largest = np.array([np.max(np.max(np.abs(row), axis=0) / np.abs(d))
-                        for row, d in zip(rows, divisor, strict=True)])
-    if largest.size == 0:
+    peaks = np.asarray(peaks, dtype=np.float64)
+    if peaks.shape != np.shape(divisor) or peaks.ndim != 2:
+        raise ValueError(f"peaks of shape {peaks.shape} need a divisor of the same "
+                         f"(UEs, subcarriers) shape, not {np.shape(divisor)}")
+    if peaks.shape[0] == 0:
         raise ValueError("need at least one UE")
+    largest = np.max(peaks / np.abs(divisor), axis=1)
     if not np.all(np.isfinite(largest)):
         raise ValueError("precoded resource grid entries must be finite")
-    peaks = largest * largest
-    active = peaks[peaks > 0]
+    squared = largest * largest
+    active = squared[squared > 0]
     if active.size == 0:
         raise ValueError("all precoded payloads are zero; alpha undefined")
     return float(np.min(MARGIN * np.sqrt(PEAK_POWER / active))), largest

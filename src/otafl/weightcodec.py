@@ -28,27 +28,43 @@ class ScaledUpdate:
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.ndim != 1 or self.values.size == 0:
             raise ValueError("scaled update must be a nonempty vector")
-        if self.scale_i <= 0 or self.scale_q <= 0:
-            raise ValueError("scales must be positive")
+        for name in ("scale_i", "scale_q"):
+            if not getattr(self, name) > 0:
+                raise ValueError(f"{name} must be positive")
 
 
-def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
-    """Common (I, Q) peak magnitudes of raw updates, with zero guards.
-
-    Each rail takes the largest peak over all clients and falls back to 1.0
-    only when that largest peak is zero or the rail is empty, so a client
-    whose rail is all zero does not force the shared scale to 1.0.
-    """
-    peaks_i, peaks_q = [], []
-    for d in deltas:
+def rail_peaks(deltas: list[np.ndarray]) -> np.ndarray:
+    """Each client's raw (I, Q) peak magnitudes, one ``(I, Q)`` row per
+    client: an empty rail reads 0, and a non-finite entry gives a NaN or
+    infinite peak, so a caller can reject the client by its own row."""
+    peaks = np.zeros((len(deltas), 2))
+    for row, d in zip(peaks, deltas):
         d = np.asarray(d, dtype=np.float64)
         # each rail's magnitudes from its own strided view: no |d| copy
         if d.size > 0:
-            peaks_i.append(float(np.abs(d[0::2]).max()))
+            row[0] = np.abs(d[0::2]).max()
         if d.size > 1:
-            peaks_q.append(float(np.abs(d[1::2]).max()))
-    peak_i, peak_q = max(peaks_i, default=0.0), max(peaks_q, default=0.0)
-    return (peak_i if peak_i > 0.0 else 1.0), (peak_q if peak_q > 0.0 else 1.0)
+            row[1] = np.abs(d[1::2]).max()
+    return peaks
+
+
+def peak_scales(peaks: np.ndarray) -> tuple[float, float]:
+    """(I, Q) scales from rows of :func:`rail_peaks`: each rail's largest
+    peak over the rows, or 1.0 when that peak is zero or there are no rows.
+
+    A zero rail of one row therefore does not force the scale to 1.0 while
+    another row is nonzero.  NaN propagates through the maximum whatever
+    the row order, and a non-finite scale is returned as it is.
+    """
+    largest = np.max(np.reshape(peaks, (-1, 2)), axis=0, initial=0.0)
+    peak_i, peak_q = float(largest[0]), float(largest[1])
+    return (1.0 if peak_i == 0.0 else peak_i), (1.0 if peak_q == 0.0 else peak_q)
+
+
+def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
+    """Common (I, Q) peak magnitudes of raw updates, with the zero guards
+    of :func:`peak_scales`."""
+    return peak_scales(rail_peaks(deltas))
 
 
 def component_peaks(delta: np.ndarray) -> tuple[float, float]:
@@ -71,8 +87,9 @@ def scale_updates(delta: np.ndarray, shared_scale: tuple[float, float] | None = 
         scale_i, scale_q = component_peaks(d)
     else:
         scale_i, scale_q = float(shared_scale[0]), float(shared_scale[1])
-        if scale_i <= 0 or scale_q <= 0:
-            raise ValueError("shared scales must be positive")
+        for name, scale in (("scale_i", scale_i), ("scale_q", scale_q)):
+            if not scale > 0:
+                raise ValueError(f"shared_scale's {name} must be positive, got {scale}")
     out = d.copy()
     out[0::2] /= scale_i
     out[1::2] /= scale_q

@@ -202,6 +202,7 @@ def test_criterion_4_power_constraint():
 # 5. convergence parity and slot bill
 
 
+@pytest.mark.slow
 def test_criterion_5_convergence_parity():
     t0 = time.time()
     params, samples, num_ues, rounds, seeds = 6656, 1664, 5, 50, 10

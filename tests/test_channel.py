@@ -130,3 +130,9 @@ def test_superpose_validation():
         superpose([(sig, 0), (other_rate, 0)], 0.0, seed=0)
     with pytest.raises(ValueError):
         superpose([(sig, 0)], -0.1, seed=0)
+
+
+def test_superpose_rejects_a_nan_noise_variance():
+    sig = TimeSignal(np.ones(4, dtype=complex), 1.0)
+    with pytest.raises(ValueError, match="noise_variance"):
+        superpose([(sig, 0)], np.nan, seed=0)

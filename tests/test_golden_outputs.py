@@ -47,19 +47,19 @@ PAPER_PARAMS = 71_666
 AGGREGATE_DIGESTS = {
     (5, PAPER_PARAMS, "flat_block", "fdm_comb", ()): (
         "-19.329998951023832",
-        "fa17356e1854e90152c94ab301487b09a9d2f8e249406d388151f1b6b14fa710",
+        "9373c59289d5d4470f99a5d91b7eb07e6c22bb3d87bc39ac4cd6d407e91989b9",
     ),
     (20, PAPER_PARAMS, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.24118925708489",
-        "2936425a94b49e61d7c7a4742c3823a347aa6d14431faa7bbe3191f07deb2d51",
+        "29f57435fc4898a88846643a4f28b2ac7973fff50bb12a1eebcce406377701a2",
     ),
     (5, PAPER_PARAMS, "rayleigh_per_subcarrier", "tdm_full", (("uplink_snr_db", None),)): (
         "-26.337584212422883",
-        "61d4d6f8916d7b7ed2d1adc0045ef8c8aa825ac7eb967185068f1cc0a23f1fd2",
+        "aa45e6fac6b740ed3f9a50c17627ce96ec86d364fc049a926d0723c6d3ba9146",
     ),
     (5, PAPER_PARAMS, "flat_block", "fdm_comb", (("csi_mode", "perfect"),)): (
         "-19.948519083707343",
-        "e7a0ceacafe1debb66a8e553f437e8b1539b97b674ed3759721e3fa86cf28166",
+        "49bbc31034bfe8e3c8f2d12f78dcb4fd3342430e20448b4190983c6e7ecebe88",
     ),
     # Transmit-side edges at two payload slots: an odd parameter count (the
     # zero-padded pack tail), per-client scales, quantized feedback, stale
@@ -67,28 +67,28 @@ AGGREGATE_DIGESTS = {
     # third of the subcarriers.
     (5, 10_001, "flat_block", "fdm_comb", ()): (
         "-20.524950084883024",
-        "6cba284f4f47469dde5cc9faec10af72d3a2668bcbafa12f1a8b9c5f5a2eca4a",
+        "3ad1e01c29b68a8c74773174ac5644f0ce5098bb819fc9d84fbb808c2d760370",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("scale_mode", "per_client"),)): (
         "-17.337516725683223",
-        "b14f62c70c168f493867dee8041e1ff99b0c7615610c101a42c0014fa484c5fc",
+        "0ec93c81557eb3d7b304a76ccac9143da7a5e4ec43d966c3049d20c8ac0fa7ca",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("feedback_quant_bits", 4),)): (
         "-7.5204555889701314",
-        "abb3a6d92e42ff0862ff7fa6c0bc7c97b3e2abd326f3d304282ec7293a49a6dd",
+        "dd6bae5a4aa7e8ebd7599aa66229fddec90664486bd9c7b30a2e85b4d010abbd",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("decorrelation", 0.5),)): (
         "0.6435039009412389",
-        "6c145950ad5cd6effdda0cae1be3f06602ad449d9d6eb40de6ce54fb6c871cb5",
+        "88c171127bddafe49d5b099d7f19d52133dbc7d6814c5340415ffec8c67d6ebb",
     ),
     (5, 10_000, "flat_block", "fdm_comb",
      (("sync", SyncConfig(mode="ptp_on", phase_offset_rad=0.5)),)): (
         "-20.601227702354798",
-        "6e2f8dedd03a0a722214b80fdbf899b3ada08e5fcaaa046578c8e4edb3f41bbf",
+        "2a041f409891c5d37d4b2defe588644a30f1bfb7eed6e84045d618696462e693",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("floor_rel", 0.8),)): (
         "-11.331505441910883",
-        "0a64db27f99345ca45069759900777d6f2de3fa8fc01b3bb21c040766226c7bf",
+        "d578b79b80cf0a9ca1b8311a03fe4333048faadfde972819408b2587b6d92221",
     ),
     # Receive-side order: without PTP the offsets reach 50 samples, so late
     # preambles run into the next client's slot and every sample sums
@@ -97,20 +97,20 @@ AGGREGATE_DIGESTS = {
     (5, 10_000, "flat_block", "fdm_comb",
      (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
         "4.158190568184464",
-        "cc43dd4ec33751d79dcb46281af5873d69928a585bc97654a2779a500230225c",
+        "0b8262410a02f2a81cbf8bcebd5ade561ee6a90d8cfe030e27cd7fe39c4f3b4e",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full",
      (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
         "0.08430149197242719",
-        "37c929273ba84bae0f3861607afb99d91c501b93e02f684049936ef5e4f9d7a2",
+        "4c1ccb3809b290ba8733f05140ec6760dcc75061e42c9381218e0e5ad266260a",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("csi_mode", "perfect"),)): (
         "-20.220927808909344",
-        "7c15a24f3466d8d86d6a6c254fe52858186a153d23aa99dcc416c4df142a83eb",
+        "69402a10190936cfc0cf86f37cc13a140f390977ad32a10d6ec894cb773ef410",
     ),
     (60, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.99946491659546",
-        "e4168c1df8913a1891dbd7573d4a4f0a7bd927265869dda9d5fc32978225f2b6",
+        "a93ad18116860ca62eead30ebf7960cba814c19d506e82cb59bddd5b90b3511f",
     ),
     # Channel-estimate rows: twelve comb clients split 256 subcarriers into
     # pilot sets of 22 and 21, so each client's held ends differ; late
@@ -118,16 +118,16 @@ AGGREGATE_DIGESTS = {
     # client.  Then a single full-band client.
     (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb",
      (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
-        "9.683604972875054",
-        "18f13e602fbe945d3daf8e006b3f30e8972053e44f673f68a91ef5a5b8313013",
+        "9.683604972875056",
+        "b4dcd6074cb1f297571ca7f12d985fa958e5a690e5564291deb481f9ea721b23",
     ),
     (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb", (("feedback_quant_bits", 4),)): (
         "8.570923013093083",
-        "bbae0881967e7395c2218d412a61f2b0c6601da0cefdaf08b71a8db037f1bc7c",
+        "c8e752efdf46e4c8e07a258e947a3688303c498c8c97837162131642b4467868",
     ),
     (1, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.923248168554302",
-        "845dfc16512d68a77a4a633ecf49b6a71bd0194ae3bbac724a72812ff745c0d5",
+        "f641c24b3c01604989dfd936286b0c8c413b8096fe12876f626f30280739951b",
     ),
 }
 
@@ -152,7 +152,7 @@ def _aggregate_id(case) -> str:
 # mode -> (sha256 of the final theta, repr of each round's global_loss)
 PAPER_SHAPE_DIGESTS = {
     "ota": (
-        "4052ee90bfd02af0ded03108e3aebbeb01d0542c47848ffbc3542201f2e9df0d",
+        "4dd81f715e80e1b2120606977e76b1e893f6d55e744ba763ca0384604bd66a29",
         ("0.8962980575629702", "0.6696752059095308", "0.5221237606204585"),
     ),
     "digital_fp32": (

@@ -72,6 +72,11 @@ def test_resource_grid_validation():
         TimeSignal(np.zeros(4), 0.0)
 
 
+def test_time_signal_rejects_a_nan_sample_rate():
+    with pytest.raises(ValueError, match="sample_rate"):
+        TimeSignal(np.zeros(4), np.nan)
+
+
 # ------------------------------------------------------ modulation core
 
 

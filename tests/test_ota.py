@@ -9,6 +9,7 @@ import pytest
 from otafl import fl, grid, ota
 from otafl.channel import ChannelModel, superpose
 from otafl.csi import ls_estimate
+from otafl.precode import MARGIN, compute_alpha
 from otafl.grid import GridConfig, TimeSignal, ofdm_demodulate
 from otafl.ota import (
     DETECT_THRESHOLD,
@@ -230,7 +231,7 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     delays = [0, bound, 1]
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers))
-    rx = ota._superposed_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks=masks)
+    rx = ota._sounding_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks)
     _, offsets, metrics = ota._receive(rx, range(3), phy, np.random.default_rng(5))
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
@@ -305,7 +306,8 @@ ORACLE_PARAMS = 4 * ORACLE_GRID.res_per_slot - 5
 
 def _oracle_inputs(num_ues, allocation, seed=11):
     """Random gains, phases, pilot masks, updates with their own (I, Q)
-    scales and a precoding weight per subcarrier, one entry per client."""
+    scales and a floored estimate (a divisor per subcarrier), one entry per
+    client."""
     sub = ORACLE_GRID.subcarriers
     rng = np.random.default_rng(seed)
 
@@ -332,24 +334,29 @@ def test_single_client_frame_oracle():
     """A client's event built alone at delay 0 holds one preamble slot with
     its Gold chips and nothing else, then its body: a sounding event's slot
     of pilot symbols demodulates to amp * pilot * mask * gains * rot, and a
-    payload event's symbols to packed * weights * gains * rot.  The
-    receiver's demodulator is the oracle."""
+    payload event's symbols to alpha * packed * gains * rot / divisor.  The
+    receiver's demodulator is the oracle.  A payload event's alpha is its
+    one client's: MARGIN over its largest packed peak against |divisor|."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg)
     num_ues, sub, slot = 3, cfg.subcarriers, phy.preamble_slot_len
-    gains, phases, masks, deltas, scales, weights = _oracle_inputs(num_ues, "fdm_comb")
+    gains, phases, masks, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb")
     amp = phy.reference_amplitude
     delays = np.zeros(num_ues, dtype=np.int64)
     for ue in range(num_ues):
         one = range(ue, ue + 1)
         rot = np.exp(1j * phases[ue])
         pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue] * rot
+        packed = _packed(deltas[ue], scales[ue])
+        payload, alpha, largest = ota._payload_frame(one, phy, gains, phases, delays,
+                                                     deltas, scales, divisor)
+        peak = np.max(np.abs(packed) / np.abs(divisor[ue]))
+        assert largest.tolist() == [pytest.approx(peak, rel=1e-15)]
+        assert alpha == pytest.approx(MARGIN / peak, rel=1e-15)
         events = [
-            (ota._superposed_frame(one, phy, gains, phases, delays, masks=masks),
+            (ota._sounding_frame(one, phy, gains, phases, delays, masks),
              np.tile(pilots, (cfg.symbols_per_slot, 1))),
-            (ota._superposed_frame(one, phy, gains, phases, delays,
-                                   deltas=deltas, scales=scales, weights=weights),
-             _packed(deltas[ue], scales[ue]) * weights[ue] * gains[ue] * rot),
+            (payload, alpha * packed * gains[ue] * rot / divisor[ue]),
         ]
         rms = np.sqrt(np.mean(np.abs(gains[ue]) ** 2))
         chips = amp * rms * grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN) * rot
@@ -373,7 +380,7 @@ def test_sounding_frame_carries_only_preamble_and_pilots():
     gains = np.full((4, cfg.subcarriers), 0.5 + 0.5j)
     masks = np.ones((4, cfg.subcarriers))
     delays = np.array([0, 0, 7, 0])
-    rx = ota._superposed_frame(range(2, 3), phy, gains, np.zeros(4), delays, masks=masks)
+    rx = ota._sounding_frame(range(2, 3), phy, gains, np.zeros(4), delays, masks)
     slot, n = phy.preamble_slot_len, cfg.symbols_per_slot
     assert rx.shape == (7 + slot + n * cfg.symbol_len,)
     assert np.flatnonzero(rx[:7 + slot]).tolist() == list(range(7, 7 + PREAMBLE_LEN))
@@ -393,37 +400,42 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
 
     A sounding event matches bit for bit, which pins the ascending order in
     which every sample sums its clients.  A payload event sums the clients
-    that share a delay in the frequency domain and runs one IFFT per delay,
-    so it matches to 1e-12 of the buffer's peak; ``shared`` puts the five
-    clients on three delays."""
+    that share a delay in the frequency domain, runs one IFFT per delay and
+    scales the sum by the event's alpha, so it matches to 1e-12 of the
+    buffer's peak once each client's body, built alone with its own alpha,
+    is rescaled to the whole event's; ``shared`` puts the five clients on
+    three delays."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg, pilot_allocation=allocation)
     num_ues = 5
     if spread == "shared":
         offsets = np.array([3, 0, 3, 1, 0])
-        gains, phases, masks, deltas, scales, weights = _oracle_inputs(num_ues, allocation,
+        gains, phases, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation,
                                                                        seed=5)
     else:
         offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
                                cfg.sample_rate, seed=spread)
-        gains, phases, masks, deltas, scales, weights = _oracle_inputs(num_ues, allocation,
+        gains, phases, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation,
                                                                        seed=spread)
     if spread in (64, 256):  # some preamble runs past its guard gap into the next slot
         assert offsets.max() > phy.preamble_slot_len - PREAMBLE_LEN
 
     def build(ues, delays):
-        body = (dict(masks=masks) if event == "sounding"
-                else dict(deltas=deltas, scales=scales, weights=weights))
-        return ota._superposed_frame(ues, phy, gains, phases, delays, **body)
+        """The event's buffer and the alpha that scaled its body."""
+        if event == "sounding":
+            return ota._sounding_frame(ues, phy, gains, phases, delays, masks), 1.0
+        rx, alpha, _ = ota._payload_frame(ues, phy, gains, phases, delays,
+                                          deltas, scales, divisor)
+        return rx, alpha
 
-    rx = build(range(num_ues), offsets)
+    rx, alpha = build(range(num_ues), offsets)
     slot, region = phy.preamble_slot_len, phy.preamble_region_len(num_ues)
     pieces = []
     for ue in range(num_ues):
-        frame = build(range(ue, ue + 1), np.zeros(num_ues, dtype=np.int64))
+        frame, own = build(range(ue, ue + 1), np.zeros(num_ues, dtype=np.int64))
         delay = int(offsets[ue])
         pieces += [(TimeSignal(frame[:slot], cfg.sample_rate), delay + ue * slot),
-                   (TimeSignal(frame[slot:], cfg.sample_rate), delay + region)]
+                   (TimeSignal(frame[slot:] * (alpha / own), cfg.sample_rate), delay + region)]
     want = superpose(pieces, 0.0, 0).samples
     assert rx.shape == want.shape
     if event == "sounding":
@@ -432,25 +444,24 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
         assert np.max(np.abs(rx - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _block_path_frame(phy, gains, phases, offsets, deltas, scales, weights):
-    """The payload event as a whole-block transmitter builds it: every
-    client's chips added in ascending order, then all rows packed into one
-    ``(clients, symbols, subcarriers)`` block, multiplied by weights * gain
-    * phase, the rows sharing a delay summed in ascending client order and
-    one IFFT per delay, the delays in ascending order."""
+def _block_path_frame(phy, gains, phases, offsets, deltas, scales, divisor):
+    """The payload event as a whole-block transmitter builds it: all rows
+    packed into one ``(clients, symbols, subcarriers)`` block, alpha from
+    its per-subcarrier peaks against |divisor|, the block multiplied by
+    gain * (phase / divisor), the rows sharing a delay summed in ascending
+    client order and one IFFT per delay, the delays in ascending order; the
+    sum scaled by alpha and then every client's chips added in ascending
+    order.  Returns the buffer, alpha and the precoded peaks."""
     cfg, num_ues = phy.grid, len(deltas)
     region = phy.preamble_region_len(num_ues)
     rows = ota.slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot
     rx = np.zeros(int(offsets.max()) + region + rows * cfg.symbol_len, dtype=complex)
     rot = np.exp(1j * phases)[:, np.newaxis]
-    rms = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
-    chips = (phy.reference_amplitude * rms)[:, np.newaxis] * ota._preamble_bank()[:num_ues] * rot
-    for ue, delay in enumerate(offsets.tolist()):
-        rx[delay + ue * phy.preamble_slot_len:][:PREAMBLE_LEN] += chips[ue]
     block = np.empty((num_ues, rows, cfg.subcarriers), dtype=complex)
     for ue in range(num_ues):
         pack_payload(deltas[ue], scales[ue], block[ue])
-    block *= (weights * gains * rot)[:, np.newaxis, :]
+    alpha, largest = compute_alpha(np.max(np.abs(block), axis=1), divisor)
+    block *= (gains * (rot / divisor))[:, np.newaxis, :]
     symbols = np.empty((rows, cfg.symbol_len), dtype=complex)
     for delay in np.unique(offsets).tolist():
         first, *rest = np.flatnonzero(offsets == delay)
@@ -458,28 +469,39 @@ def _block_path_frame(phy, gains, phases, offsets, deltas, scales, weights):
             block[first] += block[ue]
         grid.ofdm_modulate_into(block[first], cfg, symbols)
         rx[delay + region:][:symbols.size] += symbols.reshape(-1)
-    return rx
+    rx *= alpha
+    rms = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
+    chips = (phy.reference_amplitude * rms)[:, np.newaxis] * ota._preamble_bank()[:num_ues] * rot
+    for ue, delay in enumerate(offsets.tolist()):
+        rx[delay + ue * phy.preamble_slot_len:][:PREAMBLE_LEN] += chips[ue]
+    return rx, alpha, largest
 
 
 @pytest.mark.parametrize("num_ues", [1, 5, 60])
 @pytest.mark.parametrize("spread", [0, 4, 64, "shared"])
 def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
-    """Packing one client at a time into two reused blocks gives the whole
-    block path's payload event bit for bit: the same products, the same
-    ascending sum within each delay and the same ascending delays.  Every
-    client has its own scales, so a client packed with another's scales
-    shows, and ``shared`` interleaves three delays across the clients."""
+    """Packing each client once, one at a time, into two reused blocks
+    gives the whole block path's payload event bit for bit: the same peaks
+    and alpha, the same products, the same ascending sum within each delay
+    and the same ascending delays, and one alpha for the summed payload.
+    Every client has its own scales, so a client packed with another's
+    scales shows, and ``shared`` interleaves three delays across the
+    clients.  At spread 64 late chips run into the payload, so scaling the
+    buffer after the chips are in shows too."""
     phy = PhyConfig(grid=ORACLE_GRID)
-    gains, phases, _, deltas, scales, weights = _oracle_inputs(num_ues, "fdm_comb", seed=num_ues)
+    gains, phases, _, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb", seed=num_ues)
     if spread == "shared":
         offsets = np.array([(2 * ue) % 3 * 5 for ue in range(num_ues)])
     else:
         offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
                                ORACLE_GRID.sample_rate, seed=num_ues)
-    got = ota._superposed_frame(range(num_ues), phy, gains, phases, offsets,
-                                deltas=deltas, scales=scales, weights=weights)
-    want = _block_path_frame(phy, gains, phases, offsets, deltas, scales, weights)
+    got, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, phases, offsets,
+                                             deltas, scales, divisor)
+    want, want_alpha, want_largest = _block_path_frame(phy, gains, phases, offsets,
+                                                       deltas, scales, divisor)
     assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
+    assert alpha == want_alpha
+    assert largest.tobytes() == want_largest.tobytes()
 
 
 @pytest.mark.parametrize("snr_db", [20.0, -5.0])
@@ -490,10 +512,10 @@ def test_receive_adds_noise_in_place(snr_db):
     referenced to the samples after the preamble region."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg, uplink_snr_db=snr_db)
-    gains, phases, masks, deltas, scales, weights = _oracle_inputs(3, "fdm_comb")
+    gains, phases, _, deltas, scales, divisor = _oracle_inputs(3, "fdm_comb")
     offsets = np.array([0, 3, 1])
-    rx = ota._superposed_frame(range(3), phy, gains, phases, offsets,
-                               deltas=deltas, scales=scales, weights=weights)
+    rx, _, _ = ota._payload_frame(range(3), phy, gains, phases, offsets,
+                                  deltas, scales, divisor)
     region = phy.preamble_region_len(3)
     clean = rx.copy()
     got, _, _ = ota._receive(rx, range(3), phy, np.random.default_rng(derive_seed(5, 1)))
@@ -510,18 +532,29 @@ def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
     """A non-finite entry makes the client's precoded grid non-finite, which
     must raise before any payload frame is built."""
     payload_frames = []
-    original = ota._superposed_frame
+    for name, payload in (("_sounding_frame", False), ("_payload_frame", True)):
+        def recording(*args, _frame=getattr(ota, name), _payload=payload, **kwargs):
+            payload_frames.append(_payload)
+            return _frame(*args, **kwargs)
 
-    def recording(*args, **kwargs):
-        payload_frames.append(kwargs.get("deltas") is not None)
-        return original(*args, **kwargs)
-
-    monkeypatch.setattr(ota, "_superposed_frame", recording)
+        monkeypatch.setattr(ota, name, recording)
     deltas = _random_deltas(3, 200, seed=12)
     deltas[1][17] = bad
     with pytest.raises(ValueError, match="resource grid entries must be finite"):
         ota_aggregate(deltas, _ideal_phy(), master_seed=0)
     assert payload_frames == [False]  # the sounding event only
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf])
+@pytest.mark.parametrize("broken_at", [0, 1])
+def test_non_finite_update_is_rejected_in_either_client_order(broken_at, bad):
+    """The client with the non-finite rail is named by its own peaks, so
+    the round is refused whichever client comes first: the shared scales'
+    maximum over clients cannot hide it."""
+    good, broken = np.array([0.3, 0.3]), np.array([bad, 0.1])
+    deltas = [broken, good] if broken_at == 0 else [good, broken]
+    with pytest.raises(ValueError, match=f"client {broken_at}'s update is not finite"):
+        ota_aggregate(deltas, _ideal_phy(), master_seed=0)
 
 
 STAGES = ("ls_estimate", "interpolate", "quantize_estimate", "inversion_floor",
@@ -577,20 +610,19 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
 @pytest.mark.parametrize("scale_mode", ["common", "per_client"])
 @pytest.mark.parametrize("params", [1, 2, 301, 2 * 32 * 4])
 def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, params):
-    """Each row whose peaks set alpha holds the codec's packed, scaled
-    update of its client (even -> I, odd -> Q) followed by zeros, to the
-    last symbol of its last slot; the rows come one per client, in order."""
+    """Each row the precoding pass reads its peaks from and precodes holds
+    the codec's packed, scaled update of its client (even -> I, odd -> Q)
+    followed by zeros, to the last symbol of its last slot; the rows come
+    one per client, in order."""
     seen = []
-    original = ota.compute_alpha
+    original = ota.pack_payload
 
-    def recording(rows, divisor):
-        def copies():
-            for row in rows:
-                seen.append(row.copy())  # the caller reuses one buffer
-                yield row
-        return original(copies(), divisor)
+    def recording(delta, scales, out):
+        row = original(delta, scales, out)
+        seen.append(row.copy())  # the frame reuses two blocks
+        return row
 
-    monkeypatch.setattr(ota, "compute_alpha", recording)
+    monkeypatch.setattr(ota, "pack_payload", recording)
     deltas = _random_deltas(3, params, seed=params)
     ota_aggregate(deltas, _ideal_phy(scale_mode=scale_mode), master_seed=0)
     assert len(seen) == 3
@@ -693,10 +725,10 @@ def test_tdm_full_noise_draws_grow_linearly_in_the_client_count(monkeypatch):
 def test_payload_is_modulated_once_per_distinct_delay(monkeypatch, allocation, csi_mode):
     """Payload blocks of clients that share a delay are summed before the
     IFFT, so the payload takes one ``ofdm_modulate_into`` call per distinct
-    delay; sounding takes one call per event.  One noise seed is derived
-    per aggregation."""
-    rows, drawn = [], []
-    modulate, draw = ota.ofdm_modulate_into, ota.draw_offsets
+    delay; sounding takes one call per event.  Each client is packed once,
+    and one noise seed is derived per aggregation."""
+    rows, drawn, packed = [], [], []
+    modulate, draw, pack = ota.ofdm_modulate_into, ota.draw_offsets, ota.pack_payload
 
     def counting(symbols, cfg, out):
         rows.append(len(symbols))
@@ -706,14 +738,21 @@ def test_payload_is_modulated_once_per_distinct_delay(monkeypatch, allocation, c
         drawn.append(draw(*args, **kwargs))
         return drawn[-1]
 
+    def packing(delta, scales, out):
+        packed.append(delta)
+        return pack(delta, scales, out)
+
     monkeypatch.setattr(ota, "ofdm_modulate_into", counting)
     monkeypatch.setattr(ota, "draw_offsets", recording)
+    monkeypatch.setattr(ota, "pack_payload", packing)
     seeds = _recording_noise_seeds(monkeypatch)
     phy = PhyConfig(channel=ChannelModel("flat_block"), pilot_allocation=allocation,
                     csi_mode=csi_mode, sync=SyncConfig(mode="ptp_on"), uplink_snr_db=30.0)
     m = 20
-    report = ota_aggregate(_random_deltas(m, 20_000, seed=1), phy, master_seed=1)
+    deltas = _random_deltas(m, 20_000, seed=1)
+    report = ota_aggregate(deltas, phy, master_seed=1)
     assert not report.aborted
+    assert sorted(map(id, packed)) == sorted(map(id, deltas))  # each client once
     (offsets,) = drawn
     delays = len(np.unique(offsets))
     assert 1 < delays < m

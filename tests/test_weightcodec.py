@@ -13,6 +13,7 @@ from otafl.weightcodec import (
     map_to_grids,
     pack_complex,
     pack_payload,
+    rail_peaks,
     scale_updates,
     shared_peaks,
     slot_plan,
@@ -125,6 +126,17 @@ def test_shared_peaks_take_the_max_over_clients():
     assert shared_peaks([np.array([3.0])]) == (3.0, 1.0)  # empty Q rail
 
 
+def test_shared_peaks_do_not_depend_on_client_order():
+    """A NaN rail gives a NaN shared scale whichever client comes first,
+    and each client's own rail peaks name the client that carries it."""
+    a = np.array([0.3, 0.3])
+    b = np.array([np.nan, 0.1])
+    for deltas in ([a, b], [b, a]):
+        peak_i, peak_q = shared_peaks(deltas)
+        assert np.isnan(peak_i) and peak_q == 0.3
+    np.testing.assert_array_equal(rail_peaks([a, b]), [[0.3, 0.3], [np.nan, 0.1]])
+
+
 @pytest.mark.parametrize("params", [1, 2, 3, 64, 10_001])
 def test_shared_peaks_match_the_full_magnitude_oracle(params):
     """Each rail's peak is, bit for bit, the largest entry of that rail in
@@ -151,6 +163,21 @@ def test_scale_validation():
         scale_updates(np.ones(2), shared_scale=(0.0, 1.0))
     with pytest.raises(ValueError):
         ScaledUpdate(np.ones(2), 1.0, -1.0)
+
+
+def test_scaled_update_rejects_a_nan_scale():
+    with pytest.raises(ValueError, match="scale_i"):
+        ScaledUpdate(np.ones(2), np.nan, 1.0)
+    with pytest.raises(ValueError, match="scale_q"):
+        ScaledUpdate(np.ones(2), 1.0, np.nan)
+
+
+def test_scale_updates_rejects_a_nan_shared_scale():
+    """Rejected before the update is divided, naming the argument."""
+    with pytest.raises(ValueError, match="shared_scale's scale_i"):
+        scale_updates(np.ones(2), shared_scale=(np.nan, 1.0))
+    with pytest.raises(ValueError, match="shared_scale's scale_q"):
+        scale_updates(np.ones(2), shared_scale=(1.0, np.nan))
 
 
 # ------------------------------------------------------------- map/unmap
