@@ -15,20 +15,26 @@ One uplink round, as simulated here:
     estimates are one ``(clients, subcarriers)`` array, and each estimation
     stage (least squares, comb interpolation, quantization) is one call for
     all clients.
-4.  The codec packs one client's scaled update at a time into a reused
-    block, once per client.  The per-subcarrier peaks of the packed block
-    are read, and the block is precoded by gain * phase / estimate (the
-    floored estimate); clients that share a delay are summed in the
-    frequency domain, and each distinct delay is modulated once and added
-    into the event's one receive buffer, as the multiple-access channel
-    sums them in the air.  The peaks against the estimates give the shared
-    power-control factor alpha, and since every client scales by the same
-    alpha and the air sum is linear, the summed payload is scaled by alpha
-    once before the preambles are added.
+4.  The payload is sent in whole slots, but only its first
+    ``weightcodec.payload_symbols`` OFDM symbols hold parameters; the rest
+    is zero and is never built.  The codec packs one client's scaled update
+    at a time into a reused block of those symbols, once per client.  The
+    per-subcarrier peaks of the packed block are read, and the block is
+    precoded by gain * phase / estimate (the floored estimate); clients
+    that share a delay are summed in the frequency domain, and each
+    distinct delay is modulated once and added into the event's one
+    receive buffer, as the multiple-access channel sums them in the air.
+    The peaks against the estimates give the shared power-control factor
+    alpha, and since every client scales by the same alpha and the air sum
+    is linear, the summed payload is scaled by alpha once before the
+    preambles are added.
 5.  The receiver adds noise from the round's one generator (the sounding
-    events draw first), detects the superposed frame, demodulates the
-    payload block that follows the preamble region in one call, descales
-    it by M * alpha and, through the codec, by the shared peak scales, and
+    events draw first) to the samples a read can touch -- every detection
+    window and the parameter symbols at the latest start the read rule can
+    pick -- with its power referenced to the whole noise-free payload
+    slots.  It detects the superposed frame, demodulates the parameter
+    symbols that follow the preamble region in one call, descales them by
+    M * alpha and, through the codec, by the shared peak scales, and
     applies the recovered average update.
 
 Each client prepends its own Gold preamble in a dedicated time slot of the
@@ -79,7 +85,14 @@ from .precode import (
     inversion_floor,
 )
 from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound
-from .weightcodec import pack_payload, peak_scales, rail_peaks, slot_plan, unmap_from_grids
+from .weightcodec import (
+    pack_payload,
+    payload_symbols,
+    peak_scales,
+    rail_peaks,
+    slot_plan,
+    unmap_from_grids,
+)
 
 CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
@@ -218,11 +231,17 @@ class ExperimentResult:
 def _map_ues(fn, items):
     """Apply ``fn`` per UE, optionally on a small thread pool.
 
-    The worker count comes from the OTAFL_THREADS environment variable and
-    never changes results: every item is independent and seeded, and the
-    output order is fixed.
+    The worker count comes from the OTAFL_THREADS environment variable, an
+    integer >= 1 (default 1), and never changes results: every item is
+    independent and seeded, and the output order is fixed.
     """
-    workers = int(os.environ.get("OTAFL_THREADS", "1"))
+    raw = os.environ.get("OTAFL_THREADS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError(f"OTAFL_THREADS must be an integer >= 1, got {raw!r}")
     if workers <= 1 or len(items) <= 1:
         return [fn(it) for it in items]
     with ThreadPoolExecutor(max_workers=workers) as pool:
@@ -317,33 +336,38 @@ def _payload_frame(
     :func:`compute_alpha` returns them.
 
     The event is laid out as a sounding event (see :func:`_sounding_frame`),
-    and its body is the update ``deltas[ue]``, packed with its
-    ``scales[ue]``.  ``gains``, ``deltas``, ``scales`` and ``divisor`` (the
-    floored estimate) hold one entry per client of the round.
+    and its body, whole payload slots long, is the update ``deltas[ue]``,
+    packed with its ``scales[ue]``.  ``gains``, ``deltas``, ``scales`` and
+    ``divisor`` (the floored estimate) hold one entry per client of the
+    round.
 
-    Each client is packed once.  The clients are walked by distinct delay,
-    in ascending order, and within a delay in ascending order: a client is
-    packed into one of two reused blocks, its per-subcarrier peaks are read
-    from the packed block, and it is precoded by gain * phase / divisor and
-    summed into the delay's first block, which is modulated once.  alpha
-    is common to every client and the air sum is linear, so the summed
-    payload is scaled by alpha once, in place; the preamble chips, which
-    are not power-controlled, are added after that.
+    Only the body's first :func:`payload_symbols` symbols hold parameters;
+    the rest of the body is zero and is never built.  Each client is packed
+    once.  The clients are walked by distinct delay, in ascending order,
+    and within a delay in ascending order: a client is packed into one of
+    two reused blocks, its per-subcarrier peaks are read from the packed
+    block, and it is precoded by gain * phase / divisor and summed into the
+    delay's first block, which is modulated once.  alpha is common to every
+    client and the air sum is linear, so the summed payload is scaled by
+    alpha once, in place; the preamble chips, which are not
+    power-controlled, are added after that.
     """
     run = slice(ues.start, ues.stop)
     cfg = phy.grid
     region = phy.preamble_region_len(len(ues))
-    body = cfg.symbols_per_slot * slot_plan(deltas[0].size, cfg)
-    span = body * cfg.symbol_len
+    used = payload_symbols(deltas[0].size, cfg)
+    span = used * cfg.symbol_len
     delays = offsets[run]
-    rx = np.zeros(int(delays.max()) + region + span, dtype=np.complex128)
+    latest = int(delays.max())
+    rx = np.zeros(latest + region + slot_plan(deltas[0].size, cfg) * cfg.slot_len,
+                  dtype=np.complex128)
     g = gains[run]
     rot = np.exp(1j * phases[run])[:, np.newaxis]
     precode = g * (rot / divisor[run])
     deltas, scales = deltas[run], scales[run]
     peaks = np.empty(g.shape)
-    acc, scratch = np.empty((2, body, cfg.subcarriers), dtype=np.complex128)
-    symbols = np.empty((body, cfg.symbol_len), dtype=np.complex128)
+    acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
+    symbols = np.empty((used, cfg.symbol_len), dtype=np.complex128)
     order = np.argsort(delays, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
         for k, i in enumerate(group.tolist()):
@@ -355,7 +379,7 @@ def _payload_frame(
         ofdm_modulate_into(acc, cfg, symbols)
         rx[int(delays[group[0]]) + region:][:span] += symbols.reshape(-1)
     alpha, largest = compute_alpha(peaks, divisor[run])
-    rx *= alpha
+    rx[region:latest + region + span] *= alpha  # every nonzero sample so far
     chips = _preamble_chips(run, phy, g, rot)
     for i, delay in enumerate(delays.tolist()):
         lo = delay + i * phy.preamble_slot_len
@@ -364,19 +388,24 @@ def _payload_frame(
 
 
 def _receive(
-    rx: np.ndarray, ues: range, phy: PhyConfig, noise: np.random.Generator
+    rx: np.ndarray, ues: range, phy: PhyConfig, noise: np.random.Generator, symbols: int
 ) -> tuple[TimeSignal, np.ndarray, np.ndarray]:
     """One receive event: add the receiver noise to the superposed buffer
-    ``rx`` in place and detect the preamble of every client in ``ues``.
+    ``rx`` in place and detect the preamble of every client in ``ues``;
+    the receiver then reads ``symbols`` OFDM symbols after the preamble
+    region (see :func:`_read_symbols`).
 
     The noise pins ``phy.uplink_snr_db`` to the mean power of the noise-free
     superposition after the event's preamble region -- the pilot slot of a
     sounding event, the payload of a data event.  Pegging to the whole event
     would let the strong constant-amplitude preamble dominate the reference
     power, so a payload attenuated by power control would see a far worse
-    SNR than the knob claims.  The noise is the round generator ``noise``'s
-    next twice-the-buffer-length normal draws, read as (real, imaginary)
-    pairs.
+    SNR than the knob claims.  Noise goes only where a read can land: the
+    buffer's first ``offset_bound + region + symbols * symbol_len`` samples,
+    which hold every detection window and the latest window the read rule
+    can pick.  It is the round generator ``noise``'s next normal draws,
+    twice that many, read as (real, imaginary) pairs.  A sounding event's
+    buffer ends within that prefix, so it is noised whole.
 
     Each client's preamble can only start in its own slot of the preamble
     region, at most ``offset_bound(phy.sync)`` samples late, so each client
@@ -384,14 +413,17 @@ def _receive(
     slot start: the argmax in that window is its arrival offset.  Offsets
     and detection metrics come back in ``ues`` order.
     """
+    bound = offset_bound(phy.sync, phy.grid.sample_rate)
+    region = phy.preamble_region_len(len(ues))
     if phy.uplink_snr_db is not None:
-        info = rx[phy.preamble_region_len(len(ues)):]
+        info = rx[region:]
         power = float((np.abs(info) ** 2).sum()) / info.size
         variance = power / 10.0 ** (phy.uplink_snr_db / 10.0)
-        samples = noise.standard_normal(2 * rx.size)
+        noised = rx[:bound + region + symbols * phy.grid.symbol_len]
+        samples = noise.standard_normal(2 * noised.size)
         samples *= np.sqrt(variance / 2.0)
-        rx += samples.view(np.complex128)
-    span = offset_bound(phy.sync, phy.grid.sample_rate) + PREAMBLE_LEN
+        noised += samples.view(np.complex128)
+    span = bound + PREAMBLE_LEN
     offsets = np.zeros(len(ues), dtype=np.int64)
     metrics = np.zeros(len(ues))
     for i, ue in enumerate(ues):
@@ -402,16 +434,18 @@ def _receive(
 
 
 def _read_symbols(
-    rx: TimeSignal, offsets: np.ndarray, phy: PhyConfig, clients: int, n: int
+    rx: TimeSignal, offsets: np.ndarray, phy: PhyConfig, clients: int, body: int,
+    n: int | None = None,
 ) -> np.ndarray:
-    """Demodulate, in one call, the ``n`` OFDM symbols that follow the
-    preamble region of an event carrying ``clients`` clients, at the
-    earliest detected timing of the round; a start that would read past
-    the end of ``rx`` moves back to its last full window."""
+    """Demodulate, in one call, the first ``n`` (default all) of the ``body``
+    OFDM symbols that follow the preamble region of an event carrying
+    ``clients`` clients, at the earliest detected timing of the round; a
+    start that would read the body past the end of ``rx`` moves back to
+    the body's last full window."""
     cfg = phy.grid
     start = int(offsets.min()) + phy.preamble_region_len(clients)
-    start = min(start, rx.samples.size - n * cfg.symbol_len)
-    return ofdm_demodulate(rx, cfg, start, n)
+    start = min(start, rx.samples.size - body * cfg.symbol_len)
+    return ofdm_demodulate(rx, cfg, start, body if n is None else n)
 
 
 def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
@@ -466,6 +500,10 @@ def ota_aggregate(
 
     # --- common scale negotiation (error-free control channel) -----------
     rails = rail_peaks(deltas)
+    finite = np.isfinite(rails).all(axis=1)
+    if not finite.all():
+        raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
+                         "precoded resource grid entries must be finite")
     if phy.scale_mode == "common":
         client_scales = [peak_scales(rails)] * num_ues
         descale = client_scales[0]
@@ -534,7 +572,8 @@ def ota_aggregate(
         received = []
         for ues in events:
             frame = _sounding_frame(ues, phy, gains, phases, offsets, masks)
-            rx, s_offsets[ues], s_metrics[ues] = _receive(frame, ues, phy, noise)
+            rx, s_offsets[ues], s_metrics[ues] = _receive(frame, ues, phy, noise,
+                                                          cfg.symbols_per_slot)
             received.append((rx, len(ues)))
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
@@ -558,22 +597,19 @@ def ota_aggregate(
         estimate = quantize_estimate(estimate, phy.feedback_quant_bits)
 
     # --- precode, shared power control, simultaneous transmission --------
-    finite = np.isfinite(rails).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
-                         "precoded resource grid entries must be finite")
     divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
     ues = range(num_ues)
     frame, alpha, largest = _payload_frame(ues, phy, payload_gains, phases, offsets,
                                            deltas, client_scales, divisor)
     max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
-    rx, p_offsets, p_metrics = _receive(frame, ues, phy, noise)
+    used = payload_symbols(param_count, cfg)
+    rx, p_offsets, p_metrics = _receive(frame, ues, phy, noise, used)
     if np.any(p_metrics < DETECT_THRESHOLD):
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
                        "payload detection failed")
 
     # --- demodulate, descale, compare -------------------------------------
-    block = _read_symbols(rx, p_offsets, phy, num_ues, slots * cfg.symbols_per_slot)
+    block = _read_symbols(rx, p_offsets, phy, num_ues, slots * cfg.symbols_per_slot, used)
     block /= num_ues * alpha
     recovered = unmap_from_grids(block, param_count, descale)
     return _report(recovered, alpha, p_offsets, p_metrics, max_re_power)

@@ -2,13 +2,14 @@
 
 A real update vector is peak-normalized per I/Q component and packed two
 reals per resource element (even positions real, odd imaginary), row-major
-into one client's ``(slots * symbols_per_slot, subcarriers)`` block: its
-float64 view is the scaled update, then zeros.  Both link ends use it.
+into one client's ``(payload_symbols, subcarriers)`` block: its float64 view
+is the scaled update, then zeros to the end of its last symbol.  Both link
+ends use it; the frame still spans whole slots (``slot_plan``), and the
+symbols after the block carry nothing.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -114,11 +115,18 @@ def pack_complex(values: np.ndarray) -> np.ndarray:
     return v[0::2] + 1j * odd
 
 
-def slot_plan(param_count: int, cfg: GridConfig) -> int:
-    """Payload slots needed for ``param_count`` reals at 2 reals per resource element."""
+def payload_symbols(param_count: int, cfg: GridConfig) -> int:
+    """OFDM symbols that hold ``param_count`` reals at 2 reals per resource
+    element: the payload symbols both link ends work on.  The rest of the
+    last slot is zero and is never built, precoded or read."""
     if param_count < 1:
         raise ValueError("param_count must be >= 1")
-    return math.ceil(param_count / (2 * cfg.res_per_slot))
+    return -(-param_count // (2 * cfg.subcarriers))
+
+
+def slot_plan(param_count: int, cfg: GridConfig) -> int:
+    """Payload slots needed for ``param_count`` reals at 2 reals per resource element."""
+    return -(-payload_symbols(param_count, cfg) // cfg.symbols_per_slot)
 
 
 def pack_payload(

@@ -1,4 +1,4 @@
-"""Golden fixture: pinned digests of the shipped scenarios, seventeen aggregations
+"""Golden fixture: pinned digests of the shipped scenarios, twenty-six aggregations
 and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
@@ -41,6 +41,8 @@ CLI_DIGESTS = {
 
 # Paper-scale parameter count: 10 payload slots on the default grid.
 PAPER_PARAMS = 71_666
+
+_SPREAD_256 = SyncConfig(mode="ptp_off", off_spread=256)
 
 # (clients, parameter count, channel kind, pilot allocation, PhyConfig overrides)
 #     -> (repr of agg_nmse_db, sha256 of recovered)
@@ -128,6 +130,46 @@ AGGREGATE_DIGESTS = {
     (1, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.923248168554302",
         "f641c24b3c01604989dfd936286b0c8c413b8096fe12876f626f30280739951b",
+    ),
+    # Payload-length edges: one real, exactly one OFDM symbol of reals, one
+    # real past it, and one real past a slot; on PTP-bounded comb sounding
+    # and on full-band sounding with offsets up to 256 samples, which run
+    # the payload far past the preamble region.  Then one noiseless case.
+    (5, 1, "flat_block", "fdm_comb", ()): (
+        "-32.21189556313738",
+        "1b925f510a3edbc2bfdb95dd12068821eda234525e11b16a8e18f8be9c543c8d",
+    ),
+    (5, 1, "rayleigh_per_subcarrier", "tdm_full", (("sync", _SPREAD_256),)): (
+        "9.719631276955877",
+        "67341b4217f5c2c5d628a66156aca3110eea23adc328802fc3267702a8c68e5a",
+    ),
+    (5, 512, "flat_block", "fdm_comb", ()): (
+        "-26.6302207413197",
+        "d18f2beebf3aa6951a1ca1e1414d9b43a85c921627c76913ce6498c73a05f866",
+    ),
+    (5, 512, "rayleigh_per_subcarrier", "tdm_full", (("sync", _SPREAD_256),)): (
+        "16.180523717176403",
+        "3a71c0592bf0c6577f9daa62c95175da45416e67cae0d66533db65cf5008bc23",
+    ),
+    (5, 513, "flat_block", "fdm_comb", ()): (
+        "-26.240971469191795",
+        "36d4a2d989b5cd6f09778fd888ffe1ba04289f797832dcf370ec6c56c4c35a8e",
+    ),
+    (5, 513, "rayleigh_per_subcarrier", "tdm_full", (("sync", _SPREAD_256),)): (
+        "16.12011969120482",
+        "1338726075843bef50aa46a88212012529cba3ccad0075b413b530d4d3f9c0da",
+    ),
+    (5, 7_169, "flat_block", "fdm_comb", ()): (
+        "-21.668139351625435",
+        "0bf934a006d1d8d5c50452c646fcb0580bf81165e50f2c13e7ce4509828731a8",
+    ),
+    (5, 7_169, "rayleigh_per_subcarrier", "tdm_full", (("sync", _SPREAD_256),)): (
+        "8.075156350735693",
+        "f59d3ab917825c880376f468276734d4443d6cd8ef4c0259b9d38a53a6543e80",
+    ),
+    (5, 513, "flat_block", "fdm_comb", (("uplink_snr_db", None),)): (
+        "-35.64449355989838",
+        "ea843c7b3b2128f8ad5cd7be53a2b7f3c84a4cea8b9bc58ce1e82de034c7cfc0",
     ),
 }
 

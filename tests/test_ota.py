@@ -232,7 +232,8 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers))
     rx = ota._sounding_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks)
-    _, offsets, metrics = ota._receive(rx, range(3), phy, np.random.default_rng(5))
+    _, offsets, metrics = ota._receive(rx, range(3), phy, np.random.default_rng(5),
+                                       phy.grid.symbols_per_slot)
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
 
@@ -246,8 +247,8 @@ def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, sprea
     calls = []
     original = ota._receive
 
-    def recording(sent, ues, phy, noise):
-        rx, offsets, metrics = original(sent, ues, phy, noise)
+    def recording(sent, ues, phy, noise, symbols):
+        rx, offsets, metrics = original(sent, ues, phy, noise, symbols)
         calls.append((rx, list(ues), offsets, metrics))
         return rx, offsets, metrics
 
@@ -506,31 +507,120 @@ def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
 
 @pytest.mark.parametrize("snr_db", [20.0, -5.0])
 def test_receive_adds_noise_in_place(snr_db):
-    """The in-place noise equals ``rx + sqrt(v/2) * (a + 1j*b)`` bit for bit,
-    with ``a`` and ``b`` the even and odd draws of the round generator's
-    next twice-the-buffer-length normals and ``v`` the noise variance
-    referenced to the samples after the preamble region."""
+    """The in-place noise equals ``rx + sqrt(v/2) * (a + 1j*b)`` bit for bit
+    on the buffer's first ``n = offset_bound + region + symbols *
+    symbol_len`` samples, with ``a`` and ``b`` the even and odd draws of the
+    round generator's next 2 * n normals and ``v`` the noise variance
+    referenced to all the samples after the preamble region; the samples
+    after them are left as they were.  A 100-parameter payload fills 3 of
+    its slot's 4 symbols; reading the whole slot, or more, noises the whole
+    buffer."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg, uplink_snr_db=snr_db)
     gains, phases, _, deltas, scales, divisor = _oracle_inputs(3, "fdm_comb")
-    offsets = np.array([0, 3, 1])
-    rx, _, _ = ota._payload_frame(range(3), phy, gains, phases, offsets,
-                                  deltas, scales, divisor)
+    deltas = [d[:100] for d in deltas]
+    bound = offset_bound(phy.sync, cfg.sample_rate)
+    offsets = np.array([0, bound, 1])
     region = phy.preamble_region_len(3)
-    clean = rx.copy()
-    got, _, _ = ota._receive(rx, range(3), phy, np.random.default_rng(derive_seed(5, 1)))
-    assert got.samples is rx  # no second buffer
-    variance = np.mean(np.abs(clean[region:]) ** 2) / 10.0 ** (snr_db / 10.0)
-    draws = np.random.default_rng(derive_seed(5, 1)).standard_normal(2 * clean.size)
-    want = clean + np.sqrt(variance / 2.0) * (draws[0::2] + 1j * draws[1::2])
-    np.testing.assert_array_equal(got.samples.view(np.float64), want.view(np.float64))
+    for symbols in (3, 4, 5):
+        rx, _, _ = ota._payload_frame(range(3), phy, gains, phases, offsets,
+                                      deltas, scales, divisor)
+        assert rx.size == bound + region + cfg.symbols_per_slot * cfg.symbol_len
+        n = min(rx.size, bound + region + symbols * cfg.symbol_len)
+        clean = rx.copy()
+        got, _, _ = ota._receive(rx, range(3), phy, np.random.default_rng(derive_seed(5, 1)),
+                                 symbols)
+        assert got.samples is rx  # no second buffer
+        variance = np.mean(np.abs(clean[region:]) ** 2) / 10.0 ** (snr_db / 10.0)
+        draws = np.random.default_rng(derive_seed(5, 1)).standard_normal(2 * n)
+        want = clean.copy()
+        want[:n] += np.sqrt(variance / 2.0) * (draws[0::2] + 1j * draws[1::2])
+        np.testing.assert_array_equal(got.samples.view(np.float64), want.view(np.float64))
+        assert np.all(got.samples[:n] != clean[:n])
+
+
+def _address(a: np.ndarray) -> int:
+    return a.__array_interface__["data"][0]
+
+
+@pytest.mark.parametrize("case", ["ptp_on", "ptp_off_256", "late_start"])
+def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
+    """Every window the receiver reads -- each client's detection window and
+    the demodulation window -- lies inside the samples its event noised,
+    and the noised samples are one prefix of the buffer.  A 100-parameter
+    payload fills one symbol of its slot, so the payload event's prefix
+    ends well before its buffer does.  ``late_start`` reports every client
+    at the last lag of its search window, past the latest true arrival, so
+    the read rule moves each window back inside its buffer."""
+    events = []
+    receive, detect, demodulate = ota._receive, ota.detect_frame, ota.ofdm_demodulate
+
+    def window(samples, lo, size):
+        """Record ``samples[lo:lo + size]`` against the event buffer it views."""
+        (event,) = [e for e in events if np.shares_memory(e["rx"], samples)]
+        start = (_address(samples) - _address(event["rx"])) // samples.itemsize + lo
+        event["windows"].append((start, start + size))
+        return event
+
+    def receiving(rx, ues, phy, noise, symbols):
+        events.append({"rx": rx, "windows": [], "clients": len(ues)})
+        clean = rx.copy()
+        out = receive(rx, ues, phy, noise, symbols)
+        events[-1]["noised"] = np.flatnonzero(rx != clean)
+        return out
+
+    def detecting(signal, preamble):
+        window(signal.samples, 0, signal.samples.size)
+        offset, metric = detect(signal, preamble)
+        if case == "late_start":
+            offset = signal.samples.size - preamble.size
+        return offset, metric
+
+    def demodulating(signal, cfg, start, n):
+        window(signal.samples, start, n * cfg.symbol_len)["read"] = start
+        return demodulate(signal, cfg, start, n)
+
+    monkeypatch.setattr(ota, "_receive", receiving)
+    monkeypatch.setattr(ota, "detect_frame", detecting)
+    monkeypatch.setattr(ota, "ofdm_demodulate", demodulating)
+    sync, channel, allocation = {
+        "ptp_on": (SyncConfig(mode="ptp_on"), "flat_block", "fdm_comb"),
+        "ptp_off_256": (SyncConfig(mode="ptp_off", off_spread=256),
+                        "rayleigh_per_subcarrier", "tdm_full"),
+        "late_start": (SyncConfig(mode="ptp_off", off_spread=64),
+                       "rayleigh_per_subcarrier", "tdm_full"),
+    }[case]
+    phy = PhyConfig(channel=ChannelModel(channel), pilot_allocation=allocation, sync=sync,
+                    uplink_snr_db=20.0)
+    cfg = phy.grid
+    bound = offset_bound(sync, cfg.sample_rate)
+    for seed in range(3):
+        events.clear()
+        report = ota_aggregate(_random_deltas(5, 100, seed=seed), phy, master_seed=seed)
+        assert not report.aborted
+        *sounding, payload = events
+        assert len(sounding) == {"fdm_comb": 1, "tdm_full": 5}[allocation]
+        for event in events:
+            noised, windows = event["noised"], event["windows"]
+            np.testing.assert_array_equal(noised, np.arange(noised.size))
+            assert len(windows) == event["clients"] + 1  # detection, then the read
+            assert all(0 <= lo < hi <= noised.size for lo, hi in windows)
+        region = phy.preamble_region_len(5)
+        assert payload["noised"].size == bound + region + cfg.symbol_len
+        assert payload["noised"].size < payload["rx"].size - 12 * cfg.symbol_len
+        assert payload["windows"][-1][1] - payload["windows"][-1][0] == cfg.symbol_len
+        if case == "late_start":
+            last = payload["rx"].size - cfg.slot_len
+            assert last < bound + region  # the clip rule moved the read back
+            assert payload["read"] == last
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
     """A non-finite entry makes the client's precoded grid non-finite, which
-    must raise before any payload frame is built."""
+    must raise before any frame is built: the client's own rail peaks
+    already show it, so no sounding event is spent on the round."""
     payload_frames = []
     for name, payload in (("_sounding_frame", False), ("_payload_frame", True)):
         def recording(*args, _frame=getattr(ota, name), _payload=payload, **kwargs):
@@ -542,7 +632,7 @@ def test_non_finite_update_is_rejected_before_transmission(bad, monkeypatch):
     deltas[1][17] = bad
     with pytest.raises(ValueError, match="resource grid entries must be finite"):
         ota_aggregate(deltas, _ideal_phy(), master_seed=0)
-    assert payload_frames == [False]  # the sounding event only
+    assert payload_frames == []
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
@@ -612,8 +702,8 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
 def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, params):
     """Each row the precoding pass reads its peaks from and precodes holds
     the codec's packed, scaled update of its client (even -> I, odd -> Q)
-    followed by zeros, to the last symbol of its last slot; the rows come
-    one per client, in order."""
+    followed by zeros to the end of the last symbol that holds a parameter,
+    and no further symbol; the rows come one per client, in order."""
     seen = []
     original = ota.pack_payload
 
@@ -626,10 +716,11 @@ def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, pa
     deltas = _random_deltas(3, params, seed=params)
     ota_aggregate(deltas, _ideal_phy(scale_mode=scale_mode), master_seed=0)
     assert len(seen) == 3
-    slots = ota.slot_plan(params, SMALL_GRID)
+    used = {1: 1, 2: 1, 301: 5, 2 * 32 * 4: 4}[params]
+    assert used == ota.payload_symbols(params, SMALL_GRID)
     shared = shared_peaks(deltas)
     for d, row in zip(deltas, seen):
-        assert row.shape == (slots * SMALL_GRID.symbols_per_slot, SMALL_GRID.subcarriers)
+        assert row.shape == (used, SMALL_GRID.subcarriers)
         scales = shared if scale_mode == "common" else component_peaks(d)
         want = pack_complex(scale_updates(d, scales).values)
         np.testing.assert_array_equal(row.reshape(-1)[:want.size], want)
@@ -684,18 +775,19 @@ def _recording_noise_seeds(monkeypatch):
 def test_tdm_full_noise_draws_grow_linearly_in_the_client_count(monkeypatch):
     """Each full-band sounding event spans only its client's preamble slot
     and one pilot slot, and the payload event the M preamble slots and the
-    payload symbols.  At zero offsets one aggregation therefore draws
-    2 * (M * (2 * slot + S * L) + N * L) noise samples, all from the one
-    generator of the round: its state after the aggregation is that of a
-    fresh generator after exactly that many draws.  The count has a zero
-    second difference over equally spaced M."""
+    payload slot.  At zero offsets the sounding events are noised whole, and
+    the payload event up to the end of the one symbol that holds its 100
+    parameters, so one aggregation draws 2 * (M * (2 * slot + S * L) + L)
+    noise samples, all from the one generator of the round: its state after
+    the aggregation is that of a fresh generator after exactly that many
+    draws.  The count has a zero second difference over equally spaced M."""
     events, generators = [], []
     original = ota._receive
 
-    def recording(rx, ues, phy, noise):
+    def recording(rx, ues, phy, noise, symbols):
         events.append(rx.size)
         generators.append(noise)
-        return original(rx, ues, phy, noise)
+        return original(rx, ues, phy, noise, symbols)
 
     monkeypatch.setattr(ota, "_receive", recording)
     seeds = _recording_noise_seeds(monkeypatch)
@@ -712,10 +804,11 @@ def test_tdm_full_noise_draws_grow_linearly_in_the_client_count(monkeypatch):
         assert events == [sounding] * m + [payload]
         (seed,) = seeds
         assert all(g is generators[0] for g in generators)
+        noised = m * sounding + m * slot + cfg.symbol_len
         fresh = np.random.default_rng(seed)
-        fresh.standard_normal(2 * (m * sounding + payload))
+        fresh.standard_normal(2 * noised)
         assert generators[0].bit_generator.state == fresh.bit_generator.state
-        drawn.append(2 * sum(events))
+        drawn.append(2 * noised)
     assert drawn[2] - 2 * drawn[1] + drawn[0] == 0
 
 
@@ -758,7 +851,7 @@ def test_payload_is_modulated_once_per_distinct_delay(monkeypatch, allocation, c
     assert 1 < delays < m
     sounding = {("fdm_comb", "estimated"): [m], ("tdm_full", "estimated"): [1] * m,
                 ("tdm_full", "perfect"): []}[allocation, csi_mode]
-    symbols = ota.slot_plan(20_000, phy.grid) * phy.grid.symbols_per_slot
+    symbols = 40  # the symbols 20 000 reals fill, of the 3 payload slots' 42
     assert rows == sounding + [symbols] * delays
     assert len(seeds) == 1
 

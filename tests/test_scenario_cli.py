@@ -355,6 +355,17 @@ def test_cli_run_byte_identical_across_threads(tmp_path, monkeypatch):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+@pytest.mark.parametrize("threads", ["abc", "2.5", "", "0", "-1"])
+def test_cli_run_rejects_a_bad_thread_count(tmp_path, capsys, monkeypatch, threads):
+    scenario = _tiny_file(tmp_path)
+    out = tmp_path / "trace.csv"
+    monkeypatch.setenv("OTAFL_THREADS", threads)
+    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert f"OTAFL_THREADS must be an integer >= 1, got {threads!r}" in err
+    assert not out.exists()
+
+
 def test_cli_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err

@@ -13,6 +13,7 @@ from otafl.weightcodec import (
     map_to_grids,
     pack_complex,
     pack_payload,
+    payload_symbols,
     rail_peaks,
     scale_updates,
     shared_peaks,
@@ -57,6 +58,20 @@ def test_slot_plan_capacity_identity():
 def test_slot_plan_validation():
     with pytest.raises(ValueError):
         slot_plan(0, CFG)
+    with pytest.raises(ValueError, match="param_count must be >= 1"):
+        payload_symbols(0, CFG)
+
+
+@pytest.mark.parametrize("params,symbols", [
+    (1, 1), (64, 1), (512, 1), (513, 2), (6_656, 13), (7_168, 14), (7_169, 15),
+    (71_666, 140),
+])
+def test_payload_symbols_hold_exactly_the_parameters(params, symbols):
+    """The symbols that hold parameters, at 512 reals per symbol, and the
+    whole slots they are sent in."""
+    assert payload_symbols(params, CFG) == symbols
+    assert (symbols - 1) * 2 * CFG.subcarriers < params <= symbols * 2 * CFG.subcarriers
+    assert slot_plan(params, CFG) == -(-symbols // CFG.symbols_per_slot)
 
 
 # ----------------------------------------------------------- pack/unpack
