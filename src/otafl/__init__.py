@@ -53,7 +53,6 @@ from .precode import channel_invert, compute_alpha, inversion_floor
 from .scenario import Scenario, ScenarioError, parse, parse_file, run_scenario, serialize
 from .sync import SyncConfig, draw_offsets, offset_bound, peak_spread
 from .weightcodec import (
-    ScaledUpdate,
     map_to_grids,
     pack_complex,
     scale_updates,
@@ -67,7 +66,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AggregateReport", "ChannelModel", "EnergyModel",
     "ExperimentResult", "GridConfig", "PhyConfig",
-    "RoundState", "RoundTrace", "ScaledUpdate", "Scenario", "ScenarioError",
+    "RoundState", "RoundTrace", "Scenario", "ScenarioError",
     "SpectralProfile",
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",
     "average_deltas", "channel_invert", "compute_alpha",

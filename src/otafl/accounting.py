@@ -6,8 +6,8 @@ The analog scheme sends all updates simultaneously; its slot bill is set by
 the parameter count alone (2 reals per resource element).
 
 Energy is modeled per round as E = e * c + M * slots_per_ue * e, where e is
-the energy of one slot at the configured transmit power and c is a fixed
-per-round overhead expressed in slot-energy units (control signaling,
+the energy of one 1 ms slot at the configured transmit power and c is a
+fixed per-round overhead expressed in slot-energy units (control signaling,
 synchronization, measurement).  The default c = 94/3 is calibrated so that
 the two-client energy ratio of the reference configuration (87 digital
 slots per client versus 10 shared analog slots) comes out at exactly 4.0;
@@ -27,6 +27,7 @@ from .weightcodec import slot_plan
 # 256-QAM at coding rate 0.92 ~ 8 * 0.92575.
 DEFAULT_SPECTRAL_EFFICIENCY = 7.4063
 DEFAULT_FIXED_OVERHEAD = 94.0 / 3.0
+SLOT_DURATION_S = 1e-3  # one 14-symbol slot at 15 kHz subcarrier spacing
 
 
 @dataclass(frozen=True)
@@ -52,22 +53,25 @@ class SpectralProfile:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Transmit power, slot duration and the fixed per-round overhead c."""
+    """Transmit power and the fixed per-round overhead c."""
 
     tx_power_dbm: float = 20.0
-    slot_duration_s: float = 1e-3
     fixed_overhead: float = DEFAULT_FIXED_OVERHEAD
 
     def __post_init__(self):
-        if not math.isfinite(self.tx_power_dbm):
-            raise ValueError(f"tx_power_dbm must be finite, got {self.tx_power_dbm!r}")
-        if not 0 < self.slot_duration_s < math.inf or not 0 <= self.fixed_overhead < math.inf:
-            raise ValueError("duration must be positive and overhead >= 0, both finite")
+        try:
+            energy = self.slot_energy_j
+        except OverflowError:
+            energy = math.inf
+        if not 0 < energy < math.inf:
+            raise ValueError(f"tx_power_dbm {self.tx_power_dbm!r} gives {energy!r} J per slot")
+        if not 0 <= self.fixed_overhead < math.inf:
+            raise ValueError(f"fixed_overhead must be >= 0 and finite, got {self.fixed_overhead!r}")
 
     @property
     def slot_energy_j(self) -> float:
         """Energy of one transmitted slot in joules."""
-        return 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0) * self.slot_duration_s
+        return 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0) * SLOT_DURATION_S
 
 
 def digital_slots_raw(param_count: int, bits_per_param: int, efficiency: float,
@@ -75,7 +79,10 @@ def digital_slots_raw(param_count: int, bits_per_param: int, efficiency: float,
     """Pre-ceiling slots one client needs: P*b / (m*K)."""
     if param_count < 1 or bits_per_param < 1 or not 0 < efficiency < math.inf:
         raise ValueError("param_count, bits and efficiency must be positive and finite")
-    return param_count * bits_per_param / (efficiency * cfg.res_per_slot)
+    slots = param_count * bits_per_param / (efficiency * cfg.res_per_slot)
+    if slots == math.inf:
+        raise ValueError(f"efficiency {efficiency!r} gives no finite slot count")
+    return slots
 
 
 def digital_slots(param_count: int, bits_per_param: int, profile: SpectralProfile,

@@ -35,7 +35,7 @@ from .accounting import (
     EnergyModel,
     gains_table,
 )
-from .scenario import ScenarioError, parse_file, run_scenario, sync_sweep
+from .scenario import Scenario, ScenarioError, parse_file, run_scenario, sync_sweep, validate
 
 SCHEMA_VERSION = 1
 
@@ -91,11 +91,18 @@ def _parse_spreads(text: str) -> list[int]:
     return spreads
 
 
-def _cmd_run(args) -> int:
+def _load_scenario(args) -> Scenario:
+    """The scenario file with ``--seed`` and ``--rounds`` set on its keys, validated."""
+    overrides = {"master_seed": args.seed, "rounds": getattr(args, "rounds", None)}
     sc = parse_file(args.scenario)
-    if args.rounds is not None:
-        sc = dataclasses.replace(sc, rounds=args.rounds)
-    result = run_scenario(sc, master_seed=args.seed)
+    sc = dataclasses.replace(sc, **{k: v for k, v in overrides.items() if v is not None})
+    validate(sc)
+    return sc
+
+
+def _cmd_run(args) -> int:
+    sc = _load_scenario(args)
+    result = run_scenario(sc)
     aborted = sum(t.aborted for t in result.traces)
     if args.out:
         rows = [
@@ -130,11 +137,17 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_accounting(args) -> int:
-    model = EnergyModel(tx_power_dbm=args.tx_power_dbm, fixed_overhead=args.overhead)
-    rows = gains_table(
-        args.m_range, args.params, args.bits,
-        efficiency=args.efficiency, model=model,
-    )
+    try:
+        model = EnergyModel(tx_power_dbm=args.tx_power_dbm, fixed_overhead=args.overhead)
+    except ValueError as exc:
+        raise ValueError(f"--tx-power-dbm or --overhead: {exc}") from None
+    try:
+        rows = gains_table(
+            args.m_range, args.params, args.bits,
+            efficiency=args.efficiency, model=model,
+        )
+    except ValueError as exc:
+        raise ValueError(f"--params, --bits or --efficiency: {exc}") from None
     header = ["schema_version", "num_ues", "mode", "slots", "gain", "energy_j"]
     table = [
         [SCHEMA_VERSION, r["num_ues"], r["mode"], r["slots"], r["gain"], r["energy_j"]]
@@ -151,9 +164,7 @@ def _cmd_accounting(args) -> int:
 
 
 def _cmd_sync_sweep(args) -> int:
-    sc = parse_file(args.scenario)
-    if args.seed is not None:
-        sc = dataclasses.replace(sc, master_seed=args.seed)
+    sc = _load_scenario(args)
     rows = sync_sweep(sc, args.spreads, args.seeds)
     header = ["schema_version", "spread_samples", "mean_agg_nmse_db", "seeds"]
     print(f"{'spread':>8} {'mean NMSE (dB)':>16} {'seeds':>6}")

@@ -21,6 +21,14 @@ ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 
 
+def model_size(kind: str, features: int, hidden: int, classes: int) -> int:
+    """Parameter count of a task family's model: one weight per feature for
+    linear regression, both layers' weights and biases for the MLP."""
+    if kind == "linear_regression":
+        return features
+    return features * hidden + hidden + hidden * classes + classes
+
+
 @dataclass
 class Task:
     """One client's dataset plus the model family it trains.
@@ -53,11 +61,8 @@ class Task:
 
     @property
     def param_count(self) -> int:
-        d = self.features.shape[1]
-        if self.kind == "linear_regression":
-            return d
-        c = self.targets.shape[1]
-        return d * self.hidden + self.hidden + self.hidden * c + c
+        classes = self.targets.shape[1] if self.targets.ndim == 2 else 0
+        return model_size(self.kind, self.features.shape[1], self.hidden, classes)
 
 
 @dataclass(frozen=True)

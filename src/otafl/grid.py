@@ -9,9 +9,10 @@ Conventions that the rest of the package relies on:
   sits at physical FFT bin ``subcarrier_bins(cfg)[n]``, which matters when
   reasoning about the per-subcarrier phase ramp caused by a timing offset
   inside the cyclic prefix.
-* Preambles are bipolar (+1/-1) Gold sequences transmitted as raw time
-  samples ahead of the first OFDM symbol; frame detection is a normalized
-  cross-correlation peak search.
+* Preambles are bipolar (+1/-1) Gold sequences of one degree-7 family
+  (``PREAMBLE_FAMILY`` members of ``PREAMBLE_LEN`` chips) transmitted as raw
+  time samples ahead of the first OFDM symbol; frame detection is a
+  normalized cross-correlation peak search.
 """
 
 from __future__ import annotations
@@ -24,15 +25,14 @@ import numpy as np
 # Seed for the fixed QPSK pilot symbol shared by transmitter and receiver.
 PILOT_SEED = 17
 
-# Preferred pairs of m-sequence feedback taps (polynomial exponents) for the
-# Gold families offered here.  Degree 7 is the default preamble; the family
-# cross-correlation is three-valued with bound 2**((m+1)/2) + 1.
-_PREFERRED_PAIRS: dict[int, tuple[tuple[int, ...], tuple[int, ...]]] = {
-    5: ((5, 2), (5, 4, 3, 2)),
-    7: ((7, 3), (7, 3, 2, 1)),
-    9: ((9, 4), (9, 6, 4, 3)),
-    11: ((11, 2), (11, 8, 5, 2)),
-}
+# Per-client preambles: degree-7 Gold family, 129 sequences of 127 chips.
+PREAMBLE_DEGREE = 7
+PREAMBLE_LEN = 2**PREAMBLE_DEGREE - 1
+PREAMBLE_FAMILY = 2**PREAMBLE_DEGREE + 1
+
+# Preferred pair of m-sequence feedback taps (polynomial exponents) of the preamble
+# family; its cross-correlation is three-valued with bound 2**((m+1)/2) + 1.
+_PREFERRED_PAIR = ((7, 3), (7, 3, 2, 1))
 
 
 @dataclass(frozen=True)
@@ -115,38 +115,31 @@ def _msequence(degree: int, taps: tuple[int, ...]) -> np.ndarray:
     return bits
 
 
-def gold_sequence(degree: int, index: int, length: int) -> np.ndarray:
-    """Return one bipolar Gold sequence of the given family.
+def gold_sequence(index: int) -> np.ndarray:
+    """Return one bipolar Gold sequence of the preamble family.
 
     ``index`` selects a family member: 0 and 1 are the two preferred
     m-sequences, and index k >= 2 is their XOR with the second sequence
-    cyclically shifted by k - 2.  The family therefore holds
-    2**degree + 1 sequences with three-valued cross-correlation.
+    cyclically shifted by k - 2: ``PREAMBLE_FAMILY`` sequences of
+    ``PREAMBLE_LEN`` chips with three-valued cross-correlation.
     """
-    if degree not in _PREFERRED_PAIRS:
-        raise ValueError(
-            f"unsupported degree {degree}; choose one of {sorted(_PREFERRED_PAIRS)}"
-        )
-    n = 2**degree - 1
-    if not 0 < length <= n:
-        raise ValueError(f"length must lie in [1, {n}], got {length}")
-    if not 0 <= index <= 2**degree:
-        raise ValueError(f"index must lie in [0, {2**degree}], got {index}")
-    taps_u, taps_v = _PREFERRED_PAIRS[degree]
-    u = _msequence(degree, taps_u)
-    v = _msequence(degree, taps_v)
+    if not 0 <= index < PREAMBLE_FAMILY:
+        raise ValueError(f"index must lie in [0, {PREAMBLE_FAMILY - 1}], got {index}")
+    taps_u, taps_v = _PREFERRED_PAIR
+    u = _msequence(PREAMBLE_DEGREE, taps_u)
+    v = _msequence(PREAMBLE_DEGREE, taps_v)
     if index == 0:
         bits = u
     elif index == 1:
         bits = v
     else:
         bits = u ^ np.roll(v, -(index - 2))
-    return (1.0 - 2.0 * bits[:length]).astype(np.float64)
+    return (1.0 - 2.0 * bits).astype(np.float64)
 
 
-def make_pilot_values(subcarriers: int, seed: int = PILOT_SEED) -> np.ndarray:
-    """Fixed unit-modulus QPSK pilot symbol known to both link ends."""
-    rng = np.random.default_rng(seed)
+def make_pilot_values(subcarriers: int) -> np.ndarray:
+    """Fixed unit-modulus QPSK pilot symbol from ``PILOT_SEED``, known to both link ends."""
+    rng = np.random.default_rng(PILOT_SEED)
     quadrant = rng.integers(0, 4, size=subcarriers)
     return np.exp(1j * (np.pi / 4 + np.pi / 2 * quadrant))
 

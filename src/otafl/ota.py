@@ -67,6 +67,8 @@ from .accounting import (
 from .channel import ChannelModel, decorrelate, realize_channel
 from .csi import interpolate, ls_estimate, nmse, quantize_estimate
 from .grid import (
+    PREAMBLE_FAMILY,
+    PREAMBLE_LEN,
     GridConfig,
     TimeSignal,
     detect_frame,
@@ -100,10 +102,6 @@ SCALE_MODES = ("common", "per_client")
 MODES = ("ota", "digital_fp32", "digital_int8")
 
 DETECT_THRESHOLD = 0.3
-# Per-client preambles: degree-7 Gold family, 129 sequences of 127 chips.
-PREAMBLE_DEGREE = 7
-PREAMBLE_LEN = 2**PREAMBLE_DEGREE - 1
-PREAMBLE_FAMILY = 2**PREAMBLE_DEGREE + 1
 
 # Stream tags for deterministic seed derivation.
 _TAG_INIT = 11
@@ -251,8 +249,7 @@ def _map_ues(fn, items):
 @functools.cache
 def _preamble_bank() -> np.ndarray:
     """Every client's Gold preamble, one read-only row per family member."""
-    bank = np.stack([gold_sequence(PREAMBLE_DEGREE, k, PREAMBLE_LEN)
-                     for k in range(PREAMBLE_FAMILY)])
+    bank = np.stack([gold_sequence(k) for k in range(PREAMBLE_FAMILY)])
     bank.flags.writeable = False
     return bank
 

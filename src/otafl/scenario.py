@@ -31,16 +31,16 @@ from .accounting import (
     DEFAULT_SPECTRAL_EFFICIENCY,
     EnergyModel,
     SpectralProfile,
+    digital_slots_raw,
 )
 from .channel import ChannelModel
-from .fl import Task, TrainConfig, make_blobs_task, make_linear_task
-from .grid import GridConfig
+from .fl import Task, TrainConfig, make_blobs_task, make_linear_task, model_size
+from .grid import PREAMBLE_FAMILY, GridConfig
 from .precode import DEFAULT_FLOOR_REL as _DEFAULT_FLOOR
 from .ota import (
     CSI_MODES,
     MODES,
     PILOT_ALLOCATIONS,
-    PREAMBLE_FAMILY,
     SCALE_MODES,
     ExperimentResult,
     PhyConfig,
@@ -220,7 +220,7 @@ def validate(sc: Scenario) -> None:
         if getattr(sc, field) <= 0:
             fail(field, "must be positive")
     nonneg = (
-        "train_epochs", "train_batch_size", "grid_cp_len", "sync_off_spread",
+        "master_seed", "train_epochs", "train_batch_size", "grid_cp_len", "sync_off_spread",
         "sync_ptp_bound_s", "phy_floor_rel", "phy_decorrelation",
         "phy_feedback_quant_bits", "acct_fixed_overhead", "task_heterogeneity",
         "task_noise_std", "sync_phase_offset_rad",
@@ -242,6 +242,15 @@ def validate(sc: Scenario) -> None:
         fail("num_ues", f"the preamble family has only {PREAMBLE_FAMILY} Gold sequences")
     if sc.phy_feedback_quant_bits == 1:
         fail("phy_feedback_quant_bits", "must be 0 (lossless) or >= 2 for a nonzero quantizer")
+    try:
+        build_energy_model(sc)
+    except ValueError as exc:
+        fail("link_tx_power_dbm", str(exc))
+    params = model_size(sc.task_kind, sc.task_features, sc.task_hidden, sc.task_classes)
+    try:  # the fp32 upload is the largest digital bill any mode sends
+        digital_slots_raw(params, 32, sc.acct_spectral_efficiency, build_grid(sc))
+    except ValueError as exc:
+        fail("acct_spectral_efficiency", str(exc))
 
 
 # ---------------------------------------------------------------------------

@@ -1,37 +1,19 @@
 """Mapping between model-update vectors and OFDM payload blocks.
 
-A real update vector is peak-normalized per I/Q component and packed two
-reals per resource element (even positions real, odd imaginary), row-major
-into one client's ``(payload_symbols, subcarriers)`` block: its float64 view
-is the scaled update, then zeros to the end of its last symbol.  Both link
-ends use it; the frame still spans whole slots (``slot_plan``), and the
-symbols after the block carry nothing.
+A real update vector is divided by one ``(scale_i, scale_q)`` pair of I/Q
+peak scales (``peak_scales``) and packed two reals per resource element
+(even positions real, odd imaginary), row-major into one client's
+``(payload_symbols, subcarriers)`` block: its float64 view is the scaled
+update, then zeros to the end of its last symbol.  Both link ends use it;
+the frame still spans whole slots (``slot_plan``), and the symbols after
+the block carry nothing.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .grid import GridConfig
-
-
-@dataclass
-class ScaledUpdate:
-    """Peak-normalized update plus the scales needed to undo it."""
-
-    values: np.ndarray
-    scale_i: float
-    scale_q: float
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=np.float64)
-        if self.values.ndim != 1 or self.values.size == 0:
-            raise ValueError("scaled update must be a nonempty vector")
-        for name in ("scale_i", "scale_q"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be positive")
 
 
 def rail_peaks(deltas: list[np.ndarray]) -> np.ndarray:
@@ -62,46 +44,39 @@ def peak_scales(peaks: np.ndarray) -> tuple[float, float]:
     return (1.0 if peak_i == 0.0 else peak_i), (1.0 if peak_q == 0.0 else peak_q)
 
 
-def shared_peaks(deltas: list[np.ndarray]) -> tuple[float, float]:
-    """Common (I, Q) peak magnitudes of raw updates, with the zero guards
-    of :func:`peak_scales`."""
-    return peak_scales(rail_peaks(deltas))
-
-
-def component_peaks(delta: np.ndarray) -> tuple[float, float]:
-    """(I, Q) peak magnitudes of one raw update, with zero guards."""
-    return shared_peaks([delta])
-
-
-def scale_updates(delta: np.ndarray, shared_scale: tuple[float, float] | None = None) -> ScaledUpdate:
-    """Normalize an update so both I and Q streams peak at most at 1.
+def scale_updates(
+    delta: np.ndarray, shared_scale: tuple[float, float] | None = None
+) -> tuple[np.ndarray, tuple[float, float]]:
+    """Normalize an update so both I and Q streams peak at most at 1; return
+    it with the ``(scale_i, scale_q)`` pair that undoes it.
 
     Even-indexed entries feed the real (I) rail, odd-indexed entries the
     imaginary (Q) rail.  With ``shared_scale`` the caller supplies a common
     (scale_i, scale_q) pair negotiated across UEs so the analog sum can be
-    descaled without bias; otherwise the update's own peaks are used.
+    descaled without bias; otherwise the update's own peaks are used.  A
+    scale that is not positive, NaN included, is rejected by name.
     """
     d = np.asarray(delta, dtype=np.float64)
     if d.ndim != 1 or d.size == 0:
         raise ValueError("update must be a nonempty 1-D vector")
     if shared_scale is None:
-        scale_i, scale_q = component_peaks(d)
+        scales, source = peak_scales(rail_peaks([d])), "the update's peak"
     else:
-        scale_i, scale_q = float(shared_scale[0]), float(shared_scale[1])
-        for name, scale in (("scale_i", scale_i), ("scale_q", scale_q)):
-            if not scale > 0:
-                raise ValueError(f"shared_scale's {name} must be positive, got {scale}")
+        scales, source = (float(shared_scale[0]), float(shared_scale[1])), "shared_scale's"
+    for name, scale in zip(("scale_i", "scale_q"), scales):
+        if not scale > 0:
+            raise ValueError(f"{source} {name} must be positive, got {scale}")
     out = d.copy()
-    out[0::2] /= scale_i
-    out[1::2] /= scale_q
-    return ScaledUpdate(out, scale_i, scale_q)
+    out[0::2] /= scales[0]
+    out[1::2] /= scales[1]
+    return out, scales
 
 
-def unscale_updates(update: ScaledUpdate) -> np.ndarray:
+def unscale_updates(values: np.ndarray, scales: tuple[float, float]) -> np.ndarray:
     """Inverse of :func:`scale_updates` for a known scale pair."""
-    out = update.values.copy()
-    out[0::2] *= update.scale_i
-    out[1::2] *= update.scale_q
+    out = np.asarray(values, dtype=np.float64).copy()
+    out[0::2] *= scales[0]
+    out[1::2] *= scales[1]
     return out
 
 

@@ -126,9 +126,9 @@ def test_criterion_3_codec_phy_round_trips():
     for _ in range(500):
         params = int(rng.integers(1, 20_000))
         delta = rng.normal(size=params) * rng.uniform(0.01, 10)
-        scaled = scale_updates(delta)
-        block = map_to_grids(pack_complex(scaled.values), slot_plan(params, cfg), cfg)
-        back = unmap_from_grids(block, params, (scaled.scale_i, scaled.scale_q))
+        values, scales = scale_updates(delta)
+        block = map_to_grids(pack_complex(values), slot_plan(params, cfg), cfg)
+        back = unmap_from_grids(block, params, scales)
         codec_worst = max(codec_worst, float(np.max(np.abs(back - delta))))
 
     # OFDM round trip
@@ -141,7 +141,7 @@ def test_criterion_3_codec_phy_round_trips():
 
     # exhaustive degree-7 Gold cross-correlations: all ordered pairs of
     # distinct family members at every cyclic lag
-    family = np.stack([gold_sequence(7, k, 127) for k in range(129)])
+    family = np.stack([gold_sequence(k) for k in range(129)])
     values: set[int] = set()
     eye = np.eye(129, dtype=bool)
     for lag in range(127):
@@ -246,7 +246,7 @@ def test_criterion_6_synchronization():
 
     # (a) constructed delays are recovered exactly
     delays = [0, 37, 150, 400]
-    preambles = [gold_sequence(7, k, 127) for k in range(len(delays))]
+    preambles = [gold_sequence(k) for k in range(len(delays))]
     rx = superpose(
         [(TimeSignal(p.astype(complex), rate), d) for p, d in zip(preambles, delays)],
         0.0, seed=0,
@@ -260,7 +260,7 @@ def test_criterion_6_synchronization():
     for seed in range(20):
         offs = draw_offsets(cfg, 5, rate, seed=seed)
         sigs = [
-            (TimeSignal(gold_sequence(7, k, 127).astype(complex), rate), int(offs[k]))
+            (TimeSignal(gold_sequence(k).astype(complex), rate), int(offs[k]))
             for k in range(5)
         ]
         got = peak_spread(superpose(sigs, 0.0, seed=seed), [s[0].samples.real for s in sigs])

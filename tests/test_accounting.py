@@ -1,5 +1,6 @@
 """Slot and energy bookkeeping for digital versus analog uploads."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ import pytest
 from otafl.accounting import (
     DEFAULT_FIXED_OVERHEAD,
     DEFAULT_SPECTRAL_EFFICIENCY,
+    SLOT_DURATION_S,
     EnergyModel,
     SpectralProfile,
     digital_slots,
@@ -75,7 +77,7 @@ def test_slot_counts_validation():
 
 @pytest.mark.parametrize("bad", [float("nan"), float("inf"), float("-inf")])
 def test_non_finite_inputs_are_rejected(bad):
-    for kwargs in ({"tx_power_dbm": bad}, {"fixed_overhead": bad}, {"slot_duration_s": bad}):
+    for kwargs in ({"tx_power_dbm": bad}, {"fixed_overhead": bad}):
         with pytest.raises(ValueError):
             EnergyModel(**kwargs)
     with pytest.raises(ValueError):
@@ -89,10 +91,26 @@ def test_non_finite_inputs_are_rejected(bad):
 # ---------------------------------------------------------------- energy
 
 
+@pytest.mark.parametrize("power_dbm, energy", [(5000.0, "inf"), (-5000.0, "0.0")])
+def test_slot_energy_outside_float_range_names_the_power(power_dbm, energy):
+    """A finite power whose slot energy overflows, or underflows to zero
+    and would make every energy ratio 0 / 0, is rejected by name."""
+    with pytest.raises(ValueError, match=rf"tx_power_dbm {power_dbm!r} gives {energy} J per slot"):
+        EnergyModel(tx_power_dbm=power_dbm)
+
+
+def test_an_efficiency_whose_bill_overflows_is_named():
+    with pytest.raises(ValueError, match=r"efficiency 1e-320 gives no finite slot count"):
+        digital_slots_raw(P, 32, 1e-320, FMT)
+    assert math.isfinite(digital_slots_raw(P, 32, 1e-300, FMT))
+
+
 def test_slot_energy_at_reference_power():
     # 20 dBm = 0.1 W over 1 ms = 1e-4 J
     assert EnergyModel().slot_energy_j == pytest.approx(1e-4, rel=1e-12)
     assert EnergyModel(tx_power_dbm=30.0).slot_energy_j == pytest.approx(1e-3, rel=1e-12)
+    assert SLOT_DURATION_S == 1e-3  # one slot at 15 kHz spacing
+    assert [f.name for f in dataclasses.fields(EnergyModel)] == ["tx_power_dbm", "fixed_overhead"]
 
 
 def test_round_energy_formula():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otafl.grid import gold_sequence
+from otafl.grid import PREAMBLE_DEGREE, gold_sequence
 
 
 def _lfsr_oracle(taps, degree, length):
@@ -31,39 +31,36 @@ def _periodic_xcorr(a, b):
 
 def test_msequence_balance_and_period():
     # one period of a maximal-length sequence of degree m holds 2^(m-1) ones
-    for degree in (5, 7, 9):
-        n = 2**degree - 1
-        seq = gold_sequence(degree, 0, n)
-        assert seq.shape == (n,)
-        assert set(np.unique(seq)) == {-1.0, 1.0}
-        ones = np.sum(seq == -1.0)  # bit 1 maps to -1
-        assert ones == 2 ** (degree - 1)
+    seq = gold_sequence(0)
+    assert seq.shape == (2**PREAMBLE_DEGREE - 1,)
+    assert set(np.unique(seq)) == {-1.0, 1.0}
+    ones = np.sum(seq == -1.0)  # bit 1 maps to -1
+    assert ones == 2 ** (PREAMBLE_DEGREE - 1)
 
 
 @pytest.mark.parametrize("index", [0, 1, 5])
 def test_gold_sequence_returns_a_fresh_array(index):
-    first = gold_sequence(7, index, 127)
+    first = gold_sequence(index)
     want = first.copy()
     first[:] = 0.0
-    np.testing.assert_array_equal(gold_sequence(7, index, 127), want)
+    np.testing.assert_array_equal(gold_sequence(index), want)
 
 
 def test_bipolar_mapping_matches_reference_lfsr():
     n = 127
-    got = gold_sequence(7, 0, n)
+    got = gold_sequence(0)
     bits = _lfsr_oracle((7, 3), 7, n)
     np.testing.assert_array_equal(got, 1.0 - 2.0 * bits)
 
 
 def test_family_members_are_distinct():
-    n = 127
-    family = [gold_sequence(7, k, n) for k in range(2**7 + 1)]
+    family = [gold_sequence(k) for k in range(2**7 + 1)]
     as_tuples = {tuple(s) for s in family}
     assert len(as_tuples) == 2**7 + 1
 
 
 def test_autocorrelation_peak_dominates():
-    seq = gold_sequence(7, 5, 127)
+    seq = gold_sequence(5)
     corr = _periodic_xcorr(seq, seq)
     assert corr[0] == 127
     assert np.max(np.abs(corr[1:])) <= 17
@@ -72,31 +69,19 @@ def test_autocorrelation_peak_dominates():
 def test_cross_correlation_three_valued():
     """Preferred-pair Gold codes take circular cross-correlations only in
     {-2^((m+1)/2)-1, -1, 2^((m+1)/2)-1}; for degree 7 that is {-17,-1,15}."""
-    a = gold_sequence(7, 3, 127)
-    b = gold_sequence(7, 60, 127)
+    a = gold_sequence(3)
+    b = gold_sequence(60)
     values = set(int(round(v)) for v in _periodic_xcorr(a, b))
     assert values <= {-17, -1, 15}, f"unexpected correlation values {values}"
 
 
-@pytest.mark.parametrize("degree,length", [(5, 31), (9, 511), (11, 2047)])
-def test_other_degrees_produce_full_period(degree, length):
-    seq = gold_sequence(degree, 2, length)
-    assert seq.size == length
-    # family members need not be balanced, but the imbalance is bounded
-    # by the three-valued correlation bound 2**((m+1)/2) + 1
-    assert abs(np.sum(seq)) <= 2 ** ((degree + 1) // 2) + 1
-
-
 def test_rejects_bad_arguments():
-    with pytest.raises(ValueError):
-        gold_sequence(6, 0, 63)  # no preferred pair stored for degree 6
-    with pytest.raises(ValueError):
-        gold_sequence(7, 130, 127)  # family has 2^7 + 1 members
-    with pytest.raises(ValueError):
-        gold_sequence(7, 0, 128)  # longer than one period
+    for index in (-1, 129, 130):  # family has 2^7 + 1 members
+        with pytest.raises(ValueError):
+            gold_sequence(index)
 
 
 def test_deterministic():
-    a = gold_sequence(7, 42, 127)
-    b = gold_sequence(7, 42, 127)
+    a = gold_sequence(42)
+    b = gold_sequence(42)
     np.testing.assert_array_equal(a, b)

@@ -16,7 +16,9 @@ import pytest
 from otafl import fl
 from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, format_from_grid
 from otafl.channel import ChannelModel
+from otafl import ota
 from otafl.cli import EXIT_OK, main
+from otafl.grid import make_pilot_values
 from otafl.ota import (
     PhyConfig,
     data_seeds,
@@ -204,8 +206,24 @@ PAPER_SHAPE_DIGESTS = {
 }
 
 
+# The reference signals both link ends share: the whole 129 x 127 Gold
+# preamble bank and the 256-subcarrier pilot symbol.  The aggregation digests
+# above reach preambles 0-59 only.
+PREAMBLE_BANK_DIGEST = "1f08f48ff3cd9aa106cf45ec6603e40b155521131a10afbcdf88e7af8946c733"
+PILOT_256_DIGEST = "9f6ba5809a2faa9636c0a6da88e0d3c2b46da0596dc050b9178ae6ec29f6d2c4"
+
+
 def _sha256(data: bytes) -> str:
     return hashlib.sha256(data).hexdigest()
+
+
+def test_reference_signal_digests():
+    bank = ota._preamble_bank()
+    assert bank.shape == (129, 127) and bank.dtype == np.float64
+    assert _sha256(bank.tobytes()) == PREAMBLE_BANK_DIGEST
+    pilots = make_pilot_values(256)
+    assert pilots.dtype == np.complex128
+    assert _sha256(pilots.tobytes()) == PILOT_256_DIGEST
 
 
 @pytest.mark.parametrize("threads", ["1", "2"])

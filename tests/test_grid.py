@@ -244,7 +244,7 @@ def test_pilot_values_are_unit_modulus_qpsk():
 
 def test_payload_slots_survive_framing():
     # preamble burst, one pilot symbol, then the payload slots (the uplink layout)
-    preamble = gold_sequence(7, 0, 127).astype(complex)
+    preamble = gold_sequence(0).astype(complex)
     pilot_cfg = dataclasses.replace(CFG, symbols_per_slot=1)
     pilot = ofdm_modulate(make_pilot_values(CFG.subcarriers)[None, :], pilot_cfg)
     payload = [_random_grid(CFG, seed=30 + i) for i in range(2)]
@@ -260,7 +260,7 @@ def test_payload_slots_survive_framing():
 
 
 def test_detect_clean_preamble():
-    p = gold_sequence(7, 0, 127)
+    p = gold_sequence(0)
     offset, metric = detect_frame(TimeSignal(p.astype(complex), 1.0), p)
     assert offset == 0
     assert metric == pytest.approx(1.0, abs=1e-12)
@@ -268,7 +268,7 @@ def test_detect_clean_preamble():
 
 @pytest.mark.parametrize("delay", [0, 3, 40, 200])
 def test_detect_delayed_preamble(delay):
-    p = gold_sequence(7, 2, 127)
+    p = gold_sequence(2)
     s = np.zeros(500, dtype=complex)
     s[delay : delay + 127] = p
     offset, metric = detect_frame(TimeSignal(s, 1.0), p)
@@ -280,7 +280,7 @@ def test_detect_with_noise_matches_snr_prediction():
     """For a matched filter the normalized peak metric concentrates around
     snr / (1 + snr) with snr the per-sample preamble SNR, independent of
     preamble length."""
-    p = gold_sequence(7, 1, 127)
+    p = gold_sequence(1)
     rng = np.random.default_rng(7)
     sigma2 = 0.1  # 10 dB per-sample SNR
     noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(400, 2)) @ np.array([1, 1j])
@@ -297,8 +297,8 @@ def test_detect_survives_strong_interfering_user():
     capture the argmax: its cross-correlation sidelobe (17/127) times its
     amplitude exceeds the weak user's own raw peak, but the normalized
     metric divides it away."""
-    weak = gold_sequence(7, 4, 127)
-    strong = gold_sequence(7, 9, 127)
+    weak = gold_sequence(4)
+    strong = gold_sequence(9)
     s = np.zeros(600, dtype=complex)
     s[50:177] += 4.0 * strong
     s[300:427] += 0.5 * weak
@@ -312,7 +312,7 @@ def test_detect_survives_strong_interfering_user():
 
 def test_detect_metric_bounded_by_one():
     rng = np.random.default_rng(11)
-    p = gold_sequence(7, 0, 127)
+    p = gold_sequence(0)
     for _ in range(20):
         s = rng.normal(size=800) + 1j * rng.normal(size=800)
         _, metric = detect_frame(TimeSignal(s, 1.0), p)
@@ -320,6 +320,6 @@ def test_detect_metric_bounded_by_one():
 
 
 def test_detect_rejects_short_signal():
-    p = gold_sequence(7, 0, 127)
+    p = gold_sequence(0)
     with pytest.raises(ValueError):
         detect_frame(TimeSignal(np.zeros(100, dtype=complex), 1.0), p)

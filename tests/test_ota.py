@@ -10,11 +10,9 @@ from otafl import fl, grid, ota
 from otafl.channel import ChannelModel, superpose
 from otafl.csi import ls_estimate
 from otafl.precode import MARGIN, compute_alpha
-from otafl.grid import GridConfig, TimeSignal, ofdm_demodulate
+from otafl.grid import PREAMBLE_LEN, GridConfig, TimeSignal, ofdm_demodulate
 from otafl.ota import (
     DETECT_THRESHOLD,
-    PREAMBLE_DEGREE,
-    PREAMBLE_LEN,
     PhyConfig,
     data_seeds,
     derive_seed,
@@ -27,12 +25,12 @@ from otafl.ota import (
 )
 from otafl.sync import SyncConfig, draw_offsets, offset_bound
 from otafl.weightcodec import (
-    component_peaks,
     map_to_grids,
     pack_complex,
     pack_payload,
+    peak_scales,
+    rail_peaks,
     scale_updates,
-    shared_peaks,
 )
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
@@ -266,7 +264,7 @@ def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, sprea
         for slot, (ue, off, metric) in enumerate(zip(ues, offsets, metrics)):
             if metric < DETECT_THRESHOLD:
                 continue
-            preamble = grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN)
+            preamble = grid.gold_sequence(ue)
             full, _ = grid.detect_frame(rx, preamble)
             assert off == full - slot * phy.preamble_slot_len
             checked += 1
@@ -327,7 +325,7 @@ def _oracle_inputs(num_ues, allocation, seed=11):
 
 def _packed(delta, scales):
     """The codec's block of one client, from the scale -> pair oracle."""
-    return map_to_grids(pack_complex(scale_updates(delta, scales).values),
+    return map_to_grids(pack_complex(scale_updates(delta, scales)[0]),
                         ota.slot_plan(delta.size, ORACLE_GRID), ORACLE_GRID)
 
 
@@ -360,7 +358,7 @@ def test_single_client_frame_oracle():
             (payload, alpha * packed * gains[ue] * rot / divisor[ue]),
         ]
         rms = np.sqrt(np.mean(np.abs(gains[ue]) ** 2))
-        chips = amp * rms * grid.gold_sequence(PREAMBLE_DEGREE, ue, PREAMBLE_LEN) * rot
+        chips = amp * rms * grid.gold_sequence(ue) * rot
         for frame, want in events:
             assert frame.shape == (slot + len(want) * cfg.symbol_len,)
             np.testing.assert_allclose(frame[:PREAMBLE_LEN], chips, rtol=0, atol=1e-12)
@@ -718,11 +716,11 @@ def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, pa
     assert len(seen) == 3
     used = {1: 1, 2: 1, 301: 5, 2 * 32 * 4: 4}[params]
     assert used == ota.payload_symbols(params, SMALL_GRID)
-    shared = shared_peaks(deltas)
+    shared = peak_scales(rail_peaks(deltas))
     for d, row in zip(deltas, seen):
         assert row.shape == (used, SMALL_GRID.subcarriers)
-        scales = shared if scale_mode == "common" else component_peaks(d)
-        want = pack_complex(scale_updates(d, scales).values)
+        scales = shared if scale_mode == "common" else peak_scales(rail_peaks([d]))
+        want = pack_complex(scale_updates(d, scales)[0])
         np.testing.assert_array_equal(row.reshape(-1)[:want.size], want)
         assert not row.reshape(-1)[want.size:].any()
 

@@ -3,6 +3,7 @@
 import ast
 import importlib
 import re
+from collections import defaultdict
 from pathlib import Path
 
 import otafl
@@ -16,9 +17,10 @@ TRACED_BY_BENCH = "traced by bench/spans.py"
 READ_BY_WORKLOADS = "read by bench/workloads.py"
 TEST_ORACLE = "test oracle"
 
-# Public functions and classes that no code in the package calls, each with
-# the reason it stays.  The list can only shrink: a new uncalled name fails
-# the ratchet below, and so does a listed name that gains a caller.
+# Public functions and classes that no code in the package calls, other than
+# code that is itself uncalled, each with the reason it stays.  The list can
+# only shrink: a new uncalled name fails the ratchet below, and so does a
+# listed name that gains a caller.
 PIPELINE_FREE = {
     "accounting.format_from_grid": READ_BY_WORKLOADS,
     "accounting.spectrum_gain": TEST_ORACLE,
@@ -100,22 +102,31 @@ def test_bench_traced_names_resolve():
 
 def _uncalled_public_names(package_dir: Path = PACKAGE_DIR) -> set[str]:
     """``module.name`` of every top-level public ``def`` or ``class`` in the
-    package that no package module reads outside that definition itself;
-    ``__init__.py``'s re-exports do not count as readers."""
-    defined, read = set(), set()
+    package that no package module reads outside that definition itself,
+    or that only such uncalled definitions read, followed transitively;
+    ``__init__.py``'s re-exports do not count as readers, and module-level
+    code always does."""
+    defined, readers = {}, defaultdict(set)
     for path in sorted(package_dir.glob("*.py")):
         if path.name == "__init__.py":
             continue
         for node in ast.parse(path.read_text(encoding="utf-8")).body:
             own = getattr(node, "name", None)
-            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and not own.startswith("_"):
-                defined.add(f"{path.stem}.{own}")
+            is_def = isinstance(node, (ast.FunctionDef, ast.ClassDef))
+            if is_def:
+                defined[f"{path.stem}.{own}"] = own
             for sub in ast.walk(node):
                 name = (sub.id if isinstance(sub, ast.Name)
                         else sub.attr if isinstance(sub, ast.Attribute) else None)
                 if name is not None and name != own:
-                    read.add(name)
-    return {name for name in defined if name.rpartition(".")[2] not in read}
+                    readers[name].add(f"{path.stem}.{own}" if is_def else None)
+    uncalled: set[str] = set()
+    while True:
+        grown = {qual for qual, name in defined.items() if readers[name] <= uncalled}
+        if grown == uncalled:
+            return {qual for qual, name in defined.items()
+                    if qual in uncalled and not name.startswith("_")}
+        uncalled = grown
 
 
 def test_uncalled_public_names_are_exactly_the_listed_ones():
@@ -123,11 +134,16 @@ def test_uncalled_public_names_are_exactly_the_listed_ones():
 
 
 def test_uncalled_public_name_check_sees_a_caller_gained_or_lost(tmp_path):
+    """A self-read is no caller and module-level code is one; a helper that
+    only an uncalled definition reads, directly or through a private
+    helper, is uncalled too."""
     for path in PACKAGE_DIR.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     with open(tmp_path / "ota.py", "a", encoding="utf-8") as fh:
-        fh.write("\n\ndef lonely():\n    return lonely\n\n\n_CALLS = (superpose,)\n")
-    want = set(PIPELINE_FREE) - {"channel.superpose"} | {"ota.lonely"}
+        fh.write("\n\ndef lonely():\n    return lonely, _relay(), helper\n\n\n"
+                 "def _relay():\n    return relayed\n\n\ndef helper():\n    return 1\n\n\n"
+                 "def relayed():\n    return 2\n\n\n_CALLS = (superpose,)\n")
+    want = set(PIPELINE_FREE) - {"channel.superpose"} | {"ota.lonely", "ota.helper", "ota.relayed"}
     assert _uncalled_public_names(tmp_path) == want
 
 

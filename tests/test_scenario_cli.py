@@ -1,6 +1,7 @@
 """Scenario grammar, builders and the command-line front end."""
 
 import dataclasses
+import pickle
 
 import numpy as np
 import pytest
@@ -137,6 +138,10 @@ def test_cross_field_validation():
     ("task.noise_std", "nan", "0"),
     ("phy.decorrelation", "1.5", "1"),
     ("grid.cp_len", "256", "255"),
+    ("master_seed", "-1", "0"),
+    ("link.tx_power_dbm", "5000", "3000"),
+    ("link.tx_power_dbm", "-5000", "-3000"),
+    ("acct.spectral_efficiency", "1e-320", "1e-300"),
 ])
 def test_unsimulatable_values_name_their_key(key, bad, good):
     """Values the uplink cannot run fail at parse time, not deep in a round:
@@ -144,8 +149,10 @@ def test_unsimulatable_values_name_their_key(key, bad, good):
     preambles, a non-finite SNR or floor silently aborts or unfloors every
     round, a non-finite learning rate or label noise poisons the payload, a
     decorrelation weight lies in [0, 1] and the cyclic prefix is shorter
-    than the FFT.  All hold for ``tdm_full`` too; ``none`` stays the
-    noiseless SNR."""
+    than the FFT.  A negative master seed has no seed sequence, and a slot
+    energy or fp32 digital slot count beyond float range would stop the
+    bill with an OverflowError.  All hold for ``tdm_full`` too; ``none``
+    stays the noiseless SNR."""
     pilots = "phy.pilot_allocation = tdm_full\n"
     with pytest.raises(ScenarioError, match=rf"'{key}'"):
         parse(f"{pilots}{key} = {bad}")
@@ -343,6 +350,40 @@ def test_cli_run_round_and_seed_overrides(tmp_path):
     assert main(["run", str(scenario), "--rounds", "1", "--seed", "5",
                  "--out", str(out)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == 2
+
+
+def test_a_replaced_seed_runs_like_the_seed_argument():
+    sc = parse(TINY)
+    by_key = run_scenario(dataclasses.replace(sc, master_seed=5))
+    by_arg = run_scenario(sc, master_seed=5)
+    assert by_key.final_theta.tobytes() == by_arg.final_theta.tobytes()
+    assert pickle.dumps(by_key.traces) == pickle.dumps(by_arg.traces)
+
+
+@pytest.mark.parametrize("argv, named", [
+    (["run", "{cfg}", "--seed", "-1"], "key 'master_seed': must be >= 0"),
+    (["sync-sweep", "{cfg}", "--seed", "-1"], "key 'master_seed': must be >= 0"),
+    (["run", "{cfg}", "--rounds", "0"], "key 'rounds': must be positive"),
+    (["run", "{tx}"], "key 'link.tx_power_dbm'"),
+    (["run", "{eff}"], "key 'acct.spectral_efficiency'"),
+    (["accounting", "--params", "71666", "--efficiency", "1e-320"],
+     "--params, --bits or --efficiency: efficiency 1e-320 gives no finite slot count"),
+    (["accounting", "--params", "71666", "--tx-power-dbm", "5000"],
+     "--tx-power-dbm or --overhead: tx_power_dbm 5000.0 gives inf J per slot"),
+    (["accounting", "--params", "71666", "--tx-power-dbm", "-5000"],
+     "--tx-power-dbm or --overhead: tx_power_dbm -5000.0 gives 0.0 J per slot"),
+])
+def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, argv, named):
+    paths = {
+        "cfg": _tiny_file(tmp_path),
+        "tx": _tiny_file(tmp_path, TINY + "link.tx_power_dbm = 5000\n", "tx.cfg"),
+        "eff": _tiny_file(tmp_path, TINY.replace("mode = ota", "mode = digital_fp32")
+                          + "acct.spectral_efficiency = 1e-320\n", "eff.cfg"),
+    }
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    assert named in err and "Traceback" not in err
+    assert out == ""
 
 
 def test_cli_run_byte_identical_across_threads(tmp_path, monkeypatch):

@@ -119,7 +119,7 @@ def test_peak_spread_recovers_injected_delays():
     """Staggered preambles on a clean superposed uplink are located exactly
     at their injected delays."""
     delays = [0, 150, 400, 611]
-    preambles = [gold_sequence(7, k, 127) for k in range(len(delays))]
+    preambles = [gold_sequence(k) for k in range(len(delays))]
     signals = [
         (TimeSignal(p.astype(complex), RATE), d) for p, d in zip(preambles, delays)
     ]
@@ -132,7 +132,7 @@ def test_peak_spread_recovers_injected_delays():
 def test_peak_spread_with_noise_and_gains():
     rng = np.random.default_rng(5)
     delays = [10, 300]
-    preambles = [gold_sequence(7, k, 127) for k in (2, 9)]
+    preambles = [gold_sequence(k) for k in (2, 9)]
     signals = []
     for p, d, amp in zip(preambles, delays, (1.0, 0.4)):
         signals.append((TimeSignal(amp * p.astype(complex), RATE), d))

@@ -8,15 +8,13 @@ from hypothesis.extra import numpy as hnp
 
 from otafl.grid import GridConfig
 from otafl.weightcodec import (
-    ScaledUpdate,
-    component_peaks,
     map_to_grids,
     pack_complex,
     pack_payload,
     payload_symbols,
+    peak_scales,
     rail_peaks,
     scale_updates,
-    shared_peaks,
     slot_plan,
     unmap_from_grids,
     unscale_updates,
@@ -114,31 +112,31 @@ def test_pack_complex_pairs_reals_bit_for_bit(size):
 @given(vectors)
 @settings(max_examples=60, deadline=None)
 def test_scale_unscale_round_trip(v):
-    scaled = scale_updates(v)
-    assert np.max(np.abs(scaled.values)) <= 1.0 + 1e-12
-    np.testing.assert_allclose(unscale_updates(scaled), v, atol=1e-12, rtol=1e-12)
+    values, scales = scale_updates(v)
+    assert np.max(np.abs(values)) <= 1.0 + 1e-12
+    np.testing.assert_allclose(unscale_updates(values, scales), v, atol=1e-12, rtol=1e-12)
 
 
 def test_scale_rails_are_independent():
     v = np.array([4.0, 0.5, -2.0, 0.25])
-    scaled = scale_updates(v)
-    assert scaled.scale_i == 4.0  # peak of even entries
-    assert scaled.scale_q == 0.5  # peak of odd entries
-    np.testing.assert_allclose(scaled.values, [1.0, 1.0, -0.5, 0.5])
+    values, (scale_i, scale_q) = scale_updates(v)
+    assert scale_i == 4.0  # peak of even entries
+    assert scale_q == 0.5  # peak of odd entries
+    np.testing.assert_allclose(values, [1.0, 1.0, -0.5, 0.5])
 
 
 def test_component_peaks_zero_guard():
-    assert component_peaks(np.zeros(4)) == (1.0, 1.0)
-    assert component_peaks(np.array([0.0, 3.0])) == (1.0, 3.0)
+    assert peak_scales(rail_peaks([np.zeros(4)])) == (1.0, 1.0)
+    assert peak_scales(rail_peaks([np.array([0.0, 3.0])])) == (1.0, 3.0)
 
 
 def test_shared_peaks_take_the_max_over_clients():
     # one client's Q rail is all zero; it must not force the shared Q scale to 1
     a = np.array([0.5, 0.0, -2.0, 0.0])
     b = np.array([1.0, -0.3, 0.25, 0.1])
-    assert shared_peaks([a, b]) == (2.0, 0.3)
-    assert shared_peaks([np.zeros(4), np.zeros(4)]) == (1.0, 1.0)
-    assert shared_peaks([np.array([3.0])]) == (3.0, 1.0)  # empty Q rail
+    assert peak_scales(rail_peaks([a, b])) == (2.0, 0.3)
+    assert peak_scales(rail_peaks([np.zeros(4), np.zeros(4)])) == (1.0, 1.0)
+    assert peak_scales(rail_peaks([np.array([3.0])])) == (3.0, 1.0)  # empty Q rail
 
 
 def test_shared_peaks_do_not_depend_on_client_order():
@@ -147,7 +145,7 @@ def test_shared_peaks_do_not_depend_on_client_order():
     a = np.array([0.3, 0.3])
     b = np.array([np.nan, 0.1])
     for deltas in ([a, b], [b, a]):
-        peak_i, peak_q = shared_peaks(deltas)
+        peak_i, peak_q = peak_scales(rail_peaks(deltas))
         assert np.isnan(peak_i) and peak_q == 0.3
     np.testing.assert_array_equal(rail_peaks([a, b]), [[0.3, 0.3], [np.nan, 0.1]])
 
@@ -161,14 +159,14 @@ def test_shared_peaks_match_the_full_magnitude_oracle(params):
     deltas[1][::3] = -0.0
     want_i = max(float(np.abs(d)[0::2].max()) for d in deltas)
     want_q = max((float(np.abs(d)[1::2].max()) for d in deltas if d.size > 1), default=1.0)
-    assert shared_peaks(deltas) == (want_i, want_q)
+    assert peak_scales(rail_peaks(deltas)) == (want_i, want_q)
 
 
 def test_shared_scale_overrides_own_peaks():
     v = np.array([1.0, 1.0])
-    scaled = scale_updates(v, shared_scale=(2.0, 4.0))
-    np.testing.assert_allclose(scaled.values, [0.5, 0.25])
-    np.testing.assert_allclose(unscale_updates(scaled), v, atol=1e-15)
+    values, scales = scale_updates(v, shared_scale=(2.0, 4.0))
+    np.testing.assert_allclose(values, [0.5, 0.25])
+    np.testing.assert_allclose(unscale_updates(values, scales), v, atol=1e-15)
 
 
 def test_scale_validation():
@@ -177,14 +175,15 @@ def test_scale_validation():
     with pytest.raises(ValueError):
         scale_updates(np.ones(2), shared_scale=(0.0, 1.0))
     with pytest.raises(ValueError):
-        ScaledUpdate(np.ones(2), 1.0, -1.0)
+        scale_updates(np.ones(2), shared_scale=(1.0, -1.0))
 
 
 def test_scaled_update_rejects_a_nan_scale():
+    """A NaN in a rail gives a NaN own-peak scale, rejected by name."""
     with pytest.raises(ValueError, match="scale_i"):
-        ScaledUpdate(np.ones(2), np.nan, 1.0)
+        scale_updates(np.array([np.nan, 1.0]))
     with pytest.raises(ValueError, match="scale_q"):
-        ScaledUpdate(np.ones(2), 1.0, np.nan)
+        scale_updates(np.array([1.0, np.nan]))
 
 
 def test_scale_updates_rejects_a_nan_shared_scale():
@@ -203,10 +202,10 @@ def test_map_unmap_round_trip(params):
     rng = np.random.default_rng(params)
     delta = rng.normal(size=params)
     slots = slot_plan(params, CFG)
-    scaled = scale_updates(delta)
-    block = map_to_grids(pack_complex(scaled.values), slots, CFG)
+    values, scales = scale_updates(delta)
+    block = map_to_grids(pack_complex(values), slots, CFG)
     assert block.shape == (slots * CFG.symbols_per_slot, CFG.subcarriers)
-    back = unmap_from_grids(block, params, (scaled.scale_i, scaled.scale_q))
+    back = unmap_from_grids(block, params, scales)
     np.testing.assert_allclose(back, delta, atol=1e-12, rtol=1e-12)
 
 
@@ -216,9 +215,9 @@ def test_map_unmap_small_grid_config():
     delta = rng.normal(size=77)
     slots = slot_plan(77, cfg)
     assert slots == 3  # 32 reals per slot
-    scaled = scale_updates(delta)
-    block = map_to_grids(pack_complex(scaled.values), slots, cfg)
-    back = unmap_from_grids(block, 77, (scaled.scale_i, scaled.scale_q))
+    values, scales = scale_updates(delta)
+    block = map_to_grids(pack_complex(values), slots, cfg)
+    back = unmap_from_grids(block, 77, scales)
     np.testing.assert_allclose(back, delta, atol=1e-12, rtol=1e-12)
 
 
@@ -256,10 +255,11 @@ def test_block_decoder_matches_the_unscale_oracle(params):
     rng = np.random.default_rng(params)
     deltas = [rng.normal(size=params) for _ in range(3)]
     deltas[1][::4] = -0.0
-    scales = [(0.75, 3.0), shared_peaks(deltas), component_peaks(deltas[2])]
+    scales = [(0.75, 3.0), peak_scales(rail_peaks(deltas)),
+              peak_scales(rail_peaks([deltas[2]]))]
     for d, sc in zip(deltas, scales):
         row = pack_payload(d, sc, _buffer(params))
-        want = unscale_updates(scale_updates(d, sc))
+        want = unscale_updates(*scale_updates(d, sc))
         assert unmap_from_grids(row, params, sc).tobytes() == want.tobytes()
         # the padding is zero and the decoder never reads it
         reals = row.reshape(-1).view(np.float64)
@@ -282,6 +282,6 @@ def test_packed_rows_equal_the_packed_scaled_updates(params):
     for d, sc in zip(deltas, scales):
         row = pack_payload(d, sc, reused)
         assert row is reused
-        want = map_to_grids(pack_complex(scale_updates(d, sc).values),
+        want = map_to_grids(pack_complex(scale_updates(d, sc)[0]),
                             slot_plan(params, SMALL), SMALL)
         assert row.tobytes() == want.tobytes()
