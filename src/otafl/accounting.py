@@ -12,12 +12,13 @@ synchronization, measurement).  The default c = 94/3 is calibrated so that
 the two-client energy ratio of the reference configuration (87 digital
 slots per client versus 10 shared analog slots) comes out at exactly 4.0;
 the same constant then yields about 7.66 at twenty clients and an asymptote
-of 8.7.
+of 8.7.  A slot bill or round energy past float range raises ValueError.
 """
 
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass
 
 from .grid import GridConfig
@@ -79,19 +80,26 @@ def digital_slots_raw(param_count: int, bits_per_param: int, efficiency: float,
     """Pre-ceiling slots one client needs: P*b / (m*K)."""
     if param_count < 1 or bits_per_param < 1 or not 0 < efficiency < math.inf:
         raise ValueError("param_count, bits and efficiency must be positive and finite")
-    slots = param_count * bits_per_param / (efficiency * cfg.res_per_slot)
+    try:
+        slots = param_count * bits_per_param / (efficiency * cfg.res_per_slot)
+    except OverflowError:  # the bit count alone is past float range
+        slots = math.inf
     if slots == math.inf:
-        raise ValueError(f"efficiency {efficiency!r} gives no finite slot count")
+        raise ValueError(f"param_count and efficiency {efficiency!r} give no finite slot count")
     return slots
 
 
 def digital_slots(param_count: int, bits_per_param: int, profile: SpectralProfile,
                   cfg: GridConfig = GridConfig()) -> int:
     """Total slots for all clients, each rounded up to whole slots."""
-    return sum(
+    total = sum(
         math.ceil(digital_slots_raw(param_count, bits_per_param, m, cfg))
         for m in profile.efficiencies
     )
+    if total > sys.float_info.max:
+        raise ValueError(f"efficiency {min(profile.efficiencies)!r} gives {profile.num_ues} "
+                         "clients more slots than a float holds")
+    return total
 
 
 def ota_slots(param_count: int, cfg: GridConfig = GridConfig()) -> int:
@@ -110,7 +118,19 @@ def round_energy(num_ues: int, slots_per_ue: int, model: EnergyModel = EnergyMod
     if num_ues < 1 or slots_per_ue < 0:
         raise ValueError("num_ues must be >= 1 and slots_per_ue >= 0")
     e = model.slot_energy_j
-    return model.fixed_overhead * e + num_ues * slots_per_ue * e
+    return _finite_energy(model.fixed_overhead * e + num_ues * slots_per_ue * e, model)
+
+
+def digital_round_energy(total_slots: int, model: EnergyModel = EnergyModel()) -> float:
+    """Joules per digital round: fixed overhead plus the clients' serial slots."""
+    return _finite_energy((model.fixed_overhead + total_slots) * model.slot_energy_j, model)
+
+
+def _finite_energy(energy: float, model: EnergyModel) -> float:
+    if energy == math.inf:
+        raise ValueError(f"tx_power_dbm {model.tx_power_dbm!r} and fixed_overhead "
+                         f"{model.fixed_overhead!r} give a round energy past float range")
+    return energy
 
 
 def energy_gain(num_ues: int, digital_slots_per_ue: int, ota_round_slots: int,
@@ -145,16 +165,15 @@ def gains_table(
     param_count: int,
     bits_per_param: int,
     efficiency: float = DEFAULT_SPECTRAL_EFFICIENCY,
-    cfg: GridConfig = GridConfig(),
     model: EnergyModel = EnergyModel(),
 ) -> list[dict]:
     """Rows of (M, mode, slots, gain, energy_j) over a range of client counts."""
     rows = []
-    per_ue = math.ceil(digital_slots_raw(param_count, bits_per_param, efficiency, cfg))
-    shared = ota_slots(param_count, cfg)
+    per_ue = math.ceil(digital_slots_raw(param_count, bits_per_param, efficiency))
+    shared = ota_slots(param_count)
     for m in num_ues_range:
         profile = SpectralProfile.uniform(efficiency, m)
-        dig = digital_slots(param_count, bits_per_param, profile, cfg)
+        dig = digital_slots(param_count, bits_per_param, profile)
         rows.append({
             "num_ues": m,
             "mode": "digital",

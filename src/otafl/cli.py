@@ -139,15 +139,13 @@ def _cmd_run(args) -> int:
 def _cmd_accounting(args) -> int:
     try:
         model = EnergyModel(tx_power_dbm=args.tx_power_dbm, fixed_overhead=args.overhead)
-    except ValueError as exc:
-        raise ValueError(f"--tx-power-dbm or --overhead: {exc}") from None
-    try:
         rows = gains_table(
             args.m_range, args.params, args.bits,
             efficiency=args.efficiency, model=model,
         )
     except ValueError as exc:
-        raise ValueError(f"--params, --bits or --efficiency: {exc}") from None
+        raise ValueError(f"--params, --bits, --m-range, --efficiency, --tx-power-dbm "
+                         f"or --overhead: {exc}") from None
     header = ["schema_version", "num_ues", "mode", "slots", "gain", "energy_j"]
     table = [
         [SCHEMA_VERSION, r["num_ues"], r["mode"], r["slots"], r["gain"], r["energy_j"]]

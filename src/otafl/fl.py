@@ -19,6 +19,7 @@ OPTIMIZERS = ("sgd", "adam")
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
+BLOB_CENTER_SPREAD = 3.0  # class-center scale in noise standard deviations
 
 
 def model_size(kind: str, features: int, hidden: int, classes: int) -> int:
@@ -297,7 +298,6 @@ def make_blobs_task(
     n_features: int,
     n_classes: int,
     hidden: int,
-    center_spread: float = 3.0,
     heterogeneity: float = 0.25,
 ) -> Task:
     """Gaussian-blob classification with mild per-client center jitter.
@@ -308,7 +308,7 @@ def make_blobs_task(
     """
     shared = np.random.default_rng(shared_seed)
     rng = np.random.default_rng(client_seed)
-    centers = shared.standard_normal((n_classes, n_features)) * center_spread
+    centers = shared.standard_normal((n_classes, n_features)) * BLOB_CENTER_SPREAD
     centers = centers + heterogeneity * rng.standard_normal(centers.shape)
     labels = rng.integers(0, n_classes, size=n_samples)
     x = centers[labels] + rng.standard_normal((n_samples, n_features))

@@ -95,17 +95,16 @@ class TimeSignal:
 
 
 @functools.lru_cache(maxsize=None)
-def _msequence(degree: int, taps: tuple[int, ...]) -> np.ndarray:
+def _msequence(taps: tuple[int, ...]) -> np.ndarray:
     """Maximal-length sequence from a Fibonacci LFSR, all-ones start state.
 
     ``taps`` are the exponents of the feedback polynomial
-    x^m + x^t1 + ... + 1; the output has period 2**m - 1.  The result is
-    cached and returned read-only.
+    x^7 + x^t1 + ... + 1; the output has period ``PREAMBLE_LEN``.  The
+    result is cached and returned read-only.
     """
-    n = 2**degree - 1
-    state = [1] * degree
-    bits = np.empty(n, dtype=np.uint8)
-    for i in range(n):
+    state = [1] * PREAMBLE_DEGREE
+    bits = np.empty(PREAMBLE_LEN, dtype=np.uint8)
+    for i in range(PREAMBLE_LEN):
         bits[i] = state[-1]
         fb = 0
         for t in taps:
@@ -126,8 +125,8 @@ def gold_sequence(index: int) -> np.ndarray:
     if not 0 <= index < PREAMBLE_FAMILY:
         raise ValueError(f"index must lie in [0, {PREAMBLE_FAMILY - 1}], got {index}")
     taps_u, taps_v = _PREFERRED_PAIR
-    u = _msequence(PREAMBLE_DEGREE, taps_u)
-    v = _msequence(PREAMBLE_DEGREE, taps_v)
+    u = _msequence(taps_u)
+    v = _msequence(taps_v)
     if index == 0:
         bits = u
     elif index == 1:

@@ -61,6 +61,7 @@ from .accounting import (
     DEFAULT_SPECTRAL_EFFICIENCY,
     EnergyModel,
     SpectralProfile,
+    digital_round_energy,
     digital_slots,
     round_energy,
 )
@@ -100,6 +101,7 @@ CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
 SCALE_MODES = ("common", "per_client")
 MODES = ("ota", "digital_fp32", "digital_int8")
+DIGITAL_BITS = {"digital_fp32": 32, "digital_int8": 8}  # upload bits per parameter
 
 DETECT_THRESHOLD = 0.3
 
@@ -743,24 +745,22 @@ def run_digital_round(
     energy_model: EnergyModel = EnergyModel(),
 ) -> tuple[fl.RoundState, RoundTrace]:
     """Digital FedAvg baseline round (fp32 exact or int8-quantized uploads)."""
-    if mode not in ("digital_fp32", "digital_int8"):
+    if mode not in DIGITAL_BITS:
         raise ValueError(f"not a digital mode: {mode!r}")
     deltas = _train_deltas(state, tasks, train_cfgs)
     exact = fl.average_deltas(deltas)
     if mode == "digital_int8":
         sent = fl.average_deltas([_int8_dequantize(d) for d in deltas])
-        bits = 8
     else:
         sent = exact
-        bits = 32
-    slots = digital_slots(state.theta.size, bits, profile, grid)
+    slots = digital_slots(state.theta.size, DIGITAL_BITS[mode], profile, grid)
     return _finish_round(
         state, tasks, sent, False,
         mode=mode,
         agg_nmse_db=_aggregate_nmse_db(sent, exact),
         alpha=0.0,
         slots_used=slots,
-        energy_j=(energy_model.fixed_overhead + slots) * energy_model.slot_energy_j,
+        energy_j=digital_round_energy(slots, energy_model),
     )
 
 

@@ -31,7 +31,10 @@ from .accounting import (
     DEFAULT_SPECTRAL_EFFICIENCY,
     EnergyModel,
     SpectralProfile,
-    digital_slots_raw,
+    digital_round_energy,
+    digital_slots,
+    ota_slots,
+    round_energy,
 )
 from .channel import ChannelModel
 from .fl import Task, TrainConfig, make_blobs_task, make_linear_task, model_size
@@ -39,6 +42,7 @@ from .grid import PREAMBLE_FAMILY, GridConfig
 from .precode import DEFAULT_FLOOR_REL as _DEFAULT_FLOOR
 from .ota import (
     CSI_MODES,
+    DIGITAL_BITS,
     MODES,
     PILOT_ALLOCATIONS,
     SCALE_MODES,
@@ -243,14 +247,24 @@ def validate(sc: Scenario) -> None:
     if sc.phy_feedback_quant_bits == 1:
         fail("phy_feedback_quant_bits", "must be 0 (lossless) or >= 2 for a nonzero quantizer")
     try:
-        build_energy_model(sc)
+        model = build_energy_model(sc)
     except ValueError as exc:
         fail("link_tx_power_dbm", str(exc))
     params = model_size(sc.task_kind, sc.task_features, sc.task_hidden, sc.task_classes)
-    try:  # the fp32 upload is the largest digital bill any mode sends
-        digital_slots_raw(params, 32, sc.acct_spectral_efficiency, build_grid(sc))
+    grid = build_grid(sc)
+    if sc.mode != "ota":  # every client's upload in turn, billed as a digital round is
+        profile = SpectralProfile.uniform(sc.acct_spectral_efficiency, sc.num_ues)
+        try:
+            slots = digital_slots(params, DIGITAL_BITS[sc.mode], profile, grid)
+        except ValueError as exc:
+            fail("acct_spectral_efficiency", str(exc))
+    try:
+        if sc.mode == "ota":
+            round_energy(sc.num_ues, ota_slots(params, grid), model)
+        else:
+            digital_round_energy(slots, model)
     except ValueError as exc:
-        fail("acct_spectral_efficiency", str(exc))
+        fail("link_tx_power_dbm", str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -330,16 +344,15 @@ def build_energy_model(sc: Scenario) -> EnergyModel:
     )
 
 
-def run_scenario(sc: Scenario, master_seed: int | None = None) -> ExperimentResult:
+def run_scenario(sc: Scenario) -> ExperimentResult:
     """Build every component from the scenario and run the experiment."""
-    seed = sc.master_seed if master_seed is None else master_seed
     return run_experiment(
         mode=sc.mode,
         rounds=sc.rounds,
-        tasks=build_tasks(sc, seed),
+        tasks=build_tasks(sc),
         train_template=build_train(sc),
         phy=build_phy(sc),
-        master_seed=seed,
+        master_seed=sc.master_seed,
         profile=SpectralProfile.uniform(sc.acct_spectral_efficiency, sc.num_ues),
         energy_model=build_energy_model(sc),
     )

@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ from otafl.accounting import (
     SLOT_DURATION_S,
     EnergyModel,
     SpectralProfile,
+    digital_round_energy,
     digital_slots,
     digital_slots_raw,
     energy_gain,
@@ -100,9 +102,35 @@ def test_slot_energy_outside_float_range_names_the_power(power_dbm, energy):
 
 
 def test_an_efficiency_whose_bill_overflows_is_named():
-    with pytest.raises(ValueError, match=r"efficiency 1e-320 gives no finite slot count"):
+    with pytest.raises(ValueError, match=r"efficiency 1e-320 give no finite slot count"):
         digital_slots_raw(P, 32, 1e-320, FMT)
+    with pytest.raises(ValueError, match=r"efficiency 7.4063 give no finite slot count"):
+        digital_slots_raw(10**400, 32, 7.4063, FMT)
     assert math.isfinite(digital_slots_raw(P, 32, 1e-300, FMT))
+    # each client's 6.4e307 slots fit a float; three clients' do not
+    assert digital_slots(P, 32, SpectralProfile.uniform(1e-305, 2), FMT) < 1.8e308
+    with pytest.raises(ValueError, match=r"efficiency 1e-305 gives 3 clients more slots"):
+        digital_slots(P, 32, SpectralProfile.uniform(1e-305, 3), FMT)
+    with pytest.raises(ValueError, match=r"efficiency 1e-305 gives 3 clients more slots"):
+        gains_table(range(2, 4), P, 32, efficiency=1e-305)
+
+
+@pytest.mark.parametrize("power_dbm, overhead", [(3000.0, 1e20), (3100.0, 0.0)])
+def test_a_round_energy_past_float_range_is_named(power_dbm, overhead):
+    """A slot energy that fits a float can still give a round energy that
+    does not, through the overhead or the slot count; both round bills and
+    the accounting table say so instead of returning inf."""
+    model = EnergyModel(tx_power_dbm=power_dbm, fixed_overhead=overhead)
+    named = re.escape(f"tx_power_dbm {power_dbm!r} and fixed_overhead {overhead!r} give a round")
+    with pytest.raises(ValueError, match=named):
+        round_energy(3, 10**9, model)
+    with pytest.raises(ValueError, match=named):
+        digital_round_energy(3 * 10**9, model)
+    with pytest.raises(ValueError, match=named):
+        gains_table(range(2, 3), 10**7, 32, model=model)  # 12 056 slots per client
+    small = EnergyModel(tx_power_dbm=power_dbm - 100.0, fixed_overhead=overhead)
+    assert math.isfinite(round_energy(3, 10**9, small))
+    assert math.isfinite(digital_round_energy(3 * 10**9, small))
 
 
 def test_slot_energy_at_reference_power():
@@ -117,6 +145,7 @@ def test_round_energy_formula():
     model = EnergyModel(fixed_overhead=10.0)
     e = model.slot_energy_j
     assert round_energy(3, 87, model) == pytest.approx((10 + 3 * 87) * e, rel=1e-12)
+    assert digital_round_energy(3 * 87, model) == (10 + 3 * 87) * e
     with pytest.raises(ValueError):
         round_energy(0, 87, model)
 

@@ -1,7 +1,6 @@
 """Scenario grammar, builders and the command-line front end."""
 
 import dataclasses
-import pickle
 
 import numpy as np
 import pytest
@@ -128,6 +127,33 @@ def test_cross_field_validation():
         parse("phy.floor_rel = -0.1")
 
 
+@pytest.mark.parametrize("base, bad, good, key", [
+    ("mode = digital_fp32\n", "acct.spectral_efficiency = 1e-320",
+     "acct.spectral_efficiency = 1e-300", "acct.spectral_efficiency"),
+    # 1.1e308 slots per fp32 client fit a float; two clients' do not
+    ("mode = digital_fp32\nacct.spectral_efficiency = 5e-309\n", "num_ues = 2", "num_ues = 1",
+     "acct.spectral_efficiency"),
+    ("acct.spectral_efficiency = 5e-309\n", "mode = digital_fp32", "mode = digital_int8",
+     "acct.spectral_efficiency"),
+    ("acct.spectral_efficiency = 1e-320\n", "mode = digital_int8", "mode = ota",
+     "acct.spectral_efficiency"),
+    ("acct.fixed_overhead = 1e20\n", "link.tx_power_dbm = 3000", "link.tx_power_dbm = 2900",
+     "link.tx_power_dbm"),
+    ("mode = digital_fp32\nacct.spectral_efficiency = 1e-10\n", "link.tx_power_dbm = 3100",
+     "link.tx_power_dbm = 3000", "link.tx_power_dbm"),
+], ids=["fp32-efficiency", "fp32-two-clients", "fp32-not-int8", "int8-not-ota",
+        "ota-energy", "fp32-energy"])
+def test_a_round_bill_past_float_range_names_its_key(base, bad, good, key):
+    """The round the mode runs is billed at parse time: every client's
+    digital upload in turn (8 or 32 bits per parameter) or the one shared
+    analog payload, and then that round's energy.  A bill a float cannot
+    hold names its key instead of stopping a run mid-way; an efficiency
+    the analog round never reads is not checked."""
+    with pytest.raises(ScenarioError, match=rf"'{key}'"):
+        parse(base + bad)
+    parse(base + good)
+
+
 @pytest.mark.parametrize("key, bad, good", [
     ("phy.feedback_quant_bits", "1", "2"),
     ("num_ues", "130", "129"),
@@ -141,7 +167,6 @@ def test_cross_field_validation():
     ("master_seed", "-1", "0"),
     ("link.tx_power_dbm", "5000", "3000"),
     ("link.tx_power_dbm", "-5000", "-3000"),
-    ("acct.spectral_efficiency", "1e-320", "1e-300"),
 ])
 def test_unsimulatable_values_name_their_key(key, bad, good):
     """Values the uplink cannot run fail at parse time, not deep in a round:
@@ -150,9 +175,8 @@ def test_unsimulatable_values_name_their_key(key, bad, good):
     round, a non-finite learning rate or label noise poisons the payload, a
     decorrelation weight lies in [0, 1] and the cyclic prefix is shorter
     than the FFT.  A negative master seed has no seed sequence, and a slot
-    energy or fp32 digital slot count beyond float range would stop the
-    bill with an OverflowError.  All hold for ``tdm_full`` too; ``none``
-    stays the noiseless SNR."""
+    energy beyond float range would stop the bill with an OverflowError.
+    All hold for ``tdm_full`` too; ``none`` stays the noiseless SNR."""
     pilots = "phy.pilot_allocation = tdm_full\n"
     with pytest.raises(ScenarioError, match=rf"'{key}'"):
         parse(f"{pilots}{key} = {bad}")
@@ -352,12 +376,7 @@ def test_cli_run_round_and_seed_overrides(tmp_path):
     assert len(out.read_text().splitlines()) == 2
 
 
-def test_a_replaced_seed_runs_like_the_seed_argument():
-    sc = parse(TINY)
-    by_key = run_scenario(dataclasses.replace(sc, master_seed=5))
-    by_arg = run_scenario(sc, master_seed=5)
-    assert by_key.final_theta.tobytes() == by_arg.final_theta.tobytes()
-    assert pickle.dumps(by_key.traces) == pickle.dumps(by_arg.traces)
+FLAGS = "--params, --bits, --m-range, --efficiency, --tx-power-dbm or --overhead"
 
 
 @pytest.mark.parametrize("argv, named", [
@@ -366,12 +385,20 @@ def test_a_replaced_seed_runs_like_the_seed_argument():
     (["run", "{cfg}", "--rounds", "0"], "key 'rounds': must be positive"),
     (["run", "{tx}"], "key 'link.tx_power_dbm'"),
     (["run", "{eff}"], "key 'acct.spectral_efficiency'"),
+    (["run", "{bill}"], "key 'acct.spectral_efficiency': efficiency 1.5e-308 gives 2 clients"),
     (["accounting", "--params", "71666", "--efficiency", "1e-320"],
-     "--params, --bits or --efficiency: efficiency 1e-320 gives no finite slot count"),
+     f"{FLAGS}: param_count and efficiency 1e-320 give no finite slot count"),
+    (["accounting", "--params", "1" + "0" * 400],
+     f"{FLAGS}: param_count and efficiency 7.4063 give no finite slot count"),
+    (["accounting", "--params", "71666", "--efficiency", "1e-305"],
+     f"{FLAGS}: efficiency 1e-305 gives 3 clients more slots than a float holds"),
     (["accounting", "--params", "71666", "--tx-power-dbm", "5000"],
-     "--tx-power-dbm or --overhead: tx_power_dbm 5000.0 gives inf J per slot"),
+     f"{FLAGS}: tx_power_dbm 5000.0 gives inf J per slot"),
     (["accounting", "--params", "71666", "--tx-power-dbm", "-5000"],
-     "--tx-power-dbm or --overhead: tx_power_dbm -5000.0 gives 0.0 J per slot"),
+     f"{FLAGS}: tx_power_dbm -5000.0 gives 0.0 J per slot"),
+    (["accounting", "--params", "71666", "--m-range", "2..2", "--tx-power-dbm", "3000",
+      "--overhead", "1e300"],
+     f"{FLAGS}: tx_power_dbm 3000.0 and fixed_overhead 1e+300 give a round energy past float"),
 ])
 def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, argv, named):
     paths = {
@@ -379,6 +406,8 @@ def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, arg
         "tx": _tiny_file(tmp_path, TINY + "link.tx_power_dbm = 5000\n", "tx.cfg"),
         "eff": _tiny_file(tmp_path, TINY.replace("mode = ota", "mode = digital_fp32")
                           + "acct.spectral_efficiency = 1e-320\n", "eff.cfg"),
+        "bill": _tiny_file(tmp_path, TINY.replace("mode = ota", "mode = digital_fp32")
+                           + "acct.spectral_efficiency = 1.5e-308\n", "bill.cfg"),
     }
     assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
     out, err = capsys.readouterr()
