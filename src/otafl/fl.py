@@ -5,6 +5,11 @@ provided: linear regression with mean-squared-error loss (convex) and a
 two-layer tanh MLP with softmax cross-entropy on Gaussian blobs.  Local
 training runs seeded mini-batch SGD or Adam; aggregation is FedAvg over
 delta updates with a fixed ascending-UE summation order.
+
+Linear-regression features are stored as float32, which halves the bytes
+each gradient streams; the two matrix products run in that dtype.  Targets,
+losses, gradients, models and everything downstream of them stay float64,
+as do the MLP family's features.
 """
 
 from __future__ import annotations
@@ -20,6 +25,7 @@ ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
 ADAM_EPS = 1e-8
 BLOB_CENTER_SPREAD = 3.0  # class-center scale in noise standard deviations
+FEATURE_DRAW_VALUES = 1 << 18  # float64 values (2 MiB) per draw of float32 features
 
 
 def model_size(kind: str, features: int, hidden: int, classes: int) -> int:
@@ -35,7 +41,8 @@ class Task:
     """One client's dataset plus the model family it trains.
 
     ``hidden`` is only meaningful for the MLP family; linear regression has
-    exactly one weight per feature.
+    exactly one weight per feature.  float32 features are kept as they are,
+    without a copy; every other input is cast to float64.
     """
 
     kind: str
@@ -46,7 +53,8 @@ class Task:
     def __post_init__(self):
         if self.kind not in TASK_KINDS:
             raise ValueError(f"unknown task kind {self.kind!r}")
-        self.features = np.asarray(self.features, dtype=np.float64)
+        x = np.asarray(self.features)
+        self.features = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
         self.targets = np.asarray(self.targets, dtype=np.float64)
         if self.features.ndim != 2:
             raise ValueError("features must be (samples, dims)")
@@ -127,16 +135,20 @@ def loss_and_grad(theta: np.ndarray, task: Task, idx: np.ndarray | None = None):
     """Loss and gradient on the full dataset or a batch index subset.
 
     Linear regression uses mean squared residual, loss = mean((X theta - y)^2),
-    grad = 2/B * X^T r.  The MLP uses tanh hidden units and softmax
-    cross-entropy averaged over the batch.
+    grad = 2/B * X^T r.  Both products run in the features' dtype: theta and
+    r are cast to it and the results back to float64, because a float32
+    matrix times a float64 vector would copy the whole matrix to float64.
+    The MLP uses tanh hidden units and softmax cross-entropy averaged over
+    the batch.
     """
     x = task.features if idx is None else task.features[idx]
     y = task.targets if idx is None else task.targets[idx]
     n = x.shape[0]
     if task.kind == "linear_regression":
-        r = x @ theta - y
+        r = (x @ theta.astype(x.dtype, copy=False)).astype(np.float64, copy=False) - y
         loss = float(np.mean(r**2))
-        grad = (2.0 / n) * (x.T @ r)
+        xtr = x.T @ r.astype(x.dtype, copy=False)
+        grad = (2.0 / n) * xtr.astype(np.float64, copy=False)
         return loss, grad
     d = task.features.shape[1]
     c = task.targets.shape[1]
@@ -280,14 +292,29 @@ def make_linear_task(
     drives this client's perturbation (relative size ``heterogeneity``),
     inputs and label noise.  Entries of the generating weights scale as
     1/sqrt(features) so targets are O(1).
+
+    The inputs are standard-normal float64 draws rounded to float32 and
+    stored as float32.  They are drawn in blocks of whole rows holding about
+    ``FEATURE_DRAW_VALUES`` values, so no float64 copy of the whole matrix
+    exists.  The float64 targets are computed from the rounded inputs, so a
+    noiseless least-squares fit recovers the generating weights.
     """
     shared = np.random.default_rng(shared_seed)
     rng = np.random.default_rng(client_seed)
     scale = 1.0 / np.sqrt(n_features)
     w_shared = shared.standard_normal(n_features) * scale
     w_local = w_shared + heterogeneity * rng.standard_normal(n_features) * scale
-    x = rng.standard_normal((n_samples, n_features))
-    y = x @ w_local + noise_std * rng.standard_normal(n_samples)
+    x = np.empty((n_samples, n_features), dtype=np.float32)
+    y = np.empty(n_samples)
+    block = max(1, FEATURE_DRAW_VALUES // n_features)
+    draw = np.empty((min(block, n_samples), n_features))
+    for lo in range(0, n_samples, block):
+        rows = x[lo:lo + block]
+        chunk = rng.standard_normal(out=draw[:rows.shape[0]])
+        rows[...] = chunk
+        chunk[...] = rows  # the rounded values, which the targets are built from
+        y[lo:lo + rows.shape[0]] = chunk @ w_local
+    y += noise_std * rng.standard_normal(n_samples)
     return Task("linear_regression", x, y)
 
 

@@ -1,5 +1,7 @@
 """Local training, gradients and FedAvg algebra on the synthetic tasks."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -35,8 +37,15 @@ def _rel_err(a, b):
     return np.linalg.norm(a - b) / max(np.linalg.norm(b), 1e-300)
 
 
+def _as_float64(task):
+    """The same linear task with its float32 features widened to float64."""
+    return Task("linear_regression", task.features.astype(np.float64), task.targets)
+
+
 def test_linear_gradient_matches_finite_differences():
-    task = make_linear_task(0, 1, n_samples=30, n_features=8)
+    # Finite differences at h = 1e-5 are noise on float32 features, so the
+    # oracle runs on the same features widened to float64.
+    task = _as_float64(make_linear_task(0, 1, n_samples=30, n_features=8))
     rng = np.random.default_rng(2)
     theta = rng.normal(size=8)
     _, grad = loss_and_grad(theta, task)
@@ -255,6 +264,63 @@ def test_tasks_are_seed_deterministic():
     b = make_linear_task(1, 2, n_samples=8, n_features=3)
     np.testing.assert_array_equal(a.features, b.features)
     np.testing.assert_array_equal(a.targets, b.targets)
+
+
+# ------------------------------------------------------ feature precision
+
+
+def test_linear_task_features_are_the_float64_draws_rounded_to_float32():
+    n, f = 70, 9000  # more rows than one draw block, and a partial last block
+    task = make_linear_task(3, 4, n_samples=n, n_features=f)
+    rng = np.random.default_rng(4)
+    rng.standard_normal(f)  # the client's weight perturbation
+    want = rng.standard_normal((n, f)).astype(np.float32)
+    assert task.features.dtype == np.float32
+    np.testing.assert_array_equal(task.features.view(np.uint32), want.view(np.uint32))
+    # the label noise is the generator's next draw, as before
+    noiseless = make_linear_task(3, 4, n_samples=n, n_features=f, noise_std=0.0)
+    want_targets = noiseless.targets + 0.1 * rng.standard_normal(n)
+    assert task.targets.dtype == np.float64
+    np.testing.assert_array_equal(task.targets.view(np.uint64), want_targets.view(np.uint64))
+
+
+def test_float32_features_give_a_float64_loss_and_gradient():
+    task = make_linear_task(0, 1, n_samples=200, n_features=40)
+    theta = np.random.default_rng(5).normal(size=40) / np.sqrt(40)
+    loss, grad = loss_and_grad(theta, task)
+    want_loss, want_grad = loss_and_grad(theta, _as_float64(task))
+    assert type(loss) is float and grad.dtype == np.float64
+    assert abs(loss - want_loss) <= 1e-5 * want_loss
+    assert _rel_err(grad, want_grad) < 1e-5
+
+
+def test_task_keeps_float32_features_and_widens_everything_else():
+    x32 = np.ones((3, 2), dtype=np.float32)
+    assert Task("linear_regression", x32, np.zeros(3)).features is x32
+    for x in (np.ones((3, 2), dtype=np.int64), [[1, 2], [3, 4], [5, 6]]):
+        task = Task("linear_regression", x, [0, 1, 2])
+        assert task.features.dtype == np.float64
+        assert task.targets.dtype == np.float64
+
+
+def _peak_bytes(fn, *args, **kwargs):
+    tracemalloc.start()
+    try:
+        fn(*args, **kwargs)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_float32_features_are_never_widened_in_memory():
+    """A float32 matrix times a float64 vector silently copies the whole
+    matrix to float64; neither training nor task building may do that."""
+    n, f = 512, 6656
+    task = make_linear_task(0, 1, n_samples=n, n_features=f)
+    feature_bytes = task.features.nbytes
+    theta = np.random.default_rng(6).normal(size=f)
+    assert _peak_bytes(loss_and_grad, theta, task) < 0.05 * feature_bytes
+    assert _peak_bytes(make_linear_task, 0, 1, n_samples=n, n_features=f) < 1.25 * feature_bytes
 
 
 def test_blobs_task_shapes_and_one_hot():

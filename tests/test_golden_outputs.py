@@ -34,11 +34,11 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CLI_DIGESTS = {
     ("run", "baseline.cfg", ()):
-        "99d67dcc9f9e8902824852f4d8ff0c5e7e7fa7838f18b50a777ce6f2000b84f6",
+        "1bc95656e979c512157edc4c5d6f49775cb1ecf7c2c07be94d2aa1235cec4f0b",
     ("run", "digital_baseline.cfg", ()):
-        "af42976ab297675eecf63e01a621fa0ff7da1c62afe0abe5b06cabf54702d713",
+        "1372e0706855cd7490e582a9f0cc18136f372ce0210428e55e28c6d28aea0ca6",
     ("sync-sweep", "sync_stress.cfg", ("--spreads", "256,64,16,4,0", "--seeds", "5")):
-        "9716e1d9f8dc92d53f7f6611622ad99f7313b8ddb394923baa6dea88124dfa66",
+        "56714f5b0b9e0484a1d129da7f6a357cd3d823b0e703280821d69438cd729278",
 }
 
 # Paper-scale parameter count: 10 payload slots on the default grid.
@@ -196,12 +196,12 @@ def _aggregate_id(case) -> str:
 # mode -> (sha256 of the final theta, repr of each round's global_loss)
 PAPER_SHAPE_DIGESTS = {
     "ota": (
-        "4dd81f715e80e1b2120606977e76b1e893f6d55e744ba763ca0384604bd66a29",
-        ("0.8962980575629702", "0.6696752059095308", "0.5221237606204585"),
+        "82bdb3c536f378253646b1b2c9540181cc6010ee7ca2c926196ede409092d2d9",
+        ("0.8962980577612674", "0.6696752063701703", "0.5221237608830134"),
     ),
     "digital_fp32": (
-        "61ce39057541e20341e7970be95430d94217f0b26cd92825ffab14a8413b9c2b",
-        ("0.8981618998783862", "0.6712330526897362", "0.5239577735326214"),
+        "a14118a248dc7c2bc64854ffe72f6aad0025a35dd982057b0c5d31ca43c019c6",
+        ("0.8981618994578471", "0.671233052540348", "0.5239577769367116"),
     ),
 }
 

@@ -1047,8 +1047,10 @@ def test_train_configs_vary_by_round_and_ue():
 
 def test_ota_trajectory_matches_digital_on_ideal_channel():
     """With a transparent physical layer the analog path reproduces the
-    digital FedAvg trajectory to numerical precision round by round."""
-    tasks = _make_tasks(4)
+    digital FedAvg trajectory to numerical precision round by round.  The
+    tasks hold float64 features, so the bound speaks about the PHY alone."""
+    tasks = [fl.Task("linear_regression", t.features.astype(np.float64), t.targets)
+             for t in _make_tasks(4)]
     template = fl.TrainConfig(learning_rate=0.1, epochs=1)
     phy = _ideal_phy(grid=GridConfig())
     ota = run_experiment("ota", 5, tasks, template, phy, master_seed=11)
