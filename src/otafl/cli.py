@@ -18,7 +18,7 @@ Exit codes: 0 on success, 2 for unusable configuration or arguments, 3
 when a run produced only aborted rounds (nothing was ever aggregated).
 All CSV output is UTF-8 with LF line endings, a leading schema_version
 column and 12-significant-digit floats, so equal seeds give byte-equal
-files on any platform or thread count.
+files from one run to the next, in the same process or a fresh one.
 """
 
 from __future__ import annotations

@@ -49,8 +49,6 @@ channel decorrelates across subcarriers).
 from __future__ import annotations
 
 import functools
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -226,26 +224,6 @@ class ExperimentResult:
     @property
     def all_aborted(self) -> bool:
         return all(t.aborted for t in self.traces)
-
-
-def _map_ues(fn, items):
-    """Apply ``fn`` per UE, optionally on a small thread pool.
-
-    The worker count comes from the OTAFL_THREADS environment variable, an
-    integer >= 1 (default 1), and never changes results: every item is
-    independent and seeded, and the output order is fixed.
-    """
-    raw = os.environ.get("OTAFL_THREADS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError(f"OTAFL_THREADS must be an integer >= 1, got {raw!r}")
-    if workers <= 1 or len(items) <= 1:
-        return [fn(it) for it in items]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
 
 
 @functools.cache
@@ -669,12 +647,10 @@ def _train_deltas(
     grads = state.grads
     if grads is not None and len(grads) != len(tasks):
         raise ValueError(f"state carries {len(grads)} gradients for {len(tasks)} tasks")
-    locals_ = _map_ues(
-        lambda ue: fl.local_train(
-            state.theta, tasks[ue], train_cfgs[ue], None if grads is None else grads[ue]
-        ),
-        list(range(len(tasks))),
-    )
+    locals_ = [
+        fl.local_train(state.theta, tasks[ue], train_cfgs[ue], None if grads is None else grads[ue])
+        for ue in range(len(tasks))
+    ]
     return [fl.compute_delta(loc, state.theta) for loc in locals_]
 
 
@@ -692,7 +668,7 @@ def _finish_round(
     round's first training step.
     """
     new_theta = state.theta.copy() if aborted else fl.apply_global(state.theta, update)
-    losses, grads = zip(*_map_ues(lambda t: fl.loss_and_grad(new_theta, t), tasks))
+    losses, grads = zip(*[fl.loss_and_grad(new_theta, t) for t in tasks])
     loss_per_ue = np.array(losses)
     trace = RoundTrace(
         round_index=state.round_index,

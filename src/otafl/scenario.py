@@ -372,6 +372,9 @@ def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
         raise ScenarioError("sync_sweep needs n_seeds >= 1")
     if any(s < 0 for s in spreads):
         raise ScenarioError("offset spreads must be >= 0 samples")
+    repeats = [s for i, s in enumerate(spreads) if s in spreads[:i]]
+    if repeats:
+        raise ScenarioError(f"offset spread {repeats[0]} is listed more than once")
     phy0 = build_phy(sc)
     train = build_train(sc)
     per_spread: dict[int, list[float]] = {s: [] for s in spreads}

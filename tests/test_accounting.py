@@ -3,6 +3,7 @@
 import dataclasses
 import math
 import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -158,6 +159,26 @@ def test_energy_gain_anchor_points():
     g20 = energy_gain(20, 87, 10)
     assert 7.0 <= g20 <= 8.0
     assert g20 == pytest.approx((94 / 3 + 20 * 87) / (94 / 3 + 20 * 10), rel=1e-12)
+
+
+def test_readme_numbers_for_the_papers_43x_and_7x():
+    """The README's account of the abstract's 43x and 7x, to the digits it
+    prints: the slot ratio at P = 71 666 and M = 5, the energy gain at five
+    clients, the first client count whose gain reaches 7, and the gain
+    criterion 7 checks at twenty clients."""
+    profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 5)
+    gains = {m: energy_gain(m, 87, 10) for m in range(1, 21)}
+    first_seven = min(m for m, g in gains.items() if g >= 7.0)
+    quoted = [
+        f"{spectrum_gain(P, 32, profile, FMT):.1f}",
+        f"{gains[5]:.2f}",
+        f"M = {first_seven} ({gains[first_seven]:.2f})",
+        f"M = 20 ({gains[20]:.2f})",
+    ]
+    assert quoted == ["43.5", "5.73", "M = 12 (7.11)", "M = 20 (7.66)"]
+    readme = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(
+        encoding="utf-8").split())
+    assert [text for text in quoted if text not in readme] == []
 
 
 def test_energy_gain_monotone_and_bounded():

@@ -226,24 +226,19 @@ def test_reference_signal_digests():
     assert _sha256(pilots.tobytes()) == PILOT_256_DIGEST
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("command,cfg,extra", list(CLI_DIGESTS))
-def test_cli_csv_digest(command, cfg, extra, threads, tmp_path, monkeypatch):
-    monkeypatch.setenv("OTAFL_THREADS", threads)
+def test_cli_csv_digest(command, cfg, extra, tmp_path):
     out = tmp_path / "out.csv"
     argv = [command, str(SCENARIOS / cfg), *extra, "--seed", "0", "--out", str(out)]
     assert main(argv) == EXIT_OK
     assert _sha256(out.read_bytes()) == CLI_DIGESTS[(command, cfg, extra)]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize(
     "num_ues,params,kind,allocation,overrides", list(AGGREGATE_DIGESTS),
     ids=[_aggregate_id(case) for case in AGGREGATE_DIGESTS],
 )
-def test_ota_aggregate_digest(num_ues, params, kind, allocation, overrides, threads,
-                              monkeypatch):
-    monkeypatch.setenv("OTAFL_THREADS", threads)
+def test_ota_aggregate_digest(num_ues, params, kind, allocation, overrides):
     rng = np.random.default_rng(0)
     deltas = [0.1 * rng.standard_normal(params) for _ in range(num_ues)]
     phy = PhyConfig(
@@ -263,10 +258,8 @@ def paper_tasks():
     return [fl.make_linear_task(*data_seeds(0, ue), 1664, 6656) for ue in range(5)]
 
 
-@pytest.mark.parametrize("threads", ["1", "2"])
 @pytest.mark.parametrize("mode", list(PAPER_SHAPE_DIGESTS))
-def test_paper_shape_rounds_digest(mode, threads, paper_tasks, monkeypatch):
-    monkeypatch.setenv("OTAFL_THREADS", threads)
+def test_paper_shape_rounds_digest(mode, paper_tasks):
     template = fl.TrainConfig(learning_rate=0.05, epochs=1, batch_size=0)
     phy = PhyConfig(
         channel=ChannelModel("flat_block"),

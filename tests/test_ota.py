@@ -974,21 +974,6 @@ def test_aggregate_is_seed_deterministic():
     assert not np.array_equal(a.recovered, c.recovered)
 
 
-def test_thread_count_does_not_change_bits(monkeypatch):
-    phy = PhyConfig(
-        grid=SMALL_GRID,
-        channel=ChannelModel("rayleigh_per_subcarrier"),
-        pilot_allocation="tdm_full",
-        uplink_snr_db=15.0,
-    )
-    deltas = _random_deltas(5, 300, seed=2)
-    monkeypatch.setenv("OTAFL_THREADS", "1")
-    serial = ota_aggregate(deltas, phy, master_seed=1)
-    monkeypatch.setenv("OTAFL_THREADS", "4")
-    threaded = ota_aggregate(deltas, phy, master_seed=1)
-    np.testing.assert_array_equal(serial.recovered, threaded.recovered)
-
-
 def test_aggregate_validation():
     with pytest.raises(ValueError):
         ota_aggregate([], _ideal_phy())

@@ -76,6 +76,51 @@ def test_no_unused_imports():
     assert stale == {}
 
 
+def _environment_reads(source: str) -> list[str]:
+    """Imports of ``os`` or ``concurrent.futures`` and reads of
+    ``os.environ`` or ``os.getenv``, anywhere in a module."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [f"{node.module}.{alias.name}" for alias in node.names]
+        elif (isinstance(node, ast.Attribute) and node.attr in ("environ", "getenv")
+              and isinstance(node.value, ast.Name) and node.value.id == "os"):
+            names = [f"os.{node.attr}"]
+        else:
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names
+                  if name.split(".")[0] == "os" or name.startswith("concurrent.futures")]
+    return found
+
+
+def test_environment_check_sees_every_kind_of_read():
+    source = (
+        "import os\nfrom concurrent.futures import wait\n"
+        "from concurrent import futures\nfrom math import pi\n"
+        "def workers():\n    return int(os.environ.get('N', '1')) or os.getenv('M')\n"
+    )
+    assert _environment_reads(source) == [
+        "line 1: os",
+        "line 2: concurrent.futures.wait",
+        "line 3: concurrent.futures",
+        "line 6: os.getenv",
+        "line 6: os.environ",
+    ]
+
+
+def test_no_module_reads_the_process_environment():
+    """Every setting is a scenario key, a CLI flag or a function argument,
+    and every client runs in one serial loop."""
+    found = {
+        path.name: hits
+        for path in sorted(PACKAGE_DIR.glob("*.py"))
+        if (hits := _environment_reads(path.read_text(encoding="utf-8")))
+    }
+    assert found == {}
+
+
 def _bench_traced() -> dict:
     """``bench/spans.py``'s ``TRACED`` table, read without importing it."""
     tree = ast.parse(BENCH_SPANS.read_text(encoding="utf-8"))

@@ -347,6 +347,9 @@ def test_sync_sweep_validation():
         sync_sweep(sc, spreads=[4], n_seeds=0)
     with pytest.raises(ScenarioError):
         sync_sweep(sc, spreads=[-1], n_seeds=1)
+    # a repeated spread would count each seed twice in its one mean
+    with pytest.raises(ScenarioError, match="offset spread 4 is listed more than once"):
+        sync_sweep(sc, spreads=[8, 4, 0, 4], n_seeds=2)
 
 
 # --------------------------------------------------------------------- cli
@@ -415,27 +418,6 @@ def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, arg
     assert out == ""
 
 
-def test_cli_run_byte_identical_across_threads(tmp_path, monkeypatch):
-    scenario = _tiny_file(tmp_path)
-    out1, out2 = tmp_path / "a.csv", tmp_path / "b.csv"
-    monkeypatch.setenv("OTAFL_THREADS", "1")
-    assert main(["run", str(scenario), "--seed", "3", "--out", str(out1)]) == EXIT_OK
-    monkeypatch.setenv("OTAFL_THREADS", "4")
-    assert main(["run", str(scenario), "--seed", "3", "--out", str(out2)]) == EXIT_OK
-    assert out1.read_bytes() == out2.read_bytes()
-
-
-@pytest.mark.parametrize("threads", ["abc", "2.5", "", "0", "-1"])
-def test_cli_run_rejects_a_bad_thread_count(tmp_path, capsys, monkeypatch, threads):
-    scenario = _tiny_file(tmp_path)
-    out = tmp_path / "trace.csv"
-    monkeypatch.setenv("OTAFL_THREADS", threads)
-    assert main(["run", str(scenario), "--out", str(out)]) == EXIT_CONFIG
-    err = capsys.readouterr().err
-    assert f"OTAFL_THREADS must be an integer >= 1, got {threads!r}" in err
-    assert not out.exists()
-
-
 def test_cli_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
@@ -499,6 +481,17 @@ def test_cli_sync_sweep(tmp_path, capsys):
     assert len(lines) == 3
     assert lines[1].split(",")[1] == "8"
     assert "spread" in capsys.readouterr().out
+
+
+def test_cli_sync_sweep_rejects_a_repeated_spread(tmp_path, capsys):
+    scenario = _tiny_file(tmp_path)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sync-sweep", str(scenario), "--spreads", "4,4",
+               "--seeds", "2", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "offset spread 4 is listed more than once" in captured.err
+    assert captured.out == "" and not out.exists()
 
 
 def test_parse_file_round_trip(tmp_path):
