@@ -13,10 +13,9 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from otafl import fl
+from otafl import fl, grid, ota
 from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, format_from_grid
 from otafl.channel import ChannelModel
-from otafl import ota
 from otafl.cli import EXIT_OK, main
 from otafl.grid import make_pilot_values
 from otafl.ota import (
@@ -226,8 +225,21 @@ def test_reference_signal_digests():
     assert _sha256(pilots.tobytes()) == PILOT_256_DIGEST
 
 
+@pytest.fixture(params=["cold", "warm"])
+def caches(request):
+    """Start a case with the package's caches empty ("cold") or holding the
+    preamble bank and the default grid's pilots ("warm"): a cached read-only
+    array must give the bits a freshly built one does."""
+    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values):
+        cached.cache_clear()
+    if request.param == "warm":
+        ota._preamble_bank()
+        ota._pilot_values(PhyConfig().grid.subcarriers)
+    return request.param
+
+
 @pytest.mark.parametrize("command,cfg,extra", list(CLI_DIGESTS))
-def test_cli_csv_digest(command, cfg, extra, tmp_path):
+def test_cli_csv_digest(command, cfg, extra, caches, tmp_path):
     out = tmp_path / "out.csv"
     argv = [command, str(SCENARIOS / cfg), *extra, "--seed", "0", "--out", str(out)]
     assert main(argv) == EXIT_OK
@@ -238,7 +250,7 @@ def test_cli_csv_digest(command, cfg, extra, tmp_path):
     "num_ues,params,kind,allocation,overrides", list(AGGREGATE_DIGESTS),
     ids=[_aggregate_id(case) for case in AGGREGATE_DIGESTS],
 )
-def test_ota_aggregate_digest(num_ues, params, kind, allocation, overrides):
+def test_ota_aggregate_digest(num_ues, params, kind, allocation, overrides, caches):
     rng = np.random.default_rng(0)
     deltas = [0.1 * rng.standard_normal(params) for _ in range(num_ues)]
     phy = PhyConfig(
@@ -259,7 +271,7 @@ def paper_tasks():
 
 
 @pytest.mark.parametrize("mode", list(PAPER_SHAPE_DIGESTS))
-def test_paper_shape_rounds_digest(mode, paper_tasks):
+def test_paper_shape_rounds_digest(mode, caches, paper_tasks):
     template = fl.TrainConfig(learning_rate=0.05, epochs=1, batch_size=0)
     phy = PhyConfig(
         channel=ChannelModel("flat_block"),

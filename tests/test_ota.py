@@ -974,6 +974,24 @@ def test_aggregate_is_seed_deterministic():
     assert not np.array_equal(a.recovered, c.recovered)
 
 
+def test_cold_caches_do_not_change_bits():
+    """The preamble bank and the pilots are cached read-only; rebuilding
+    them from empty caches gives the same aggregate bit for bit."""
+    phy = PhyConfig(
+        grid=SMALL_GRID,
+        channel=ChannelModel("rayleigh_per_subcarrier"),
+        pilot_allocation="tdm_full",
+        uplink_snr_db=15.0,
+    )
+    deltas = _random_deltas(5, 300, seed=2)
+    warm = ota_aggregate(deltas, phy, master_seed=1)
+    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values):
+        cached.cache_clear()
+    cold = ota_aggregate(deltas, phy, master_seed=1)
+    assert ota._pilot_values.cache_info().currsize == 1
+    np.testing.assert_array_equal(warm.recovered, cold.recovered)
+
+
 def test_aggregate_validation():
     with pytest.raises(ValueError):
         ota_aggregate([], _ideal_phy())
