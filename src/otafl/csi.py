@@ -1,12 +1,9 @@
-"""Least-squares channel estimation, interpolation and the NMSE metric."""
+"""Least-squares channel estimation, comb interpolation, the NMSE metric
+and feedback quantization."""
 
 from __future__ import annotations
 
-from collections.abc import Sequence
-
 import numpy as np
-
-from .grid import GridConfig
 
 # Reporting floor: ratios at or below 1e-30 (including exact equality) are
 # clamped to -300 dB so traces stay finite.
@@ -30,46 +27,29 @@ def ls_estimate(received: np.ndarray, known: np.ndarray) -> np.ndarray:
     return y / x
 
 
-def interpolate(
-    pilot_estimates: Sequence[np.ndarray],
-    pilot_positions: Sequence[np.ndarray],
-    cfg: GridConfig,
-) -> np.ndarray:
-    """Fill one gain per subcarrier from pilot positions, one row per client.
+def interpolate(row: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Fill one gain per subcarrier for every client from one pilot row.
 
-    Linear interpolation in frequency (real and imaginary parts separately,
-    ends held at the outermost pilot value).  Under block fading a client's
-    row is its estimate for every symbol of the round.
-
-    Estimates and positions are sequences of 1-D rows, one per client,
-    whose lengths may differ; a 2-D array counts as its rows.  The result
-    is ``(clients, subcarriers)``.  Every client's pilots are shifted into
-    their own range of ``subcarriers`` positions, and each query is clipped
-    to its client's outermost pilots, so one ``np.interp`` per part serves
-    all clients and returns exactly what a call per client would.
+    ``row`` is the comb event's least-squares estimate on every subcarrier;
+    client ``ue``'s pilots are where the boolean row ``masks[ue]`` is true.
+    Each client is interpolated linearly in frequency between its own
+    pilots, real and imaginary parts separately, with the ends held at its
+    outermost pilot values.  Under block fading a client's row is its
+    estimate for every symbol of the round.  The result is ``(clients,
+    subcarriers)``.
     """
-    sizes = [len(p) for p in pilot_positions]
-    if not sizes or 0 in sizes or [len(e) for e in pilot_estimates] != sizes:
-        raise ValueError("pilot estimates/positions must be matching nonempty rows")
-    est = np.concatenate(pilot_estimates).astype(np.complex128, copy=False)
-    pos = np.concatenate(pilot_positions).astype(np.int64, copy=False)
-    if est.ndim != 1 or pos.ndim != 1:
-        raise ValueError("pilot estimates/positions must be matching 1-D arrays")
-    if pos.min() < 0 or pos.max() >= cfg.subcarriers:
-        raise ValueError("pilot positions outside the subcarrier range")
-    # Row r's positions move to r * subcarriers + p.  In-range positions then
-    # always rise across a row boundary, so one comparison checks every row.
-    shift = np.repeat(np.arange(len(sizes)) * cfg.subcarriers, sizes)
-    pos += shift
-    if (pos[1:] <= pos[:-1]).any():
-        raise ValueError("pilot positions must be strictly increasing")
-    last = np.cumsum(sizes) - 1
-    first = last - sizes + 1
-    query = shift[first, np.newaxis] + np.arange(cfg.subcarriers, dtype=np.float64)
-    np.maximum(query, pos[first, np.newaxis], out=query)
-    np.minimum(query, pos[last, np.newaxis], out=query)
-    nodes = pos.astype(np.float64)
-    return np.interp(query, nodes, est.real) + 1j * np.interp(query, nodes, est.imag)
+    row = np.asarray(row, dtype=np.complex128)
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 2 or row.shape != masks.shape[1:]:
+        raise ValueError("the pilot row must be as long as each client's mask")
+    if not masks.any(axis=1).all():
+        raise ValueError("every client needs at least one pilot")
+    query = np.arange(row.size)
+    out = np.empty(masks.shape, dtype=np.complex128)
+    for ue, mask in enumerate(masks):
+        nodes, pilots = query[mask], row[mask]
+        out[ue] = np.interp(query, nodes, pilots.real) + 1j * np.interp(query, nodes, pilots.imag)
+    return out
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
@@ -96,7 +76,9 @@ def quantize_estimate(estimate: np.ndarray, bits: int) -> np.ndarray:
     """Optional feedback quantization: symmetric per-part uniform grid.
 
     ``estimate`` holds one row of gains per client.  ``bits`` = 0 means
-    lossless feedback (returned unchanged).  Real and imaginary parts are
+    lossless feedback (returned unchanged); otherwise there are
+    ``2 ** (bits - 1) - 1`` levels a side, at least one and within float
+    range, so ``bits`` runs from 2 to 1024.  Real and imaginary parts are
     quantized independently with a full scale shared by both parts of a
     row: the largest magnitude in that row, so every client quantizes
     against its own estimate.
@@ -105,7 +87,10 @@ def quantize_estimate(estimate: np.ndarray, bits: int) -> np.ndarray:
         raise ValueError("bits must be >= 0")
     if bits == 0:
         return estimate
-    levels = 2 ** (bits - 1) - 1
+    try:
+        levels = 2.0 ** (bits - 1) - 1.0
+    except OverflowError:
+        raise ValueError(f"{bits} bits give a level count past float range") from None
     if levels < 1:
         raise ValueError("need at least 2 bits for a nonzero quantizer")
     h = estimate

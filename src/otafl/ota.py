@@ -49,6 +49,7 @@ channel decorrelates across subcarriers).
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
 
@@ -156,8 +157,14 @@ class PhyConfig:
             raise ValueError("floor_rel must be >= 0")
         if not 0 <= self.decorrelation <= 1:
             raise ValueError("decorrelation must lie in [0, 1]")
-        if self.uplink_snr_db is not None and not np.isfinite(self.uplink_snr_db):
-            raise ValueError("uplink_snr_db must be finite, or None for no noise")
+        if self.uplink_snr_db is not None:
+            try:  # the noise variance divides by 10 ** (snr / 10), which may not be 0 or inf
+                in_range = math.isfinite(math.pow(10.0, abs(self.uplink_snr_db) / 10.0))
+            except OverflowError:
+                in_range = False
+            if not in_range:
+                raise ValueError("uplink_snr_db must be None for no noise, or finite with "
+                                 f"10 ** (|snr| / 10) in float range, got {self.uplink_snr_db!r}")
 
     @property
     def preamble_slot_len(self) -> int:
@@ -268,8 +275,8 @@ def _sounding_frame(
     The event's preamble region holds one slot per client it carries, in
     that order, and each client sends its Gold preamble in its own slot.
     The region is followed by one slot of the client's pilot row, the
-    pilot symbol times ``masks[ue]``.  ``gains`` and ``masks`` hold one row
-    per client of the round.
+    pilot symbol where the boolean ``masks[ue]`` is true and zero elsewhere.
+    ``gains`` and ``masks`` hold one row per client of the round.
 
     The buffer spans the latest arrival.  Each client is added in ascending
     order, its chips and then its repeated pilot symbol, so each sample sums
@@ -433,10 +440,13 @@ def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
     return nmse(sent, exact)
 
 
-def _pilot_positions(ue: int, num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
+def _pilot_masks(num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
+    """One boolean row per client, true on the subcarriers that carry its
+    pilots: every subcarrier for ``tdm_full``; on the comb, client ``ue``
+    takes subcarrier ``k`` when ``k % num_ues == ue``."""
     if allocation == "tdm_full":
-        return np.arange(cfg.subcarriers)
-    return np.arange(ue, cfg.subcarriers, num_ues)
+        return np.ones((num_ues, cfg.subcarriers), dtype=bool)
+    return np.arange(cfg.subcarriers) % num_ues == np.arange(num_ues)[:, np.newaxis]
 
 
 def _phase_ramp(cfg: GridConfig, delay) -> np.ndarray:
@@ -533,11 +543,7 @@ def ota_aggregate(
         ramps = _phase_ramp(cfg, offsets[:, np.newaxis] - int(offsets.min()))
         estimate = payload_gains * ramps * np.exp(1j * phases)[:, np.newaxis]
     else:
-        pilots = [_pilot_positions(ue, num_ues, cfg, phy.pilot_allocation)
-                  for ue in range(num_ues)]
-        masks = np.zeros((num_ues, cfg.subcarriers))
-        for ue, pos in enumerate(pilots):
-            masks[ue, pos] = 1.0
+        masks = _pilot_masks(num_ues, cfg, phy.pilot_allocation)
         # Comb pilots share one superposed sounding event; full-band pilots
         # need one event per client, holding only that client's slots.
         if phy.pilot_allocation == "fdm_comb":
@@ -570,7 +576,7 @@ def ota_aggregate(
         # Full-band rows already hold a gain on every subcarrier; only the
         # comb fills the subcarriers between a client's pilots.
         if phy.pilot_allocation == "fdm_comb":
-            estimate = interpolate([estimate[0, pos] for pos in pilots], pilots, cfg)
+            estimate = interpolate(estimate[0], masks)
         estimate = quantize_estimate(estimate, phy.feedback_quant_bits)
 
     # --- precode, shared power control, simultaneous transmission --------

@@ -23,6 +23,8 @@ import dataclasses
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
 from . import channel as _channel
 from . import fl as _fl
 from . import sync as _sync
@@ -37,6 +39,7 @@ from .accounting import (
     round_energy,
 )
 from .channel import ChannelModel
+from .csi import quantize_estimate
 from .fl import Task, TrainConfig, make_blobs_task, make_linear_task, model_size
 from .grid import PREAMBLE_FAMILY, GridConfig
 from .precode import DEFAULT_FLOOR_REL as _DEFAULT_FLOOR
@@ -244,8 +247,14 @@ def validate(sc: Scenario) -> None:
         fail("num_ues", "comb pilots need num_ues <= grid.subcarriers")
     if sc.num_ues > PREAMBLE_FAMILY:
         fail("num_ues", f"the preamble family has only {PREAMBLE_FAMILY} Gold sequences")
-    if sc.phy_feedback_quant_bits == 1:
-        fail("phy_feedback_quant_bits", "must be 0 (lossless) or >= 2 for a nonzero quantizer")
+    try:  # the quantizer owns its level rule; a one-gain row runs it
+        quantize_estimate(np.ones(1), sc.phy_feedback_quant_bits)
+    except ValueError as exc:
+        fail("phy_feedback_quant_bits", str(exc))
+    try:  # and PhyConfig owns the SNR range
+        PhyConfig(uplink_snr_db=sc.phy_uplink_snr_db)
+    except ValueError as exc:
+        fail("phy_uplink_snr_db", str(exc))
     try:
         model = build_energy_model(sc)
     except ValueError as exc:

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from otafl import ota
 from otafl.csi import (
     NMSE_FLOOR_DB,
     interpolate,
@@ -44,10 +45,18 @@ def test_ls_validation():
 # ---------------------------------------------------------- interpolation
 
 
+def _mask(pos, width=CFG.subcarriers):
+    mask = np.zeros((1, width), dtype=bool)
+    mask[0, pos] = True
+    return mask
+
+
 def test_interpolate_exact_at_pilots_and_holds_ends():
     pos = np.array([4, 8, 12])
     vals = np.array([1 + 1j, 2 - 1j, -3 + 0.5j])
-    est = interpolate([vals], [pos], CFG)[0]
+    row = np.full(16, 99.0 - 99j)  # off-pilot entries are never read
+    row[pos] = vals
+    est = interpolate(row, _mask(pos))[0]
     assert est.shape == (16,)
     np.testing.assert_array_equal(est[pos], vals)
     # outside the pilot span the nearest pilot value is held
@@ -61,34 +70,29 @@ def test_interpolate_recovers_linear_ramp_exactly():
     so the edges must carry pilots)."""
     n = CFG.subcarriers
     truth = (0.5 + 0.25j) * np.arange(n) + (1 - 2j)
-    pos = np.array([0, 5, 10, n - 1])
-    est = interpolate([truth[pos]], [pos], CFG)[0]
+    est = interpolate(truth, _mask([0, 5, 10, n - 1]))[0]
     np.testing.assert_allclose(est, truth, atol=1e-12)
 
 
 def test_interpolate_gives_one_gain_per_subcarrier():
     """Block fading holds one gain per subcarrier for the whole round, so
     the estimate is a single row whatever the symbols per slot."""
-    est = interpolate([np.array([1.0 + 0j])], [np.array([7])], CFG)[0]
+    row = np.zeros(CFG.subcarriers, dtype=complex)
+    row[7] = 1.0
+    est = interpolate(row, _mask([7]))[0]
     assert est.shape == (CFG.subcarriers,)
     np.testing.assert_array_equal(est, np.ones(CFG.subcarriers, dtype=complex))
 
 
 def test_interpolate_validation():
-    with pytest.raises(ValueError):
-        interpolate([np.ones(2)], [np.array([3])], CFG)  # length mismatch
-    with pytest.raises(ValueError):
-        interpolate([np.ones(2)], [np.array([3, 3])], CFG)  # not increasing
-    with pytest.raises(ValueError):
-        interpolate([np.ones(2)], [np.array([3, 99])], CFG)  # out of range
-    with pytest.raises(ValueError):
-        interpolate([np.ones(2), np.ones(1)], [np.array([1, 2]), np.array([5, 6])], CFG)
-    with pytest.raises(ValueError):
-        interpolate([np.ones(2), np.ones(2)], [np.array([1, 2]), np.array([6, 5])], CFG)
-    with pytest.raises(ValueError):
-        interpolate([np.ones(2), np.ones(0)], [np.array([1, 2]), np.array([], int)], CFG)
-    with pytest.raises(ValueError):
-        interpolate([np.ones(2)], [np.array([1, 2]), np.array([5, 6])], CFG)
+    """A boolean mask cannot be out of range, unsorted or ragged, so only a
+    width mismatch and a client without pilots are left to reject."""
+    with pytest.raises(ValueError, match="as long as"):
+        interpolate(np.ones(15), _mask([3]))
+    with pytest.raises(ValueError, match="as long as"):
+        interpolate(np.ones(16), _mask([3])[0])
+    with pytest.raises(ValueError, match="at least one pilot"):
+        interpolate(np.ones(16), np.vstack([_mask([1, 2]), _mask([])]))
 
 
 # ------------------------------------------------- one row per client, bit for bit
@@ -112,12 +116,9 @@ def _rows(num, width, seed):
     return rows
 
 
-def _comb(num_ues, width):
-    return [np.arange(ue, width, num_ues) for ue in range(num_ues)]
-
-
-def _interp_reference(values, positions, width):
-    grid_pos = np.arange(width)
+def _interp_reference(row, mask):
+    grid_pos = np.arange(row.size)
+    values, positions = row[mask], grid_pos[mask]
     return np.interp(grid_pos, positions, values.real) + 1j * np.interp(
         grid_pos, positions, values.imag)
 
@@ -135,34 +136,32 @@ def test_ls_estimate_rows_match_per_row_calls(num_ues):
 
 @pytest.mark.parametrize("num_ues", [1, 3, 5, 12, 60])
 def test_comb_interpolation_rows_match_per_row_calls(num_ues):
-    """Comb position sets of unequal length (256 = 12 * 21 + 4), so every
+    """Comb pilot sets of unequal length (256 = 12 * 21 + 4), so every
     client holds different ends."""
-    pos = _comb(num_ues, WIDE.subcarriers)
+    masks = ota._pilot_masks(num_ues, WIDE, "fdm_comb")
     full = _rows(1, WIDE.subcarriers, seed=num_ues)[0]
-    values = [full[p] for p in pos]
-    got = interpolate(values, pos, WIDE)
+    got = interpolate(full, masks)
     assert got.shape == (num_ues, WIDE.subcarriers)
     for ue in range(num_ues):
-        row = interpolate([values[ue]], [pos[ue]], WIDE)[0]
+        row = interpolate(full, masks[ue:ue + 1])[0]
         np.testing.assert_array_equal(_bits(got[ue]), _bits(row))
-        want = _interp_reference(values[ue], pos[ue], WIDE.subcarriers)
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(want))
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(_interp_reference(full, masks[ue])))
 
 
 def test_ragged_interpolation_rows_match_per_row_calls():
-    """Arbitrary increasing pilot sets, one of a single pilot, and a 2-D
-    array of full-band rows, which interpolation returns unchanged."""
+    """Arbitrary pilot sets, one of a single pilot and one of every
+    subcarrier; an all-true mask returns the row unchanged."""
     rng = np.random.default_rng(4)
     width = WIDE.subcarriers
-    pos = [np.sort(rng.choice(width, size=k, replace=False)) for k in (1, 2, 7, 40, width)]
-    values = [_rows(1, p.size, seed=k)[0] for k, p in enumerate(pos)]
-    got = interpolate(values, pos, WIDE)
-    for ue, (v, p) in enumerate(zip(values, pos)):
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(interpolate([v], [p], WIDE)[0]))
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(_interp_reference(v, p, width)))
-    full = _rows(4, width, seed=9)
-    same = interpolate(full, np.broadcast_to(np.arange(width), full.shape), WIDE)
-    np.testing.assert_array_equal(_bits(same), _bits(full))
+    masks = np.zeros((5, width), dtype=bool)
+    for ue, k in enumerate((1, 2, 7, 40, width)):
+        masks[ue, rng.choice(width, size=k, replace=False)] = True
+    full = _rows(1, width, seed=9)[0]
+    got = interpolate(full, masks)
+    for ue, mask in enumerate(masks):
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(interpolate(full, mask[None])[0]))
+        np.testing.assert_array_equal(_bits(got[ue]), _bits(_interp_reference(full, mask)))
+    np.testing.assert_array_equal(_bits(got[-1]), _bits(full))
 
 
 @pytest.mark.parametrize("bits", [2, 4, 8])
@@ -223,9 +222,9 @@ def test_nmse_validation():
 
 def _estimate_fixture():
     rng = np.random.default_rng(5)
-    pos = np.arange(0, 16, 2)
-    vals = rng.normal(size=8) + 1j * rng.normal(size=8)
-    return interpolate([vals], [pos], CFG)[0]
+    row = np.zeros(16, dtype=complex)
+    row[::2] = rng.normal(size=8) + 1j * rng.normal(size=8)
+    return interpolate(row, _mask(np.arange(0, 16, 2)))[0]
 
 
 def test_quantize_zero_bits_is_identity():
@@ -264,3 +263,6 @@ def test_quantize_validation():
         quantize_estimate(est, -1)
     with pytest.raises(ValueError):
         quantize_estimate(est, 1)  # one bit leaves no nonzero level
+    with pytest.raises(ValueError, match="float range"):
+        quantize_estimate(est, 1025)  # 2 ** 1024 - 1 levels is past float range
+    assert np.isfinite(quantize_estimate(est, 1024)).all()

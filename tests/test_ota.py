@@ -228,7 +228,7 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     bound = offset_bound(sync, phy.grid.sample_rate)
     delays = [0, bound, 1]
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
-    masks = np.ones((3, phy.grid.subcarriers))
+    masks = np.ones((3, phy.grid.subcarriers), dtype=bool)
     rx = ota._sounding_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks)
     _, offsets, metrics = ota._receive(rx, range(3), phy, np.random.default_rng(5),
                                        phy.grid.symbols_per_slot)
@@ -315,9 +315,7 @@ def _oracle_inputs(num_ues, allocation, seed=11):
 
     gains = cn(num_ues, sub)
     phases = rng.uniform(-np.pi, np.pi, size=num_ues)
-    masks = np.zeros((num_ues, sub))
-    for ue in range(num_ues):
-        masks[ue, ota._pilot_positions(ue, num_ues, ORACLE_GRID, allocation)] = 1.0
+    masks = ota._pilot_masks(num_ues, ORACLE_GRID, allocation)
     deltas = list(rng.normal(size=(num_ues, ORACLE_PARAMS)))
     scales = [tuple(pair) for pair in rng.uniform(0.5, 2.0, size=(num_ues, 2)).tolist()]
     return gains, phases, masks, deltas, scales, cn(num_ues, sub)
@@ -370,6 +368,22 @@ def test_single_client_frame_oracle():
             np.testing.assert_array_equal(symbols[:, :cfg.cp_len], symbols[:, -cfg.cp_len:])
 
 
+@pytest.mark.parametrize("width", [256, 72])
+@pytest.mark.parametrize("num_ues", [1, 5, 12, "width"])
+def test_comb_masks_split_the_subcarriers(width, num_ues):
+    """Each subcarrier carries exactly one client's comb pilot, client
+    ``ue`` taking every ``num_ues``-th from ``ue``; ``tdm_full`` gives every
+    client the whole band."""
+    num_ues = width if num_ues == "width" else num_ues
+    cfg = GridConfig(subcarriers=width)
+    masks = ota._pilot_masks(num_ues, cfg, "fdm_comb")
+    assert masks.dtype == bool and masks.shape == (num_ues, width)
+    np.testing.assert_array_equal(masks.sum(axis=0), np.ones(width))
+    for ue in range(num_ues):
+        assert np.flatnonzero(masks[ue]).tolist() == list(range(ue, width, num_ues))
+    assert ota._pilot_masks(num_ues, cfg, "tdm_full").all()
+
+
 def test_sounding_frame_carries_only_preamble_and_pilots():
     """A full-band sounding event holds only its client's preamble slot and
     one slot of its repeated pilot symbol, shifted by its delay, so its
@@ -377,7 +391,7 @@ def test_sounding_frame_carries_only_preamble_and_pilots():
     cfg = SMALL_GRID
     phy = PhyConfig(grid=cfg)
     gains = np.full((4, cfg.subcarriers), 0.5 + 0.5j)
-    masks = np.ones((4, cfg.subcarriers))
+    masks = np.ones((4, cfg.subcarriers), dtype=bool)
     delays = np.array([0, 0, 7, 0])
     rx = ota._sounding_frame(range(2, 3), phy, gains, np.zeros(4), delays, masks)
     slot, n = phy.preamble_slot_len, cfg.symbols_per_slot
@@ -1216,6 +1230,11 @@ def test_phy_config_validation():
                 dict(uplink_snr_db=np.nan), dict(uplink_snr_db=np.inf)):
         with pytest.raises(ValueError):
             PhyConfig(**bad)
+    # an SNR whose linear ratio overflows, or underflows to zero, stopped a round
+    for bad in (4000.0, -4000.0, -3100.0, np.float64(3083.0)):
+        with pytest.raises(ValueError, match="float range"):
+            PhyConfig(uplink_snr_db=bad)
+    assert PhyConfig(uplink_snr_db=-3000.0).uplink_snr_db == -3000.0
     assert PhyConfig(uplink_snr_db=None).uplink_snr_db is None
     # the transmit scale cancels out of every result, so it is no field
     assert PhyConfig().peak_power == 1.0

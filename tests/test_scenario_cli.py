@@ -167,12 +167,18 @@ def test_a_round_bill_past_float_range_names_its_key(base, bad, good, key):
     ("master_seed", "-1", "0"),
     ("link.tx_power_dbm", "5000", "3000"),
     ("link.tx_power_dbm", "-5000", "-3000"),
+    ("phy.uplink_snr_db", "4000", "3000"),
+    ("phy.uplink_snr_db", "-4000", "-3000"),
+    ("phy.uplink_snr_db", "-3100", "-3000"),
+    ("phy.feedback_quant_bits", "1025", "1024"),
 ])
 def test_unsimulatable_values_name_their_key(key, bad, good):
     """Values the uplink cannot run fail at parse time, not deep in a round:
     a 1-bit quantizer has no nonzero level, the degree-7 Gold family has 129
     preambles, a non-finite SNR or floor silently aborts or unfloors every
-    round, a non-finite learning rate or label noise poisons the payload, a
+    round, as does an SNR whose 10 ** (|snr| / 10) leaves float range, a
+    quantizer past 1024 bits has a level count no float holds, a
+    non-finite learning rate or label noise poisons the payload, a
     decorrelation weight lies in [0, 1] and the cyclic prefix is shorter
     than the FFT.  A negative master seed has no seed sequence, and a slot
     energy beyond float range would stop the bill with an OverflowError.
