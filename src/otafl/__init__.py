@@ -19,6 +19,7 @@ from .accounting import (
 )
 from .channel import ChannelModel, realize_channel, superpose
 from .csi import interpolate, ls_estimate, nmse
+from .errors import FieldError
 from .fl import (
     RoundState,
     Task,
@@ -65,7 +66,7 @@ __version__ = "0.1.0"
 
 __all__ = [
     "AggregateReport", "ChannelModel", "EnergyModel",
-    "ExperimentResult", "GridConfig", "PhyConfig",
+    "ExperimentResult", "FieldError", "GridConfig", "PhyConfig",
     "RoundState", "RoundTrace", "Scenario", "ScenarioError",
     "SpectralProfile",
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",

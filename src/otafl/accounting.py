@@ -21,6 +21,7 @@ import math
 import sys
 from dataclasses import dataclass
 
+from .errors import FieldError
 from .grid import GridConfig
 from .weightcodec import slot_plan
 
@@ -39,12 +40,10 @@ class SpectralProfile:
 
     def __post_init__(self):
         if not self.efficiencies or not all(0 < m < math.inf for m in self.efficiencies):
-            raise ValueError("profile needs positive, finite per-client efficiencies")
+            raise FieldError("efficiencies", "must be one or more positive, finite values")
 
     @classmethod
     def uniform(cls, efficiency: float, num_ues: int) -> "SpectralProfile":
-        if num_ues < 1:
-            raise ValueError("num_ues must be >= 1")
         return cls(tuple([efficiency] * num_ues))
 
     @property
@@ -65,9 +64,10 @@ class EnergyModel:
         except OverflowError:
             energy = math.inf
         if not 0 < energy < math.inf:
-            raise ValueError(f"tx_power_dbm {self.tx_power_dbm!r} gives {energy!r} J per slot")
+            raise FieldError("tx_power_dbm", f"{self.tx_power_dbm!r} gives {energy!r} J per slot")
         if not 0 <= self.fixed_overhead < math.inf:
-            raise ValueError(f"fixed_overhead must be >= 0 and finite, got {self.fixed_overhead!r}")
+            raise FieldError("fixed_overhead",
+                             f"must be >= 0 and finite, got {self.fixed_overhead!r}")
 
     @property
     def slot_energy_j(self) -> float:

@@ -12,6 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import check_choice
 from .grid import TimeSignal
 
 KINDS = ("ideal", "flat_block", "rayleigh_per_subcarrier")
@@ -24,8 +25,7 @@ class ChannelModel:
     kind: str = "ideal"
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown channel kind {self.kind!r}; choose from {KINDS}")
+        check_choice("kind", self.kind, KINDS)
 
 
 def _cn(rng: np.random.Generator, size) -> np.ndarray:

@@ -72,29 +72,43 @@ def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     return max(10.0 * np.log10(ratio), NMSE_FLOOR_DB)
 
 
-def quantize_estimate(estimate: np.ndarray, bits: int) -> np.ndarray:
-    """Optional feedback quantization: symmetric per-part uniform grid.
+def quantizer_levels(bits: int) -> float:
+    """Levels a side of a ``bits``-bit feedback quantizer, ``2 ** (bits - 1) - 1``.
 
-    ``estimate`` holds one row of gains per client.  ``bits`` = 0 means
-    lossless feedback (returned unchanged); otherwise there are
-    ``2 ** (bits - 1) - 1`` levels a side, at least one and within float
-    range, so ``bits`` runs from 2 to 1024.  Real and imaginary parts are
-    quantized independently with a full scale shared by both parts of a
-    row: the largest magnitude in that row, so every client quantizes
-    against its own estimate.
+    ``bits`` = 0 means lossless feedback and has no levels; otherwise there
+    must be at least one level and the count must lie within float range,
+    so ``bits`` runs from 2 to 1024.  Raises ValueError for any other value.
     """
     if bits < 0:
         raise ValueError("bits must be >= 0")
     if bits == 0:
-        return estimate
+        return 0.0
     try:
         levels = 2.0 ** (bits - 1) - 1.0
     except OverflowError:
         raise ValueError(f"{bits} bits give a level count past float range") from None
     if levels < 1:
         raise ValueError("need at least 2 bits for a nonzero quantizer")
+    return levels
+
+
+def quantize_estimate(estimate: np.ndarray, bits: int) -> np.ndarray:
+    """Optional feedback quantization: symmetric per-part uniform grid.
+
+    ``estimate`` holds one row of gains per client.  ``bits`` = 0 means
+    lossless feedback (returned unchanged); otherwise there are
+    :func:`quantizer_levels` levels a side.  Real and imaginary parts are
+    quantized independently with a full scale shared by both parts of a
+    row: the largest magnitude in that row, so every client quantizes
+    against its own estimate.  The step, full scale over levels, is floored
+    at the smallest normal float, so an all-zero or vanishingly small row
+    quantizes to finite values.
+    """
+    levels = quantizer_levels(bits)
+    if not levels:
+        return estimate
     h = estimate
-    scale = np.maximum(np.maximum(np.max(np.abs(h.real), axis=-1, keepdims=True),
-                                  np.max(np.abs(h.imag), axis=-1, keepdims=True)), 1e-300)
-    step = scale / levels
+    scale = np.maximum(np.max(np.abs(h.real), axis=-1, keepdims=True),
+                       np.max(np.abs(h.imag), axis=-1, keepdims=True))
+    step = np.maximum(scale / levels, np.finfo(np.float64).tiny)
     return (np.round(h.real / step) + 1j * np.round(h.imag / step)) * step

@@ -18,6 +18,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError, check_choice
+
 TASK_KINDS = ("linear_regression", "mlp_classification")
 OPTIMIZERS = ("sgd", "adam")
 
@@ -36,6 +38,30 @@ def model_size(kind: str, features: int, hidden: int, classes: int) -> int:
     return features * hidden + hidden + hidden * classes + classes
 
 
+def _check_model(kind: str, hidden: int) -> None:
+    """The model family exists, and an MLP has a hidden unit."""
+    check_choice("kind", kind, TASK_KINDS)
+    if kind == "mlp_classification" and hidden < 1:
+        raise FieldError("hidden", "must be >= 1 for the MLP")
+
+
+def check_task_shape(kind: str, samples_per_ue: int, features: int, heterogeneity: float,
+                     noise_std: float, classes: int, hidden: int) -> None:
+    """Reject a task family and shape no client dataset can be drawn for,
+    without drawing one: at least one sample and one feature, nonnegative
+    heterogeneity and label noise and, for the MLP, at least two classes
+    and one hidden unit.  The error names the argument."""
+    _check_model(kind, hidden)
+    for name, value in (("samples_per_ue", samples_per_ue), ("features", features)):
+        if value < 1:
+            raise FieldError(name, "must be positive")
+    for name, value in (("heterogeneity", heterogeneity), ("noise_std", noise_std)):
+        if not value >= 0:
+            raise FieldError(name, "must be >= 0")
+    if kind == "mlp_classification" and classes < 2:
+        raise FieldError("classes", "must be >= 2 for classification")
+
+
 @dataclass
 class Task:
     """One client's dataset plus the model family it trains.
@@ -51,8 +77,7 @@ class Task:
     hidden: int = 0
 
     def __post_init__(self):
-        if self.kind not in TASK_KINDS:
-            raise ValueError(f"unknown task kind {self.kind!r}")
+        _check_model(self.kind, self.hidden)
         x = np.asarray(self.features)
         self.features = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
         self.targets = np.asarray(self.targets, dtype=np.float64)
@@ -63,8 +88,6 @@ class Task:
         if self.kind == "mlp_classification":
             if self.targets.ndim != 2:
                 raise ValueError("classification targets must be one-hot (samples, classes)")
-            if self.hidden < 1:
-                raise ValueError("mlp task needs hidden >= 1")
         elif self.targets.ndim != 1:
             raise ValueError("regression targets must be 1-D")
 
@@ -86,11 +109,12 @@ class TrainConfig:
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
-            raise ValueError("learning_rate must be positive and finite")
-        if self.epochs < 0 or self.batch_size < 0:
-            raise ValueError("epochs and batch_size must be >= 0")
-        if self.optimizer not in OPTIMIZERS:
-            raise ValueError(f"unknown optimizer {self.optimizer!r}")
+            raise FieldError("learning_rate", "must be positive and finite")
+        if self.epochs < 0:
+            raise FieldError("epochs", "must be >= 0")
+        if self.batch_size < 0:
+            raise FieldError("batch_size", "must be >= 0")
+        check_choice("optimizer", self.optimizer, OPTIMIZERS)
 
 
 @dataclass

@@ -22,6 +22,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError
+
 # Seed for the fixed QPSK pilot symbol shared by transmitter and receiver.
 PILOT_SEED = 17
 
@@ -51,14 +53,16 @@ class GridConfig:
     cp_len: int = 16
 
     def __post_init__(self):
-        if self.subcarriers < 1 or self.symbols_per_slot < 1:
-            raise ValueError("grid dimensions must be positive")
+        if self.subcarriers < 1:
+            raise FieldError("subcarriers", "must be positive")
+        if self.symbols_per_slot < 1:
+            raise FieldError("symbols_per_slot", "must be positive")
         if self.fft_size < self.subcarriers:
-            raise ValueError("fft_size must be >= subcarriers")
-        if self.cp_len < 0 or self.cp_len >= self.fft_size:
-            raise ValueError("cp_len must lie in [0, fft_size)")
+            raise FieldError("fft_size", "must be >= subcarriers")
+        if not 0 <= self.cp_len < self.fft_size:
+            raise FieldError("cp_len", "must lie in [0, fft_size)")
         if not 0 < self.subcarrier_spacing < np.inf:
-            raise ValueError("subcarrier_spacing must be positive and finite")
+            raise FieldError("subcarrier_spacing", "must be positive and finite")
 
     @property
     def sample_rate(self) -> float:

@@ -65,7 +65,8 @@ from .accounting import (
     round_energy,
 )
 from .channel import ChannelModel, decorrelate, realize_channel
-from .csi import interpolate, ls_estimate, nmse, quantize_estimate
+from .csi import interpolate, ls_estimate, nmse, quantize_estimate, quantizer_levels
+from .errors import FieldError, check_choice
 from .grid import (
     PREAMBLE_FAMILY,
     PREAMBLE_LEN,
@@ -86,7 +87,7 @@ from .precode import (
     inversion_divisor,
     inversion_floor,
 )
-from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound
+from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound, offset_reach
 from .weightcodec import (
     pack_payload,
     payload_symbols,
@@ -131,6 +132,15 @@ class PhyConfig:
 
     ``peak_power`` is ``precode.PEAK_POWER``, the constant power budget of
     every resource element, not a knob.
+
+    The largest timing offset ``sync`` can draw at the grid's sample rate
+    (``sync.ptp_bound_s`` times the rate under PTP, ``sync.off_spread``
+    without) may not exceed one slot, ``symbols_per_slot * symbol_len``
+    samples (3808 on the default grid).  Every receive event is sized,
+    noised and searched over that bound, so a larger one would only grow
+    the buffers (a 1 THz subcarrier spacing asks for 2.56e8 samples under
+    PTP) while each late client lands past the whole slot it was billed
+    for, which the slotted uplink does not model.
     """
 
     peak_power: ClassVar[float] = PEAK_POWER
@@ -147,24 +157,30 @@ class PhyConfig:
     feedback_quant_bits: int = 0
 
     def __post_init__(self):
-        if self.csi_mode not in CSI_MODES:
-            raise ValueError(f"unknown csi_mode {self.csi_mode!r}")
-        if self.pilot_allocation not in PILOT_ALLOCATIONS:
-            raise ValueError(f"unknown pilot_allocation {self.pilot_allocation!r}")
-        if self.scale_mode not in SCALE_MODES:
-            raise ValueError(f"unknown scale_mode {self.scale_mode!r}")
-        if not self.floor_rel >= 0:
-            raise ValueError("floor_rel must be >= 0")
+        check_choice("csi_mode", self.csi_mode, CSI_MODES)
+        check_choice("pilot_allocation", self.pilot_allocation, PILOT_ALLOCATIONS)
+        check_choice("scale_mode", self.scale_mode, SCALE_MODES)
+        if not 0 <= self.floor_rel < math.inf:
+            raise FieldError("floor_rel", "must be >= 0 and finite")
         if not 0 <= self.decorrelation <= 1:
-            raise ValueError("decorrelation must lie in [0, 1]")
+            raise FieldError("decorrelation", "must lie in [0, 1]")
         if self.uplink_snr_db is not None:
             try:  # the noise variance divides by 10 ** (snr / 10), which may not be 0 or inf
                 in_range = math.isfinite(math.pow(10.0, abs(self.uplink_snr_db) / 10.0))
             except OverflowError:
                 in_range = False
             if not in_range:
-                raise ValueError("uplink_snr_db must be None for no noise, or finite with "
+                raise FieldError("uplink_snr_db", "must be None for no noise, or finite with "
                                  f"10 ** (|snr| / 10) in float range, got {self.uplink_snr_db!r}")
+        try:
+            quantizer_levels(self.feedback_quant_bits)
+        except ValueError as exc:
+            raise FieldError("feedback_quant_bits", str(exc)) from None
+        field, reach = offset_reach(self.sync, self.grid.sample_rate)
+        if not reach <= self.grid.slot_len:
+            raise FieldError(f"sync.{field}", f"{getattr(self.sync, field)!r} gives offsets up "
+                             f"to {reach!r} samples at {self.grid.sample_rate!r} samples/s, "
+                             f"past one slot's {self.grid.slot_len}")
 
     @property
     def preamble_slot_len(self) -> int:
@@ -440,6 +456,26 @@ def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
     return nmse(sent, exact)
 
 
+def check_run(phy: PhyConfig, num_ues: int, mode: str = "ota", rounds: int = 1,
+              master_seed: int = 0) -> None:
+    """Reject an experiment that no single component can judge: an unknown
+    aggregation mode, no round, a negative master seed (it has no seed
+    sequence), no client, more clients than the ``PREAMBLE_FAMILY`` Gold
+    preambles, or more clients than subcarriers on comb pilots.  The error
+    names the argument."""
+    check_choice("mode", mode, MODES)
+    if rounds < 1:
+        raise FieldError("rounds", "must be positive")
+    if master_seed < 0:
+        raise FieldError("master_seed", "must be >= 0")
+    if num_ues < 1:
+        raise FieldError("num_ues", "must be positive")
+    if num_ues > PREAMBLE_FAMILY:
+        raise FieldError("num_ues", f"exceeds the {PREAMBLE_FAMILY} Gold preamble sequences")
+    if phy.pilot_allocation == "fdm_comb" and num_ues > phy.grid.subcarriers:
+        raise FieldError("num_ues", "exceeds the subcarriers the comb pilots share")
+
+
 def _pilot_masks(num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
     """One boolean row per client, true on the subcarriers that carry its
     pilots: every subcarrier for ``tdm_full``; on the comb, client ``ue``
@@ -472,12 +508,7 @@ def ota_aggregate(
     """
     num_ues = len(deltas)
     cfg = phy.grid
-    if num_ues < 1:
-        raise ValueError("need at least one UE")
-    if num_ues > PREAMBLE_FAMILY:
-        raise ValueError("more UEs than Gold sequences in the preamble family")
-    if phy.pilot_allocation == "fdm_comb" and num_ues > cfg.subcarriers:
-        raise ValueError("comb pilots need num_ues <= subcarriers")
+    check_run(phy, num_ues, master_seed=master_seed)
     param_count = deltas[0].size
     for d in deltas:
         if d.shape != (param_count,):
@@ -762,13 +793,8 @@ def run_experiment(
     local models -- and therefore the updates entering aggregation -- are
     identical across modes with the same master seed.
     """
-    if mode not in MODES:
-        raise ValueError(f"unknown mode {mode!r}; choose from {MODES}")
-    if rounds < 1:
-        raise ValueError("rounds must be >= 1")
     num_ues = len(tasks)
-    if num_ues < 1:
-        raise ValueError("need at least one task")
+    check_run(phy, num_ues, mode, rounds, master_seed)
     if profile is None:
         profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, num_ues)
     state = initial_state(tasks, master_seed)

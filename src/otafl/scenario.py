@@ -20,13 +20,10 @@ parse(serialize(x)) == x.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass
 
-import numpy as np
-
-from . import channel as _channel
-from . import fl as _fl
 from . import sync as _sync
 from .accounting import (
     DEFAULT_FIXED_OVERHEAD,
@@ -39,18 +36,15 @@ from .accounting import (
     round_energy,
 )
 from .channel import ChannelModel
-from .csi import quantize_estimate
-from .fl import Task, TrainConfig, make_blobs_task, make_linear_task, model_size
-from .grid import PREAMBLE_FAMILY, GridConfig
+from .errors import FieldError
+from .fl import Task, TrainConfig, check_task_shape, make_blobs_task, make_linear_task, model_size
+from .grid import GridConfig
 from .precode import DEFAULT_FLOOR_REL as _DEFAULT_FLOOR
 from .ota import (
-    CSI_MODES,
     DIGITAL_BITS,
-    MODES,
-    PILOT_ALLOCATIONS,
-    SCALE_MODES,
     ExperimentResult,
     PhyConfig,
+    check_run,
     data_seeds,
     initial_state,
     ota_aggregate,
@@ -127,17 +121,33 @@ _KEY_OF = {field: key for key, field in KEYMAP.items()}
 
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
 
-_CHOICES = {
-    "mode": MODES,
-    "task_kind": _fl.TASK_KINDS,
-    "train_optimizer": _fl.OPTIMIZERS,
-    "channel_kind": _channel.KINDS,
-    "sync_mode": _sync.MODES,
-    "sync_distribution": _sync.DISTRIBUTIONS,
-    "phy_csi_mode": CSI_MODES,
-    "phy_pilot_allocation": PILOT_ALLOCATIONS,
-    "phy_scale_mode": SCALE_MODES,
+# The key "<group>.<rest>" sets the field <rest> of the component part
+# <group>, except these keys, which set the "<part>.<field>" given.  The
+# builders read this one table from keys to fields, and ``validate`` reads
+# it back from a rejected field to its key.
+_PATHS = {
+    "grid.subcarrier_spacing_hz": "grid.subcarrier_spacing",
+    "link.tx_power_dbm": "energy.tx_power_dbm",
+    "acct.fixed_overhead": "energy.fixed_overhead",
+    "acct.spectral_efficiency": "profile.efficiencies",
 }
+_KEY_OF_PATH = {path: key for key, path in _PATHS.items()}
+
+
+@functools.cache
+def _part_fields(part: str) -> tuple[tuple[str, str], ...]:
+    """(component field, Scenario field) pairs of one component part."""
+    pairs = []
+    for key, field in KEYMAP.items():
+        owner, _, name = _PATHS.get(key, key).rpartition(".")
+        if owner == part:
+            pairs.append((name, field))
+    return tuple(pairs)
+
+
+def _fields(sc: Scenario, part: str) -> dict:
+    """The values of one component part's fields, by field name."""
+    return {name: getattr(sc, field) for name, field in _part_fields(part)}
 
 
 def _parse_value(key: str, field: str, raw: str, line_no: int):
@@ -206,74 +216,45 @@ def serialize(scenario: Scenario) -> str:
 
 
 def validate(sc: Scenario) -> None:
-    """Range and choice checks; error messages name the offending key."""
-    def fail(field: str, why: str):
-        raise ScenarioError(f"key {_KEY_OF[field]!r}: {why}")
+    """Check a scenario by building every component that reads it, in
+    dependency order, without drawing task data.  Each component checks its
+    own fields; the error names the key of the value it rejects."""
+    def fail(key: str, why: str):
+        raise ScenarioError(f"key {key!r}: {why}")
 
-    for field, allowed in _CHOICES.items():
-        v = getattr(sc, field)
-        if v not in allowed:
-            fail(field, f"{v!r} is not one of {', '.join(allowed)}")
+    def keyed(part: str | None, build, *args, **kwargs):
+        try:
+            return build(*args, **kwargs)
+        except FieldError as exc:  # a dotted field already starts with its part
+            path = exc.field if part is None or "." in exc.field else f"{part}.{exc.field}"
+            fail(_KEY_OF_PATH.get(path, path), exc.reason)
+
     for field, ftype in _FIELD_TYPES.items():
         v = getattr(sc, field)
         if ftype.startswith("float") and v is not None and not math.isfinite(v):
-            fail(field, f"must be finite, got {v!r}")
-    positive = (
-        "rounds", "num_ues", "task_samples_per_ue", "task_features",
-        "grid_subcarriers", "grid_symbols_per_slot", "grid_fft_size",
-        "train_learning_rate", "grid_subcarrier_spacing_hz", "acct_spectral_efficiency",
-    )
-    for field in positive:
-        if getattr(sc, field) <= 0:
-            fail(field, "must be positive")
-    nonneg = (
-        "master_seed", "train_epochs", "train_batch_size", "grid_cp_len", "sync_off_spread",
-        "sync_ptp_bound_s", "phy_floor_rel", "phy_decorrelation",
-        "phy_feedback_quant_bits", "acct_fixed_overhead", "task_heterogeneity",
-        "task_noise_std", "sync_phase_offset_rad",
-    )
-    for field in nonneg:
-        if getattr(sc, field) < 0:
-            fail(field, "must be >= 0")
-    if sc.task_kind == "mlp_classification" and (sc.task_classes < 2 or sc.task_hidden < 1):
-        fail("task_classes", "classification needs >= 2 classes and >= 1 hidden unit")
-    if sc.grid_fft_size < sc.grid_subcarriers:
-        fail("grid_fft_size", "must be >= grid.subcarriers")
-    if sc.grid_cp_len >= sc.grid_fft_size:
-        fail("grid_cp_len", "must be < grid.fft_size")
-    if sc.phy_decorrelation > 1:
-        fail("phy_decorrelation", "must lie in [0, 1]")
-    if sc.phy_pilot_allocation == "fdm_comb" and sc.num_ues > sc.grid_subcarriers:
-        fail("num_ues", "comb pilots need num_ues <= grid.subcarriers")
-    if sc.num_ues > PREAMBLE_FAMILY:
-        fail("num_ues", f"the preamble family has only {PREAMBLE_FAMILY} Gold sequences")
-    try:  # the quantizer owns its level rule; a one-gain row runs it
-        quantize_estimate(np.ones(1), sc.phy_feedback_quant_bits)
-    except ValueError as exc:
-        fail("phy_feedback_quant_bits", str(exc))
-    try:  # and PhyConfig owns the SNR range
-        PhyConfig(uplink_snr_db=sc.phy_uplink_snr_db)
-    except ValueError as exc:
-        fail("phy_uplink_snr_db", str(exc))
-    try:
-        model = build_energy_model(sc)
-    except ValueError as exc:
-        fail("link_tx_power_dbm", str(exc))
+            fail(_KEY_OF[field], f"must be finite, got {v!r}")
+    keyed("task", check_task_shape, **_fields(sc, "task"))
+    keyed("grid", build_grid, sc)
+    keyed("sync", build_sync, sc)
+    keyed("channel", ChannelModel, **_fields(sc, "channel"))
+    phy = keyed("phy", build_phy, sc)
+    keyed(None, check_run, phy, sc.num_ues, sc.mode, sc.rounds, sc.master_seed)
+    keyed("train", build_train, sc)
+    model = keyed("energy", build_energy_model, sc)
+    profile = keyed("profile", SpectralProfile.uniform, sc.acct_spectral_efficiency, sc.num_ues)
     params = model_size(sc.task_kind, sc.task_features, sc.task_hidden, sc.task_classes)
-    grid = build_grid(sc)
     if sc.mode != "ota":  # every client's upload in turn, billed as a digital round is
-        profile = SpectralProfile.uniform(sc.acct_spectral_efficiency, sc.num_ues)
         try:
-            slots = digital_slots(params, DIGITAL_BITS[sc.mode], profile, grid)
+            slots = digital_slots(params, DIGITAL_BITS[sc.mode], profile, phy.grid)
         except ValueError as exc:
-            fail("acct_spectral_efficiency", str(exc))
+            fail("acct.spectral_efficiency", str(exc))
     try:
         if sc.mode == "ota":
-            round_energy(sc.num_ues, ota_slots(params, grid), model)
+            round_energy(sc.num_ues, ota_slots(params, phy.grid), model)
         else:
             digital_round_energy(slots, model)
     except ValueError as exc:
-        fail("link_tx_power_dbm", str(exc))
+        fail("link.tx_power_dbm", str(exc))
 
 
 # ---------------------------------------------------------------------------
@@ -281,38 +262,25 @@ def validate(sc: Scenario) -> None:
 
 
 def build_grid(sc: Scenario) -> GridConfig:
-    return GridConfig(
-        subcarriers=sc.grid_subcarriers,
-        symbols_per_slot=sc.grid_symbols_per_slot,
-        subcarrier_spacing=sc.grid_subcarrier_spacing_hz,
-        fft_size=sc.grid_fft_size,
-        cp_len=sc.grid_cp_len,
-    )
+    return GridConfig(**_fields(sc, "grid"))
+
+
+def build_sync(sc: Scenario) -> SyncConfig:
+    return SyncConfig(**_fields(sc, "sync"))
 
 
 def build_phy(sc: Scenario) -> PhyConfig:
     return PhyConfig(
         grid=build_grid(sc),
-        channel=ChannelModel(sc.channel_kind),
-        sync=SyncConfig(
-            mode=sc.sync_mode,
-            ptp_bound_s=sc.sync_ptp_bound_s,
-            off_spread=sc.sync_off_spread,
-            distribution=sc.sync_distribution,
-            phase_offset_rad=sc.sync_phase_offset_rad,
-        ),
-        floor_rel=sc.phy_floor_rel,
-        csi_mode=sc.phy_csi_mode,
-        pilot_allocation=sc.phy_pilot_allocation,
-        scale_mode=sc.phy_scale_mode,
-        uplink_snr_db=sc.phy_uplink_snr_db,
-        decorrelation=sc.phy_decorrelation,
-        feedback_quant_bits=sc.phy_feedback_quant_bits,
+        channel=ChannelModel(**_fields(sc, "channel")),
+        sync=build_sync(sc),
+        **_fields(sc, "phy"),
     )
 
 
 def build_tasks(sc: Scenario, master_seed: int | None = None) -> list[Task]:
     """Per-UE datasets, deterministic in (master seed, ue)."""
+    check_task_shape(**_fields(sc, "task"))
     seed = sc.master_seed if master_seed is None else master_seed
     tasks = []
     for ue in range(sc.num_ues):
@@ -338,19 +306,11 @@ def build_tasks(sc: Scenario, master_seed: int | None = None) -> list[Task]:
 
 
 def build_train(sc: Scenario) -> TrainConfig:
-    return TrainConfig(
-        learning_rate=sc.train_learning_rate,
-        epochs=sc.train_epochs,
-        batch_size=sc.train_batch_size,
-        optimizer=sc.train_optimizer,
-    )
+    return TrainConfig(**_fields(sc, "train"))
 
 
 def build_energy_model(sc: Scenario) -> EnergyModel:
-    return EnergyModel(
-        tx_power_dbm=sc.link_tx_power_dbm,
-        fixed_overhead=sc.acct_fixed_overhead,
-    )
+    return EnergyModel(**_fields(sc, "energy"))
 
 
 def run_scenario(sc: Scenario) -> ExperimentResult:
@@ -379,12 +339,15 @@ def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
     """
     if n_seeds < 1:
         raise ScenarioError("sync_sweep needs n_seeds >= 1")
-    if any(s < 0 for s in spreads):
-        raise ScenarioError("offset spreads must be >= 0 samples")
     repeats = [s for i, s in enumerate(spreads) if s in spreads[:i]]
     if repeats:
         raise ScenarioError(f"offset spread {repeats[0]} is listed more than once")
-    phy0 = build_phy(sc)
+    phys = {}
+    for s in spreads:  # a spread is checked as the key sync.off_spread
+        swept = dataclasses.replace(sc, sync_mode="ptp_off", sync_off_spread=s,
+                                    sync_distribution="uniform")
+        validate(swept)
+        phys[s] = build_phy(swept)
     train = build_train(sc)
     per_spread: dict[int, list[float]] = {s: [] for s in spreads}
     for k in range(n_seeds):
@@ -393,16 +356,7 @@ def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
         state = initial_state(tasks, master)
         deltas = round_updates(state, tasks, train, master)
         for s in spreads:
-            phy = dataclasses.replace(
-                phy0,
-                sync=SyncConfig(
-                    mode="ptp_off",
-                    off_spread=s,
-                    distribution="uniform",
-                    phase_offset_rad=sc.sync_phase_offset_rad,
-                ),
-            )
-            report = ota_aggregate(deltas, phy, master, 0)
+            report = ota_aggregate(deltas, phys[s], master, 0)
             per_spread[s].append(report.agg_nmse_db)
     return [
         {

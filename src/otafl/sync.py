@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import FieldError, check_choice
 from .grid import TimeSignal, detect_frame
 
 MODES = ("ptp_on", "ptp_off")
@@ -34,20 +35,25 @@ class SyncConfig:
     phase_offset_rad: float = 0.0
 
     def __post_init__(self):
-        if self.mode not in MODES:
-            raise ValueError(f"unknown sync mode {self.mode!r}")
-        if self.distribution not in DISTRIBUTIONS:
-            raise ValueError(f"unknown offset distribution {self.distribution!r}")
+        check_choice("mode", self.mode, MODES)
+        check_choice("distribution", self.distribution, DISTRIBUTIONS)
         for name in ("ptp_bound_s", "off_spread", "phase_offset_rad"):
             if not 0 <= getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be finite and >= 0")
+                raise FieldError(name, "must be finite and >= 0")
+
+
+def offset_reach(cfg: SyncConfig, sample_rate: float) -> tuple[str, float]:
+    """The field that sets the largest offset, and that offset in samples
+    before rounding up: ``ptp_bound_s`` times the sample rate with PTP,
+    else ``off_spread``.  The product is a float, so it may be inf."""
+    if cfg.mode == "ptp_on":
+        return "ptp_bound_s", cfg.ptp_bound_s * sample_rate
+    return "off_spread", cfg.off_spread
 
 
 def offset_bound(cfg: SyncConfig, sample_rate: float) -> int:
     """Largest offset the configuration can draw, in samples."""
-    if cfg.mode == "ptp_on":
-        return math.ceil(cfg.ptp_bound_s * sample_rate)
-    return cfg.off_spread
+    return math.ceil(offset_reach(cfg, sample_rate)[1])
 
 
 def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed) -> np.ndarray:

@@ -24,6 +24,7 @@ from otafl.accounting import (
     round_energy,
     spectrum_gain,
 )
+from otafl.errors import FieldError
 from otafl.grid import GridConfig
 
 P = 71_666  # reference parameter count
@@ -218,3 +219,15 @@ def test_gains_table_slots_scale_linearly():
     np.testing.assert_array_equal(slopes, 87)
     ota = [r for r in rows if r["mode"] == "ota"]
     assert all(r["slots"] == 10 for r in ota)
+
+
+@pytest.mark.parametrize("build, field", [
+    (lambda: EnergyModel(tx_power_dbm=5000.0), "tx_power_dbm"),
+    (lambda: EnergyModel(fixed_overhead=-1.0), "fixed_overhead"),
+    (lambda: SpectralProfile((7.4, 0.0)), "efficiencies"),
+    (lambda: SpectralProfile.uniform(7.4, 0), "efficiencies"),
+])
+def test_accounting_parts_name_the_field_they_reject(build, field):
+    with pytest.raises(FieldError) as exc:
+        build()
+    assert exc.value.field == field

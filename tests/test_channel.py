@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from otafl.channel import ChannelModel, decorrelate, realize_channel, superpose
+from otafl.errors import FieldError
 from otafl.grid import TimeSignal
 
 
@@ -136,3 +137,9 @@ def test_superpose_rejects_a_nan_noise_variance():
     sig = TimeSignal(np.ones(4, dtype=complex), 1.0)
     with pytest.raises(ValueError, match="noise_variance"):
         superpose([(sig, 0)], np.nan, seed=0)
+
+
+def test_channel_model_names_its_kind():
+    with pytest.raises(FieldError, match="^kind 'two_ray' is not one of ideal, ") as exc:
+        ChannelModel("two_ray")
+    assert exc.value.field == "kind"

@@ -10,6 +10,7 @@ from otafl.csi import (
     ls_estimate,
     nmse,
     quantize_estimate,
+    quantizer_levels,
 )
 from otafl.grid import GridConfig
 
@@ -266,3 +267,21 @@ def test_quantize_validation():
     with pytest.raises(ValueError, match="float range"):
         quantize_estimate(est, 1025)  # 2 ** 1024 - 1 levels is past float range
     assert np.isfinite(quantize_estimate(est, 1024)).all()
+    # the step, not the full scale, is floored: an all-zero row at 80 bits
+    # and a 1e-295 row at 1024 bits used to quantize to NaN
+    zero = quantize_estimate(np.zeros((1, 3), dtype=complex), 80)
+    assert np.isfinite(zero).all() and not zero.any()
+    small = quantize_estimate(np.full((1, 3), 1e-295 - 1e-295j), 1024)
+    assert np.isfinite(small).all()
+    np.testing.assert_allclose(small, 1e-295 - 1e-295j, rtol=1e-12)
+
+
+@pytest.mark.parametrize("bits, levels", [(0, 0.0), (2, 1.0), (8, 127.0), (1024, 2.0**1023 - 1)])
+def test_quantizer_levels(bits, levels):
+    assert quantizer_levels(bits) == levels
+
+
+@pytest.mark.parametrize("bits", [-1, 1, 1025])
+def test_quantizer_levels_rejects_bits_without_a_level_in_float_range(bits):
+    with pytest.raises(ValueError):
+        quantizer_levels(bits)

@@ -5,6 +5,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from otafl.errors import FieldError
 from otafl.fl import (
     OPTIMIZERS,
     RoundState,
@@ -12,6 +13,7 @@ from otafl.fl import (
     TrainConfig,
     apply_global,
     average_deltas,
+    check_task_shape,
     compute_delta,
     evaluate_loss,
     fedavg_digital,
@@ -370,3 +372,44 @@ def test_round_state_coerces_dtype():
     state = RoundState(theta=[1, 2, 3])
     assert state.theta.dtype == np.float64
     assert state.round_index == 0
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(learning_rate=0.0), "learning_rate"),
+    (dict(epochs=-1), "epochs"),
+    (dict(batch_size=-1), "batch_size"),
+    (dict(optimizer="rmsprop"), "optimizer"),
+])
+def test_train_config_names_the_one_field_it_rejects(kwargs, field):
+    with pytest.raises(FieldError) as exc:
+        TrainConfig(**kwargs)
+    assert exc.value.field == field
+
+
+SHAPE = dict(kind="mlp_classification", samples_per_ue=8, features=4, heterogeneity=0.5,
+             noise_std=0.1, classes=3, hidden=2)
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("kind", "ridge"), ("samples_per_ue", 0), ("features", 0), ("heterogeneity", -0.1),
+    ("heterogeneity", np.nan), ("noise_std", -0.1), ("classes", 1), ("hidden", 0),
+])
+def test_task_shape_names_the_argument_it_rejects(field, bad):
+    check_task_shape(**SHAPE)
+    with pytest.raises(FieldError) as exc:
+        check_task_shape(**{**SHAPE, field: bad})
+    assert exc.value.field == field
+
+
+def test_linear_task_shape_ignores_the_mlp_arguments():
+    check_task_shape(**{**SHAPE, "kind": "linear_regression", "classes": 0, "hidden": 0})
+
+
+def test_task_rejects_its_kind_and_hidden_by_field():
+    """``Task`` shares the kind and hidden-unit rule with the shape check."""
+    with pytest.raises(FieldError) as exc:
+        Task("ridge", np.ones((2, 2)), np.ones(2))
+    assert exc.value.field == "kind"
+    with pytest.raises(FieldError) as exc:
+        Task("mlp_classification", np.ones((3, 2)), np.ones((3, 2)), hidden=0)
+    assert exc.value.field == "hidden"

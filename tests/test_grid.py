@@ -5,6 +5,7 @@ import dataclasses
 import numpy as np
 import pytest
 
+from otafl.errors import FieldError
 from otafl.grid import (
     GridConfig,
     TimeSignal,
@@ -323,3 +324,18 @@ def test_detect_rejects_short_signal():
     p = gold_sequence(0)
     with pytest.raises(ValueError):
         detect_frame(TimeSignal(np.zeros(100, dtype=complex), 1.0), p)
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(subcarriers=0), "subcarriers"),
+    (dict(symbols_per_slot=0), "symbols_per_slot"),
+    (dict(subcarriers=300), "fft_size"),
+    (dict(cp_len=256), "cp_len"),
+    (dict(cp_len=-1), "cp_len"),
+    (dict(subcarrier_spacing=0.0), "subcarrier_spacing"),
+    (dict(subcarrier_spacing=np.inf), "subcarrier_spacing"),
+])
+def test_grid_config_names_the_one_field_it_rejects(kwargs, field):
+    with pytest.raises(FieldError, match=f"^{field} ") as exc:
+        GridConfig(**kwargs)
+    assert exc.value.field == field

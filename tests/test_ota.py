@@ -11,9 +11,11 @@ from otafl.channel import ChannelModel, superpose
 from otafl.csi import ls_estimate
 from otafl.precode import MARGIN, compute_alpha
 from otafl.grid import PREAMBLE_LEN, GridConfig, TimeSignal, ofdm_demodulate
+from otafl.errors import FieldError
 from otafl.ota import (
     DETECT_THRESHOLD,
     PhyConfig,
+    check_run,
     data_seeds,
     derive_seed,
     initial_state,
@@ -1242,3 +1244,63 @@ def test_phy_config_validation():
         PhyConfig(peak_power=2.0)
     with pytest.raises(TypeError):
         PhyConfig(margin=0.5)
+
+
+def test_phy_config_rejects_an_infinite_floor_at_construction():
+    """An infinite floor used to be accepted and to fail mid-round."""
+    with pytest.raises(FieldError, match="^floor_rel must be >= 0 and finite") as exc:
+        PhyConfig(floor_rel=np.inf)
+    assert exc.value.field == "floor_rel"
+
+
+@pytest.mark.parametrize("grid, sync, field", [
+    (GridConfig(), SyncConfig(ptp_bound_s=1e300), "sync.ptp_bound_s"),
+    (GridConfig(subcarrier_spacing=1e300), SyncConfig(), "sync.ptp_bound_s"),  # rate is inf
+    (GridConfig(subcarrier_spacing=1e12), SyncConfig(), "sync.ptp_bound_s"),
+    (GridConfig(), SyncConfig(mode="ptp_off", off_spread=3809), "sync.off_spread"),
+    (SMALL_GRID, SyncConfig(mode="ptp_off", off_spread=161), "sync.off_spread"),
+])
+def test_phy_config_caps_the_offset_bound_at_one_slot(grid, sync, field):
+    with pytest.raises(FieldError, match=r"past one slot's \d+$") as exc:
+        PhyConfig(grid=grid, sync=sync)
+    assert exc.value.field == field
+    with pytest.raises(FieldError):  # replace re-runs the check
+        replace(PhyConfig(grid=grid), sync=sync)
+
+
+def test_phy_config_accepts_an_offset_bound_of_one_slot():
+    assert GridConfig().slot_len == 3808 and SMALL_GRID.slot_len == 160
+    PhyConfig(sync=SyncConfig(mode="ptp_off", off_spread=3808))
+    PhyConfig(grid=SMALL_GRID, sync=SyncConfig(mode="ptp_off", off_spread=160))
+    PhyConfig(sync=SyncConfig(ptp_bound_s=3808 / 3.84e6 * (1 - 1e-12)))
+    # without PTP the sample rate never enters the bound
+    PhyConfig(grid=GridConfig(subcarrier_spacing=1e300), sync=SyncConfig(mode="ptp_off"))
+
+
+@pytest.mark.parametrize("kwargs, field", [
+    (dict(mode="hybrid"), "mode"),
+    (dict(rounds=0), "rounds"),
+    (dict(master_seed=-1), "master_seed"),
+    (dict(num_ues=0), "num_ues"),
+    (dict(num_ues=130), "num_ues"),
+    (dict(num_ues=130, mode="digital_fp32"), "num_ues"),
+    (dict(num_ues=33, phy=_ideal_phy()), "num_ues"),
+])
+def test_check_run_names_the_argument_it_rejects(kwargs, field):
+    args = dict(phy=PhyConfig(), num_ues=5, mode="ota", rounds=1, master_seed=0)
+    check_run(**args)
+    with pytest.raises(FieldError) as exc:
+        check_run(**{**args, **kwargs})
+    assert exc.value.field == field
+
+
+def test_experiments_and_aggregation_share_the_run_rules():
+    tasks = _make_tasks(2, samples=8, features=4)
+    with pytest.raises(FieldError, match="^rounds "):
+        run_experiment("ota", 0, tasks, fl.TrainConfig(), _ideal_phy(), 0)
+    with pytest.raises(FieldError, match="^mode "):
+        run_experiment("hybrid", 1, tasks, fl.TrainConfig(), _ideal_phy(), 0)
+    with pytest.raises(FieldError, match="^num_ues "):
+        ota_aggregate([np.ones(4)] * 33, _ideal_phy())  # comb on 32 subcarriers
+    # tdm_full pilots lift the comb limit but not the preamble family's
+    ota_aggregate([np.ones(4)] * 33, _ideal_phy(pilot_allocation="tdm_full"))

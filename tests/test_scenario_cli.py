@@ -1,12 +1,16 @@
 """Scenario grammar, builders and the command-line front end."""
 
 import dataclasses
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from otafl import fl, scenario
 from otafl.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, SCHEMA_VERSION, main
+from otafl.errors import FieldError
 from otafl.scenario import (
+    _PATHS,
     KEYMAP,
     Scenario,
     ScenarioError,
@@ -20,6 +24,8 @@ from otafl.scenario import (
     serialize,
     sync_sweep,
 )
+
+SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 TINY = """\
 # two clients on a reduced grid, noise-free uplink
@@ -199,6 +205,97 @@ FLOAT_KEYS = [key for key, field in KEYMAP.items() if _TYPES[field].startswith("
 def test_non_finite_floats_name_their_key(key, bad):
     with pytest.raises(ScenarioError, match=rf"key '{key}': must be finite"):
         parse(f"{key} = {bad}")
+
+
+# One value per key that the component owning the key rejects, each on the
+# default scenario (``task.classes`` and ``task.hidden`` on the MLP family).
+MLP = "task.kind = mlp_classification\n"
+REJECTED = {
+    "mode": "hybrid", "rounds": "0", "num_ues": "0", "master_seed": "-1",
+    "task.kind": "ridge", "task.samples_per_ue": "0", "task.features": "0",
+    "task.heterogeneity": "-0.5", "task.noise_std": "-0.1",
+    "task.classes": MLP + "1", "task.hidden": MLP + "0",
+    "train.learning_rate": "0", "train.epochs": "-1", "train.batch_size": "-1",
+    "train.optimizer": "rmsprop",
+    "grid.subcarriers": "0", "grid.symbols_per_slot": "0",
+    "grid.subcarrier_spacing_hz": "0", "grid.fft_size": "128", "grid.cp_len": "-1",
+    "channel.kind": "two_ray", "link.tx_power_dbm": "5000",
+    "sync.mode": "gps", "sync.ptp_bound_s": "-1e-6", "sync.off_spread": "-1",
+    "sync.distribution": "laplace", "sync.phase_offset_rad": "-0.1",
+    "phy.uplink_snr_db": "4000", "phy.csi_mode": "oracle", "phy.pilot_allocation": "random",
+    "phy.scale_mode": "max", "phy.floor_rel": "-0.1", "phy.decorrelation": "1.5",
+    "phy.feedback_quant_bits": "1",
+    "acct.spectral_efficiency": "0", "acct.fixed_overhead": "-1",
+}
+
+
+def test_every_checked_key_and_every_mapped_field_has_a_rejected_value():
+    """``name`` is free text; every other key is checked by the component
+    that reads it.  The mapping table lists only keys that are not
+    ``<group>.<field>`` of the component that rejects them."""
+    assert set(REJECTED) == set(KEYMAP) - {"name"}
+    assert set(_PATHS) <= set(REJECTED)
+    assert all(path != key for key, path in _PATHS.items())
+
+
+@pytest.mark.parametrize("key", sorted(REJECTED))
+def test_a_component_rejection_names_its_key(key):
+    """The value is rejected by the component that owns it, as a
+    ``FieldError``, and the scenario error names the key instead."""
+    prefix, _, bad = REJECTED[key].rpartition("\n")
+    with pytest.raises(ScenarioError, match=rf"^key '{key}': ") as exc:
+        parse(f"{prefix}\n{key} = {bad}\n")
+    assert isinstance(exc.value.__context__, FieldError)
+
+
+@pytest.mark.parametrize("text", [
+    "sync.ptp_bound_s = 1e300",
+    "grid.subcarrier_spacing_hz = 1e300",  # the sample rate itself overflows to inf
+    "sync.ptp_bound_s = 0.000992",  # ceil(3809.28) samples at 3.84 MS/s
+    "sync.mode = ptp_off\nsync.off_spread = 3809",
+])
+def test_an_offset_bound_past_one_slot_exits_2_naming_the_key(tmp_path, capsys, text):
+    """``PhyConfig`` caps the offset bound at one slot, 14 x 272 = 3808
+    samples on the default grid, from float arithmetic before any ceil, so
+    an infinite bound raises no OverflowError.  The key is the one that
+    sets the bound: ``sync.ptp_bound_s`` with PTP, ``sync.off_spread``
+    without."""
+    path = _tiny_file(tmp_path, f"rounds = 1\nnum_ues = 2\n{text}\n", "late.cfg")
+    assert main(["run", str(path)]) == EXIT_CONFIG
+    out, err = capsys.readouterr()
+    key = "sync.off_spread" if "ptp_off" in text else "sync.ptp_bound_s"
+    assert f"error: key '{key}': " in err and "past one slot's 3808" in err
+    assert out == ""
+
+
+def test_a_memory_sized_offset_bound_is_rejected_at_parse():
+    """A 1 THz spacing makes a 2.56e8-sample bound under PTP; the cap
+    rejects it from its arithmetic alone, so no test ever runs a round of it."""
+    with pytest.raises(ScenarioError, match=r"^key 'sync.ptp_bound_s': 1e-06 gives offsets up "
+                                            r"to 256000000.0 samples"):
+        parse("grid.subcarrier_spacing_hz = 1e12")
+
+
+def test_an_offset_bound_of_one_slot_parses():
+    assert parse("sync.ptp_bound_s = 0.000991").sync_ptp_bound_s == 0.000991  # 3806 samples
+    assert parse("sync.mode = ptp_off\nsync.off_spread = 3808").sync_off_spread == 3808
+    assert parse("sync.mode = ptp_off\ngrid.subcarrier_spacing_hz = 1e300").sync_mode == "ptp_off"
+
+
+def test_parse_draws_no_task_data(monkeypatch):
+    """Parsing builds every component but the clients' datasets, which are
+    44 MB each at paper scale."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("parse drew task data")
+
+    for module in (fl, scenario):
+        monkeypatch.setattr(module, "make_linear_task", refuse)
+        monkeypatch.setattr(module, "make_blobs_task", refuse)
+    for path in sorted(SCENARIOS.glob("*.cfg")):
+        sc = parse_file(path)
+        with pytest.raises(AssertionError, match="parse drew task data"):
+            build_tasks(sc)
+    assert len(list(SCENARIOS.glob("*.cfg"))) == 3
 
 
 # ---------------------------------------------------------------- builders
@@ -498,6 +595,23 @@ def test_cli_sync_sweep_rejects_a_repeated_spread(tmp_path, capsys):
     captured = capsys.readouterr()
     assert "offset spread 4 is listed more than once" in captured.err
     assert captured.out == "" and not out.exists()
+
+
+def test_cli_sync_sweep_rejects_a_spread_past_one_slot(tmp_path, capsys):
+    """The sweep rebuilds the phy at every spread, so ``PhyConfig``'s cap
+    applies: one slot of the tiny grid is 4 x (32 + 8) = 160 samples.  Every
+    spread is checked before any client trains."""
+    scenario = _tiny_file(tmp_path)
+    out = tmp_path / "sweep.csv"
+    rc = main(["sync-sweep", str(scenario), "--spreads", "8,161",
+               "--seeds", "2", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert ("key 'sync.off_spread': 161 gives offsets up to 161 samples" in captured.err
+            and "past one slot's 160" in captured.err)
+    assert captured.out == "" and not out.exists()
+    rows = sync_sweep(parse(TINY), spreads=[160], n_seeds=1)
+    assert rows[0]["spread_samples"] == 160 and np.isfinite(rows[0]["mean_agg_nmse_db"])
 
 
 def test_parse_file_round_trip(tmp_path):

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from otafl.channel import superpose
+from otafl.errors import FieldError
 from otafl.grid import TimeSignal, gold_sequence
 from otafl.sync import (
     DEFAULT_PTP_BOUND_S,
@@ -11,6 +12,7 @@ from otafl.sync import (
     draw_offsets,
     draw_phase_offsets,
     offset_bound,
+    offset_reach,
     peak_spread,
     spread_of,
 )
@@ -145,3 +147,22 @@ def test_peak_spread_with_noise_and_gains():
 def test_peak_spread_validation():
     with pytest.raises(ValueError):
         peak_spread(TimeSignal(np.zeros(200, dtype=complex), RATE), [])
+
+
+@pytest.mark.parametrize("field, bad", [
+    ("mode", "gps"), ("distribution", "laplace"), ("ptp_bound_s", -1e-6),
+    ("off_spread", -1), ("phase_offset_rad", np.inf),
+])
+def test_sync_config_names_the_field_it_rejects(field, bad):
+    with pytest.raises(FieldError) as exc:
+        SyncConfig(**{field: bad})
+    assert exc.value.field == field
+
+
+def test_offset_reach_is_the_float_bound_and_its_field():
+    """The bound before rounding up, so an infinite sample rate gives inf
+    instead of an OverflowError in ``math.ceil``."""
+    assert offset_reach(SyncConfig(), RATE) == ("ptp_bound_s", DEFAULT_PTP_BOUND_S * RATE)
+    assert offset_reach(SyncConfig(), np.inf) == ("ptp_bound_s", np.inf)
+    assert offset_reach(SyncConfig(mode="ptp_off", off_spread=7), np.inf) == ("off_spread", 7)
+    assert offset_bound(SyncConfig(), RATE) == 4
