@@ -15,7 +15,6 @@ from .accounting import (
     gains_table,
     ota_slots,
     round_energy,
-    spectrum_gain,
 )
 from .channel import ChannelModel, realize_channel, superpose
 from .csi import interpolate, ls_estimate, nmse
@@ -27,7 +26,6 @@ from .fl import (
     average_deltas,
     compute_delta,
     evaluate_loss,
-    fedavg_digital,
     init_params,
     local_train,
     make_blobs_task,
@@ -51,15 +49,14 @@ from .ota import (
     run_experiment,
 )
 from .precode import channel_invert, compute_alpha, inversion_floor
-from .scenario import Scenario, ScenarioError, parse, parse_file, run_scenario, serialize
-from .sync import SyncConfig, draw_offsets, offset_bound, peak_spread
+from .scenario import Scenario, ScenarioError, parse, parse_file, run_scenario
+from .sync import SyncConfig, draw_offsets, offset_bound
 from .weightcodec import (
     map_to_grids,
     pack_complex,
     scale_updates,
     slot_plan,
     unmap_from_grids,
-    unscale_updates,
 )
 
 __version__ = "0.1.0"
@@ -72,13 +69,12 @@ __all__ = [
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",
     "average_deltas", "channel_invert", "compute_alpha",
     "compute_delta", "detect_frame", "digital_slots", "draw_offsets",
-    "energy_gain", "evaluate_loss", "fedavg_digital", "gains_table",
+    "energy_gain", "evaluate_loss", "gains_table",
     "gold_sequence", "init_params", "interpolate", "inversion_floor",
     "local_train", "ls_estimate", "make_blobs_task", "make_linear_task",
     "make_pilot_values", "map_to_grids", "nmse", "ofdm_demodulate",
     "ofdm_modulate", "offset_bound", "ota_aggregate", "ota_slots",
-    "pack_complex", "parse", "parse_file", "peak_spread", "realize_channel",
+    "pack_complex", "parse", "parse_file", "realize_channel",
     "round_energy", "run_experiment", "run_scenario", "scale_updates",
-    "serialize", "slot_plan", "spectrum_gain", "superpose", "unmap_from_grids",
-    "unscale_updates",
+    "slot_plan", "superpose", "unmap_from_grids",
 ]

@@ -107,12 +107,6 @@ def ota_slots(param_count: int, cfg: GridConfig = GridConfig()) -> int:
     return slot_plan(param_count, cfg)
 
 
-def spectrum_gain(param_count: int, bits_per_param: int, profile: SpectralProfile,
-                  cfg: GridConfig = GridConfig()) -> float:
-    """Slot ratio digital / analog for one round."""
-    return digital_slots(param_count, bits_per_param, profile, cfg) / ota_slots(param_count, cfg)
-
-
 def round_energy(num_ues: int, slots_per_ue: int, model: EnergyModel = EnergyModel()) -> float:
     """Joules per round: fixed overhead plus every client's transmit slots."""
     if num_ues < 1 or slots_per_ue < 0:

@@ -35,7 +35,7 @@ from .accounting import (
     EnergyModel,
     gains_table,
 )
-from .scenario import Scenario, ScenarioError, parse_file, run_scenario, sync_sweep, validate
+from .scenario import Scenario, parse_file, run_scenario, sync_sweep, validate
 
 SCHEMA_VERSION = 1
 
@@ -228,7 +228,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ScenarioError, FileNotFoundError, ValueError) as exc:
+    except (OSError, ValueError) as exc:  # ScenarioError is a ValueError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

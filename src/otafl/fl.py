@@ -291,13 +291,6 @@ def apply_global(global_theta: np.ndarray, avg_delta: np.ndarray) -> np.ndarray:
     return np.asarray(global_theta, dtype=np.float64) + np.asarray(avg_delta, dtype=np.float64)
 
 
-def fedavg_digital(local_models: list[np.ndarray]) -> np.ndarray:
-    """Bit-exact digital baseline: elementwise mean of the local models."""
-    if not local_models:
-        raise ValueError("need at least one local model")
-    return np.mean(np.stack(local_models, axis=0), axis=0)
-
-
 # ---------------------------------------------------------------------------
 # synthetic data
 

@@ -347,10 +347,15 @@ def _payload_frame(
     and within a delay in ascending order: a client is packed into one of
     two reused blocks, its per-subcarrier peaks are read from the packed
     block, and it is precoded by gain * phase / divisor and summed into the
-    delay's first block, which is modulated once.  alpha is common to every
-    client and the air sum is linear, so the summed payload is scaled by
-    alpha once, in place; the preamble chips, which are not
-    power-controlled, are added after that.
+    delay's first block.  Modulation is linear, so each distinct delay (at
+    most ``offset_bound + 1`` under PTP) is modulated once, and no array
+    holds more than two clients' blocks, however many clients there are.
+    alpha is common to every client and the air sum is linear, so the
+    summed payload is scaled by alpha once, in place; the preamble chips,
+    which are not power-controlled, are added after that, since a late
+    client's chips can run past the preamble region into the payload.
+    The body carries no pilot symbol: a superposed pilot would show only
+    the sum channel, which per-client inversion cannot use.
     """
     run = slice(ues.start, ues.stop)
     cfg = phy.grid
@@ -661,19 +666,7 @@ def train_configs(
     ]
 
 
-def round_updates(
-    state: fl.RoundState,
-    tasks: list[fl.Task],
-    template: fl.TrainConfig,
-    master_seed: int,
-) -> list[np.ndarray]:
-    """Local training for one round; returns the per-UE delta updates."""
-    return _train_deltas(
-        state, tasks, train_configs(template, len(tasks), master_seed, state.round_index)
-    )
-
-
-def _train_deltas(
+def train_deltas(
     state: fl.RoundState, tasks: list[fl.Task], train_cfgs: list[fl.TrainConfig]
 ) -> list[np.ndarray]:
     """Every client trains from the global model and returns its delta.
@@ -736,7 +729,7 @@ def run_ota_round(
     energy_model: EnergyModel = EnergyModel(),
 ) -> tuple[fl.RoundState, RoundTrace]:
     """One full analog round: train, aggregate over the air, apply."""
-    deltas = _train_deltas(state, tasks, train_cfgs)
+    deltas = train_deltas(state, tasks, train_cfgs)
     report = ota_aggregate(deltas, phy, master_seed, state.round_index)
     return _finish_round(
         state, tasks, report.recovered, report.aborted,
@@ -760,7 +753,7 @@ def run_digital_round(
     """Digital FedAvg baseline round (fp32 exact or int8-quantized uploads)."""
     if mode not in DIGITAL_BITS:
         raise ValueError(f"not a digital mode: {mode!r}")
-    deltas = _train_deltas(state, tasks, train_cfgs)
+    deltas = train_deltas(state, tasks, train_cfgs)
     exact = fl.average_deltas(deltas)
     if mode == "digital_int8":
         sent = fl.average_deltas([_int8_dequantize(d) for d in deltas])

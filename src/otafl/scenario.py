@@ -12,9 +12,7 @@ A scenario is plain text, one dotted key per line, ``#`` comments allowed:
 
 Unknown keys, duplicate keys and malformed values are rejected with the
 line number and key named in the error.  Every key has a default, so the
-empty string parses to a runnable baseline.  ``serialize`` emits all keys
-in a fixed order with round-trippable number formatting, which makes
-parse(serialize(x)) == x.
+empty string parses to a runnable baseline.
 """
 
 from __future__ import annotations
@@ -48,8 +46,9 @@ from .ota import (
     data_seeds,
     initial_state,
     ota_aggregate,
-    round_updates,
     run_experiment,
+    train_configs,
+    train_deltas,
 )
 from .sync import SyncConfig
 
@@ -166,14 +165,6 @@ def _parse_value(key: str, field: str, raw: str, line_no: int):
         ) from None
 
 
-def _format_value(value) -> str:
-    if value is None:
-        return "none"
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def parse(text: str) -> Scenario:
     """Parse scenario text; raises :class:`ScenarioError` with line numbers."""
     overrides: dict[str, object] = {}
@@ -204,15 +195,6 @@ def parse(text: str) -> Scenario:
 def parse_file(path) -> Scenario:
     with open(path, encoding="utf-8") as fh:
         return parse(fh.read())
-
-
-def serialize(scenario: Scenario) -> str:
-    """Fixed-order text form; ``parse(serialize(s)) == s``."""
-    lines = [
-        f"{key} = {_format_value(getattr(scenario, field))}"
-        for key, field in KEYMAP.items()
-    ]
-    return "\n".join(lines) + "\n"
 
 
 def validate(sc: Scenario) -> None:
@@ -354,7 +336,7 @@ def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
         master = sc.master_seed + k
         tasks = build_tasks(sc, master)
         state = initial_state(tasks, master)
-        deltas = round_updates(state, tasks, train, master)
+        deltas = train_deltas(state, tasks, train_configs(train, len(tasks), master, 0))
         for s in spreads:
             report = ota_aggregate(deltas, phys[s], master, 0)
             per_spread[s].append(report.agg_nmse_db)

@@ -1,4 +1,4 @@
-"""Timing-offset models for the uplink and correlation-peak diagnostics.
+"""Timing-offset models for the uplink.
 
 With PTP synchronization the residual host clock error is bounded by about
 one microsecond, which at 3.84 MS/s is at most four samples -- safely inside
@@ -15,7 +15,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import FieldError, check_choice
-from .grid import TimeSignal, detect_frame
 
 MODES = ("ptp_on", "ptp_off")
 DISTRIBUTIONS = ("uniform", "trunc_gauss")
@@ -87,24 +86,3 @@ def draw_phase_offsets(cfg: SyncConfig, num_ues: int, seed) -> np.ndarray:
         return np.zeros(num_ues)
     rng = np.random.default_rng(seed)
     return rng.uniform(-cfg.phase_offset_rad, cfg.phase_offset_rad, size=num_ues)
-
-
-def peak_spread(signal: TimeSignal, preambles: list[np.ndarray]) -> list[tuple[int, int]]:
-    """Correlation argmax offset for each UE's preamble in a composite signal.
-
-    Returns (ue_id, offset) pairs in UE order; the spread max - min of the
-    offsets measures how far apart the uplink arrivals landed.
-    """
-    if not preambles:
-        raise ValueError("need at least one preamble")
-    out = []
-    for ue, p in enumerate(preambles):
-        offset, _ = detect_frame(signal, p)
-        out.append((ue, offset))
-    return out
-
-
-def spread_of(offsets: list[tuple[int, int]]) -> int:
-    """max - min helper over (ue, offset) pairs."""
-    vals = [o for _, o in offsets]
-    return max(vals) - min(vals)

@@ -72,14 +72,6 @@ def scale_updates(
     return out, scales
 
 
-def unscale_updates(values: np.ndarray, scales: tuple[float, float]) -> np.ndarray:
-    """Inverse of :func:`scale_updates` for a known scale pair."""
-    out = np.asarray(values, dtype=np.float64).copy()
-    out[0::2] *= scales[0]
-    out[1::2] *= scales[1]
-    return out
-
-
 def pack_complex(values: np.ndarray) -> np.ndarray:
     """Pair consecutive reals into complex symbols, zero-padding odd tails."""
     v = np.asarray(values, dtype=np.float64)

@@ -28,7 +28,6 @@ from otafl.accounting import (
     digital_slots_raw,
     energy_gain,
     ota_slots,
-    spectrum_gain,
 )
 from otafl.channel import ChannelModel, superpose
 from otafl.cli import main
@@ -41,7 +40,7 @@ from otafl.grid import (
 )
 from otafl.ota import PhyConfig, data_seeds, ota_aggregate, run_experiment
 from otafl.scenario import parse, sync_sweep
-from otafl.sync import SyncConfig, draw_offsets, peak_spread, spread_of
+from otafl.sync import SyncConfig, draw_offsets
 from otafl.weightcodec import (
     map_to_grids,
     pack_complex,
@@ -49,6 +48,7 @@ from otafl.weightcodec import (
     slot_plan,
     unmap_from_grids,
 )
+from oracles import peak_spread, spectrum_gain, spread_of
 
 
 def _verdict(criterion: str, ok: bool, detail: str) -> None:

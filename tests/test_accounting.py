@@ -22,10 +22,10 @@ from otafl.accounting import (
     gains_table,
     ota_slots,
     round_energy,
-    spectrum_gain,
 )
 from otafl.errors import FieldError
 from otafl.grid import GridConfig
+from oracles import spectrum_gain
 
 P = 71_666  # reference parameter count
 FMT = GridConfig()  # 14 x 256 resource elements

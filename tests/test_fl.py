@@ -16,13 +16,13 @@ from otafl.fl import (
     check_task_shape,
     compute_delta,
     evaluate_loss,
-    fedavg_digital,
     init_params,
     local_train,
     loss_and_grad,
     make_blobs_task,
     make_linear_task,
 )
+from oracles import fedavg_digital
 
 
 def _fd_gradient(theta, task, h=1e-5):

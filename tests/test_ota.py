@@ -20,10 +20,10 @@ from otafl.ota import (
     derive_seed,
     initial_state,
     ota_aggregate,
-    round_updates,
     run_experiment,
     run_ota_round,
     train_configs,
+    train_deltas,
 )
 from otafl.sync import SyncConfig, draw_offsets, offset_bound
 from otafl.weightcodec import (
@@ -1118,7 +1118,7 @@ def test_zero_exact_average_reads_0_db_when_anything_was_sent(monkeypatch):
     b = 3 * rng.normal(size=4)
     deltas = [a, b, -(a + b)]
     assert fl.average_deltas(deltas).tobytes() == bytes(32)
-    monkeypatch.setattr(ota, "_train_deltas", lambda state, tasks, cfgs: deltas)
+    monkeypatch.setattr(ota, "train_deltas", lambda state, tasks, cfgs: deltas)
     tasks = _make_tasks(3, features=4)
     state = initial_state(tasks, master_seed=0)
     cfgs = train_configs(fl.TrainConfig(), 3, master_seed=0, round_index=0)
@@ -1199,7 +1199,7 @@ def test_carried_gradient_count_must_match_tasks():
 def test_round_updates_shape_and_effect():
     tasks = _make_tasks(3)
     state = initial_state(tasks, master_seed=0)
-    deltas = round_updates(state, tasks, fl.TrainConfig(epochs=1), master_seed=0)
+    deltas = train_deltas(state, tasks, train_configs(fl.TrainConfig(epochs=1), 3, 0, 0))
     assert len(deltas) == 3
     assert all(d.shape == (16,) for d in deltas)
     assert all(np.linalg.norm(d) > 0 for d in deltas)

@@ -14,10 +14,10 @@ PACKAGE_DIR = Path(otafl.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
 BENCH_SPANS = TESTS_DIR.parent / "bench" / "spans.py"
 BENCH_WORKLOADS = TESTS_DIR.parent / "bench" / "workloads.py"
+ORACLES = TESTS_DIR / "oracles.py"
 
 TRACED_BY_BENCH = "traced by bench/spans.py"
 READ_BY_WORKLOADS = "read by bench/workloads.py"
-TEST_ORACLE = "test oracle"
 
 # Public functions and classes that no code in the package calls, other than
 # code that is itself uncalled, each with the reason it stays.  The list can
@@ -25,19 +25,13 @@ TEST_ORACLE = "test oracle"
 # listed name that gains a caller.
 PIPELINE_FREE = {
     "accounting.format_from_grid": READ_BY_WORKLOADS,
-    "accounting.spectrum_gain": TEST_ORACLE,
     "channel.superpose": TRACED_BY_BENCH,
     "fl.evaluate_loss": TRACED_BY_BENCH,
-    "fl.fedavg_digital": TEST_ORACLE,
     "grid.ofdm_modulate": TRACED_BY_BENCH,
     "precode.channel_invert": TRACED_BY_BENCH,
-    "scenario.serialize": TEST_ORACLE,
-    "sync.peak_spread": TEST_ORACLE,
-    "sync.spread_of": TEST_ORACLE,
     "weightcodec.map_to_grids": TRACED_BY_BENCH,
     "weightcodec.pack_complex": TRACED_BY_BENCH,
     "weightcodec.scale_updates": TRACED_BY_BENCH,
-    "weightcodec.unscale_updates": TEST_ORACLE,
 }
 
 
@@ -191,20 +185,41 @@ def test_uncalled_public_name_check_sees_a_caller_gained_or_lost(tmp_path):
 
 
 def test_pipeline_free_reasons_hold():
-    """A traced name is in ``TRACED``, a workload name is read by
-    ``bench/workloads.py`` and an oracle is called by some test."""
+    """A traced name is in ``TRACED`` and a workload name is read by
+    ``bench/workloads.py``."""
     traced = {f"{module}.{fn}" for module, fns in _bench_traced().values() for fn in fns}
     workloads = BENCH_WORKLOADS.read_text(encoding="utf-8")
-    tests = "\n".join(path.read_text(encoding="utf-8")
-                      for path in TESTS_DIR.glob("test_*.py") if path.name != "test_package.py")
     wrong = []
     for name, reason in PIPELINE_FREE.items():
         called = re.compile(rf"\b{name.rpartition('.')[2]}\(")
         holds = {
             TRACED_BY_BENCH: name in traced,
             READ_BY_WORKLOADS: called.search(workloads) is not None,
-            TEST_ORACLE: called.search(tests) is not None,
         }.get(reason, False)
         if not holds:
             wrong.append(f"{name}: {reason}")
     assert wrong == []
+
+
+def _top_level_defs(source: str) -> list[str]:
+    return [node.name for node in ast.parse(source).body
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
+
+
+def test_oracles_are_called_by_tests_and_defined_only_there():
+    """Every public function in ``tests/oracles.py`` is called by some test
+    module, and no function of that file is defined again in the package."""
+    oracles = _top_level_defs(ORACLES.read_text(encoding="utf-8"))
+    tests = "\n".join(path.read_text(encoding="utf-8")
+                      for path in TESTS_DIR.glob("test_*.py") if path.name != "test_package.py")
+    uncalled = [name for name in oracles
+                if not name.startswith("_") and not re.search(rf"\b{name}\(", tests)]
+    redefined = {
+        f"{path.stem}.{name}"
+        for path in PACKAGE_DIR.glob("*.py")
+        for name in _top_level_defs(path.read_text(encoding="utf-8"))
+        if name in oracles
+    }
+    assert oracles
+    assert uncalled == []
+    assert redefined == set()

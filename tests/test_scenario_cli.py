@@ -21,9 +21,9 @@ from otafl.scenario import (
     parse,
     parse_file,
     run_scenario,
-    serialize,
     sync_sweep,
 )
+from oracles import serialize
 
 SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
@@ -524,6 +524,19 @@ def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, arg
 def test_cli_run_missing_file(tmp_path, capsys):
     assert main(["run", str(tmp_path / "nope.cfg")]) == EXIT_CONFIG
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv", [
+    ["run", "{dir}"],
+    ["run", "{cfg}", "--out", "{dir}"],
+    ["accounting", "--params", "64", "--m-range", "2..2", "--out", "{dir}"],
+    ["sync-sweep", "{cfg}", "--spreads", "0", "--seeds", "1", "--out", "{dir}"],
+])
+def test_cli_directory_as_scenario_or_out_exits_2(tmp_path, capsys, argv):
+    paths = {"cfg": _tiny_file(tmp_path), "dir": tmp_path}
+    assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and "Traceback" not in err
 
 
 def test_cli_run_invalid_scenario(tmp_path, capsys):

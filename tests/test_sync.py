@@ -13,9 +13,8 @@ from otafl.sync import (
     draw_phase_offsets,
     offset_bound,
     offset_reach,
-    peak_spread,
-    spread_of,
 )
+from oracles import peak_spread, spread_of
 
 RATE = 3.84e6
 
