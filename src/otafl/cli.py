@@ -14,6 +14,12 @@ Three subcommands:
     Re-aggregate one round's updates under increasing timing-offset
     spreads and report mean aggregation NMSE per spread.
 
+Each command checks its scenario and flags, then opens ``--out``, then
+does its work, so an unusable ``--out`` exits before any round runs and
+prints nothing.  A command whose work fails after ``--out`` was opened
+removes that file: a failed command leaves no CSV at ``--out``, and a file
+that was there before is gone.
+
 Exit codes: 0 on success, 2 for unusable configuration or arguments, 3
 when a run produced only aborted rounds (nothing was ever aggregated).
 All CSV output is UTF-8 with LF line endings, a leading schema_version
@@ -24,18 +30,15 @@ files from one run to the next, in the same process or a fresh one.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import dataclasses
 import math
 import sys
+from pathlib import Path
 
-from .accounting import (
-    DEFAULT_FIXED_OVERHEAD,
-    DEFAULT_SPECTRAL_EFFICIENCY,
-    EnergyModel,
-    gains_table,
-)
-from .scenario import Scenario, parse_file, run_scenario, sync_sweep, validate
+from .accounting import DEFAULT_SPECTRAL_EFFICIENCY, EnergyModel, gains_table
+from .scenario import Scenario, build, parse_file, run_scenario, sync_sweep
 
 SCHEMA_VERSION = 1
 
@@ -50,12 +53,27 @@ def _fmt(value) -> str:
     return str(value)
 
 
-def _write_csv(path: str, header: list[str], rows: list[list]) -> None:
+@contextlib.contextmanager
+def _csv_out(path: str | None):
+    """Open ``path`` before the command's work and yield ``write(header,
+    rows)``, which does nothing without a path.  If the work fails, the
+    file is removed."""
+    if not path:
+        yield lambda header, rows: None
+        return
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(header)
-        for row in rows:
-            writer.writerow([_fmt(v) for v in row])
+
+        def write(header: list[str], rows: list[list]) -> None:
+            writer.writerow(header)
+            writer.writerows([_fmt(v) for v in row] for row in rows)
+
+        try:
+            yield write
+        except BaseException:
+            if Path(path).is_file():  # never a device such as /dev/null
+                Path(path).unlink()
+            raise
 
 
 def _parse_range(text: str) -> range:
@@ -92,19 +110,18 @@ def _parse_spreads(text: str) -> list[int]:
 
 
 def _load_scenario(args) -> Scenario:
-    """The scenario file with ``--seed`` and ``--rounds`` set on its keys, validated."""
+    """The scenario file with ``--seed`` and ``--rounds`` set on its keys, built."""
     overrides = {"master_seed": args.seed, "rounds": getattr(args, "rounds", None)}
     sc = parse_file(args.scenario)
     sc = dataclasses.replace(sc, **{k: v for k, v in overrides.items() if v is not None})
-    validate(sc)
+    build(sc)
     return sc
 
 
 def _cmd_run(args) -> int:
     sc = _load_scenario(args)
-    result = run_scenario(sc)
-    aborted = sum(t.aborted for t in result.traces)
-    if args.out:
+    with _csv_out(args.out) as write:
+        result = run_scenario(sc)
         rows = [
             [
                 SCHEMA_VERSION, sc.name, t.mode, t.round_index, t.agg_nmse_db,
@@ -112,12 +129,12 @@ def _cmd_run(args) -> int:
             ]
             for t in result.traces
         ]
-        _write_csv(
-            args.out,
+        write(
             ["schema_version", "scenario", "mode", "round", "agg_nmse_db",
              "global_loss", "alpha", "slots", "energy_j", "aborted"],
             rows,
         )
+    aborted = sum(t.aborted for t in result.traces)
     final_loss = result.traces[-1].global_loss
     # aborted rounds deliver nothing, so their 0 dB would only dilute the mean
     delivered = [t.agg_nmse_db for t in result.traces if not t.aborted]
@@ -151,29 +168,30 @@ def _cmd_accounting(args) -> int:
         [SCHEMA_VERSION, r["num_ues"], r["mode"], r["slots"], r["gain"], r["energy_j"]]
         for r in rows
     ]
+    with _csv_out(args.out) as write:
+        write(header, table)
     print(f"{'M':>4} {'mode':>8} {'slots':>8} {'gain':>12} {'energy_J':>14}")
     for r in rows:
         print(f"{r['num_ues']:>4} {r['mode']:>8} {r['slots']:>8} "
               f"{_fmt(r['gain']):>12} {_fmt(r['energy_j']):>14}")
     if args.out:
-        _write_csv(args.out, header, table)
         print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_sync_sweep(args) -> int:
     sc = _load_scenario(args)
-    rows = sync_sweep(sc, args.spreads, args.seeds)
-    header = ["schema_version", "spread_samples", "mean_agg_nmse_db", "seeds"]
+    with _csv_out(args.out) as write:
+        rows = sync_sweep(sc, args.spreads, args.seeds)
+        write(
+            ["schema_version", "spread_samples", "mean_agg_nmse_db", "seeds"],
+            [[SCHEMA_VERSION, r["spread_samples"], r["mean_agg_nmse_db"], r["seeds"]]
+             for r in rows],
+        )
     print(f"{'spread':>8} {'mean NMSE (dB)':>16} {'seeds':>6}")
     for r in rows:
         print(f"{r['spread_samples']:>8} {_fmt(r['mean_agg_nmse_db']):>16} {r['seeds']:>6}")
     if args.out:
-        _write_csv(
-            args.out, header,
-            [[SCHEMA_VERSION, r["spread_samples"], r["mean_agg_nmse_db"], r["seeds"]]
-             for r in rows],
-        )
         print(f"wrote {args.out}")
     return EXIT_OK
 
@@ -203,8 +221,8 @@ def build_parser() -> argparse.ArgumentParser:
                        help="client counts as A..B inclusive (default 2..20)")
     p_acc.add_argument("--efficiency", type=_finite_float, default=DEFAULT_SPECTRAL_EFFICIENCY,
                        help="digital spectral efficiency, bits per resource element")
-    p_acc.add_argument("--tx-power-dbm", type=_finite_float, default=20.0)
-    p_acc.add_argument("--overhead", type=_finite_float, default=DEFAULT_FIXED_OVERHEAD,
+    p_acc.add_argument("--tx-power-dbm", type=_finite_float, default=EnergyModel.tx_power_dbm)
+    p_acc.add_argument("--overhead", type=_finite_float, default=EnergyModel.fixed_overhead,
                        help="fixed per-round overhead in slot energies")
     p_acc.add_argument("--out", default=None, help="write the table as CSV here")
     p_acc.set_defaults(func=_cmd_accounting)

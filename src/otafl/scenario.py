@@ -22,9 +22,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from . import sync as _sync
 from .accounting import (
-    DEFAULT_FIXED_OVERHEAD,
     DEFAULT_SPECTRAL_EFFICIENCY,
     EnergyModel,
     SpectralProfile,
@@ -37,7 +35,6 @@ from .channel import ChannelModel
 from .errors import FieldError
 from .fl import Task, TrainConfig, check_task_shape, make_blobs_task, make_linear_task, model_size
 from .grid import GridConfig
-from .precode import DEFAULT_FLOOR_REL as _DEFAULT_FLOOR
 from .ota import (
     DIGITAL_BITS,
     ExperimentResult,
@@ -73,36 +70,36 @@ class Scenario:
     task_classes: int = 4
     task_hidden: int = 16
 
-    train_learning_rate: float = 0.1
-    train_epochs: int = 1
-    train_batch_size: int = 0
-    train_optimizer: str = "sgd"
+    train_learning_rate: float = TrainConfig.learning_rate
+    train_epochs: int = TrainConfig.epochs
+    train_batch_size: int = TrainConfig.batch_size
+    train_optimizer: str = TrainConfig.optimizer
 
-    grid_subcarriers: int = 256
-    grid_symbols_per_slot: int = 14
-    grid_subcarrier_spacing_hz: float = 15e3
-    grid_fft_size: int = 256
-    grid_cp_len: int = 16
+    grid_subcarriers: int = GridConfig.subcarriers
+    grid_symbols_per_slot: int = GridConfig.symbols_per_slot
+    grid_subcarrier_spacing_hz: float = GridConfig.subcarrier_spacing
+    grid_fft_size: int = GridConfig.fft_size
+    grid_cp_len: int = GridConfig.cp_len
 
     channel_kind: str = "flat_block"
-    link_tx_power_dbm: float = 20.0
+    link_tx_power_dbm: float = EnergyModel.tx_power_dbm
 
-    sync_mode: str = "ptp_on"
-    sync_ptp_bound_s: float = _sync.DEFAULT_PTP_BOUND_S
-    sync_off_spread: int = 0
-    sync_distribution: str = "uniform"
-    sync_phase_offset_rad: float = 0.0
+    sync_mode: str = SyncConfig.mode
+    sync_ptp_bound_s: float = SyncConfig.ptp_bound_s
+    sync_off_spread: int = SyncConfig.off_spread
+    sync_distribution: str = SyncConfig.distribution
+    sync_phase_offset_rad: float = SyncConfig.phase_offset_rad
 
-    phy_uplink_snr_db: float | None = 20.0
-    phy_csi_mode: str = "estimated"
-    phy_pilot_allocation: str = "fdm_comb"
-    phy_scale_mode: str = "common"
-    phy_floor_rel: float = _DEFAULT_FLOOR
-    phy_decorrelation: float = 0.0
-    phy_feedback_quant_bits: int = 0
+    phy_uplink_snr_db: float | None = PhyConfig.uplink_snr_db
+    phy_csi_mode: str = PhyConfig.csi_mode
+    phy_pilot_allocation: str = PhyConfig.pilot_allocation
+    phy_scale_mode: str = PhyConfig.scale_mode
+    phy_floor_rel: float = PhyConfig.floor_rel
+    phy_decorrelation: float = PhyConfig.decorrelation
+    phy_feedback_quant_bits: int = PhyConfig.feedback_quant_bits
 
     acct_spectral_efficiency: float = DEFAULT_SPECTRAL_EFFICIENCY
-    acct_fixed_overhead: float = DEFAULT_FIXED_OVERHEAD
+    acct_fixed_overhead: float = EnergyModel.fixed_overhead
 
 
 # Key groups: a field named ``<group>_<rest>`` is set by the key ``<group>.<rest>``.
@@ -121,9 +118,9 @@ _KEY_OF = {field: key for key, field in KEYMAP.items()}
 _FIELD_TYPES = {f.name: f.type for f in dataclasses.fields(Scenario)}
 
 # The key "<group>.<rest>" sets the field <rest> of the component part
-# <group>, except these keys, which set the "<part>.<field>" given.  The
-# builders read this one table from keys to fields, and ``validate`` reads
-# it back from a rejected field to its key.
+# <group>, except these keys, which set the "<part>.<field>" given.
+# ``build`` reads this one table from keys to fields when it builds the
+# components, and back from a rejected field to its key.
 _PATHS = {
     "grid.subcarrier_spacing_hz": "grid.subcarrier_spacing",
     "link.tx_power_dbm": "energy.tx_power_dbm",
@@ -188,7 +185,7 @@ def parse(text: str) -> Scenario:
         field = KEYMAP[key]
         overrides[field] = _parse_value(key, field, raw, line_no)
     scenario = Scenario(**overrides)
-    validate(scenario)
+    build(scenario)
     return scenario
 
 
@@ -197,16 +194,30 @@ def parse_file(path) -> Scenario:
         return parse(fh.read())
 
 
-def validate(sc: Scenario) -> None:
-    """Check a scenario by building every component that reads it, in
+# ---------------------------------------------------------------------------
+# builders
+
+
+@dataclass(frozen=True)
+class Components:
+    """Every component a scenario builds, each checked by its own rules."""
+
+    phy: PhyConfig
+    train: TrainConfig
+    energy: EnergyModel
+    profile: SpectralProfile
+
+
+def build(sc: Scenario) -> Components:
+    """Build every component that reads the scenario, once each and in
     dependency order, without drawing task data.  Each component checks its
     own fields; the error names the key of the value it rejects."""
     def fail(key: str, why: str):
         raise ScenarioError(f"key {key!r}: {why}")
 
-    def keyed(part: str | None, build, *args, **kwargs):
+    def keyed(part: str | None, make, *args, **kwargs):
         try:
-            return build(*args, **kwargs)
+            return make(*args, **kwargs)
         except FieldError as exc:  # a dotted field already starts with its part
             path = exc.field if part is None or "." in exc.field else f"{part}.{exc.field}"
             fail(_KEY_OF_PATH.get(path, path), exc.reason)
@@ -216,48 +227,28 @@ def validate(sc: Scenario) -> None:
         if ftype.startswith("float") and v is not None and not math.isfinite(v):
             fail(_KEY_OF[field], f"must be finite, got {v!r}")
     keyed("task", check_task_shape, **_fields(sc, "task"))
-    keyed("grid", build_grid, sc)
-    keyed("sync", build_sync, sc)
-    keyed("channel", ChannelModel, **_fields(sc, "channel"))
-    phy = keyed("phy", build_phy, sc)
+    grid = keyed("grid", GridConfig, **_fields(sc, "grid"))
+    sync = keyed("sync", SyncConfig, **_fields(sc, "sync"))
+    channel = keyed("channel", ChannelModel, **_fields(sc, "channel"))
+    phy = keyed("phy", PhyConfig, grid=grid, channel=channel, sync=sync, **_fields(sc, "phy"))
     keyed(None, check_run, phy, sc.num_ues, sc.mode, sc.rounds, sc.master_seed)
-    keyed("train", build_train, sc)
-    model = keyed("energy", build_energy_model, sc)
+    train = keyed("train", TrainConfig, **_fields(sc, "train"))
+    energy = keyed("energy", EnergyModel, **_fields(sc, "energy"))
     profile = keyed("profile", SpectralProfile.uniform, sc.acct_spectral_efficiency, sc.num_ues)
     params = model_size(sc.task_kind, sc.task_features, sc.task_hidden, sc.task_classes)
     if sc.mode != "ota":  # every client's upload in turn, billed as a digital round is
         try:
-            slots = digital_slots(params, DIGITAL_BITS[sc.mode], profile, phy.grid)
+            slots = digital_slots(params, DIGITAL_BITS[sc.mode], profile, grid)
         except ValueError as exc:
             fail("acct.spectral_efficiency", str(exc))
     try:
         if sc.mode == "ota":
-            round_energy(sc.num_ues, ota_slots(params, phy.grid), model)
+            round_energy(sc.num_ues, ota_slots(params, grid), energy)
         else:
-            digital_round_energy(slots, model)
+            digital_round_energy(slots, energy)
     except ValueError as exc:
         fail("link.tx_power_dbm", str(exc))
-
-
-# ---------------------------------------------------------------------------
-# builders
-
-
-def build_grid(sc: Scenario) -> GridConfig:
-    return GridConfig(**_fields(sc, "grid"))
-
-
-def build_sync(sc: Scenario) -> SyncConfig:
-    return SyncConfig(**_fields(sc, "sync"))
-
-
-def build_phy(sc: Scenario) -> PhyConfig:
-    return PhyConfig(
-        grid=build_grid(sc),
-        channel=ChannelModel(**_fields(sc, "channel")),
-        sync=build_sync(sc),
-        **_fields(sc, "phy"),
-    )
+    return Components(phy, train, energy, profile)
 
 
 def build_tasks(sc: Scenario, master_seed: int | None = None) -> list[Task]:
@@ -287,25 +278,18 @@ def build_tasks(sc: Scenario, master_seed: int | None = None) -> list[Task]:
     return tasks
 
 
-def build_train(sc: Scenario) -> TrainConfig:
-    return TrainConfig(**_fields(sc, "train"))
-
-
-def build_energy_model(sc: Scenario) -> EnergyModel:
-    return EnergyModel(**_fields(sc, "energy"))
-
-
 def run_scenario(sc: Scenario) -> ExperimentResult:
     """Build every component from the scenario and run the experiment."""
+    parts = build(sc)
     return run_experiment(
         mode=sc.mode,
         rounds=sc.rounds,
         tasks=build_tasks(sc),
-        train_template=build_train(sc),
-        phy=build_phy(sc),
+        train_template=parts.train,
+        phy=parts.phy,
         master_seed=sc.master_seed,
-        profile=SpectralProfile.uniform(sc.acct_spectral_efficiency, sc.num_ues),
-        energy_model=build_energy_model(sc),
+        profile=parts.profile,
+        energy_model=parts.energy,
     )
 
 
@@ -324,13 +308,12 @@ def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
     repeats = [s for i, s in enumerate(spreads) if s in spreads[:i]]
     if repeats:
         raise ScenarioError(f"offset spread {repeats[0]} is listed more than once")
+    train = build(sc).train  # the scenario's own keys are named before any spread
     phys = {}
     for s in spreads:  # a spread is checked as the key sync.off_spread
         swept = dataclasses.replace(sc, sync_mode="ptp_off", sync_off_spread=s,
                                     sync_distribution="uniform")
-        validate(swept)
-        phys[s] = build_phy(swept)
-    train = build_train(sc)
+        phys[s] = build(swept).phy
     per_spread: dict[int, list[float]] = {s: [] for s in spreads}
     for k in range(n_seeds):
         master = sc.master_seed + k

@@ -66,10 +66,6 @@ def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed) -> np.
         raise ValueError("num_ues must be >= 1")
     bound = offset_bound(cfg, sample_rate)
     rng = np.random.default_rng(seed)
-    if bound == 0:
-        # keep the draw count stable so downstream streams do not shift
-        rng.random(num_ues)
-        return np.zeros(num_ues, dtype=np.int64)
     if cfg.distribution == "uniform":
         u = rng.random(num_ues)
         offs = np.floor(u * (bound + 1)).astype(np.int64)

@@ -201,6 +201,31 @@ def test_pipeline_free_reasons_hold():
     assert wrong == []
 
 
+# What ``scenario.build`` makes of a scenario, each in one place.
+BUILT_BY_SCENARIO = ("GridConfig", "SyncConfig", "ChannelModel", "PhyConfig", "TrainConfig",
+                     "EnergyModel", "SpectralProfile.uniform")
+
+
+def _build_sites(source: str) -> dict[str, list[str]]:
+    """For each name in ``BUILT_BY_SCENARIO``, the top-level definition of
+    every call that calls it or passes it on to be called
+    (``keyed("grid", GridConfig, ...)``).  Reading a class attribute such
+    as ``GridConfig.subcarriers`` for a default builds nothing."""
+    sites = defaultdict(list)
+    for top in ast.parse(source).body:
+        for node in ast.walk(top):
+            if isinstance(node, ast.Call):
+                for callee in (node.func, *node.args):
+                    if (name := ast.unparse(callee)) in BUILT_BY_SCENARIO:
+                        sites[name].append(getattr(top, "name", "<module>"))
+    return dict(sites)
+
+
+def test_a_scenario_builds_each_component_once_inside_build():
+    source = (PACKAGE_DIR / "scenario.py").read_text(encoding="utf-8")
+    assert _build_sites(source) == {name: ["build"] for name in BUILT_BY_SCENARIO}
+
+
 def _top_level_defs(source: str) -> list[str]:
     return [node.name for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]

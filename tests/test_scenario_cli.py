@@ -1,12 +1,13 @@
 """Scenario grammar, builders and the command-line front end."""
 
 import dataclasses
+import os
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otafl import fl, scenario
+from otafl import cli, fl, scenario
 from otafl.cli import EXIT_CONFIG, EXIT_DEGENERATE, EXIT_OK, SCHEMA_VERSION, main
 from otafl.errors import FieldError
 from otafl.scenario import (
@@ -14,10 +15,8 @@ from otafl.scenario import (
     KEYMAP,
     Scenario,
     ScenarioError,
-    build_energy_model,
-    build_phy,
+    build,
     build_tasks,
-    build_train,
     parse,
     parse_file,
     run_scenario,
@@ -305,10 +304,10 @@ def test_build_phy_wires_the_link_budget():
     """The link budget is the receiver SNR plus the transmit power, which
     only the energy bill reads."""
     sc = parse(TINY)
-    phy = build_phy(sc)
+    phy = build(sc).phy
     assert phy.grid.subcarriers == 32
     assert phy.grid.sample_rate == 32 * 15e3
-    assert build_energy_model(sc).tx_power_dbm == 20.0
+    assert build(sc).energy.tx_power_dbm == 20.0
     assert phy.uplink_snr_db is None
     assert phy.sync.mode == "ptp_on"
     assert phy.channel.kind == "flat_block"
@@ -327,9 +326,9 @@ def test_build_tasks_deterministic_and_heterogeneous():
 
 def test_build_train_and_energy_model():
     sc = parse("train.learning_rate = 0.02\ntrain.epochs = 3\nlink.tx_power_dbm = 23")
-    train = build_train(sc)
+    train = build(sc).train
     assert train.learning_rate == 0.02 and train.epochs == 3
-    model = build_energy_model(sc)
+    model = build(sc).energy
     assert model.slot_energy_j == pytest.approx(10 ** ((23 - 30) / 10) * 1e-3)
 
 
@@ -339,6 +338,18 @@ def test_run_scenario_smoke():
     assert len(result.traces) == 2
     assert not result.all_aborted
     assert result.traces[0].slots_used == 1  # 8 params fit one reduced slot
+
+
+@pytest.mark.parametrize("field, value, key", [
+    ("grid_cp_len", 300, "grid.cp_len"),
+    ("phy_floor_rel", -1.0, "phy.floor_rel"),
+    ("num_ues", 0, "num_ues"),
+])
+def test_run_scenario_names_the_key_of_a_scenario_that_skipped_parse(field, value, key):
+    """A ``Scenario`` constructed directly reaches the pipeline only through
+    ``build``, so a rejected value names its key, as ``parse`` would."""
+    with pytest.raises(ScenarioError, match=rf"^key '{key}': "):
+        run_scenario(Scenario(**{field: value}))
 
 
 # key -> (non-default value, overrides that let the key act)
@@ -455,6 +466,15 @@ def test_sync_sweep_validation():
         sync_sweep(sc, spreads=[8, 4, 0, 4], n_seeds=2)
 
 
+def test_sync_sweep_names_the_scenario_key_before_any_spread():
+    """The scenario is built before its spreads, so its own rejected key is
+    named even when a spread, 256 on the tiny grid's 160-sample slot, is
+    out of range too."""
+    sc = dataclasses.replace(parse(TINY), master_seed=-1)
+    with pytest.raises(ScenarioError, match=r"^key 'master_seed': "):
+        sync_sweep(sc, spreads=[256], n_seeds=1)
+
+
 # --------------------------------------------------------------------- cli
 
 
@@ -532,11 +552,33 @@ def test_cli_run_missing_file(tmp_path, capsys):
     ["accounting", "--params", "64", "--m-range", "2..2", "--out", "{dir}"],
     ["sync-sweep", "{cfg}", "--spreads", "0", "--seeds", "1", "--out", "{dir}"],
 ])
-def test_cli_directory_as_scenario_or_out_exits_2(tmp_path, capsys, argv):
+def test_cli_directory_as_scenario_or_out_exits_2(tmp_path, capsys, monkeypatch, argv):
+    """``--out`` is opened before the work, so an unusable one runs and
+    prints nothing."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("the work ran before --out was opened")
+
+    monkeypatch.setattr(cli, "run_scenario", refuse)
+    monkeypatch.setattr(cli, "sync_sweep", refuse)
     paths = {"cfg": _tiny_file(tmp_path), "dir": tmp_path}
     assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
-    err = capsys.readouterr().err
+    out, err = capsys.readouterr()
     assert err.startswith("error:") and "Traceback" not in err
+    assert out == ""
+
+
+def test_cli_a_command_that_fails_after_opening_out_removes_it(tmp_path, capsys):
+    """Only a regular file is removed: a link to the null device stays."""
+    scenario = _tiny_file(tmp_path)
+    out = tmp_path / "sweep.csv"
+    out.write_text("an earlier sweep\n", encoding="utf-8")
+    null = tmp_path / "null"
+    null.symlink_to(os.devnull)
+    for path in (out, null):
+        rc = main(["sync-sweep", str(scenario), "--spreads", "4,4",
+                   "--seeds", "1", "--out", str(path)])
+        assert rc == EXIT_CONFIG
+    assert not out.exists() and null.is_symlink()
 
 
 def test_cli_run_invalid_scenario(tmp_path, capsys):
