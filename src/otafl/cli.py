@@ -38,7 +38,7 @@ import sys
 from pathlib import Path
 
 from .accounting import DEFAULT_SPECTRAL_EFFICIENCY, EnergyModel, gains_table
-from .scenario import Scenario, build, parse_file, run_scenario, sync_sweep
+from .scenario import Components, build, parse_file, run_scenario, sync_sweep
 
 SCHEMA_VERSION = 1
 
@@ -109,22 +109,21 @@ def _parse_spreads(text: str) -> list[int]:
     return spreads
 
 
-def _load_scenario(args) -> Scenario:
-    """The scenario file with ``--seed`` and ``--rounds`` set on its keys, built."""
+def _load_scenario(args) -> Components:
+    """The scenario file with ``--seed`` and ``--rounds`` set on its keys, checked by one build."""
     overrides = {"master_seed": args.seed, "rounds": getattr(args, "rounds", None)}
     sc = parse_file(args.scenario)
     sc = dataclasses.replace(sc, **{k: v for k, v in overrides.items() if v is not None})
-    build(sc)
-    return sc
+    return build(sc)
 
 
 def _cmd_run(args) -> int:
-    sc = _load_scenario(args)
+    parts = _load_scenario(args)
     with _csv_out(args.out) as write:
-        result = run_scenario(sc)
+        result = run_scenario(parts)
         rows = [
             [
-                SCHEMA_VERSION, sc.name, t.mode, t.round_index, t.agg_nmse_db,
+                SCHEMA_VERSION, parts.scenario.name, t.mode, t.round_index, t.agg_nmse_db,
                 t.global_loss, t.alpha, t.slots_used, t.energy_j, int(t.aborted),
             ]
             for t in result.traces
@@ -139,7 +138,7 @@ def _cmd_run(args) -> int:
     # aborted rounds deliver nothing, so their 0 dB would only dilute the mean
     delivered = [t.agg_nmse_db for t in result.traces if not t.aborted]
     mean_nmse = f"{_fmt(sum(delivered) / len(delivered))} dB" if delivered else "n/a"
-    print(f"scenario    : {sc.name} ({result.mode})")
+    print(f"scenario    : {parts.scenario.name} ({result.mode})")
     print(f"rounds      : {len(result.traces)} ({aborted} aborted)")
     print(f"final loss  : {_fmt(final_loss)}")
     print(f"mean NMSE   : {mean_nmse}")
@@ -180,9 +179,9 @@ def _cmd_accounting(args) -> int:
 
 
 def _cmd_sync_sweep(args) -> int:
-    sc = _load_scenario(args)
+    parts = _load_scenario(args)
     with _csv_out(args.out) as write:
-        rows = sync_sweep(sc, args.spreads, args.seeds)
+        rows = sync_sweep(parts, args.spreads, args.seeds)
         write(
             ["schema_version", "spread_samples", "mean_agg_nmse_db", "seeds"],
             [[SCHEMA_VERSION, r["spread_samples"], r["mean_agg_nmse_db"], r["seeds"]]

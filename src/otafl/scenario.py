@@ -163,7 +163,7 @@ def _parse_value(key: str, field: str, raw: str, line_no: int):
 
 
 def parse(text: str) -> Scenario:
-    """Parse scenario text; raises :class:`ScenarioError` with line numbers."""
+    """Read scenario text; bad syntax, keys or types raise :class:`ScenarioError` by line."""
     overrides: dict[str, object] = {}
     seen: dict[str, int] = {}
     for line_no, line in enumerate(text.splitlines(), start=1):
@@ -184,13 +184,12 @@ def parse(text: str) -> Scenario:
         seen[key] = line_no
         field = KEYMAP[key]
         overrides[field] = _parse_value(key, field, raw, line_no)
-    scenario = Scenario(**overrides)
-    build(scenario)
-    return scenario
+    return Scenario(**overrides)
 
 
 def parse_file(path) -> Scenario:
-    with open(path, encoding="utf-8") as fh:
+    """Read a scenario file as :func:`parse` does, skipping a UTF-8 byte-order mark."""
+    with open(path, encoding="utf-8-sig") as fh:
         return parse(fh.read())
 
 
@@ -200,8 +199,9 @@ def parse_file(path) -> Scenario:
 
 @dataclass(frozen=True)
 class Components:
-    """Every component a scenario builds, each checked by its own rules."""
+    """A scenario and every component it builds, each checked by its own rules."""
 
+    scenario: Scenario
     phy: PhyConfig
     train: TrainConfig
     energy: EnergyModel
@@ -209,9 +209,9 @@ class Components:
 
 
 def build(sc: Scenario) -> Components:
-    """Build every component that reads the scenario, once each and in
-    dependency order, without drawing task data.  Each component checks its
-    own fields; the error names the key of the value it rejects."""
+    """The one check of a scenario's values: build every component that
+    reads it, once each and in dependency order, without drawing task data.
+    Each component checks its own fields; the error names the key."""
     def fail(key: str, why: str):
         raise ScenarioError(f"key {key!r}: {why}")
 
@@ -248,7 +248,7 @@ def build(sc: Scenario) -> Components:
             digital_round_energy(slots, energy)
     except ValueError as exc:
         fail("link.tx_power_dbm", str(exc))
-    return Components(phy, train, energy, profile)
+    return Components(sc, phy, train, energy, profile)
 
 
 def build_tasks(sc: Scenario, master_seed: int | None = None) -> list[Task]:
@@ -278,9 +278,9 @@ def build_tasks(sc: Scenario, master_seed: int | None = None) -> list[Task]:
     return tasks
 
 
-def run_scenario(sc: Scenario) -> ExperimentResult:
-    """Build every component from the scenario and run the experiment."""
-    parts = build(sc)
+def run_scenario(parts: Components) -> ExperimentResult:
+    """Run the experiment of a built scenario on its components."""
+    sc = parts.scenario
     return run_experiment(
         mode=sc.mode,
         rounds=sc.rounds,
@@ -293,7 +293,7 @@ def run_scenario(sc: Scenario) -> ExperimentResult:
     )
 
 
-def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
+def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict]:
     """Mean aggregation NMSE against injected timing-offset spread.
 
     For each seed the round-0 updates are trained once and pushed through
@@ -301,14 +301,15 @@ def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
     offset bound is held fixed across spreads (common random numbers), and
     the uniform offsets themselves are coupled so they scale monotonically
     with the bound; the sweep therefore isolates the timing effect.
-    Results are means over seeds of the per-run NMSE in dB.
+    Results are means over seeds of the per-run NMSE in dB, an aborted
+    aggregation counted at 0 dB (the ``run`` summary leaves it out).
     """
     if n_seeds < 1:
         raise ScenarioError("sync_sweep needs n_seeds >= 1")
     repeats = [s for i, s in enumerate(spreads) if s in spreads[:i]]
     if repeats:
         raise ScenarioError(f"offset spread {repeats[0]} is listed more than once")
-    train = build(sc).train  # the scenario's own keys are named before any spread
+    sc = parts.scenario
     phys = {}
     for s in spreads:  # a spread is checked as the key sync.off_spread
         swept = dataclasses.replace(sc, sync_mode="ptp_off", sync_off_spread=s,
@@ -319,7 +320,7 @@ def sync_sweep(sc: Scenario, spreads: list[int], n_seeds: int) -> list[dict]:
         master = sc.master_seed + k
         tasks = build_tasks(sc, master)
         state = initial_state(tasks, master)
-        deltas = train_deltas(state, tasks, train_configs(train, len(tasks), master, 0))
+        deltas = train_deltas(state, tasks, train_configs(parts.train, len(tasks), master, 0))
         for s in spreads:
             report = ota_aggregate(deltas, phys[s], master, 0)
             per_spread[s].append(report.agg_nmse_db)

@@ -39,7 +39,7 @@ from otafl.grid import (
     ofdm_modulate,
 )
 from otafl.ota import PhyConfig, data_seeds, ota_aggregate, run_experiment
-from otafl.scenario import parse, sync_sweep
+from otafl.scenario import build, parse, sync_sweep
 from otafl.sync import SyncConfig, draw_offsets
 from otafl.weightcodec import (
     map_to_grids,
@@ -282,7 +282,7 @@ def test_criterion_6_synchronization():
         "task.samples_per_ue = 128\n"
         "phy.uplink_snr_db = 60\n"
     )
-    rows = sync_sweep(sc, spreads=[256, 64, 16, 4, 0], n_seeds=20)
+    rows = sync_sweep(build(sc), spreads=[256, 64, 16, 4, 0], n_seeds=20)
     curve = [r["mean_agg_nmse_db"] for r in rows]
     monotone = all(b <= a + 1e-9 for a, b in zip(curve, curve[1:]))
     elapsed = time.time() - t0

@@ -9,6 +9,7 @@ from pathlib import Path
 import pytest
 
 import otafl
+from otafl import cli, scenario
 
 PACKAGE_DIR = Path(otafl.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
@@ -224,6 +225,65 @@ def _build_sites(source: str) -> dict[str, list[str]]:
 def test_a_scenario_builds_each_component_once_inside_build():
     source = (PACKAGE_DIR / "scenario.py").read_text(encoding="utf-8")
     assert _build_sites(source) == {name: ["build"] for name in BUILT_BY_SCENARIO}
+
+
+# Every call of ``scenario.build`` in the package, as (module.function, the
+# iterable of the innermost ``for`` around it): a command builds its
+# scenario once, and a sync sweep builds each of its spreads.
+BUILD_CALLS = [("cli._load_scenario", None), ("scenario.sync_sweep", "spreads")]
+
+
+def _build_calls(sources: dict[str, str]) -> list[tuple[str, str | None]]:
+    """For each ``build(...)`` or ``scenario.build(...)`` call in the
+    modules' sources, its top-level definition and innermost loop."""
+    found = []
+
+    def visit(node, where, loop):
+        if isinstance(node, ast.Call) and ast.unparse(node.func) in ("build", "scenario.build"):
+            found.append((where, loop))
+        for child in ast.iter_child_nodes(node):
+            visit(child, where, ast.unparse(node.iter) if isinstance(node, ast.For) else loop)
+
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            visit(top, f"{module}.{getattr(top, 'name', '<module>')}", None)
+    return found
+
+
+def test_build_call_check_sees_a_parser_or_a_run_that_builds():
+    source = ("def parse(text):\n    return build(text)\n\n\n"
+              "def run_scenario(parts):\n    return scenario.build(parts.scenario)\n\n\n"
+              "def sweep(parts, spreads):\n    for s in spreads:\n        build(s)\n")
+    assert _build_calls({"scenario": source}) == [
+        ("scenario.parse", None), ("scenario.run_scenario", None), ("scenario.sweep", "spreads")]
+
+
+def test_only_the_cli_loader_and_the_sweeps_spread_loop_build():
+    """``parse``, ``parse_file`` and ``run_scenario`` never build: a command
+    builds its scenario once and hands the components on."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _build_calls(sources) == BUILD_CALLS
+
+
+def test_a_cli_command_builds_once_and_a_sweep_once_per_spread(tmp_path, monkeypatch, capsys):
+    real, built = scenario.build, []
+
+    def counted(sc):
+        built.append(sc)
+        return real(sc)
+
+    monkeypatch.setattr(scenario, "build", counted)
+    monkeypatch.setattr(cli, "build", counted)
+    path = tmp_path / "small.cfg"
+    path.write_text("rounds = 1\nnum_ues = 2\ntask.samples_per_ue = 32\ntask.features = 8\n"
+                    "grid.subcarriers = 32\ngrid.symbols_per_slot = 4\ngrid.fft_size = 32\n"
+                    "grid.cp_len = 8\n", encoding="utf-8")
+    assert cli.main(["run", str(path)]) == cli.EXIT_OK
+    assert len(built) == 1
+    built.clear()
+    assert cli.main(["sync-sweep", str(path), "--spreads", "8,0", "--seeds", "1"]) == cli.EXIT_OK
+    assert len(built) == 3
 
 
 def _top_level_defs(source: str) -> list[str]:

@@ -112,24 +112,24 @@ def test_missing_equals_sign():
 
 def test_choice_errors_name_dotted_key():
     with pytest.raises(ScenarioError, match=r"'mode'"):
-        parse("mode = hybrid")
+        build(parse("mode = hybrid"))
     with pytest.raises(ScenarioError, match=r"'channel.kind'"):
-        parse("channel.kind = two_ray")
+        build(parse("channel.kind = two_ray"))
     with pytest.raises(ScenarioError, match=r"'sync.distribution'"):
-        parse("sync.distribution = laplace")
+        build(parse("sync.distribution = laplace"))
 
 
 def test_cross_field_validation():
     with pytest.raises(ScenarioError, match=r"'grid.fft_size'"):
-        parse("grid.subcarriers = 512")  # default fft stays at 256
+        build(parse("grid.subcarriers = 512"))  # default fft stays at 256
     with pytest.raises(ScenarioError, match=r"'num_ues'"):
-        parse("num_ues = 40\ngrid.subcarriers = 32\ngrid.fft_size = 32")
+        build(parse("num_ues = 40\ngrid.subcarriers = 32\ngrid.fft_size = 32"))
     with pytest.raises(ScenarioError, match=r"'task.classes'"):
-        parse("task.kind = mlp_classification\ntask.classes = 1")
+        build(parse("task.kind = mlp_classification\ntask.classes = 1"))
     with pytest.raises(ScenarioError, match=r"'rounds'"):
-        parse("rounds = 0")
+        build(parse("rounds = 0"))
     with pytest.raises(ScenarioError, match=r"'phy.floor_rel'"):
-        parse("phy.floor_rel = -0.1")
+        build(parse("phy.floor_rel = -0.1"))
 
 
 @pytest.mark.parametrize("base, bad, good, key", [
@@ -149,14 +149,14 @@ def test_cross_field_validation():
 ], ids=["fp32-efficiency", "fp32-two-clients", "fp32-not-int8", "int8-not-ota",
         "ota-energy", "fp32-energy"])
 def test_a_round_bill_past_float_range_names_its_key(base, bad, good, key):
-    """The round the mode runs is billed at parse time: every client's
+    """The round the mode runs is billed when the scenario is built: every client's
     digital upload in turn (8 or 32 bits per parameter) or the one shared
     analog payload, and then that round's energy.  A bill a float cannot
     hold names its key instead of stopping a run mid-way; an efficiency
     the analog round never reads is not checked."""
     with pytest.raises(ScenarioError, match=rf"'{key}'"):
-        parse(base + bad)
-    parse(base + good)
+        build(parse(base + bad))
+    build(parse(base + good))
 
 
 @pytest.mark.parametrize("key, bad, good", [
@@ -178,7 +178,7 @@ def test_a_round_bill_past_float_range_names_its_key(base, bad, good, key):
     ("phy.feedback_quant_bits", "1025", "1024"),
 ])
 def test_unsimulatable_values_name_their_key(key, bad, good):
-    """Values the uplink cannot run fail at parse time, not deep in a round:
+    """Values the uplink cannot run fail when built, not deep in a round:
     a 1-bit quantizer has no nonzero level, the degree-7 Gold family has 129
     preambles, a non-finite SNR or floor silently aborts or unfloors every
     round, as does an SNR whose 10 ** (|snr| / 10) leaves float range, a
@@ -190,8 +190,8 @@ def test_unsimulatable_values_name_their_key(key, bad, good):
     All hold for ``tdm_full`` too; ``none`` stays the noiseless SNR."""
     pilots = "phy.pilot_allocation = tdm_full\n"
     with pytest.raises(ScenarioError, match=rf"'{key}'"):
-        parse(f"{pilots}{key} = {bad}")
-    value = getattr(parse(f"{pilots}{key} = {good}"), KEYMAP[key])
+        build(parse(f"{pilots}{key} = {bad}"))
+    value = getattr(build(parse(f"{pilots}{key} = {good}")).scenario, KEYMAP[key])
     assert value == (None if good == "none" else float(good))
 
 
@@ -203,7 +203,7 @@ FLOAT_KEYS = [key for key, field in KEYMAP.items() if _TYPES[field].startswith("
 @pytest.mark.parametrize("key", FLOAT_KEYS)
 def test_non_finite_floats_name_their_key(key, bad):
     with pytest.raises(ScenarioError, match=rf"key '{key}': must be finite"):
-        parse(f"{key} = {bad}")
+        build(parse(f"{key} = {bad}"))
 
 
 # One value per key that the component owning the key rejects, each on the
@@ -243,7 +243,7 @@ def test_a_component_rejection_names_its_key(key):
     ``FieldError``, and the scenario error names the key instead."""
     prefix, _, bad = REJECTED[key].rpartition("\n")
     with pytest.raises(ScenarioError, match=rf"^key '{key}': ") as exc:
-        parse(f"{prefix}\n{key} = {bad}\n")
+        build(parse(f"{prefix}\n{key} = {bad}\n"))
     assert isinstance(exc.value.__context__, FieldError)
 
 
@@ -272,18 +272,21 @@ def test_a_memory_sized_offset_bound_is_rejected_at_parse():
     rejects it from its arithmetic alone, so no test ever runs a round of it."""
     with pytest.raises(ScenarioError, match=r"^key 'sync.ptp_bound_s': 1e-06 gives offsets up "
                                             r"to 256000000.0 samples"):
-        parse("grid.subcarrier_spacing_hz = 1e12")
+        build(parse("grid.subcarrier_spacing_hz = 1e12"))
 
 
 def test_an_offset_bound_of_one_slot_parses():
-    assert parse("sync.ptp_bound_s = 0.000991").sync_ptp_bound_s == 0.000991  # 3806 samples
-    assert parse("sync.mode = ptp_off\nsync.off_spread = 3808").sync_off_spread == 3808
-    assert parse("sync.mode = ptp_off\ngrid.subcarrier_spacing_hz = 1e300").sync_mode == "ptp_off"
+    def built(text):
+        return build(parse(text)).scenario
+
+    assert built("sync.ptp_bound_s = 0.000991").sync_ptp_bound_s == 0.000991  # 3806 samples
+    assert built("sync.mode = ptp_off\nsync.off_spread = 3808").sync_off_spread == 3808
+    assert built("sync.mode = ptp_off\ngrid.subcarrier_spacing_hz = 1e300").sync_mode == "ptp_off"
 
 
 def test_parse_draws_no_task_data(monkeypatch):
-    """Parsing builds every component but the clients' datasets, which are
-    44 MB each at paper scale."""
+    """Building a parsed file makes every component but the clients'
+    datasets, which are 44 MB each at paper scale."""
     def refuse(*args, **kwargs):
         raise AssertionError("parse drew task data")
 
@@ -291,7 +294,7 @@ def test_parse_draws_no_task_data(monkeypatch):
         monkeypatch.setattr(module, "make_linear_task", refuse)
         monkeypatch.setattr(module, "make_blobs_task", refuse)
     for path in sorted(SCENARIOS.glob("*.cfg")):
-        sc = parse_file(path)
+        sc = build(parse_file(path)).scenario
         with pytest.raises(AssertionError, match="parse drew task data"):
             build_tasks(sc)
     assert len(list(SCENARIOS.glob("*.cfg"))) == 3
@@ -333,7 +336,7 @@ def test_build_train_and_energy_model():
 
 
 def test_run_scenario_smoke():
-    result = run_scenario(parse(TINY))
+    result = run_scenario(build(parse(TINY)))
     assert result.mode == "ota"
     assert len(result.traces) == 2
     assert not result.all_aborted
@@ -347,9 +350,9 @@ def test_run_scenario_smoke():
 ])
 def test_run_scenario_names_the_key_of_a_scenario_that_skipped_parse(field, value, key):
     """A ``Scenario`` constructed directly reaches the pipeline only through
-    ``build``, so a rejected value names its key, as ``parse`` would."""
+    ``build``, so a rejected value names its key, as it does for a parsed file."""
     with pytest.raises(ScenarioError, match=rf"^key '{key}': "):
-        run_scenario(Scenario(**{field: value}))
+        run_scenario(build(Scenario(**{field: value})))
 
 
 # key -> (non-default value, overrides that let the key act)
@@ -412,7 +415,7 @@ def _run_digest(settings: dict) -> str:
     ``alpha`` is left out because the noise follows the received power, so a
     key that only rescales the transmit amplitude changes nothing else.
     """
-    result = run_scenario(parse("".join(f"{k} = {v}\n" for k, v in settings.items())))
+    result = run_scenario(build(parse("".join(f"{k} = {v}\n" for k, v in settings.items()))))
     numbers = [x for t in result.traces
                for x in (t.agg_nmse_db, t.global_loss, t.slots_used, t.energy_j,
                          *t.loss_per_ue)]
@@ -438,7 +441,7 @@ def test_every_scenario_key_changes_a_run():
 
 def test_blobs_scenario_runs():
     text = TINY + "task.kind = mlp_classification\ntask.classes = 3\ntask.hidden = 4\n"
-    result = run_scenario(parse(text))
+    result = run_scenario(build(parse(text)))
     assert len(result.traces) == 2
     assert np.isfinite(result.traces[-1].global_loss)
 
@@ -447,8 +450,8 @@ def test_blobs_scenario_runs():
 
 
 def test_sync_sweep_rows_and_monotonicity():
-    sc = parse(TINY)
-    rows = sync_sweep(sc, spreads=[8, 0], n_seeds=2)
+    parts = build(parse(TINY))
+    rows = sync_sweep(parts, spreads=[8, 0], n_seeds=2)
     assert [r["spread_samples"] for r in rows] == [8, 0]
     assert all(r["seeds"] == 2 for r in rows)
     # zero injected spread cannot be worse than eight samples of it
@@ -456,14 +459,14 @@ def test_sync_sweep_rows_and_monotonicity():
 
 
 def test_sync_sweep_validation():
-    sc = parse(TINY)
+    parts = build(parse(TINY))
     with pytest.raises(ScenarioError):
-        sync_sweep(sc, spreads=[4], n_seeds=0)
+        sync_sweep(parts, spreads=[4], n_seeds=0)
     with pytest.raises(ScenarioError):
-        sync_sweep(sc, spreads=[-1], n_seeds=1)
+        sync_sweep(parts, spreads=[-1], n_seeds=1)
     # a repeated spread would count each seed twice in its one mean
     with pytest.raises(ScenarioError, match="offset spread 4 is listed more than once"):
-        sync_sweep(sc, spreads=[8, 4, 0, 4], n_seeds=2)
+        sync_sweep(parts, spreads=[8, 4, 0, 4], n_seeds=2)
 
 
 def test_sync_sweep_names_the_scenario_key_before_any_spread():
@@ -472,7 +475,28 @@ def test_sync_sweep_names_the_scenario_key_before_any_spread():
     out of range too."""
     sc = dataclasses.replace(parse(TINY), master_seed=-1)
     with pytest.raises(ScenarioError, match=r"^key 'master_seed': "):
-        sync_sweep(sc, spreads=[256], n_seeds=1)
+        sync_sweep(build(sc), spreads=[256], n_seeds=1)
+
+
+def test_sync_sweep_counts_an_aborted_aggregation_at_0_db(monkeypatch):
+    """An aborted aggregation recovers nothing, so it enters the sweep's
+    mean at 0 dB, where the ``run`` summary leaves aborted rounds out."""
+    parts = build(parse(TINY))
+    first_seed = sync_sweep(parts, spreads=[8, 0], n_seeds=1)
+    real, reports = scenario.ota_aggregate, []
+
+    def deaf_second_seed(deltas, phy, master_seed, round_index):
+        if master_seed == parts.scenario.master_seed + 1:
+            phy = dataclasses.replace(phy, uplink_snr_db=-30.0)
+        reports.append(real(deltas, phy, master_seed, round_index))
+        return reports[-1]
+
+    monkeypatch.setattr(scenario, "ota_aggregate", deaf_second_seed)
+    rows = sync_sweep(parts, spreads=[8, 0], n_seeds=2)
+    assert [r.aborted for r in reports] == [False, False, True, True]
+    assert [r.agg_nmse_db for r in reports[2:]] == [0.0, 0.0]
+    assert [r["mean_agg_nmse_db"] for r in rows] == [
+        r["mean_agg_nmse_db"] / 2 for r in first_seed]
 
 
 # --------------------------------------------------------------------- cli
@@ -500,6 +524,25 @@ def test_cli_run_round_and_seed_overrides(tmp_path):
     assert main(["run", str(scenario), "--rounds", "1", "--seed", "5",
                  "--out", str(out)]) == EXIT_OK
     assert len(out.read_text().splitlines()) == 2
+
+
+@pytest.mark.parametrize("line, argv, rows", [
+    ("rounds = 0", ["run", "--rounds", "1"], 1),
+    ("master_seed = -1", ["run", "--seed", "0"], 2),
+    ("master_seed = -1", ["sync-sweep", "--seed", "0", "--spreads", "8,0", "--seeds", "1"], 2),
+], ids=["run-rounds", "run-seed", "sync-sweep-seed"])
+def test_a_flag_rescues_the_file_key_it_replaces(tmp_path, capsys, line, argv, rows):
+    """``--seed`` and ``--rounds`` are set on the file's keys before the
+    scenario is built, so the flag's value is checked in place of the
+    file's: a file rejected alone runs under a good flag."""
+    key = line.partition(" = ")[0]
+    kept = [ln for ln in TINY.splitlines(keepends=True) if not ln.startswith(f"{key} = ")]
+    path = _tiny_file(tmp_path, "".join(kept) + line + "\n", "rescued.cfg")
+    assert main([argv[0], str(path)]) == EXIT_CONFIG
+    assert f"key '{key}': " in capsys.readouterr().err
+    out = tmp_path / "rescued.csv"
+    assert main([argv[0], str(path), *argv[1:], "--out", str(out)]) == EXIT_OK
+    assert len(out.read_text(encoding="utf-8").splitlines()) == 1 + rows
 
 
 FLAGS = "--params, --bits, --m-range, --efficiency, --tx-power-dbm or --overhead"
@@ -665,7 +708,7 @@ def test_cli_sync_sweep_rejects_a_spread_past_one_slot(tmp_path, capsys):
     assert ("key 'sync.off_spread': 161 gives offsets up to 161 samples" in captured.err
             and "past one slot's 160" in captured.err)
     assert captured.out == "" and not out.exists()
-    rows = sync_sweep(parse(TINY), spreads=[160], n_seeds=1)
+    rows = sync_sweep(build(parse(TINY)), spreads=[160], n_seeds=1)
     assert rows[0]["spread_samples"] == 160 and np.isfinite(rows[0]["mean_agg_nmse_db"])
 
 
@@ -673,3 +716,12 @@ def test_parse_file_round_trip(tmp_path):
     path = _tiny_file(tmp_path)
     sc = parse_file(path)
     assert sc == parse(TINY)
+
+
+def test_a_file_with_a_utf8_byte_order_mark_parses(tmp_path, capsys):
+    """A byte-order mark before the first key is not part of that key."""
+    text = TINY.partition("\n")[2]  # the first line is then a key
+    path = tmp_path / "bom.cfg"
+    path.write_bytes(b"\xef\xbb\xbf" + text.encode("utf-8"))
+    assert parse_file(path) == parse(text)
+    assert main(["run", str(path)]) == EXIT_OK
