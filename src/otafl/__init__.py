@@ -13,7 +13,7 @@ from .accounting import (
     digital_slots,
     energy_gain,
     gains_table,
-    ota_slots,
+    round_bill,
     round_energy,
 )
 from .channel import ChannelModel, realize_channel, superpose
@@ -73,8 +73,8 @@ __all__ = [
     "gold_sequence", "init_params", "interpolate", "inversion_floor",
     "local_train", "ls_estimate", "make_blobs_task", "make_linear_task",
     "make_pilot_values", "map_to_grids", "nmse", "ofdm_demodulate",
-    "ofdm_modulate", "offset_bound", "ota_aggregate", "ota_slots",
+    "ofdm_modulate", "offset_bound", "ota_aggregate",
     "pack_complex", "parse", "parse_file", "realize_channel",
-    "round_energy", "run_experiment", "run_scenario", "scale_updates",
+    "round_bill", "round_energy", "run_experiment", "run_scenario", "scale_updates",
     "slot_plan", "superpose", "unmap_from_grids",
 ]

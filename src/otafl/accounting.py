@@ -5,14 +5,15 @@ orthogonal resource blocks, so the slot bill grows with the client count.
 The analog scheme sends all updates simultaneously; its slot bill is set by
 the parameter count alone (2 reals per resource element).
 
-Energy is modeled per round as E = e * c + M * slots_per_ue * e, where e is
-the energy of one 1 ms slot at the configured transmit power and c is a
-fixed per-round overhead expressed in slot-energy units (control signaling,
-synchronization, measurement).  The default c = 94/3 is calibrated so that
-the two-client energy ratio of the reference configuration (87 digital
-slots per client versus 10 shared analog slots) comes out at exactly 4.0;
-the same constant then yields about 7.66 at twenty clients and an asymptote
-of 8.7.  A slot bill or round energy past float range raises ValueError.
+Energy is modeled per round as E = c * e + S * e, where e is the energy of
+one 1 ms slot at the configured transmit power, c a fixed per-round overhead
+in slot-energy units (control signaling, synchronization, measurement) and S
+every slot any client sent: M times the shared analog slots, or the sum of
+the digital uploads.  The default c = 94/3 is calibrated so that the
+two-client energy ratio of the reference configuration (87 digital slots per
+client versus 10 shared analog slots) comes out at exactly 4.0; the same
+constant then yields about 7.66 at twenty clients and an asymptote of 8.7.
+A slot bill or round energy past float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from .weightcodec import slot_plan
 DEFAULT_SPECTRAL_EFFICIENCY = 7.4063
 DEFAULT_FIXED_OVERHEAD = 94.0 / 3.0
 SLOT_DURATION_S = 1e-3  # one 14-symbol slot at 15 kHz subcarrier spacing
+DIGITAL_BITS = {"digital_fp32": 32, "digital_int8": 8}  # upload bits per parameter
 
 
 @dataclass(frozen=True)
@@ -102,29 +104,38 @@ def digital_slots(param_count: int, bits_per_param: int, profile: SpectralProfil
     return total
 
 
-def ota_slots(param_count: int, cfg: GridConfig = GridConfig()) -> int:
-    """Shared analog slots per round: ceil(P / (2 * K)), independent of M."""
-    return slot_plan(param_count, cfg)
-
-
-def round_energy(num_ues: int, slots_per_ue: int, model: EnergyModel = EnergyModel()) -> float:
-    """Joules per round: fixed overhead plus every client's transmit slots."""
-    if num_ues < 1 or slots_per_ue < 0:
-        raise ValueError("num_ues must be >= 1 and slots_per_ue >= 0")
+def round_energy(sent_slots: int, model: EnergyModel = EnergyModel()) -> float:
+    """Joules per round: fixed overhead plus every slot any client sent."""
+    if sent_slots < 1:
+        raise ValueError("sent_slots must be >= 1")
     e = model.slot_energy_j
-    return _finite_energy(model.fixed_overhead * e + num_ues * slots_per_ue * e, model)
-
-
-def digital_round_energy(total_slots: int, model: EnergyModel = EnergyModel()) -> float:
-    """Joules per digital round: fixed overhead plus the clients' serial slots."""
-    return _finite_energy((model.fixed_overhead + total_slots) * model.slot_energy_j, model)
-
-
-def _finite_energy(energy: float, model: EnergyModel) -> float:
+    energy = model.fixed_overhead * e + sent_slots * e
     if energy == math.inf:
-        raise ValueError(f"tx_power_dbm {model.tx_power_dbm!r} and fixed_overhead "
+        raise FieldError("tx_power_dbm", f"{model.tx_power_dbm!r} and fixed_overhead "
                          f"{model.fixed_overhead!r} give a round energy past float range")
     return energy
+
+
+def round_bill(mode: str, num_ues: int, param_count: int, grid: GridConfig,
+               model: EnergyModel, profile: SpectralProfile | None = None) -> tuple[int, float]:
+    """(slots, joules) of one round: ``slot_plan``'s shared slots, sent by
+    every client, for ``ota``; each client's upload in turn at ``profile``'s
+    (by default the reference) efficiencies for a digital mode.  Past float
+    range it raises a FieldError for ``profile.efficiencies`` or ``energy.tx_power_dbm``."""
+    profile = profile or SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, num_ues)
+    if mode == "ota":
+        slots = slot_plan(param_count, grid)
+    elif profile.num_ues != num_ues:
+        raise FieldError("profile.efficiencies", f"has {profile.num_ues} clients, not {num_ues}")
+    else:
+        try:
+            slots = digital_slots(param_count, DIGITAL_BITS[mode], profile, grid)
+        except ValueError as exc:
+            raise FieldError("profile.efficiencies", str(exc)) from None
+    try:  # S: every client sends the shared slots at once, or its own upload
+        return slots, round_energy(num_ues * slots if mode == "ota" else slots, model)
+    except FieldError as exc:
+        raise FieldError(f"energy.{exc.field}", exc.reason) from None
 
 
 def energy_gain(num_ues: int, digital_slots_per_ue: int, ota_round_slots: int,
@@ -134,8 +145,8 @@ def energy_gain(num_ues: int, digital_slots_per_ue: int, ota_round_slots: int,
     Monotonically increasing in the client count and bounded above by the
     slot ratio digital_slots_per_ue / ota_round_slots.
     """
-    dig = round_energy(num_ues, digital_slots_per_ue, model)
-    ota = round_energy(num_ues, ota_round_slots, model)
+    dig = round_energy(num_ues * digital_slots_per_ue, model)
+    ota = round_energy(num_ues * ota_round_slots, model)
     return dig / ota
 
 
@@ -164,7 +175,7 @@ def gains_table(
     """Rows of (M, mode, slots, gain, energy_j) over a range of client counts."""
     rows = []
     per_ue = math.ceil(digital_slots_raw(param_count, bits_per_param, efficiency))
-    shared = ota_slots(param_count)
+    shared = slot_plan(param_count, GridConfig())
     for m in num_ues_range:
         profile = SpectralProfile.uniform(efficiency, m)
         dig = digital_slots(param_count, bits_per_param, profile)
@@ -173,13 +184,13 @@ def gains_table(
             "mode": "digital",
             "slots": dig,
             "gain": dig / shared,
-            "energy_j": round_energy(m, per_ue, model),
+            "energy_j": round_energy(dig, model),
         })
         rows.append({
             "num_ues": m,
             "mode": "ota",
             "slots": shared,
             "gain": energy_gain(m, per_ue, shared, model),
-            "energy_j": round_energy(m, shared, model),
+            "energy_j": round_energy(m * shared, model),
         })
     return rows

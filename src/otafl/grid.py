@@ -229,8 +229,7 @@ def detect_frame(signal: TimeSignal, preamble: np.ndarray) -> tuple[int, float]:
     strong user's window energy.  By Cauchy-Schwarz the metric never
     exceeds 1, and windows only partially overlapping the preamble are
     bounded by their overlap fraction, so empty stretches cannot win
-    either.  A value above roughly 0.3 indicates a genuine preamble at
-    usable SNR.
+    either.  The round compares the metric against ``ota.DETECT_THRESHOLD``.
     """
     p = np.asarray(preamble, dtype=np.complex128)
     s = signal.samples

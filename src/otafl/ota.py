@@ -57,12 +57,10 @@ import numpy as np
 
 from . import fl
 from .accounting import (
-    DEFAULT_SPECTRAL_EFFICIENCY,
+    DIGITAL_BITS,
     EnergyModel,
     SpectralProfile,
-    digital_round_energy,
-    digital_slots,
-    round_energy,
+    round_bill,
 )
 from .channel import ChannelModel, decorrelate, realize_channel
 from .csi import interpolate, ls_estimate, nmse, quantize_estimate, quantizer_levels
@@ -100,8 +98,7 @@ from .weightcodec import (
 CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
 SCALE_MODES = ("common", "per_client")
-MODES = ("ota", "digital_fp32", "digital_int8")
-DIGITAL_BITS = {"digital_fp32": 32, "digital_int8": 8}  # upload bits per parameter
+MODES = ("ota", *DIGITAL_BITS)
 
 DETECT_THRESHOLD = 0.3
 
@@ -205,7 +202,6 @@ class AggregateReport:
     recovered: np.ndarray
     exact_avg: np.ndarray
     alpha: float
-    slots: int
     aborted: bool
     abort_reason: str
     agg_nmse_db: float
@@ -541,7 +537,7 @@ def ota_aggregate(
 
     def _report(recovered, alpha, offsets, metrics, powers, abort_reason=""):
         return AggregateReport(
-            recovered, exact_avg, alpha, slots, bool(abort_reason), abort_reason,
+            recovered, exact_avg, alpha, bool(abort_reason), abort_reason,
             _aggregate_nmse_db(recovered, exact_avg), offsets, metrics, powers, descale,
         )
 
@@ -731,13 +727,14 @@ def run_ota_round(
     """One full analog round: train, aggregate over the air, apply."""
     deltas = train_deltas(state, tasks, train_cfgs)
     report = ota_aggregate(deltas, phy, master_seed, state.round_index)
+    slots, energy = round_bill("ota", len(tasks), state.theta.size, phy.grid, energy_model)
     return _finish_round(
         state, tasks, report.recovered, report.aborted,
         mode="ota",
         agg_nmse_db=report.agg_nmse_db,
         alpha=report.alpha,
-        slots_used=report.slots,
-        energy_j=round_energy(len(tasks), report.slots, energy_model),
+        slots_used=slots,
+        energy_j=energy,
     )
 
 
@@ -746,27 +743,27 @@ def run_digital_round(
     tasks: list[fl.Task],
     train_cfgs: list[fl.TrainConfig],
     mode: str,
-    profile: SpectralProfile,
+    profile: SpectralProfile | None,
     grid: GridConfig,
     energy_model: EnergyModel = EnergyModel(),
 ) -> tuple[fl.RoundState, RoundTrace]:
     """Digital FedAvg baseline round (fp32 exact or int8-quantized uploads)."""
     if mode not in DIGITAL_BITS:
         raise ValueError(f"not a digital mode: {mode!r}")
+    slots, energy = round_bill(mode, len(tasks), state.theta.size, grid, energy_model, profile)
     deltas = train_deltas(state, tasks, train_cfgs)
     exact = fl.average_deltas(deltas)
     if mode == "digital_int8":
         sent = fl.average_deltas([_int8_dequantize(d) for d in deltas])
     else:
         sent = exact
-    slots = digital_slots(state.theta.size, DIGITAL_BITS[mode], profile, grid)
     return _finish_round(
         state, tasks, sent, False,
         mode=mode,
         agg_nmse_db=_aggregate_nmse_db(sent, exact),
         alpha=0.0,
         slots_used=slots,
-        energy_j=digital_round_energy(slots, energy_model),
+        energy_j=energy,
     )
 
 
@@ -788,8 +785,6 @@ def run_experiment(
     """
     num_ues = len(tasks)
     check_run(phy, num_ues, mode, rounds, master_seed)
-    if profile is None:
-        profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, num_ues)
     state = initial_state(tasks, master_seed)
     traces: list[RoundTrace] = []
     for r in range(rounds):

@@ -22,21 +22,12 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .accounting import (
-    DEFAULT_SPECTRAL_EFFICIENCY,
-    EnergyModel,
-    SpectralProfile,
-    digital_round_energy,
-    digital_slots,
-    ota_slots,
-    round_energy,
-)
+from .accounting import DEFAULT_SPECTRAL_EFFICIENCY, EnergyModel, SpectralProfile, round_bill
 from .channel import ChannelModel
 from .errors import FieldError
 from .fl import Task, TrainConfig, check_task_shape, make_blobs_task, make_linear_task, model_size
 from .grid import GridConfig
 from .ota import (
-    DIGITAL_BITS,
     ExperimentResult,
     PhyConfig,
     check_run,
@@ -236,18 +227,7 @@ def build(sc: Scenario) -> Components:
     energy = keyed("energy", EnergyModel, **_fields(sc, "energy"))
     profile = keyed("profile", SpectralProfile.uniform, sc.acct_spectral_efficiency, sc.num_ues)
     params = model_size(sc.task_kind, sc.task_features, sc.task_hidden, sc.task_classes)
-    if sc.mode != "ota":  # every client's upload in turn, billed as a digital round is
-        try:
-            slots = digital_slots(params, DIGITAL_BITS[sc.mode], profile, grid)
-        except ValueError as exc:
-            fail("acct.spectral_efficiency", str(exc))
-    try:
-        if sc.mode == "ota":
-            round_energy(sc.num_ues, ota_slots(params, grid), energy)
-        else:
-            digital_round_energy(slots, energy)
-    except ValueError as exc:
-        fail("link.tx_power_dbm", str(exc))
+    keyed(None, round_bill, sc.mode, sc.num_ues, params, grid, energy, profile)
     return Components(sc, phy, train, energy, profile)
 
 

@@ -18,9 +18,10 @@ from __future__ import annotations
 
 import numpy as np
 
-from otafl.accounting import SpectralProfile, digital_slots, ota_slots
+from otafl.accounting import SpectralProfile, digital_slots
 from otafl.grid import GridConfig, TimeSignal, detect_frame
 from otafl.scenario import KEYMAP, Scenario
+from otafl.weightcodec import slot_plan
 
 
 def fedavg_digital(local_models: list[np.ndarray]) -> np.ndarray:
@@ -41,7 +42,7 @@ def unscale_updates(values: np.ndarray, scales: tuple[float, float]) -> np.ndarr
 def spectrum_gain(param_count: int, bits_per_param: int, profile: SpectralProfile,
                   cfg: GridConfig = GridConfig()) -> float:
     """Slot ratio digital / analog for one round."""
-    return digital_slots(param_count, bits_per_param, profile, cfg) / ota_slots(param_count, cfg)
+    return digital_slots(param_count, bits_per_param, profile, cfg) / slot_plan(param_count, cfg)
 
 
 def _format_value(value) -> str:

@@ -27,7 +27,6 @@ from otafl.accounting import (
     digital_slots,
     digital_slots_raw,
     energy_gain,
-    ota_slots,
 )
 from otafl.channel import ChannelModel, superpose
 from otafl.cli import main
@@ -75,7 +74,7 @@ def test_criterion_1_slot_arithmetic():
     raw = digital_slots_raw(71_666, 32, DEFAULT_SPECTRAL_EFFICIENCY, fmt)
     profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 5)
     total = digital_slots(71_666, 32, profile, fmt)
-    shared = ota_slots(71_666, fmt)
+    shared = slot_plan(71_666, fmt)
     gain = spectrum_gain(71_666, 32, profile, fmt)
     ok = (
         abs(raw - 86.396) <= 1e-3

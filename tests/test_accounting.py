@@ -14,17 +14,17 @@ from otafl.accounting import (
     SLOT_DURATION_S,
     EnergyModel,
     SpectralProfile,
-    digital_round_energy,
     digital_slots,
     digital_slots_raw,
     energy_gain,
     format_from_grid,
     gains_table,
-    ota_slots,
+    round_bill,
     round_energy,
 )
 from otafl.errors import FieldError
 from otafl.grid import GridConfig
+from otafl.weightcodec import slot_plan
 from oracles import spectrum_gain
 
 P = 71_666  # reference parameter count
@@ -40,7 +40,7 @@ def test_reference_slot_numbers():
     assert math.ceil(raw) == 87
     profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 5)
     assert digital_slots(P, 32, profile, FMT) == 5 * 87 == 435
-    assert ota_slots(P, FMT) == 10  # ceil(71666 / 7168)
+    assert slot_plan(P, FMT) == 10  # ceil(71666 / 7168)
     assert spectrum_gain(P, 32, profile, FMT) == pytest.approx(43.5, rel=1e-12)
 
 
@@ -48,7 +48,7 @@ def test_ota_slots_independent_of_client_count():
     for m in (1, 2, 50):
         profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, m)
         assert digital_slots(P, 32, profile, FMT) == m * 87
-    assert ota_slots(P, FMT) == 10
+    assert slot_plan(P, FMT) == 10
 
 
 def test_mixed_efficiency_profile():
@@ -70,7 +70,7 @@ def test_slot_counts_validation():
     with pytest.raises(ValueError):
         digital_slots_raw(P, 32, 0.0, FMT)
     with pytest.raises(ValueError):
-        ota_slots(0, FMT)
+        slot_plan(0, FMT)
     with pytest.raises(ValueError):
         SpectralProfile(())
     with pytest.raises(ValueError):
@@ -117,6 +117,11 @@ def test_an_efficiency_whose_bill_overflows_is_named():
         gains_table(range(2, 4), P, 32, efficiency=1e-305)
 
 
+# 112e9 fp32 parameters at 1 bit per resource element fill 10**9 slots per client
+BILLION_SLOTS_P = 112 * 10**9
+ONE_BIT_PER_RE = SpectralProfile.uniform(1.0, 3)
+
+
 @pytest.mark.parametrize("power_dbm, overhead", [(3000.0, 1e20), (3100.0, 0.0)])
 def test_a_round_energy_past_float_range_is_named(power_dbm, overhead):
     """A slot energy that fits a float can still give a round energy that
@@ -125,14 +130,31 @@ def test_a_round_energy_past_float_range_is_named(power_dbm, overhead):
     model = EnergyModel(tx_power_dbm=power_dbm, fixed_overhead=overhead)
     named = re.escape(f"tx_power_dbm {power_dbm!r} and fixed_overhead {overhead!r} give a round")
     with pytest.raises(ValueError, match=named):
-        round_energy(3, 10**9, model)
+        round_energy(3 * 10**9, model)
     with pytest.raises(ValueError, match=named):
-        digital_round_energy(3 * 10**9, model)
+        round_bill("digital_fp32", 3, BILLION_SLOTS_P, FMT, model, ONE_BIT_PER_RE)
     with pytest.raises(ValueError, match=named):
         gains_table(range(2, 3), 10**7, 32, model=model)  # 12 056 slots per client
     small = EnergyModel(tx_power_dbm=power_dbm - 100.0, fixed_overhead=overhead)
-    assert math.isfinite(round_energy(3, 10**9, small))
-    assert math.isfinite(digital_round_energy(3 * 10**9, small))
+    assert math.isfinite(round_energy(3 * 10**9, small))
+    assert round_bill("digital_fp32", 3, BILLION_SLOTS_P, FMT, small, ONE_BIT_PER_RE) == (
+        3 * 10**9, round_energy(3 * 10**9, small))
+
+
+def test_a_round_bill_names_the_part_and_field_it_cannot_bill():
+    """``round_bill`` reads the profile only for a digital mode, defaults it
+    to the reference efficiency, and names the part and field of a bill
+    past float range."""
+    model = EnergyModel()
+    assert round_bill("digital_fp32", 5, P, FMT, model) == (435, round_energy(435, model))
+    tiny = SpectralProfile.uniform(1e-305, 3)
+    assert round_bill("ota", 5, P, FMT, model, tiny) == (10, round_energy(50, model))
+    with pytest.raises(FieldError) as slots:
+        round_bill("digital_fp32", 3, P, FMT, model, tiny)
+    with pytest.raises(FieldError) as energy:
+        round_bill("ota", 3, P, FMT, EnergyModel(tx_power_dbm=3000.0, fixed_overhead=1e20))
+    assert (slots.value.field, energy.value.field) == ("profile.efficiencies",
+                                                       "energy.tx_power_dbm")
 
 
 def test_slot_energy_at_reference_power():
@@ -146,10 +168,11 @@ def test_slot_energy_at_reference_power():
 def test_round_energy_formula():
     model = EnergyModel(fixed_overhead=10.0)
     e = model.slot_energy_j
-    assert round_energy(3, 87, model) == pytest.approx((10 + 3 * 87) * e, rel=1e-12)
-    assert digital_round_energy(3 * 87, model) == (10 + 3 * 87) * e
+    assert round_energy(3 * 87, model) == pytest.approx((10 + 3 * 87) * e, rel=1e-12)
+    profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 3)
+    assert round_bill("digital_fp32", 3, P, FMT, model, profile) == (3 * 87, 10 * e + 3 * 87 * e)
     with pytest.raises(ValueError):
-        round_energy(0, 87, model)
+        round_energy(0 * 87, model)
 
 
 def test_energy_gain_anchor_points():
@@ -209,7 +232,7 @@ def test_gains_table_reference_rows():
     ota2 = by_key[(2, "ota")]
     assert ota2["slots"] == 10
     assert ota2["gain"] == pytest.approx(4.0, abs=1e-12)  # energy ratio
-    assert ota2["energy_j"] == pytest.approx(round_energy(2, 10), rel=1e-12)
+    assert ota2["energy_j"] == pytest.approx(round_energy(2 * 10), rel=1e-12)
 
 
 def test_gains_table_slots_scale_linearly():

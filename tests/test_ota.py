@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from otafl import fl, grid, ota
+from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, gains_table
 from otafl.channel import ChannelModel, superpose
 from otafl.csi import ls_estimate
 from otafl.precode import MARGIN, compute_alpha
@@ -1150,6 +1151,32 @@ def test_ota_slots_independent_of_client_count():
         res = run_experiment("ota", 1, _make_tasks(m), template, phy, master_seed=0)
         slots.append(res.traces[0].slots_used)
     assert slots[0] == slots[1]
+
+
+def test_a_profile_for_another_client_count_is_rejected():
+    """A digital round bills every client's upload, so a spectral profile
+    that holds another number of clients is an error naming both counts,
+    not a bill for the clients it happens to hold."""
+    tasks = _make_tasks(5, samples=32, features=8)
+    profile = SpectralProfile((7.4063, 7.4063))
+    with pytest.raises(ValueError, match=r"profile.efficiencies has 2 clients, not 5"):
+        run_experiment("digital_fp32", 1, tasks, fl.TrainConfig(epochs=1), _ideal_phy(),
+                       master_seed=0, profile=profile)
+
+
+def test_a_round_and_the_accounting_table_bill_the_same_joules():
+    """At M = 5 and P = 64 on the default grid and energy model, one round
+    of each mode bills, to the last bit, the energy that the table of
+    ``otafl accounting`` prints for that mode."""
+    tasks = _make_tasks(5, samples=32, features=64)
+    state = initial_state(tasks, master_seed=0)
+    cfgs = train_configs(fl.TrainConfig(epochs=1), 5, master_seed=0, round_index=0)
+    profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 5)
+    _, dig = ota.run_digital_round(state, tasks, cfgs, "digital_fp32", profile, GridConfig())
+    _, air = run_ota_round(state, tasks, cfgs, _ideal_phy(grid=GridConfig()), master_seed=0)
+    table = {r["mode"]: r["energy_j"] for r in gains_table(range(5, 6), 64, 32)}
+    assert repr(dig.energy_j) == repr(table["digital"])
+    assert repr(air.energy_j) == repr(table["ota"])
 
 
 def test_aborted_round_keeps_global_model():

@@ -286,6 +286,57 @@ def test_a_cli_command_builds_once_and_a_sweep_once_per_spread(tmp_path, monkeyp
     assert len(built) == 3
 
 
+# ``accounting``'s bill functions.  Only ``accounting`` computes an energy or
+# a digital slot count, and a run (``ota``) or a scenario bills a round only
+# through ``round_bill``.
+BILL_FUNCTIONS = ("round_bill", "round_energy", "digital_slots", "digital_slots_raw",
+                  "energy_gain", "gains_table")
+
+
+def _bill_calls(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """(module, function) of every call of a ``BILL_FUNCTIONS`` name in the
+    modules' sources, or of a call that passes one on to be called
+    (``keyed(None, round_bill, ...)``), by the function's last name."""
+    found = []
+    for module, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, ast.Call):
+                for callee in (node.func, *node.args):
+                    name = ast.unparse(callee).rpartition(".")[2]
+                    if name in BILL_FUNCTIONS:
+                        found.append((module, name))
+    return found
+
+
+def _bill_breaches(sources: dict[str, str]) -> list[tuple[str, str]]:
+    """Bill calls that compute energy or digital slots outside ``accounting``,
+    or that bill in ``ota`` or ``scenario`` other than through ``round_bill``."""
+    return sorted(
+        (module, name) for module, name in _bill_calls(sources)
+        if (name in ("round_energy", "digital_slots") and module != "accounting")
+        or (module in ("ota", "scenario") and name != "round_bill")
+    )
+
+
+def test_bill_call_check_sees_a_second_formula_or_a_bypass():
+    sources = {
+        "accounting": "def round_bill(m):\n    return digital_slots(m), round_energy(m)\n",
+        "ota": "def run(m):\n    return round_bill(m), accounting.round_energy(m)\n",
+        "scenario": "def build(m):\n    keyed(None, digital_slots_raw, m)\n",
+        "cli": "def main(m):\n    return gains_table(m), digital_slots(m)\n",
+    }
+    assert _bill_breaches(sources) == [
+        ("cli", "digital_slots"), ("ota", "round_energy"), ("scenario", "digital_slots_raw")]
+
+
+def test_only_accounting_computes_a_bill_and_runs_bill_through_round_bill():
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _bill_breaches(sources) == []
+    assert sorted(m for m, name in _bill_calls(sources) if name == "round_bill") == [
+        "ota", "ota", "scenario"]
+
+
 def _top_level_defs(source: str) -> list[str]:
     return [node.name for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]
