@@ -79,7 +79,8 @@ class EnergyModel:
 
 def digital_slots_raw(param_count: int, bits_per_param: int, efficiency: float,
                       cfg: GridConfig = GridConfig()) -> float:
-    """Pre-ceiling slots one client needs: P*b / (m*K)."""
+    """Pre-ceiling slots one client needs: P*b / (m*K).  ``SpectralProfile``
+    owns the efficiency check for a scenario; it stays for direct callers."""
     if param_count < 1 or bits_per_param < 1 or not 0 < efficiency < math.inf:
         raise ValueError("param_count, bits and efficiency must be positive and finite")
     try:

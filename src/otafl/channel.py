@@ -37,7 +37,8 @@ def realize_channel(model: ChannelModel, subcarriers: int, seed) -> np.ndarray:
     """Draw one block-fading realization for a single UE: a gain per subcarrier.
 
     ``seed`` may be an int or a ``numpy.random.SeedSequence``; equal seeds
-    reproduce the realization bit for bit.
+    reproduce the realization bit for bit.  ``GridConfig`` owns the
+    subcarrier check for a scenario; it stays for direct callers.
     """
     if subcarriers < 1:
         raise ValueError("subcarriers must be >= 1")
@@ -55,6 +56,7 @@ def decorrelate(gains: np.ndarray, model: ChannelModel, mix: float, seed) -> np.
     ``mix`` = 0 returns the gains unchanged (full coherence within the
     round); ``mix`` = 1 is a fully independent redraw.  The blend keeps the
     per-subcarrier second moment: sqrt(1 - mix^2) * old + mix * new.
+    ``PhyConfig.decorrelation`` owns this check for a scenario; it stays for direct callers.
     """
     if not 0.0 <= mix <= 1.0:
         raise ValueError("mix must lie in [0, 1]")

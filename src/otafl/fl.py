@@ -3,8 +3,8 @@
 Model parameters are plain 1-D float64 arrays.  Two task families are
 provided: linear regression with mean-squared-error loss (convex) and a
 two-layer tanh MLP with softmax cross-entropy on Gaussian blobs.  Local
-training runs seeded mini-batch SGD or Adam; aggregation is FedAvg over
-delta updates with a fixed ascending-UE summation order.
+training runs seeded mini-batch SGD; aggregation is FedAvg over delta
+updates with a fixed ascending-UE summation order.
 
 Linear-regression features are stored as float32, which halves the bytes
 each gradient streams; the two matrix products run in that dtype.  Targets,
@@ -21,11 +21,7 @@ import numpy as np
 from .errors import FieldError, check_choice
 
 TASK_KINDS = ("linear_regression", "mlp_classification")
-OPTIMIZERS = ("sgd", "adam")
 
-ADAM_BETA1 = 0.9
-ADAM_BETA2 = 0.999
-ADAM_EPS = 1e-8
 BLOB_CENTER_SPREAD = 3.0  # class-center scale in noise standard deviations
 FEATURE_DRAW_VALUES = 1 << 18  # float64 values (2 MiB) per draw of float32 features
 
@@ -104,7 +100,6 @@ class TrainConfig:
     learning_rate: float = 0.1
     epochs: int = 1
     batch_size: int = 0  # 0 means full batch
-    optimizer: str = "sgd"
     seed: int = 0
 
     def __post_init__(self):
@@ -114,7 +109,6 @@ class TrainConfig:
             raise FieldError("epochs", "must be >= 0")
         if self.batch_size < 0:
             raise FieldError("batch_size", "must be >= 0")
-        check_choice("optimizer", self.optimizer, OPTIMIZERS)
 
 
 @dataclass
@@ -218,43 +212,29 @@ def local_train(
     cfg: TrainConfig,
     grad0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run ``cfg.epochs`` of seeded mini-batch training from the global model.
+    """Run ``cfg.epochs`` of seeded mini-batch SGD from the global model.
 
-    Zero epochs return the global model unchanged.  Adam moment state is
-    reset at the start of every call (each federated round starts fresh).
-    ``grad0``, when given, must be ``loss_and_grad(global_theta, task)[1]``;
-    it stands in for the first step's gradient when that step is full
-    batch, and is ignored otherwise, so it never changes the result.
+    Zero epochs return the global model unchanged.  ``grad0``, when given,
+    must be ``loss_and_grad(global_theta, task)[1]``; it stands in for the
+    first step's gradient when that step is full batch, and is ignored
+    otherwise, so it never changes the result.
     """
     theta = np.array(global_theta, dtype=np.float64, copy=True)
     if theta.size != task.param_count:
         raise ValueError(f"model size {theta.size} != task parameter count {task.param_count}")
-    if cfg.epochs == 0:
-        return theta
     n = task.features.shape[0]
     batch = cfg.batch_size if 0 < cfg.batch_size <= n else n
     rng = np.random.default_rng(cfg.seed)
-    m = np.zeros_like(theta)
-    v = np.zeros_like(theta)
-    step = 0
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if batch < n else None
         for lo in range(0, n, batch):
             if batch < n:
                 _, grad = loss_and_grad(theta, task, order[lo:lo + batch])
-            elif step == 0 and grad0 is not None:
-                grad = grad0
+            elif grad0 is not None:  # the first full-batch step only
+                grad, grad0 = grad0, None
             else:
                 _, grad = loss_and_grad(theta, task)
-            step += 1
-            if cfg.optimizer == "sgd":
-                theta -= cfg.learning_rate * grad
-            else:
-                m = ADAM_BETA1 * m + (1 - ADAM_BETA1) * grad
-                v = ADAM_BETA2 * v + (1 - ADAM_BETA2) * grad**2
-                mhat = m / (1 - ADAM_BETA1**step)
-                vhat = v / (1 - ADAM_BETA2**step)
-                theta -= cfg.learning_rate * mhat / (np.sqrt(vhat) + ADAM_EPS)
+            theta -= cfg.learning_rate * grad
     return theta
 
 

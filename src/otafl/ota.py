@@ -97,7 +97,6 @@ from .weightcodec import (
 
 CSI_MODES = ("estimated", "perfect")
 PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
-SCALE_MODES = ("common", "per_client")
 MODES = ("ota", *DIGITAL_BITS)
 
 DETECT_THRESHOLD = 0.3
@@ -148,7 +147,6 @@ class PhyConfig:
     floor_rel: float = DEFAULT_FLOOR_REL
     csi_mode: str = "estimated"
     pilot_allocation: str = "fdm_comb"
-    scale_mode: str = "common"
     uplink_snr_db: float | None = 20.0
     decorrelation: float = 0.0
     feedback_quant_bits: int = 0
@@ -156,7 +154,6 @@ class PhyConfig:
     def __post_init__(self):
         check_choice("csi_mode", self.csi_mode, CSI_MODES)
         check_choice("pilot_allocation", self.pilot_allocation, PILOT_ALLOCATIONS)
-        check_choice("scale_mode", self.scale_mode, SCALE_MODES)
         if not 0 <= self.floor_rel < math.inf:
             raise FieldError("floor_rel", "must be >= 0 and finite")
         if not 0 <= self.decorrelation <= 1:
@@ -208,7 +205,6 @@ class AggregateReport:
     offsets: np.ndarray
     peak_metrics: np.ndarray
     max_re_power: np.ndarray
-    shared_scales: tuple[float, float]
 
 
 @dataclass
@@ -324,7 +320,7 @@ def _payload_frame(
     phases: np.ndarray,
     offsets: np.ndarray,
     deltas: list[np.ndarray],
-    scales: list[tuple[float, float]],
+    scales: tuple[float, float],
     divisor: np.ndarray,
 ) -> tuple[np.ndarray, float, np.ndarray]:
     """Noise-free receive buffer of one payload event, with the shared
@@ -333,7 +329,7 @@ def _payload_frame(
 
     The event is laid out as a sounding event (see :func:`_sounding_frame`),
     and its body, whole payload slots long, is the update ``deltas[ue]``,
-    packed with its ``scales[ue]``.  ``gains``, ``deltas``, ``scales`` and
+    packed with the shared (I, Q) ``scales``.  ``gains``, ``deltas`` and
     ``divisor`` (the floored estimate) hold one entry per client of the
     round.
 
@@ -365,14 +361,14 @@ def _payload_frame(
     g = gains[run]
     rot = np.exp(1j * phases[run])[:, np.newaxis]
     precode = g * (rot / divisor[run])
-    deltas, scales = deltas[run], scales[run]
+    deltas = deltas[run]
     peaks = np.empty(g.shape)
     acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
     symbols = np.empty((used, cfg.symbol_len), dtype=np.complex128)
     order = np.argsort(delays, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
         for k, i in enumerate(group.tolist()):
-            row = pack_payload(deltas[i], scales[i], scratch if k else acc)
+            row = pack_payload(deltas[i], scales, scratch if k else acc)
             np.max(np.abs(row), axis=0, out=peaks[i])
             row *= precode[i]
             if k:
@@ -523,22 +519,12 @@ def ota_aggregate(
     if not finite.all():
         raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
                          "precoded resource grid entries must be finite")
-    if phy.scale_mode == "common":
-        client_scales = [peak_scales(rails)] * num_ues
-        descale = client_scales[0]
-    else:
-        client_scales = [peak_scales(r) for r in rails]
-        # receiver cannot undo per-client scales after the analog sum; it
-        # descales with their mean, which reproduces the bias of that variant
-        descale = (
-            float(np.mean([s[0] for s in client_scales])),
-            float(np.mean([s[1] for s in client_scales])),
-        )
+    scales = peak_scales(rails)
 
     def _report(recovered, alpha, offsets, metrics, powers, abort_reason=""):
         return AggregateReport(
             recovered, exact_avg, alpha, bool(abort_reason), abort_reason,
-            _aggregate_nmse_db(recovered, exact_avg), offsets, metrics, powers, descale,
+            _aggregate_nmse_db(recovered, exact_avg), offsets, metrics, powers,
         )
 
     if not rails.any():
@@ -615,7 +601,7 @@ def ota_aggregate(
     divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
     ues = range(num_ues)
     frame, alpha, largest = _payload_frame(ues, phy, payload_gains, phases, offsets,
-                                           deltas, client_scales, divisor)
+                                           deltas, scales, divisor)
     max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
     used = payload_symbols(param_count, cfg)
     rx, p_offsets, p_metrics = _receive(frame, ues, phy, noise, used)
@@ -626,7 +612,7 @@ def ota_aggregate(
     # --- demodulate, descale, compare -------------------------------------
     block = _read_symbols(rx, p_offsets, phy, num_ues, slots * cfg.symbols_per_slot, used)
     block /= num_ues * alpha
-    recovered = unmap_from_grids(block, param_count, descale)
+    recovered = unmap_from_grids(block, param_count, scales)
     return _report(recovered, alpha, p_offsets, p_metrics, max_re_power)
 
 
@@ -691,11 +677,15 @@ def _finish_round(
 
     An aborted round leaves the global model unchanged.  The evaluation's
     full-batch gradients ride along in the returned state for the next
-    round's first training step.
+    round's first training step.  A loss that is not finite raises
+    ``ValueError`` naming the round and the first such client.
     """
     new_theta = state.theta.copy() if aborted else fl.apply_global(state.theta, update)
     losses, grads = zip(*[fl.loss_and_grad(new_theta, t) for t in tasks])
     loss_per_ue = np.array(losses)
+    bad = np.flatnonzero(~np.isfinite(loss_per_ue))
+    if bad.size:
+        raise ValueError(f"round {state.round_index}: client {bad[0]}'s loss is not finite")
     trace = RoundTrace(
         round_index=state.round_index,
         loss_per_ue=loss_per_ue,

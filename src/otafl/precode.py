@@ -21,7 +21,8 @@ def inversion_floor(
     estimate: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL
 ) -> float | np.ndarray:
     """Magnitude floor: ``floor_rel`` times the median estimated |H| over the
-    subcarriers, one floor per row of the estimate (a scalar for one row)."""
+    subcarriers, one floor per row of the estimate (a scalar for one row).
+    ``PhyConfig`` owns this check for a scenario; it stays for direct callers."""
     if not floor_rel >= 0:
         raise ValueError("floor_rel must be >= 0")
     return floor_rel * np.median(np.abs(estimate), axis=-1)

@@ -64,7 +64,6 @@ class Scenario:
     train_learning_rate: float = TrainConfig.learning_rate
     train_epochs: int = TrainConfig.epochs
     train_batch_size: int = TrainConfig.batch_size
-    train_optimizer: str = TrainConfig.optimizer
 
     grid_subcarriers: int = GridConfig.subcarriers
     grid_symbols_per_slot: int = GridConfig.symbols_per_slot
@@ -78,13 +77,11 @@ class Scenario:
     sync_mode: str = SyncConfig.mode
     sync_ptp_bound_s: float = SyncConfig.ptp_bound_s
     sync_off_spread: int = SyncConfig.off_spread
-    sync_distribution: str = SyncConfig.distribution
     sync_phase_offset_rad: float = SyncConfig.phase_offset_rad
 
     phy_uplink_snr_db: float | None = PhyConfig.uplink_snr_db
     phy_csi_mode: str = PhyConfig.csi_mode
     phy_pilot_allocation: str = PhyConfig.pilot_allocation
-    phy_scale_mode: str = PhyConfig.scale_mode
     phy_floor_rel: float = PhyConfig.floor_rel
     phy_decorrelation: float = PhyConfig.decorrelation
     phy_feedback_quant_bits: int = PhyConfig.feedback_quant_bits
@@ -279,8 +276,8 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
     For each seed the round-0 updates are trained once and pushed through
     the analog uplink at every spread value.  All randomness other than the
     offset bound is held fixed across spreads (common random numbers), and
-    the uniform offsets themselves are coupled so they scale monotonically
-    with the bound; the sweep therefore isolates the timing effect.
+    the offsets themselves are coupled so they scale monotonically with the
+    bound; the sweep therefore isolates the timing effect.
     Results are means over seeds of the per-run NMSE in dB, an aborted
     aggregation counted at 0 dB (the ``run`` summary leaves it out).
     """
@@ -292,8 +289,7 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
     sc = parts.scenario
     phys = {}
     for s in spreads:  # a spread is checked as the key sync.off_spread
-        swept = dataclasses.replace(sc, sync_mode="ptp_off", sync_off_spread=s,
-                                    sync_distribution="uniform")
+        swept = dataclasses.replace(sc, sync_mode="ptp_off", sync_off_spread=s)
         phys[s] = build(swept).phy
     per_spread: dict[int, list[float]] = {s: [] for s in spreads}
     for k in range(n_seeds):

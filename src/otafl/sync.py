@@ -17,7 +17,6 @@ import numpy as np
 from .errors import FieldError, check_choice
 
 MODES = ("ptp_on", "ptp_off")
-DISTRIBUTIONS = ("uniform", "trunc_gauss")
 
 # Residual PTP error budget for COTS hosts (seconds).
 DEFAULT_PTP_BOUND_S = 1e-6
@@ -30,12 +29,10 @@ class SyncConfig:
     mode: str = "ptp_on"
     ptp_bound_s: float = DEFAULT_PTP_BOUND_S
     off_spread: int = 0
-    distribution: str = "uniform"
     phase_offset_rad: float = 0.0
 
     def __post_init__(self):
         check_choice("mode", self.mode, MODES)
-        check_choice("distribution", self.distribution, DISTRIBUTIONS)
         for name in ("ptp_bound_s", "off_spread", "phase_offset_rad"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise FieldError(name, "must be finite and >= 0")
@@ -58,24 +55,23 @@ def offset_bound(cfg: SyncConfig, sample_rate: float) -> int:
 def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed) -> np.ndarray:
     """Per-UE nonnegative integer sample offsets for one round.
 
-    Uniform offsets are drawn as floor(u * (bound + 1)) from a shared
+    Offsets are uniform, drawn as floor(u * (bound + 1)) from a shared
     uniform variate, so sweeping the bound with a fixed seed yields offsets
     that scale monotonically with the bound (common random numbers).
+    ``ota.check_run`` owns the ``num_ues`` check for a scenario; it stays for direct callers.
     """
     if num_ues < 1:
         raise ValueError("num_ues must be >= 1")
     bound = offset_bound(cfg, sample_rate)
     rng = np.random.default_rng(seed)
-    if cfg.distribution == "uniform":
-        u = rng.random(num_ues)
-        offs = np.floor(u * (bound + 1)).astype(np.int64)
-        return np.minimum(offs, bound)
-    g = np.abs(rng.standard_normal(num_ues)) * (bound / 2.0)
-    return np.clip(np.round(g), 0, bound).astype(np.int64)
+    u = rng.random(num_ues)
+    offs = np.floor(u * (bound + 1)).astype(np.int64)
+    return np.minimum(offs, bound)
 
 
 def draw_phase_offsets(cfg: SyncConfig, num_ues: int, seed) -> np.ndarray:
-    """Static per-UE carrier phase offsets, uniform in the configured range."""
+    """Static per-UE carrier phase offsets, uniform in the configured range.
+    ``ota.check_run`` owns the ``num_ues`` check for a scenario; it stays for direct callers."""
     if num_ues < 1:
         raise ValueError("num_ues must be >= 1")
     if cfg.phase_offset_rad == 0.0:

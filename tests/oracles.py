@@ -12,14 +12,18 @@ pipeline computes another way, or a diagnostic only a test reads.
   to the same scenario.
 - ``peak_spread`` and ``spread_of``: each client's correlation-peak offset
   in a composite signal, and their spread.
+- ``propagated_gap``: the ota - digital model gap of every round, from the
+  round errors alone, which the two runs' models must reproduce.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
+from otafl import fl
 from otafl.accounting import SpectralProfile, digital_slots
 from otafl.grid import GridConfig, TimeSignal, detect_frame
+from otafl.ota import train_configs
 from otafl.scenario import KEYMAP, Scenario
 from otafl.weightcodec import slot_plan
 
@@ -81,3 +85,24 @@ def spread_of(offsets: list[tuple[int, int]]) -> int:
     """max - min helper over (ue, offset) pairs."""
     vals = [o for _, o in offsets]
     return max(vals) - min(vals)
+
+
+def propagated_gap(tasks: list[fl.Task], template: fl.TrainConfig, master_seed: int,
+                   errors: list[np.ndarray]) -> list[np.ndarray]:
+    """The gap theta_ota - theta_digital after each round, from the round
+    errors ``errors`` (recovered update minus exact average) alone.
+
+    Under SGD on the linear task one client's local training is affine in
+    the global model, theta -> A theta + b, with A and b set by its data and
+    the round's training seeds, which do not depend on the mode.  The b
+    terms cancel in the gap, so d_0 = 0 and d_{t+1} = A_t d_t + e_t, where
+    A_t d is the mean over clients of ``local_train(d, .)`` on the same
+    features with zero targets.
+    """
+    zero = [fl.Task(t.kind, t.features, np.zeros_like(t.targets)) for t in tasks]
+    gap, gaps = np.zeros(tasks[0].param_count), []
+    for r, error in enumerate(errors):
+        cfgs = train_configs(template, len(tasks), master_seed, r)
+        gap = fl.average_deltas([fl.local_train(gap, t, c) for t, c in zip(zero, cfgs)]) + error
+        gaps.append(gap)
+    return gaps

@@ -187,7 +187,6 @@ def test_criterion_4_power_constraint():
             sync=SyncConfig(mode="ptp_on"),
             uplink_snr_db=snr,
             pilot_allocation=str(rng.choice(("fdm_comb", "tdm_full"))),
-            scale_mode=str(rng.choice(("common", "per_client"))),
         )
         deltas = [rng.normal(size=params) * rng.uniform(0.01, 5) for _ in range(num_ues)]
         report = ota_aggregate(deltas, phy, master_seed=case)

@@ -65,16 +65,12 @@ AGGREGATE_DIGESTS = {
         "49bbc31034bfe8e3c8f2d12f78dcb4fd3342430e20448b4190983c6e7ecebe88",
     ),
     # Transmit-side edges at two payload slots: an odd parameter count (the
-    # zero-padded pack tail), per-client scales, quantized feedback, stale
-    # CSI, a common phase offset and an inversion floor that clips about a
-    # third of the subcarriers.
+    # zero-padded pack tail), quantized feedback, stale CSI, a common phase
+    # offset and an inversion floor that clips about a third of the
+    # subcarriers.
     (5, 10_001, "flat_block", "fdm_comb", ()): (
         "-20.524950084883024",
         "3ad1e01c29b68a8c74773174ac5644f0ce5098bb819fc9d84fbb808c2d760370",
-    ),
-    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("scale_mode", "per_client"),)): (
-        "-17.337516725683223",
-        "0ec93c81557eb3d7b304a76ccac9143da7a5e4ec43d966c3049d20c8ac0fa7ca",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("feedback_quant_bits", 4),)): (
         "-7.5204555889701314",

@@ -35,6 +35,7 @@ from otafl.weightcodec import (
     rail_peaks,
     scale_updates,
 )
+from oracles import propagated_gap
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -147,19 +148,7 @@ def test_transmitted_power_stays_under_peak():
         assert np.all(report.max_re_power <= phy.peak_power + 1e-12)
 
 
-# ----------------------------------------------------------- scale modes
-
-
-def test_per_client_scaling_bias_oracle():
-    """Per-client peaks cannot be undone after the analog sum; the receiver
-    descales by their mean.  For deltas [2,0,0,0] and [0,0,4,0] the even
-    rail sees peaks 2 and 4 (mean 3), both normalized entries reach 1, so
-    the recovery is [1.5, 0, 1.5, 0] instead of the exact [1, 0, 2, 0]."""
-    deltas = [np.array([2.0, 0.0, 0.0, 0.0]), np.array([0.0, 0.0, 4.0, 0.0])]
-    phy = _ideal_phy(scale_mode="per_client")
-    report = ota_aggregate(deltas, phy, master_seed=0)
-    np.testing.assert_allclose(report.recovered, [1.5, 0.0, 1.5, 0.0], atol=1e-9)
-    assert report.shared_scales == pytest.approx((3.0, 1.0))
+# -------------------------------------------------------- shared scaling
 
 
 def test_common_scaling_is_unbiased_for_same_case():
@@ -307,9 +296,9 @@ ORACLE_PARAMS = 4 * ORACLE_GRID.res_per_slot - 5
 
 
 def _oracle_inputs(num_ues, allocation, seed=11):
-    """Random gains, phases, pilot masks, updates with their own (I, Q)
-    scales and a floored estimate (a divisor per subcarrier), one entry per
-    client."""
+    """Random gains, phases, pilot masks, updates and a floored estimate (a
+    divisor per subcarrier), one entry per client, and one shared (I, Q)
+    scale pair."""
     sub = ORACLE_GRID.subcarriers
     rng = np.random.default_rng(seed)
 
@@ -320,7 +309,7 @@ def _oracle_inputs(num_ues, allocation, seed=11):
     phases = rng.uniform(-np.pi, np.pi, size=num_ues)
     masks = ota._pilot_masks(num_ues, ORACLE_GRID, allocation)
     deltas = list(rng.normal(size=(num_ues, ORACLE_PARAMS)))
-    scales = [tuple(pair) for pair in rng.uniform(0.5, 2.0, size=(num_ues, 2)).tolist()]
+    scales = tuple(rng.uniform(0.5, 2.0, size=2).tolist())
     return gains, phases, masks, deltas, scales, cn(num_ues, sub)
 
 
@@ -347,7 +336,7 @@ def test_single_client_frame_oracle():
         one = range(ue, ue + 1)
         rot = np.exp(1j * phases[ue])
         pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue] * rot
-        packed = _packed(deltas[ue], scales[ue])
+        packed = _packed(deltas[ue], scales)
         payload, alpha, largest = ota._payload_frame(one, phy, gains, phases, delays,
                                                      deltas, scales, divisor)
         peak = np.max(np.abs(packed) / np.abs(divisor[ue]))
@@ -475,7 +464,7 @@ def _block_path_frame(phy, gains, phases, offsets, deltas, scales, divisor):
     rot = np.exp(1j * phases)[:, np.newaxis]
     block = np.empty((num_ues, rows, cfg.subcarriers), dtype=complex)
     for ue in range(num_ues):
-        pack_payload(deltas[ue], scales[ue], block[ue])
+        pack_payload(deltas[ue], scales, block[ue])
     alpha, largest = compute_alpha(np.max(np.abs(block), axis=1), divisor)
     block *= (gains * (rot / divisor))[:, np.newaxis, :]
     symbols = np.empty((rows, cfg.symbol_len), dtype=complex)
@@ -500,8 +489,8 @@ def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
     gives the whole block path's payload event bit for bit: the same peaks
     and alpha, the same products, the same ascending sum within each delay
     and the same ascending delays, and one alpha for the summed payload.
-    Every client has its own scales, so a client packed with another's
-    scales shows, and ``shared`` interleaves three delays across the
+    Every client has its own update, so a client packed in another's
+    place shows, and ``shared`` interleaves three delays across the
     clients.  At spread 64 late chips run into the payload, so scaling the
     buffer after the chips are in shows too."""
     phy = PhyConfig(grid=ORACLE_GRID)
@@ -712,11 +701,11 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
     assert floored[0].tobytes() == ls_estimate(rows, pilots).tobytes()
 
 
-@pytest.mark.parametrize("scale_mode", ["common", "per_client"])
 @pytest.mark.parametrize("params", [1, 2, 301, 2 * 32 * 4])
-def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, params):
+def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, params):
     """Each row the precoding pass reads its peaks from and precodes holds
-    the codec's packed, scaled update of its client (even -> I, odd -> Q)
+    the codec's packed update of its client, scaled by the shared (I, Q)
+    peaks of every client (even -> I, odd -> Q)
     followed by zeros to the end of the last symbol that holds a parameter,
     and no further symbol; the rows come one per client, in order."""
     seen = []
@@ -729,15 +718,14 @@ def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, scale_mode, pa
 
     monkeypatch.setattr(ota, "pack_payload", recording)
     deltas = _random_deltas(3, params, seed=params)
-    ota_aggregate(deltas, _ideal_phy(scale_mode=scale_mode), master_seed=0)
+    ota_aggregate(deltas, _ideal_phy(), master_seed=0)
     assert len(seen) == 3
     used = {1: 1, 2: 1, 301: 5, 2 * 32 * 4: 4}[params]
     assert used == ota.payload_symbols(params, SMALL_GRID)
     shared = peak_scales(rail_peaks(deltas))
     for d, row in zip(deltas, seen):
         assert row.shape == (used, SMALL_GRID.subcarriers)
-        scales = shared if scale_mode == "common" else peak_scales(rail_peaks([d]))
-        want = pack_complex(scale_updates(d, scales)[0])
+        want = pack_complex(scale_updates(d, shared)[0])
         np.testing.assert_array_equal(row.reshape(-1)[:want.size], want)
         assert not row.reshape(-1)[want.size:].any()
 
@@ -1102,6 +1090,53 @@ def test_digital_fp32_matches_centralized_gradient_descent():
     assert result.traces[-1].global_loss == pytest.approx(central_loss, abs=1e-6)
 
 
+def test_the_ota_digital_gap_is_the_propagated_sum_of_round_errors(monkeypatch):
+    """Under SGD on the linear task every local update is affine in the
+    global model, so the gap d_t = theta_ota - theta_digital obeys
+    d_{t+1} = A_t d_t + e_t exactly, e_t being round t's recovered update
+    minus its exact average (``oracles.propagated_gap``).  The two runs
+    share one seed, and the features are float64, so no float32 product
+    rounds the affine map.  The recursion holds to 1e-12 relative in every
+    round.  Round ``forced`` is made to abort at -30 dB, and its e_t is
+    minus the exact average: the model does not move."""
+    num_ues, params, rounds, seed, forced = 5, 640, 30, 3, 7
+    tasks = []
+    for ue in range(num_ues):
+        t = fl.make_linear_task(*data_seeds(seed, ue), 2 * params, params)
+        tasks.append(fl.Task(t.kind, t.features.astype(np.float64), t.targets))
+    template = fl.TrainConfig(learning_rate=0.05)
+    phy = PhyConfig(channel=ChannelModel("flat_block"), sync=SyncConfig(mode="ptp_on"),
+                    pilot_allocation="fdm_comb", uplink_snr_db=10.0)
+    reports, thetas = [], {"ota": [], "digital_fp32": []}
+    aggregate, finish = ota.ota_aggregate, ota._finish_round
+
+    def forcing(deltas, phy, master_seed, round_index):
+        if round_index == forced:
+            phy = replace(phy, uplink_snr_db=-30.0)
+        reports.append(aggregate(deltas, phy, master_seed, round_index))
+        return reports[-1]
+
+    def recording(*args, **kwargs):
+        state, trace = finish(*args, **kwargs)
+        thetas[trace.mode].append(state.theta)
+        return state, trace
+
+    monkeypatch.setattr(ota, "ota_aggregate", forcing)
+    monkeypatch.setattr(ota, "_finish_round", recording)
+    for mode in thetas:
+        run_experiment(mode, rounds, tasks, template, phy, master_seed=seed)
+    errors = [r.recovered - r.exact_avg for r in reports]
+    assert reports[forced].aborted
+    np.testing.assert_array_equal(errors[forced], -reports[forced].exact_avg)
+    np.testing.assert_array_equal(thetas["ota"][forced], thetas["ota"][forced - 1])
+    assert sum(not r.aborted for r in reports) > rounds // 2
+    predicted = propagated_gap(tasks, template, seed, errors)
+    for r in range(rounds):
+        gap = thetas["ota"][r] - thetas["digital_fp32"][r]
+        assert np.linalg.norm(gap) > 0
+        assert np.linalg.norm(predicted[r] - gap) <= 1e-12 * np.linalg.norm(gap), r
+
+
 def test_digital_int8_quantization_is_small_but_visible():
     tasks = _make_tasks(3)
     template = fl.TrainConfig(learning_rate=0.1, epochs=1)
@@ -1248,8 +1283,6 @@ def test_phy_config_validation():
         PhyConfig(csi_mode="oracle")
     with pytest.raises(ValueError):
         PhyConfig(pilot_allocation="random")
-    with pytest.raises(ValueError):
-        PhyConfig(scale_mode="max")
     with pytest.raises(ValueError):
         PhyConfig(floor_rel=-0.1)
     with pytest.raises(ValueError):

@@ -69,14 +69,6 @@ def test_uniform_offsets_cover_range():
     np.testing.assert_allclose(counts / 4000, 0.2, atol=0.03)
 
 
-def test_trunc_gauss_concentrates_near_zero():
-    cfg = SyncConfig(mode="ptp_off", off_spread=100, distribution="trunc_gauss")
-    offs = draw_offsets(cfg, 4000, RATE, seed=2)
-    assert np.all((offs >= 0) & (offs <= 100))
-    # half-normal with sigma = bound/2: median well below bound/2
-    assert np.median(offs) < 50
-
-
 def test_offsets_deterministic_per_seed():
     cfg = SyncConfig(mode="ptp_off", off_spread=32)
     np.testing.assert_array_equal(
@@ -96,8 +88,6 @@ def test_phase_offsets_zero_and_bounded():
 def test_sync_config_validation():
     with pytest.raises(ValueError):
         SyncConfig(mode="gps")
-    with pytest.raises(ValueError):
-        SyncConfig(distribution="laplace")
     with pytest.raises(ValueError):
         SyncConfig(off_spread=-1)
     with pytest.raises(ValueError):
@@ -149,7 +139,7 @@ def test_peak_spread_validation():
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("mode", "gps"), ("distribution", "laplace"), ("ptp_bound_s", -1e-6),
+    ("mode", "gps"), ("ptp_bound_s", -1e-6),
     ("off_spread", -1), ("phase_offset_rad", np.inf),
 ])
 def test_sync_config_names_the_field_it_rejects(field, bad):
