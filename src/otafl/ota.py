@@ -29,17 +29,15 @@ One uplink round, as simulated here:
     is linear, the summed payload is scaled by alpha once before the
     preambles are added.
 5.  The receiver adds noise from the round's one generator (the sounding
-    events draw first) to the samples a read can touch -- every detection
-    window and the parameter symbols at the latest start the read rule can
-    pick -- with its power referenced to the whole noise-free payload
-    slots.  It detects the superposed frame, demodulates the parameter
-    symbols that follow the preamble region in one call, descales them by
-    M * alpha and, through the codec, by the shared peak scales, and
-    applies the recovered average update.
+    events draw first) to the samples a read can touch, with its power
+    referenced to the noise-free samples after the preamble region (the
+    whole payload slots).  It finds each client's preamble in that client's
+    own search window, demodulates the parameter symbols in one call at the
+    earliest client's timing, descales them by M * alpha and, through the
+    codec, by the shared peak scales, and applies the recovered average
+    update.
 
-Each client prepends its own Gold preamble in a dedicated time slot of the
-event's preamble region (staggered, like sounding reference signals),
-keeping the normalized detection metric meaningful per client.  Pilot
+Every event shares one frame layout, which ``_Event`` owns.  Pilot
 subcarriers are either interleaved combs (one superposed sounding event,
 suited to frequency-flat channels) or full band (one event per client
 holding only its preamble slot and its pilot slot, required when the
@@ -268,6 +266,91 @@ def _preamble_chips(run: slice, phy: PhyConfig, gains: np.ndarray, rot: np.ndarr
     return (phy.reference_amplitude * rms_gain)[:, np.newaxis] * _preamble_bank()[run] * rot
 
 
+class _Event:
+    """One receive event of the shared uplink frame: its buffer, and the only
+    code that knows the frame's layout.
+
+    The buffer opens with a preamble region of one ``phy.preamble_slot_len``
+    slot per client the event carries, in ``ues`` order: each client sends
+    its own Gold preamble in its own slot (staggered, like sounding reference
+    signals), which keeps the normalized detection metric meaningful per
+    client.  Client ``i`` of the event, ``delays[i]`` samples late, sends its
+    chips at ``delays[i] + i * slot`` and its body, ``body_symbols`` OFDM
+    symbols long, at ``delays[i] + region``, so a late client's chips can run
+    past the region into the bodies.  The buffer spans the latest body.
+
+    :meth:`receive` adds the receiver noise in place.  It pins
+    ``phy.uplink_snr_db`` to the mean power of the noise-free superposition
+    after the preamble region -- the pilot slot of a sounding event, the
+    payload of a data event.  Pegging to the whole event would let the
+    strong constant-amplitude preamble dominate the reference power, so a
+    payload attenuated by power control would see a far worse SNR than the
+    knob claims.  Noise goes only where a read can land: the buffer's first
+    ``bound + region + symbols * symbol_len`` samples, ``bound`` being the
+    ``offset_bound`` of ``phy.sync`` at the grid's sample rate.  They hold
+    every search window and the latest window the read rule can pick.  The
+    noise is the round generator's next normal draws, twice that many, read
+    as (real, imaginary) pairs; a sounding event is noised whole.  A client
+    arrives at most ``bound`` samples late, so its preamble is searched for
+    only within ``bound + PREAMBLE_LEN`` samples from its slot's start,
+    ``i * slot``: the argmax in that window is its arrival offset.
+
+    :meth:`read` demodulates, in one call, the first ``n`` body symbols at
+    the round's earliest detected timing; a start that would read the body
+    past the buffer's end moves back to the body's last full window.
+    """
+
+    def __init__(self, phy: PhyConfig, ues: range, delays: np.ndarray, body_symbols: int):
+        self.phy, self.ues, self.delays = phy, ues, delays
+        self.slot = phy.preamble_slot_len
+        self.region = phy.preamble_region_len(len(ues))
+        self.body_len = body_symbols * phy.grid.symbol_len
+        self.rx = np.zeros(int(delays.max()) + self.region + self.body_len, dtype=np.complex128)
+
+    def add_chips(self, i: int, chips: np.ndarray) -> None:
+        lo = int(self.delays[i]) + i * self.slot
+        self.rx[lo:lo + PREAMBLE_LEN] += chips
+
+    def add_body(self, i: int, symbols: np.ndarray, n: int) -> None:
+        """Add ``symbols``, ``n`` time-domain OFDM symbols or one symbol
+        repeated, to the first ``n`` symbols of client ``i``'s body."""
+        lo = int(self.delays[i]) + self.region
+        body = self.rx[lo:lo + n * self.phy.grid.symbol_len].reshape(n, -1)
+        body += symbols
+
+    def scale_bodies(self, factor: float, n: int) -> None:
+        end = int(self.delays.max()) + self.region + n * self.phy.grid.symbol_len
+        self.rx[self.region:end] *= factor  # the first n symbols of every body
+
+    def receive(self, noise: np.random.Generator, symbols: int) -> tuple[np.ndarray, np.ndarray]:
+        """Noise the buffer in place for a read of ``symbols`` symbols, and
+        detect every client's preamble: offsets and metrics in ``ues`` order."""
+        cfg = self.phy.grid
+        bound = offset_bound(self.phy.sync, cfg.sample_rate)
+        if self.phy.uplink_snr_db is not None:
+            info = self.rx[self.region:]
+            power = float((np.abs(info) ** 2).sum()) / info.size
+            variance = power / 10.0 ** (self.phy.uplink_snr_db / 10.0)
+            noised = self.rx[:bound + self.region + symbols * cfg.symbol_len]
+            samples = noise.standard_normal(2 * noised.size)
+            samples *= np.sqrt(variance / 2.0)
+            noised += samples.view(np.complex128)
+        span = bound + PREAMBLE_LEN
+        offsets = np.zeros(len(self.ues), dtype=np.int64)
+        metrics = np.zeros(len(self.ues))
+        for i, ue in enumerate(self.ues):
+            lo = i * self.slot
+            window = TimeSignal(self.rx[lo:lo + span], cfg.sample_rate)
+            offsets[i], metrics[i] = detect_frame(window, _preamble_bank()[ue])
+        return offsets, metrics
+
+    def read(self, offsets: np.ndarray, n: int) -> np.ndarray:
+        """The first ``n`` body symbols, read at the earliest of ``offsets``."""
+        cfg = self.phy.grid
+        start = min(int(offsets.min()) + self.region, self.rx.size - self.body_len)
+        return ofdm_demodulate(TimeSignal(self.rx, cfg.sample_rate), cfg, start, n)
+
+
 def _sounding_frame(
     ues: range,
     phy: PhyConfig,
@@ -275,28 +358,20 @@ def _sounding_frame(
     phases: np.ndarray,
     offsets: np.ndarray,
     masks: np.ndarray,
-) -> np.ndarray:
-    """Noise-free receive buffer of one sounding event: the post-channel
-    frames of the clients in the range ``ues``, each delayed by its
-    ``offsets[ue]`` and summed in the air.
+) -> _Event:
+    """Noise-free sounding event of the clients in the range ``ues``, each
+    delayed by its ``offsets[ue]`` and summed in the air.
 
-    The event's preamble region holds one slot per client it carries, in
-    that order, and each client sends its Gold preamble in its own slot.
-    The region is followed by one slot of the client's pilot row, the
-    pilot symbol where the boolean ``masks[ue]`` is true and zero elsewhere.
-    ``gains`` and ``masks`` hold one row per client of the round.
+    Each client's body is one slot of its pilot row, the pilot symbol where
+    the boolean ``masks[ue]`` is true and zero elsewhere.  ``gains`` and
+    ``masks`` hold one row per client of the round.
 
-    The buffer spans the latest arrival.  Each client is added in ascending
-    order, its chips and then its repeated pilot symbol, so each sample sums
-    its clients in that order.
+    Each client is added in ascending order, its chips and then its repeated
+    pilot symbol, so each sample sums its clients in that order.
     """
     run = slice(ues.start, ues.stop)
     cfg = phy.grid
-    region = phy.preamble_region_len(len(ues))
-    body = cfg.symbols_per_slot
-    span = body * cfg.symbol_len
-    delays = offsets[run]
-    rx = np.zeros(int(delays.max()) + region + span, dtype=np.complex128)
+    event = _Event(phy, ues, offsets[run], cfg.symbols_per_slot)
     g = gains[run]
     rot = np.exp(1j * phases[run])[:, np.newaxis]
     chips = _preamble_chips(run, phy, g, rot)
@@ -305,12 +380,10 @@ def _sounding_frame(
     pilot_rows *= rot
     pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
     ofdm_modulate_into(pilot_rows, cfg, pilots)
-    for i, delay in enumerate(delays.tolist()):
-        lo = delay + i * phy.preamble_slot_len
-        rx[lo:lo + PREAMBLE_LEN] += chips[i]
-        symbols = rx[delay + region:delay + region + span].reshape(body, cfg.symbol_len)
-        symbols += pilots[i]
-    return rx
+    for i in range(len(ues)):
+        event.add_chips(i, chips[i])
+        event.add_body(i, pilots[i], cfg.symbols_per_slot)
+    return event
 
 
 def _payload_frame(
@@ -322,16 +395,14 @@ def _payload_frame(
     deltas: list[np.ndarray],
     scales: tuple[float, float],
     divisor: np.ndarray,
-) -> tuple[np.ndarray, float, np.ndarray]:
-    """Noise-free receive buffer of one payload event, with the shared
-    power-control factor alpha and each client's precoded peak, as
-    :func:`compute_alpha` returns them.
+) -> tuple[_Event, float, np.ndarray]:
+    """Noise-free payload event, with the shared power-control factor alpha
+    and each client's precoded peak, as :func:`compute_alpha` returns them.
 
-    The event is laid out as a sounding event (see :func:`_sounding_frame`),
-    and its body, whole payload slots long, is the update ``deltas[ue]``,
-    packed with the shared (I, Q) ``scales``.  ``gains``, ``deltas`` and
-    ``divisor`` (the floored estimate) hold one entry per client of the
-    round.
+    Each client's body, whole payload slots long, is the update
+    ``deltas[ue]``, packed with the shared (I, Q) ``scales``.  ``gains``,
+    ``deltas`` and ``divisor`` (the floored estimate) hold one entry per
+    client of the round.
 
     Only the body's first :func:`payload_symbols` symbols hold parameters;
     the rest of the body is zero and is never built.  Each client is packed
@@ -351,13 +422,9 @@ def _payload_frame(
     """
     run = slice(ues.start, ues.stop)
     cfg = phy.grid
-    region = phy.preamble_region_len(len(ues))
     used = payload_symbols(deltas[0].size, cfg)
-    span = used * cfg.symbol_len
     delays = offsets[run]
-    latest = int(delays.max())
-    rx = np.zeros(latest + region + slot_plan(deltas[0].size, cfg) * cfg.slot_len,
-                  dtype=np.complex128)
+    event = _Event(phy, ues, delays, slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot)
     g = gains[run]
     rot = np.exp(1j * phases[run])[:, np.newaxis]
     precode = g * (rot / divisor[run])
@@ -374,83 +441,22 @@ def _payload_frame(
             if k:
                 acc += row
         ofdm_modulate_into(acc, cfg, symbols)
-        rx[int(delays[group[0]]) + region:][:span] += symbols.reshape(-1)
+        event.add_body(int(group[0]), symbols, used)
     alpha, largest = compute_alpha(peaks, divisor[run])
-    rx[region:latest + region + span] *= alpha  # every nonzero sample so far
+    event.scale_bodies(alpha, used)  # every nonzero sample so far
     chips = _preamble_chips(run, phy, g, rot)
-    for i, delay in enumerate(delays.tolist()):
-        lo = delay + i * phy.preamble_slot_len
-        rx[lo:lo + PREAMBLE_LEN] += chips[i]
-    return rx, alpha, largest
-
-
-def _receive(
-    rx: np.ndarray, ues: range, phy: PhyConfig, noise: np.random.Generator, symbols: int
-) -> tuple[TimeSignal, np.ndarray, np.ndarray]:
-    """One receive event: add the receiver noise to the superposed buffer
-    ``rx`` in place and detect the preamble of every client in ``ues``;
-    the receiver then reads ``symbols`` OFDM symbols after the preamble
-    region (see :func:`_read_symbols`).
-
-    The noise pins ``phy.uplink_snr_db`` to the mean power of the noise-free
-    superposition after the event's preamble region -- the pilot slot of a
-    sounding event, the payload of a data event.  Pegging to the whole event
-    would let the strong constant-amplitude preamble dominate the reference
-    power, so a payload attenuated by power control would see a far worse
-    SNR than the knob claims.  Noise goes only where a read can land: the
-    buffer's first ``offset_bound + region + symbols * symbol_len`` samples,
-    which hold every detection window and the latest window the read rule
-    can pick.  It is the round generator ``noise``'s next normal draws,
-    twice that many, read as (real, imaginary) pairs.  A sounding event's
-    buffer ends within that prefix, so it is noised whole.
-
-    Each client's preamble can only start in its own slot of the preamble
-    region, at most ``offset_bound(phy.sync)`` samples late, so each client
-    is searched only within ``offset_bound + PREAMBLE_LEN`` samples of its
-    slot start: the argmax in that window is its arrival offset.  Offsets
-    and detection metrics come back in ``ues`` order.
-    """
-    bound = offset_bound(phy.sync, phy.grid.sample_rate)
-    region = phy.preamble_region_len(len(ues))
-    if phy.uplink_snr_db is not None:
-        info = rx[region:]
-        power = float((np.abs(info) ** 2).sum()) / info.size
-        variance = power / 10.0 ** (phy.uplink_snr_db / 10.0)
-        noised = rx[:bound + region + symbols * phy.grid.symbol_len]
-        samples = noise.standard_normal(2 * noised.size)
-        samples *= np.sqrt(variance / 2.0)
-        noised += samples.view(np.complex128)
-    span = bound + PREAMBLE_LEN
-    offsets = np.zeros(len(ues), dtype=np.int64)
-    metrics = np.zeros(len(ues))
-    for i, ue in enumerate(ues):
-        lo = i * phy.preamble_slot_len
-        window = TimeSignal(rx[lo:lo + span], phy.grid.sample_rate)
-        offsets[i], metrics[i] = detect_frame(window, _preamble_bank()[ue])
-    return TimeSignal(rx, phy.grid.sample_rate), offsets, metrics
-
-
-def _read_symbols(
-    rx: TimeSignal, offsets: np.ndarray, phy: PhyConfig, clients: int, body: int,
-    n: int | None = None,
-) -> np.ndarray:
-    """Demodulate, in one call, the first ``n`` (default all) of the ``body``
-    OFDM symbols that follow the preamble region of an event carrying
-    ``clients`` clients, at the earliest detected timing of the round; a
-    start that would read the body past the end of ``rx`` moves back to
-    the body's last full window."""
-    cfg = phy.grid
-    start = int(offsets.min()) + phy.preamble_region_len(clients)
-    start = min(start, rx.samples.size - body * cfg.symbol_len)
-    return ofdm_demodulate(rx, cfg, start, body if n is None else n)
+    for i, row in enumerate(chips):
+        event.add_chips(i, row)
+    return event, alpha, largest
 
 
 def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
     """NMSE of an aggregate in dB; against a zero exact average it reads the
     -300 dB floor when the aggregate is exactly zero too, else 0 dB."""
-    if float(np.sum(np.abs(exact) ** 2)) == 0.0:
-        return -300.0 if np.array_equal(sent, exact) else 0.0
-    return nmse(sent, exact)
+    with np.errstate(over="ignore", invalid="ignore"):  # a diverged round fails in _finish_round
+        if float(np.sum(np.abs(exact) ** 2)) == 0.0:
+            return -300.0 if np.array_equal(sent, exact) else 0.0
+        return nmse(sent, exact)
 
 
 def check_run(phy: PhyConfig, num_ues: int, mode: str = "ota", rounds: int = 1,
@@ -510,7 +516,6 @@ def ota_aggregate(
     for d in deltas:
         if d.shape != (param_count,):
             raise ValueError("all deltas must be equal-length vectors")
-    slots = slot_plan(param_count, cfg)
     exact_avg = fl.average_deltas(deltas)
 
     # --- common scale negotiation (error-free control channel) -----------
@@ -565,17 +570,15 @@ def ota_aggregate(
         # Comb pilots share one superposed sounding event; full-band pilots
         # need one event per client, holding only that client's slots.
         if phy.pilot_allocation == "fdm_comb":
-            events = [range(num_ues)]
+            groups = [range(num_ues)]
         else:
-            events = [range(ue, ue + 1) for ue in range(num_ues)]
+            groups = [range(ue, ue + 1) for ue in range(num_ues)]
         s_offsets = np.zeros(num_ues, dtype=np.int64)
         s_metrics = np.zeros(num_ues)
-        received = []
-        for ues in events:
-            frame = _sounding_frame(ues, phy, gains, phases, offsets, masks)
-            rx, s_offsets[ues], s_metrics[ues] = _receive(frame, ues, phy, noise,
-                                                          cfg.symbols_per_slot)
-            received.append((rx, len(ues)))
+        events = []
+        for ues in groups:
+            events.append(_sounding_frame(ues, phy, gains, phases, offsets, masks))
+            s_offsets[ues], s_metrics[ues] = events[-1].receive(noise, cfg.symbols_per_slot)
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
             return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
@@ -585,11 +588,9 @@ def ota_aggregate(
         # estimates absorb each client's residual offset as a phase ramp.
         # One pilot row per event: the comb's single row holds every
         # client's pilots, the full band's rows one client each.
-        rows = np.stack([
-            _read_symbols(rx, s_offsets, phy, clients, cfg.symbols_per_slot).mean(axis=0)
-            for rx, clients in received
-        ])
-        del received  # free the sounding buffers before the payload event
+        rows = np.stack([event.read(s_offsets, cfg.symbols_per_slot).mean(axis=0)
+                         for event in events])
+        del events  # free the sounding buffers before the payload event
         estimate = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
         # Full-band rows already hold a gain on every subcarrier; only the
         # comb fills the subcarriers between a client's pilots.
@@ -600,17 +601,17 @@ def ota_aggregate(
     # --- precode, shared power control, simultaneous transmission --------
     divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
     ues = range(num_ues)
-    frame, alpha, largest = _payload_frame(ues, phy, payload_gains, phases, offsets,
+    event, alpha, largest = _payload_frame(ues, phy, payload_gains, phases, offsets,
                                            deltas, scales, divisor)
     max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
     used = payload_symbols(param_count, cfg)
-    rx, p_offsets, p_metrics = _receive(frame, ues, phy, noise, used)
+    p_offsets, p_metrics = event.receive(noise, used)
     if np.any(p_metrics < DETECT_THRESHOLD):
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
                        "payload detection failed")
 
     # --- demodulate, descale, compare -------------------------------------
-    block = _read_symbols(rx, p_offsets, phy, num_ues, slots * cfg.symbols_per_slot, used)
+    block = event.read(p_offsets, used)
     block /= num_ues * alpha
     recovered = unmap_from_grids(block, param_count, scales)
     return _report(recovered, alpha, p_offsets, p_metrics, max_re_power)
@@ -681,7 +682,8 @@ def _finish_round(
     ``ValueError`` naming the round and the first such client.
     """
     new_theta = state.theta.copy() if aborted else fl.apply_global(state.theta, update)
-    losses, grads = zip(*[fl.loss_and_grad(new_theta, t) for t in tasks])
+    with np.errstate(over="ignore", invalid="ignore"):  # the check below names the client
+        losses, grads = zip(*[fl.loss_and_grad(new_theta, t) for t in tasks])
     loss_per_ue = np.array(losses)
     bad = np.flatnonzero(~np.isfinite(loss_per_ue))
     if bad.size:

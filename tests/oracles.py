@@ -14,6 +14,8 @@ pipeline computes another way, or a diagnostic only a test reads.
   in a composite signal, and their spread.
 - ``propagated_gap``: the ota - digital model gap of every round, from the
   round errors alone, which the two runs' models must reproduce.
+- ``gap_share``: the share of the final ota - digital loss gap that the
+  errors of some rounds carry.
 """
 
 from __future__ import annotations
@@ -106,3 +108,26 @@ def propagated_gap(tasks: list[fl.Task], template: fl.TrainConfig, master_seed: 
         gap = fl.average_deltas([fl.local_train(gap, t, c) for t, c in zip(zero, cfgs)]) + error
         gaps.append(gap)
     return gaps
+
+
+def gap_share(tasks: list[fl.Task], template: fl.TrainConfig, master_seed: int,
+              errors: list[np.ndarray], rounds: set[int], theta_ota: np.ndarray,
+              theta_digital: np.ndarray) -> float:
+    """The share of the final loss gap L(theta_ota) - L(theta_digital) that
+    the errors of the rounds ``rounds`` carry, L being the clients' mean loss.
+
+    L is quadratic in the model, so L(theta_o) - L(theta_d) = Delta .
+    (grad L(theta_o) + grad L(theta_d)) / 2 exactly, for Delta = theta_o -
+    theta_d.  Delta is linear in the round errors (``propagated_gap``), so
+    this share is the gap those rounds' errors propagate alone, dotted with
+    that mean gradient, over the loss gap; the shares of a partition of the
+    rounds sum to 1.
+    """
+    def loss_and_grad(theta):
+        losses, grads = zip(*[fl.loss_and_grad(theta, t) for t in tasks])
+        return float(np.mean(losses)), np.mean(grads, axis=0)
+
+    kept = [e if r in rounds else np.zeros_like(e) for r, e in enumerate(errors)]
+    delta = propagated_gap(tasks, template, master_seed, kept)[-1]
+    (loss_o, grad_o), (loss_d, grad_d) = loss_and_grad(theta_ota), loss_and_grad(theta_digital)
+    return float(delta @ ((grad_o + grad_d) / 2)) / (loss_o - loss_d)

@@ -35,7 +35,7 @@ from otafl.weightcodec import (
     rail_peaks,
     scale_updates,
 )
-from oracles import propagated_gap
+from oracles import gap_share, propagated_gap
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -221,9 +221,8 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     delays = [0, bound, 1]
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers), dtype=bool)
-    rx = ota._sounding_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks)
-    _, offsets, metrics = ota._receive(rx, range(3), phy, np.random.default_rng(5),
-                                       phy.grid.symbols_per_slot)
+    event = ota._sounding_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks)
+    offsets, metrics = event.receive(np.random.default_rng(5), phy.grid.symbols_per_slot)
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
 
@@ -235,14 +234,15 @@ def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, sprea
     every detected client's windowed offset equals the full-frame argmax
     minus the start of its slot in the event."""
     calls = []
-    original = ota._receive
+    original = ota._Event.receive
 
-    def recording(sent, ues, phy, noise, symbols):
-        rx, offsets, metrics = original(sent, ues, phy, noise, symbols)
-        calls.append((rx, list(ues), offsets, metrics))
-        return rx, offsets, metrics
+    def recording(event, noise, symbols):
+        offsets, metrics = original(event, noise, symbols)
+        rx = TimeSignal(event.rx, event.phy.grid.sample_rate)
+        calls.append((rx, list(event.ues), offsets, metrics))
+        return offsets, metrics
 
-    monkeypatch.setattr(ota, "_receive", recording)
+    monkeypatch.setattr(ota._Event, "receive", recording)
     phy = PhyConfig(
         channel=ChannelModel("flat_block"),
         sync=SyncConfig(mode="ptp_off", off_spread=spread),
@@ -337,13 +337,14 @@ def test_single_client_frame_oracle():
         rot = np.exp(1j * phases[ue])
         pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue] * rot
         packed = _packed(deltas[ue], scales)
-        payload, alpha, largest = ota._payload_frame(one, phy, gains, phases, delays,
-                                                     deltas, scales, divisor)
+        built, alpha, largest = ota._payload_frame(one, phy, gains, phases, delays,
+                                                   deltas, scales, divisor)
+        payload = built.rx
         peak = np.max(np.abs(packed) / np.abs(divisor[ue]))
         assert largest.tolist() == [pytest.approx(peak, rel=1e-15)]
         assert alpha == pytest.approx(MARGIN / peak, rel=1e-15)
         events = [
-            (ota._sounding_frame(one, phy, gains, phases, delays, masks),
+            (ota._sounding_frame(one, phy, gains, phases, delays, masks).rx,
              np.tile(pilots, (cfg.symbols_per_slot, 1))),
             (payload, alpha * packed * gains[ue] * rot / divisor[ue]),
         ]
@@ -385,7 +386,7 @@ def test_sounding_frame_carries_only_preamble_and_pilots():
     gains = np.full((4, cfg.subcarriers), 0.5 + 0.5j)
     masks = np.ones((4, cfg.subcarriers), dtype=bool)
     delays = np.array([0, 0, 7, 0])
-    rx = ota._sounding_frame(range(2, 3), phy, gains, np.zeros(4), delays, masks)
+    rx = ota._sounding_frame(range(2, 3), phy, gains, np.zeros(4), delays, masks).rx
     slot, n = phy.preamble_slot_len, cfg.symbols_per_slot
     assert rx.shape == (7 + slot + n * cfg.symbol_len,)
     assert np.flatnonzero(rx[:7 + slot]).tolist() == list(range(7, 7 + PREAMBLE_LEN))
@@ -428,10 +429,10 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
     def build(ues, delays):
         """The event's buffer and the alpha that scaled its body."""
         if event == "sounding":
-            return ota._sounding_frame(ues, phy, gains, phases, delays, masks), 1.0
-        rx, alpha, _ = ota._payload_frame(ues, phy, gains, phases, delays,
-                                          deltas, scales, divisor)
-        return rx, alpha
+            return ota._sounding_frame(ues, phy, gains, phases, delays, masks).rx, 1.0
+        built, alpha, _ = ota._payload_frame(ues, phy, gains, phases, delays,
+                                             deltas, scales, divisor)
+        return built.rx, alpha
 
     rx, alpha = build(range(num_ues), offsets)
     slot, region = phy.preamble_slot_len, phy.preamble_region_len(num_ues)
@@ -500,8 +501,9 @@ def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
     else:
         offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
                                ORACLE_GRID.sample_rate, seed=num_ues)
-    got, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, phases, offsets,
-                                             deltas, scales, divisor)
+    event, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, phases, offsets,
+                                               deltas, scales, divisor)
+    got = event.rx
     want, want_alpha, want_largest = _block_path_frame(phy, gains, phases, offsets,
                                                        deltas, scales, divisor)
     assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
@@ -527,20 +529,20 @@ def test_receive_adds_noise_in_place(snr_db):
     offsets = np.array([0, bound, 1])
     region = phy.preamble_region_len(3)
     for symbols in (3, 4, 5):
-        rx, _, _ = ota._payload_frame(range(3), phy, gains, phases, offsets,
-                                      deltas, scales, divisor)
+        event, _, _ = ota._payload_frame(range(3), phy, gains, phases, offsets,
+                                         deltas, scales, divisor)
+        rx = event.rx
         assert rx.size == bound + region + cfg.symbols_per_slot * cfg.symbol_len
         n = min(rx.size, bound + region + symbols * cfg.symbol_len)
         clean = rx.copy()
-        got, _, _ = ota._receive(rx, range(3), phy, np.random.default_rng(derive_seed(5, 1)),
-                                 symbols)
-        assert got.samples is rx  # no second buffer
+        event.receive(np.random.default_rng(derive_seed(5, 1)), symbols)
+        assert event.rx is rx  # no second buffer
         variance = np.mean(np.abs(clean[region:]) ** 2) / 10.0 ** (snr_db / 10.0)
         draws = np.random.default_rng(derive_seed(5, 1)).standard_normal(2 * n)
         want = clean.copy()
         want[:n] += np.sqrt(variance / 2.0) * (draws[0::2] + 1j * draws[1::2])
-        np.testing.assert_array_equal(got.samples.view(np.float64), want.view(np.float64))
-        assert np.all(got.samples[:n] != clean[:n])
+        np.testing.assert_array_equal(event.rx.view(np.float64), want.view(np.float64))
+        assert np.all(event.rx[:n] != clean[:n])
 
 
 def _address(a: np.ndarray) -> int:
@@ -557,7 +559,7 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
     at the last lag of its search window, past the latest true arrival, so
     the read rule moves each window back inside its buffer."""
     events = []
-    receive, detect, demodulate = ota._receive, ota.detect_frame, ota.ofdm_demodulate
+    receive, detect, demodulate = ota._Event.receive, ota.detect_frame, ota.ofdm_demodulate
 
     def window(samples, lo, size):
         """Record ``samples[lo:lo + size]`` against the event buffer it views."""
@@ -566,11 +568,11 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
         event["windows"].append((start, start + size))
         return event
 
-    def receiving(rx, ues, phy, noise, symbols):
-        events.append({"rx": rx, "windows": [], "clients": len(ues)})
-        clean = rx.copy()
-        out = receive(rx, ues, phy, noise, symbols)
-        events[-1]["noised"] = np.flatnonzero(rx != clean)
+    def receiving(event, noise, symbols):
+        events.append({"rx": event.rx, "windows": [], "clients": len(event.ues)})
+        clean = event.rx.copy()
+        out = receive(event, noise, symbols)
+        events[-1]["noised"] = np.flatnonzero(event.rx != clean)
         return out
 
     def detecting(signal, preamble):
@@ -584,7 +586,7 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
         window(signal.samples, start, n * cfg.symbol_len)["read"] = start
         return demodulate(signal, cfg, start, n)
 
-    monkeypatch.setattr(ota, "_receive", receiving)
+    monkeypatch.setattr(ota._Event, "receive", receiving)
     monkeypatch.setattr(ota, "detect_frame", detecting)
     monkeypatch.setattr(ota, "ofdm_demodulate", demodulating)
     sync, channel, allocation = {
@@ -677,10 +679,10 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
     bit, the least-squares division of each sounding event's slot-averaged
     pilot row by the known pilots."""
     reads, floored = [], []
-    read, floor = ota._read_symbols, ota.inversion_floor
+    read, floor = ota._Event.read, ota.inversion_floor
 
-    def reading(*args):
-        block = read(*args)
+    def reading(event, *args):
+        block = read(event, *args)
         reads.append(block.copy())
         return block
 
@@ -688,7 +690,7 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
         floored.append(estimate.copy())
         return floor(estimate, floor_rel)
 
-    monkeypatch.setattr(ota, "_read_symbols", reading)
+    monkeypatch.setattr(ota._Event, "read", reading)
     monkeypatch.setattr(ota, "inversion_floor", flooring)
     num_ues = 4
     phy = PhyConfig(grid=SMALL_GRID, channel=ChannelModel("rayleigh_per_subcarrier"),
@@ -744,7 +746,12 @@ def test_read_symbols_moves_a_late_start_back_inside_the_buffer():
     last = size - n * cfg.symbol_len
 
     def read(offsets, clients=num_ues):
-        return ota._read_symbols(rx, np.array(offsets), phy, clients, n).tobytes()
+        """Read an event of ``clients`` clients and ``n`` body symbols whose
+        buffer holds ``rx``: its clients arrive as late as that size allows."""
+        latest = size - phy.preamble_region_len(clients) - n * cfg.symbol_len
+        event = ota._Event(phy, range(clients), np.full(clients, latest), n)
+        event.rx[:] = rx.samples
+        return event.read(np.array(offsets), n).tobytes()
 
     def window(start):
         return ofdm_demodulate(rx, cfg, start, n).tobytes()
@@ -785,14 +792,14 @@ def test_tdm_full_noise_draws_grow_linearly_in_the_client_count(monkeypatch):
     the aggregation is that of a fresh generator after exactly that many
     draws.  The count has a zero second difference over equally spaced M."""
     events, generators = [], []
-    original = ota._receive
+    original = ota._Event.receive
 
-    def recording(rx, ues, phy, noise, symbols):
-        events.append(rx.size)
+    def recording(event, noise, symbols):
+        events.append(event.rx.size)
         generators.append(noise)
-        return original(rx, ues, phy, noise, symbols)
+        return original(event, noise, symbols)
 
-    monkeypatch.setattr(ota, "_receive", recording)
+    monkeypatch.setattr(ota._Event, "receive", recording)
     seeds = _recording_noise_seeds(monkeypatch)
     phy = PhyConfig(channel=ChannelModel("rayleigh_per_subcarrier"), pilot_allocation="tdm_full",
                     sync=SyncConfig(mode="ptp_off", off_spread=0), uplink_snr_db=20.0)
@@ -1090,6 +1097,24 @@ def test_digital_fp32_matches_centralized_gradient_descent():
     assert result.traces[-1].global_loss == pytest.approx(central_loss, abs=1e-6)
 
 
+GAP_SEED, GAP_ROUNDS = 3, 30
+
+
+def _gap_shape():
+    """Tasks, training template and PHY of the gap tests: M = 5, P = 640,
+    float64 features (so no float32 product rounds the affine map),
+    ``flat_block``, comb, PTP and 10 dB."""
+    num_ues, params = 5, 640
+    tasks = []
+    for ue in range(num_ues):
+        t = fl.make_linear_task(*data_seeds(GAP_SEED, ue), 2 * params, params)
+        tasks.append(fl.Task(t.kind, t.features.astype(np.float64), t.targets))
+    template = fl.TrainConfig(learning_rate=0.05)
+    phy = PhyConfig(channel=ChannelModel("flat_block"), sync=SyncConfig(mode="ptp_on"),
+                    pilot_allocation="fdm_comb", uplink_snr_db=10.0)
+    return tasks, template, phy
+
+
 def test_the_ota_digital_gap_is_the_propagated_sum_of_round_errors(monkeypatch):
     """Under SGD on the linear task every local update is affine in the
     global model, so the gap d_t = theta_ota - theta_digital obeys
@@ -1099,14 +1124,8 @@ def test_the_ota_digital_gap_is_the_propagated_sum_of_round_errors(monkeypatch):
     rounds the affine map.  The recursion holds to 1e-12 relative in every
     round.  Round ``forced`` is made to abort at -30 dB, and its e_t is
     minus the exact average: the model does not move."""
-    num_ues, params, rounds, seed, forced = 5, 640, 30, 3, 7
-    tasks = []
-    for ue in range(num_ues):
-        t = fl.make_linear_task(*data_seeds(seed, ue), 2 * params, params)
-        tasks.append(fl.Task(t.kind, t.features.astype(np.float64), t.targets))
-    template = fl.TrainConfig(learning_rate=0.05)
-    phy = PhyConfig(channel=ChannelModel("flat_block"), sync=SyncConfig(mode="ptp_on"),
-                    pilot_allocation="fdm_comb", uplink_snr_db=10.0)
+    rounds, seed, forced = GAP_ROUNDS, GAP_SEED, 7
+    tasks, template, phy = _gap_shape()
     reports, thetas = [], {"ota": [], "digital_fp32": []}
     aggregate, finish = ota.ota_aggregate, ota._finish_round
 
@@ -1135,6 +1154,47 @@ def test_the_ota_digital_gap_is_the_propagated_sum_of_round_errors(monkeypatch):
         gap = thetas["ota"][r] - thetas["digital_fp32"][r]
         assert np.linalg.norm(gap) > 0
         assert np.linalg.norm(predicted[r] - gap) <= 1e-12 * np.linalg.norm(gap), r
+
+
+def test_the_loss_gap_splits_between_aborted_and_delivered_rounds(monkeypatch):
+    """The final loss gap to ``digital_fp32`` splits exactly between the
+    errors of the aborted rounds and those of the delivered rounds
+    (``oracles.gap_share``): the two shares sum to 1.  At the gap shape
+    nearly all of it comes from the 9 rounds the detector threw away."""
+    tasks, template, phy = _gap_shape()
+    reports = []
+    aggregate = ota.ota_aggregate
+
+    def recording(deltas, phy, master_seed, round_index):
+        reports.append(aggregate(deltas, phy, master_seed, round_index))
+        return reports[-1]
+
+    monkeypatch.setattr(ota, "ota_aggregate", recording)
+    final = {mode: run_experiment(mode, GAP_ROUNDS, tasks, template, phy,
+                                  master_seed=GAP_SEED).final_theta
+             for mode in ("ota", "digital_fp32")}
+    errors = [r.recovered - r.exact_avg for r in reports]
+    aborted = {r for r, report in enumerate(reports) if report.aborted}
+    delivered = set(range(GAP_ROUNDS)) - aborted
+    aborted_share, delivered_share = (
+        gap_share(tasks, template, GAP_SEED, errors, rounds, final["ota"], final["digital_fp32"])
+        for rounds in (aborted, delivered))
+    assert sorted(aborted) == [0, 2, 3, 4, 5, 15, 17, 26, 29]
+    assert abs(aborted_share + delivered_share - 1.0) <= 1e-9
+    assert aborted_share == pytest.approx(1.0053924862542036, abs=1e-9)
+    assert delivered_share == pytest.approx(-0.0053924862542046, abs=1e-9)
+
+
+@pytest.mark.parametrize("rounds", [1, 3])
+@pytest.mark.parametrize("mode", ["ota", "digital_fp32", "digital_int8"])
+def test_a_diverging_step_raises_only_the_round_and_client_error(mode, rounds):
+    """At ``learning_rate = 1e300`` the first round's update overflows the
+    model.  ``run_experiment`` then raises the ``ValueError`` naming the
+    round and the client, and no numpy ``RuntimeWarning`` comes before it:
+    the tests turn every warning into an error."""
+    template = fl.TrainConfig(learning_rate=1e300)
+    with pytest.raises(ValueError, match=r"^round 0: client 0's loss is not finite$"):
+        run_experiment(mode, rounds, _make_tasks(2), template, PhyConfig(), master_seed=0)
 
 
 def test_digital_int8_quantization_is_small_but_visible():

@@ -359,3 +359,52 @@ def test_oracles_are_called_by_tests_and_defined_only_there():
     assert oracles
     assert uncalled == []
     assert redefined == set()
+
+
+# The frame layout of ``ota``'s receive events.  Only ``ota._Event`` reads
+# these names; ``PhyConfig`` defines the first two and may read them there.
+LAYOUT_NAMES = ("preamble_slot_len", "preamble_region_len", "offset_bound")
+
+
+def _layout_reads(source: str) -> list[str]:
+    """``definition: name`` for every read of a ``LAYOUT_NAMES`` name in the
+    module's source outside ``_Event`` and outside ``PhyConfig``'s own
+    definitions of those names."""
+    found = []
+    for top in ast.parse(source).body:
+        where = getattr(top, "name", "<module>")
+        if where == "_Event":
+            continue
+        nodes = [top]
+        if where == "PhyConfig":
+            nodes = [node for node in top.body if getattr(node, "name", None) not in LAYOUT_NAMES]
+        for node in nodes:
+            for sub in ast.walk(node):
+                name = (sub.id if isinstance(sub, ast.Name)
+                        else sub.attr if isinstance(sub, ast.Attribute) else None)
+                if name in LAYOUT_NAMES:
+                    found.append(f"{where}: {name}")
+    return found
+
+
+def test_layout_read_check_sees_a_builder_or_a_round_that_reads_the_layout():
+    source = (
+        "from .sync import offset_bound\n\n\n"
+        "class PhyConfig:\n"
+        "    @property\n    def preamble_slot_len(self):\n        return 143\n\n"
+        "    def preamble_region_len(self, n):\n        return n * self.preamble_slot_len\n\n"
+        "    def guard(self):\n        return self.preamble_slot_len\n\n\n"
+        "class _Event:\n    def __init__(self, phy, n):\n"
+        "        self.region = phy.preamble_region_len(n) + offset_bound(phy.sync, 1.0)\n\n\n"
+        "def _payload_frame(phy, n):\n    return phy.preamble_region_len(n)\n\n\n"
+        "BOUND = offset_bound\n"
+    )
+    assert _layout_reads(source) == [
+        "PhyConfig: preamble_slot_len", "_payload_frame: preamble_region_len",
+        "<module>: offset_bound"]
+
+
+def test_only_the_event_type_reads_the_frame_layout():
+    """Chip starts, body starts, search windows, the noised prefix and the
+    read start are computed in one place, which later layout changes edit."""
+    assert _layout_reads((PACKAGE_DIR / "ota.py").read_text(encoding="utf-8")) == []

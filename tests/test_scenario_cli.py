@@ -628,7 +628,6 @@ def test_cli_run_invalid_scenario(tmp_path, capsys):
     assert "rounds" in capsys.readouterr().err
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # numpy's overflow on the way to NaN
 @pytest.mark.parametrize("name, rounds", [("digital_baseline.cfg", "2"), ("baseline.cfg", "1")])
 def test_cli_run_with_a_diverging_step_exits_2_naming_round_and_client(tmp_path, capsys,
                                                                        name, rounds):
