@@ -1,6 +1,6 @@
 """Spectrum and energy accounting for digital versus analog aggregation.
 
-Digital federated uploads serialize every client's quantized update through
+Digital federated uploads serialize every client's fp32 or int8 update through
 orthogonal resource blocks, so the slot bill grows with the client count.
 The analog scheme sends all updates simultaneously; its slot bill is set by
 the parameter count alone (2 reals per resource element).

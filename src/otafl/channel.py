@@ -50,22 +50,6 @@ def realize_channel(model: ChannelModel, subcarriers: int, seed) -> np.ndarray:
     return _cn(rng, subcarriers)
 
 
-def decorrelate(gains: np.ndarray, model: ChannelModel, mix: float, seed) -> np.ndarray:
-    """Stale-CSI knob: blend in an independent draw with weight ``mix``.
-
-    ``mix`` = 0 returns the gains unchanged (full coherence within the
-    round); ``mix`` = 1 is a fully independent redraw.  The blend keeps the
-    per-subcarrier second moment: sqrt(1 - mix^2) * old + mix * new.
-    ``PhyConfig.decorrelation`` owns this check for a scenario; it stays for direct callers.
-    """
-    if not 0.0 <= mix <= 1.0:
-        raise ValueError("mix must lie in [0, 1]")
-    if mix == 0.0:
-        return gains
-    fresh = realize_channel(model, gains.size, seed)
-    return np.sqrt(1.0 - mix**2) * gains + mix * fresh
-
-
 def superpose(
     signals: list[tuple[TimeSignal, int]],
     noise_variance: float,

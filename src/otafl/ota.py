@@ -13,17 +13,16 @@ One uplink round, as simulated here:
     per-client timing phase ramp, so channel inversion pre-compensates
     residual sample offsets that fall inside the cyclic prefix.  The
     estimates are one ``(clients, subcarriers)`` array, and each estimation
-    stage (least squares, comb interpolation, quantization) is one call for
-    all clients.
+    stage (least squares, comb interpolation) is one call for all clients.
 4.  The payload is sent in whole slots, but only its first
     ``weightcodec.payload_symbols`` OFDM symbols hold parameters; the rest
     is zero and is never built.  The codec packs one client's scaled update
     at a time into a reused block of those symbols, once per client.  The
     per-subcarrier peaks of the packed block are read, and the block is
-    precoded by gain * phase / estimate (the floored estimate); clients
-    that share a delay are summed in the frequency domain, and each
-    distinct delay is modulated once and added into the event's one
-    receive buffer, as the multiple-access channel sums them in the air.
+    precoded by gain / estimate (the floored estimate); clients that share
+    a delay are summed in the frequency domain, and each distinct delay is
+    modulated once and added into the event's one receive buffer, as the
+    multiple-access channel sums them in the air.
     The peaks against the estimates give the shared power-control factor
     alpha, and since every client scales by the same alpha and the air sum
     is linear, the summed payload is scaled by alpha once before the
@@ -41,7 +40,7 @@ Every event shares one frame layout, which ``_Event`` owns.  Pilot
 subcarriers are either interleaved combs (one superposed sounding event,
 suited to frequency-flat channels) or full band (one event per client
 holding only its preamble slot and its pilot slot, required when the
-channel decorrelates across subcarriers).
+channel varies across subcarriers).
 """
 
 from __future__ import annotations
@@ -60,8 +59,8 @@ from .accounting import (
     SpectralProfile,
     round_bill,
 )
-from .channel import ChannelModel, decorrelate, realize_channel
-from .csi import interpolate, ls_estimate, nmse, quantize_estimate, quantizer_levels
+from .channel import ChannelModel, realize_channel
+from .csi import interpolate, ls_estimate, nmse
 from .errors import FieldError, check_choice
 from .grid import (
     PREAMBLE_FAMILY,
@@ -83,7 +82,7 @@ from .precode import (
     inversion_divisor,
     inversion_floor,
 )
-from .sync import SyncConfig, draw_offsets, draw_phase_offsets, offset_bound, offset_reach
+from .sync import SyncConfig, draw_offsets, offset_bound, offset_reach
 from .weightcodec import (
     pack_payload,
     payload_symbols,
@@ -104,9 +103,7 @@ _TAG_INIT = 11
 _TAG_DATA = 12
 _TAG_TRAIN = 13
 _TAG_CHANNEL = 14
-_TAG_DECORR = 15
 _TAG_SYNC = 16
-_TAG_PHASE = 17
 _TAG_NOISE = 18
 
 
@@ -146,16 +143,12 @@ class PhyConfig:
     csi_mode: str = "estimated"
     pilot_allocation: str = "fdm_comb"
     uplink_snr_db: float | None = 20.0
-    decorrelation: float = 0.0
-    feedback_quant_bits: int = 0
 
     def __post_init__(self):
         check_choice("csi_mode", self.csi_mode, CSI_MODES)
         check_choice("pilot_allocation", self.pilot_allocation, PILOT_ALLOCATIONS)
         if not 0 <= self.floor_rel < math.inf:
             raise FieldError("floor_rel", "must be >= 0 and finite")
-        if not 0 <= self.decorrelation <= 1:
-            raise FieldError("decorrelation", "must lie in [0, 1]")
         if self.uplink_snr_db is not None:
             try:  # the noise variance divides by 10 ** (snr / 10), which may not be 0 or inf
                 in_range = math.isfinite(math.pow(10.0, abs(self.uplink_snr_db) / 10.0))
@@ -164,10 +157,6 @@ class PhyConfig:
             if not in_range:
                 raise FieldError("uplink_snr_db", "must be None for no noise, or finite with "
                                  f"10 ** (|snr| / 10) in float range, got {self.uplink_snr_db!r}")
-        try:
-            quantizer_levels(self.feedback_quant_bits)
-        except ValueError as exc:
-            raise FieldError("feedback_quant_bits", str(exc)) from None
         field, reach = offset_reach(self.sync, self.grid.sample_rate)
         if not reach <= self.grid.slot_len:
             raise FieldError(f"sync.{field}", f"{getattr(self.sync, field)!r} gives offsets up "
@@ -255,7 +244,7 @@ def _pilot_values(subcarriers: int) -> np.ndarray:
     return pilots
 
 
-def _preamble_chips(run: slice, phy: PhyConfig, gains: np.ndarray, rot: np.ndarray) -> np.ndarray:
+def _preamble_chips(run: slice, phy: PhyConfig, gains: np.ndarray) -> np.ndarray:
     """The Gold chips the clients ``run`` send, one row per client.
 
     Fading is applied per subcarrier in the frequency domain; the preamble
@@ -263,7 +252,7 @@ def _preamble_chips(run: slice, phy: PhyConfig, gains: np.ndarray, rot: np.ndarr
     RMS gain instead (a scalar stand-in that preserves detection power).
     """
     rms_gain = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
-    return (phy.reference_amplitude * rms_gain)[:, np.newaxis] * _preamble_bank()[run] * rot
+    return (phy.reference_amplitude * rms_gain)[:, np.newaxis] * _preamble_bank()[run]
 
 
 class _Event:
@@ -355,7 +344,6 @@ def _sounding_frame(
     ues: range,
     phy: PhyConfig,
     gains: np.ndarray,
-    phases: np.ndarray,
     offsets: np.ndarray,
     masks: np.ndarray,
 ) -> _Event:
@@ -373,11 +361,9 @@ def _sounding_frame(
     cfg = phy.grid
     event = _Event(phy, ues, offsets[run], cfg.symbols_per_slot)
     g = gains[run]
-    rot = np.exp(1j * phases[run])[:, np.newaxis]
-    chips = _preamble_chips(run, phy, g, rot)
+    chips = _preamble_chips(run, phy, g)
     pilot_rows = masks[run] * (phy.reference_amplitude * _pilot_values(cfg.subcarriers))
     pilot_rows *= g
-    pilot_rows *= rot
     pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
     ofdm_modulate_into(pilot_rows, cfg, pilots)
     for i in range(len(ues)):
@@ -390,7 +376,6 @@ def _payload_frame(
     ues: range,
     phy: PhyConfig,
     gains: np.ndarray,
-    phases: np.ndarray,
     offsets: np.ndarray,
     deltas: list[np.ndarray],
     scales: tuple[float, float],
@@ -409,7 +394,7 @@ def _payload_frame(
     once.  The clients are walked by distinct delay, in ascending order,
     and within a delay in ascending order: a client is packed into one of
     two reused blocks, its per-subcarrier peaks are read from the packed
-    block, and it is precoded by gain * phase / divisor and summed into the
+    block, and it is precoded by gain / divisor and summed into the
     delay's first block.  Modulation is linear, so each distinct delay (at
     most ``offset_bound + 1`` under PTP) is modulated once, and no array
     holds more than two clients' blocks, however many clients there are.
@@ -426,8 +411,7 @@ def _payload_frame(
     delays = offsets[run]
     event = _Event(phy, ues, delays, slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot)
     g = gains[run]
-    rot = np.exp(1j * phases[run])[:, np.newaxis]
-    precode = g * (rot / divisor[run])
+    precode = g * (1.0 / divisor[run])  # reciprocal first: g / divisor rounds differently
     deltas = deltas[run]
     peaks = np.empty(g.shape)
     acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
@@ -444,7 +428,7 @@ def _payload_frame(
         event.add_body(int(group[0]), symbols, used)
     alpha, largest = compute_alpha(peaks, divisor[run])
     event.scale_bodies(alpha, used)  # every nonzero sample so far
-    chips = _preamble_chips(run, phy, g, rot)
+    chips = _preamble_chips(run, phy, g)
     for i, row in enumerate(chips):
         event.add_chips(i, row)
     return event, alpha, largest
@@ -544,18 +528,9 @@ def ota_aggregate(
         )
         for ue in range(num_ues)
     ])
-    # at zero decorrelation the payload sees the sounding gains; skip the seeds
-    payload_gains = gains if phy.decorrelation == 0.0 else np.stack([
-        decorrelate(g, phy.channel, phy.decorrelation,
-                    derive_seed(master_seed, round_index, ue, _TAG_DECORR))
-        for ue, g in enumerate(gains)
-    ])
     offsets = draw_offsets(
         phy.sync, num_ues, cfg.sample_rate,
         seed=derive_seed(master_seed, round_index, _TAG_SYNC),
-    )
-    phases = draw_phase_offsets(
-        phy.sync, num_ues, seed=derive_seed(master_seed, round_index, _TAG_PHASE)
     )
 
     # one generator for every receive event of the round, in event order
@@ -564,7 +539,7 @@ def ota_aggregate(
     # --- sounding pass: effective-channel estimates at a common reference -
     if phy.csi_mode == "perfect":
         ramps = _phase_ramp(cfg, offsets[:, np.newaxis] - int(offsets.min()))
-        estimate = payload_gains * ramps * np.exp(1j * phases)[:, np.newaxis]
+        estimate = gains * ramps
     else:
         masks = _pilot_masks(num_ues, cfg, phy.pilot_allocation)
         # Comb pilots share one superposed sounding event; full-band pilots
@@ -577,7 +552,7 @@ def ota_aggregate(
         s_metrics = np.zeros(num_ues)
         events = []
         for ues in groups:
-            events.append(_sounding_frame(ues, phy, gains, phases, offsets, masks))
+            events.append(_sounding_frame(ues, phy, gains, offsets, masks))
             s_offsets[ues], s_metrics[ues] = events[-1].receive(noise, cfg.symbols_per_slot)
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
@@ -596,13 +571,18 @@ def ota_aggregate(
         # comb fills the subcarriers between a client's pilots.
         if phy.pilot_allocation == "fdm_comb":
             estimate = interpolate(estimate[0], masks)
-        estimate = quantize_estimate(estimate, phy.feedback_quant_bits)
 
     # --- precode, shared power control, simultaneous transmission --------
-    divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
-    ues = range(num_ues)
-    event, alpha, largest = _payload_frame(ues, phy, payload_gains, phases, offsets,
-                                           deltas, scales, divisor)
+    # The rails are finite and nonzero, so only a floor that overflows or
+    # underflows the precoded peaks can fail here; the error names it.
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):
+            divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
+            event, alpha, largest = _payload_frame(range(num_ues), phy, gains, offsets,
+                                                   deltas, scales, divisor)
+    except ValueError as exc:
+        raise ValueError(f"round {round_index}: phy.floor_rel = {phy.floor_rel!r} leaves "
+                         f"no usable precoded payload: {exc}") from None
     max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
     used = payload_symbols(param_count, cfg)
     p_offsets, p_metrics = event.receive(noise, used)
@@ -698,7 +678,7 @@ def _finish_round(
     return fl.RoundState(new_theta, state.round_index + 1, grads), trace
 
 
-def _int8_dequantize(delta: np.ndarray) -> np.ndarray:
+def _int8_round_trip(delta: np.ndarray) -> np.ndarray:
     """Symmetric per-tensor int8: scale = max|delta| / 127."""
     peak = float(np.max(np.abs(delta)))
     if peak == 0.0:
@@ -739,14 +719,14 @@ def run_digital_round(
     grid: GridConfig,
     energy_model: EnergyModel = EnergyModel(),
 ) -> tuple[fl.RoundState, RoundTrace]:
-    """Digital FedAvg baseline round (fp32 exact or int8-quantized uploads)."""
+    """Digital FedAvg baseline round (fp32 exact or int8-rounded uploads)."""
     if mode not in DIGITAL_BITS:
         raise ValueError(f"not a digital mode: {mode!r}")
     slots, energy = round_bill(mode, len(tasks), state.theta.size, grid, energy_model, profile)
     deltas = train_deltas(state, tasks, train_cfgs)
     exact = fl.average_deltas(deltas)
     if mode == "digital_int8":
-        sent = fl.average_deltas([_int8_dequantize(d) for d in deltas])
+        sent = fl.average_deltas([_int8_round_trip(d) for d in deltas])
     else:
         sent = exact
     return _finish_round(

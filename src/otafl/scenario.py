@@ -77,14 +77,11 @@ class Scenario:
     sync_mode: str = SyncConfig.mode
     sync_ptp_bound_s: float = SyncConfig.ptp_bound_s
     sync_off_spread: int = SyncConfig.off_spread
-    sync_phase_offset_rad: float = SyncConfig.phase_offset_rad
 
     phy_uplink_snr_db: float | None = PhyConfig.uplink_snr_db
     phy_csi_mode: str = PhyConfig.csi_mode
     phy_pilot_allocation: str = PhyConfig.pilot_allocation
     phy_floor_rel: float = PhyConfig.floor_rel
-    phy_decorrelation: float = PhyConfig.decorrelation
-    phy_feedback_quant_bits: int = PhyConfig.feedback_quant_bits
 
     acct_spectral_efficiency: float = DEFAULT_SPECTRAL_EFFICIENCY
     acct_fixed_overhead: float = EnergyModel.fixed_overhead

@@ -29,11 +29,10 @@ class SyncConfig:
     mode: str = "ptp_on"
     ptp_bound_s: float = DEFAULT_PTP_BOUND_S
     off_spread: int = 0
-    phase_offset_rad: float = 0.0
 
     def __post_init__(self):
         check_choice("mode", self.mode, MODES)
-        for name in ("ptp_bound_s", "off_spread", "phase_offset_rad"):
+        for name in ("ptp_bound_s", "off_spread"):
             if not 0 <= getattr(self, name) < math.inf:
                 raise FieldError(name, "must be finite and >= 0")
 
@@ -68,13 +67,3 @@ def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed) -> np.
     offs = np.floor(u * (bound + 1)).astype(np.int64)
     return np.minimum(offs, bound)
 
-
-def draw_phase_offsets(cfg: SyncConfig, num_ues: int, seed) -> np.ndarray:
-    """Static per-UE carrier phase offsets, uniform in the configured range.
-    ``ota.check_run`` owns the ``num_ues`` check for a scenario; it stays for direct callers."""
-    if num_ues < 1:
-        raise ValueError("num_ues must be >= 1")
-    if cfg.phase_offset_rad == 0.0:
-        return np.zeros(num_ues)
-    rng = np.random.default_rng(seed)
-    return rng.uniform(-cfg.phase_offset_rad, cfg.phase_offset_rad, size=num_ues)

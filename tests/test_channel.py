@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from otafl.channel import ChannelModel, decorrelate, realize_channel, superpose
+from otafl.channel import ChannelModel, realize_channel, superpose
 from otafl.errors import FieldError
 from otafl.grid import TimeSignal
 
@@ -44,41 +44,6 @@ def test_realization_is_seed_deterministic():
     a = realize_channel(model, 16, seed=123)
     b = realize_channel(model, 16, seed=123)
     np.testing.assert_array_equal(a, b)
-
-
-# ----------------------------------------------------------- decorrelate
-
-
-def test_decorrelate_zero_mix_is_identity():
-    model = ChannelModel("rayleigh_per_subcarrier")
-    g = realize_channel(model, 32, seed=0)
-    assert decorrelate(g, model, 0.0, seed=1) is g
-
-
-def test_decorrelate_blend_formula():
-    model = ChannelModel("rayleigh_per_subcarrier")
-    g = realize_channel(model, 32, seed=0)
-    fresh = realize_channel(model, 32, seed=99)
-    mixed = decorrelate(g, model, 0.3, seed=99)
-    want = np.sqrt(1 - 0.3**2) * g + 0.3 * fresh
-    np.testing.assert_allclose(mixed, want, atol=1e-15)
-
-
-def test_decorrelate_preserves_second_moment():
-    model = ChannelModel("rayleigh_per_subcarrier")
-    powers = []
-    for seed in range(300):
-        g = realize_channel(model, 64, seed)
-        m = decorrelate(g, model, 0.6, seed=seed + 10_000)
-        powers.append(np.abs(m) ** 2)
-    assert np.mean(powers) == pytest.approx(1.0, rel=0.03)
-
-
-def test_decorrelate_mix_range():
-    model = ChannelModel("flat_block")
-    g = realize_channel(model, 8, seed=0)
-    with pytest.raises(ValueError):
-        decorrelate(g, model, 1.5, seed=0)
 
 
 # ------------------------------------------------------------ superpose

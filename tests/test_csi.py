@@ -1,4 +1,4 @@
-"""Channel estimation: least squares, interpolation, NMSE and feedback quantization."""
+"""Channel estimation: least squares, interpolation and NMSE."""
 
 import numpy as np
 import pytest
@@ -9,8 +9,6 @@ from otafl.csi import (
     interpolate,
     ls_estimate,
     nmse,
-    quantize_estimate,
-    quantizer_levels,
 )
 from otafl.grid import GridConfig
 
@@ -165,23 +163,6 @@ def test_ragged_interpolation_rows_match_per_row_calls():
     np.testing.assert_array_equal(_bits(got[-1]), _bits(full))
 
 
-@pytest.mark.parametrize("bits", [2, 4, 8])
-def test_quantize_rows_match_per_row_calls(bits):
-    """Each row is quantized against its own full scale, an all-zero row
-    included."""
-    rows = _rows(6, WIDE.subcarriers, seed=bits)
-    rows[2] *= 100.0
-    rows[4] = 0.0
-    got = quantize_estimate(rows, bits)
-    levels = 2 ** (bits - 1) - 1
-    for ue, h in enumerate(rows):
-        row = quantize_estimate(h, bits)
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(row))
-        step = max(np.max(np.abs(h.real)), np.max(np.abs(h.imag)), 1e-300) / levels
-        want = (np.round(h.real / step) + 1j * np.round(h.imag / step)) * step
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(want))
-
-
 # ------------------------------------------------------------------ nmse
 
 
@@ -216,72 +197,3 @@ def test_nmse_validation():
         nmse(np.ones(3), np.ones(4))
     with pytest.raises(ValueError):
         nmse(np.ones(3), np.zeros(3))
-
-
-# ---------------------------------------------------------- quantization
-
-
-def _estimate_fixture():
-    rng = np.random.default_rng(5)
-    row = np.zeros(16, dtype=complex)
-    row[::2] = rng.normal(size=8) + 1j * rng.normal(size=8)
-    return interpolate(row, _mask(np.arange(0, 16, 2)))[0]
-
-
-def test_quantize_zero_bits_is_identity():
-    est = _estimate_fixture()
-    assert quantize_estimate(est, 0) is est
-
-
-def test_quantize_error_bound():
-    """Uniform mid-tread quantization keeps each part within half a step."""
-    est = _estimate_fixture()
-    for bits in (4, 8, 12):
-        q = quantize_estimate(est, bits)
-        levels = 2 ** (bits - 1) - 1
-        scale = max(
-            np.max(np.abs(est.real)), np.max(np.abs(est.imag))
-        )
-        step = scale / levels
-        assert q.shape == est.shape == (CFG.subcarriers,)
-        err = q - est
-        assert np.max(np.abs(err.real)) <= step / 2 + 1e-12
-        assert np.max(np.abs(err.imag)) <= step / 2 + 1e-12
-
-
-def test_quantize_error_shrinks_with_bits():
-    est = _estimate_fixture()
-    errs = [
-        np.max(np.abs(quantize_estimate(est, b) - est))
-        for b in (3, 6, 10)
-    ]
-    assert errs[0] > errs[1] > errs[2]
-
-
-def test_quantize_validation():
-    est = _estimate_fixture()
-    with pytest.raises(ValueError):
-        quantize_estimate(est, -1)
-    with pytest.raises(ValueError):
-        quantize_estimate(est, 1)  # one bit leaves no nonzero level
-    with pytest.raises(ValueError, match="float range"):
-        quantize_estimate(est, 1025)  # 2 ** 1024 - 1 levels is past float range
-    assert np.isfinite(quantize_estimate(est, 1024)).all()
-    # the step, not the full scale, is floored: an all-zero row at 80 bits
-    # and a 1e-295 row at 1024 bits used to quantize to NaN
-    zero = quantize_estimate(np.zeros((1, 3), dtype=complex), 80)
-    assert np.isfinite(zero).all() and not zero.any()
-    small = quantize_estimate(np.full((1, 3), 1e-295 - 1e-295j), 1024)
-    assert np.isfinite(small).all()
-    np.testing.assert_allclose(small, 1e-295 - 1e-295j, rtol=1e-12)
-
-
-@pytest.mark.parametrize("bits, levels", [(0, 0.0), (2, 1.0), (8, 127.0), (1024, 2.0**1023 - 1)])
-def test_quantizer_levels(bits, levels):
-    assert quantizer_levels(bits) == levels
-
-
-@pytest.mark.parametrize("bits", [-1, 1, 1025])
-def test_quantizer_levels_rejects_bits_without_a_level_in_float_range(bits):
-    with pytest.raises(ValueError):
-        quantizer_levels(bits)

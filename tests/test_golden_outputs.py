@@ -1,4 +1,4 @@
-"""Golden fixture: pinned digests of the shipped scenarios, twenty-six aggregations
+"""Golden fixture: pinned digests of the shipped scenarios, twenty-one aggregations
 and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
@@ -65,25 +65,11 @@ AGGREGATE_DIGESTS = {
         "49bbc31034bfe8e3c8f2d12f78dcb4fd3342430e20448b4190983c6e7ecebe88",
     ),
     # Transmit-side edges at two payload slots: an odd parameter count (the
-    # zero-padded pack tail), quantized feedback, stale CSI, a common phase
-    # offset and an inversion floor that clips about a third of the
-    # subcarriers.
+    # zero-padded pack tail) and an inversion floor that clips about a third
+    # of the subcarriers.
     (5, 10_001, "flat_block", "fdm_comb", ()): (
         "-20.524950084883024",
         "3ad1e01c29b68a8c74773174ac5644f0ce5098bb819fc9d84fbb808c2d760370",
-    ),
-    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("feedback_quant_bits", 4),)): (
-        "-7.5204555889701314",
-        "dd6bae5a4aa7e8ebd7599aa66229fddec90664486bd9c7b30a2e85b4d010abbd",
-    ),
-    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("decorrelation", 0.5),)): (
-        "0.6435039009412389",
-        "88c171127bddafe49d5b099d7f19d52133dbc7d6814c5340415ffec8c67d6ebb",
-    ),
-    (5, 10_000, "flat_block", "fdm_comb",
-     (("sync", SyncConfig(mode="ptp_on", phase_offset_rad=0.5)),)): (
-        "-20.601227702354798",
-        "2a041f409891c5d37d4b2defe588644a30f1bfb7eed6e84045d618696462e693",
     ),
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("floor_rel", 0.8),)): (
         "-11.331505441910883",
@@ -112,17 +98,12 @@ AGGREGATE_DIGESTS = {
         "a93ad18116860ca62eead30ebf7960cba814c19d506e82cb59bddd5b90b3511f",
     ),
     # Channel-estimate rows: twelve comb clients split 256 subcarriers into
-    # pilot sets of 22 and 21, so each client's held ends differ; late
-    # unsynchronized arrivals, and quantized feedback with a full scale per
-    # client.  Then a single full-band client.
+    # pilot sets of 22 and 21, so each client's held ends differ, with late
+    # unsynchronized arrivals.  Then a single full-band client.
     (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb",
      (("sync", SyncConfig(mode="ptp_off", off_spread=64)),)): (
         "9.683604972875056",
         "b4dcd6074cb1f297571ca7f12d985fa958e5a690e5564291deb481f9ea721b23",
-    ),
-    (12, 10_000, "rayleigh_per_subcarrier", "fdm_comb", (("feedback_quant_bits", 4),)): (
-        "8.570923013093083",
-        "c8e752efdf46e4c8e07a258e947a3688303c498c8c97837162131642b4467868",
     ),
     (1, 10_000, "rayleigh_per_subcarrier", "tdm_full", ()): (
         "-18.923248168554302",

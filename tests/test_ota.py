@@ -82,11 +82,11 @@ def test_single_ue_recovers_its_own_delta():
 
 
 def test_perfect_csi_with_offsets_is_transparent():
-    """The genie branch folds the true timing ramps and phases into the
-    effective channel, so inversion cancels them exactly."""
+    """The genie branch folds the true timing ramps into the effective
+    channel, so inversion cancels them exactly."""
     phy = _ideal_phy(
         channel=ChannelModel("flat_block"),
-        sync=SyncConfig(mode="ptp_on", phase_offset_rad=0.5),
+        sync=SyncConfig(mode="ptp_on"),
         csi_mode="perfect",
     )
     deltas = _random_deltas(4, 500, seed=4)
@@ -160,34 +160,6 @@ def test_common_scaling_is_unbiased_for_same_case():
 # ------------------------------------------------------- degraded regimes
 
 
-def test_stale_csi_degrades_recovery():
-    deltas = _random_deltas(3, 300, seed=8)
-    kw = dict(
-        grid=SMALL_GRID,
-        channel=ChannelModel("rayleigh_per_subcarrier"),
-        pilot_allocation="tdm_full",
-        sync=SyncConfig(mode="ptp_off", off_spread=0),
-        uplink_snr_db=None,
-    )
-    fresh = ota_aggregate(deltas, PhyConfig(**kw), master_seed=5)
-    stale = ota_aggregate(deltas, PhyConfig(decorrelation=0.5, **kw), master_seed=5)
-    assert stale.agg_nmse_db > fresh.agg_nmse_db + 10.0
-
-
-def test_feedback_quantization_degrades_recovery():
-    deltas = _random_deltas(3, 300, seed=9)
-    kw = dict(
-        grid=SMALL_GRID,
-        channel=ChannelModel("rayleigh_per_subcarrier"),
-        pilot_allocation="tdm_full",
-        sync=SyncConfig(mode="ptp_off", off_spread=0),
-        uplink_snr_db=None,
-    )
-    exact = ota_aggregate(deltas, PhyConfig(**kw), master_seed=6)
-    coarse = ota_aggregate(deltas, PhyConfig(feedback_quant_bits=4, **kw), master_seed=6)
-    assert coarse.agg_nmse_db > exact.agg_nmse_db
-
-
 @pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
 def test_abort_on_undetectable_preambles(allocation):
     phy = _ideal_phy(uplink_snr_db=-30.0, channel=ChannelModel("flat_block"),
@@ -221,7 +193,7 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     delays = [0, bound, 1]
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers), dtype=bool)
-    event = ota._sounding_frame(range(3), phy, gains, np.zeros(3), np.array(delays), masks)
+    event = ota._sounding_frame(range(3), phy, gains, np.array(delays), masks)
     offsets, metrics = event.receive(np.random.default_rng(5), phy.grid.symbols_per_slot)
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
@@ -296,9 +268,9 @@ ORACLE_PARAMS = 4 * ORACLE_GRID.res_per_slot - 5
 
 
 def _oracle_inputs(num_ues, allocation, seed=11):
-    """Random gains, phases, pilot masks, updates and a floored estimate (a
-    divisor per subcarrier), one entry per client, and one shared (I, Q)
-    scale pair."""
+    """Random gains, each client's row turned by a random phase, pilot
+    masks, updates and a floored estimate (a divisor per subcarrier), one
+    entry per client, and one shared (I, Q) scale pair."""
     sub = ORACLE_GRID.subcarriers
     rng = np.random.default_rng(seed)
 
@@ -306,11 +278,11 @@ def _oracle_inputs(num_ues, allocation, seed=11):
         return rng.normal(size=shape) + 1j * rng.normal(size=shape)
 
     gains = cn(num_ues, sub)
-    phases = rng.uniform(-np.pi, np.pi, size=num_ues)
+    gains *= np.exp(1j * rng.uniform(-np.pi, np.pi, size=num_ues))[:, np.newaxis]
     masks = ota._pilot_masks(num_ues, ORACLE_GRID, allocation)
     deltas = list(rng.normal(size=(num_ues, ORACLE_PARAMS)))
     scales = tuple(rng.uniform(0.5, 2.0, size=2).tolist())
-    return gains, phases, masks, deltas, scales, cn(num_ues, sub)
+    return gains, masks, deltas, scales, cn(num_ues, sub)
 
 
 def _packed(delta, scales):
@@ -322,34 +294,33 @@ def _packed(delta, scales):
 def test_single_client_frame_oracle():
     """A client's event built alone at delay 0 holds one preamble slot with
     its Gold chips and nothing else, then its body: a sounding event's slot
-    of pilot symbols demodulates to amp * pilot * mask * gains * rot, and a
-    payload event's symbols to alpha * packed * gains * rot / divisor.  The
+    of pilot symbols demodulates to amp * pilot * mask * gains, and a
+    payload event's symbols to alpha * packed * gains / divisor.  The
     receiver's demodulator is the oracle.  A payload event's alpha is its
     one client's: MARGIN over its largest packed peak against |divisor|."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg)
     num_ues, sub, slot = 3, cfg.subcarriers, phy.preamble_slot_len
-    gains, phases, masks, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb")
+    gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb")
     amp = phy.reference_amplitude
     delays = np.zeros(num_ues, dtype=np.int64)
     for ue in range(num_ues):
         one = range(ue, ue + 1)
-        rot = np.exp(1j * phases[ue])
-        pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue] * rot
+        pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue]
         packed = _packed(deltas[ue], scales)
-        built, alpha, largest = ota._payload_frame(one, phy, gains, phases, delays,
+        built, alpha, largest = ota._payload_frame(one, phy, gains, delays,
                                                    deltas, scales, divisor)
         payload = built.rx
         peak = np.max(np.abs(packed) / np.abs(divisor[ue]))
         assert largest.tolist() == [pytest.approx(peak, rel=1e-15)]
         assert alpha == pytest.approx(MARGIN / peak, rel=1e-15)
         events = [
-            (ota._sounding_frame(one, phy, gains, phases, delays, masks).rx,
+            (ota._sounding_frame(one, phy, gains, delays, masks).rx,
              np.tile(pilots, (cfg.symbols_per_slot, 1))),
-            (payload, alpha * packed * gains[ue] * rot / divisor[ue]),
+            (payload, alpha * packed * gains[ue] / divisor[ue]),
         ]
         rms = np.sqrt(np.mean(np.abs(gains[ue]) ** 2))
-        chips = amp * rms * grid.gold_sequence(ue) * rot
+        chips = amp * rms * grid.gold_sequence(ue)
         for frame, want in events:
             assert frame.shape == (slot + len(want) * cfg.symbol_len,)
             np.testing.assert_allclose(frame[:PREAMBLE_LEN], chips, rtol=0, atol=1e-12)
@@ -386,7 +357,7 @@ def test_sounding_frame_carries_only_preamble_and_pilots():
     gains = np.full((4, cfg.subcarriers), 0.5 + 0.5j)
     masks = np.ones((4, cfg.subcarriers), dtype=bool)
     delays = np.array([0, 0, 7, 0])
-    rx = ota._sounding_frame(range(2, 3), phy, gains, np.zeros(4), delays, masks).rx
+    rx = ota._sounding_frame(range(2, 3), phy, gains, delays, masks).rx
     slot, n = phy.preamble_slot_len, cfg.symbols_per_slot
     assert rx.shape == (7 + slot + n * cfg.symbol_len,)
     assert np.flatnonzero(rx[:7 + slot]).tolist() == list(range(7, 7 + PREAMBLE_LEN))
@@ -416,22 +387,20 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
     num_ues = 5
     if spread == "shared":
         offsets = np.array([3, 0, 3, 1, 0])
-        gains, phases, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation,
-                                                                       seed=5)
+        gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation, seed=5)
     else:
         offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
                                cfg.sample_rate, seed=spread)
-        gains, phases, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation,
-                                                                       seed=spread)
+        gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation,
+                                                               seed=spread)
     if spread in (64, 256):  # some preamble runs past its guard gap into the next slot
         assert offsets.max() > phy.preamble_slot_len - PREAMBLE_LEN
 
     def build(ues, delays):
         """The event's buffer and the alpha that scaled its body."""
         if event == "sounding":
-            return ota._sounding_frame(ues, phy, gains, phases, delays, masks).rx, 1.0
-        built, alpha, _ = ota._payload_frame(ues, phy, gains, phases, delays,
-                                             deltas, scales, divisor)
+            return ota._sounding_frame(ues, phy, gains, delays, masks).rx, 1.0
+        built, alpha, _ = ota._payload_frame(ues, phy, gains, delays, deltas, scales, divisor)
         return built.rx, alpha
 
     rx, alpha = build(range(num_ues), offsets)
@@ -450,11 +419,11 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
         assert np.max(np.abs(rx - want)) <= 1e-12 * np.max(np.abs(want))
 
 
-def _block_path_frame(phy, gains, phases, offsets, deltas, scales, divisor):
+def _block_path_frame(phy, gains, offsets, deltas, scales, divisor):
     """The payload event as a whole-block transmitter builds it: all rows
     packed into one ``(clients, symbols, subcarriers)`` block, alpha from
     its per-subcarrier peaks against |divisor|, the block multiplied by
-    gain * (phase / divisor), the rows sharing a delay summed in ascending
+    gain * (1 / divisor), the rows sharing a delay summed in ascending
     client order and one IFFT per delay, the delays in ascending order; the
     sum scaled by alpha and then every client's chips added in ascending
     order.  Returns the buffer, alpha and the precoded peaks."""
@@ -462,12 +431,11 @@ def _block_path_frame(phy, gains, phases, offsets, deltas, scales, divisor):
     region = phy.preamble_region_len(num_ues)
     rows = ota.slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot
     rx = np.zeros(int(offsets.max()) + region + rows * cfg.symbol_len, dtype=complex)
-    rot = np.exp(1j * phases)[:, np.newaxis]
     block = np.empty((num_ues, rows, cfg.subcarriers), dtype=complex)
     for ue in range(num_ues):
         pack_payload(deltas[ue], scales, block[ue])
     alpha, largest = compute_alpha(np.max(np.abs(block), axis=1), divisor)
-    block *= (gains * (rot / divisor))[:, np.newaxis, :]
+    block *= (gains * (1.0 / divisor))[:, np.newaxis, :]
     symbols = np.empty((rows, cfg.symbol_len), dtype=complex)
     for delay in np.unique(offsets).tolist():
         first, *rest = np.flatnonzero(offsets == delay)
@@ -477,7 +445,7 @@ def _block_path_frame(phy, gains, phases, offsets, deltas, scales, divisor):
         rx[delay + region:][:symbols.size] += symbols.reshape(-1)
     rx *= alpha
     rms = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
-    chips = (phy.reference_amplitude * rms)[:, np.newaxis] * ota._preamble_bank()[:num_ues] * rot
+    chips = (phy.reference_amplitude * rms)[:, np.newaxis] * ota._preamble_bank()[:num_ues]
     for ue, delay in enumerate(offsets.tolist()):
         rx[delay + ue * phy.preamble_slot_len:][:PREAMBLE_LEN] += chips[ue]
     return rx, alpha, largest
@@ -495,16 +463,16 @@ def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
     clients.  At spread 64 late chips run into the payload, so scaling the
     buffer after the chips are in shows too."""
     phy = PhyConfig(grid=ORACLE_GRID)
-    gains, phases, _, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb", seed=num_ues)
+    gains, _, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb", seed=num_ues)
     if spread == "shared":
         offsets = np.array([(2 * ue) % 3 * 5 for ue in range(num_ues)])
     else:
         offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
                                ORACLE_GRID.sample_rate, seed=num_ues)
-    event, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, phases, offsets,
+    event, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, offsets,
                                                deltas, scales, divisor)
     got = event.rx
-    want, want_alpha, want_largest = _block_path_frame(phy, gains, phases, offsets,
+    want, want_alpha, want_largest = _block_path_frame(phy, gains, offsets,
                                                        deltas, scales, divisor)
     assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
     assert alpha == want_alpha
@@ -523,13 +491,13 @@ def test_receive_adds_noise_in_place(snr_db):
     buffer."""
     cfg = ORACLE_GRID
     phy = PhyConfig(grid=cfg, uplink_snr_db=snr_db)
-    gains, phases, _, deltas, scales, divisor = _oracle_inputs(3, "fdm_comb")
+    gains, _, deltas, scales, divisor = _oracle_inputs(3, "fdm_comb")
     deltas = [d[:100] for d in deltas]
     bound = offset_bound(phy.sync, cfg.sample_rate)
     offsets = np.array([0, bound, 1])
     region = phy.preamble_region_len(3)
     for symbols in (3, 4, 5):
-        event, _, _ = ota._payload_frame(range(3), phy, gains, phases, offsets,
+        event, _, _ = ota._payload_frame(range(3), phy, gains, offsets,
                                          deltas, scales, divisor)
         rx = event.rx
         assert rx.size == bound + region + cfg.symbols_per_slot * cfg.symbol_len
@@ -653,8 +621,8 @@ def test_non_finite_update_is_rejected_in_either_client_order(broken_at, bad):
         ota_aggregate(deltas, _ideal_phy(), master_seed=0)
 
 
-STAGES = ("ls_estimate", "interpolate", "quantize_estimate", "inversion_floor",
-          "inversion_divisor", "compute_alpha")
+STAGES = ("ls_estimate", "interpolate", "inversion_floor", "inversion_divisor",
+          "compute_alpha")
 
 
 @pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
@@ -668,7 +636,7 @@ def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
             return _stage(*args, **kwargs)
         monkeypatch.setattr(ota, name, counting)
     phy = PhyConfig(channel=ChannelModel("flat_block"), pilot_allocation=allocation,
-                    feedback_quant_bits=8, uplink_snr_db=30.0)
+                    uplink_snr_db=30.0)
     report = ota_aggregate(_random_deltas(12, 301, seed=3), phy, master_seed=3)
     assert not report.aborted
     assert calls == dict(dict.fromkeys(STAGES, 1), interpolate=int(allocation == "fdm_comb"))
@@ -1345,11 +1313,8 @@ def test_phy_config_validation():
         PhyConfig(pilot_allocation="random")
     with pytest.raises(ValueError):
         PhyConfig(floor_rel=-0.1)
-    with pytest.raises(ValueError):
-        PhyConfig(decorrelation=1.5)
     # a NaN floor used to run unfloored, and a NaN SNR aborted every round
-    for bad in (dict(floor_rel=np.nan), dict(decorrelation=np.nan),
-                dict(uplink_snr_db=np.nan), dict(uplink_snr_db=np.inf)):
+    for bad in (dict(floor_rel=np.nan), dict(uplink_snr_db=np.nan), dict(uplink_snr_db=np.inf)):
         with pytest.raises(ValueError):
             PhyConfig(**bad)
     # an SNR whose linear ratio overflows, or underflows to zero, stopped a round
@@ -1364,6 +1329,10 @@ def test_phy_config_validation():
         PhyConfig(peak_power=2.0)
     with pytest.raises(TypeError):
         PhyConfig(margin=0.5)
+    # stale and quantized CSI are not modelled, so they are no fields either
+    for gone in ("decorrelation", "feedback_quant_bits"):
+        with pytest.raises(TypeError):
+            PhyConfig(**{gone: 0})
 
 
 def test_phy_config_rejects_an_infinite_floor_at_construction():

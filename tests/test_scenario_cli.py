@@ -85,12 +85,14 @@ def test_none_keyword_for_snr():
 def test_unknown_key_names_line():
     with pytest.raises(ScenarioError, match=r"line 3.*carrier_freq"):
         parse("rounds = 2\n\ncarrier_freq = 1e9\n")
-    # no absolute pathloss, noise floor, transmit scale or int8 width is
-    # modelled, and training is SGD with one offset law and one shared
-    # scale pair, so these are unknown
+    # no absolute pathloss, noise floor, transmit scale, int8 width, static
+    # carrier phase, stale CSI or CSI feedback quantizer is modelled, and
+    # training is SGD with one offset law and one shared scale pair, so
+    # these are unknown
     for key in ("channel.pathloss_exponent", "channel.carrier_hz", "link.distance_m",
                 "link.noise_psd_dbm_hz", "acct.bits_int8", "phy.peak_power", "phy.margin",
-                "train.optimizer", "sync.distribution", "phy.scale_mode"):
+                "train.optimizer", "sync.distribution", "phy.scale_mode",
+                "sync.phase_offset_rad", "phy.decorrelation", "phy.feedback_quant_bits"):
         with pytest.raises(ScenarioError, match=rf"line 2: unknown key '{key}'"):
             parse(f"rounds = 2\n{key} = 1\n")
 
@@ -162,14 +164,12 @@ def test_a_round_bill_past_float_range_names_its_key(base, bad, good, key):
 
 
 @pytest.mark.parametrize("key, bad, good", [
-    ("phy.feedback_quant_bits", "1", "2"),
     ("num_ues", "130", "129"),
     ("phy.uplink_snr_db", "nan", "-5"),
     ("phy.uplink_snr_db", "-inf", "none"),
     ("phy.floor_rel", "nan", "0"),
     ("train.learning_rate", "inf", "0.05"),
     ("task.noise_std", "nan", "0"),
-    ("phy.decorrelation", "1.5", "1"),
     ("grid.cp_len", "256", "255"),
     ("master_seed", "-1", "0"),
     ("link.tx_power_dbm", "5000", "3000"),
@@ -177,17 +177,14 @@ def test_a_round_bill_past_float_range_names_its_key(base, bad, good, key):
     ("phy.uplink_snr_db", "4000", "3000"),
     ("phy.uplink_snr_db", "-4000", "-3000"),
     ("phy.uplink_snr_db", "-3100", "-3000"),
-    ("phy.feedback_quant_bits", "1025", "1024"),
 ])
 def test_unsimulatable_values_name_their_key(key, bad, good):
     """Values the uplink cannot run fail when built, not deep in a round:
-    a 1-bit quantizer has no nonzero level, the degree-7 Gold family has 129
-    preambles, a non-finite SNR or floor silently aborts or unfloors every
-    round, as does an SNR whose 10 ** (|snr| / 10) leaves float range, a
-    quantizer past 1024 bits has a level count no float holds, a
-    non-finite learning rate or label noise poisons the payload, a
-    decorrelation weight lies in [0, 1] and the cyclic prefix is shorter
-    than the FFT.  A negative master seed has no seed sequence, and a slot
+    the degree-7 Gold family has 129 preambles, a non-finite SNR or floor
+    silently aborts or unfloors every round, as does an SNR whose
+    10 ** (|snr| / 10) leaves float range, a non-finite learning rate or
+    label noise poisons the payload and the cyclic prefix is shorter than
+    the FFT.  A negative master seed has no seed sequence, and a slot
     energy beyond float range would stop the bill with an OverflowError.
     All hold for ``tdm_full`` too; ``none`` stays the noiseless SNR."""
     pilots = "phy.pilot_allocation = tdm_full\n"
@@ -221,10 +218,8 @@ REJECTED = {
     "grid.subcarrier_spacing_hz": "0", "grid.fft_size": "128", "grid.cp_len": "-1",
     "channel.kind": "two_ray", "link.tx_power_dbm": "5000",
     "sync.mode": "gps", "sync.ptp_bound_s": "-1e-6", "sync.off_spread": "-1",
-    "sync.phase_offset_rad": "-0.1",
     "phy.uplink_snr_db": "4000", "phy.csi_mode": "oracle", "phy.pilot_allocation": "random",
-    "phy.floor_rel": "-0.1", "phy.decorrelation": "1.5",
-    "phy.feedback_quant_bits": "1",
+    "phy.floor_rel": "-0.1",
     "acct.spectral_efficiency": "0", "acct.fixed_overhead": "-1",
 }
 
@@ -382,14 +377,11 @@ KEY_CHANGES = {
     "sync.mode": ("ptp_off", {"sync.off_spread": "6"}),
     "sync.ptp_bound_s": ("2e-5", {}),
     "sync.off_spread": ("6", {"sync.mode": "ptp_off"}),
-    "sync.phase_offset_rad": ("1.0", {}),
     "phy.uplink_snr_db": ("5", {}),
     "phy.csi_mode": ("perfect", {}),
     "phy.pilot_allocation": ("tdm_full", {}),
     "phy.floor_rel": ("0.9", {"channel.kind": "rayleigh_per_subcarrier",
                               "phy.pilot_allocation": "tdm_full"}),
-    "phy.decorrelation": ("0.5", {}),
-    "phy.feedback_quant_bits": ("2", {}),
     "acct.spectral_efficiency": ("0.5", {"mode": "digital_fp32"}),
     "acct.fixed_overhead": ("5", {"mode": "digital_fp32"}),
 }
@@ -643,6 +635,25 @@ def test_cli_run_with_a_diverging_step_exits_2_naming_round_and_client(tmp_path,
     assert main(["run", str(scenario), "--rounds", rounds, "--out", str(out)]) == EXIT_CONFIG
     stdout, err = capsys.readouterr()
     assert err == "error: round 0: client 0's loss is not finite\n"
+    assert stdout == "" and not out.exists()
+
+
+@pytest.mark.parametrize("seed", ["0", "1", "2", "3"])
+def test_cli_run_with_a_floor_past_float_range_exits_2_naming_key_and_round(tmp_path, capsys,
+                                                                             seed):
+    """``phy.floor_rel = 1e308`` parses, since the floor is that fraction of
+    each round's median estimated gain, which only the channel draw sets.
+    The floor then overflows the divisor, so every precoded peak is zero
+    (seeds 0, 2, 3) or not finite (seed 1).  Either way the error names the
+    key and the round, with no numpy warning or traceback, the run exits 2
+    and no CSV is left at ``--out``."""
+    scenario = _tiny_file(tmp_path, text="rounds = 1\nnum_ues = 2\nphy.floor_rel = 1e308\n")
+    out = tmp_path / "trace.csv"
+    assert main(["run", str(scenario), "--seed", seed, "--out", str(out)]) == EXIT_CONFIG
+    stdout, err = capsys.readouterr()
+    head = "error: round 0: phy.floor_rel = 1e+308 leaves no usable precoded payload: "
+    assert err in {head + "all precoded payloads are zero; alpha undefined\n",
+                   head + "precoded resource grid entries must be finite\n"}
     assert stdout == "" and not out.exists()
 
 

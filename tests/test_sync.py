@@ -10,7 +10,6 @@ from otafl.sync import (
     DEFAULT_PTP_BOUND_S,
     SyncConfig,
     draw_offsets,
-    draw_phase_offsets,
     offset_bound,
     offset_reach,
 )
@@ -76,15 +75,6 @@ def test_offsets_deterministic_per_seed():
     )
 
 
-def test_phase_offsets_zero_and_bounded():
-    cfg = SyncConfig()
-    np.testing.assert_array_equal(draw_phase_offsets(cfg, 5, seed=0), np.zeros(5))
-    cfg = SyncConfig(phase_offset_rad=0.5)
-    phases = draw_phase_offsets(cfg, 1000, seed=1)
-    assert np.all(np.abs(phases) <= 0.5)
-    assert np.std(phases) > 0.1
-
-
 def test_sync_config_validation():
     with pytest.raises(ValueError):
         SyncConfig(mode="gps")
@@ -92,13 +82,16 @@ def test_sync_config_validation():
         SyncConfig(off_spread=-1)
     with pytest.raises(ValueError):
         draw_offsets(SyncConfig(), 0, RATE, seed=0)
+    # a static carrier phase is absorbed by the channel estimate, so it is no field
+    with pytest.raises(TypeError):
+        SyncConfig(phase_offset_rad=0.5)
 
 
-@pytest.mark.parametrize("field", ["ptp_bound_s", "off_spread", "phase_offset_rad"])
+@pytest.mark.parametrize("field", ["ptp_bound_s", "off_spread"])
 @pytest.mark.parametrize("bad", [np.nan, np.inf])
 def test_sync_config_rejects_non_finite_values(field, bad):
     """A NaN or infinite bound would only fail later, as an integer
-    conversion in ``offset_bound`` or an overflow in the phase draw."""
+    conversion in ``offset_bound``."""
     with pytest.raises(ValueError, match=f"{field} must be finite"):
         SyncConfig(**{field: bad})
 
@@ -140,7 +133,7 @@ def test_peak_spread_validation():
 
 @pytest.mark.parametrize("field, bad", [
     ("mode", "gps"), ("ptp_bound_s", -1e-6),
-    ("off_spread", -1), ("phase_offset_rad", np.inf),
+    ("off_spread", -1),
 ])
 def test_sync_config_names_the_field_it_rejects(field, bad):
     with pytest.raises(FieldError) as exc:
