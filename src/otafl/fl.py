@@ -14,6 +14,7 @@ as do the MLP family's features.
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -247,22 +248,28 @@ def compute_delta(local_theta: np.ndarray, global_theta: np.ndarray) -> np.ndarr
     return local_theta - global_theta
 
 
-def average_deltas(deltas: list[np.ndarray]) -> np.ndarray:
+def average_deltas(deltas: Iterable[np.ndarray]) -> np.ndarray:
     """Mean update, summed in ascending-UE order into one accumulator.
+
+    ``deltas`` may be any iterable, a generator included, so a caller can
+    read another figure of each update as the sum reads it.
 
     For two or more parameters this equals ``np.mean(np.stack(deltas),
     axis=0)`` bit for bit without stacking a copy of every delta.  With a
     single parameter and eight or more clients numpy sums that contiguous
     column pairwise, so the last bit can differ from this in-order sum.
     """
-    if not deltas:
+    updates = iter(deltas)
+    first = next(updates, None)
+    if first is None:
         raise ValueError("need at least one delta")
-    total = np.array(deltas[0], dtype=np.float64)
-    for d in deltas[1:]:
+    total = np.array(first, dtype=np.float64)
+    count = 1
+    for count, d in enumerate(updates, start=2):
         if np.shape(d) != total.shape:
             raise ValueError("all deltas must share one shape")
         total += d
-    total /= len(deltas)
+    total /= count
     return total
 
 

@@ -5,19 +5,23 @@ One uplink round, as simulated here:
 1.  Every client trains locally and forms a delta update against the
     current global model.
 2.  Clients agree (over an error-free control channel) on a common pair of
-    I/Q peak scales so the analog sum can be descaled without bias.
-3.  A sounding pass carries known pilots through each client's channel.
-    The receiver locks its frame timing to the earliest detected preamble
-    and estimates every client's *effective* channel at that common
-    reference -- the estimate then absorbs both the fading gain and the
-    per-client timing phase ramp, so channel inversion pre-compensates
-    residual sample offsets that fall inside the cyclic prefix.  The
-    estimates are one ``(clients, subcarriers)`` array, and each estimation
-    stage (least squares, comb interpolation) is one call for all clients.
+    I/Q peak scales so the analog sum can be descaled without bias; one
+    read of each update gives its I/Q peaks and adds it to the exact average.
+3.  A sounding pass carries known pilots through each client's channel:
+    every client's chips and pilot symbol are built once, in one pass, and
+    each sounding event only places them.  The receiver locks its frame
+    timing to the earliest detected preamble and estimates every client's
+    *effective* channel at that common reference -- the estimate then
+    absorbs both the fading gain and the per-client timing phase ramp, so
+    channel inversion pre-compensates residual sample offsets that fall
+    inside the cyclic prefix.  The estimates are one ``(clients,
+    subcarriers)`` array, and each estimation stage (least squares, comb
+    interpolation) is one call for all clients.
 4.  The payload is sent in whole slots, but only its first
     ``weightcodec.payload_symbols`` OFDM symbols hold parameters; the rest
     is zero and is never built.  The codec packs one client's scaled update
-    at a time into a reused block of those symbols, once per client.  The
+    at a time into a reused block of those symbols, once per client, as one
+    contiguous division by the shared scales laid over every real.  The
     per-subcarrier peaks of the packed block are read, and the block is
     precoded by gain / estimate (the floored estimate); clients that share
     a delay are summed in the frequency domain, and each distinct delay is
@@ -87,6 +91,7 @@ from .weightcodec import (
     pack_payload,
     payload_symbols,
     peak_scales,
+    rail_divisors,
     rail_peaks,
     slot_plan,
     unmap_from_grids,
@@ -340,35 +345,44 @@ class _Event:
         return ofdm_demodulate(TimeSignal(self.rx, cfg.sample_rate), cfg, start, n)
 
 
+def _sounding_signals(phy: PhyConfig, gains: np.ndarray,
+                      masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's sounding transmission, one row per client of the
+    round: its Gold chips and its time-domain pilot symbol, the pilot symbol
+    where the boolean ``masks[ue]`` is true and zero elsewhere, faded by
+    ``gains[ue]``.  All rows are built at once, whichever the pilot
+    allocation: one chip pass and one modulation of every client's row."""
+    cfg = phy.grid
+    pilot_rows = masks * (phy.reference_amplitude * _pilot_values(cfg.subcarriers))
+    pilot_rows *= gains
+    pilots = np.empty((len(gains), cfg.symbol_len), dtype=np.complex128)
+    ofdm_modulate_into(pilot_rows, cfg, pilots)
+    return _preamble_chips(slice(0, len(gains)), phy, gains), pilots
+
+
 def _sounding_frame(
     ues: range,
     phy: PhyConfig,
-    gains: np.ndarray,
     offsets: np.ndarray,
-    masks: np.ndarray,
+    chips: np.ndarray,
+    pilots: np.ndarray,
 ) -> _Event:
     """Noise-free sounding event of the clients in the range ``ues``, each
     delayed by its ``offsets[ue]`` and summed in the air.
 
-    Each client's body is one slot of its pilot row, the pilot symbol where
-    the boolean ``masks[ue]`` is true and zero elsewhere.  ``gains`` and
-    ``masks`` hold one row per client of the round.
+    It only places the rows :func:`_sounding_signals` built: each client's
+    ``chips[ue]`` in its preamble slot, and a body of one slot of its
+    repeated pilot symbol ``pilots[ue]``.  Comb and full-band sounding share
+    this path; they differ only in the ``ues`` an event carries.
 
     Each client is added in ascending order, its chips and then its repeated
     pilot symbol, so each sample sums its clients in that order.
     """
-    run = slice(ues.start, ues.stop)
-    cfg = phy.grid
-    event = _Event(phy, ues, offsets[run], cfg.symbols_per_slot)
-    g = gains[run]
-    chips = _preamble_chips(run, phy, g)
-    pilot_rows = masks[run] * (phy.reference_amplitude * _pilot_values(cfg.subcarriers))
-    pilot_rows *= g
-    pilots = np.empty((len(ues), cfg.symbol_len), dtype=np.complex128)
-    ofdm_modulate_into(pilot_rows, cfg, pilots)
-    for i in range(len(ues)):
-        event.add_chips(i, chips[i])
-        event.add_body(i, pilots[i], cfg.symbols_per_slot)
+    n = phy.grid.symbols_per_slot
+    event = _Event(phy, ues, offsets[ues.start:ues.stop], n)
+    for i, ue in enumerate(ues):
+        event.add_chips(i, chips[ue])
+        event.add_body(i, pilots[ue], n)
     return event
 
 
@@ -385,7 +399,9 @@ def _payload_frame(
     and each client's precoded peak, as :func:`compute_alpha` returns them.
 
     Each client's body, whole payload slots long, is the update
-    ``deltas[ue]``, packed with the shared (I, Q) ``scales``.  ``gains``,
+    ``deltas[ue]``, packed with the shared (I, Q) ``scales``: their
+    :func:`rail_divisors` vector is built once and every update is divided
+    by it in one contiguous pass.  ``gains``,
     ``deltas`` and ``divisor`` (the floored estimate) hold one entry per
     client of the round.
 
@@ -413,13 +429,14 @@ def _payload_frame(
     g = gains[run]
     precode = g * (1.0 / divisor[run])  # reciprocal first: g / divisor rounds differently
     deltas = deltas[run]
+    per_real = rail_divisors(scales, deltas[0].size)
     peaks = np.empty(g.shape)
     acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
     symbols = np.empty((used, cfg.symbol_len), dtype=np.complex128)
     order = np.argsort(delays, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
         for k, i in enumerate(group.tolist()):
-            row = pack_payload(deltas[i], scales, scratch if k else acc)
+            row = pack_payload(deltas[i], per_real, scratch if k else acc)
             np.max(np.abs(row), axis=0, out=peaks[i])
             row *= precode[i]
             if k:
@@ -500,10 +517,17 @@ def ota_aggregate(
     for d in deltas:
         if d.shape != (param_count,):
             raise ValueError("all deltas must be equal-length vectors")
-    exact_avg = fl.average_deltas(deltas)
 
     # --- common scale negotiation (error-free control channel) -----------
-    rails = rail_peaks(deltas)
+    # one read per update: its rail peaks, then the exact average adds it from cache
+    rails = np.empty((num_ues, 2))
+
+    def recording_rails():
+        for i, d in enumerate(deltas):
+            rails[i] = rail_peaks([d])
+            yield d
+
+    exact_avg = fl.average_deltas(recording_rails())
     finite = np.isfinite(rails).all(axis=1)
     if not finite.all():
         raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
@@ -542,6 +566,7 @@ def ota_aggregate(
         estimate = gains * ramps
     else:
         masks = _pilot_masks(num_ues, cfg, phy.pilot_allocation)
+        chips, pilots = _sounding_signals(phy, gains, masks)
         # Comb pilots share one superposed sounding event; full-band pilots
         # need one event per client, holding only that client's slots.
         if phy.pilot_allocation == "fdm_comb":
@@ -552,7 +577,7 @@ def ota_aggregate(
         s_metrics = np.zeros(num_ues)
         events = []
         for ues in groups:
-            events.append(_sounding_frame(ues, phy, gains, offsets, masks))
+            events.append(_sounding_frame(ues, phy, offsets, chips, pilots))
             s_offsets[ues], s_metrics[ues] = events[-1].receive(noise, cfg.symbols_per_slot)
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power

@@ -4,9 +4,12 @@ A real update vector is divided by one ``(scale_i, scale_q)`` pair of I/Q
 peak scales (``peak_scales``) and packed two reals per resource element
 (even positions real, odd imaginary), row-major into one client's
 ``(payload_symbols, subcarriers)`` block: its float64 view is the scaled
-update, then zeros to the end of its last symbol.  Both link ends use it;
-the frame still spans whole slots (``slot_plan``), and the symbols after
-the block carry nothing.
+update, then zeros to the end of its last symbol.  The transmitter builds
+the pair once per aggregation as one length-P divisor vector
+``[scale_i, scale_q, scale_i, ...]`` (``rail_divisors``), so packing an
+update is one contiguous division.  Both link ends use the layout; the
+frame still spans whole slots (``slot_plan``), and the symbols after the
+block carry nothing.
 """
 
 from __future__ import annotations
@@ -96,19 +99,25 @@ def slot_plan(param_count: int, cfg: GridConfig) -> int:
     return -(-payload_symbols(param_count, cfg) // cfg.symbols_per_slot)
 
 
-def pack_payload(
-    delta: np.ndarray, scales: tuple[float, float], out: np.ndarray
-) -> np.ndarray:
-    """Write one client's update, divided by its (I, Q) scales, into the
-    caller's C-contiguous payload block ``out`` and return it: its float64
-    view interleaves real and imaginary parts as :func:`pack_complex` pairs
-    them (even -> I, odd -> Q), and every real after the last parameter is
-    zero, so one block serves every client in turn.
+def rail_divisors(scales: tuple[float, float], param_count: int) -> np.ndarray:
+    """The (I, Q) ``scales`` laid over ``param_count`` reals as
+    :func:`pack_payload` divides by them: ``[scale_i, scale_q, scale_i, ...]``."""
+    divisors = np.empty(param_count)
+    divisors[0::2], divisors[1::2] = scales
+    return divisors
+
+
+def pack_payload(delta: np.ndarray, divisors: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write one client's update, divided elementwise by ``divisors`` (the
+    :func:`rail_divisors` of its (I, Q) scales), into the caller's
+    C-contiguous payload block ``out`` and return it: its float64 view
+    interleaves real and imaginary parts as :func:`pack_complex` pairs them
+    (even -> I, odd -> Q), and every real after the last parameter is zero,
+    so one block serves every client in turn.
     """
     d = np.asarray(delta, dtype=np.float64)
     reals = out.reshape(-1).view(np.float64)
-    np.divide(d[0::2], scales[0], out=reals[0:d.size:2])
-    np.divide(d[1::2], scales[1], out=reals[1:d.size:2])
+    np.divide(d, divisors, out=reals[:d.size])
     reals[d.size:] = 0.0
     return out
 

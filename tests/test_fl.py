@@ -214,11 +214,27 @@ def test_average_deltas_matches_the_stacked_mean(params, num_ues):
         np.testing.assert_array_equal(d, b)  # the inputs are left alone
 
 
+@pytest.mark.parametrize("num_ues", [1, 2, 9])
+@pytest.mark.parametrize("params", [1, 2, 301])
+def test_average_deltas_reads_a_generator_as_it_reads_a_list(params, num_ues):
+    """Any iterable of updates, a one-shot generator included, gives the
+    list form's bits; nine clients of one parameter is the case numpy's
+    pairwise column sum would round differently."""
+    rng = np.random.default_rng(params + 7 * num_ues)
+    deltas = [rng.normal(size=params) for _ in range(num_ues)]
+    got = average_deltas(d for d in deltas)
+    assert got.tobytes() == average_deltas(deltas).tobytes()
+
+
 def test_aggregation_validation():
     with pytest.raises(ValueError):
         average_deltas([])
     with pytest.raises(ValueError):
+        average_deltas(d for d in [])
+    with pytest.raises(ValueError):
         average_deltas([np.ones(3), np.ones(1)])
+    with pytest.raises(ValueError):
+        average_deltas(d for d in [np.ones(3), np.ones(3), np.ones(1)])
     with pytest.raises(ValueError):
         fedavg_digital([])
     with pytest.raises(ValueError):

@@ -232,6 +232,27 @@ def test_demodulating_many_symbols_equals_one_slot_at_a_time(cfg):
         ofdm_demodulate(signal, cfg, 6, symbols)
 
 
+@pytest.mark.parametrize("cfg", SHAPES, ids=_shape_id)
+@pytest.mark.parametrize("rows", [2, 60, 140])
+def test_fft_rows_do_not_depend_on_the_batch(cfg, rows):
+    """Modulating ``rows`` symbols in one call gives the bits of ``rows``
+    one-row calls, and demodulating them in one call the bits of one-symbol
+    calls: the sounding and payload bits rest on the FFT treating each row
+    alike whatever the batch size (60 clients' pilot rows and 140 payload
+    symbols at paper scale)."""
+    data = _random_grid(dataclasses.replace(cfg, symbols_per_slot=rows), seed=rows)
+    batched = np.empty((rows, cfg.symbol_len), dtype=complex)
+    ofdm_modulate_into(data, cfg, batched)
+    single = np.empty_like(batched)
+    for k in range(rows):
+        ofdm_modulate_into(data[k:k + 1], cfg, single[k:k + 1])
+    assert batched.tobytes() == single.tobytes()
+    signal = TimeSignal(batched.reshape(-1), cfg.sample_rate)
+    whole = ofdm_demodulate(signal, cfg, 0, rows)
+    one_by_one = [ofdm_demodulate(signal, cfg, k * cfg.symbol_len, 1) for k in range(rows)]
+    assert whole.tobytes() == np.concatenate(one_by_one).tobytes()
+
+
 # ------------------------------------------------------------- framing
 
 

@@ -32,6 +32,7 @@ from otafl.weightcodec import (
     pack_complex,
     pack_payload,
     peak_scales,
+    rail_divisors,
     rail_peaks,
     scale_updates,
 )
@@ -193,7 +194,8 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     delays = [0, bound, 1]
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers), dtype=bool)
-    event = ota._sounding_frame(range(3), phy, gains, np.array(delays), masks)
+    event = ota._sounding_frame(range(3), phy, np.array(delays),
+                                *ota._sounding_signals(phy, gains, masks))
     offsets, metrics = event.receive(np.random.default_rng(5), phy.grid.symbols_per_slot)
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
@@ -304,6 +306,7 @@ def test_single_client_frame_oracle():
     gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb")
     amp = phy.reference_amplitude
     delays = np.zeros(num_ues, dtype=np.int64)
+    signals = ota._sounding_signals(phy, gains, masks)
     for ue in range(num_ues):
         one = range(ue, ue + 1)
         pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue]
@@ -315,7 +318,7 @@ def test_single_client_frame_oracle():
         assert largest.tolist() == [pytest.approx(peak, rel=1e-15)]
         assert alpha == pytest.approx(MARGIN / peak, rel=1e-15)
         events = [
-            (ota._sounding_frame(one, phy, gains, delays, masks).rx,
+            (ota._sounding_frame(one, phy, delays, *signals).rx,
              np.tile(pilots, (cfg.symbols_per_slot, 1))),
             (payload, alpha * packed * gains[ue] / divisor[ue]),
         ]
@@ -357,7 +360,8 @@ def test_sounding_frame_carries_only_preamble_and_pilots():
     gains = np.full((4, cfg.subcarriers), 0.5 + 0.5j)
     masks = np.ones((4, cfg.subcarriers), dtype=bool)
     delays = np.array([0, 0, 7, 0])
-    rx = ota._sounding_frame(range(2, 3), phy, gains, delays, masks).rx
+    rx = ota._sounding_frame(range(2, 3), phy, delays,
+                             *ota._sounding_signals(phy, gains, masks)).rx
     slot, n = phy.preamble_slot_len, cfg.symbols_per_slot
     assert rx.shape == (7 + slot + n * cfg.symbol_len,)
     assert np.flatnonzero(rx[:7 + slot]).tolist() == list(range(7, 7 + PREAMBLE_LEN))
@@ -399,7 +403,8 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
     def build(ues, delays):
         """The event's buffer and the alpha that scaled its body."""
         if event == "sounding":
-            return ota._sounding_frame(ues, phy, gains, delays, masks).rx, 1.0
+            signals = ota._sounding_signals(phy, gains, masks)
+            return ota._sounding_frame(ues, phy, delays, *signals).rx, 1.0
         built, alpha, _ = ota._payload_frame(ues, phy, gains, delays, deltas, scales, divisor)
         return built.rx, alpha
 
@@ -432,8 +437,9 @@ def _block_path_frame(phy, gains, offsets, deltas, scales, divisor):
     rows = ota.slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot
     rx = np.zeros(int(offsets.max()) + region + rows * cfg.symbol_len, dtype=complex)
     block = np.empty((num_ues, rows, cfg.subcarriers), dtype=complex)
+    divisors = rail_divisors(scales, deltas[0].size)
     for ue in range(num_ues):
-        pack_payload(deltas[ue], scales, block[ue])
+        pack_payload(deltas[ue], divisors, block[ue])
     alpha, largest = compute_alpha(np.max(np.abs(block), axis=1), divisor)
     block *= (gains * (1.0 / divisor))[:, np.newaxis, :]
     symbols = np.empty((rows, cfg.symbol_len), dtype=complex)
@@ -671,6 +677,29 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
     assert floored[0].tobytes() == ls_estimate(rows, pilots).tobytes()
 
 
+@pytest.mark.parametrize("num_ues", [1, 2, 9, 60])
+@pytest.mark.parametrize("params", [1, 2, 301, 71_666])
+def test_one_read_pass_gives_the_average_and_rails_of_two(monkeypatch, params, num_ues):
+    """Reading each update once gives the bits of the two passes it
+    replaces: the exact average of ``fl.average_deltas`` over the list, and
+    the rails ``rail_peaks`` reads, handed to ``peak_scales``.  Nine
+    clients of one parameter is the case numpy's pairwise column sum would
+    round differently."""
+    handed = []
+
+    def recording(rails):
+        handed.append(rails.copy())
+        return peak_scales(rails)
+
+    monkeypatch.setattr(ota, "peak_scales", recording)
+    deltas = _random_deltas(num_ues, params, seed=params + num_ues)
+    phy = _ideal_phy(pilot_allocation="tdm_full", csi_mode="perfect")
+    report = ota_aggregate(deltas, phy, master_seed=0)
+    assert report.exact_avg.tobytes() == fl.average_deltas(list(deltas)).tobytes()
+    (rails,) = handed
+    assert rails.tobytes() == rail_peaks(deltas).tobytes()
+
+
 @pytest.mark.parametrize("params", [1, 2, 301, 2 * 32 * 4])
 def test_payload_rows_hold_the_packed_scaled_updates(monkeypatch, params):
     """Each row the precoding pass reads its peaks from and precodes holds
@@ -796,8 +825,9 @@ def test_tdm_full_noise_draws_grow_linearly_in_the_client_count(monkeypatch):
 def test_payload_is_modulated_once_per_distinct_delay(monkeypatch, allocation, csi_mode):
     """Payload blocks of clients that share a delay are summed before the
     IFFT, so the payload takes one ``ofdm_modulate_into`` call per distinct
-    delay; sounding takes one call per event.  Each client is packed once,
-    and one noise seed is derived per aggregation."""
+    delay; sounding takes one call of every client's pilot row per
+    aggregation, comb or full band, however many events carry them.  Each
+    client is packed once, and one noise seed is derived per aggregation."""
     rows, drawn, packed = [], [], []
     modulate, draw, pack = ota.ofdm_modulate_into, ota.draw_offsets, ota.pack_payload
 
@@ -827,7 +857,7 @@ def test_payload_is_modulated_once_per_distinct_delay(monkeypatch, allocation, c
     (offsets,) = drawn
     delays = len(np.unique(offsets))
     assert 1 < delays < m
-    sounding = {("fdm_comb", "estimated"): [m], ("tdm_full", "estimated"): [1] * m,
+    sounding = {("fdm_comb", "estimated"): [m], ("tdm_full", "estimated"): [m],
                 ("tdm_full", "perfect"): []}[allocation, csi_mode]
     symbols = 40  # the symbols 20 000 reals fill, of the 3 payload slots' 42
     assert rows == sounding + [symbols] * delays

@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra import numpy as hnp
 
@@ -13,6 +13,7 @@ from otafl.weightcodec import (
     pack_payload,
     payload_symbols,
     peak_scales,
+    rail_divisors,
     rail_peaks,
     scale_updates,
     slot_plan,
@@ -258,7 +259,7 @@ def test_block_decoder_matches_the_unscale_oracle(params):
     scales = [(0.75, 3.0), peak_scales(rail_peaks(deltas)),
               peak_scales(rail_peaks([deltas[2]]))]
     for d, sc in zip(deltas, scales):
-        row = pack_payload(d, sc, _buffer(params))
+        row = pack_payload(d, rail_divisors(sc, params), _buffer(params))
         want = unscale_updates(*scale_updates(d, sc))
         assert unmap_from_grids(row, params, sc).tobytes() == want.tobytes()
         # the padding is zero and the decoder never reads it
@@ -267,6 +268,30 @@ def test_block_decoder_matches_the_unscale_oracle(params):
         noisy = row.copy()
         noisy.reshape(-1).view(np.float64)[params:] = 5.0
         assert unmap_from_grids(noisy, params, sc).tobytes() == want.tobytes()
+
+
+@given(
+    hnp.arrays(np.float64, st.integers(1, 300),
+               elements=st.floats(min_value=-1.0, max_value=1.0, allow_nan=False)),
+    st.tuples(*[st.floats(min_value=1e-300, max_value=1e300)] * 2),
+)
+@example(np.array([-0.75]), (1e-300, 1e300))
+@example(np.array([0.5, -0.25]), (1e300, 1e-300))
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+def test_packing_by_the_divisor_vector_equals_the_scaled_update(delta, scales):
+    """One contiguous division by ``rail_divisors`` gives the bits of the
+    two strided rail divisions of ``scale_updates`` for odd and even P, and
+    the values ``pack_complex`` pairs from them, zeros after.  Signed zeros
+    are compared through the float64 view only: ``pack_complex`` forms each
+    element as ``re + 1j * im``, which turns a -0.0 real part into +0.0."""
+    params = delta.size
+    scaled = scale_updates(delta, scales)[0]
+    block = pack_payload(delta, rail_divisors(scales, params), _buffer(params))
+    reals = block.reshape(-1).view(np.float64)
+    assert reals[:params].tobytes() == scaled.tobytes()
+    assert reals[params:].tobytes() == bytes(8 * (reals.size - params))
+    paired = pack_complex(scaled)
+    np.testing.assert_array_equal(block.reshape(-1)[:paired.size], paired)
 
 
 @pytest.mark.parametrize("params", [1, 2, 31, 32, 77])
@@ -280,7 +305,7 @@ def test_packed_rows_equal_the_packed_scaled_updates(params):
     reused = _buffer(params)
     reused.fill(complex(np.nan, np.nan))
     for d, sc in zip(deltas, scales):
-        row = pack_payload(d, sc, reused)
+        row = pack_payload(d, rail_divisors(sc, params), reused)
         assert row is reused
         want = map_to_grids(pack_complex(scale_updates(d, sc)[0]),
                             slot_plan(params, SMALL), SMALL)
