@@ -225,7 +225,7 @@ def local_train(
         raise ValueError(f"model size {theta.size} != task parameter count {task.param_count}")
     n = task.features.shape[0]
     batch = cfg.batch_size if 0 < cfg.batch_size <= n else n
-    rng = np.random.default_rng(cfg.seed)
+    rng = np.random.default_rng(cfg.seed) if batch < n else None  # full batch draws nothing
     for _ in range(cfg.epochs):
         order = rng.permutation(n) if batch < n else None
         for lo in range(0, n, batch):

@@ -7,9 +7,14 @@ One uplink round, as simulated here:
 2.  Clients agree (over an error-free control channel) on a common pair of
     I/Q peak scales so the analog sum can be descaled without bias; one
     read of each update gives its I/Q peaks and adds it to the exact average.
-3.  A sounding pass carries known pilots through each client's channel:
-    every client's chips and pilot symbol are built once, in one pass, and
-    each sounding event only places them.  The receiver locks its frame
+3.  A sounding pass carries known pilots through each client's channel.
+    The round's channel side -- every client's gains, preamble chips and
+    pilot symbol -- depends only on the channel model, the grid, the pilot
+    allocation, the client count, the master seed and the round index, not
+    on the timing offsets, the noise or the floor.  It is built once, in
+    one pass, and kept for the next aggregation, so the spreads of a sync
+    sweep share one build; each sounding event and the payload event only
+    place its chips and pilots.  The receiver locks its frame
     timing to the earliest detected preamble and estimates every client's
     *effective* channel at that common reference -- the estimate then
     absorbs both the fading gain and the per-client timing phase ramp, so
@@ -103,6 +108,9 @@ MODES = ("ota", *DIGITAL_BITS)
 
 DETECT_THRESHOLD = 0.3
 
+# Amplitude of every preamble and pilot part: inside the power budget.
+_REFERENCE_AMPLITUDE = MARGIN * np.sqrt(PEAK_POWER)
+
 # Stream tags for deterministic seed derivation.
 _TAG_INIT = 11
 _TAG_DATA = 12
@@ -181,7 +189,7 @@ class PhyConfig:
     @property
     def reference_amplitude(self) -> float:
         """Amplitude of preamble/pilot parts: stays inside the power budget."""
-        return MARGIN * np.sqrt(PEAK_POWER)
+        return _REFERENCE_AMPLITUDE
 
 
 @dataclass
@@ -249,15 +257,15 @@ def _pilot_values(subcarriers: int) -> np.ndarray:
     return pilots
 
 
-def _preamble_chips(run: slice, phy: PhyConfig, gains: np.ndarray) -> np.ndarray:
-    """The Gold chips the clients ``run`` send, one row per client.
+def _preamble_chips(gains: np.ndarray) -> np.ndarray:
+    """The Gold chips every client sends, one row per row of ``gains``.
 
     Fading is applied per subcarrier in the frequency domain; the preamble
     burst, which is a raw time-domain sequence, is scaled by the channel's
     RMS gain instead (a scalar stand-in that preserves detection power).
     """
     rms_gain = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
-    return (phy.reference_amplitude * rms_gain)[:, np.newaxis] * _preamble_bank()[run]
+    return (_REFERENCE_AMPLITUDE * rms_gain)[:, np.newaxis] * _preamble_bank()[:len(gains)]
 
 
 class _Event:
@@ -345,19 +353,18 @@ class _Event:
         return ofdm_demodulate(TimeSignal(self.rx, cfg.sample_rate), cfg, start, n)
 
 
-def _sounding_signals(phy: PhyConfig, gains: np.ndarray,
+def _sounding_signals(cfg: GridConfig, gains: np.ndarray,
                       masks: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Every client's sounding transmission, one row per client of the
     round: its Gold chips and its time-domain pilot symbol, the pilot symbol
     where the boolean ``masks[ue]`` is true and zero elsewhere, faded by
     ``gains[ue]``.  All rows are built at once, whichever the pilot
     allocation: one chip pass and one modulation of every client's row."""
-    cfg = phy.grid
-    pilot_rows = masks * (phy.reference_amplitude * _pilot_values(cfg.subcarriers))
+    pilot_rows = masks * (_REFERENCE_AMPLITUDE * _pilot_values(cfg.subcarriers))
     pilot_rows *= gains
     pilots = np.empty((len(gains), cfg.symbol_len), dtype=np.complex128)
     ofdm_modulate_into(pilot_rows, cfg, pilots)
-    return _preamble_chips(slice(0, len(gains)), phy, gains), pilots
+    return _preamble_chips(gains), pilots
 
 
 def _sounding_frame(
@@ -394,6 +401,7 @@ def _payload_frame(
     deltas: list[np.ndarray],
     scales: tuple[float, float],
     divisor: np.ndarray,
+    chips: np.ndarray,
 ) -> tuple[_Event, float, np.ndarray]:
     """Noise-free payload event, with the shared power-control factor alpha
     and each client's precoded peak, as :func:`compute_alpha` returns them.
@@ -401,9 +409,9 @@ def _payload_frame(
     Each client's body, whole payload slots long, is the update
     ``deltas[ue]``, packed with the shared (I, Q) ``scales``: their
     :func:`rail_divisors` vector is built once and every update is divided
-    by it in one contiguous pass.  ``gains``,
-    ``deltas`` and ``divisor`` (the floored estimate) hold one entry per
-    client of the round.
+    by it in one contiguous pass.  ``gains``, ``deltas``, ``divisor`` (the
+    floored estimate) and ``chips`` (the :func:`_preamble_chips` that the
+    sounding pass sends too) hold one entry per client of the round.
 
     Only the body's first :func:`payload_symbols` symbols hold parameters;
     the rest of the body is zero and is never built.  Each client is packed
@@ -445,8 +453,7 @@ def _payload_frame(
         event.add_body(int(group[0]), symbols, used)
     alpha, largest = compute_alpha(peaks, divisor[run])
     event.scale_bodies(alpha, used)  # every nonzero sample so far
-    chips = _preamble_chips(run, phy, g)
-    for i, row in enumerate(chips):
+    for i, row in enumerate(chips[run]):
         event.add_chips(i, row)
     return event, alpha, largest
 
@@ -487,6 +494,42 @@ def _pilot_masks(num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
     if allocation == "tdm_full":
         return np.ones((num_ues, cfg.subcarriers), dtype=bool)
     return np.arange(cfg.subcarriers) % num_ues == np.arange(num_ues)[:, np.newaxis]
+
+
+@functools.lru_cache(maxsize=1)
+def _channel_side(
+    channel: ChannelModel,
+    cfg: GridConfig,
+    allocation: str | None,
+    num_ues: int,
+    master_seed: int,
+    round_index: int,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """A round's channel side, read-only: every client's gains, stacked,
+    its preamble chips and, when the round sounds on the pilot
+    ``allocation`` (``None`` under perfect CSI), the pilot masks and the
+    modulated pilot rows of :func:`_sounding_signals`.
+
+    None of it depends on the timing offsets, the noise, the floor or the
+    updates, so the rounds of a sync sweep that differ only in their offset
+    bound share one build: the last round is kept.
+    """
+    gains = np.stack([
+        realize_channel(
+            channel, cfg.subcarriers, derive_seed(master_seed, round_index, ue, _TAG_CHANNEL)
+        )
+        for ue in range(num_ues)
+    ])
+    if allocation is None:
+        masks = pilots = None
+        chips = _preamble_chips(gains)
+    else:
+        masks = _pilot_masks(num_ues, cfg, allocation)
+        chips, pilots = _sounding_signals(cfg, gains, masks)
+    for array in (gains, chips, masks, pilots):
+        if array is not None:
+            array.flags.writeable = False
+    return gains, chips, masks, pilots
 
 
 def _phase_ramp(cfg: GridConfig, delay) -> np.ndarray:
@@ -546,12 +589,11 @@ def ota_aggregate(
                        np.zeros(num_ues), np.zeros(num_ues))
 
     # --- channel realizations and timing offsets -------------------------
-    gains = np.stack([
-        realize_channel(
-            phy.channel, cfg.subcarriers, derive_seed(master_seed, round_index, ue, _TAG_CHANNEL)
-        )
-        for ue in range(num_ues)
-    ])
+    sounds = phy.csi_mode == "estimated"
+    gains, chips, masks, pilots = _channel_side(
+        phy.channel, cfg, phy.pilot_allocation if sounds else None,
+        num_ues, master_seed, round_index,
+    )
     offsets = draw_offsets(
         phy.sync, num_ues, cfg.sample_rate,
         seed=derive_seed(master_seed, round_index, _TAG_SYNC),
@@ -561,12 +603,10 @@ def ota_aggregate(
     noise = np.random.default_rng(derive_seed(master_seed, round_index, _TAG_NOISE))
 
     # --- sounding pass: effective-channel estimates at a common reference -
-    if phy.csi_mode == "perfect":
+    if not sounds:
         ramps = _phase_ramp(cfg, offsets[:, np.newaxis] - int(offsets.min()))
         estimate = gains * ramps
     else:
-        masks = _pilot_masks(num_ues, cfg, phy.pilot_allocation)
-        chips, pilots = _sounding_signals(phy, gains, masks)
         # Comb pilots share one superposed sounding event; full-band pilots
         # need one event per client, holding only that client's slots.
         if phy.pilot_allocation == "fdm_comb":
@@ -604,7 +644,7 @@ def ota_aggregate(
         with np.errstate(over="ignore", invalid="ignore"):
             divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
             event, alpha, largest = _payload_frame(range(num_ues), phy, gains, offsets,
-                                                   deltas, scales, divisor)
+                                                   deltas, scales, divisor, chips)
     except ValueError as exc:
         raise ValueError(f"round {round_index}: phy.floor_rel = {phy.floor_rel!r} leaves "
                          f"no usable precoded payload: {exc}") from None

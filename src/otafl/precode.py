@@ -25,7 +25,15 @@ def inversion_floor(
     ``PhyConfig`` owns this check for a scenario; it stays for direct callers."""
     if not floor_rel >= 0:
         raise ValueError("floor_rel must be >= 0")
-    return floor_rel * np.median(np.abs(estimate), axis=-1)
+    # np.median's partition, middle order statistics and NaN rule, without
+    # the numpy.ma import that its NaN check pulls in.
+    mag = np.abs(estimate)
+    half, odd = divmod(mag.shape[-1], 2)
+    middle = [half] if odd else [half - 1, half]
+    part = np.partition(mag, [*middle, -1], axis=-1)
+    median = part[..., half] if odd else (part[..., half - 1] + part[..., half]) / 2
+    last = part[..., -1]  # the largest, or NaN if the row holds one
+    return floor_rel * np.where(np.isnan(last), last, median)
 
 
 def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray) -> np.ndarray:

@@ -113,6 +113,24 @@ def test_full_batch_ignores_permutation_seed():
     np.testing.assert_array_equal(a, b)
 
 
+@pytest.mark.parametrize("batch_size,generators", [(0, 0), (32, 0), (8, 1)])
+def test_only_minibatch_training_builds_a_generator(monkeypatch, batch_size, generators):
+    """Full-batch training draws no permutation, so it builds no generator;
+    a batch of the whole set is full batch too."""
+    built = []
+    original = np.random.default_rng
+
+    def counting(*args, **kwargs):
+        built.append(args)
+        return original(*args, **kwargs)
+
+    task = make_linear_task(0, 5, n_samples=32, n_features=4)
+    theta = init_params(task)
+    monkeypatch.setattr(np.random, "default_rng", counting)
+    local_train(theta, task, TrainConfig(epochs=2, batch_size=batch_size, seed=1))
+    assert len(built) == generators
+
+
 def test_sgd_reduces_loss_on_convex_task():
     task = make_linear_task(3, 4, n_samples=100, n_features=10)
     theta = init_params(task)

@@ -2,11 +2,12 @@
 
 import tracemalloc
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from otafl import fl, grid, ota
+from otafl import fl, grid, ota, scenario
 from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, gains_table
 from otafl.channel import ChannelModel, superpose
 from otafl.csi import ls_estimate
@@ -195,7 +196,7 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     gains = np.ones((3, phy.grid.subcarriers), dtype=complex)
     masks = np.ones((3, phy.grid.subcarriers), dtype=bool)
     event = ota._sounding_frame(range(3), phy, np.array(delays),
-                                *ota._sounding_signals(phy, gains, masks))
+                                *ota._sounding_signals(phy.grid, gains, masks))
     offsets, metrics = event.receive(np.random.default_rng(5), phy.grid.symbols_per_slot)
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
@@ -306,13 +307,13 @@ def test_single_client_frame_oracle():
     gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb")
     amp = phy.reference_amplitude
     delays = np.zeros(num_ues, dtype=np.int64)
-    signals = ota._sounding_signals(phy, gains, masks)
+    signals = ota._sounding_signals(phy.grid, gains, masks)
     for ue in range(num_ues):
         one = range(ue, ue + 1)
         pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue]
         packed = _packed(deltas[ue], scales)
-        built, alpha, largest = ota._payload_frame(one, phy, gains, delays,
-                                                   deltas, scales, divisor)
+        built, alpha, largest = ota._payload_frame(one, phy, gains, delays, deltas,
+                                                   scales, divisor, signals[0])
         payload = built.rx
         peak = np.max(np.abs(packed) / np.abs(divisor[ue]))
         assert largest.tolist() == [pytest.approx(peak, rel=1e-15)]
@@ -361,7 +362,7 @@ def test_sounding_frame_carries_only_preamble_and_pilots():
     masks = np.ones((4, cfg.subcarriers), dtype=bool)
     delays = np.array([0, 0, 7, 0])
     rx = ota._sounding_frame(range(2, 3), phy, delays,
-                             *ota._sounding_signals(phy, gains, masks)).rx
+                             *ota._sounding_signals(phy.grid, gains, masks)).rx
     slot, n = phy.preamble_slot_len, cfg.symbols_per_slot
     assert rx.shape == (7 + slot + n * cfg.symbol_len,)
     assert np.flatnonzero(rx[:7 + slot]).tolist() == list(range(7, 7 + PREAMBLE_LEN))
@@ -403,9 +404,10 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
     def build(ues, delays):
         """The event's buffer and the alpha that scaled its body."""
         if event == "sounding":
-            signals = ota._sounding_signals(phy, gains, masks)
+            signals = ota._sounding_signals(phy.grid, gains, masks)
             return ota._sounding_frame(ues, phy, delays, *signals).rx, 1.0
-        built, alpha, _ = ota._payload_frame(ues, phy, gains, delays, deltas, scales, divisor)
+        built, alpha, _ = ota._payload_frame(ues, phy, gains, delays, deltas, scales, divisor,
+                                             ota._preamble_chips(gains))
         return built.rx, alpha
 
     rx, alpha = build(range(num_ues), offsets)
@@ -475,8 +477,8 @@ def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
     else:
         offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
                                ORACLE_GRID.sample_rate, seed=num_ues)
-    event, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, offsets,
-                                               deltas, scales, divisor)
+    event, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, offsets, deltas,
+                                               scales, divisor, ota._preamble_chips(gains))
     got = event.rx
     want, want_alpha, want_largest = _block_path_frame(phy, gains, offsets,
                                                        deltas, scales, divisor)
@@ -503,8 +505,8 @@ def test_receive_adds_noise_in_place(snr_db):
     offsets = np.array([0, bound, 1])
     region = phy.preamble_region_len(3)
     for symbols in (3, 4, 5):
-        event, _, _ = ota._payload_frame(range(3), phy, gains, offsets,
-                                         deltas, scales, divisor)
+        event, _, _ = ota._payload_frame(range(3), phy, gains, offsets, deltas,
+                                         scales, divisor, ota._preamble_chips(gains))
         rx = event.rx
         assert rx.size == bound + region + cfg.symbols_per_slot * cfg.symbol_len
         n = min(rx.size, bound + region + symbols * cfg.symbol_len)
@@ -985,8 +987,9 @@ def test_aggregate_is_seed_deterministic():
 
 
 def test_cold_caches_do_not_change_bits():
-    """The preamble bank and the pilots are cached read-only; rebuilding
-    them from empty caches gives the same aggregate bit for bit."""
+    """The preamble bank, the pilots and the round's channel side are cached
+    read-only; rebuilding them from empty caches gives the same aggregate
+    bit for bit."""
     phy = PhyConfig(
         grid=SMALL_GRID,
         channel=ChannelModel("rayleigh_per_subcarrier"),
@@ -995,11 +998,55 @@ def test_cold_caches_do_not_change_bits():
     )
     deltas = _random_deltas(5, 300, seed=2)
     warm = ota_aggregate(deltas, phy, master_seed=1)
-    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values):
+    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values, ota._channel_side):
         cached.cache_clear()
     cold = ota_aggregate(deltas, phy, master_seed=1)
     assert ota._pilot_values.cache_info().currsize == 1
     np.testing.assert_array_equal(warm.recovered, cold.recovered)
+
+
+def _report_bytes(report) -> tuple:
+    return (report.recovered.tobytes(), report.exact_avg.tobytes(), repr(report.alpha),
+            report.aborted, report.abort_reason, repr(report.agg_nmse_db),
+            report.offsets.tobytes(), report.peak_metrics.tobytes(),
+            report.max_re_power.tobytes())
+
+
+def test_a_sync_sweeps_spreads_share_one_channel_side(monkeypatch):
+    """The spreads of a sync sweep differ only in their offset bound, so a
+    seed's round-0 channel side is built once and read by its other four
+    spreads: two seeds make 2 builds and 8 reads of a kept one.  Each report
+    equals, byte for byte, the one an aggregation from an empty cache
+    gives; the kept arrays are read-only, and the cache keeps one round."""
+    calls = []
+    original = scenario.ota_aggregate
+
+    def recording(*args):
+        calls.append((args, original(*args)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(scenario, "ota_aggregate", recording)
+    stress = Path(__file__).resolve().parent.parent / "scenarios" / "sync_stress.cfg"
+    parts = scenario.build(scenario.parse_file(stress))
+    scenario.sync_sweep(parts, spreads=[256, 64, 16, 4, 0], n_seeds=2)
+    info = ota._channel_side.cache_info()
+    assert (len(calls), info.misses, info.hits, info.currsize) == (10, 2, 8, 1)
+
+    (deltas, phy, master, round_index), _ = calls[-1]
+    kept = ota._channel_side(phy.channel, phy.grid, phy.pilot_allocation, len(deltas),
+                             master, round_index)
+    assert ota._channel_side.cache_info().hits == 9
+    assert [array.flags.writeable for array in kept] == [False] * 4
+    with pytest.raises(ValueError, match="read-only"):
+        kept[0][0, 0] = 0.0
+
+    for args, report in calls:
+        ota._channel_side.cache_clear()
+        assert _report_bytes(ota_aggregate(*args)) == _report_bytes(report)
+
+    ota_aggregate(deltas, phy, master, round_index + 1)
+    info = ota._channel_side.cache_info()
+    assert (info.misses, info.currsize) == (2, 1)
 
 
 def test_aggregate_validation():

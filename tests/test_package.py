@@ -408,3 +408,58 @@ def test_only_the_event_type_reads_the_frame_layout():
     """Chip starts, body starts, search windows, the noised prefix and the
     read start are computed in one place, which later layout changes edit."""
     assert _layout_reads((PACKAGE_DIR / "ota.py").read_text(encoding="utf-8")) == []
+
+
+# The package's module-level caches (functions with ``cache_clear``), each
+# with whether it returns arrays.  A cached array is shared by every later
+# caller, so each array cache must be cleared and filled by the golden
+# ``caches`` fixture, whose cold and warm cases then pin its bits.
+PACKAGE_CACHES = {
+    "grid._msequence": True,
+    "ota._channel_side": True,
+    "ota._pilot_values": True,
+    "ota._preamble_bank": True,
+    "scenario._part_fields": False,
+}
+GOLDEN = TESTS_DIR / "test_golden_outputs.py"
+
+
+def _package_caches() -> dict[str, bool]:
+    """``module.name`` of every cached function a package module defines,
+    and whether its return annotation names ``ndarray``."""
+    found = {}
+    for path in sorted(PACKAGE_DIR.glob("*.py")):
+        if path.name == "__init__.py":
+            continue
+        module = importlib.import_module(f"otafl.{path.stem}")
+        for name, value in vars(module).items():
+            if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
+                returns = str(value.__wrapped__.__annotations__.get("return", ""))
+                found[f"{path.stem}.{name}"] = "ndarray" in returns
+    return found
+
+
+def _caches_missing_from_fixture(caches: dict[str, bool], golden_source: str) -> list[str]:
+    """The array caches that the golden ``caches`` fixture never names."""
+    fixture = next(node for node in ast.parse(golden_source).body
+                   if isinstance(node, ast.FunctionDef) and node.name == "caches")
+    named = {f"{sub.value.id}.{sub.attr}" for sub in ast.walk(fixture)
+             if isinstance(sub, ast.Attribute) and isinstance(sub.value, ast.Name)}
+    return [name for name, arrays in caches.items() if arrays and name not in named]
+
+
+def test_package_caches_are_exactly_the_listed_ones():
+    assert _package_caches() == PACKAGE_CACHES
+
+
+def test_missing_cache_check_sees_an_array_cache_the_fixture_leaves_out():
+    source = ("def caches(request):\n"
+              "    for cached in (grid._msequence, ota._pilot_values):\n"
+              "        cached.cache_clear()\n")
+    assert _caches_missing_from_fixture(PACKAGE_CACHES, source) == [
+        "ota._channel_side", "ota._preamble_bank"]
+
+
+def test_every_array_cache_is_in_the_golden_cold_and_warm_fixture():
+    assert _caches_missing_from_fixture(_package_caches(),
+                                        GOLDEN.read_text(encoding="utf-8")) == []

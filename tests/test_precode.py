@@ -1,7 +1,14 @@
 """Channel inversion with a magnitude floor and the shared power scaling."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+
+import otafl
 
 from otafl.precode import (
     DEFAULT_FLOOR_REL,
@@ -80,6 +87,49 @@ def test_inversion_floor_tracks_median():
     # the default is deliberately mid-range: strong enough to cap deep-fade
     # noise amplification, weak enough to leave typical gains untouched
     assert 0.0 < DEFAULT_FLOOR_REL < 0.5
+
+
+@pytest.mark.parametrize("rows", [None, 5])
+@pytest.mark.parametrize("width", [1, 2, 7, 256])
+@pytest.mark.parametrize("nan", [False, True])
+def test_inversion_floor_is_the_scaled_median_bit_for_bit(width, rows, nan):
+    """The partition-based floor equals ``floor_rel * np.median`` bit for
+    bit, as a scalar for one row and one value per row otherwise; a row
+    holding a NaN reads NaN, as ``np.median`` reads it."""
+    rng = np.random.default_rng(width)
+    shape = (width,) if rows is None else (rows, width)
+    h = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    if nan:
+        h[..., width // 2] = np.nan
+        if rows is not None:
+            h[1::2, width // 2] = 0.5  # NaN rows and finite rows in one estimate
+    floor = inversion_floor(h, 0.15)
+    want = 0.15 * np.median(np.abs(h), axis=-1)
+    assert type(floor) is type(want)
+    assert np.asarray(floor).tobytes() == np.asarray(want).tobytes()
+    assert np.isnan(floor).any() == nan
+
+
+def test_an_aggregation_does_not_import_numpy_ma():
+    """``np.median`` imports ``numpy.ma`` for its NaN check, about 1 MiB of
+    modules that nothing else in the package needs; the floor does without
+    them.  A fresh interpreter shows it, since this one may hold them."""
+    code = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from otafl import ota\n"
+        "deltas = [0.1 * np.random.default_rng(ue).standard_normal(300) for ue in range(3)]\n"
+        "report = ota.ota_aggregate(deltas, ota.PhyConfig())\n"
+        "assert not report.aborted\n"
+        "print(sorted(m for m in sys.modules if m == 'numpy.ma' or m.startswith('numpy.ma.')))\n"
+    )
+    env = dict(os.environ)
+    src = str(Path(otafl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    assert child.stdout.strip() == "[]"
 
 
 def test_inversion_floor_rejects_a_nan_floor_rel():
