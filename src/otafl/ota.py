@@ -11,10 +11,12 @@ One uplink round, as simulated here:
     The round's channel side -- every client's gains, preamble chips and
     pilot symbol -- depends only on the channel model, the grid, the pilot
     allocation, the client count, the master seed and the round index, not
-    on the timing offsets, the noise or the floor.  It is built once, in
-    one pass, and kept for the next aggregation, so the spreads of a sync
-    sweep share one build; each sounding event and the payload event only
-    place its chips and pilots.  The receiver locks its frame
+    on the timing offsets, the noise or the floor.  It is built in one pass
+    by the round's ``RoundShare``, which also holds the update side of step
+    2.  An aggregation without a share builds its own and keeps nothing; a
+    sync sweep builds one share per seed and passes it to every spread, so
+    the spreads read one build.  Each sounding event and the payload event
+    only place its chips and pilots.  The receiver locks its frame
     timing to the earliest detected preamble and estimates every client's
     *effective* channel at that common reference -- the estimate then
     absorbs both the fading gain and the per-client timing phase ramp, so
@@ -36,14 +38,18 @@ One uplink round, as simulated here:
     alpha, and since every client scales by the same alpha and the air sum
     is linear, the summed payload is scaled by alpha once before the
     preambles are added.
-5.  The receiver adds noise from the round's one generator (the sounding
-    events draw first) to the samples a read can touch, with its power
-    referenced to the noise-free samples after the preamble region (the
-    whole payload slots).  It finds each client's preamble in that client's
-    own search window, demodulates the parameter symbols in one call at the
-    earliest client's timing, descales them by M * alpha and, through the
-    codec, by the shared peak scales, and applies the recovered average
-    update.
+5.  The receiver adds noise from the round's one normal stream, seeded by
+    the master seed and the round index (the sounding events draw first),
+    to the samples a read can touch, with its power referenced to the
+    noise-free samples after the preamble region (the whole payload
+    slots).  Without a share each aggregation draws the stream from a
+    fresh generator; a share keeps the normals it has drawn, and every
+    aggregation given it reads them from the start, so a sweep draws each
+    normal once and every spread gets the bits a fresh generator gives it.
+    The receiver finds each client's preamble in that client's own search
+    window, demodulates the parameter symbols in one call at the earliest
+    client's timing, descales them by M * alpha and, through the codec, by
+    the shared peak scales, and applies the recovered average update.
 
 Every event shares one frame layout, which ``_Event`` owns.  Pilot
 subcarriers are either interleaved combs (one superposed sounding event,
@@ -291,7 +297,7 @@ class _Event:
     ``bound + region + symbols * symbol_len`` samples, ``bound`` being the
     ``offset_bound`` of ``phy.sync`` at the grid's sample rate.  They hold
     every search window and the latest window the read rule can pick.  The
-    noise is the round generator's next normal draws, twice that many, read
+    noise is the round noise stream's next normal draws, twice that many, read
     as (real, imaginary) pairs; a sounding event is noised whole.  A client
     arrives at most ``bound`` samples late, so its preamble is searched for
     only within ``bound + PREAMBLE_LEN`` samples from its slot's start,
@@ -496,7 +502,6 @@ def _pilot_masks(num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
     return np.arange(cfg.subcarriers) % num_ues == np.arange(num_ues)[:, np.newaxis]
 
 
-@functools.lru_cache(maxsize=1)
 def _channel_side(
     channel: ChannelModel,
     cfg: GridConfig,
@@ -511,8 +516,7 @@ def _channel_side(
     modulated pilot rows of :func:`_sounding_signals`.
 
     None of it depends on the timing offsets, the noise, the floor or the
-    updates, so the rounds of a sync sweep that differ only in their offset
-    bound share one build: the last round is kept.
+    updates, so the aggregations of a :class:`RoundShare` read one build.
     """
     gains = np.stack([
         realize_channel(
@@ -532,6 +536,109 @@ def _channel_side(
     return gains, chips, masks, pilots
 
 
+def _sounding_allocation(phy: PhyConfig) -> str | None:
+    """The pilot allocation a round sounds on; ``None`` under perfect CSI."""
+    return phy.pilot_allocation if phy.csi_mode == "estimated" else None
+
+
+class RoundShare:
+    """What every aggregation of one round's updates over one channel
+    shares, whatever its timing offsets, floor or noise power.  A sync sweep
+    builds one per seed and passes it to each spread's
+    :func:`ota_aggregate` call.
+
+    It holds the update side, read once here: each update's rail peaks,
+    the exact average (read-only, and held by every report the share
+    gives) and the shared peak scales.  It builds the channel side of
+    :func:`_channel_side` on first use and keeps it.  It keeps the round's
+    noise stream too: every aggregation reads the stream from its start,
+    as it would read a fresh generator seeded (master seed, round, noise
+    tag), and a read past the kept normals draws exactly the missing count
+    and keeps them.  A generator's normals do not depend on how its draws
+    are split, so every aggregation gets the bits it gets without a share.
+
+    The share is bound to the update arrays it was built from, which it
+    reads only once and which must not change, to the master seed and
+    round index, and to the channel, grid and sounding pilot allocation
+    (none under perfect CSI) of ``phy``; a call that differs in any of
+    them raises ``ValueError``.  Sync, noise power and floor may differ.
+    """
+
+    def __init__(self, deltas: list[np.ndarray], phy: PhyConfig, master_seed: int = 0,
+                 round_index: int = 0):
+        num_ues = len(deltas)
+        check_run(phy, num_ues, master_seed=master_seed)
+        param_count = deltas[0].size
+        for d in deltas:
+            if d.shape != (param_count,):
+                raise ValueError("all deltas must be equal-length vectors")
+
+        # common scale negotiation (error-free control channel): one read per
+        # update, its rail peaks, then the exact average adds it from cache
+        rails = np.empty((num_ues, 2))
+
+        def recording_rails():
+            for i, d in enumerate(deltas):
+                rails[i] = rail_peaks([d])
+                yield d
+
+        self.exact_avg = fl.average_deltas(recording_rails())
+        self.exact_avg.flags.writeable = False
+        finite = np.isfinite(rails).all(axis=1)
+        if not finite.all():
+            raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
+                             "precoded resource grid entries must be finite")
+        self.rails = rails
+        self.scales = peak_scales(rails)
+        self.deltas = tuple(deltas)
+        self._round = (master_seed, round_index)
+        self._link = (phy.channel, phy.grid, _sounding_allocation(phy))
+        self._side = None
+        self._rng = None
+        self._normals = np.empty(0)
+
+    def check(self, deltas: list[np.ndarray], phy: PhyConfig, master_seed: int,
+              round_index: int) -> None:
+        """Reject an aggregation this share was not built for."""
+        check_run(phy, len(deltas), master_seed=master_seed)
+        if len(deltas) != len(self.deltas) or any(a is not b for a, b in zip(deltas, self.deltas)):
+            raise ValueError("the round share was built from other deltas")
+        if (master_seed, round_index) != self._round:
+            raise ValueError(f"the round share was built for master seed {self._round[0]} "
+                             f"and round {self._round[1]}")
+        if (phy.channel, phy.grid, _sounding_allocation(phy)) != self._link:
+            raise ValueError("the round share was built for another channel, grid or "
+                             "pilot allocation")
+
+    def channel_side(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+        """The round's channel side, built on the first call."""
+        if self._side is None:
+            self._side = _channel_side(*self._link, len(self.deltas), *self._round)
+        return self._side
+
+    def _normals_to(self, end: int) -> np.ndarray:
+        """The kept stream, drawn on to at least ``end`` normals."""
+        missing = end - self._normals.size
+        if missing > 0:
+            if self._rng is None:
+                self._rng = np.random.default_rng(derive_seed(*self._round, _TAG_NOISE))
+            self._normals = np.concatenate([self._normals, self._rng.standard_normal(missing)])
+        return self._normals
+
+
+class _StreamReader:
+    """Stands in for a round's noise generator in :meth:`_Event.receive`,
+    reading a share's noise stream from its start: each draw is a fresh
+    copy of the next normals, which the receiver scales in place."""
+
+    def __init__(self, share: RoundShare):
+        self.share, self.drawn = share, 0
+
+    def standard_normal(self, size: int) -> np.ndarray:
+        start, self.drawn = self.drawn, self.drawn + size
+        return self.share._normals_to(self.drawn)[start:self.drawn].copy()
+
+
 def _phase_ramp(cfg: GridConfig, delay) -> np.ndarray:
     """Per-subcarrier rotation caused by sampling ``delay`` samples early;
     ``delay`` may be a column of one delay per client."""
@@ -544,6 +651,7 @@ def ota_aggregate(
     phy: PhyConfig,
     master_seed: int = 0,
     round_index: int = 0,
+    share: RoundShare | None = None,
 ) -> AggregateReport:
     """Carry client updates through the full analog uplink once.
 
@@ -551,31 +659,22 @@ def ota_aggregate(
     average, power-control and detection diagnostics.  A detection metric
     below ``DETECT_THRESHOLD`` for any client aborts the round: the
     recovered update is zero and the caller leaves the global model
-    unchanged.
+    unchanged.  A :class:`RoundShare` built from the same deltas, seed,
+    round and channel lends its update side, channel side and noise stream
+    to every aggregation given it; the report is the same bit for bit.
     """
+    # Without a share the aggregation builds its own and keeps nothing.  The
+    # noise is one stream for every receive event of the round, in event order.
+    if share is None:
+        share = RoundShare(deltas, phy, master_seed, round_index)
+        noise = np.random.default_rng(derive_seed(master_seed, round_index, _TAG_NOISE))
+    else:
+        share.check(deltas, phy, master_seed, round_index)
+        noise = _StreamReader(share)
     num_ues = len(deltas)
     cfg = phy.grid
-    check_run(phy, num_ues, master_seed=master_seed)
-    param_count = deltas[0].size
-    for d in deltas:
-        if d.shape != (param_count,):
-            raise ValueError("all deltas must be equal-length vectors")
-
-    # --- common scale negotiation (error-free control channel) -----------
-    # one read per update: its rail peaks, then the exact average adds it from cache
-    rails = np.empty((num_ues, 2))
-
-    def recording_rails():
-        for i, d in enumerate(deltas):
-            rails[i] = rail_peaks([d])
-            yield d
-
-    exact_avg = fl.average_deltas(recording_rails())
-    finite = np.isfinite(rails).all(axis=1)
-    if not finite.all():
-        raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
-                         "precoded resource grid entries must be finite")
-    scales = peak_scales(rails)
+    rails, exact_avg, scales = share.rails, share.exact_avg, share.scales
+    param_count = exact_avg.size
 
     def _report(recovered, alpha, offsets, metrics, powers, abort_reason=""):
         return AggregateReport(
@@ -590,17 +689,11 @@ def ota_aggregate(
 
     # --- channel realizations and timing offsets -------------------------
     sounds = phy.csi_mode == "estimated"
-    gains, chips, masks, pilots = _channel_side(
-        phy.channel, cfg, phy.pilot_allocation if sounds else None,
-        num_ues, master_seed, round_index,
-    )
+    gains, chips, masks, pilots = share.channel_side()
     offsets = draw_offsets(
         phy.sync, num_ues, cfg.sample_rate,
         seed=derive_seed(master_seed, round_index, _TAG_SYNC),
     )
-
-    # one generator for every receive event of the round, in event order
-    noise = np.random.default_rng(derive_seed(master_seed, round_index, _TAG_NOISE))
 
     # --- sounding pass: effective-channel estimates at a common reference -
     if not sounds:

@@ -30,6 +30,7 @@ from .grid import GridConfig
 from .ota import (
     ExperimentResult,
     PhyConfig,
+    RoundShare,
     check_run,
     data_seeds,
     initial_state,
@@ -274,20 +275,30 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
     the analog uplink at every spread value.  The updates, the channel
     gains and the noise seed are held fixed across spreads (common random
     numbers), and the offsets themselves are coupled so they scale
-    monotonically with the bound.  The receiver noise is not fully common:
-    the sounding event is noised whole and its length grows with the
-    largest offset (the comb event at seed 3 spans 4 776, 4 587 and 4 523
-    samples at spreads 256, 64 and 0), so the payload's draws start at a
-    different point of the one noise stream.
+    monotonically with the bound.  Each seed builds one
+    :class:`~otafl.ota.RoundShare`, which reads the updates and builds the
+    channel side once, and every spread's aggregation reads its one drawn
+    noise stream from the start.  The receiver noise is still not fully
+    common: the sounding event is noised whole and its length grows with
+    the largest offset (the comb event at seed 3 spans 4 776, 4 587 and
+    4 523 samples at spreads 256, 64 and 0), so each spread's payload draws
+    start after that spread's own sounding draws, at a different point of
+    the stream.
     Results are means over seeds of the per-run NMSE in dB, an aborted
     aggregation counted at 0 dB (the ``run`` summary leaves it out).
+    Only an analog scenario (``mode = ota``) has an uplink to sweep.
     """
     if n_seeds < 1:
         raise ScenarioError("sync_sweep needs n_seeds >= 1")
+    if not spreads:
+        raise ScenarioError("sync_sweep needs at least one offset spread")
     repeats = [s for i, s in enumerate(spreads) if s in spreads[:i]]
     if repeats:
         raise ScenarioError(f"offset spread {repeats[0]} is listed more than once")
     sc = parts.scenario
+    if sc.mode != "ota":
+        raise ScenarioError(f"key 'mode': a sync sweep runs the analog uplink, so it needs "
+                            f"'ota', got {sc.mode!r}")
     phys = {}
     for s in spreads:  # a spread is checked as the key sync.off_spread
         swept = dataclasses.replace(sc, sync_mode="ptp_off", sync_off_spread=s)
@@ -298,8 +309,9 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
         tasks = build_tasks(sc, master)
         state = initial_state(tasks, master)
         deltas = train_deltas(state, tasks, train_configs(parts.train, len(tasks), master, 0))
+        share = RoundShare(deltas, phys[spreads[0]], master, 0)
         for s in spreads:
-            report = ota_aggregate(deltas, phys[s], master, 0)
+            report = ota_aggregate(deltas, phys[s], master, 0, share=share)
             per_spread[s].append(report.agg_nmse_db)
     return [
         {

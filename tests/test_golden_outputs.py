@@ -205,16 +205,13 @@ def test_reference_signal_digests():
 @pytest.fixture(params=["cold", "warm"])
 def caches(request):
     """Start a case with the package's caches empty ("cold") or holding the
-    preamble bank, the default grid's pilots and the round-0 channel side of
-    five flat-block comb clients at seed 0, which the paper-shape rounds and
-    the five-client flat-block comb aggregations read ("warm"): a cached
-    read-only array must give the bits a freshly built one does."""
-    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values, ota._channel_side):
+    preamble bank and the default grid's pilots ("warm"): a cached read-only
+    array must give the bits a freshly built one does."""
+    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values):
         cached.cache_clear()
     if request.param == "warm":
         ota._preamble_bank()
         ota._pilot_values(PhyConfig().grid.subcarriers)
-        ota._channel_side(ChannelModel("flat_block"), PhyConfig().grid, "fdm_comb", 5, 0, 0)
     return request.param
 
 

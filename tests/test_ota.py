@@ -987,9 +987,8 @@ def test_aggregate_is_seed_deterministic():
 
 
 def test_cold_caches_do_not_change_bits():
-    """The preamble bank, the pilots and the round's channel side are cached
-    read-only; rebuilding them from empty caches gives the same aggregate
-    bit for bit."""
+    """The preamble bank and the pilots are cached read-only; rebuilding
+    them from empty caches gives the same aggregate bit for bit."""
     phy = PhyConfig(
         grid=SMALL_GRID,
         channel=ChannelModel("rayleigh_per_subcarrier"),
@@ -998,7 +997,7 @@ def test_cold_caches_do_not_change_bits():
     )
     deltas = _random_deltas(5, 300, seed=2)
     warm = ota_aggregate(deltas, phy, master_seed=1)
-    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values, ota._channel_side):
+    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values):
         cached.cache_clear()
     cold = ota_aggregate(deltas, phy, master_seed=1)
     assert ota._pilot_values.cache_info().currsize == 1
@@ -1012,41 +1011,124 @@ def _report_bytes(report) -> tuple:
             report.max_re_power.tobytes())
 
 
-def test_a_sync_sweeps_spreads_share_one_channel_side(monkeypatch):
-    """The spreads of a sync sweep differ only in their offset bound, so a
-    seed's round-0 channel side is built once and read by its other four
-    spreads: two seeds make 2 builds and 8 reads of a kept one.  Each report
-    equals, byte for byte, the one an aggregation from an empty cache
-    gives; the kept arrays are read-only, and the cache keeps one round."""
+SYNC_STRESS = Path(__file__).resolve().parent.parent / "scenarios" / "sync_stress.cfg"
+SWEEP_SPREADS = [256, 64, 16, 4, 0]
+
+
+def _recorded_sweep(monkeypatch, n_seeds: int) -> list[tuple]:
+    """``sync_stress.cfg``'s five-spread sweep over ``n_seeds`` seeds, as the
+    (arguments, round share, report) of each aggregation it makes."""
     calls = []
     original = scenario.ota_aggregate
 
-    def recording(*args):
-        calls.append((args, original(*args)))
-        return calls[-1][1]
+    def recording(*args, share):
+        calls.append((args, share, original(*args, share=share)))
+        return calls[-1][2]
 
     monkeypatch.setattr(scenario, "ota_aggregate", recording)
-    stress = Path(__file__).resolve().parent.parent / "scenarios" / "sync_stress.cfg"
-    parts = scenario.build(scenario.parse_file(stress))
-    scenario.sync_sweep(parts, spreads=[256, 64, 16, 4, 0], n_seeds=2)
-    info = ota._channel_side.cache_info()
-    assert (len(calls), info.misses, info.hits, info.currsize) == (10, 2, 8, 1)
+    parts = scenario.build(scenario.parse_file(SYNC_STRESS))
+    scenario.sync_sweep(parts, spreads=SWEEP_SPREADS, n_seeds=n_seeds)
+    return calls
 
-    (deltas, phy, master, round_index), _ = calls[-1]
-    kept = ota._channel_side(phy.channel, phy.grid, phy.pilot_allocation, len(deltas),
-                             master, round_index)
-    assert ota._channel_side.cache_info().hits == 9
-    assert [array.flags.writeable for array in kept] == [False] * 4
+
+def test_a_sync_sweeps_spreads_share_one_channel_side(monkeypatch):
+    """The spreads of a sync sweep differ only in their offset bound, so
+    each seed builds one round share: one channel side (one
+    ``realize_channel`` call per client) and one noise generator, read by
+    all five spreads.  Each report equals, byte for byte, the one an
+    aggregation without a share gives, and holds the share's one read-only
+    exact average; the kept channel side is read-only too."""
+    built, generators = [], []
+    realize, derive = ota.realize_channel, ota.derive_seed
+
+    def counted_realize(*args):
+        built.append(args)
+        return realize(*args)
+
+    def counted_derive(*parts):
+        if parts[-1] == ota._TAG_NOISE:
+            generators.append(parts)
+        return derive(*parts)
+
+    monkeypatch.setattr(ota, "realize_channel", counted_realize)
+    monkeypatch.setattr(ota, "derive_seed", counted_derive)
+    calls = _recorded_sweep(monkeypatch, n_seeds=2)
+    shares = [share for _, share, _ in calls]
+    assert shares == [shares[0]] * 5 + [shares[5]] * 5 and shares[0] is not shares[5]
+    assert len(built) == 2 * len(calls[0][0][0])
+    assert generators == [(0, 0, ota._TAG_NOISE), (1, 0, ota._TAG_NOISE)]
+
+    side = shares[-1].channel_side()
+    assert [array.flags.writeable for array in side] == [False] * 4
     with pytest.raises(ValueError, match="read-only"):
-        kept[0][0, 0] = 0.0
+        side[0][0, 0] = 0.0
 
-    for args, report in calls:
-        ota._channel_side.cache_clear()
+    for args, share, report in calls:
+        assert report.exact_avg is share.exact_avg and not report.exact_avg.flags.writeable
         assert _report_bytes(ota_aggregate(*args)) == _report_bytes(report)
 
-    ota_aggregate(deltas, phy, master, round_index + 1)
-    info = ota._channel_side.cache_info()
-    assert (info.misses, info.currsize) == (2, 1)
+
+def test_a_sync_sweep_draws_each_seeds_noise_stream_once(monkeypatch):
+    """``sync_stress.cfg`` swept over five spreads and 20 seeds draws 231 616
+    normals, each seed's stream once, where a fresh generator per
+    aggregation drew 1 098 064: every spread re-read its seed's prefix."""
+    calls = _recorded_sweep(monkeypatch, n_seeds=20)
+    shares = list({id(share): share for _, share, _ in calls}.values())
+    assert len(shares) == 20
+    assert sum(share._normals.size for share in shares) == 231_616
+    apart = 0
+    for args, _, _ in calls:
+        fresh = ota.RoundShare(*args)
+        ota_aggregate(*args, share=fresh)
+        apart += fresh._normals.size
+    assert apart == 1_098_064
+
+
+@pytest.mark.parametrize("csi_mode,allocation", [
+    ("estimated", "fdm_comb"), ("estimated", "tdm_full"), ("perfect", "fdm_comb")])
+def test_a_round_share_gives_every_aggregation_its_own_bits(csi_mode, allocation):
+    """Aggregations that differ in sync, noise power and floor read one share
+    in any order and give the reports they give without it."""
+    base = PhyConfig(grid=SMALL_GRID, channel=ChannelModel("rayleigh_per_subcarrier"),
+                     csi_mode=csi_mode, pilot_allocation=allocation)
+    phys = [replace(base, sync=SyncConfig(mode="ptp_off", off_spread=spread),
+                    uplink_snr_db=snr, floor_rel=floor)
+            for spread, snr, floor in [(0, 20.0, 0.1), (40, 10.0, 0.1), (8, None, 0.3),
+                                       (40, 30.0, 0.0), (0, 20.0, 0.1)]]
+    deltas = _random_deltas(4, 300, seed=5)
+    share = ota.RoundShare(deltas, base, master_seed=3, round_index=2)
+    for phy in phys:
+        assert (_report_bytes(ota_aggregate(deltas, phy, 3, 2, share=share))
+                == _report_bytes(ota_aggregate(deltas, phy, 3, 2)))
+
+
+def _mismatches(deltas, phy):
+    """(label, arguments) of aggregations a share of ``deltas``, ``phy``,
+    seed 2 and round 1 was not built for."""
+    other_grid = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=4)
+    return [
+        ("equal deltas in other arrays", ([d.copy() for d in deltas], phy, 2, 1)),
+        ("fewer deltas", (deltas[:2], phy, 2, 1)),
+        ("another seed", (deltas, phy, 3, 1)),
+        ("another round", (deltas, phy, 2, 0)),
+        ("another channel", (deltas, replace(phy, channel=ChannelModel("ideal")), 2, 1)),
+        ("another grid", (deltas, replace(phy, grid=other_grid), 2, 1)),
+        ("another allocation", (deltas, replace(phy, pilot_allocation="tdm_full"), 2, 1)),
+        ("perfect CSI", (deltas, replace(phy, csi_mode="perfect"), 2, 1)),
+    ]
+
+
+def test_a_round_share_rejects_an_aggregation_it_was_not_built_for():
+    phy = PhyConfig(grid=SMALL_GRID, channel=ChannelModel("flat_block"))
+    deltas = _random_deltas(3, 100, seed=4)
+    share = ota.RoundShare(deltas, phy, master_seed=2, round_index=1)
+    other_sync = replace(phy, sync=SyncConfig(mode="ptp_off", off_spread=8),
+                         uplink_snr_db=10.0, floor_rel=0.2)
+    assert not ota_aggregate(list(deltas), other_sync, 2, 1, share=share).aborted
+    for label, args in _mismatches(deltas, phy):
+        with pytest.raises(ValueError, match="round share was built"):
+            ota_aggregate(*args, share=share)
+            pytest.fail(label)
 
 
 def test_aggregate_validation():

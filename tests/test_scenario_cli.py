@@ -459,6 +459,29 @@ def test_sync_sweep_validation():
         sync_sweep(parts, spreads=[8, 4, 0, 4], n_seeds=2)
 
 
+def _no_task_building(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a task was built")
+
+    monkeypatch.setattr(scenario, "build_tasks", refuse)
+
+
+def test_sync_sweep_rejects_no_spread_before_building_a_task(monkeypatch):
+    """A sweep of no spread would train every seed and return no row."""
+    parts = build(parse(TINY))
+    _no_task_building(monkeypatch)
+    with pytest.raises(ScenarioError, match="at least one offset spread"):
+        sync_sweep(parts, spreads=[], n_seeds=2)
+
+
+def test_sync_sweep_of_a_digital_scenario_names_the_mode_key(monkeypatch):
+    """A digital scenario describes no analog uplink to sweep."""
+    parts = build(parse_file(SCENARIOS / "digital_baseline.cfg"))
+    _no_task_building(monkeypatch)
+    with pytest.raises(ScenarioError, match=r"^key 'mode': .*'digital_fp32'"):
+        sync_sweep(parts, spreads=[8, 0], n_seeds=2)
+
+
 def test_sync_sweep_names_the_scenario_key_before_any_spread():
     """The scenario is built before its spreads, so its own rejected key is
     named even when a spread, 256 on the tiny grid's 160-sample slot, is
@@ -475,10 +498,10 @@ def test_sync_sweep_counts_an_aborted_aggregation_at_0_db(monkeypatch):
     first_seed = sync_sweep(parts, spreads=[8, 0], n_seeds=1)
     real, reports = scenario.ota_aggregate, []
 
-    def deaf_second_seed(deltas, phy, master_seed, round_index):
+    def deaf_second_seed(deltas, phy, master_seed, round_index, share):
         if master_seed == parts.scenario.master_seed + 1:
             phy = dataclasses.replace(phy, uplink_snr_db=-30.0)
-        reports.append(real(deltas, phy, master_seed, round_index))
+        reports.append(real(deltas, phy, master_seed, round_index, share=share))
         return reports[-1]
 
     monkeypatch.setattr(scenario, "ota_aggregate", deaf_second_seed)
@@ -719,6 +742,16 @@ def test_cli_sync_sweep_rejects_a_repeated_spread(tmp_path, capsys):
     assert rc == EXIT_CONFIG
     captured = capsys.readouterr()
     assert "offset spread 4 is listed more than once" in captured.err
+    assert captured.out == "" and not out.exists()
+
+
+def test_cli_sync_sweep_of_a_digital_scenario_exits_2(tmp_path, capsys):
+    out = tmp_path / "sweep.csv"
+    rc = main(["sync-sweep", str(SCENARIOS / "digital_baseline.cfg"), "--spreads", "8,0",
+               "--seeds", "2", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    captured = capsys.readouterr()
+    assert "key 'mode'" in captured.err and "Traceback" not in captured.err
     assert captured.out == "" and not out.exists()
 
 
