@@ -26,9 +26,7 @@ from .fl import (
     average_deltas,
     compute_delta,
     evaluate_loss,
-    init_params,
     local_train,
-    make_blobs_task,
     make_linear_task,
 )
 from .grid import (
@@ -70,8 +68,8 @@ __all__ = [
     "average_deltas", "channel_invert", "compute_alpha",
     "compute_delta", "detect_frame", "digital_slots", "draw_offsets",
     "energy_gain", "evaluate_loss", "gains_table",
-    "gold_sequence", "init_params", "interpolate", "inversion_floor",
-    "local_train", "ls_estimate", "make_blobs_task", "make_linear_task",
+    "gold_sequence", "interpolate", "inversion_floor",
+    "local_train", "ls_estimate", "make_linear_task",
     "make_pilot_values", "map_to_grids", "nmse", "ofdm_demodulate",
     "ofdm_modulate", "offset_bound", "ota_aggregate",
     "pack_complex", "parse", "parse_file", "realize_channel",

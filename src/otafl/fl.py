@@ -1,15 +1,15 @@
-"""Federated learning on small synthetic tasks.
+"""Federated learning on a small synthetic task.
 
-Model parameters are plain 1-D float64 arrays.  Two task families are
-provided: linear regression with mean-squared-error loss (convex) and a
-two-layer tanh MLP with softmax cross-entropy on Gaussian blobs.  Local
-training runs seeded mini-batch SGD; aggregation is FedAvg over delta
-updates with a fixed ascending-UE summation order.
+Model parameters are plain 1-D float64 arrays.  The one task family is
+linear regression with mean-squared-error loss (convex).  Local training
+runs full-batch gradient descent; seeded mini-batch SGD is a library option
+(``TrainConfig.batch_size``) that no scenario key sets.  Aggregation is
+FedAvg over delta updates with a fixed ascending-UE summation order.
 
-Linear-regression features are stored as float32, which halves the bytes
-each gradient streams; the two matrix products run in that dtype.  Targets,
-losses, gradients, models and everything downstream of them stay float64,
-as do the MLP family's features.
+``make_linear_task`` stores its features as float32, which halves the
+bytes each gradient streams; the two matrix products run in that dtype.
+Targets, losses, gradients, models and everything downstream of them stay
+float64, as do features a caller builds a ``Task`` from in any other dtype.
 """
 
 from __future__ import annotations
@@ -19,62 +19,37 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FieldError, check_choice
+from .errors import FieldError
 
-TASK_KINDS = ("linear_regression", "mlp_classification")
-
-BLOB_CENTER_SPREAD = 3.0  # class-center scale in noise standard deviations
 FEATURE_DRAW_VALUES = 1 << 18  # float64 values (2 MiB) per draw of float32 features
 
 
-def model_size(kind: str, features: int, hidden: int, classes: int) -> int:
-    """Parameter count of a task family's model: one weight per feature for
-    linear regression, both layers' weights and biases for the MLP."""
-    if kind == "linear_regression":
-        return features
-    return features * hidden + hidden + hidden * classes + classes
-
-
-def _check_model(kind: str, hidden: int) -> None:
-    """The model family exists, and an MLP has a hidden unit."""
-    check_choice("kind", kind, TASK_KINDS)
-    if kind == "mlp_classification" and hidden < 1:
-        raise FieldError("hidden", "must be >= 1 for the MLP")
-
-
-def check_task_shape(kind: str, samples_per_ue: int, features: int, heterogeneity: float,
-                     noise_std: float, classes: int, hidden: int) -> None:
-    """Reject a task family and shape no client dataset can be drawn for,
-    without drawing one: at least one sample and one feature, nonnegative
-    heterogeneity and label noise and, for the MLP, at least two classes
-    and one hidden unit.  The error names the argument."""
-    _check_model(kind, hidden)
+def check_task_shape(samples_per_ue: int, features: int, heterogeneity: float,
+                     noise_std: float) -> None:
+    """Reject a task shape no client dataset can be drawn for, without
+    drawing one: at least one sample and one feature, and nonnegative
+    heterogeneity and label noise.  The error names the argument."""
     for name, value in (("samples_per_ue", samples_per_ue), ("features", features)):
         if value < 1:
             raise FieldError(name, "must be positive")
     for name, value in (("heterogeneity", heterogeneity), ("noise_std", noise_std)):
         if not value >= 0:
             raise FieldError(name, "must be >= 0")
-    if kind == "mlp_classification" and classes < 2:
-        raise FieldError("classes", "must be >= 2 for classification")
 
 
 @dataclass
 class Task:
-    """One client's dataset plus the model family it trains.
+    """One client's linear-regression dataset; the model has exactly one
+    weight per feature.
 
-    ``hidden`` is only meaningful for the MLP family; linear regression has
-    exactly one weight per feature.  float32 features are kept as they are,
-    without a copy; every other input is cast to float64.
+    float32 features are kept as they are, without a copy; every other
+    input is cast to float64.
     """
 
-    kind: str
     features: np.ndarray
     targets: np.ndarray
-    hidden: int = 0
 
     def __post_init__(self):
-        _check_model(self.kind, self.hidden)
         x = np.asarray(self.features)
         self.features = x if x.dtype == np.float32 else x.astype(np.float64, copy=False)
         self.targets = np.asarray(self.targets, dtype=np.float64)
@@ -82,16 +57,12 @@ class Task:
             raise ValueError("features must be (samples, dims)")
         if self.features.shape[0] != self.targets.shape[0]:
             raise ValueError("features and targets disagree on sample count")
-        if self.kind == "mlp_classification":
-            if self.targets.ndim != 2:
-                raise ValueError("classification targets must be one-hot (samples, classes)")
-        elif self.targets.ndim != 1:
+        if self.targets.ndim != 1:
             raise ValueError("regression targets must be 1-D")
 
     @property
     def param_count(self) -> int:
-        classes = self.targets.shape[1] if self.targets.ndim == 2 else 0
-        return model_size(self.kind, self.features.shape[1], self.hidden, classes)
+        return self.features.shape[1]
 
 
 @dataclass(frozen=True)
@@ -135,72 +106,26 @@ class RoundState:
 # losses and gradients
 
 
-def _mlp_unflatten(theta: np.ndarray, d: int, h: int, c: int):
-    i = 0
-    w1 = theta[i:i + d * h].reshape(d, h); i += d * h
-    b1 = theta[i:i + h]; i += h
-    w2 = theta[i:i + h * c].reshape(h, c); i += h * c
-    b2 = theta[i:i + c]
-    return w1, b1, w2, b2
-
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - np.max(z, axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / np.sum(e, axis=1, keepdims=True)
-
-
 def loss_and_grad(theta: np.ndarray, task: Task, idx: np.ndarray | None = None):
     """Loss and gradient on the full dataset or a batch index subset.
 
-    Linear regression uses mean squared residual, loss = mean((X theta - y)^2),
-    grad = 2/B * X^T r.  Both products run in the features' dtype: theta and
-    r are cast to it and the results back to float64, because a float32
-    matrix times a float64 vector would copy the whole matrix to float64.
-    The MLP uses tanh hidden units and softmax cross-entropy averaged over
-    the batch.
+    The loss is the mean squared residual, loss = mean((X theta - y)^2),
+    with grad = 2/B * X^T r.  Both products run in the features' dtype:
+    theta and r are cast to it and the results back to float64, because a
+    float32 matrix times a float64 vector would copy the whole matrix to
+    float64.
     """
     x = task.features if idx is None else task.features[idx]
     y = task.targets if idx is None else task.targets[idx]
-    n = x.shape[0]
-    if task.kind == "linear_regression":
-        r = (x @ theta.astype(x.dtype, copy=False)).astype(np.float64, copy=False) - y
-        loss = float(np.mean(r**2))
-        xtr = x.T @ r.astype(x.dtype, copy=False)
-        grad = (2.0 / n) * xtr.astype(np.float64, copy=False)
-        return loss, grad
-    d = task.features.shape[1]
-    c = task.targets.shape[1]
-    w1, b1, w2, b2 = _mlp_unflatten(theta, d, task.hidden, c)
-    a1 = np.tanh(x @ w1 + b1)
-    probs = _softmax(a1 @ w2 + b2)
-    loss = float(-np.mean(np.sum(y * np.log(probs + 1e-300), axis=1)))
-    dz2 = (probs - y) / n
-    dw2 = a1.T @ dz2
-    db2 = np.sum(dz2, axis=0)
-    da1 = dz2 @ w2.T
-    dz1 = da1 * (1.0 - a1**2)
-    dw1 = x.T @ dz1
-    db1 = np.sum(dz1, axis=0)
-    grad = np.concatenate([dw1.reshape(-1), db1, dw2.reshape(-1), db2])
+    r = (x @ theta.astype(x.dtype, copy=False)).astype(np.float64, copy=False) - y
+    loss = float(np.mean(r**2))
+    xtr = x.T @ r.astype(x.dtype, copy=False)
+    grad = (2.0 / x.shape[0]) * xtr.astype(np.float64, copy=False)
     return loss, grad
 
 
 def evaluate_loss(theta: np.ndarray, task: Task) -> float:
     return loss_and_grad(theta, task)[0]
-
-
-def init_params(task: Task, seed: int = 0) -> np.ndarray:
-    """Deterministic initialization: zeros for linear, scaled normal for MLP."""
-    if task.kind == "linear_regression":
-        return np.zeros(task.param_count)
-    rng = np.random.default_rng(seed)
-    d = task.features.shape[1]
-    c = task.targets.shape[1]
-    h = task.hidden
-    w1 = rng.standard_normal((d, h)) / np.sqrt(d)
-    w2 = rng.standard_normal((h, c)) / np.sqrt(h)
-    return np.concatenate([w1.reshape(-1), np.zeros(h), w2.reshape(-1), np.zeros(c)])
 
 
 # ---------------------------------------------------------------------------
@@ -213,7 +138,9 @@ def local_train(
     cfg: TrainConfig,
     grad0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run ``cfg.epochs`` of seeded mini-batch SGD from the global model.
+    """Run ``cfg.epochs`` of gradient descent from the global model: full
+    batch, or seeded mini-batches when ``cfg.batch_size`` is below the
+    sample count.
 
     Zero epochs return the global model unchanged.  ``grad0``, when given,
     must be ``loss_and_grad(global_theta, task)[1]``; it stands in for the
@@ -319,30 +246,5 @@ def make_linear_task(
         chunk[...] = rows  # the rounded values, which the targets are built from
         y[lo:lo + rows.shape[0]] = chunk @ w_local
     y += noise_std * rng.standard_normal(n_samples)
-    return Task("linear_regression", x, y)
+    return Task(x, y)
 
-
-def make_blobs_task(
-    shared_seed,
-    client_seed,
-    n_samples: int,
-    n_features: int,
-    n_classes: int,
-    hidden: int,
-    heterogeneity: float = 0.25,
-) -> Task:
-    """Gaussian-blob classification with mild per-client center jitter.
-
-    ``shared_seed`` fixes the class centers for the whole federation;
-    ``client_seed`` drives this client's center jitter (relative size
-    ``heterogeneity``) and sample draws.
-    """
-    shared = np.random.default_rng(shared_seed)
-    rng = np.random.default_rng(client_seed)
-    centers = shared.standard_normal((n_classes, n_features)) * BLOB_CENTER_SPREAD
-    centers = centers + heterogeneity * rng.standard_normal(centers.shape)
-    labels = rng.integers(0, n_classes, size=n_samples)
-    x = centers[labels] + rng.standard_normal((n_samples, n_features))
-    y = np.zeros((n_samples, n_classes))
-    y[np.arange(n_samples), labels] = 1.0
-    return Task("mlp_classification", x, y, hidden=hidden)

@@ -118,7 +118,6 @@ DETECT_THRESHOLD = 0.3
 _REFERENCE_AMPLITUDE = MARGIN * np.sqrt(PEAK_POWER)
 
 # Stream tags for deterministic seed derivation.
-_TAG_INIT = 11
 _TAG_DATA = 12
 _TAG_TRAIN = 13
 _TAG_CHANNEL = 14
@@ -191,11 +190,6 @@ class PhyConfig:
 
     def preamble_region_len(self, num_ues: int) -> int:
         return num_ues * self.preamble_slot_len
-
-    @property
-    def reference_amplitude(self) -> float:
-        """Amplitude of preamble/pilot parts: stays inside the power budget."""
-        return _REFERENCE_AMPLITUDE
 
 
 @dataclass
@@ -715,7 +709,7 @@ def ota_aggregate(
         if np.any(s_metrics < DETECT_THRESHOLD):
             # every client did send its preamble and pilots at the reference power
             return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
-                           np.full(num_ues, phy.reference_amplitude**2),
+                           np.full(num_ues, _REFERENCE_AMPLITUDE**2),
                            "sounding detection failed")
         # Every event is read at the earliest client's timing, so the
         # estimates absorb each client's residual offset as a phase ramp.
@@ -724,7 +718,7 @@ def ota_aggregate(
         rows = np.stack([event.read(s_offsets, cfg.symbols_per_slot).mean(axis=0)
                          for event in events])
         del events  # free the sounding buffers before the payload event
-        estimate = ls_estimate(rows, phy.reference_amplitude * _pilot_values(cfg.subcarriers))
+        estimate = ls_estimate(rows, _REFERENCE_AMPLITUDE * _pilot_values(cfg.subcarriers))
         # Full-band rows already hold a gain on every subcarrier; only the
         # comb fills the subcarriers between a client's pilots.
         if phy.pilot_allocation == "fdm_comb":
@@ -741,7 +735,7 @@ def ota_aggregate(
     except ValueError as exc:
         raise ValueError(f"round {round_index}: phy.floor_rel = {phy.floor_rel!r} leaves "
                          f"no usable precoded payload: {exc}") from None
-    max_re_power = np.maximum((alpha * largest) ** 2, phy.reference_amplitude**2)
+    max_re_power = np.maximum((alpha * largest) ** 2, _REFERENCE_AMPLITUDE**2)
     used = payload_symbols(param_count, cfg)
     p_offsets, p_metrics = event.receive(noise, used)
     if np.any(p_metrics < DETECT_THRESHOLD):
@@ -760,14 +754,13 @@ def ota_aggregate(
 
 
 def initial_state(tasks: list[fl.Task], master_seed: int) -> fl.RoundState:
-    """Fresh global model shared by every aggregation mode at this seed."""
+    """Fresh global model shared by every aggregation mode: the zero model,
+    for every seed.  ``master_seed`` is not read; it stays in the signature
+    for existing callers."""
     counts = {t.param_count for t in tasks}
     if len(counts) != 1:
         raise ValueError("all tasks must share one parameter count")
-    theta0 = fl.init_params(
-        tasks[0], seed=int(derive_seed(master_seed, _TAG_INIT).generate_state(1)[0])
-    )
-    return fl.RoundState(theta0, 0)
+    return fl.RoundState(np.zeros(tasks[0].param_count), 0)
 
 
 def train_configs(

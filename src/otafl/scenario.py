@@ -5,7 +5,7 @@ A scenario is plain text, one dotted key per line, ``#`` comments allowed:
     mode = ota
     rounds = 20
     num_ues = 5
-    task.kind = linear_regression
+    task.features = 64
     channel.kind = flat_block
     sync.mode = ptp_on
     phy.uplink_snr_db = 20
@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from .accounting import DEFAULT_SPECTRAL_EFFICIENCY, EnergyModel, SpectralProfile, round_bill
 from .channel import ChannelModel
 from .errors import FieldError
-from .fl import Task, TrainConfig, check_task_shape, make_blobs_task, make_linear_task, model_size
+from .fl import Task, TrainConfig, check_task_shape, make_linear_task
 from .grid import GridConfig
 from .ota import (
     ExperimentResult,
@@ -54,13 +54,10 @@ class Scenario:
     num_ues: int = 5
     master_seed: int = 0
 
-    task_kind: str = "linear_regression"
     task_samples_per_ue: int = 256
     task_features: int = 64
     task_heterogeneity: float = 0.5
     task_noise_std: float = 0.1
-    task_classes: int = 4
-    task_hidden: int = 16
 
     train_learning_rate: float = TrainConfig.learning_rate
     train_epochs: int = TrainConfig.epochs
@@ -221,7 +218,7 @@ def build(sc: Scenario) -> Components:
     train = keyed("train", TrainConfig, **_fields(sc, "train"))
     energy = keyed("energy", EnergyModel, **_fields(sc, "energy"))
     profile = keyed("profile", SpectralProfile.uniform, sc.acct_spectral_efficiency, sc.num_ues)
-    params = model_size(sc.task_kind, sc.task_features, sc.task_hidden, sc.task_classes)
+    params = sc.task_features  # linear regression: one model weight per feature
     keyed(None, round_bill, sc.mode, sc.num_ues, params, grid, energy, profile)
     return Components(sc, phy, train, energy, profile)
 
@@ -233,23 +230,13 @@ def build_tasks(sc: Scenario, master_seed: int | None = None) -> list[Task]:
     tasks = []
     for ue in range(sc.num_ues):
         shared, client = data_seeds(seed, ue)
-        if sc.task_kind == "linear_regression":
-            tasks.append(make_linear_task(
-                shared, client,
-                n_samples=sc.task_samples_per_ue,
-                n_features=sc.task_features,
-                heterogeneity=sc.task_heterogeneity,
-                noise_std=sc.task_noise_std,
-            ))
-        else:
-            tasks.append(make_blobs_task(
-                shared, client,
-                n_samples=sc.task_samples_per_ue,
-                n_features=sc.task_features,
-                n_classes=sc.task_classes,
-                hidden=sc.task_hidden,
-                heterogeneity=sc.task_heterogeneity,
-            ))
+        tasks.append(make_linear_task(
+            shared, client,
+            n_samples=sc.task_samples_per_ue,
+            n_features=sc.task_features,
+            heterogeneity=sc.task_heterogeneity,
+            noise_std=sc.task_noise_std,
+        ))
     return tasks
 
 

@@ -101,7 +101,7 @@ def propagated_gap(tasks: list[fl.Task], template: fl.TrainConfig, master_seed: 
     A_t d is the mean over clients of ``local_train(d, .)`` on the same
     features with zero targets.
     """
-    zero = [fl.Task(t.kind, t.features, np.zeros_like(t.targets)) for t in tasks]
+    zero = [fl.Task(t.features, np.zeros_like(t.targets)) for t in tasks]
     gap, gaps = np.zeros(tasks[0].param_count), []
     for r, error in enumerate(errors):
         cfgs = train_configs(template, len(tasks), master_seed, r)

@@ -1,4 +1,4 @@
-"""Local training, gradients and FedAvg algebra on the synthetic tasks."""
+"""Local training, gradients and FedAvg algebra on the synthetic linear task."""
 
 import tracemalloc
 
@@ -15,10 +15,8 @@ from otafl.fl import (
     check_task_shape,
     compute_delta,
     evaluate_loss,
-    init_params,
     local_train,
     loss_and_grad,
-    make_blobs_task,
     make_linear_task,
 )
 from oracles import fedavg_digital
@@ -40,7 +38,7 @@ def _rel_err(a, b):
 
 def _as_float64(task):
     """The same linear task with its float32 features widened to float64."""
-    return Task("linear_regression", task.features.astype(np.float64), task.targets)
+    return Task(task.features.astype(np.float64), task.targets)
 
 
 def test_linear_gradient_matches_finite_differences():
@@ -53,19 +51,11 @@ def test_linear_gradient_matches_finite_differences():
     assert _rel_err(grad, _fd_gradient(theta, task)) < 1e-5
 
 
-def test_mlp_gradient_matches_finite_differences():
-    task = make_blobs_task(0, 1, n_samples=25, n_features=5, n_classes=3, hidden=4)
-    theta = init_params(task, seed=3)
-    theta += 0.01 * np.random.default_rng(4).normal(size=theta.size)
-    _, grad = loss_and_grad(theta, task)
-    assert _rel_err(grad, _fd_gradient(theta, task)) < 1e-5
-
-
 def test_batch_gradient_uses_subset_only():
     task = make_linear_task(0, 1, n_samples=10, n_features=4)
     theta = np.ones(4)
     idx = np.array([0, 3, 7])
-    sub = Task("linear_regression", task.features[idx], task.targets[idx])
+    sub = Task(task.features[idx], task.targets[idx])
     full_loss, full_grad = loss_and_grad(theta, task, idx)
     sub_loss, sub_grad = loss_and_grad(theta, sub)
     assert full_loss == pytest.approx(sub_loss, rel=1e-14)
@@ -78,7 +68,7 @@ def test_batch_gradient_uses_subset_only():
 def test_gd_contraction_rate_oracle():
     """On loss = theta^2 each full-batch step multiplies theta by
     (1 - 2 * lr); lr 0.1 contracts by exactly 0.8 per epoch."""
-    task = Task("linear_regression", np.ones((4, 1)), np.zeros(4))
+    task = Task(np.ones((4, 1)), np.zeros(4))
     cfg = TrainConfig(learning_rate=0.1, epochs=1)
     theta = np.array([1.0])
     for k in range(1, 6):
@@ -96,7 +86,7 @@ def test_zero_epochs_returns_global_unchanged():
 
 def test_minibatch_training_is_seed_deterministic():
     task = make_linear_task(0, 5, n_samples=64, n_features=8)
-    theta = init_params(task)
+    theta = np.zeros(task.param_count)
     cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=9)
     a = local_train(theta, task, cfg)
     b = local_train(theta, task, cfg)
@@ -107,7 +97,7 @@ def test_minibatch_training_is_seed_deterministic():
 
 def test_full_batch_ignores_permutation_seed():
     task = make_linear_task(0, 5, n_samples=32, n_features=4)
-    theta = init_params(task)
+    theta = np.zeros(task.param_count)
     a = local_train(theta, task, TrainConfig(epochs=2, seed=1))
     b = local_train(theta, task, TrainConfig(epochs=2, seed=2))
     np.testing.assert_array_equal(a, b)
@@ -125,7 +115,7 @@ def test_only_minibatch_training_builds_a_generator(monkeypatch, batch_size, gen
         return original(*args, **kwargs)
 
     task = make_linear_task(0, 5, n_samples=32, n_features=4)
-    theta = init_params(task)
+    theta = np.zeros(task.param_count)
     monkeypatch.setattr(np.random, "default_rng", counting)
     local_train(theta, task, TrainConfig(epochs=2, batch_size=batch_size, seed=1))
     assert len(built) == generators
@@ -133,7 +123,7 @@ def test_only_minibatch_training_builds_a_generator(monkeypatch, batch_size, gen
 
 def test_sgd_reduces_loss_on_convex_task():
     task = make_linear_task(3, 4, n_samples=100, n_features=10)
-    theta = init_params(task)
+    theta = np.zeros(task.param_count)
     cfg = TrainConfig(learning_rate=0.05, epochs=3)
     after = local_train(theta, task, cfg)
     assert evaluate_loss(after, task) < evaluate_loss(theta, task)
@@ -154,20 +144,17 @@ def test_local_train_size_check():
 # ------------------------------------------- carried first-step gradient
 
 
-def _grad0_case(kind):
-    if kind == "linear":
-        task = make_linear_task(0, 5, n_samples=40, n_features=6)
-    else:
-        task = make_blobs_task(0, 2, n_samples=30, n_features=5, n_classes=3, hidden=4)
-    theta = init_params(task, seed=1)
-    theta = theta + 0.1 * np.random.default_rng(7).normal(size=theta.size)
+def _grad0_case():
+    """The linear task and the nonzero model the carried-gradient tests start from."""
+    task = make_linear_task(0, 5, n_samples=40, n_features=6)
+    theta = 0.1 * np.random.default_rng(7).normal(size=task.param_count)
     return task, theta
 
 
 @pytest.mark.parametrize("epochs", [1, 2])
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("kind", ["linear"])  # the one task family, named in the case ids
 def test_carried_gradient_is_bit_identical(kind, epochs):
-    task, theta = _grad0_case(kind)
+    task, theta = _grad0_case()
     cfg = TrainConfig(learning_rate=0.05, epochs=epochs)
     grad0 = loss_and_grad(theta, task)[1]
     kept = grad0.copy()
@@ -177,14 +164,14 @@ def test_carried_gradient_is_bit_identical(kind, epochs):
 
 
 def test_carried_gradient_is_used_on_full_batch():
-    task, theta = _grad0_case("linear")
+    task, theta = _grad0_case()
     out = local_train(theta, task, TrainConfig(learning_rate=0.05), grad0=np.zeros_like(theta))
     np.testing.assert_array_equal(out, theta)
 
 
-@pytest.mark.parametrize("kind", ["linear", "mlp"])
+@pytest.mark.parametrize("kind", ["linear"])  # the one task family, named in the case ids
 def test_minibatch_ignores_carried_gradient(kind):
-    task, theta = _grad0_case(kind)
+    task, theta = _grad0_case()
     cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=3)
     want = local_train(theta, task, cfg)
     for grad0 in (loss_and_grad(theta, task)[1], np.zeros_like(theta)):
@@ -321,9 +308,9 @@ def test_float32_features_give_a_float64_loss_and_gradient():
 
 def test_task_keeps_float32_features_and_widens_everything_else():
     x32 = np.ones((3, 2), dtype=np.float32)
-    assert Task("linear_regression", x32, np.zeros(3)).features is x32
+    assert Task(x32, np.zeros(3)).features is x32
     for x in (np.ones((3, 2), dtype=np.int64), [[1, 2], [3, 4], [5, 6]]):
-        task = Task("linear_regression", x, [0, 1, 2])
+        task = Task(x, [0, 1, 2])
         assert task.features.dtype == np.float64
         assert task.targets.dtype == np.float64
 
@@ -348,38 +335,14 @@ def test_float32_features_are_never_widened_in_memory():
     assert _peak_bytes(make_linear_task, 0, 1, n_samples=n, n_features=f) < 1.25 * feature_bytes
 
 
-def test_blobs_task_shapes_and_one_hot():
-    task = make_blobs_task(0, 1, n_samples=40, n_features=5, n_classes=4, hidden=6)
-    assert task.features.shape == (40, 5)
-    assert task.targets.shape == (40, 4)
-    np.testing.assert_array_equal(np.sum(task.targets, axis=1), np.ones(40))
-    assert task.param_count == 5 * 6 + 6 + 6 * 4 + 4
-
-
-def test_init_params_conventions():
-    lin = make_linear_task(0, 1, n_samples=10, n_features=4)
-    np.testing.assert_array_equal(init_params(lin), np.zeros(4))
-    mlp = make_blobs_task(0, 1, n_samples=10, n_features=4, n_classes=3, hidden=2)
-    theta = init_params(mlp, seed=5)
-    assert theta.size == mlp.param_count
-    np.testing.assert_array_equal(init_params(mlp, seed=5), theta)
-    # hidden and output biases start at zero
-    w1 = 4 * 2
-    np.testing.assert_array_equal(theta[w1:w1 + 2], np.zeros(2))
-    np.testing.assert_array_equal(theta[-3:], np.zeros(3))
-
-
 def test_task_validation():
     with pytest.raises(ValueError):
-        Task("ridge", np.ones((2, 2)), np.ones(2))
+        Task(np.ones(4), np.ones(4))
     with pytest.raises(ValueError):
-        Task("linear_regression", np.ones(4), np.ones(4))
-    with pytest.raises(ValueError):
-        Task("linear_regression", np.ones((3, 2)), np.ones(4))
-    with pytest.raises(ValueError):
-        Task("mlp_classification", np.ones((3, 2)), np.ones(3), hidden=2)
-    with pytest.raises(ValueError):
-        Task("mlp_classification", np.ones((3, 2)), np.ones((3, 2)), hidden=0)
+        Task(np.ones((3, 2)), np.ones(4))
+    with pytest.raises(ValueError, match="regression targets must be 1-D"):
+        Task(np.ones((3, 2)), np.ones((3, 2)))
+    assert Task(np.ones((3, 2)), np.ones(3)).param_count == 2
 
 
 def test_train_config_validation():
@@ -406,13 +369,12 @@ def test_train_config_names_the_one_field_it_rejects(kwargs, field):
     assert exc.value.field == field
 
 
-SHAPE = dict(kind="mlp_classification", samples_per_ue=8, features=4, heterogeneity=0.5,
-             noise_std=0.1, classes=3, hidden=2)
+SHAPE = dict(samples_per_ue=8, features=4, heterogeneity=0.5, noise_std=0.1)
 
 
 @pytest.mark.parametrize("field, bad", [
-    ("kind", "ridge"), ("samples_per_ue", 0), ("features", 0), ("heterogeneity", -0.1),
-    ("heterogeneity", np.nan), ("noise_std", -0.1), ("classes", 1), ("hidden", 0),
+    ("samples_per_ue", 0), ("features", 0), ("heterogeneity", -0.1),
+    ("heterogeneity", np.nan), ("noise_std", -0.1),
 ])
 def test_task_shape_names_the_argument_it_rejects(field, bad):
     check_task_shape(**SHAPE)
@@ -420,16 +382,3 @@ def test_task_shape_names_the_argument_it_rejects(field, bad):
         check_task_shape(**{**SHAPE, field: bad})
     assert exc.value.field == field
 
-
-def test_linear_task_shape_ignores_the_mlp_arguments():
-    check_task_shape(**{**SHAPE, "kind": "linear_regression", "classes": 0, "hidden": 0})
-
-
-def test_task_rejects_its_kind_and_hidden_by_field():
-    """``Task`` shares the kind and hidden-unit rule with the shape check."""
-    with pytest.raises(FieldError) as exc:
-        Task("ridge", np.ones((2, 2)), np.ones(2))
-    assert exc.value.field == "kind"
-    with pytest.raises(FieldError) as exc:
-        Task("mlp_classification", np.ones((3, 2)), np.ones((3, 2)), hidden=0)
-    assert exc.value.field == "hidden"

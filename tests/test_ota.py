@@ -174,7 +174,7 @@ def test_abort_on_undetectable_preambles(allocation):
     assert report.peak_metrics.shape == (3,)
     assert np.all(report.peak_metrics < DETECT_THRESHOLD)
     # every client still sent its preamble and pilots at the reference power
-    np.testing.assert_array_equal(report.max_re_power, np.full(3, phy.reference_amplitude**2))
+    np.testing.assert_array_equal(report.max_re_power, np.full(3, ota._REFERENCE_AMPLITUDE**2))
     np.testing.assert_array_equal(report.recovered, np.zeros(100))
     assert report.agg_nmse_db == 0.0  # zero estimate of a nonzero truth
 
@@ -305,7 +305,7 @@ def test_single_client_frame_oracle():
     phy = PhyConfig(grid=cfg)
     num_ues, sub, slot = 3, cfg.subcarriers, phy.preamble_slot_len
     gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, "fdm_comb")
-    amp = phy.reference_amplitude
+    amp = ota._REFERENCE_AMPLITUDE
     delays = np.zeros(num_ues, dtype=np.int64)
     signals = ota._sounding_signals(phy.grid, gains, masks)
     for ue in range(num_ues):
@@ -453,7 +453,7 @@ def _block_path_frame(phy, gains, offsets, deltas, scales, divisor):
         rx[delay + region:][:symbols.size] += symbols.reshape(-1)
     rx *= alpha
     rms = np.sqrt(np.mean(np.abs(gains) ** 2, axis=1))
-    chips = (phy.reference_amplitude * rms)[:, np.newaxis] * ota._preamble_bank()[:num_ues]
+    chips = (ota._REFERENCE_AMPLITUDE * rms)[:, np.newaxis] * ota._preamble_bank()[:num_ues]
     for ue, delay in enumerate(offsets.tolist()):
         rx[delay + ue * phy.preamble_slot_len:][:PREAMBLE_LEN] += chips[ue]
     return rx, alpha, largest
@@ -675,7 +675,7 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
     assert not report.aborted
     assert len(reads) == num_ues + 1 and len(floored) == 1  # sounding events, payload
     rows = np.stack([block.mean(axis=0) for block in reads[:num_ues]])
-    pilots = phy.reference_amplitude * grid.make_pilot_values(SMALL_GRID.subcarriers)
+    pilots = ota._REFERENCE_AMPLITUDE * grid.make_pilot_values(SMALL_GRID.subcarriers)
     assert floored[0].tobytes() == ls_estimate(rows, pilots).tobytes()
 
 
@@ -1178,6 +1178,13 @@ def test_initial_state_shared_and_validated():
         initial_state(bad, master_seed=0)
 
 
+def test_initial_state_is_the_zero_model_for_every_seed():
+    tasks = _make_tasks(3)
+    for seed in (0, 1, 7):
+        theta = initial_state(tasks, master_seed=seed).theta
+        assert theta.tobytes() == np.zeros(16).tobytes()
+
+
 def test_train_configs_vary_by_round_and_ue():
     template = fl.TrainConfig(learning_rate=0.05, epochs=2, batch_size=16)
     r0 = train_configs(template, 3, master_seed=0, round_index=0)
@@ -1191,7 +1198,7 @@ def test_ota_trajectory_matches_digital_on_ideal_channel():
     """With a transparent physical layer the analog path reproduces the
     digital FedAvg trajectory to numerical precision round by round.  The
     tasks hold float64 features, so the bound speaks about the PHY alone."""
-    tasks = [fl.Task("linear_regression", t.features.astype(np.float64), t.targets)
+    tasks = [fl.Task(t.features.astype(np.float64), t.targets)
              for t in _make_tasks(4)]
     template = fl.TrainConfig(learning_rate=0.1, epochs=1)
     phy = _ideal_phy(grid=GridConfig())
@@ -1212,7 +1219,6 @@ def test_digital_fp32_matches_centralized_gradient_descent():
     result = run_experiment("digital_fp32", rounds, tasks, template, _ideal_phy(),
                             master_seed=0)
     pooled = fl.Task(
-        "linear_regression",
         np.concatenate([t.features for t in tasks]),
         np.concatenate([t.targets for t in tasks]),
     )
@@ -1235,7 +1241,7 @@ def _gap_shape():
     tasks = []
     for ue in range(num_ues):
         t = fl.make_linear_task(*data_seeds(GAP_SEED, ue), 2 * params, params)
-        tasks.append(fl.Task(t.kind, t.features.astype(np.float64), t.targets))
+        tasks.append(fl.Task(t.features.astype(np.float64), t.targets))
     template = fl.TrainConfig(learning_rate=0.05)
     phy = PhyConfig(channel=ChannelModel("flat_block"), sync=SyncConfig(mode="ptp_on"),
                     pilot_allocation="fdm_comb", uplink_snr_db=10.0)

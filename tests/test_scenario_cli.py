@@ -86,13 +86,14 @@ def test_unknown_key_names_line():
     with pytest.raises(ScenarioError, match=r"line 3.*carrier_freq"):
         parse("rounds = 2\n\ncarrier_freq = 1e9\n")
     # no absolute pathloss, noise floor, transmit scale, int8 width, static
-    # carrier phase, stale CSI or CSI feedback quantizer is modelled, and
-    # training is SGD with one offset law and one shared scale pair, so
-    # these are unknown
+    # carrier phase, stale CSI or CSI feedback quantizer is modelled,
+    # training is SGD with one offset law and one shared scale pair, and
+    # linear regression is the only task, so these are unknown
     for key in ("channel.pathloss_exponent", "channel.carrier_hz", "link.distance_m",
                 "link.noise_psd_dbm_hz", "acct.bits_int8", "phy.peak_power", "phy.margin",
                 "train.optimizer", "sync.distribution", "phy.scale_mode",
-                "sync.phase_offset_rad", "phy.decorrelation", "phy.feedback_quant_bits"):
+                "sync.phase_offset_rad", "phy.decorrelation", "phy.feedback_quant_bits",
+                "task.kind", "task.classes", "task.hidden"):
         with pytest.raises(ScenarioError, match=rf"line 2: unknown key '{key}'"):
             parse(f"rounds = 2\n{key} = 1\n")
 
@@ -128,8 +129,6 @@ def test_cross_field_validation():
         build(parse("grid.subcarriers = 512"))  # default fft stays at 256
     with pytest.raises(ScenarioError, match=r"'num_ues'"):
         build(parse("num_ues = 40\ngrid.subcarriers = 32\ngrid.fft_size = 32"))
-    with pytest.raises(ScenarioError, match=r"'task.classes'"):
-        build(parse("task.kind = mlp_classification\ntask.classes = 1"))
     with pytest.raises(ScenarioError, match=r"'rounds'"):
         build(parse("rounds = 0"))
     with pytest.raises(ScenarioError, match=r"'phy.floor_rel'"):
@@ -206,13 +205,11 @@ def test_non_finite_floats_name_their_key(key, bad):
 
 
 # One value per key that the component owning the key rejects, each on the
-# default scenario (``task.classes`` and ``task.hidden`` on the MLP family).
-MLP = "task.kind = mlp_classification\n"
+# default scenario.
 REJECTED = {
     "mode": "hybrid", "rounds": "0", "num_ues": "0", "master_seed": "-1",
-    "task.kind": "ridge", "task.samples_per_ue": "0", "task.features": "0",
+    "task.samples_per_ue": "0", "task.features": "0",
     "task.heterogeneity": "-0.5", "task.noise_std": "-0.1",
-    "task.classes": MLP + "1", "task.hidden": MLP + "0",
     "train.learning_rate": "0", "train.epochs": "-1", "train.batch_size": "-1",
     "grid.subcarriers": "0", "grid.symbols_per_slot": "0",
     "grid.subcarrier_spacing_hz": "0", "grid.fft_size": "128", "grid.cp_len": "-1",
@@ -288,7 +285,6 @@ def test_parse_draws_no_task_data(monkeypatch):
 
     for module in (fl, scenario):
         monkeypatch.setattr(module, "make_linear_task", refuse)
-        monkeypatch.setattr(module, "make_blobs_task", refuse)
     for path in sorted(SCENARIOS.glob("*.cfg")):
         sc = build(parse_file(path)).scenario
         with pytest.raises(AssertionError, match="parse drew task data"):
@@ -357,13 +353,10 @@ KEY_CHANGES = {
     "rounds": ("2", {}),
     "num_ues": ("3", {}),
     "master_seed": ("1", {}),
-    "task.kind": ("mlp_classification", {}),
     "task.samples_per_ue": ("48", {}),
     "task.features": ("6", {}),
     "task.heterogeneity": ("0.9", {}),
     "task.noise_std": ("0.5", {}),
-    "task.classes": ("3", {"task.kind": "mlp_classification"}),
-    "task.hidden": ("4", {"task.kind": "mlp_classification"}),
     "train.learning_rate": ("0.05", {}),
     "train.epochs": ("2", {}),
     "train.batch_size": ("8", {}),
@@ -427,13 +420,6 @@ def test_every_scenario_key_changes_a_run():
         if _run_digest(base) == _run_digest({**base, key: value}):
             idle.append(key)
     assert idle == []
-
-
-def test_blobs_scenario_runs():
-    text = TINY + "task.kind = mlp_classification\ntask.classes = 3\ntask.hidden = 4\n"
-    result = run_scenario(build(parse(text)))
-    assert len(result.traces) == 2
-    assert np.isfinite(result.traces[-1].global_loss)
 
 
 # --------------------------------------------------------------- sync sweep
@@ -581,6 +567,7 @@ FLAGS = "--params, --bits, --m-range, --efficiency, --tx-power-dbm or --overhead
     (["accounting", "--params", "71666", "--m-range", "2..2", "--tx-power-dbm", "3000",
       "--overhead", "1e300"],
      f"{FLAGS}: tx_power_dbm 3000.0 and fixed_overhead 1e+300 give a round energy past float"),
+    (["run", "{kind}", "--out", "{csv}"], "line 8: unknown key 'task.kind'"),
 ])
 def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, argv, named):
     paths = {
@@ -590,11 +577,17 @@ def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, arg
                           + "acct.spectral_efficiency = 1e-320\n", "eff.cfg"),
         "bill": _tiny_file(tmp_path, TINY.replace("mode = ota", "mode = digital_fp32")
                            + "acct.spectral_efficiency = 1.5e-308\n", "bill.cfg"),
+        # the shipped baseline as it read while task.kind was a key
+        "kind": _tiny_file(tmp_path, (SCENARIOS / "baseline.cfg").read_text(encoding="utf-8")
+                           .replace("task.samples_per_ue",
+                                    "task.kind = linear_regression\ntask.samples_per_ue"),
+                           "kind.cfg"),
+        "csv": tmp_path / "out.csv",
     }
     assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
     out, err = capsys.readouterr()
     assert named in err and "Traceback" not in err
-    assert out == ""
+    assert out == "" and not paths["csv"].exists()
 
 
 def test_cli_run_missing_file(tmp_path, capsys):
