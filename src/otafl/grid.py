@@ -216,33 +216,57 @@ def ofdm_demodulate(
     return grid
 
 
-def detect_frame(signal: TimeSignal, preamble: np.ndarray) -> tuple[int, float]:
-    """Correlation-based frame start detection.
+def detect_frame(
+    signal: TimeSignal, preambles: np.ndarray, stride: int = 0
+) -> tuple[np.ndarray, np.ndarray]:
+    """Correlation-based frame start detection in ``k`` windows at once.
 
-    Returns ``(offset, peak_metric)`` where ``offset`` maximizes the squared
-    correlation *normalized by the windowed signal energy* and
-    ``peak_metric`` is that normalized value (1.0 for a perfect noise-free
-    match, near 0 for pure noise).  Normalizing before the argmax matters
-    when several users share the medium: a raw-correlation argmax can be
-    captured by the cross-correlation sidelobe of a much stronger user's
-    preamble, while the normalized metric at such a lag is crushed by the
-    strong user's window energy.  By Cauchy-Schwarz the metric never
-    exceeds 1, and windows only partially overlapping the preamble are
-    bounded by their overlap fraction, so empty stretches cannot win
-    either.  The round compares the metric against ``ota.DETECT_THRESHOLD``.
+    ``preambles`` is a ``(k, L)`` block, one preamble per window.  Window
+    ``i`` starts at sample ``i * stride`` of ``signal`` and every window is
+    ``span = signal.samples.size - (k - 1) * stride`` samples long, so the
+    signal is exactly the prefix the windows cover; with ``stride`` below
+    ``span`` they overlap, and at 0 every preamble is searched over the
+    whole signal.  The windows are one view of the signal, not copies.
+
+    Returns ``(offsets, peak_metrics)``, one entry per window: each offset
+    maximizes the squared correlation *normalized by the windowed signal
+    energy*, and its metric is that normalized value (1.0 for a perfect
+    noise-free match, near 0 for pure noise, 0 at lag 0 for an all-zero
+    window).  Normalizing before the argmax matters when several users
+    share the medium: a raw-correlation argmax can be captured by the
+    cross-correlation sidelobe of a much stronger user's preamble, while the
+    normalized metric at such a lag is crushed by the strong user's window
+    energy.  By Cauchy-Schwarz the metric never exceeds 1, and windows only
+    partially overlapping the preamble are bounded by their overlap
+    fraction, so empty stretches cannot win either.  The round compares the
+    metric against ``ota.DETECT_THRESHOLD``.
+
+    One pass serves every window: the correlation is one ``np.correlate``
+    per window, whose dot order fixes its bits, and the energy, its running
+    sum, the divide and the argmax each run once over the block, row by
+    row.  Each window gets the bits a search of that window alone gets.
     """
-    p = np.asarray(preamble, dtype=np.complex128)
-    s = signal.samples
-    if s.size < p.size:
-        raise ValueError("signal shorter than preamble")
-    corr = np.correlate(s, p, mode="valid")
-    csum = np.zeros(s.size + 1)
-    np.cumsum(np.abs(s) ** 2, out=csum[1:])
-    window_energy = csum[p.size:] - csum[:-p.size]
-    denom = window_energy * (np.abs(p) ** 2).sum()
+    p = np.asarray(preambles)
+    if p.ndim != 2 or p.shape[0] < 1:
+        raise ValueError(f"preambles must be a (windows, chips) block, got shape {p.shape}")
+    k, chips = p.shape
+    s = np.ascontiguousarray(signal.samples)
+    span = s.size - (k - 1) * stride
+    if stride < 0 or span < chips:
+        raise ValueError(f"signal of {s.size} samples holds no {k} windows {stride} apart "
+                         f"as long as the {chips}-chip preamble")
+    windows = np.ndarray((k, span), dtype=s.dtype, buffer=s,
+                         strides=(stride * s.itemsize, s.itemsize))
+    corr = np.empty((k, span - chips + 1), dtype=np.complex128)
+    for row, window, preamble in zip(corr, windows, p):
+        row[:] = np.correlate(window, preamble, mode="valid")
+    csum = np.zeros((k, span + 1))
+    np.cumsum(np.abs(windows) ** 2, axis=1, out=csum[:, 1:])
+    window_energy = csum[:, chips:] - csum[:, :-chips]
+    denom = window_energy * (np.abs(p) ** 2).sum(axis=1)[:, np.newaxis]
     ratio = np.divide(
         np.abs(corr) ** 2, denom,
-        out=np.zeros(corr.size), where=denom > 0.0,
+        out=np.zeros(corr.shape), where=denom > 0.0,
     )
-    offset = int(ratio.argmax())
-    return offset, min(float(ratio[offset]), 1.0)
+    offsets = ratio.argmax(axis=1)
+    return offsets, np.minimum(ratio[np.arange(k), offsets], 1.0)

@@ -47,9 +47,10 @@ One uplink round, as simulated here:
     aggregation given it reads them from the start, so a sweep draws each
     normal once and every spread gets the bits a fresh generator gives it.
     The receiver finds each client's preamble in that client's own search
-    window, demodulates the parameter symbols in one call at the earliest
-    client's timing, descales them by M * alpha and, through the codec, by
-    the shared peak scales, and applies the recovered average update.
+    window, every window of an event in one detection pass, demodulates
+    the parameter symbols in one call at the earliest client's timing,
+    descales them by M * alpha and, through the codec, by the shared peak
+    scales, and applies the recovered average update.
 
 Every event shares one frame layout, which ``_Event`` owns.  Pilot
 subcarriers are either interleaved combs (one superposed sounding event,
@@ -295,7 +296,11 @@ class _Event:
     as (real, imaginary) pairs; a sounding event is noised whole.  A client
     arrives at most ``bound`` samples late, so its preamble is searched for
     only within ``bound + PREAMBLE_LEN`` samples from its slot's start,
-    ``i * slot``: the argmax in that window is its arrival offset.
+    ``i * slot``: the argmax in that window is its arrival offset.  Past the
+    cyclic prefix the windows overlap.  One :func:`detect_frame` pass
+    searches every window of the event, as one bounds-checked view of the
+    buffer with one correlation per window, and each client gets the bits a
+    search of its window alone gets.
 
     :meth:`read` demodulates, in one call, the first ``n`` body symbols at
     the round's earliest detected timing; a start that would read the body
@@ -337,14 +342,10 @@ class _Event:
             samples = noise.standard_normal(2 * noised.size)
             samples *= np.sqrt(variance / 2.0)
             noised += samples.view(np.complex128)
-        span = bound + PREAMBLE_LEN
-        offsets = np.zeros(len(self.ues), dtype=np.int64)
-        metrics = np.zeros(len(self.ues))
-        for i, ue in enumerate(self.ues):
-            lo = i * self.slot
-            window = TimeSignal(self.rx[lo:lo + span], cfg.sample_rate)
-            offsets[i], metrics[i] = detect_frame(window, _preamble_bank()[ue])
-        return offsets, metrics
+        end = (len(self.ues) - 1) * self.slot + bound + PREAMBLE_LEN
+        windows = np.ndarray(end, dtype=self.rx.dtype, buffer=self.rx)  # raises past the buffer
+        return detect_frame(TimeSignal(windows, cfg.sample_rate),
+                            _preamble_bank()[self.ues.start:self.ues.stop], self.slot)
 
     def read(self, offsets: np.ndarray, n: int) -> np.ndarray:
         """The first ``n`` body symbols, read at the earliest of ``offsets``."""

@@ -10,6 +10,8 @@ pipeline computes another way, or a diagnostic only a test reads.
 - ``spectrum_gain``: the digital / analog slot ratio of one round.
 - ``serialize``: a scenario's fixed-order text, which ``parse`` reads back
   to the same scenario.
+- ``detect_frame_one_window``: the one-window search that
+  ``grid.detect_frame`` must reproduce bit for bit in each of its windows.
 - ``peak_spread`` and ``spread_of``: each client's correlation-peak offset
   in a composite signal, and their spread.
 - ``propagated_gap``: the ota - digital model gap of every round, from the
@@ -68,6 +70,30 @@ def serialize(scenario: Scenario) -> str:
     return "\n".join(lines) + "\n"
 
 
+def detect_frame_one_window(signal: TimeSignal, preamble: np.ndarray) -> tuple[int, float]:
+    """Correlation-based frame start detection in one window.
+
+    Returns ``(offset, peak_metric)`` where ``offset`` maximizes the squared
+    correlation normalized by the windowed signal energy and
+    ``peak_metric`` is that normalized value, clamped to 1.
+    """
+    p = np.asarray(preamble, dtype=np.complex128)
+    s = signal.samples
+    if s.size < p.size:
+        raise ValueError("signal shorter than preamble")
+    corr = np.correlate(s, p, mode="valid")
+    csum = np.zeros(s.size + 1)
+    np.cumsum(np.abs(s) ** 2, out=csum[1:])
+    window_energy = csum[p.size:] - csum[:-p.size]
+    denom = window_energy * (np.abs(p) ** 2).sum()
+    ratio = np.divide(
+        np.abs(corr) ** 2, denom,
+        out=np.zeros(corr.size), where=denom > 0.0,
+    )
+    offset = int(ratio.argmax())
+    return offset, min(float(ratio[offset]), 1.0)
+
+
 def peak_spread(signal: TimeSignal, preambles: list[np.ndarray]) -> list[tuple[int, int]]:
     """Correlation argmax offset for each UE's preamble in a composite signal.
 
@@ -76,11 +102,8 @@ def peak_spread(signal: TimeSignal, preambles: list[np.ndarray]) -> list[tuple[i
     """
     if not preambles:
         raise ValueError("need at least one preamble")
-    out = []
-    for ue, p in enumerate(preambles):
-        offset, _ = detect_frame(signal, p)
-        out.append((ue, offset))
-    return out
+    offsets, _ = detect_frame(signal, np.stack(preambles))  # every window is the whole signal
+    return [(ue, int(offset)) for ue, offset in enumerate(offsets)]
 
 
 def spread_of(offsets: list[tuple[int, int]]) -> int:

@@ -7,6 +7,7 @@ import pytest
 
 from otafl.errors import FieldError
 from otafl.grid import (
+    PREAMBLE_LEN,
     GridConfig,
     TimeSignal,
     detect_frame,
@@ -17,6 +18,8 @@ from otafl.grid import (
     ofdm_modulate_into,
     subcarrier_bins,
 )
+
+from oracles import detect_frame_one_window
 
 CFG = GridConfig()  # 256 sc, 14 symbols, 15 kHz, fft 256, cp 16
 
@@ -283,7 +286,7 @@ def test_payload_slots_survive_framing():
 
 def test_detect_clean_preamble():
     p = gold_sequence(0)
-    offset, metric = detect_frame(TimeSignal(p.astype(complex), 1.0), p)
+    (offset,), (metric,) = detect_frame(TimeSignal(p.astype(complex), 1.0), p[np.newaxis])
     assert offset == 0
     assert metric == pytest.approx(1.0, abs=1e-12)
 
@@ -293,7 +296,7 @@ def test_detect_delayed_preamble(delay):
     p = gold_sequence(2)
     s = np.zeros(500, dtype=complex)
     s[delay : delay + 127] = p
-    offset, metric = detect_frame(TimeSignal(s, 1.0), p)
+    (offset,), (metric,) = detect_frame(TimeSignal(s, 1.0), p[np.newaxis])
     assert offset == delay
     assert metric == pytest.approx(1.0, abs=1e-9)
 
@@ -308,7 +311,7 @@ def test_detect_with_noise_matches_snr_prediction():
     noise = rng.normal(scale=np.sqrt(sigma2 / 2), size=(400, 2)) @ np.array([1, 1j])
     s = noise.copy()
     s[100:227] += p
-    offset, metric = detect_frame(TimeSignal(s, 1.0), p)
+    (offset,), (metric,) = detect_frame(TimeSignal(s, 1.0), p[np.newaxis])
     assert offset == 100
     expected = 10.0 / 11.0
     assert abs(metric - expected) < 0.08
@@ -327,7 +330,7 @@ def test_detect_survives_strong_interfering_user():
     # raw-correlation ranking really is inverted for these amplitudes
     raw = np.abs(np.correlate(s, weak.astype(complex), mode="valid"))
     assert np.argmax(raw) != 300
-    offset, metric = detect_frame(TimeSignal(s, 1.0), weak)
+    (offset,), (metric,) = detect_frame(TimeSignal(s, 1.0), weak[np.newaxis])
     assert offset == 300
     assert metric == pytest.approx(1.0, abs=1e-9)
 
@@ -337,14 +340,58 @@ def test_detect_metric_bounded_by_one():
     p = gold_sequence(0)
     for _ in range(20):
         s = rng.normal(size=800) + 1j * rng.normal(size=800)
-        _, metric = detect_frame(TimeSignal(s, 1.0), p)
+        _, (metric,) = detect_frame(TimeSignal(s, 1.0), p[np.newaxis])
         assert 0.0 <= metric <= 1.0
 
 
 def test_detect_rejects_short_signal():
     p = gold_sequence(0)
     with pytest.raises(ValueError):
-        detect_frame(TimeSignal(np.zeros(100, dtype=complex), 1.0), p)
+        detect_frame(TimeSignal(np.zeros(100, dtype=complex), 1.0), p[np.newaxis])
+
+
+@pytest.mark.parametrize("case", ["zero_window", "last_lag"])
+@pytest.mark.parametrize("bound", [4, 256])  # PTP: inside one slot; ptp_off 256: overlapping
+@pytest.mark.parametrize("windows", [1, 5, 60])
+def test_one_pass_matches_a_search_of_each_window_alone(windows, bound, case):
+    """One pass over an event's staggered windows gives, in every window,
+    the offset and metric bits of a one-window search.  The middle window
+    is either all zero, which reads metric 0 at lag 0, or holds its
+    preamble at the window's last lag."""
+    slot = PREAMBLE_LEN + CFG.cp_len
+    span = bound + PREAMBLE_LEN
+    rng = np.random.default_rng(windows * 1000 + bound)
+    bank = np.stack([gold_sequence(k) for k in range(windows)])
+    size = (windows - 1) * slot + span
+    buf = 0.05 * (rng.standard_normal(size + slot) + 1j * rng.standard_normal(size + slot))
+    delays = rng.integers(0, bound + 1, size=windows)
+    middle = windows // 2
+    delays[middle] = bound
+    amps = rng.uniform(0.1, 4.0, size=windows)
+    amps[middle] = 4.0
+    for i, (d, amp) in enumerate(zip(delays, amps)):
+        buf[i * slot + d:i * slot + d + PREAMBLE_LEN] += amp * bank[i]
+    if case == "zero_window":
+        buf[middle * slot:middle * slot + span] = 0.0
+    offsets, metrics = detect_frame(TimeSignal(buf[:size], 1.0), bank, slot)
+    alone = [detect_frame_one_window(TimeSignal(buf[i * slot:i * slot + span], 1.0), bank[i])
+             for i in range(windows)]
+    np.testing.assert_array_equal(offsets, [o for o, _ in alone])
+    assert metrics.tobytes() == np.array([m for _, m in alone]).tobytes()
+    if case == "zero_window":
+        assert (offsets[middle], metrics[middle]) == (0, 0.0)
+    else:
+        assert offsets[middle] == span - PREAMBLE_LEN
+
+
+def test_detect_rejects_windows_past_the_signal():
+    bank = np.stack([gold_sequence(k) for k in range(3)])
+    slot = PREAMBLE_LEN + CFG.cp_len
+    short = np.zeros(2 * slot + PREAMBLE_LEN - 1, dtype=complex)  # the last window lacks a chip
+    with pytest.raises(ValueError, match="holds no 3 windows"):
+        detect_frame(TimeSignal(short, 1.0), bank, slot)
+    with pytest.raises(ValueError, match="block"):
+        detect_frame(TimeSignal(np.zeros(300, dtype=complex), 1.0), bank[0])
 
 
 @pytest.mark.parametrize("kwargs, field", [

@@ -232,7 +232,7 @@ def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, sprea
             if metric < DETECT_THRESHOLD:
                 continue
             preamble = grid.gold_sequence(ue)
-            full, _ = grid.detect_frame(rx, preamble)
+            (full,), _ = grid.detect_frame(rx, preamble[np.newaxis])
             assert off == full - slot * phy.preamble_slot_len
             checked += 1
     assert checked >= 20
@@ -243,9 +243,10 @@ def test_detection_scans_only_the_search_windows(monkeypatch):
     sizes = []
     original = ota.detect_frame
 
-    def counting(signal, preamble):
-        sizes.append(signal.samples.size)
-        return original(signal, preamble)
+    def counting(signal, preambles, stride):
+        windows = len(preambles)
+        sizes.extend([signal.samples.size - (windows - 1) * stride] * windows)
+        return original(signal, preambles, stride)
 
     monkeypatch.setattr(ota, "detect_frame", counting)
     phy = PhyConfig(
@@ -551,12 +552,15 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
         events[-1]["noised"] = np.flatnonzero(event.rx != clean)
         return out
 
-    def detecting(signal, preamble):
-        window(signal.samples, 0, signal.samples.size)
-        offset, metric = detect(signal, preamble)
+    def detecting(signal, preambles, stride):
+        (windows, chips), size = preambles.shape, signal.samples.size
+        span = size - (windows - 1) * stride
+        for i in range(windows):
+            window(signal.samples, i * stride, span)
+        offsets, metrics = detect(signal, preambles, stride)
         if case == "late_start":
-            offset = signal.samples.size - preamble.size
-        return offset, metric
+            offsets = np.full(windows, span - chips)
+        return offsets, metrics
 
     def demodulating(signal, cfg, start, n):
         window(signal.samples, start, n * cfg.symbol_len)["read"] = start
@@ -595,6 +599,40 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
             last = payload["rx"].size - cfg.slot_len
             assert last < bound + region  # the clip rule moved the read back
             assert payload["read"] == last
+
+
+@pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
+@pytest.mark.parametrize("num_ues", [1, 5])
+def test_search_windows_end_inside_the_buffer_at_the_largest_offset_bound(
+        monkeypatch, allocation, num_ues):
+    """At the largest offset bound the configuration accepts, one slot, every
+    event still receives, and its last search window -- the end of the
+    prefix handed to the detector -- ends inside the event's buffer."""
+    cfg = GridConfig()
+    with pytest.raises(FieldError, match="^sync.off_spread "):
+        PhyConfig(sync=SyncConfig(mode="ptp_off", off_spread=cfg.slot_len + 1))
+    phy = PhyConfig(channel=ChannelModel("flat_block"), pilot_allocation=allocation,
+                    sync=SyncConfig(mode="ptp_off", off_spread=cfg.slot_len), uplink_snr_db=20.0)
+    buffers, ends = [], []
+    receive, detect = ota._Event.receive, ota.detect_frame
+
+    def receiving(event, noise, symbols):
+        buffers.append(event.rx)
+        return receive(event, noise, symbols)
+
+    def detecting(signal, preambles, stride):
+        rx = buffers[-1]
+        start = (_address(signal.samples) - _address(rx)) // rx.itemsize
+        full = (len(preambles) - 1) * stride + cfg.slot_len + PREAMBLE_LEN  # no window cut short
+        ends.append((start, start + signal.samples.size, full, rx.size))
+        return detect(signal, preambles, stride)
+
+    monkeypatch.setattr(ota._Event, "receive", receiving)
+    monkeypatch.setattr(ota, "detect_frame", detecting)
+    for seed in range(3):
+        ota_aggregate(_random_deltas(num_ues, 100, seed=seed), phy, master_seed=seed)
+    assert len(ends) == len(buffers) >= 3 * {"fdm_comb": 1, "tdm_full": num_ues}[allocation]
+    assert all(start == 0 and end == full <= size for start, end, full, size in ends)
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
@@ -648,6 +686,26 @@ def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
     report = ota_aggregate(_random_deltas(12, 301, seed=3), phy, master_seed=3)
     assert not report.aborted
     assert calls == dict(dict.fromkeys(STAGES, 1), interpolate=int(allocation == "fdm_comb"))
+
+
+@pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
+def test_detection_runs_once_per_receive_event(monkeypatch, allocation):
+    """One detection pass searches every client window of a receive event:
+    two passes on the comb (sounding and payload), M + 1 on full-band
+    pilots (one sounding event per client, then the payload)."""
+    windows = []
+    detect = ota.detect_frame
+
+    def counting(signal, preambles, stride):
+        windows.append(len(preambles))
+        return detect(signal, preambles, stride)
+
+    monkeypatch.setattr(ota, "detect_frame", counting)
+    phy = PhyConfig(channel=ChannelModel("flat_block"), pilot_allocation=allocation,
+                    uplink_snr_db=30.0)
+    report = ota_aggregate(_random_deltas(12, 301, seed=3), phy, master_seed=3)
+    assert not report.aborted
+    assert windows == {"fdm_comb": [12, 12], "tdm_full": [1] * 12 + [12]}[allocation]
 
 
 def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
