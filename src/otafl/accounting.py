@@ -1,6 +1,6 @@
 """Spectrum and energy accounting for digital versus analog aggregation.
 
-Digital federated uploads serialize every client's fp32 or int8 update through
+Digital federated uploads serialize every client's fp32 update through
 orthogonal resource blocks, so the slot bill grows with the client count.
 The analog scheme sends all updates simultaneously; its slot bill is set by
 the parameter count alone (2 reals per resource element).
@@ -13,7 +13,9 @@ the digital uploads.  The default c = 94/3 is calibrated so that the
 two-client energy ratio of the reference configuration (87 digital slots per
 client versus 10 shared analog slots) comes out at exactly 4.0; the same
 constant then yields about 7.66 at twenty clients and an asymptote of 8.7.
-A slot bill or round energy past float range raises ValueError.
+A slot bill or round energy past float range raises ValueError.  Every slot
+is billed ``SLOT_DURATION_S`` = 1 ms whatever the grid: a 30 kHz slot lasts
+half as long as a 15 kHz one, yet costs the same joules.
 """
 
 from __future__ import annotations
@@ -31,7 +33,7 @@ from .weightcodec import slot_plan
 DEFAULT_SPECTRAL_EFFICIENCY = 7.4063
 DEFAULT_FIXED_OVERHEAD = 94.0 / 3.0
 SLOT_DURATION_S = 1e-3  # one 14-symbol slot at 15 kHz subcarrier spacing
-DIGITAL_BITS = {"digital_fp32": 32, "digital_int8": 8}  # upload bits per parameter
+DIGITAL_BITS = {"digital_fp32": 32}  # upload bits per parameter
 
 
 @dataclass(frozen=True)

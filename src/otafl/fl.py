@@ -2,9 +2,9 @@
 
 Model parameters are plain 1-D float64 arrays.  The one task family is
 linear regression with mean-squared-error loss (convex).  Local training
-runs full-batch gradient descent; seeded mini-batch SGD is a library option
-(``TrainConfig.batch_size``) that no scenario key sets.  Aggregation is
-FedAvg over delta updates with a fixed ascending-UE summation order.
+runs full-batch gradient descent; seeded mini-batch SGD (``train.batch_size``)
+is an option that no shipped scenario, workload or criterion sets above 0.
+Aggregation is FedAvg over delta updates, summed in ascending-UE order.
 
 ``make_linear_task`` stores its features as float32, which halves the
 bytes each gradient streams; the two matrix products run in that dtype.

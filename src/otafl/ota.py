@@ -12,12 +12,12 @@ One uplink round, as simulated here:
     pilot symbol -- depends only on the channel model, the grid, the pilot
     allocation, the client count, the master seed and the round index, not
     on the timing offsets, the noise or the floor.  It is built in one pass
-    by the round's ``RoundShare``, which also holds the update side of step
-    2.  An aggregation without a share builds its own and keeps nothing; a
-    sync sweep builds one share per seed and passes it to every spread, so
-    the spreads read one build.  Each sounding event and the payload event
-    only place its chips and pilots.  The receiver locks its frame
-    timing to the earliest detected preamble and estimates every client's
+    with the round's ``RoundShare``, which holds it next to the update side
+    of step 2.  An aggregation without a share builds its own and keeps
+    nothing; a sync sweep builds one share per seed and passes it to every
+    spread, so the spreads read one build.  Each sounding event and the
+    payload event only place its chips and pilots.  The receiver locks its
+    frame timing to the earliest detected preamble and estimates every client's
     *effective* channel at that common reference -- the estimate then
     absorbs both the fading gain and the per-client timing phase ramp, so
     channel inversion pre-compensates residual sample offsets that fall
@@ -76,7 +76,7 @@ from .accounting import (
     round_bill,
 )
 from .channel import ChannelModel, realize_channel
-from .csi import interpolate, ls_estimate, nmse
+from .csi import NMSE_FLOOR_DB, interpolate, ls_estimate, nmse
 from .errors import FieldError, check_choice
 from .grid import (
     PREAMBLE_FAMILY,
@@ -461,10 +461,10 @@ def _payload_frame(
 
 def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
     """NMSE of an aggregate in dB; against a zero exact average it reads the
-    -300 dB floor when the aggregate is exactly zero too, else 0 dB."""
+    ``NMSE_FLOOR_DB`` floor when the aggregate is exactly zero too, else 0 dB."""
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged round fails in _finish_round
         if float(np.sum(np.abs(exact) ** 2)) == 0.0:
-            return -300.0 if np.array_equal(sent, exact) else 0.0
+            return NMSE_FLOOR_DB if np.array_equal(sent, exact) else 0.0
         return nmse(sent, exact)
 
 
@@ -545,12 +545,14 @@ class RoundShare:
     It holds the update side, read once here: each update's rail peaks,
     the exact average (read-only, and held by every report the share
     gives) and the shared peak scales.  It builds the channel side of
-    :func:`_channel_side` on first use and keeps it.  It keeps the round's
-    noise stream too: every aggregation reads the stream from its start,
-    as it would read a fresh generator seeded (master seed, round, noise
-    tag), and a read past the kept normals draws exactly the missing count
-    and keeps them.  A generator's normals do not depend on how its draws
-    are split, so every aggregation gets the bits it gets without a share.
+    :func:`_channel_side` here, even when every update is zero, and holds
+    it read-only as ``gains``, ``chips``, ``masks`` and ``pilots``.  It
+    keeps the round's noise stream as well: every aggregation reads the
+    stream from its start, as it would read a fresh generator seeded
+    (master seed, round, noise tag), and a read past the kept normals draws
+    exactly the missing count and keeps them.  A generator's normals do not
+    depend on how its draws are split, so every aggregation gets the bits
+    it gets without a share.
 
     The share is bound to the update arrays it was built from, which it
     reads only once and which must not change, to the master seed and
@@ -588,7 +590,8 @@ class RoundShare:
         self.deltas = tuple(deltas)
         self._round = (master_seed, round_index)
         self._link = (phy.channel, phy.grid, _sounding_allocation(phy))
-        self._side = None
+        self.gains, self.chips, self.masks, self.pilots = _channel_side(
+            *self._link, num_ues, *self._round)
         self._rng = None
         self._normals = np.empty(0)
 
@@ -604,12 +607,6 @@ class RoundShare:
         if (phy.channel, phy.grid, _sounding_allocation(phy)) != self._link:
             raise ValueError("the round share was built for another channel, grid or "
                              "pilot allocation")
-
-    def channel_side(self) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
-        """The round's channel side, built on the first call."""
-        if self._side is None:
-            self._side = _channel_side(*self._link, len(self.deltas), *self._round)
-        return self._side
 
     def _normals_to(self, end: int) -> np.ndarray:
         """The kept stream, drawn on to at least ``end`` normals."""
@@ -684,7 +681,7 @@ def ota_aggregate(
 
     # --- channel realizations and timing offsets -------------------------
     sounds = phy.csi_mode == "estimated"
-    gains, chips, masks, pilots = share.channel_side()
+    gains, chips, masks, pilots = share.gains, share.chips, share.masks, share.pilots
     offsets = draw_offsets(
         phy.sync, num_ues, cfg.sample_rate,
         seed=derive_seed(master_seed, round_index, _TAG_SYNC),
@@ -830,16 +827,6 @@ def _finish_round(
     return fl.RoundState(new_theta, state.round_index + 1, grads), trace
 
 
-def _int8_round_trip(delta: np.ndarray) -> np.ndarray:
-    """Symmetric per-tensor int8: scale = max|delta| / 127."""
-    peak = float(np.max(np.abs(delta)))
-    if peak == 0.0:
-        return np.zeros_like(delta)
-    scale = peak / 127.0
-    q = np.clip(np.round(delta / scale), -127, 127)
-    return q * scale
-
-
 def run_ota_round(
     state: fl.RoundState,
     tasks: list[fl.Task],
@@ -871,20 +858,16 @@ def run_digital_round(
     grid: GridConfig,
     energy_model: EnergyModel = EnergyModel(),
 ) -> tuple[fl.RoundState, RoundTrace]:
-    """Digital FedAvg baseline round (fp32 exact or int8-rounded uploads)."""
+    """Classical FedAvg baseline round: each client uploads its fp32 update
+    in its own slots and the server applies the exact average."""
     if mode not in DIGITAL_BITS:
         raise ValueError(f"not a digital mode: {mode!r}")
     slots, energy = round_bill(mode, len(tasks), state.theta.size, grid, energy_model, profile)
     deltas = train_deltas(state, tasks, train_cfgs)
-    exact = fl.average_deltas(deltas)
-    if mode == "digital_int8":
-        sent = fl.average_deltas([_int8_round_trip(d) for d in deltas])
-    else:
-        sent = exact
     return _finish_round(
-        state, tasks, sent, False,
+        state, tasks, fl.average_deltas(deltas), False,
         mode=mode,
-        agg_nmse_db=_aggregate_nmse_db(sent, exact),
+        agg_nmse_db=NMSE_FLOOR_DB,  # the exact average arrives: no aggregation error
         alpha=0.0,
         slots_used=slots,
         energy_j=energy,

@@ -9,7 +9,7 @@ from pathlib import Path
 import pytest
 
 import otafl
-from otafl import cli, scenario
+from otafl import channel, cli, ota, scenario, sync
 
 PACKAGE_DIR = Path(otafl.__file__).resolve().parent
 TESTS_DIR = Path(__file__).resolve().parent
@@ -461,3 +461,41 @@ def test_missing_cache_check_sees_an_array_cache_the_fixture_leaves_out():
 def test_every_array_cache_is_in_the_golden_cold_and_warm_fixture():
     assert _caches_missing_from_fixture(_package_caches(),
                                         GOLDEN.read_text(encoding="utf-8")) == []
+
+
+# Every value an enumerated choice accepts is one that some run selects: a
+# shipped scenario, a benchmark workload, an acceptance criterion or a golden
+# pin.  A value no run selects is a code path only its own unit tests reach.
+ENUMERATIONS = {"ota.MODES": ota.MODES, "ota.CSI_MODES": ota.CSI_MODES,
+                "ota.PILOT_ALLOCATIONS": ota.PILOT_ALLOCATIONS, "channel.KINDS": channel.KINDS,
+                "sync.MODES": sync.MODES}
+RUNS = (*sorted((TESTS_DIR.parent / "scenarios").glob("*.cfg")), BENCH_WORKLOADS,
+        TESTS_DIR / "test_acceptance.py", GOLDEN)
+
+
+def _unselected_values(enumerations: dict[str, tuple[str, ...]], sources: list[str]) -> list[str]:
+    """``name: value`` for every enumerated value that no source sets, as a
+    quoted string or after ``=``; a bare word, such as one in a comment,
+    sets nothing."""
+    text = "\n".join(sources)
+    return [
+        f"{name}: {value}"
+        for name, values in enumerations.items()
+        for value in values
+        if not re.search(rf"""(["']){re.escape(value)}\1|=\s*{re.escape(value)}\b""", text)
+    ]
+
+
+def test_unselected_value_check_sees_a_bare_word_a_longer_value_or_none():
+    enumerations = {"ota.MODES": ("ota", "digital_fp32"),
+                    "ota.CSI_MODES": ("estimated", "perfect"),
+                    "channel.KINDS": ("ideal", "flat_block")}
+    sources = ["mode = digital_fp32_old\n# ota is the default\nchannel.kind = flat_block\n",
+               "PhyConfig(csi_mode=\"perfect\")\nkind = 'ideal'\n"]
+    assert _unselected_values(enumerations, sources) == [
+        "ota.MODES: ota", "ota.MODES: digital_fp32", "ota.CSI_MODES: estimated"]
+
+
+def test_every_enumerated_value_is_one_some_run_selects():
+    sources = [path.read_text(encoding="utf-8") for path in RUNS]
+    assert _unselected_values(ENUMERATIONS, sources) == []

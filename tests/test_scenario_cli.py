@@ -141,19 +141,16 @@ def test_cross_field_validation():
     # 1.1e308 slots per fp32 client fit a float; two clients' do not
     ("mode = digital_fp32\nacct.spectral_efficiency = 5e-309\n", "num_ues = 2", "num_ues = 1",
      "acct.spectral_efficiency"),
-    ("acct.spectral_efficiency = 5e-309\n", "mode = digital_fp32", "mode = digital_int8",
-     "acct.spectral_efficiency"),
-    ("acct.spectral_efficiency = 1e-320\n", "mode = digital_int8", "mode = ota",
+    ("acct.spectral_efficiency = 1e-320\n", "mode = digital_fp32", "mode = ota",
      "acct.spectral_efficiency"),
     ("acct.fixed_overhead = 1e20\n", "link.tx_power_dbm = 3000", "link.tx_power_dbm = 2900",
      "link.tx_power_dbm"),
     ("mode = digital_fp32\nacct.spectral_efficiency = 1e-10\n", "link.tx_power_dbm = 3100",
      "link.tx_power_dbm = 3000", "link.tx_power_dbm"),
-], ids=["fp32-efficiency", "fp32-two-clients", "fp32-not-int8", "int8-not-ota",
-        "ota-energy", "fp32-energy"])
+], ids=["fp32-efficiency", "fp32-two-clients", "fp32-not-ota", "ota-energy", "fp32-energy"])
 def test_a_round_bill_past_float_range_names_its_key(base, bad, good, key):
     """The round the mode runs is billed when the scenario is built: every client's
-    digital upload in turn (8 or 32 bits per parameter) or the one shared
+    digital upload in turn (32 bits per parameter) or the one shared
     analog payload, and then that round's energy.  A bill a float cannot
     hold names its key instead of stopping a run mid-way; an efficiency
     the analog round never reads is not checked."""
@@ -568,6 +565,8 @@ FLAGS = "--params, --bits, --m-range, --efficiency, --tx-power-dbm or --overhead
       "--overhead", "1e300"],
      f"{FLAGS}: tx_power_dbm 3000.0 and fixed_overhead 1e+300 give a round energy past float"),
     (["run", "{kind}", "--out", "{csv}"], "line 8: unknown key 'task.kind'"),
+    (["run", "{int8}", "--out", "{csv}"],
+     "key 'mode': 'digital_int8' is not one of ota, digital_fp32"),
 ])
 def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, argv, named):
     paths = {
@@ -582,6 +581,9 @@ def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, arg
                            .replace("task.samples_per_ue",
                                     "task.kind = linear_regression\ntask.samples_per_ue"),
                            "kind.cfg"),
+        # the 8-bit digital baseline is gone; only its bill stays, in accounting --bits 8
+        "int8": _tiny_file(tmp_path, TINY.replace("mode = ota", "mode = digital_int8"),
+                           "int8.cfg"),
         "csv": tmp_path / "out.csv",
     }
     assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
