@@ -13,9 +13,11 @@ One uplink round, as simulated here:
     allocation, the client count, the master seed and the round index, not
     on the timing offsets, the noise or the floor.  It is built in one pass
     with the round's ``RoundShare``, which holds it next to the update side
-    of step 2.  An aggregation without a share builds its own and keeps
-    nothing; a sync sweep builds one share per seed and passes it to every
-    spread, so the spreads read one build.  Each sounding event and the
+    of step 2 and the round's sync uniforms, drawn once from the (master
+    seed, round, sync tag) stream; each aggregation maps them to offsets
+    under its own bound.  An aggregation without a share builds its own and
+    keeps nothing; a sync sweep builds one share per seed and passes it to
+    every spread, so the spreads read one build.  Each sounding event and the
     payload event only place its chips and pilots.  The receiver locks its
     frame timing to the earliest detected preamble and estimates every client's
     *effective* channel at that common reference -- the estimate then
@@ -29,8 +31,10 @@ One uplink round, as simulated here:
     is zero and is never built.  The codec packs one client's scaled update
     at a time into a reused block of those symbols, once per client, as one
     contiguous division by the shared scales laid over every real.  The
-    per-subcarrier peaks of the packed block are read, and the block is
-    precoded by gain / estimate (the floored estimate); clients that share
+    per-subcarrier peaks of the packed block are read by the first
+    aggregation of a share only, which leaves them in the share (they
+    depend on the update and the scales alone), and the block is precoded
+    by gain / estimate (the floored estimate); clients that share
     a delay are summed in the frequency domain, and each distinct delay is
     modulated once and added into the event's one receive buffer, as the
     multiple-access channel sums them in the air.
@@ -45,7 +49,8 @@ One uplink round, as simulated here:
     slots).  Without a share each aggregation draws the stream from a
     fresh generator; a share keeps the normals it has drawn, and every
     aggregation given it reads them from the start, so a sweep draws each
-    normal once and every spread gets the bits a fresh generator gives it.
+    normal, each sync uniform and each client's peaks once, and every
+    spread gets the bits an aggregation without a share gives it.
     The receiver finds each client's preamble in that client's own search
     window, every window of an event in one detection pass, demodulates
     the parameter symbols in one call at the earliest client's timing,
@@ -127,8 +132,17 @@ _TAG_NOISE = 18
 
 
 def derive_seed(*parts: int) -> np.random.SeedSequence:
-    """Stable child seed for a (master, round, ue, purpose) tuple."""
-    return np.random.SeedSequence(list(parts))
+    """Stable child seed for a (master, round, ue, purpose) tuple.
+
+    Ints in [0, 2**32) go to numpy as one uint32 array: the entropy its
+    list path splits them into, without its per-item conversion.  Any other
+    part takes the list path, which splits or rejects it.  The package
+    builds every ``SeedSequence`` here.
+    """
+    for part in parts:
+        if type(part) is not int or not 0 <= part < 2**32:
+            return np.random.SeedSequence(list(parts))
+    return np.random.SeedSequence(np.array(parts, dtype=np.uint32))
 
 
 def data_seeds(master_seed: int, ue: int):
@@ -184,9 +198,13 @@ class PhyConfig:
 
     @property
     def preamble_slot_len(self) -> int:
-        """Preamble plus a guard gap, so one user's late arrival does not
-        leak into the next user's correlation window and distort its
-        normalized detection metric (ruinous under near-far power spreads)."""
+        """Preamble plus a guard gap of ``grid.cp_len`` samples.  While the
+        offset bound is at most ``cp_len``, the gap keeps one user's late
+        arrival out of the next user's correlation window, where it would
+        distort the normalized detection metric (ruinous under near-far
+        power spreads).  Past it the search windows overlap, as
+        :class:`_Event` says, and a late preamble can reach the next
+        client's window."""
         return PREAMBLE_LEN + self.grid.cp_len
 
     def preamble_region_len(self, num_ues: int) -> int:
@@ -403,9 +421,13 @@ def _payload_frame(
     scales: tuple[float, float],
     divisor: np.ndarray,
     chips: np.ndarray,
-) -> tuple[_Event, float, np.ndarray]:
+    peaks: np.ndarray | None,
+) -> tuple[_Event, float, np.ndarray, np.ndarray]:
     """Noise-free payload event, with the shared power-control factor alpha
-    and each client's precoded peak, as :func:`compute_alpha` returns them.
+    and each client's precoded peak, as :func:`compute_alpha` returns them,
+    and the per-subcarrier peaks of every packed update, read-only, one row
+    per client of ``ues``.  ``peaks`` holds those rows when an earlier call
+    has read them, and is ``None`` otherwise.
 
     Each client's body, whole payload slots long, is the update
     ``deltas[ue]``, packed with the shared (I, Q) ``scales``: their
@@ -419,8 +441,8 @@ def _payload_frame(
     once.  The clients are walked by distinct delay, in ascending order,
     and within a delay in ascending order: a client is packed into one of
     two reused blocks, its per-subcarrier peaks are read from the packed
-    block, and it is precoded by gain / divisor and summed into the
-    delay's first block.  Modulation is linear, so each distinct delay (at
+    block unless ``peaks`` holds them, and it is precoded by gain / divisor
+    and summed into the delay's first block.  Modulation is linear, so each distinct delay (at
     most ``offset_bound + 1`` under PTP) is modulated once, and no array
     holds more than two clients' blocks, however many clients there are.
     alpha is common to every client and the air sum is linear, so the
@@ -439,24 +461,28 @@ def _payload_frame(
     precode = g * (1.0 / divisor[run])  # reciprocal first: g / divisor rounds differently
     deltas = deltas[run]
     per_real = rail_divisors(scales, deltas[0].size)
-    peaks = np.empty(g.shape)
+    fresh = peaks is None
+    if fresh:
+        peaks = np.empty(g.shape)
     acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
     symbols = np.empty((used, cfg.symbol_len), dtype=np.complex128)
     order = np.argsort(delays, kind="stable")
     for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
         for k, i in enumerate(group.tolist()):
             row = pack_payload(deltas[i], per_real, scratch if k else acc)
-            np.max(np.abs(row), axis=0, out=peaks[i])
+            if fresh:
+                np.max(np.abs(row), axis=0, out=peaks[i])
             row *= precode[i]
             if k:
                 acc += row
         ofdm_modulate_into(acc, cfg, symbols)
         event.add_body(int(group[0]), symbols, used)
+    peaks.flags.writeable = False
     alpha, largest = compute_alpha(peaks, divisor[run])
     event.scale_bodies(alpha, used)  # every nonzero sample so far
     for i, row in enumerate(chips[run]):
         event.add_chips(i, row)
-    return event, alpha, largest
+    return event, alpha, largest, peaks
 
 
 def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
@@ -547,10 +573,19 @@ class RoundShare:
     gives) and the shared peak scales.  It builds the channel side of
     :func:`_channel_side` here, even when every update is zero, and holds
     it read-only as ``gains``, ``chips``, ``masks`` and ``pilots``.  It
-    keeps the round's noise stream as well: every aggregation reads the
-    stream from its start, as it would read a fresh generator seeded
-    (master seed, round, noise tag), and a read past the kept normals draws
-    exactly the missing count and keeps them.  A generator's normals do not
+    draws the round's sync ``uniforms`` here, one per client from the
+    (master seed, round, sync tag) stream, and holds them read-only; each
+    aggregation maps them to offsets under its own bound.  The first
+    aggregation that packs the updates leaves their per-subcarrier payload
+    ``peaks`` here (``None`` until then), read-only, one row per client:
+    they depend only on the updates and the shared scales, so later
+    aggregations pack and precode but do not read them again.  The rail
+    divisors and the packed blocks are not kept: at 60 clients and 71 666
+    parameters they would hold 573 KB and 34 MB, and a single aggregation
+    gains nothing from them.  It keeps the round's noise stream as well:
+    every aggregation reads the stream from its start, as it would read a
+    fresh generator seeded (master seed, round, noise tag), and a read past
+    the kept normals draws exactly the missing count and keeps them.  A generator's normals do not
     depend on how its draws are split, so every aggregation gets the bits
     it gets without a share.
 
@@ -565,6 +600,9 @@ class RoundShare:
                  round_index: int = 0):
         num_ues = len(deltas)
         check_run(phy, num_ues, master_seed=master_seed)
+        sync_seed = derive_seed(master_seed, round_index, _TAG_SYNC)
+        self.uniforms = np.random.default_rng(sync_seed).random(num_ues)
+        self.uniforms.flags.writeable = False
         param_count = deltas[0].size
         for d in deltas:
             if d.shape != (param_count,):
@@ -592,6 +630,7 @@ class RoundShare:
         self._link = (phy.channel, phy.grid, _sounding_allocation(phy))
         self.gains, self.chips, self.masks, self.pilots = _channel_side(
             *self._link, num_ues, *self._round)
+        self.peaks = None
         self._rng = None
         self._normals = np.empty(0)
 
@@ -652,8 +691,9 @@ def ota_aggregate(
     below ``DETECT_THRESHOLD`` for any client aborts the round: the
     recovered update is zero and the caller leaves the global model
     unchanged.  A :class:`RoundShare` built from the same deltas, seed,
-    round and channel lends its update side, channel side and noise stream
-    to every aggregation given it; the report is the same bit for bit.
+    round and channel lends its update side, channel side, sync uniforms,
+    payload peaks and noise stream to every aggregation given it; the
+    report is the same bit for bit.
     """
     # Without a share the aggregation builds its own and keeps nothing.  The
     # noise is one stream for every receive event of the round, in event order.
@@ -682,10 +722,7 @@ def ota_aggregate(
     # --- channel realizations and timing offsets -------------------------
     sounds = phy.csi_mode == "estimated"
     gains, chips, masks, pilots = share.gains, share.chips, share.masks, share.pilots
-    offsets = draw_offsets(
-        phy.sync, num_ues, cfg.sample_rate,
-        seed=derive_seed(master_seed, round_index, _TAG_SYNC),
-    )
+    offsets = draw_offsets(phy.sync, share.uniforms, cfg.sample_rate)
 
     # --- sounding pass: effective-channel estimates at a common reference -
     if not sounds:
@@ -728,8 +765,8 @@ def ota_aggregate(
     try:
         with np.errstate(over="ignore", invalid="ignore"):
             divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
-            event, alpha, largest = _payload_frame(range(num_ues), phy, gains, offsets,
-                                                   deltas, scales, divisor, chips)
+            event, alpha, largest, share.peaks = _payload_frame(
+                range(num_ues), phy, gains, offsets, deltas, scales, divisor, chips, share.peaks)
     except ValueError as exc:
         raise ValueError(f"round {round_index}: phy.floor_rel = {phy.floor_rel!r} leaves "
                          f"no usable precoded payload: {exc}") from None

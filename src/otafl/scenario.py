@@ -263,10 +263,12 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
     gains and the noise seed are held fixed across spreads (common random
     numbers), and the offsets themselves are coupled so they scale
     monotonically with the bound.  Each seed builds one
-    :class:`~otafl.ota.RoundShare`, which reads the updates and builds the
-    channel side once, and every spread's aggregation reads its one drawn
-    noise stream from the start.  The receiver noise is still not fully
-    common: the sounding event is noised whole and its length grows with
+    :class:`~otafl.ota.RoundShare`, which reads the updates, builds the
+    channel side and draws the sync uniforms once.  The first spread that
+    packs the updates leaves each client's per-subcarrier payload peaks in
+    it, and every spread maps the same uniforms under its own bound, reuses
+    those peaks and reads the one drawn noise stream from the start.  The
+    receiver noise is still not fully common: the sounding event is noised whole and its length grows with
     the largest offset (the comb event at seed 3 spans 4 776, 4 587 and
     4 523 samples at spreads 256, 64 and 0), so each spread's payload draws
     start after that spread's own sounding draws, at a different point of

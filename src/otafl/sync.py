@@ -51,19 +51,20 @@ def offset_bound(cfg: SyncConfig, sample_rate: float) -> int:
     return math.ceil(offset_reach(cfg, sample_rate)[1])
 
 
-def draw_offsets(cfg: SyncConfig, num_ues: int, sample_rate: float, seed) -> np.ndarray:
-    """Per-UE nonnegative integer sample offsets for one round.
+def draw_offsets(cfg: SyncConfig, uniforms: np.ndarray, sample_rate: float) -> np.ndarray:
+    """Per-UE nonnegative integer sample offsets for one round, one per
+    uniform variate in ``uniforms``.
 
-    Offsets are uniform, drawn as floor(u * (bound + 1)) from a shared
-    uniform variate, so sweeping the bound with a fixed seed yields offsets
-    that scale monotonically with the bound (common random numbers).
-    ``ota.check_run`` owns the ``num_ues`` check for a scenario; it stays for direct callers.
+    Offsets are uniform, mapped as min(floor(u * (bound + 1)), bound), so
+    one round's uniforms under every bound give offsets that scale
+    monotonically with the bound (common random numbers).  A round draws
+    its uniforms once, in its ``ota.RoundShare``, and every spread of a
+    sync sweep maps the same ones.  ``ota.check_run`` owns the client-count
+    check for a scenario; an empty ``uniforms`` is still rejected here for
+    direct callers.
     """
-    if num_ues < 1:
-        raise ValueError("num_ues must be >= 1")
+    if uniforms.size < 1:
+        raise ValueError("draw_offsets needs at least one uniform variate")
     bound = offset_bound(cfg, sample_rate)
-    rng = np.random.default_rng(seed)
-    u = rng.random(num_ues)
-    offs = np.floor(u * (bound + 1)).astype(np.int64)
+    offs = np.floor(uniforms * (bound + 1)).astype(np.int64)
     return np.minimum(offs, bound)
-

@@ -262,7 +262,7 @@ def test_criterion_6_synchronization():
     cfg = SyncConfig(mode="ptp_on")
     spreads_ok = True
     for seed in range(20):
-        offs = draw_offsets(cfg, 5, rate, seed=seed)
+        offs = draw_offsets(cfg, np.random.default_rng(seed).random(5), rate)
         sigs = [
             (TimeSignal(gold_sequence(k).astype(complex), rate), int(offs[k]))
             for k in range(5)

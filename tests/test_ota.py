@@ -313,8 +313,8 @@ def test_single_client_frame_oracle():
         one = range(ue, ue + 1)
         pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue]
         packed = _packed(deltas[ue], scales)
-        built, alpha, largest = ota._payload_frame(one, phy, gains, delays, deltas,
-                                                   scales, divisor, signals[0])
+        built, alpha, largest, _ = ota._payload_frame(one, phy, gains, delays, deltas,
+                                                      scales, divisor, signals[0], None)
         payload = built.rx
         peak = np.max(np.abs(packed) / np.abs(divisor[ue]))
         assert largest.tolist() == [pytest.approx(peak, rel=1e-15)]
@@ -395,8 +395,8 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
         offsets = np.array([3, 0, 3, 1, 0])
         gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation, seed=5)
     else:
-        offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
-                               cfg.sample_rate, seed=spread)
+        offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread),
+                               np.random.default_rng(spread).random(num_ues), cfg.sample_rate)
         gains, masks, deltas, scales, divisor = _oracle_inputs(num_ues, allocation,
                                                                seed=spread)
     if spread in (64, 256):  # some preamble runs past its guard gap into the next slot
@@ -407,8 +407,8 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
         if event == "sounding":
             signals = ota._sounding_signals(phy.grid, gains, masks)
             return ota._sounding_frame(ues, phy, delays, *signals).rx, 1.0
-        built, alpha, _ = ota._payload_frame(ues, phy, gains, delays, deltas, scales, divisor,
-                                             ota._preamble_chips(gains))
+        built, alpha, _, _ = ota._payload_frame(ues, phy, gains, delays, deltas, scales,
+                                                divisor, ota._preamble_chips(gains), None)
         return built.rx, alpha
 
     rx, alpha = build(range(num_ues), offsets)
@@ -476,10 +476,12 @@ def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
     if spread == "shared":
         offsets = np.array([(2 * ue) % 3 * 5 for ue in range(num_ues)])
     else:
-        offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread), num_ues,
-                               ORACLE_GRID.sample_rate, seed=num_ues)
-    event, alpha, largest = ota._payload_frame(range(num_ues), phy, gains, offsets, deltas,
-                                               scales, divisor, ota._preamble_chips(gains))
+        offsets = draw_offsets(SyncConfig(mode="ptp_off", off_spread=spread),
+                               np.random.default_rng(num_ues).random(num_ues),
+                               ORACLE_GRID.sample_rate)
+    event, alpha, largest, _ = ota._payload_frame(range(num_ues), phy, gains, offsets, deltas,
+                                                  scales, divisor, ota._preamble_chips(gains),
+                                                  None)
     got = event.rx
     want, want_alpha, want_largest = _block_path_frame(phy, gains, offsets,
                                                        deltas, scales, divisor)
@@ -506,8 +508,8 @@ def test_receive_adds_noise_in_place(snr_db):
     offsets = np.array([0, bound, 1])
     region = phy.preamble_region_len(3)
     for symbols in (3, 4, 5):
-        event, _, _ = ota._payload_frame(range(3), phy, gains, offsets, deltas,
-                                         scales, divisor, ota._preamble_chips(gains))
+        event, _, _, _ = ota._payload_frame(range(3), phy, gains, offsets, deltas,
+                                            scales, divisor, ota._preamble_chips(gains), None)
         rx = event.rx
         assert rx.size == bound + region + cfg.symbols_per_slot * cfg.symbol_len
         n = min(rx.size, bound + region + symbols * cfg.symbol_len)
@@ -1127,6 +1129,58 @@ def test_a_sync_sweeps_spreads_share_one_channel_side(monkeypatch):
         assert _report_bytes(ota_aggregate(*args)) == _report_bytes(report)
 
 
+class _CountingNumpy:
+    """Stands in for ``ota``'s numpy module and counts its ``max`` calls,
+    the per-subcarrier peak reads of ``_payload_frame``."""
+
+    def __init__(self):
+        self.max_calls = 0
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+    def max(self, *args, **kwargs):
+        self.max_calls += 1
+        return np.max(*args, **kwargs)
+
+
+def test_a_sync_sweep_draws_each_seeds_sync_uniforms_and_peaks_once(monkeypatch):
+    """Three seeds of the five-spread sweep derive the sync seed 3 times,
+    not 15, and read each client's per-subcarrier payload peaks once per
+    seed: the first spread that gets past sounding leaves them in the share
+    and the later ones pass them to ``_payload_frame``.  The kept uniforms
+    and peaks are read-only."""
+    derived, given = [], []
+    derive, frame = ota.derive_seed, ota._payload_frame
+
+    def counted_derive(*parts):
+        if parts[-1] == ota._TAG_SYNC:
+            derived.append(parts)
+        return derive(*parts)
+
+    def recording_frame(*args):
+        given.append(args[-1])
+        return frame(*args)
+
+    spy = _CountingNumpy()
+    monkeypatch.setattr(ota, "derive_seed", counted_derive)
+    monkeypatch.setattr(ota, "_payload_frame", recording_frame)
+    monkeypatch.setattr(ota, "np", spy)
+    calls = _recorded_sweep(monkeypatch, n_seeds=3)
+    num_ues = len(calls[0][0][0])
+    assert derived == [(m, 0, ota._TAG_SYNC) for m in range(3)]
+    assert spy.max_calls == 3 * num_ues
+    sent = [share for _, share, report in calls
+            if report.abort_reason != "sounding detection failed"]
+    assert len(calls) == 15 and len(given) == len(sent) < 15  # some spreads abort
+    first = [i for i, share in enumerate(sent) if share not in sent[:i]]
+    assert len(first) == 3
+    for i, (share, peaks) in enumerate(zip(sent, given)):
+        assert peaks is (None if i in first else share.peaks)
+        assert not share.uniforms.flags.writeable and not share.peaks.flags.writeable
+        assert share.uniforms.shape == (num_ues,)
+
+
 def test_a_sync_sweep_draws_each_seeds_noise_stream_once(monkeypatch):
     """``sync_stress.cfg`` swept over five spreads and 20 seeds draws 231 616
     normals, each seed's stream once, where a fresh generator per
@@ -1159,6 +1213,16 @@ def test_a_round_share_gives_every_aggregation_its_own_bits(csi_mode, allocation
     for phy in phys:
         assert (_report_bytes(ota_aggregate(deltas, phy, 3, 2, share=share))
                 == _report_bytes(ota_aggregate(deltas, phy, 3, 2)))
+
+    # peaks left by an aggregation at another spread and floor
+    for filler, checked in [(phys[3], phys[2]), (phys[2], phys[0])]:
+        share = ota.RoundShare(deltas, base, master_seed=3, round_index=2)
+        assert share.peaks is None
+        ota_aggregate(deltas, filler, 3, 2, share=share)
+        assert share.peaks.shape == (4, SMALL_GRID.subcarriers)
+        assert not share.peaks.flags.writeable
+        assert (_report_bytes(ota_aggregate(deltas, checked, 3, 2, share=share))
+                == _report_bytes(ota_aggregate(deltas, checked, 3, 2)))
 
 
 def _mismatches(deltas, phy):
@@ -1214,6 +1278,26 @@ def _make_tasks(num_ues, master=0, samples=64, features=16):
             fl.make_linear_task(shared, client, samples, features, heterogeneity=0.3)
         )
     return tasks
+
+
+@pytest.mark.parametrize("parts", [
+    (0,), (2**32 - 1, 0, 7), (5, 2**32, 16), (2**64 + 3, 1), (0, 2**32 - 1, 2**32, 2**64 + 3),
+    (np.int64(3), 2), (True, 4),
+])
+def test_derive_seed_gives_the_list_paths_state(parts):
+    """Parts in [0, 2**32) go to numpy as one uint32 array, larger ones as a
+    list; either way the state is the one a list of the parts gives."""
+    want = np.random.SeedSequence(list(parts)).generate_state(4)
+    np.testing.assert_array_equal(derive_seed(*parts).generate_state(4), want)
+
+
+@pytest.mark.parametrize("part", [1.5, -1])
+def test_derive_seed_rejects_what_the_list_path_rejects(part):
+    """A float or a negative part is not cast to a 32-bit word."""
+    with pytest.raises((TypeError, ValueError)):
+        np.random.SeedSequence([3, part])
+    with pytest.raises((TypeError, ValueError)):
+        derive_seed(3, part)
 
 
 def test_seed_helpers():

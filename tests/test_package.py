@@ -337,6 +337,48 @@ def test_only_accounting_computes_a_bill_and_runs_bill_through_round_bill():
         "ota", "ota", "scenario"]
 
 
+def _seed_sequence_uses(sources: dict[str, str]) -> list[str]:
+    """``module: definition`` for every name, attribute or import of
+    ``SeedSequence`` in the sources outside ``ota.derive_seed``, the
+    definition being the top-level function or class it sits in, or
+    ``<module>``."""
+    found = []
+    for module, source in sources.items():
+        for top in ast.parse(source).body:
+            where = getattr(top, "name", "<module>")
+            if (module, where) == ("ota", "derive_seed"):
+                continue
+            for sub in ast.walk(top):
+                names = ([sub.id] if isinstance(sub, ast.Name)
+                         else [sub.attr] if isinstance(sub, ast.Attribute)
+                         else [alias.name for alias in sub.names]
+                         if isinstance(sub, ast.ImportFrom) else [])
+                if "SeedSequence" in names:
+                    found.append(f"{module}: {where}")
+    return found
+
+
+def test_seed_sequence_check_sees_a_constructor_an_import_or_an_alias():
+    sources = {
+        "ota": "def derive_seed(*p):\n    return np.random.SeedSequence(list(p))\n\n\n"
+               "def noise(m):\n    return np.random.default_rng(np.random.SeedSequence(m))\n",
+        "fl": "from numpy.random import SeedSequence, default_rng\n\n\n"
+              "def task(m):\n    return default_rng(SeedSequence([m]))\n",
+        "grid": "SEQ = numpy.random.SeedSequence\n",
+        "csi": 'def seeded(m):\n    """Takes an int or a SeedSequence."""\n',
+    }
+    assert _seed_sequence_uses(sources) == [
+        "ota: noise", "fl: <module>", "fl: task", "grid: <module>"]
+
+
+def test_only_derive_seed_builds_a_seed_sequence():
+    """Every stream's seed comes from ``ota.derive_seed``, so none bypasses
+    its uint32 path."""
+    sources = {path.stem: path.read_text(encoding="utf-8")
+               for path in sorted(PACKAGE_DIR.glob("*.py"))}
+    assert _seed_sequence_uses(sources) == []
+
+
 def _top_level_defs(source: str) -> list[str]:
     return [node.name for node in ast.parse(source).body
             if isinstance(node, (ast.FunctionDef, ast.ClassDef))]

@@ -18,6 +18,11 @@ from oracles import peak_spread, spread_of
 RATE = 3.84e6
 
 
+def _uniforms(n, seed):
+    """A round's sync uniforms, drawn as ``ota.RoundShare`` draws them."""
+    return np.random.default_rng(seed).random(n)
+
+
 def test_ptp_bound_in_samples():
     # ceil(1e-6 s * 3.84e6 S/s) = 4 samples, inside a 16-sample prefix
     cfg = SyncConfig(mode="ptp_on")
@@ -33,15 +38,22 @@ def test_ptp_off_bound_is_spread():
 def test_offsets_respect_bound_and_dtype():
     for mode, kw in (("ptp_on", {}), ("ptp_off", {"off_spread": 64})):
         cfg = SyncConfig(mode=mode, **kw)
-        offs = draw_offsets(cfg, 50, RATE, seed=3)
+        offs = draw_offsets(cfg, _uniforms(50, 3), RATE)
         bound = offset_bound(cfg, RATE)
         assert offs.dtype == np.int64
         assert np.all(offs >= 0) and np.all(offs <= bound)
 
 
+def test_offsets_map_each_uniform_and_clamp_to_the_bound():
+    """Offset = min(floor(u * (bound + 1)), bound), in the uniforms' order."""
+    cfg = SyncConfig(mode="ptp_off", off_spread=4)
+    u = np.array([0.0, 0.5, 0.2, 1 - 2**-53, 1.0])
+    assert draw_offsets(cfg, u, RATE).tolist() == [0, 2, 1, 4, 4]
+
+
 def test_zero_bound_draws_zeros():
     cfg = SyncConfig(mode="ptp_off", off_spread=0)
-    np.testing.assert_array_equal(draw_offsets(cfg, 8, RATE, seed=0), np.zeros(8))
+    np.testing.assert_array_equal(draw_offsets(cfg, _uniforms(8, 0), RATE), np.zeros(8))
 
 
 def test_uniform_offsets_couple_monotonically_across_bounds():
@@ -53,7 +65,7 @@ def test_uniform_offsets_couple_monotonically_across_bounds():
         prev = None
         for s in spreads:
             cfg = SyncConfig(mode="ptp_off", off_spread=s)
-            offs = draw_offsets(cfg, 10, RATE, seed=seed)
+            offs = draw_offsets(cfg, _uniforms(10, seed), RATE)
             if prev is not None:
                 assert np.all(offs <= prev)
             prev = offs
@@ -61,7 +73,7 @@ def test_uniform_offsets_couple_monotonically_across_bounds():
 
 def test_uniform_offsets_cover_range():
     cfg = SyncConfig(mode="ptp_off", off_spread=4)
-    offs = draw_offsets(cfg, 4000, RATE, seed=1)
+    offs = draw_offsets(cfg, _uniforms(4000, 1), RATE)
     # floor(u * 5) hits each of 0..4 with probability 1/5
     counts = np.bincount(offs, minlength=5)
     assert counts.min() > 0
@@ -71,7 +83,7 @@ def test_uniform_offsets_cover_range():
 def test_offsets_deterministic_per_seed():
     cfg = SyncConfig(mode="ptp_off", off_spread=32)
     np.testing.assert_array_equal(
-        draw_offsets(cfg, 6, RATE, seed=7), draw_offsets(cfg, 6, RATE, seed=7)
+        draw_offsets(cfg, _uniforms(6, 7), RATE), draw_offsets(cfg, _uniforms(6, 7), RATE)
     )
 
 
@@ -81,7 +93,7 @@ def test_sync_config_validation():
     with pytest.raises(ValueError):
         SyncConfig(off_spread=-1)
     with pytest.raises(ValueError):
-        draw_offsets(SyncConfig(), 0, RATE, seed=0)
+        draw_offsets(SyncConfig(), np.empty(0), RATE)
     # a static carrier phase is absorbed by the channel estimate, so it is no field
     with pytest.raises(TypeError):
         SyncConfig(phase_offset_rad=0.5)
