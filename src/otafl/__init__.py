@@ -17,7 +17,7 @@ from .accounting import (
     round_energy,
 )
 from .channel import ChannelModel, realize_channel, superpose
-from .csi import interpolate, ls_estimate, nmse
+from .csi import comb_layout, interpolate, ls_estimate, nmse
 from .errors import FieldError
 from .fl import (
     RoundState,
@@ -65,7 +65,7 @@ __all__ = [
     "RoundState", "RoundTrace", "Scenario", "ScenarioError",
     "SpectralProfile",
     "SyncConfig", "Task", "TimeSignal", "TrainConfig",
-    "average_deltas", "channel_invert", "compute_alpha",
+    "average_deltas", "channel_invert", "comb_layout", "compute_alpha",
     "compute_delta", "detect_frame", "digital_slots", "draw_offsets",
     "energy_gain", "evaluate_loss", "gains_table",
     "gold_sequence", "interpolate", "inversion_floor",

@@ -241,10 +241,13 @@ def detect_frame(
     fraction, so empty stretches cannot win either.  The round compares the
     metric against ``ota.DETECT_THRESHOLD``.
 
-    One pass serves every window: the correlation is one ``np.correlate``
-    per window, whose dot order fixes its bits, and the energy, its running
-    sum, the divide and the argmax each run once over the block, row by
-    row.  Each window gets the bits a search of that window alone gets.
+    One pass serves every window: the preamble block is cast to the
+    signal's type once, the correlation is one ``np.correlate`` per window, whose dot
+    order fixes its bits, and the energy, its running sum, the divide and
+    the argmax each run once over the block, row by row, squaring and
+    scaling in place.  A lag whose denominator is not positive (zero, or
+    NaN past a non-finite sample) reads 0.  Each window gets the bits a
+    search of that window alone gets.
     """
     p = np.asarray(preambles)
     if p.ndim != 2 or p.shape[0] < 1:
@@ -258,15 +261,17 @@ def detect_frame(
     windows = np.ndarray((k, span), dtype=s.dtype, buffer=s,
                          strides=(stride * s.itemsize, s.itemsize))
     corr = np.empty((k, span - chips + 1), dtype=np.complex128)
-    for row, window, preamble in zip(corr, windows, p):
+    common = p.astype(np.promote_types(s.dtype, p.dtype), copy=False)  # what correlate casts to
+    for row, window, preamble in zip(corr, windows, common):
         row[:] = np.correlate(window, preamble, mode="valid")
+    energy = np.abs(windows)
+    energy *= energy
     csum = np.zeros((k, span + 1))
-    np.cumsum(np.abs(windows) ** 2, axis=1, out=csum[:, 1:])
-    window_energy = csum[:, chips:] - csum[:, :-chips]
-    denom = window_energy * (np.abs(p) ** 2).sum(axis=1)[:, np.newaxis]
-    ratio = np.divide(
-        np.abs(corr) ** 2, denom,
-        out=np.zeros(corr.shape), where=denom > 0.0,
-    )
+    np.add.accumulate(energy, axis=1, out=csum[:, 1:])
+    denom = csum[:, chips:] - csum[:, :-chips]  # each lag's window energy
+    denom *= (np.abs(p) ** 2).sum(axis=1)[:, np.newaxis]
+    power = np.abs(corr)
+    power *= power
+    ratio = np.divide(power, denom, out=np.zeros(corr.shape), where=denom > 0.0)
     offsets = ratio.argmax(axis=1)
     return offsets, np.minimum(ratio[np.arange(k), offsets], 1.0)

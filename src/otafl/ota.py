@@ -25,7 +25,9 @@ One uplink round, as simulated here:
     channel inversion pre-compensates residual sample offsets that fall
     inside the cyclic prefix.  The estimates are one ``(clients,
     subcarriers)`` array, and each estimation stage (least squares, comb
-    interpolation) is one call for all clients.
+    interpolation) is one call for all clients.  The comb's pilot masks and
+    the interpolation layout they give are built once per client count and
+    grid and cached read-only, so a round only gathers its pilot row.
 4.  The payload is sent in whole slots, but only its first
     ``weightcodec.payload_symbols`` OFDM symbols hold parameters; the rest
     is zero and is never built.  The codec packs one client's scaled update
@@ -67,6 +69,7 @@ channel varies across subcarriers).
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 from typing import ClassVar
@@ -81,7 +84,7 @@ from .accounting import (
     round_bill,
 )
 from .channel import ChannelModel, realize_channel
-from .csi import NMSE_FLOOR_DB, interpolate, ls_estimate, nmse
+from .csi import NMSE_FLOOR_DB, CombLayout, comb_layout, interpolate, ls_estimate, nmse
 from .errors import FieldError, check_choice
 from .grid import (
     PREAMBLE_FAMILY,
@@ -308,14 +311,15 @@ class _Event:
     payload attenuated by power control would see a far worse SNR than the
     knob claims.  Noise goes only where a read can land: the buffer's first
     ``bound + region + symbols * symbol_len`` samples, ``bound`` being the
-    ``offset_bound`` of ``phy.sync`` at the grid's sample rate.  They hold
-    every search window and the latest window the read rule can pick.  The
-    noise is the round noise stream's next normal draws, twice that many, read
-    as (real, imaginary) pairs; a sounding event is noised whole.  A client
-    arrives at most ``bound`` samples late, so its preamble is searched for
-    only within ``bound + PREAMBLE_LEN`` samples from its slot's start,
-    ``i * slot``: the argmax in that window is its arrival offset.  Past the
-    cyclic prefix the windows overlap.  One :func:`detect_frame` pass
+    ``offset_bound`` of ``phy.sync`` at the grid's sample rate, read once
+    when the event is built.  They hold every search window and the latest
+    window the read rule can pick.  The noise is the round noise stream's
+    next normal draws, twice that many, read as (real, imaginary) pairs; a
+    sounding event is noised whole.  A client arrives at most ``bound``
+    samples late, so its preamble is searched for only within ``bound +
+    PREAMBLE_LEN`` samples from its slot's start, ``i * slot``: the argmax in
+    that window is its arrival offset.  Past the cyclic prefix the windows
+    overlap.  One :func:`detect_frame` pass
     searches every window of the event, as one bounds-checked view of the
     buffer with one correlation per window, and each client gets the bits a
     search of its window alone gets.
@@ -327,6 +331,7 @@ class _Event:
 
     def __init__(self, phy: PhyConfig, ues: range, delays: np.ndarray, body_symbols: int):
         self.phy, self.ues, self.delays = phy, ues, delays
+        self.bound = offset_bound(phy.sync, phy.grid.sample_rate)
         self.slot = phy.preamble_slot_len
         self.region = phy.preamble_region_len(len(ues))
         self.body_len = body_symbols * phy.grid.symbol_len
@@ -350,8 +355,7 @@ class _Event:
     def receive(self, noise: np.random.Generator, symbols: int) -> tuple[np.ndarray, np.ndarray]:
         """Noise the buffer in place for a read of ``symbols`` symbols, and
         detect every client's preamble: offsets and metrics in ``ues`` order."""
-        cfg = self.phy.grid
-        bound = offset_bound(self.phy.sync, cfg.sample_rate)
+        cfg, bound = self.phy.grid, self.bound
         if self.phy.uplink_snr_db is not None:
             info = self.rx[self.region:]
             power = float((np.abs(info) ** 2).sum()) / info.size
@@ -466,9 +470,10 @@ def _payload_frame(
         peaks = np.empty(g.shape)
     acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
     symbols = np.empty((used, cfg.symbol_len), dtype=np.complex128)
-    order = np.argsort(delays, kind="stable")
-    for group in np.split(order, np.flatnonzero(np.diff(delays[order])) + 1):
-        for k, i in enumerate(group.tolist()):
+    delay_of = delays.tolist().__getitem__
+    for _, group in itertools.groupby(sorted(range(len(ues)), key=delay_of), key=delay_of):
+        group = list(group)
+        for k, i in enumerate(group):
             row = pack_payload(deltas[i], per_real, scratch if k else acc)
             if fresh:
                 np.max(np.abs(row), axis=0, out=peaks[i])
@@ -476,7 +481,7 @@ def _payload_frame(
             if k:
                 acc += row
         ofdm_modulate_into(acc, cfg, symbols)
-        event.add_body(int(group[0]), symbols, used)
+        event.add_body(group[0], symbols, used)
     peaks.flags.writeable = False
     alpha, largest = compute_alpha(peaks, divisor[run])
     event.scale_bodies(alpha, used)  # every nonzero sample so far
@@ -514,13 +519,27 @@ def check_run(phy: PhyConfig, num_ues: int, mode: str = "ota", rounds: int = 1,
         raise FieldError("num_ues", "exceeds the subcarriers the comb pilots share")
 
 
+@functools.lru_cache(maxsize=None)
 def _pilot_masks(num_ues: int, cfg: GridConfig, allocation: str) -> np.ndarray:
-    """One boolean row per client, true on the subcarriers that carry its
-    pilots: every subcarrier for ``tdm_full``; on the comb, client ``ue``
-    takes subcarrier ``k`` when ``k % num_ues == ue``."""
+    """One read-only boolean row per client, true on the subcarriers that
+    carry its pilots: every subcarrier for ``tdm_full``; on the comb, client
+    ``ue`` takes subcarrier ``k`` when ``k % num_ues == ue``.  Built once per
+    client count, grid and allocation, as :func:`_comb_layout` is."""
     if allocation == "tdm_full":
-        return np.ones((num_ues, cfg.subcarriers), dtype=bool)
-    return np.arange(cfg.subcarriers) % num_ues == np.arange(num_ues)[:, np.newaxis]
+        masks = np.ones((num_ues, cfg.subcarriers), dtype=bool)
+    else:
+        masks = np.arange(cfg.subcarriers) % num_ues == np.arange(num_ues)[:, np.newaxis]
+    masks.flags.writeable = False
+    return masks
+
+
+@functools.lru_cache(maxsize=None)
+def _comb_layout(num_ues: int, cfg: GridConfig) -> CombLayout:
+    """The read-only layout :func:`interpolate` reads the comb pilots of
+    ``num_ues`` clients with, built once per client count and grid.  The
+    cache is keyed on those, never on mask contents, so it holds one entry
+    per shape a process runs."""
+    return comb_layout(_pilot_masks(num_ues, cfg, "fdm_comb"))
 
 
 def _channel_side(
@@ -551,7 +570,7 @@ def _channel_side(
     else:
         masks = _pilot_masks(num_ues, cfg, allocation)
         chips, pilots = _sounding_signals(cfg, gains, masks)
-    for array in (gains, chips, masks, pilots):
+    for array in (gains, chips, pilots):  # the masks are cached read-only
         if array is not None:
             array.flags.writeable = False
     return gains, chips, masks, pilots
@@ -721,7 +740,7 @@ def ota_aggregate(
 
     # --- channel realizations and timing offsets -------------------------
     sounds = phy.csi_mode == "estimated"
-    gains, chips, masks, pilots = share.gains, share.chips, share.masks, share.pilots
+    gains, chips, pilots = share.gains, share.chips, share.pilots
     offsets = draw_offsets(phy.sync, share.uniforms, cfg.sample_rate)
 
     # --- sounding pass: effective-channel estimates at a common reference -
@@ -757,7 +776,7 @@ def ota_aggregate(
         # Full-band rows already hold a gain on every subcarrier; only the
         # comb fills the subcarriers between a client's pilots.
         if phy.pilot_allocation == "fdm_comb":
-            estimate = interpolate(estimate[0], masks)
+            estimate = interpolate(estimate[0], _comb_layout(num_ues, cfg))
 
     # --- precode, shared power control, simultaneous transmission --------
     # The rails are finite and nonzero, so only a floor that overflows or

@@ -275,7 +275,10 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
     the stream.
     Results are means over seeds of the per-run NMSE in dB, an aborted
     aggregation counted at 0 dB (the ``run`` summary leaves it out).
-    Only an analog scenario (``mode = ota``) has an uplink to sweep.
+    Only an analog scenario (``mode = ota``) has an uplink to sweep.  An
+    NMSE that is not finite (updates whose energy overflows, as a diverging
+    step gives) raises ``ValueError`` naming the seed and the spread, as
+    ``run`` stops on a loss that is not finite.
     """
     if n_seeds < 1:
         raise ScenarioError("sync_sweep needs n_seeds >= 1")
@@ -301,6 +304,9 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
         share = RoundShare(deltas, phys[spreads[0]], master, 0)
         for s in spreads:
             report = ota_aggregate(deltas, phys[s], master, 0, share=share)
+            if not math.isfinite(report.agg_nmse_db):
+                raise ValueError(f"seed {master}, spread {s}: the aggregation NMSE is not "
+                                 "finite")
             per_spread[s].append(report.agg_nmse_db)
     return [
         {

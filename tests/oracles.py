@@ -12,6 +12,8 @@ pipeline computes another way, or a diagnostic only a test reads.
   to the same scenario.
 - ``detect_frame_one_window``: the one-window search that
   ``grid.detect_frame`` must reproduce bit for bit in each of its windows.
+- ``interpolate_each_client``: comb interpolation with two ``np.interp``
+  calls per client, which ``csi.interpolate`` must reproduce bit for bit.
 - ``peak_spread`` and ``spread_of``: each client's correlation-peak offset
   in a composite signal, and their spread.
 - ``propagated_gap``: the ota - digital model gap of every round, from the
@@ -92,6 +94,25 @@ def detect_frame_one_window(signal: TimeSignal, preamble: np.ndarray) -> tuple[i
     )
     offset = int(ratio.argmax())
     return offset, min(float(ratio[offset]), 1.0)
+
+
+def interpolate_each_client(row: np.ndarray, masks: np.ndarray) -> np.ndarray:
+    """Fill one gain per subcarrier for every client from one pilot row,
+    one client at a time: linear in frequency between the client's pilots
+    (where the boolean row ``masks[ue]`` is true), real and imaginary parts
+    separately, with the ends held at its outermost pilot values."""
+    row = np.asarray(row, dtype=np.complex128)
+    masks = np.asarray(masks, dtype=bool)
+    if masks.ndim != 2 or row.shape != masks.shape[1:]:
+        raise ValueError("the pilot row must be as long as each client's mask")
+    if not masks.any(axis=1).all():
+        raise ValueError("every client needs at least one pilot")
+    query = np.arange(row.size)
+    out = np.empty(masks.shape, dtype=np.complex128)
+    for ue, mask in enumerate(masks):
+        nodes, pilots = query[mask], row[mask]
+        out[ue] = np.interp(query, nodes, pilots.real) + 1j * np.interp(query, nodes, pilots.imag)
+    return out
 
 
 def peak_spread(signal: TimeSignal, preambles: list[np.ndarray]) -> list[tuple[int, int]]:

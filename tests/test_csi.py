@@ -6,11 +6,13 @@ import pytest
 from otafl import ota
 from otafl.csi import (
     NMSE_FLOOR_DB,
+    comb_layout,
     interpolate,
     ls_estimate,
     nmse,
 )
 from otafl.grid import GridConfig
+from oracles import interpolate_each_client
 
 CFG = GridConfig(subcarriers=16, symbols_per_slot=3)
 
@@ -55,7 +57,7 @@ def test_interpolate_exact_at_pilots_and_holds_ends():
     vals = np.array([1 + 1j, 2 - 1j, -3 + 0.5j])
     row = np.full(16, 99.0 - 99j)  # off-pilot entries are never read
     row[pos] = vals
-    est = interpolate(row, _mask(pos))[0]
+    est = interpolate(row, comb_layout(_mask(pos)))[0]
     assert est.shape == (16,)
     np.testing.assert_array_equal(est[pos], vals)
     # outside the pilot span the nearest pilot value is held
@@ -69,7 +71,7 @@ def test_interpolate_recovers_linear_ramp_exactly():
     so the edges must carry pilots)."""
     n = CFG.subcarriers
     truth = (0.5 + 0.25j) * np.arange(n) + (1 - 2j)
-    est = interpolate(truth, _mask([0, 5, 10, n - 1]))[0]
+    est = interpolate(truth, comb_layout(_mask([0, 5, 10, n - 1])))[0]
     np.testing.assert_allclose(est, truth, atol=1e-12)
 
 
@@ -78,20 +80,21 @@ def test_interpolate_gives_one_gain_per_subcarrier():
     the estimate is a single row whatever the symbols per slot."""
     row = np.zeros(CFG.subcarriers, dtype=complex)
     row[7] = 1.0
-    est = interpolate(row, _mask([7]))[0]
+    est = interpolate(row, comb_layout(_mask([7])))[0]
     assert est.shape == (CFG.subcarriers,)
     np.testing.assert_array_equal(est, np.ones(CFG.subcarriers, dtype=complex))
 
 
 def test_interpolate_validation():
     """A boolean mask cannot be out of range, unsorted or ragged, so only a
-    width mismatch and a client without pilots are left to reject."""
+    width mismatch, masks that are not one row per client and a client
+    without pilots are left to reject."""
     with pytest.raises(ValueError, match="as long as"):
-        interpolate(np.ones(15), _mask([3]))
-    with pytest.raises(ValueError, match="as long as"):
-        interpolate(np.ones(16), _mask([3])[0])
+        interpolate(np.ones(15), comb_layout(_mask([3])))
+    with pytest.raises(ValueError, match="one row per client"):
+        comb_layout(_mask([3])[0])
     with pytest.raises(ValueError, match="at least one pilot"):
-        interpolate(np.ones(16), np.vstack([_mask([1, 2]), _mask([])]))
+        comb_layout(np.vstack([_mask([1, 2]), _mask([])]))
 
 
 # ------------------------------------------------- one row per client, bit for bit
@@ -115,11 +118,31 @@ def _rows(num, width, seed):
     return rows
 
 
-def _interp_reference(row, mask):
-    grid_pos = np.arange(row.size)
-    values, positions = row[mask], grid_pos[mask]
-    return np.interp(grid_pos, positions, values.real) + 1j * np.interp(
-        grid_pos, positions, values.imag)
+def _special_rows(count, width, seed):
+    """Random complex rows whose real and imaginary parts each hold some
+    +0.0, -0.0, NaN, +inf and -inf entries."""
+    rows = _rows(count, width, seed)
+    rng = np.random.default_rng(seed + 100)
+    specials = np.array([0.0, -0.0, np.nan, np.inf, -np.inf])
+    for part in (rows.real, rows.imag):
+        hit = rng.random(part.shape) < 0.15
+        part[hit] = rng.choice(specials, size=int(hit.sum()))
+    return rows
+
+
+def _assert_matches_the_loop(rows, masks, layout):
+    """Each row's interpolation, in one call and per client, gives the
+    per-client loop's bits.  ``1j * inf`` warns, so the inf rows run
+    with the invalid flag ignored on both sides."""
+    with np.errstate(invalid="ignore"):
+        for row in rows:
+            got = interpolate(row, layout)
+            want = interpolate_each_client(row, masks)
+            assert got.shape == want.shape == masks.shape
+            np.testing.assert_array_equal(_bits(got), _bits(want))
+            for ue in range(len(masks)):
+                alone = interpolate(row, comb_layout(masks[ue:ue + 1]))
+                np.testing.assert_array_equal(_bits(got[ue]), _bits(alone[0]))
 
 
 @pytest.mark.parametrize("num_ues", [1, 2, 5, 12, 60])
@@ -133,34 +156,60 @@ def test_ls_estimate_rows_match_per_row_calls(num_ues):
         np.testing.assert_array_equal(_bits(got[ue]), _bits(received[ue] / known))
 
 
-@pytest.mark.parametrize("num_ues", [1, 3, 5, 12, 60])
+@pytest.mark.parametrize("num_ues", [1, 3, 5, 12, 20, 60])
 def test_comb_interpolation_rows_match_per_row_calls(num_ues):
     """Comb pilot sets of unequal length (256 = 12 * 21 + 4), so every
-    client holds different ends."""
+    client holds different ends, on rows with signed zeros, NaN and inf:
+    the one pass on the cached layout gives the per-client loop's bits."""
     masks = ota._pilot_masks(num_ues, WIDE, "fdm_comb")
-    full = _rows(1, WIDE.subcarriers, seed=num_ues)[0]
-    got = interpolate(full, masks)
-    assert got.shape == (num_ues, WIDE.subcarriers)
-    for ue in range(num_ues):
-        row = interpolate(full, masks[ue:ue + 1])[0]
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(row))
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(_interp_reference(full, masks[ue])))
+    _assert_matches_the_loop(_special_rows(4, WIDE.subcarriers, seed=num_ues), masks,
+                             ota._comb_layout(num_ues, WIDE))
 
 
 def test_ragged_interpolation_rows_match_per_row_calls():
-    """Arbitrary pilot sets, one of a single pilot and one of every
-    subcarrier; an all-true mask returns the row unchanged."""
+    """Arbitrary pilot sets on two widths: a single pilot, pilots at both
+    ends, uneven counts, a client with only its top subcarrier and one
+    with every subcarrier; an all-true mask returns the row unchanged."""
     rng = np.random.default_rng(4)
-    width = WIDE.subcarriers
-    masks = np.zeros((5, width), dtype=bool)
-    for ue, k in enumerate((1, 2, 7, 40, width)):
-        masks[ue, rng.choice(width, size=k, replace=False)] = True
-    full = _rows(1, width, seed=9)[0]
-    got = interpolate(full, masks)
-    for ue, mask in enumerate(masks):
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(interpolate(full, mask[None])[0]))
-        np.testing.assert_array_equal(_bits(got[ue]), _bits(_interp_reference(full, mask)))
-    np.testing.assert_array_equal(_bits(got[-1]), _bits(full))
+    for width in (WIDE.subcarriers, 37):
+        masks = np.zeros((9, width), dtype=bool)
+        for ue, k in enumerate((1, 2, 7, width // 6, width)):
+            masks[ue, rng.choice(width, size=k, replace=False)] = True
+        masks[5, [0, width - 1]] = True
+        masks[6, [0, 3, 4, width - 1]] = True
+        masks[7, width - 1] = True
+        masks[8, :width // 2:3] = True
+        rows = _special_rows(4, width, seed=width)
+        _assert_matches_the_loop(rows, masks, comb_layout(masks))
+        finite = _rows(1, width, seed=9)[0]
+        np.testing.assert_array_equal(_bits(interpolate(finite, comb_layout(masks))[4]),
+                                      _bits(finite))
+
+
+def test_interpolation_of_no_client_is_an_empty_block():
+    """A mask set with no client gives a (0, subcarriers) block, as the
+    per-client loop does."""
+    masks = np.zeros((0, WIDE.subcarriers), dtype=bool)
+    row = _rows(1, WIDE.subcarriers, seed=2)[0]
+    got = interpolate(row, comb_layout(masks))
+    assert got.shape == interpolate_each_client(row, masks).shape == (0, WIDE.subcarriers)
+    assert got.dtype == np.complex128
+
+
+@pytest.mark.parametrize("num_ues", [1, 5, 60])
+def test_interpolation_makes_two_interp_calls_whatever_the_client_count(monkeypatch, num_ues):
+    """One call for the real parts of every client and one for the
+    imaginary parts."""
+    calls = []
+    interp = np.interp
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return interp(*args, **kwargs)
+
+    monkeypatch.setattr(np, "interp", counting)
+    interpolate(_rows(1, WIDE.subcarriers, seed=1)[0], ota._comb_layout(num_ues, WIDE))
+    assert len(calls) == 2
 
 
 # ------------------------------------------------------------------ nmse

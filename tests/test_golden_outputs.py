@@ -205,13 +205,16 @@ def test_reference_signal_digests():
 @pytest.fixture(params=["cold", "warm"])
 def caches(request):
     """Start a case with the package's caches empty ("cold") or holding the
-    preamble bank and the default grid's pilots ("warm"): a cached read-only
-    array must give the bits a freshly built one does."""
-    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values):
+    preamble bank, the default grid's pilots and five clients' comb masks
+    and interpolation layout ("warm"): a cached read-only array must give
+    the bits a freshly built one does."""
+    for cached in (grid._msequence, ota._preamble_bank, ota._pilot_values, ota._pilot_masks,
+                   ota._comb_layout):
         cached.cache_clear()
     if request.param == "warm":
         ota._preamble_bank()
         ota._pilot_values(PhyConfig().grid.subcarriers)
+        ota._comb_layout(5, PhyConfig().grid)
     return request.param
 
 

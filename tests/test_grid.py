@@ -350,14 +350,16 @@ def test_detect_rejects_short_signal():
         detect_frame(TimeSignal(np.zeros(100, dtype=complex), 1.0), p[np.newaxis])
 
 
-@pytest.mark.parametrize("case", ["zero_window", "last_lag"])
+@pytest.mark.parametrize("case", ["zero_window", "last_lag", "nan_window", "inf_window"])
 @pytest.mark.parametrize("bound", [4, 256])  # PTP: inside one slot; ptp_off 256: overlapping
 @pytest.mark.parametrize("windows", [1, 5, 60])
 def test_one_pass_matches_a_search_of_each_window_alone(windows, bound, case):
     """One pass over an event's staggered windows gives, in every window,
     the offset and metric bits of a one-window search.  The middle window
-    is either all zero, which reads metric 0 at lag 0, or holds its
-    preamble at the window's last lag."""
+    is all zero, which reads metric 0 at lag 0, holds its preamble at the
+    window's last lag, or holds one NaN or inf sample.  A NaN makes the
+    energy of every later lag NaN, and those lags must read 0, as a zero
+    energy does; inf - inf in the running sum does the same past an inf."""
     slot = PREAMBLE_LEN + CFG.cp_len
     span = bound + PREAMBLE_LEN
     rng = np.random.default_rng(windows * 1000 + bound)
@@ -373,15 +375,20 @@ def test_one_pass_matches_a_search_of_each_window_alone(windows, bound, case):
         buf[i * slot + d:i * slot + d + PREAMBLE_LEN] += amp * bank[i]
     if case == "zero_window":
         buf[middle * slot:middle * slot + span] = 0.0
-    offsets, metrics = detect_frame(TimeSignal(buf[:size], 1.0), bank, slot)
-    alone = [detect_frame_one_window(TimeSignal(buf[i * slot:i * slot + span], 1.0), bank[i])
-             for i in range(windows)]
+    elif case != "last_lag":
+        buf[middle * slot + span // 2] = np.nan if case == "nan_window" else np.inf
+    with np.errstate(invalid="ignore"):  # inf - inf and inf / inf
+        offsets, metrics = detect_frame(TimeSignal(buf[:size], 1.0), bank, slot)
+        alone = [detect_frame_one_window(TimeSignal(buf[i * slot:i * slot + span], 1.0), bank[i])
+                 for i in range(windows)]
     np.testing.assert_array_equal(offsets, [o for o, _ in alone])
     assert metrics.tobytes() == np.array([m for _, m in alone]).tobytes()
     if case == "zero_window":
         assert (offsets[middle], metrics[middle]) == (0, 0.0)
-    else:
+    elif case == "last_lag":
         assert offsets[middle] == span - PREAMBLE_LEN
+    elif case == "nan_window":
+        assert 0.0 <= metrics[middle] <= 1.0
 
 
 def test_detect_rejects_windows_past_the_signal():

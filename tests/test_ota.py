@@ -1072,6 +1072,7 @@ def _report_bytes(report) -> tuple:
 
 
 SYNC_STRESS = Path(__file__).resolve().parent.parent / "scenarios" / "sync_stress.cfg"
+BASELINE = SYNC_STRESS.with_name("baseline.cfg")
 SWEEP_SPREADS = [256, 64, 16, 4, 0]
 
 
@@ -1179,6 +1180,28 @@ def test_a_sync_sweep_draws_each_seeds_sync_uniforms_and_peaks_once(monkeypatch)
         assert peaks is (None if i in first else share.peaks)
         assert not share.uniforms.flags.writeable and not share.peaks.flags.writeable
         assert share.uniforms.shape == (num_ues,)
+
+
+def test_pilot_masks_and_comb_layout_are_built_once_per_client_count_and_grid():
+    """A three-seed sweep of ``sync_stress.cfg`` and a 20-round run of
+    ``baseline.cfg``, both five clients on the default grid, build the comb
+    masks and their interpolation layout once in the process: 15 sweep
+    aggregations and 20 rounds read one build.  Every cached array is
+    read-only."""
+    ota._pilot_masks.cache_clear()
+    ota._comb_layout.cache_clear()
+    scenario.sync_sweep(scenario.build(scenario.parse_file(SYNC_STRESS)),
+                        spreads=SWEEP_SPREADS, n_seeds=3)
+    result = scenario.run_scenario(scenario.build(scenario.parse_file(BASELINE)))
+    assert len(result.traces) == 20
+    for cached in (ota._pilot_masks, ota._comb_layout):
+        info = cached.cache_info()
+        assert (info.misses, info.currsize) == (1, 1) and info.hits >= 20
+    masks = ota._pilot_masks(5, GridConfig(), "fdm_comb")
+    layout = ota._comb_layout(5, GridConfig())
+    for array in (masks, *layout[1:]):
+        with pytest.raises(ValueError, match="read-only"):
+            array[(0,) * array.ndim] = array[(0,) * array.ndim]
 
 
 def test_a_sync_sweep_draws_each_seeds_noise_stream_once(monkeypatch):

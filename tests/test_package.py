@@ -458,6 +458,8 @@ def test_only_the_event_type_reads_the_frame_layout():
 # ``caches`` fixture, whose cold and warm cases then pin its bits.
 PACKAGE_CACHES = {
     "grid._msequence": True,
+    "ota._comb_layout": False,  # a CombLayout of read-only arrays; the fixture names it too
+    "ota._pilot_masks": True,
     "ota._pilot_values": True,
     "ota._preamble_bank": True,
     "scenario._part_fields": False,
@@ -497,7 +499,8 @@ def test_missing_cache_check_sees_an_array_cache_the_fixture_leaves_out():
     source = ("def caches(request):\n"
               "    for cached in (grid._msequence, ota._pilot_values):\n"
               "        cached.cache_clear()\n")
-    assert _caches_missing_from_fixture(PACKAGE_CACHES, source) == ["ota._preamble_bank"]
+    assert _caches_missing_from_fixture(PACKAGE_CACHES, source) == ["ota._pilot_masks",
+                                                                     "ota._preamble_bank"]
 
 
 def test_every_array_cache_is_in_the_golden_cold_and_warm_fixture():

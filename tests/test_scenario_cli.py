@@ -729,6 +729,23 @@ def test_cli_sync_sweep(tmp_path, capsys):
     assert "spread" in capsys.readouterr().out
 
 
+def test_cli_sync_sweep_with_a_diverging_step_exits_2_naming_seed_and_spread(tmp_path, capsys):
+    """``train.learning_rate = 1e300`` gives finite updates whose energy
+    overflows the exact average's, so the aggregation NMSE is inf / inf.
+    The sweep stops at the first such report, as ``run`` stops on a loss
+    that is not finite: the error names the seed and the spread, nothing
+    is printed, the command exits 2 and no CSV is left at ``--out``."""
+    text = (SCENARIOS / "sync_stress.cfg").read_text(encoding="utf-8")
+    scenario = _tiny_file(tmp_path, text=text + "train.learning_rate = 1e300\n")
+    out = tmp_path / "sweep.csv"
+    rc = main(["sync-sweep", str(scenario), "--spreads", "256,64,16,4,0",
+               "--seeds", "20", "--out", str(out)])
+    assert rc == EXIT_CONFIG
+    stdout, err = capsys.readouterr()
+    assert err == "error: seed 0, spread 256: the aggregation NMSE is not finite\n"
+    assert stdout == "" and not out.exists()
+
+
 def test_cli_sync_sweep_rejects_a_repeated_spread(tmp_path, capsys):
     scenario = _tiny_file(tmp_path)
     out = tmp_path / "sweep.csv"
