@@ -2,9 +2,9 @@
 
 Model parameters are plain 1-D float64 arrays.  The one task family is
 linear regression with mean-squared-error loss (convex).  Local training
-runs full-batch gradient descent; seeded mini-batch SGD (``train.batch_size``)
-is an option that no shipped scenario, workload or criterion sets above 0.
-Aggregation is FedAvg over delta updates, summed in ascending-UE order.
+is full-batch gradient descent, one step per epoch on every sample, so it
+draws no random numbers.  Aggregation is FedAvg over delta updates, summed
+in ascending-UE order.
 
 ``make_linear_task`` stores its features as float32, which halves the
 bytes each gradient streams; the two matrix products run in that dtype.
@@ -67,20 +67,23 @@ class Task:
 
 @dataclass(frozen=True)
 class TrainConfig:
-    """Local-training hyperparameters; ``epochs`` = 0 disables training."""
+    """Local-training hyperparameters; ``epochs`` = 0 disables training.
+
+    ``batch_size`` accepts only 0, full batch, the one training path; the
+    field stays for callers that still pass it.
+    """
 
     learning_rate: float = 0.1
     epochs: int = 1
-    batch_size: int = 0  # 0 means full batch
-    seed: int = 0
+    batch_size: int = 0
 
     def __post_init__(self):
         if not 0 < self.learning_rate < np.inf:
             raise FieldError("learning_rate", "must be positive and finite")
         if self.epochs < 0:
             raise FieldError("epochs", "must be >= 0")
-        if self.batch_size < 0:
-            raise FieldError("batch_size", "must be >= 0")
+        if self.batch_size != 0:
+            raise FieldError("batch_size", "must be 0: training is full batch")
 
 
 @dataclass
@@ -88,10 +91,10 @@ class RoundState:
     """Global model and round counter threaded through an experiment.
 
     ``grads``, when set, holds one entry per task in task order: the
-    gradient of that client's full-batch loss at ``theta``.  A round that
-    evaluates every client at its new model fills it in, and the next
-    round's first full-batch training step reuses it instead of
-    recomputing it.  It is a cache only: ``None`` gives the same results.
+    gradient of that client's loss at ``theta``.  A round that evaluates
+    every client at its new model fills it in, and the next round's first
+    training step reuses it instead of recomputing it.  It is a cache
+    only: ``None`` gives the same results.
     """
 
     theta: np.ndarray
@@ -106,18 +109,17 @@ class RoundState:
 # losses and gradients
 
 
-def loss_and_grad(theta: np.ndarray, task: Task, idx: np.ndarray | None = None):
-    """Loss and gradient on the full dataset or a batch index subset.
+def loss_and_grad(theta: np.ndarray, task: Task):
+    """Loss and gradient on the client's whole dataset.
 
     The loss is the mean squared residual, loss = mean((X theta - y)^2),
-    with grad = 2/B * X^T r.  Both products run in the features' dtype:
+    with grad = 2/n * X^T r.  Both products run in the features' dtype:
     theta and r are cast to it and the results back to float64, because a
     float32 matrix times a float64 vector would copy the whole matrix to
     float64.
     """
-    x = task.features if idx is None else task.features[idx]
-    y = task.targets if idx is None else task.targets[idx]
-    r = (x @ theta.astype(x.dtype, copy=False)).astype(np.float64, copy=False) - y
+    x = task.features
+    r = (x @ theta.astype(x.dtype, copy=False)).astype(np.float64, copy=False) - task.targets
     loss = float(np.mean(r**2))
     xtr = x.T @ r.astype(x.dtype, copy=False)
     grad = (2.0 / x.shape[0]) * xtr.astype(np.float64, copy=False)
@@ -138,31 +140,22 @@ def local_train(
     cfg: TrainConfig,
     grad0: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Run ``cfg.epochs`` of gradient descent from the global model: full
-    batch, or seeded mini-batches when ``cfg.batch_size`` is below the
-    sample count.
+    """Run ``cfg.epochs`` of full-batch gradient descent from the global
+    model, one step per epoch.
 
     Zero epochs return the global model unchanged.  ``grad0``, when given,
     must be ``loss_and_grad(global_theta, task)[1]``; it stands in for the
-    first step's gradient when that step is full batch, and is ignored
-    otherwise, so it never changes the result.
+    first step's gradient, so it never changes the result.
     """
     theta = np.array(global_theta, dtype=np.float64, copy=True)
     if theta.size != task.param_count:
         raise ValueError(f"model size {theta.size} != task parameter count {task.param_count}")
-    n = task.features.shape[0]
-    batch = cfg.batch_size if 0 < cfg.batch_size <= n else n
-    rng = np.random.default_rng(cfg.seed) if batch < n else None  # full batch draws nothing
     for _ in range(cfg.epochs):
-        order = rng.permutation(n) if batch < n else None
-        for lo in range(0, n, batch):
-            if batch < n:
-                _, grad = loss_and_grad(theta, task, order[lo:lo + batch])
-            elif grad0 is not None:  # the first full-batch step only
-                grad, grad0 = grad0, None
-            else:
-                _, grad = loss_and_grad(theta, task)
-            theta -= cfg.learning_rate * grad
+        if grad0 is not None:  # the first step only
+            grad, grad0 = grad0, None
+        else:
+            _, grad = loss_and_grad(theta, task)
+        theta -= cfg.learning_rate * grad
     return theta
 
 

@@ -71,7 +71,7 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import ClassVar
 
 import numpy as np
@@ -128,7 +128,6 @@ _REFERENCE_AMPLITUDE = MARGIN * np.sqrt(PEAK_POWER)
 
 # Stream tags for deterministic seed derivation.
 _TAG_DATA = 12
-_TAG_TRAIN = 13
 _TAG_CHANNEL = 14
 _TAG_SYNC = 16
 _TAG_NOISE = 18
@@ -820,18 +819,10 @@ def initial_state(tasks: list[fl.Task], master_seed: int) -> fl.RoundState:
 def train_configs(
     template: fl.TrainConfig, num_ues: int, master_seed: int, round_index: int
 ) -> list[fl.TrainConfig]:
-    """Per-UE training configs with seeds derived from (master, round, ue).
-
-    The derivation never involves the aggregation mode, so digital and
-    analog runs at one master seed train on identical minibatch orders.
-    """
-    return [
-        replace(
-            template,
-            seed=int(derive_seed(master_seed, round_index, ue, _TAG_TRAIN).generate_state(1)[0]),
-        )
-        for ue in range(num_ues)
-    ]
+    """``template`` for every UE: training is full batch and draws nothing,
+    so ``master_seed`` and ``round_index`` are not read.  The pipeline no
+    longer calls this; it stays for existing callers."""
+    return [template] * num_ues
 
 
 def train_deltas(
@@ -942,16 +933,16 @@ def run_experiment(
 ) -> ExperimentResult:
     """Run ``rounds`` federated rounds in one aggregation mode.
 
-    Training seeds are derived from (master seed, round, ue) only, so the
-    local models -- and therefore the updates entering aggregation -- are
-    identical across modes with the same master seed.
+    Every client trains on ``train_template``, and training draws nothing,
+    so the local models -- and therefore the updates entering aggregation
+    -- are identical across modes with the same master seed.
     """
     num_ues = len(tasks)
     check_run(phy, num_ues, mode, rounds, master_seed)
     state = initial_state(tasks, master_seed)
+    cfgs = [train_template] * num_ues
     traces: list[RoundTrace] = []
-    for r in range(rounds):
-        cfgs = train_configs(train_template, num_ues, master_seed, r)
+    for _ in range(rounds):
         if mode == "ota":
             state, trace = run_ota_round(state, tasks, cfgs, phy, master_seed, energy_model)
         else:

@@ -36,7 +36,6 @@ from .ota import (
     initial_state,
     ota_aggregate,
     run_experiment,
-    train_configs,
     train_deltas,
 )
 from .sync import SyncConfig
@@ -61,7 +60,6 @@ class Scenario:
 
     train_learning_rate: float = TrainConfig.learning_rate
     train_epochs: int = TrainConfig.epochs
-    train_batch_size: int = TrainConfig.batch_size
 
     grid_subcarriers: int = GridConfig.subcarriers
     grid_symbols_per_slot: int = GridConfig.symbols_per_slot
@@ -300,7 +298,7 @@ def sync_sweep(parts: Components, spreads: list[int], n_seeds: int) -> list[dict
         master = sc.master_seed + k
         tasks = build_tasks(sc, master)
         state = initial_state(tasks, master)
-        deltas = train_deltas(state, tasks, train_configs(parts.train, len(tasks), master, 0))
+        deltas = train_deltas(state, tasks, [parts.train] * len(tasks))
         share = RoundShare(deltas, phys[spreads[0]], master, 0)
         for s in spreads:
             report = ota_aggregate(deltas, phys[s], master, 0, share=share)

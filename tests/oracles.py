@@ -29,7 +29,6 @@ import numpy as np
 from otafl import fl
 from otafl.accounting import SpectralProfile, digital_slots
 from otafl.grid import GridConfig, TimeSignal, detect_frame
-from otafl.ota import train_configs
 from otafl.scenario import KEYMAP, Scenario
 from otafl.weightcodec import slot_plan
 
@@ -133,28 +132,27 @@ def spread_of(offsets: list[tuple[int, int]]) -> int:
     return max(vals) - min(vals)
 
 
-def propagated_gap(tasks: list[fl.Task], template: fl.TrainConfig, master_seed: int,
+def propagated_gap(tasks: list[fl.Task], template: fl.TrainConfig,
                    errors: list[np.ndarray]) -> list[np.ndarray]:
     """The gap theta_ota - theta_digital after each round, from the round
     errors ``errors`` (recovered update minus exact average) alone.
 
-    Under SGD on the linear task one client's local training is affine in
-    the global model, theta -> A theta + b, with A and b set by its data and
-    the round's training seeds, which do not depend on the mode.  The b
-    terms cancel in the gap, so d_0 = 0 and d_{t+1} = A_t d_t + e_t, where
-    A_t d is the mean over clients of ``local_train(d, .)`` on the same
+    Under full-batch gradient descent on the linear task one client's local
+    training is affine in the global model, theta -> A theta + b, with A and
+    b set by its data and ``template``, which do not depend on the mode.
+    The b terms cancel in the gap, so d_0 = 0 and d_{t+1} = A d_t + e_t,
+    where A d is the mean over clients of ``local_train(d, .)`` on the same
     features with zero targets.
     """
     zero = [fl.Task(t.features, np.zeros_like(t.targets)) for t in tasks]
     gap, gaps = np.zeros(tasks[0].param_count), []
-    for r, error in enumerate(errors):
-        cfgs = train_configs(template, len(tasks), master_seed, r)
-        gap = fl.average_deltas([fl.local_train(gap, t, c) for t, c in zip(zero, cfgs)]) + error
+    for error in errors:
+        gap = fl.average_deltas([fl.local_train(gap, t, template) for t in zero]) + error
         gaps.append(gap)
     return gaps
 
 
-def gap_share(tasks: list[fl.Task], template: fl.TrainConfig, master_seed: int,
+def gap_share(tasks: list[fl.Task], template: fl.TrainConfig,
               errors: list[np.ndarray], rounds: set[int], theta_ota: np.ndarray,
               theta_digital: np.ndarray) -> float:
     """The share of the final loss gap L(theta_ota) - L(theta_digital) that
@@ -172,6 +170,6 @@ def gap_share(tasks: list[fl.Task], template: fl.TrainConfig, master_seed: int,
         return float(np.mean(losses)), np.mean(grads, axis=0)
 
     kept = [e if r in rounds else np.zeros_like(e) for r, e in enumerate(errors)]
-    delta = propagated_gap(tasks, template, master_seed, kept)[-1]
+    delta = propagated_gap(tasks, template, kept)[-1]
     (loss_o, grad_o), (loss_d, grad_d) = loss_and_grad(theta_ota), loss_and_grad(theta_digital)
     return float(delta @ ((grad_o + grad_d) / 2)) / (loss_o - loss_d)

@@ -51,17 +51,6 @@ def test_linear_gradient_matches_finite_differences():
     assert _rel_err(grad, _fd_gradient(theta, task)) < 1e-5
 
 
-def test_batch_gradient_uses_subset_only():
-    task = make_linear_task(0, 1, n_samples=10, n_features=4)
-    theta = np.ones(4)
-    idx = np.array([0, 3, 7])
-    sub = Task(task.features[idx], task.targets[idx])
-    full_loss, full_grad = loss_and_grad(theta, task, idx)
-    sub_loss, sub_grad = loss_and_grad(theta, sub)
-    assert full_loss == pytest.approx(sub_loss, rel=1e-14)
-    np.testing.assert_allclose(full_grad, sub_grad, atol=1e-14)
-
-
 # -------------------------------------------------------- local training
 
 
@@ -84,29 +73,8 @@ def test_zero_epochs_returns_global_unchanged():
     assert out is not theta  # always a copy
 
 
-def test_minibatch_training_is_seed_deterministic():
-    task = make_linear_task(0, 5, n_samples=64, n_features=8)
-    theta = np.zeros(task.param_count)
-    cfg = TrainConfig(learning_rate=0.05, epochs=3, batch_size=16, seed=9)
-    a = local_train(theta, task, cfg)
-    b = local_train(theta, task, cfg)
-    np.testing.assert_array_equal(a, b)
-    c = local_train(theta, task, TrainConfig(0.05, 3, 16, seed=10))
-    assert not np.array_equal(a, c)
-
-
-def test_full_batch_ignores_permutation_seed():
-    task = make_linear_task(0, 5, n_samples=32, n_features=4)
-    theta = np.zeros(task.param_count)
-    a = local_train(theta, task, TrainConfig(epochs=2, seed=1))
-    b = local_train(theta, task, TrainConfig(epochs=2, seed=2))
-    np.testing.assert_array_equal(a, b)
-
-
-@pytest.mark.parametrize("batch_size,generators", [(0, 0), (32, 0), (8, 1)])
-def test_only_minibatch_training_builds_a_generator(monkeypatch, batch_size, generators):
-    """Full-batch training draws no permutation, so it builds no generator;
-    a batch of the whole set is full batch too."""
+def test_training_builds_no_generator(monkeypatch):
+    """Full-batch training draws no random numbers, so it builds no generator."""
     built = []
     original = np.random.default_rng
 
@@ -117,8 +85,8 @@ def test_only_minibatch_training_builds_a_generator(monkeypatch, batch_size, gen
     task = make_linear_task(0, 5, n_samples=32, n_features=4)
     theta = np.zeros(task.param_count)
     monkeypatch.setattr(np.random, "default_rng", counting)
-    local_train(theta, task, TrainConfig(epochs=2, batch_size=batch_size, seed=1))
-    assert len(built) == generators
+    local_train(theta, task, TrainConfig(epochs=2))
+    assert built == []
 
 
 def test_sgd_reduces_loss_on_convex_task():
@@ -167,15 +135,6 @@ def test_carried_gradient_is_used_on_full_batch():
     task, theta = _grad0_case()
     out = local_train(theta, task, TrainConfig(learning_rate=0.05), grad0=np.zeros_like(theta))
     np.testing.assert_array_equal(out, theta)
-
-
-@pytest.mark.parametrize("kind", ["linear"])  # the one task family, named in the case ids
-def test_minibatch_ignores_carried_gradient(kind):
-    task, theta = _grad0_case()
-    cfg = TrainConfig(learning_rate=0.05, epochs=2, batch_size=8, seed=3)
-    want = local_train(theta, task, cfg)
-    for grad0 in (loss_and_grad(theta, task)[1], np.zeros_like(theta)):
-        np.testing.assert_array_equal(local_train(theta, task, cfg, grad0=grad0), want)
 
 
 # ------------------------------------------------------------ aggregation
@@ -362,6 +321,7 @@ def test_round_state_coerces_dtype():
     (dict(learning_rate=0.0), "learning_rate"),
     (dict(epochs=-1), "epochs"),
     (dict(batch_size=-1), "batch_size"),
+    (dict(batch_size=8), "batch_size"),
 ])
 def test_train_config_names_the_one_field_it_rejects(kwargs, field):
     with pytest.raises(FieldError) as exc:

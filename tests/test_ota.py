@@ -1351,13 +1351,13 @@ def test_initial_state_is_the_zero_model_for_every_seed():
         assert theta.tobytes() == np.zeros(16).tobytes()
 
 
-def test_train_configs_vary_by_round_and_ue():
-    template = fl.TrainConfig(learning_rate=0.05, epochs=2, batch_size=16)
-    r0 = train_configs(template, 3, master_seed=0, round_index=0)
-    r1 = train_configs(template, 3, master_seed=0, round_index=1)
-    seeds = {c.seed for c in r0} | {c.seed for c in r1}
-    assert len(seeds) == 6
-    assert all(c.learning_rate == 0.05 and c.epochs == 2 for c in r0)
+def test_train_configs_give_every_ue_the_template():
+    """Training draws nothing, so every client, round and seed trains on
+    the one template."""
+    template = fl.TrainConfig(learning_rate=0.05, epochs=2)
+    for seed, r in ((0, 0), (0, 1), (7, 3)):
+        cfgs = train_configs(template, 3, master_seed=seed, round_index=r)
+        assert cfgs == [template] * 3
 
 
 def test_ota_trajectory_matches_digital_on_ideal_channel():
@@ -1415,14 +1415,14 @@ def _gap_shape():
 
 
 def test_the_ota_digital_gap_is_the_propagated_sum_of_round_errors(monkeypatch):
-    """Under SGD on the linear task every local update is affine in the
-    global model, so the gap d_t = theta_ota - theta_digital obeys
-    d_{t+1} = A_t d_t + e_t exactly, e_t being round t's recovered update
-    minus its exact average (``oracles.propagated_gap``).  The two runs
-    share one seed, and the features are float64, so no float32 product
-    rounds the affine map.  The recursion holds to 1e-12 relative in every
-    round.  Round ``forced`` is made to abort at -30 dB, and its e_t is
-    minus the exact average: the model does not move."""
+    """Under full-batch gradient descent on the linear task every local
+    update is affine in the global model, so the gap d_t = theta_ota -
+    theta_digital obeys d_{t+1} = A d_t + e_t exactly, e_t being round t's
+    recovered update minus its exact average (``oracles.propagated_gap``).
+    The two runs share one seed, and the features are float64, so no
+    float32 product rounds the affine map.  The recursion holds to 1e-12
+    relative in every round.  Round ``forced`` is made to abort at -30 dB,
+    and its e_t is minus the exact average: the model does not move."""
     rounds, seed, forced = GAP_ROUNDS, GAP_SEED, 7
     tasks, template, phy = _gap_shape()
     reports, thetas = [], {"ota": [], "digital_fp32": []}
@@ -1448,7 +1448,7 @@ def test_the_ota_digital_gap_is_the_propagated_sum_of_round_errors(monkeypatch):
     np.testing.assert_array_equal(errors[forced], -reports[forced].exact_avg)
     np.testing.assert_array_equal(thetas["ota"][forced], thetas["ota"][forced - 1])
     assert sum(not r.aborted for r in reports) > rounds // 2
-    predicted = propagated_gap(tasks, template, seed, errors)
+    predicted = propagated_gap(tasks, template, errors)
     for r in range(rounds):
         gap = thetas["ota"][r] - thetas["digital_fp32"][r]
         assert np.linalg.norm(gap) > 0
@@ -1476,7 +1476,7 @@ def test_the_loss_gap_splits_between_aborted_and_delivered_rounds(monkeypatch):
     aborted = {r for r, report in enumerate(reports) if report.aborted}
     delivered = set(range(GAP_ROUNDS)) - aborted
     aborted_share, delivered_share = (
-        gap_share(tasks, template, GAP_SEED, errors, rounds, final["ota"], final["digital_fp32"])
+        gap_share(tasks, template, errors, rounds, final["ota"], final["digital_fp32"])
         for rounds in (aborted, delivered))
     assert sorted(aborted) == [0, 2, 3, 4, 5, 15, 17, 26, 29]
     assert abs(aborted_share + delivered_share - 1.0) <= 1e-9
@@ -1508,7 +1508,7 @@ def test_zero_exact_average_reads_0_db_when_anything_was_sent(monkeypatch):
     monkeypatch.setattr(ota, "train_deltas", lambda state, tasks, cfgs: deltas)
     tasks = _make_tasks(3, features=4)
     state = initial_state(tasks, master_seed=0)
-    cfgs = train_configs(fl.TrainConfig(), 3, master_seed=0, round_index=0)
+    cfgs = [fl.TrainConfig()] * 3
     profile = ota.SpectralProfile.uniform(7.0, 3)
     _, fp32 = ota.run_digital_round(state, tasks, cfgs, "digital_fp32", profile, SMALL_GRID)
     _, air = run_ota_round(state, tasks, cfgs, _ideal_phy(), master_seed=0)
@@ -1555,7 +1555,7 @@ def test_a_round_and_the_accounting_table_bill_the_same_joules():
     ``otafl accounting`` prints for that mode."""
     tasks = _make_tasks(5, samples=32, features=64)
     state = initial_state(tasks, master_seed=0)
-    cfgs = train_configs(fl.TrainConfig(epochs=1), 5, master_seed=0, round_index=0)
+    cfgs = [fl.TrainConfig(epochs=1)] * 5
     profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 5)
     _, dig = ota.run_digital_round(state, tasks, cfgs, "digital_fp32", profile, GridConfig())
     _, air = run_ota_round(state, tasks, cfgs, _ideal_phy(grid=GridConfig()), master_seed=0)
@@ -1569,7 +1569,7 @@ def test_aborted_round_keeps_global_model():
     template = fl.TrainConfig(learning_rate=0.1, epochs=1)
     phy = _ideal_phy(uplink_snr_db=-30.0, channel=ChannelModel("flat_block"))
     state = initial_state(tasks, master_seed=0)
-    cfgs = train_configs(template, 3, 0, 0)
+    cfgs = [template] * 3
     new_state, trace = run_ota_round(state, tasks, cfgs, phy, master_seed=0)
     assert trace.aborted
     np.testing.assert_array_equal(new_state.theta, state.theta)
@@ -1586,7 +1586,7 @@ def _two_ota_rounds(drop_grads):
     for r in range(2):
         if drop_grads:
             state = replace(state, grads=None)
-        state, trace = run_ota_round(state, tasks, train_configs(template, 3, 4, r), phy, 4)
+        state, trace = run_ota_round(state, tasks, [template] * 3, phy, 4)
         losses.append(trace.global_loss)
     return tasks, state, losses
 
@@ -1603,7 +1603,7 @@ def test_carried_gradients_do_not_change_rounds():
 
 def test_carried_gradient_count_must_match_tasks():
     tasks, state, _ = _two_ota_rounds(drop_grads=False)
-    cfgs = train_configs(fl.TrainConfig(epochs=1), 3, 4, 2)
+    cfgs = [fl.TrainConfig(epochs=1)] * 3
     with pytest.raises(ValueError):
         run_ota_round(replace(state, grads=state.grads[:2]), tasks, cfgs, _ideal_phy(), 4)
 
@@ -1611,7 +1611,7 @@ def test_carried_gradient_count_must_match_tasks():
 def test_round_updates_shape_and_effect():
     tasks = _make_tasks(3)
     state = initial_state(tasks, master_seed=0)
-    deltas = train_deltas(state, tasks, train_configs(fl.TrainConfig(epochs=1), 3, 0, 0))
+    deltas = train_deltas(state, tasks, [fl.TrainConfig(epochs=1)] * 3)
     assert len(deltas) == 3
     assert all(d.shape == (16,) for d in deltas)
     assert all(np.linalg.norm(d) > 0 for d in deltas)

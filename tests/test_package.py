@@ -29,6 +29,7 @@ PIPELINE_FREE = {
     "channel.superpose": TRACED_BY_BENCH,
     "fl.evaluate_loss": TRACED_BY_BENCH,
     "grid.ofdm_modulate": TRACED_BY_BENCH,
+    "ota.train_configs": READ_BY_WORKLOADS,
     "precode.channel_invert": TRACED_BY_BENCH,
     "weightcodec.map_to_grids": TRACED_BY_BENCH,
     "weightcodec.pack_complex": TRACED_BY_BENCH,

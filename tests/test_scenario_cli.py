@@ -87,11 +87,12 @@ def test_unknown_key_names_line():
         parse("rounds = 2\n\ncarrier_freq = 1e9\n")
     # no absolute pathloss, noise floor, transmit scale, int8 width, static
     # carrier phase, stale CSI or CSI feedback quantizer is modelled,
-    # training is SGD with one offset law and one shared scale pair, and
-    # linear regression is the only task, so these are unknown
+    # training is full-batch gradient descent with one offset law and one
+    # shared scale pair, and linear regression is the only task, so these
+    # are unknown
     for key in ("channel.pathloss_exponent", "channel.carrier_hz", "link.distance_m",
                 "link.noise_psd_dbm_hz", "acct.bits_int8", "phy.peak_power", "phy.margin",
-                "train.optimizer", "sync.distribution", "phy.scale_mode",
+                "train.optimizer", "train.batch_size", "sync.distribution", "phy.scale_mode",
                 "sync.phase_offset_rad", "phy.decorrelation", "phy.feedback_quant_bits",
                 "task.kind", "task.classes", "task.hidden"):
         with pytest.raises(ScenarioError, match=rf"line 2: unknown key '{key}'"):
@@ -207,7 +208,7 @@ REJECTED = {
     "mode": "hybrid", "rounds": "0", "num_ues": "0", "master_seed": "-1",
     "task.samples_per_ue": "0", "task.features": "0",
     "task.heterogeneity": "-0.5", "task.noise_std": "-0.1",
-    "train.learning_rate": "0", "train.epochs": "-1", "train.batch_size": "-1",
+    "train.learning_rate": "0", "train.epochs": "-1",
     "grid.subcarriers": "0", "grid.symbols_per_slot": "0",
     "grid.subcarrier_spacing_hz": "0", "grid.fft_size": "128", "grid.cp_len": "-1",
     "channel.kind": "two_ray", "link.tx_power_dbm": "5000",
@@ -356,7 +357,6 @@ KEY_CHANGES = {
     "task.noise_std": ("0.5", {}),
     "train.learning_rate": ("0.05", {}),
     "train.epochs": ("2", {}),
-    "train.batch_size": ("8", {}),
     "grid.subcarriers": ("16", {}),
     "grid.symbols_per_slot": ("2", {}),
     "grid.subcarrier_spacing_hz": ("150000", {}),
@@ -567,6 +567,7 @@ FLAGS = "--params, --bits, --m-range, --efficiency, --tx-power-dbm or --overhead
     (["run", "{kind}", "--out", "{csv}"], "line 8: unknown key 'task.kind'"),
     (["run", "{int8}", "--out", "{csv}"],
      "key 'mode': 'digital_int8' is not one of ota, digital_fp32"),
+    (["run", "{batch}", "--out", "{csv}"], "line 15: unknown key 'train.batch_size'"),
 ])
 def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, argv, named):
     paths = {
@@ -584,6 +585,11 @@ def test_cli_overrides_and_overflows_exit_2_naming_the_key(tmp_path, capsys, arg
         # the 8-bit digital baseline is gone; only its bill stays, in accounting --bits 8
         "int8": _tiny_file(tmp_path, TINY.replace("mode = ota", "mode = digital_int8"),
                            "int8.cfg"),
+        # the shipped baseline as it read while train.batch_size was a key
+        "batch": _tiny_file(tmp_path, (SCENARIOS / "baseline.cfg").read_text(encoding="utf-8")
+                            .replace("train.epochs = 1\n",
+                                     "train.epochs = 1\ntrain.batch_size = 0\n"),
+                            "batch.cfg"),
         "csv": tmp_path / "out.csv",
     }
     assert main([arg.format(**paths) for arg in argv]) == EXIT_CONFIG
