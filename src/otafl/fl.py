@@ -23,6 +23,12 @@ from .errors import FieldError
 
 FEATURE_DRAW_VALUES = 1 << 18  # float64 values (2 MiB) per draw of float32 features
 
+# Output rows per BLAS call in ``_matvec``.  On the OpenBLAS build measured, a
+# matrix-vector product whose output length is a multiple of 64 gives the same
+# bits at every thread count; a ragged length moves the threads' split off
+# the kernel's blocks, and a short one with a long sum may split the sum.
+BLAS_ROWS = 64
+
 
 def check_task_shape(samples_per_ue: int, features: int, heterogeneity: float,
                      noise_std: float) -> None:
@@ -109,6 +115,23 @@ class RoundState:
 # losses and gradients
 
 
+def _matvec(a: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """``a @ v`` with the same bits at every BLAS thread count.
+
+    The rows up to the largest multiple of ``BLAS_ROWS`` take one BLAS call;
+    the fewer than ``BLAS_ROWS`` rows after them go to ``np.einsum``, which
+    calls no BLAS and runs on one thread.  A row count that is a multiple
+    takes the single call ``a @ v`` makes.
+    """
+    bulk = a.shape[0] - a.shape[0] % BLAS_ROWS
+    if bulk == a.shape[0]:
+        return a @ v
+    out = np.empty(a.shape[0], dtype=np.result_type(a, v))
+    np.matmul(a[:bulk], v, out=out[:bulk])
+    np.einsum("ij,j->i", a[bulk:], v, out=out[bulk:])
+    return out
+
+
 def loss_and_grad(theta: np.ndarray, task: Task):
     """Loss and gradient on the client's whole dataset.
 
@@ -116,12 +139,14 @@ def loss_and_grad(theta: np.ndarray, task: Task):
     with grad = 2/n * X^T r.  Both products run in the features' dtype:
     theta and r are cast to it and the results back to float64, because a
     float32 matrix times a float64 vector would copy the whole matrix to
-    float64.
+    float64.  Both go through ``_matvec``, so the bits do not depend on the
+    BLAS thread count.
     """
     x = task.features
-    r = (x @ theta.astype(x.dtype, copy=False)).astype(np.float64, copy=False) - task.targets
+    r = _matvec(x, theta.astype(x.dtype, copy=False)).astype(np.float64, copy=False)
+    r -= task.targets
     loss = float(np.mean(r**2))
-    xtr = x.T @ r.astype(x.dtype, copy=False)
+    xtr = _matvec(x.T, r.astype(x.dtype, copy=False))
     grad = (2.0 / x.shape[0]) * xtr.astype(np.float64, copy=False)
     return loss, grad
 
@@ -237,7 +262,9 @@ def make_linear_task(
         chunk = rng.standard_normal(out=draw[:rows.shape[0]])
         rows[...] = chunk
         chunk[...] = rows  # the rounded values, which the targets are built from
-        y[lo:lo + rows.shape[0]] = chunk @ w_local
+        # one row would be a BLAS dot, whose sum OpenBLAS may split among threads
+        y[lo:lo + rows.shape[0]] = (chunk @ w_local if rows.shape[0] > 1
+                                    else np.einsum("ij,j->i", chunk, w_local))
     y += noise_std * rng.standard_normal(n_samples)
     return Task(x, y)
 

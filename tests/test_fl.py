@@ -1,10 +1,15 @@
 """Local training, gradients and FedAvg algebra on the synthetic linear task."""
 
+import os
+import subprocess
+import sys
 import tracemalloc
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import otafl
 from otafl.errors import FieldError
 from otafl.fl import (
     RoundState,
@@ -49,6 +54,43 @@ def test_linear_gradient_matches_finite_differences():
     theta = rng.normal(size=8)
     _, grad = loss_and_grad(theta, task)
     assert _rel_err(grad, _fd_gradient(theta, task)) < 1e-5
+
+
+# Unaligned shapes that OpenBLAS threads: 500 x 6657 splits both products
+# off its 64-row blocks, 20000 x 63 leaves X^T r a short output with a long
+# sum, and 14 x 20000 ends make_linear_task's draw on a one-row chunk.
+THREAD_SHAPES = ((500, 6657), (20000, 63), (14, 20000))
+_THREAD_BITS = (
+    "import hashlib\n"
+    "import numpy as np\n"
+    "from otafl import fl\n"
+    f"for n, p in {THREAD_SHAPES!r}:\n"
+    "    task = fl.make_linear_task(0, 1, n, p)\n"
+    "    theta = np.random.default_rng(2).normal(size=p) / np.sqrt(p)\n"
+    "    for t in (task, fl.Task(task.features.astype(np.float64), task.targets)):\n"
+    "        loss, grad = fl.loss_and_grad(theta, t)\n"
+    "        print(n, p, t.features.dtype, hashlib.sha256(\n"
+    "            task.targets.tobytes() + np.float64(loss).tobytes() + grad.tobytes()\n"
+    "        ).hexdigest())\n"
+)
+
+
+def _bits_at(threads: int) -> str:
+    env = dict(os.environ, OPENBLAS_NUM_THREADS=str(threads))
+    src = str(Path(otafl.__file__).resolve().parents[1])
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    child = subprocess.run([sys.executable, "-c", _THREAD_BITS], env=env, capture_output=True,
+                           text=True, timeout=120)
+    assert child.returncode == 0, child.stderr
+    return child.stdout
+
+
+def test_training_bits_do_not_depend_on_the_blas_thread_count():
+    """The task's targets and the loss and gradient on float32 and float64
+    features have the same bytes at one and at two BLAS threads."""
+    one = _bits_at(1)
+    assert len(one.splitlines()) == 2 * len(THREAD_SHAPES)
+    assert _bits_at(2) == one
 
 
 # -------------------------------------------------------- local training
