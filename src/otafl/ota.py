@@ -759,7 +759,7 @@ def ota_aggregate(
         for ues in groups:
             events.append(_sounding_frame(ues, phy, offsets, chips, pilots))
             s_offsets[ues], s_metrics[ues] = events[-1].receive(noise, cfg.symbols_per_slot)
-        if np.any(s_metrics < DETECT_THRESHOLD):
+        if np.any(~(s_metrics >= DETECT_THRESHOLD)):  # a NaN metric fails too
             # every client did send its preamble and pilots at the reference power
             return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
                            np.full(num_ues, _REFERENCE_AMPLITUDE**2),
@@ -791,7 +791,7 @@ def ota_aggregate(
     max_re_power = np.maximum((alpha * largest) ** 2, _REFERENCE_AMPLITUDE**2)
     used = payload_symbols(param_count, cfg)
     p_offsets, p_metrics = event.receive(noise, used)
-    if np.any(p_metrics < DETECT_THRESHOLD):
+    if np.any(~(p_metrics >= DETECT_THRESHOLD)):
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
                        "payload detection failed")
 

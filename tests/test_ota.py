@@ -1,7 +1,7 @@
 """End-to-end analog aggregation: transport fidelity, aborts, experiments."""
 
 import tracemalloc
-from dataclasses import replace
+from dataclasses import astuple, replace
 from pathlib import Path
 
 import numpy as np
@@ -177,6 +177,38 @@ def test_abort_on_undetectable_preambles(allocation):
     np.testing.assert_array_equal(report.max_re_power, np.full(3, ota._REFERENCE_AMPLITUDE**2))
     np.testing.assert_array_equal(report.recovered, np.zeros(100))
     assert report.agg_nmse_db == 0.0  # zero estimate of a nonzero truth
+
+
+@pytest.mark.parametrize("event, reason", [(0, "sounding detection failed"),
+                                           (1, "payload detection failed"),
+                                           (None, "")])
+def test_a_nan_detection_metric_aborts_the_round(monkeypatch, event, reason):
+    """A search window holding an inf sample gives a NaN metric, which
+    compares false with the threshold both ways.  It fails detection, so the
+    round aborts instead of reading that client at a wrong offset; finite
+    metrics keep their bits."""
+    phy = _ideal_phy(channel=ChannelModel("flat_block"), uplink_snr_db=20.0)
+    deltas = _random_deltas(3, 100, seed=10)
+    want = ota_aggregate(deltas, phy, master_seed=4)
+    detect, calls = ota.detect_frame, []
+
+    def nan_metric(*args):
+        offsets, metrics = detect(*args)
+        if len(calls) == event:
+            metrics[1] = np.nan
+        calls.append(metrics)
+        return offsets, metrics
+
+    monkeypatch.setattr(ota, "detect_frame", nan_metric)
+    report = ota_aggregate(deltas, phy, master_seed=4)
+    assert report.abort_reason == reason
+    if event is None:
+        assert len(calls) == 2  # the comb's one sounding event, then the payload
+        assert ([np.asarray(v).tobytes() for v in astuple(report)]
+                == [np.asarray(v).tobytes() for v in astuple(want)])
+    else:
+        assert report.aborted and np.isnan(report.peak_metrics[1])
+        np.testing.assert_array_equal(report.recovered, np.zeros(100))
 
 
 # ------------------------------------------------------ preamble search windows

@@ -3,9 +3,12 @@
 import ast
 import importlib
 import re
+import typing
 from collections import defaultdict
 from pathlib import Path
+from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 import otafl
@@ -454,12 +457,12 @@ def test_only_the_event_type_reads_the_frame_layout():
 
 
 # The package's module-level caches (functions with ``cache_clear``), each
-# with whether it returns arrays.  A cached array is shared by every later
+# with whether what it returns holds arrays.  A cached array is shared by every later
 # caller, so each array cache must be cleared and filled by the golden
 # ``caches`` fixture, whose cold and warm cases then pin its bits.
 PACKAGE_CACHES = {
     "grid._msequence": True,
-    "ota._comb_layout": False,  # a CombLayout of read-only arrays; the fixture names it too
+    "ota._comb_layout": True,  # a CombLayout of read-only arrays
     "ota._pilot_masks": True,
     "ota._pilot_values": True,
     "ota._preamble_bank": True,
@@ -468,9 +471,19 @@ PACKAGE_CACHES = {
 GOLDEN = TESTS_DIR / "test_golden_outputs.py"
 
 
+def _holds_arrays(kind) -> bool:
+    """Whether a value of type ``kind`` holds an ``ndarray``: it is one, a
+    type built from one (a tuple or a union of them), or a NamedTuple with
+    such a field."""
+    if kind is np.ndarray:
+        return True
+    fields = typing.get_type_hints(kind) if hasattr(kind, "_fields") else {}
+    return any(_holds_arrays(t) for t in (*typing.get_args(kind), *fields.values()))
+
+
 def _package_caches() -> dict[str, bool]:
     """``module.name`` of every cached function a package module defines,
-    and whether its return annotation names ``ndarray``."""
+    and whether its resolved return type holds arrays."""
     found = {}
     for path in sorted(PACKAGE_DIR.glob("*.py")):
         if path.name == "__init__.py":
@@ -478,8 +491,8 @@ def _package_caches() -> dict[str, bool]:
         module = importlib.import_module(f"otafl.{path.stem}")
         for name, value in vars(module).items():
             if hasattr(value, "cache_clear") and value.__module__ == module.__name__:
-                returns = str(value.__wrapped__.__annotations__.get("return", ""))
-                found[f"{path.stem}.{name}"] = "ndarray" in returns
+                returns = typing.get_type_hints(value.__wrapped__).get("return")
+                found[f"{path.stem}.{name}"] = _holds_arrays(returns)
     return found
 
 
@@ -500,8 +513,27 @@ def test_missing_cache_check_sees_an_array_cache_the_fixture_leaves_out():
     source = ("def caches(request):\n"
               "    for cached in (grid._msequence, ota._pilot_values):\n"
               "        cached.cache_clear()\n")
-    assert _caches_missing_from_fixture(PACKAGE_CACHES, source) == ["ota._pilot_masks",
-                                                                     "ota._preamble_bank"]
+    want = ["ota._comb_layout", "ota._pilot_masks", "ota._preamble_bank"]
+    assert _caches_missing_from_fixture(PACKAGE_CACHES, source) == want
+    assert sorted(_caches_missing_from_fixture(_package_caches(), source)) == want
+
+
+class _Arrays(NamedTuple):
+    size: int
+    rows: tuple[np.ndarray, ...]
+
+
+class _Sizes(NamedTuple):
+    size: int
+    names: tuple[str, ...]
+
+
+def test_a_cache_holds_arrays_by_its_resolved_return_type():
+    """An array, a tuple or union of arrays and a NamedTuple with an array
+    field hold arrays; a NamedTuple without one, like a plain tuple, does not."""
+    holds = [np.ndarray, tuple[np.ndarray, ...], np.ndarray | None, _Arrays]
+    holds_not = [int, tuple[tuple[str, str], ...], _Sizes, None]
+    assert [_holds_arrays(kind) for kind in holds + holds_not] == [True] * 4 + [False] * 4
 
 
 def test_every_array_cache_is_in_the_golden_cold_and_warm_fixture():
