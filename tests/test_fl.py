@@ -115,8 +115,10 @@ def test_zero_epochs_returns_global_unchanged():
     assert out is not theta  # always a copy
 
 
-def test_training_builds_no_generator(monkeypatch):
-    """Full-batch training draws no random numbers, so it builds no generator."""
+@pytest.mark.parametrize("epochs,generators", [(0, 0), (32, 0)])
+def test_only_minibatch_training_builds_a_generator(monkeypatch, epochs, generators):
+    """Only minibatch training drew a permutation; training is full batch
+    now, so it builds no generator however many epochs it runs."""
     built = []
     original = np.random.default_rng
 
@@ -127,8 +129,8 @@ def test_training_builds_no_generator(monkeypatch):
     task = make_linear_task(0, 5, n_samples=32, n_features=4)
     theta = np.zeros(task.param_count)
     monkeypatch.setattr(np.random, "default_rng", counting)
-    local_train(theta, task, TrainConfig(epochs=2))
-    assert built == []
+    local_train(theta, task, TrainConfig(epochs=epochs))
+    assert len(built) == generators
 
 
 def test_sgd_reduces_loss_on_convex_task():
