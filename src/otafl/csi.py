@@ -123,18 +123,25 @@ def _held_interp(layout: CombLayout, values: np.ndarray) -> np.ndarray:
     return out
 
 
-def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
+def energy(values: np.ndarray) -> float:
+    """sum|values|^2, the denominator of :func:`nmse`."""
+    return float(np.sum(np.abs(values) ** 2))
+
+
+def nmse(estimate: np.ndarray, truth: np.ndarray, truth_energy: float | None = None) -> float:
     """Normalized mean squared error in dB, pooled over all elements.
 
     10*log10( sum|est - truth|^2 / sum|truth|^2 ), clamped below at
     -300 dB; an exact match reports the floor, an all-zero estimate
-    reports 0 dB.  Real inputs are not cast to complex.
+    reports 0 dB.  Real inputs are not cast to complex.  A caller that
+    compares many estimates with one truth may pass its :func:`energy` as
+    ``truth_energy`` and save reading it again.
     """
     dtype = np.complex128 if np.iscomplexobj(estimate) or np.iscomplexobj(truth) else np.float64
     e, t = np.asarray(estimate, dtype=dtype), np.asarray(truth, dtype=dtype)
     if e.shape != t.shape:
         raise ValueError("estimate and truth must have equal shape")
-    denom = float(np.sum(np.abs(t) ** 2))
+    denom = energy(t) if truth_energy is None else truth_energy
     if denom == 0.0:
         raise ValueError("truth has zero energy; NMSE undefined")
     ratio = float(np.sum(np.abs(e - t) ** 2)) / denom

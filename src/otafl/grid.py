@@ -242,8 +242,9 @@ def detect_frame(
     metric against ``ota.DETECT_THRESHOLD``.
 
     One pass serves every window: the preamble block is cast to the
-    signal's type once, the correlation is one ``np.correlate`` per window, whose dot
-    order fixes its bits, and the energy, its running sum, the divide and
+    signal's type once, the correlation is one ``np.correlate`` per window,
+    whose dot order fixes its bits, with its magnitude written straight
+    into the window's row, and the energy, its running sum, the divide and
     the argmax each run once over the block, row by row, squaring and
     scaling in place.  A lag whose denominator is not positive (zero, or
     NaN past a non-finite sample) reads 0.  Each window gets the bits a
@@ -260,18 +261,19 @@ def detect_frame(
                          f"as long as the {chips}-chip preamble")
     windows = np.ndarray((k, span), dtype=s.dtype, buffer=s,
                          strides=(stride * s.itemsize, s.itemsize))
-    corr = np.empty((k, span - chips + 1), dtype=np.complex128)
+    power = np.empty((k, span - chips + 1))
     common = p.astype(np.promote_types(s.dtype, p.dtype), copy=False)  # what correlate casts to
-    for row, window, preamble in zip(corr, windows, common):
-        row[:] = np.correlate(window, preamble, mode="valid")
+    for row, window, preamble in zip(power, windows, common):
+        np.abs(np.correlate(window, preamble, mode="valid"), out=row)
+    power *= power
     energy = np.abs(windows)
     energy *= energy
     csum = np.zeros((k, span + 1))
     np.add.accumulate(energy, axis=1, out=csum[:, 1:])
     denom = csum[:, chips:] - csum[:, :-chips]  # each lag's window energy
-    denom *= (np.abs(p) ** 2).sum(axis=1)[:, np.newaxis]
-    power = np.abs(corr)
-    power *= power
-    ratio = np.divide(power, denom, out=np.zeros(corr.shape), where=denom > 0.0)
-    offsets = ratio.argmax(axis=1)
-    return offsets, np.minimum(ratio[np.arange(k), offsets], 1.0)
+    chip_energy = np.abs(p)
+    chip_energy *= chip_energy
+    denom *= chip_energy.sum(axis=1, keepdims=True)
+    ratio = np.divide(power, denom, out=np.zeros(power.shape), where=denom > 0.0)
+    # the peak is the value at the argmax, NaN included
+    return ratio.argmax(axis=1), np.minimum(ratio.max(axis=1), 1.0)

@@ -31,15 +31,18 @@ One uplink round, as simulated here:
 4.  The payload is sent in whole slots, but only its first
     ``weightcodec.payload_symbols`` OFDM symbols hold parameters; the rest
     is zero and is never built.  The codec packs one client's scaled update
-    at a time into a reused block of those symbols, once per client, as one
-    contiguous division by the shared scales laid over every real.  The
-    per-subcarrier peaks of the packed block are read by the first
-    aggregation of a share only, which leaves them in the share (they
-    depend on the update and the scales alone), and the block is precoded
-    by gain / estimate (the floored estimate); clients that share
-    a delay are summed in the frequency domain, and each distinct delay is
-    modulated once and added into the event's one receive buffer, as the
-    multiple-access channel sums them in the air.
+    at a time into a block of those symbols, once per client, as one
+    contiguous division by the shared scales laid over every real, a
+    vector the round's share builds once.  The per-subcarrier peaks of the
+    packed block are read by the first aggregation of a share only, which
+    leaves them in the share (they depend on the update and the scales
+    alone), and the block is precoded by gain / estimate (the floored
+    estimate, whose magnitude the floor and the divisor read once).
+    Clients that share a delay are summed in the frequency domain, every
+    delay's sum is modulated in one call, in batches of whole delays that
+    keep each array within one client's block or ``_MODULATE_ROWS``
+    symbols, and each delay's symbols are added into the event's one
+    receive buffer, as the multiple-access channel sums them in the air.
     The peaks against the estimates give the shared power-control factor
     alpha, and since every client scales by the same alpha and the air sum
     is linear, the summed payload is scaled by alpha once before the
@@ -84,7 +87,7 @@ from .accounting import (
     round_bill,
 )
 from .channel import ChannelModel, realize_channel
-from .csi import NMSE_FLOOR_DB, CombLayout, comb_layout, interpolate, ls_estimate, nmse
+from .csi import NMSE_FLOOR_DB, CombLayout, comb_layout, energy, interpolate, ls_estimate, nmse
 from .errors import FieldError, check_choice
 from .grid import (
     PREAMBLE_FAMILY,
@@ -122,6 +125,10 @@ PILOT_ALLOCATIONS = ("fdm_comb", "tdm_full")
 MODES = ("ota", *DIGITAL_BITS)
 
 DETECT_THRESHOLD = 0.3
+
+# Symbols one payload modulation call takes at most, unless one client's
+# block alone is longer: whole delays are batched up to it.
+_MODULATE_ROWS = 64
 
 # Amplitude of every preamble and pilot part: inside the power budget.
 _REFERENCE_AMPLITUDE = MARGIN * np.sqrt(PEAK_POWER)
@@ -329,26 +336,27 @@ class _Event:
     """
 
     def __init__(self, phy: PhyConfig, ues: range, delays: np.ndarray, body_symbols: int):
-        self.phy, self.ues, self.delays = phy, ues, delays
+        self.phy, self.ues = phy, ues
+        self.delays = delays.tolist()  # Python ints: each placement slices with them
         self.bound = offset_bound(phy.sync, phy.grid.sample_rate)
         self.slot = phy.preamble_slot_len
         self.region = phy.preamble_region_len(len(ues))
         self.body_len = body_symbols * phy.grid.symbol_len
-        self.rx = np.zeros(int(delays.max()) + self.region + self.body_len, dtype=np.complex128)
+        self.rx = np.zeros(max(self.delays) + self.region + self.body_len, dtype=np.complex128)
 
     def add_chips(self, i: int, chips: np.ndarray) -> None:
-        lo = int(self.delays[i]) + i * self.slot
+        lo = self.delays[i] + i * self.slot
         self.rx[lo:lo + PREAMBLE_LEN] += chips
 
     def add_body(self, i: int, symbols: np.ndarray, n: int) -> None:
         """Add ``symbols``, ``n`` time-domain OFDM symbols or one symbol
         repeated, to the first ``n`` symbols of client ``i``'s body."""
-        lo = int(self.delays[i]) + self.region
+        lo = self.delays[i] + self.region
         body = self.rx[lo:lo + n * self.phy.grid.symbol_len].reshape(n, -1)
         body += symbols
 
     def scale_bodies(self, factor: float, n: int) -> None:
-        end = int(self.delays.max()) + self.region + n * self.phy.grid.symbol_len
+        end = max(self.delays) + self.region + n * self.phy.grid.symbol_len
         self.rx[self.region:end] *= factor  # the first n symbols of every body
 
     def receive(self, noise: np.random.Generator, symbols: int) -> tuple[np.ndarray, np.ndarray]:
@@ -357,11 +365,13 @@ class _Event:
         cfg, bound = self.phy.grid, self.bound
         if self.phy.uplink_snr_db is not None:
             info = self.rx[self.region:]
-            power = float((np.abs(info) ** 2).sum()) / info.size
-            variance = power / 10.0 ** (self.phy.uplink_snr_db / 10.0)
+            power = np.abs(info)
+            power *= power
+            variance = float(power.sum()) / info.size / 10.0 ** (self.phy.uplink_snr_db / 10.0)
             noised = self.rx[:bound + self.region + symbols * cfg.symbol_len]
-            samples = noise.standard_normal(2 * noised.size)
-            samples *= np.sqrt(variance / 2.0)
+            samples = noise.standard_normal(2 * noised.size)  # a share lends a read-only view
+            samples = np.multiply(samples, np.sqrt(variance / 2.0),
+                                  out=samples if samples.flags.writeable else None)
             noised += samples.view(np.complex128)
         end = (len(self.ues) - 1) * self.slot + bound + PREAMBLE_LEN
         windows = np.ndarray(end, dtype=self.rx.dtype, buffer=self.rx)  # raises past the buffer
@@ -421,7 +431,7 @@ def _payload_frame(
     gains: np.ndarray,
     offsets: np.ndarray,
     deltas: list[np.ndarray],
-    scales: tuple[float, float],
+    per_real: np.ndarray,
     divisor: np.ndarray,
     chips: np.ndarray,
     peaks: np.ndarray | None,
@@ -433,21 +443,27 @@ def _payload_frame(
     has read them, and is ``None`` otherwise.
 
     Each client's body, whole payload slots long, is the update
-    ``deltas[ue]``, packed with the shared (I, Q) ``scales``: their
-    :func:`rail_divisors` vector is built once and every update is divided
-    by it in one contiguous pass.  ``gains``, ``deltas``, ``divisor`` (the
-    floored estimate) and ``chips`` (the :func:`_preamble_chips` that the
-    sounding pass sends too) hold one entry per client of the round.
+    ``deltas[ue]`` divided in one contiguous pass by ``per_real``, the
+    :func:`rail_divisors` of the shared (I, Q) scales.  ``gains``,
+    ``deltas``, ``divisor`` (the floored estimate) and ``chips`` (the
+    :func:`_preamble_chips` that the sounding pass sends too) hold one
+    entry per client of the round.
 
     Only the body's first :func:`payload_symbols` symbols hold parameters;
     the rest of the body is zero and is never built.  Each client is packed
     once.  The clients are walked by distinct delay, in ascending order,
-    and within a delay in ascending order: a client is packed into one of
-    two reused blocks, its per-subcarrier peaks are read from the packed
-    block unless ``peaks`` holds them, and it is precoded by gain / divisor
-    and summed into the delay's first block.  Modulation is linear, so each distinct delay (at
-    most ``offset_bound + 1`` under PTP) is modulated once, and no array
-    holds more than two clients' blocks, however many clients there are.
+    and within a delay in ascending order: a client's per-subcarrier peaks
+    are read from its packed block unless ``peaks`` holds them, and it is
+    precoded by gain / divisor.  A delay's first client is packed straight
+    into the delay's sum, and each later one into one reused block and
+    added to the sum.  Modulation is linear, so
+    each distinct delay (at most ``offset_bound + 1`` under PTP) is
+    modulated once, as one row block of a call that takes as many whole
+    delays as fit in ``_MODULATE_ROWS`` symbols, and at least one; each
+    delay's symbols are then added into the buffer, in ascending delay
+    order.  Besides the event's buffer, no array it allocates holds more
+    than one client's block of symbols or ``_MODULATE_ROWS`` symbols,
+    whichever is larger, however many clients and delays there are.
     alpha is common to every client and the air sum is linear, so the
     summed payload is scaled by alpha once, in place; the preamble chips,
     which are not power-controlled, are added after that, since a late
@@ -457,30 +473,37 @@ def _payload_frame(
     """
     run = slice(ues.start, ues.stop)
     cfg = phy.grid
-    used = payload_symbols(deltas[0].size, cfg)
-    delays = offsets[run]
-    event = _Event(phy, ues, delays, slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot)
+    used = payload_symbols(per_real.size, cfg)
+    event = _Event(phy, ues, offsets[run], slot_plan(per_real.size, cfg) * cfg.symbols_per_slot)
     g = gains[run]
     precode = g * (1.0 / divisor[run])  # reciprocal first: g / divisor rounds differently
     deltas = deltas[run]
-    per_real = rail_divisors(scales, deltas[0].size)
     fresh = peaks is None
     if fresh:
         peaks = np.empty(g.shape)
-    acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
-    symbols = np.empty((used, cfg.symbol_len), dtype=np.complex128)
-    delay_of = delays.tolist().__getitem__
-    for _, group in itertools.groupby(sorted(range(len(ues)), key=delay_of), key=delay_of):
-        group = list(group)
-        for k, i in enumerate(group):
-            row = pack_payload(deltas[i], per_real, scratch if k else acc)
-            if fresh:
-                np.max(np.abs(row), axis=0, out=peaks[i])
-            row *= precode[i]
-            if k:
-                acc += row
-        ofdm_modulate_into(acc, cfg, symbols)
-        event.add_body(group[0], symbols, used)
+    delay_of = event.delays.__getitem__
+    groups = [list(group) for _, group in
+              itertools.groupby(sorted(range(len(ues)), key=delay_of), key=delay_of)]
+    per_call = min(len(groups), max(1, _MODULATE_ROWS // used))
+    sums = np.empty((per_call, used, cfg.subcarriers), dtype=np.complex128)
+    if len(groups) < len(ues):  # some delay has a second client
+        scratch = np.empty((used, cfg.subcarriers), dtype=np.complex128)
+    symbols = np.empty((per_call, used, cfg.symbol_len), dtype=np.complex128)
+    for first in range(0, len(groups), per_call):
+        part = groups[first:first + per_call]
+        for acc, group in zip(sums, part):
+            for k, i in enumerate(group):
+                row = pack_payload(deltas[i], per_real, scratch if k else acc)
+                if fresh:
+                    np.max(np.abs(row), axis=0, out=peaks[i])
+                row *= precode[i]
+                if k:
+                    acc += row
+        rows = len(part) * used
+        ofdm_modulate_into(sums.reshape(-1, cfg.subcarriers)[:rows], cfg,
+                           symbols.reshape(-1, cfg.symbol_len)[:rows])
+        for body, group in zip(symbols, part):
+            event.add_body(group[0], body, used)
     peaks.flags.writeable = False
     alpha, largest = compute_alpha(peaks, divisor[run])
     event.scale_bodies(alpha, used)  # every nonzero sample so far
@@ -489,13 +512,14 @@ def _payload_frame(
     return event, alpha, largest, peaks
 
 
-def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
-    """NMSE of an aggregate in dB; against a zero exact average it reads the
+def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray, exact_energy: float) -> float:
+    """NMSE of an aggregate in dB, given the exact average's
+    :func:`~otafl.csi.energy`; against a zero exact average it reads the
     ``NMSE_FLOOR_DB`` floor when the aggregate is exactly zero too, else 0 dB."""
+    if exact_energy == 0.0:
+        return NMSE_FLOOR_DB if np.array_equal(sent, exact) else 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged round fails in _finish_round
-        if float(np.sum(np.abs(exact) ** 2)) == 0.0:
-            return NMSE_FLOOR_DB if np.array_equal(sent, exact) else 0.0
-        return nmse(sent, exact)
+        return nmse(sent, exact, exact_energy)
 
 
 def check_run(phy: PhyConfig, num_ues: int, mode: str = "ota", rounds: int = 1,
@@ -597,15 +621,17 @@ class RoundShare:
     aggregation that packs the updates leaves their per-subcarrier payload
     ``peaks`` here (``None`` until then), read-only, one row per client:
     they depend only on the updates and the shared scales, so later
-    aggregations pack and precode but do not read them again.  The rail
-    divisors and the packed blocks are not kept: at 60 clients and 71 666
-    parameters they would hold 573 KB and 34 MB, and a single aggregation
-    gains nothing from them.  It keeps the round's noise stream as well:
-    every aggregation reads the stream from its start, as it would read a
-    fresh generator seeded (master seed, round, noise tag), and a read past
-    the kept normals draws exactly the missing count and keeps them.  A generator's normals do not
-    depend on how its draws are split, so every aggregation gets the bits
-    it gets without a share.
+    aggregations pack and precode but do not read them again.  It builds,
+    read-only, the ``per_real`` :func:`rail_divisors` of the scales (573 KB
+    at 71 666 parameters) and reads the exact average's ``exact_energy``,
+    the NMSE denominator, once here.  The packed blocks are not kept: at 60
+    clients and 71 666 parameters they would hold 34 MB, and a single
+    aggregation gains nothing from them.  It keeps the round's noise stream
+    as well: every aggregation reads the stream from its start, as it would
+    read a fresh generator seeded (master seed, round, noise tag), and a
+    read past the kept normals draws exactly the missing count and keeps
+    them.  A generator's normals do not depend on how its draws are split,
+    so every aggregation gets the bits it gets without a share.
 
     The share is bound to the update arrays it was built from, which it
     reads only once and which must not change, to the master seed and
@@ -641,8 +667,12 @@ class RoundShare:
         if not finite.all():
             raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
                              "precoded resource grid entries must be finite")
+        with np.errstate(over="ignore"):  # a diverged round fails in _finish_round
+            self.exact_energy = energy(self.exact_avg)
         self.rails = rails
         self.scales = peak_scales(rails)
+        self.per_real = rail_divisors(self.scales, param_count)
+        self.per_real.flags.writeable = False
         self.deltas = tuple(deltas)
         self._round = (master_seed, round_index)
         self._link = (phy.channel, phy.grid, _sounding_allocation(phy))
@@ -677,15 +707,18 @@ class RoundShare:
 
 class _StreamReader:
     """Stands in for a round's noise generator in :meth:`_Event.receive`,
-    reading a share's noise stream from its start: each draw is a fresh
-    copy of the next normals, which the receiver scales in place."""
+    reading a share's noise stream from its start: each draw is a read-only
+    view of the next kept normals, which the receiver scales into a new
+    array in one pass."""
 
     def __init__(self, share: RoundShare):
         self.share, self.drawn = share, 0
 
     def standard_normal(self, size: int) -> np.ndarray:
         start, self.drawn = self.drawn, self.drawn + size
-        return self.share._normals_to(self.drawn)[start:self.drawn].copy()
+        draws = self.share._normals_to(self.drawn)[start:self.drawn]
+        draws.flags.writeable = False
+        return draws
 
 
 def _phase_ramp(cfg: GridConfig, delay) -> np.ndarray:
@@ -729,7 +762,8 @@ def ota_aggregate(
     def _report(recovered, alpha, offsets, metrics, powers, abort_reason=""):
         return AggregateReport(
             recovered, exact_avg, alpha, bool(abort_reason), abort_reason,
-            _aggregate_nmse_db(recovered, exact_avg), offsets, metrics, powers,
+            _aggregate_nmse_db(recovered, exact_avg, share.exact_energy), offsets, metrics,
+            powers,
         )
 
     if not rails.any():
@@ -759,7 +793,7 @@ def ota_aggregate(
         for ues in groups:
             events.append(_sounding_frame(ues, phy, offsets, chips, pilots))
             s_offsets[ues], s_metrics[ues] = events[-1].receive(noise, cfg.symbols_per_slot)
-        if np.any(~(s_metrics >= DETECT_THRESHOLD)):  # a NaN metric fails too
+        if not (s_metrics >= DETECT_THRESHOLD).all():  # a NaN metric fails too
             # every client did send its preamble and pilots at the reference power
             return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
                            np.full(num_ues, _REFERENCE_AMPLITUDE**2),
@@ -782,16 +816,20 @@ def ota_aggregate(
     # underflows the precoded peaks can fail here; the error names it.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
+            magnitude = np.abs(estimate)  # one read for the floor and the divisor
+            divisor = inversion_divisor(
+                estimate, inversion_floor(estimate, phy.floor_rel, magnitude=magnitude),
+                magnitude=magnitude)
             event, alpha, largest, share.peaks = _payload_frame(
-                range(num_ues), phy, gains, offsets, deltas, scales, divisor, chips, share.peaks)
+                range(num_ues), phy, gains, offsets, deltas, share.per_real, divisor, chips,
+                share.peaks)
     except ValueError as exc:
         raise ValueError(f"round {round_index}: phy.floor_rel = {phy.floor_rel!r} leaves "
                          f"no usable precoded payload: {exc}") from None
     max_re_power = np.maximum((alpha * largest) ** 2, _REFERENCE_AMPLITUDE**2)
     used = payload_symbols(param_count, cfg)
     p_offsets, p_metrics = event.receive(noise, used)
-    if np.any(~(p_metrics >= DETECT_THRESHOLD)):
+    if not (p_metrics >= DETECT_THRESHOLD).all():
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
                        "payload detection failed")
 

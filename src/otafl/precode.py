@@ -18,16 +18,19 @@ MARGIN = 0.9
 
 
 def inversion_floor(
-    estimate: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL
+    estimate: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL, *,
+    magnitude: np.ndarray | None = None,
 ) -> float | np.ndarray:
     """Magnitude floor: ``floor_rel`` times the median estimated |H| over the
     subcarriers, one floor per row of the estimate (a scalar for one row).
+    ``magnitude``, when given, is ``np.abs(estimate)``, read once by a caller
+    that passes it to :func:`inversion_divisor` too.
     ``PhyConfig`` owns this check for a scenario; it stays for direct callers."""
     if not floor_rel >= 0:
         raise ValueError("floor_rel must be >= 0")
     # np.median's partition, middle order statistics and NaN rule, without
     # the numpy.ma import that its NaN check pulls in.
-    mag = np.abs(estimate)
+    mag = np.abs(estimate) if magnitude is None else magnitude
     half, odd = divmod(mag.shape[-1], 2)
     middle = [half] if odd else [half - 1, half]
     part = np.partition(mag, [*middle, -1], axis=-1)
@@ -36,27 +39,30 @@ def inversion_floor(
     return floor_rel * np.where(np.isnan(last), last, median)
 
 
-def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray) -> np.ndarray:
+def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray, *,
+                      magnitude: np.ndarray | None = None) -> np.ndarray:
     """The channel estimate with magnitudes below ``floor`` raised to it.
 
     ``floor`` is a scalar or one value per row of the estimate, as
-    :func:`inversion_floor` returns it.  Clamped estimates keep their phase,
+    :func:`inversion_floor` returns it, and ``magnitude``, when given, is
+    ``np.abs(estimate)``.  Clamped estimates keep their phase,
     which caps the inversion gain at 1/floor in deep fades.  A zero estimate
     with a positive floor becomes the (real) floor itself; a zero estimate
     in a row whose floor is 0 is an error.  When nothing is clamped the
     result is the estimate's own array, so callers must not write to it.
     """
     floor = np.asarray(floor, dtype=np.float64)[..., np.newaxis]
-    if not np.all(floor >= 0):
+    if not (floor >= 0).all():
         raise ValueError("floor must be >= 0")
     h = estimate
-    mag = np.abs(h)
-    dead = mag == 0
-    if np.any(dead & (floor == 0)):
+    mag = np.abs(h) if magnitude is None else magnitude
+    unfloored = floor == 0
+    if unfloored.any() and ((mag == 0) & unfloored).any():
         raise ValueError("zero channel estimate cannot be inverted without a floor")
     weak = mag < floor
-    if not np.any(weak):
+    if not weak.any():
         return h
+    dead = mag == 0
     safe_mag = np.where(dead, 1.0, mag)
     divisor = np.where(weak, floor * h / safe_mag, h)
     return np.where(dead, floor, divisor)
@@ -102,11 +108,11 @@ def compute_alpha(peaks: np.ndarray, divisor: np.ndarray) -> tuple[float, np.nda
                          f"(UEs, subcarriers) shape, not {np.shape(divisor)}")
     if peaks.shape[0] == 0:
         raise ValueError("need at least one UE")
-    largest = np.max(peaks / np.abs(divisor), axis=1)
-    if not np.all(np.isfinite(largest)):
+    largest = (peaks / np.abs(divisor)).max(axis=1)
+    if not np.isfinite(largest).all():
         raise ValueError("precoded resource grid entries must be finite")
     squared = largest * largest
     active = squared[squared > 0]
     if active.size == 0:
         raise ValueError("all precoded payloads are zero; alpha undefined")
-    return float(np.min(MARGIN * np.sqrt(PEAK_POWER / active))), largest
+    return float((MARGIN * np.sqrt(PEAK_POWER / active)).min()), largest

@@ -14,6 +14,9 @@ pipeline computes another way, or a diagnostic only a test reads.
   ``grid.detect_frame`` must reproduce bit for bit in each of its windows.
 - ``interpolate_each_client``: comb interpolation with two ``np.interp``
   calls per client, which ``csi.interpolate`` must reproduce bit for bit.
+- ``payload_frame_per_delay``: the payload event with one modulation call
+  per distinct delay, which ``ota._payload_frame`` must reproduce bit for
+  bit.
 - ``peak_spread`` and ``spread_of``: each client's correlation-peak offset
   in a composite signal, and their spread.
 - ``propagated_gap``: the ota - digital model gap of every round, from the
@@ -24,13 +27,17 @@ pipeline computes another way, or a diagnostic only a test reads.
 
 from __future__ import annotations
 
+import itertools
+
 import numpy as np
 
 from otafl import fl
 from otafl.accounting import SpectralProfile, digital_slots
-from otafl.grid import GridConfig, TimeSignal, detect_frame
+from otafl.grid import GridConfig, TimeSignal, detect_frame, ofdm_modulate_into
+from otafl.ota import PhyConfig, _Event
+from otafl.precode import compute_alpha
 from otafl.scenario import KEYMAP, Scenario
-from otafl.weightcodec import slot_plan
+from otafl.weightcodec import pack_payload, payload_symbols, rail_divisors, slot_plan
 
 
 def fedavg_digital(local_models: list[np.ndarray]) -> np.ndarray:
@@ -112,6 +119,58 @@ def interpolate_each_client(row: np.ndarray, masks: np.ndarray) -> np.ndarray:
         nodes, pilots = query[mask], row[mask]
         out[ue] = np.interp(query, nodes, pilots.real) + 1j * np.interp(query, nodes, pilots.imag)
     return out
+
+
+def payload_frame_per_delay(
+    ues: range,
+    phy: PhyConfig,
+    gains: np.ndarray,
+    offsets: np.ndarray,
+    deltas: list[np.ndarray],
+    scales: tuple[float, float],
+    divisor: np.ndarray,
+    chips: np.ndarray,
+    peaks: np.ndarray | None,
+) -> tuple[_Event, float, np.ndarray, np.ndarray]:
+    """The noise-free payload event of the clients in ``ues``, its alpha,
+    the precoded peaks and the per-subcarrier peaks, built one distinct
+    delay at a time: the clients are walked by delay, in ascending order,
+    and within a delay in ascending order, each packed into one of two
+    reused blocks and precoded by gain / divisor, the delay's blocks summed
+    into its first, and that sum modulated by its own call and added into
+    the buffer.  The sum is scaled by alpha once and the chips added after."""
+    run = slice(ues.start, ues.stop)
+    cfg = phy.grid
+    used = payload_symbols(deltas[0].size, cfg)
+    delays = offsets[run]
+    event = _Event(phy, ues, delays, slot_plan(deltas[0].size, cfg) * cfg.symbols_per_slot)
+    g = gains[run]
+    precode = g * (1.0 / divisor[run])  # reciprocal first: g / divisor rounds differently
+    deltas = deltas[run]
+    per_real = rail_divisors(scales, deltas[0].size)
+    fresh = peaks is None
+    if fresh:
+        peaks = np.empty(g.shape)
+    acc, scratch = np.empty((2, used, cfg.subcarriers), dtype=np.complex128)
+    symbols = np.empty((used, cfg.symbol_len), dtype=np.complex128)
+    delay_of = delays.tolist().__getitem__
+    for _, group in itertools.groupby(sorted(range(len(ues)), key=delay_of), key=delay_of):
+        group = list(group)
+        for k, i in enumerate(group):
+            row = pack_payload(deltas[i], per_real, scratch if k else acc)
+            if fresh:
+                np.max(np.abs(row), axis=0, out=peaks[i])
+            row *= precode[i]
+            if k:
+                acc += row
+        ofdm_modulate_into(acc, cfg, symbols)
+        event.add_body(group[0], symbols, used)
+    peaks.flags.writeable = False
+    alpha, largest = compute_alpha(peaks, divisor[run])
+    event.scale_bodies(alpha, used)  # every nonzero sample so far
+    for i, row in enumerate(chips[run]):
+        event.add_chips(i, row)
+    return event, alpha, largest, peaks
 
 
 def peak_spread(signal: TimeSignal, preambles: list[np.ndarray]) -> list[tuple[int, int]]:

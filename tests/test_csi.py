@@ -7,6 +7,7 @@ from otafl import ota
 from otafl.csi import (
     NMSE_FLOOR_DB,
     comb_layout,
+    energy,
     interpolate,
     ls_estimate,
     nmse,
@@ -233,11 +234,14 @@ def test_nmse_pools_over_all_elements():
 
 @pytest.mark.parametrize("size", [1, 2, 64, 10_001])
 def test_nmse_of_real_vectors_matches_the_complex_cast(size):
-    """Real inputs are not cast to complex, and the result keeps its bits."""
+    """Real inputs are not cast to complex, and the result keeps its bits,
+    also when the caller hands the truth's energy in."""
     rng = np.random.default_rng(size)
     t = rng.normal(size=size)
     e = t + 0.1 * rng.normal(size=size)
     assert nmse(e, t) == nmse(e.astype(complex), t.astype(complex))
+    assert nmse(e, t, energy(t)) == nmse(e, t)
+    assert energy(t) == float(np.sum(np.abs(t) ** 2))
     assert nmse(t, t) == NMSE_FLOOR_DB
 
 

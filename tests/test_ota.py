@@ -37,7 +37,7 @@ from otafl.weightcodec import (
     rail_peaks,
     scale_updates,
 )
-from oracles import gap_share, propagated_gap
+from oracles import gap_share, payload_frame_per_delay, propagated_gap
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -346,7 +346,8 @@ def test_single_client_frame_oracle():
         pilots = amp * grid.make_pilot_values(sub) * masks[ue] * gains[ue]
         packed = _packed(deltas[ue], scales)
         built, alpha, largest, _ = ota._payload_frame(one, phy, gains, delays, deltas,
-                                                      scales, divisor, signals[0], None)
+                                                      rail_divisors(scales, deltas[0].size),
+                                                      divisor, signals[0], None)
         payload = built.rx
         peak = np.max(np.abs(packed) / np.abs(divisor[ue]))
         assert largest.tolist() == [pytest.approx(peak, rel=1e-15)]
@@ -439,7 +440,8 @@ def test_superposed_frame_matches_superpose_of_single_frames(allocation, event, 
         if event == "sounding":
             signals = ota._sounding_signals(phy.grid, gains, masks)
             return ota._sounding_frame(ues, phy, delays, *signals).rx, 1.0
-        built, alpha, _, _ = ota._payload_frame(ues, phy, gains, delays, deltas, scales,
+        built, alpha, _, _ = ota._payload_frame(ues, phy, gains, delays, deltas,
+                                                rail_divisors(scales, deltas[0].size),
                                                 divisor, ota._preamble_chips(gains), None)
         return built.rx, alpha
 
@@ -512,14 +514,137 @@ def test_streamed_payload_frame_matches_the_block_path(num_ues, spread):
                                np.random.default_rng(num_ues).random(num_ues),
                                ORACLE_GRID.sample_rate)
     event, alpha, largest, _ = ota._payload_frame(range(num_ues), phy, gains, offsets, deltas,
-                                                  scales, divisor, ota._preamble_chips(gains),
-                                                  None)
+                                                  rail_divisors(scales, deltas[0].size),
+                                                  divisor, ota._preamble_chips(gains), None)
     got = event.rx
     want, want_alpha, want_largest = _block_path_frame(phy, gains, offsets,
                                                        deltas, scales, divisor)
     assert got.view(np.float64).tobytes() == want.view(np.float64).tobytes()
     assert alpha == want_alpha
     assert largest.tobytes() == want_largest.tobytes()
+
+
+def _payload_case(num_ues, params, layout, zero, seed=0):
+    """Inputs of one payload event on the default grid: updates (the last
+    all zero when ``zero``), gains, a floored estimate, the shared scales
+    and offsets that are all ``equal``, all ``distinct`` (``ptp_off`` at
+    spread 256) or ``mixed`` (``ptp_on``, whose five offsets some clients
+    share)."""
+    rng = np.random.default_rng(seed)
+    sub = GridConfig().subcarriers
+
+    def cn(*shape):
+        return rng.normal(size=shape) + 1j * rng.normal(size=shape)
+
+    deltas = list(rng.normal(size=(num_ues, params)))
+    if zero:
+        deltas[-1] = np.zeros(params)
+    sync = {"equal": SyncConfig(mode="ptp_on"), "mixed": SyncConfig(mode="ptp_on"),
+            "distinct": SyncConfig(mode="ptp_off", off_spread=256)}[layout]
+    phy = PhyConfig(sync=sync)
+    if layout == "equal":
+        offsets = np.full(num_ues, 3)
+    elif layout == "distinct":
+        offsets = rng.choice(257, size=num_ues, replace=False)
+    else:
+        offsets = draw_offsets(sync, rng.random(num_ues), phy.grid.sample_rate)
+        assert num_ues < 5 or 1 < len(np.unique(offsets)) < num_ues
+    scales = peak_scales(rail_peaks(deltas))
+    return phy, cn(num_ues, sub), offsets, deltas, scales, cn(num_ues, sub)
+
+
+PAYLOAD_CASES = [(m, p, layout, zero) for m in (1, 5, 20) for p in (1, 64, 513, 7_169)
+                 for layout in ("equal", "distinct", "mixed") for zero in (False, True)
+                 if m > 1 or not zero]
+
+
+@pytest.mark.parametrize("num_ues,params,layout,zero", PAYLOAD_CASES)
+def test_grouped_payload_frame_matches_one_modulation_per_delay(num_ues, params, layout, zero):
+    """Modulating every delay's summed blocks in one call gives the bits of
+    one call per delay (``oracles.payload_frame_per_delay``): the receive
+    buffer, alpha, the precoded peaks and the per-subcarrier peaks, whether
+    the call reads the peaks or is given them.  One, 64, 513 and 7 169
+    parameters fill part of one symbol, one symbol and a real, and one
+    slot and a real; an all-zero update sends signed zeros."""
+    phy, gains, offsets, deltas, scales, divisor = _payload_case(num_ues, params, layout, zero,
+                                                                 seed=num_ues * params)
+    chips = ota._preamble_chips(gains)
+    want, want_alpha, want_largest, want_peaks = payload_frame_per_delay(
+        range(num_ues), phy, gains, offsets, deltas, scales, divisor, chips, None)
+    per_real = rail_divisors(scales, params)
+    for given in (None, want_peaks):
+        got, alpha, largest, peaks = ota._payload_frame(range(num_ues), phy, gains, offsets,
+                                                        deltas, per_real, divisor, chips, given)
+        assert got.rx.view(np.float64).tobytes() == want.rx.view(np.float64).tobytes()
+        assert alpha == want_alpha
+        assert largest.tobytes() == want_largest.tobytes()
+        assert peaks.tobytes() == want_peaks.tobytes() and not peaks.flags.writeable
+
+
+def test_five_distinct_delays_take_one_payload_modulation(monkeypatch):
+    """At 64 parameters and five clients on five distinct delays, the
+    payload is one ``ofdm_modulate_into`` call of five rows, one symbol per
+    delay, after the sounding call of the five pilot rows."""
+    rows, drawn = [], []
+    modulate, draw = ota.ofdm_modulate_into, ota.draw_offsets
+
+    def counting(symbols, cfg, out):
+        rows.append(len(symbols))
+        modulate(symbols, cfg, out)
+
+    def recording(*args, **kwargs):
+        drawn.append(draw(*args, **kwargs))
+        return drawn[-1]
+
+    monkeypatch.setattr(ota, "ofdm_modulate_into", counting)
+    monkeypatch.setattr(ota, "draw_offsets", recording)
+    phy = PhyConfig(channel=ChannelModel("flat_block"),
+                    sync=SyncConfig(mode="ptp_off", off_spread=256), uplink_snr_db=30.0)
+    report = ota_aggregate(_random_deltas(5, 64, seed=2), phy, master_seed=2)
+    assert not report.aborted
+    (offsets,) = drawn
+    assert len(np.unique(offsets)) == 5
+    assert rows == [5, 5]
+
+
+def test_payload_frame_arrays_stay_within_the_stated_bound(monkeypatch):
+    """At 60 clients of 71 666 parameters (140 payload symbols) on the five
+    PTP delays, no array the payload frame holds while it packs or
+    modulates, besides the event's buffer, exceeds the bound its docstring
+    states: one client's block of symbols or ``_MODULATE_ROWS`` symbols,
+    whichever is larger.  Taking every delay in one call would hold five."""
+    num_ues, params = 60, 71_666
+    phy, gains, offsets, deltas, scales, divisor = _payload_case(num_ues, params, "mixed",
+                                                                 False)
+    assert len(np.unique(offsets)) == 5
+    cfg = phy.grid
+    used = ota.payload_symbols(params, cfg)
+    bound = max(used, ota._MODULATE_ROWS) * cfg.symbol_len * np.dtype(np.complex128).itemsize
+    numpy_only = [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)]
+    snapshots = []
+    modulate, pack = ota.ofdm_modulate_into, ota.pack_payload
+
+    def modulating(*args):
+        snapshots.append(tracemalloc.take_snapshot().filter_traces(numpy_only))
+        modulate(*args)
+
+    def packing(*args):
+        snapshots.append(tracemalloc.take_snapshot().filter_traces(numpy_only))
+        return pack(*args)
+
+    monkeypatch.setattr(ota, "ofdm_modulate_into", modulating)
+    monkeypatch.setattr(ota, "pack_payload", packing)
+    chips = ota._preamble_chips(gains)
+    per_real = rail_divisors(scales, params)
+    tracemalloc.start()
+    try:
+        event, _, _, _ = ota._payload_frame(range(num_ues), phy, gains, offsets, deltas,
+                                            per_real, divisor, chips, None)
+    finally:
+        tracemalloc.stop()
+    assert len(snapshots) == num_ues + 5
+    held = [t.size for snap in snapshots for t in snap.traces if t.size != event.rx.nbytes]
+    assert held and max(held) <= bound
 
 
 @pytest.mark.parametrize("snr_db", [20.0, -5.0])
@@ -541,7 +666,8 @@ def test_receive_adds_noise_in_place(snr_db):
     region = phy.preamble_region_len(3)
     for symbols in (3, 4, 5):
         event, _, _, _ = ota._payload_frame(range(3), phy, gains, offsets, deltas,
-                                            scales, divisor, ota._preamble_chips(gains), None)
+                                            rail_divisors(scales, deltas[0].size), divisor,
+                                            ota._preamble_chips(gains), None)
         rx = event.rx
         assert rx.size == bound + region + cfg.symbols_per_slot * cfg.symbol_len
         n = min(rx.size, bound + region + symbols * cfg.symbol_len)
@@ -754,9 +880,9 @@ def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
         reads.append(block.copy())
         return block
 
-    def flooring(estimate, floor_rel):
+    def flooring(estimate, floor_rel, **kwargs):
         floored.append(estimate.copy())
-        return floor(estimate, floor_rel)
+        return floor(estimate, floor_rel, **kwargs)
 
     monkeypatch.setattr(ota._Event, "read", reading)
     monkeypatch.setattr(ota, "inversion_floor", flooring)

@@ -179,11 +179,16 @@ def _estimate_rows(num, width=256, seed=0):
 @pytest.mark.parametrize("floor_rel", [0.15, 0.8])
 def test_floor_and_divisor_rows_match_per_row_calls(num_ues, floor_rel):
     """Per-row medians and divisors equal one call per row, and the
-    divisor equals the clamp written out with a scalar floor."""
+    divisor equals the clamp written out with a scalar floor.  Handing both
+    the estimate's magnitude, read once, gives the same bits."""
     est = _estimate_rows(num_ues, seed=num_ues)
     floors = inversion_floor(est, floor_rel)
     divisor = inversion_divisor(est, floors)
     assert floors.shape == (num_ues,) and divisor.shape == est.shape
+    magnitude = np.abs(est)
+    assert inversion_floor(est, floor_rel, magnitude=magnitude).tobytes() == floors.tobytes()
+    np.testing.assert_array_equal(_bits(inversion_divisor(est, floors, magnitude=magnitude)),
+                                  _bits(divisor))
     for ue, h in enumerate(est):
         floor = inversion_floor(h, floor_rel)
         assert np.float64(floor).view(np.uint64) == floors[ue].view(np.uint64)
