@@ -125,7 +125,9 @@ def _held_interp(layout: CombLayout, values: np.ndarray) -> np.ndarray:
 
 def energy(values: np.ndarray) -> float:
     """sum|values|^2, the denominator of :func:`nmse`."""
-    return float(np.sum(np.abs(values) ** 2))
+    power = np.abs(values)
+    power *= power
+    return float(power.sum())
 
 
 def nmse(estimate: np.ndarray, truth: np.ndarray, truth_energy: float | None = None) -> float:
@@ -144,7 +146,7 @@ def nmse(estimate: np.ndarray, truth: np.ndarray, truth_energy: float | None = N
     denom = energy(t) if truth_energy is None else truth_energy
     if denom == 0.0:
         raise ValueError("truth has zero energy; NMSE undefined")
-    ratio = float(np.sum(np.abs(e - t) ** 2)) / denom
+    ratio = energy(e - t) / denom
     if ratio <= 1e-30:
         return NMSE_FLOOR_DB
     return max(10.0 * np.log10(ratio), NMSE_FLOOR_DB)

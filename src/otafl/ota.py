@@ -456,14 +456,14 @@ def _payload_frame(
     are read from its packed block unless ``peaks`` holds them, and it is
     precoded by gain / divisor.  A delay's first client is packed straight
     into the delay's sum, and each later one into one reused block and
-    added to the sum.  Modulation is linear, so
-    each distinct delay (at most ``offset_bound + 1`` under PTP) is
-    modulated once, as one row block of a call that takes as many whole
-    delays as fit in ``_MODULATE_ROWS`` symbols, and at least one; each
-    delay's symbols are then added into the buffer, in ascending delay
-    order.  Besides the event's buffer, no array it allocates holds more
-    than one client's block of symbols or ``_MODULATE_ROWS`` symbols,
-    whichever is larger, however many clients and delays there are.
+    added to the sum.  Modulation is linear, so each distinct delay (at
+    most ``offset_bound + 1`` under PTP) is modulated once, as one row
+    block of a call that takes as many whole delays as fit in
+    ``_MODULATE_ROWS`` symbols, and at least one; each delay's symbols are
+    then added into the buffer, in ascending delay order.  Besides the
+    event's buffer, no array it allocates holds more than one client's
+    block of symbols or ``_MODULATE_ROWS`` symbols, whichever is larger,
+    however many clients and delays there are.
     alpha is common to every client and the air sum is linear, so the
     summed payload is scaled by alpha once, in place; the preamble chips,
     which are not power-controlled, are added after that, since a late
@@ -486,8 +486,7 @@ def _payload_frame(
               itertools.groupby(sorted(range(len(ues)), key=delay_of), key=delay_of)]
     per_call = min(len(groups), max(1, _MODULATE_ROWS // used))
     sums = np.empty((per_call, used, cfg.subcarriers), dtype=np.complex128)
-    if len(groups) < len(ues):  # some delay has a second client
-        scratch = np.empty((used, cfg.subcarriers), dtype=np.complex128)
+    scratch = np.empty((used, cfg.subcarriers), dtype=np.complex128)
     symbols = np.empty((per_call, used, cfg.symbol_len), dtype=np.complex128)
     for first in range(0, len(groups), per_call):
         part = groups[first:first + per_call]
@@ -792,7 +791,8 @@ def ota_aggregate(
         events = []
         for ues in groups:
             events.append(_sounding_frame(ues, phy, offsets, chips, pilots))
-            s_offsets[ues], s_metrics[ues] = events[-1].receive(noise, cfg.symbols_per_slot)
+            run = slice(ues.start, ues.stop)
+            s_offsets[run], s_metrics[run] = events[-1].receive(noise, cfg.symbols_per_slot)
         if not (s_metrics >= DETECT_THRESHOLD).all():  # a NaN metric fails too
             # every client did send its preamble and pilots at the reference power
             return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
@@ -801,9 +801,12 @@ def ota_aggregate(
         # Every event is read at the earliest client's timing, so the
         # estimates absorb each client's residual offset as a phase ramp.
         # One pilot row per event: the comb's single row holds every
-        # client's pilots, the full band's rows one client each.
-        rows = np.stack([event.read(s_offsets, cfg.symbols_per_slot).mean(axis=0)
-                         for event in events])
+        # client's pilots, the full band's rows one client each.  Each row is
+        # the mean of its slot's symbols: their sum over the symbol count.
+        rows = np.empty((len(events), cfg.subcarriers), dtype=np.complex128)
+        for row, event in zip(rows, events):
+            np.add.reduce(event.read(s_offsets, cfg.symbols_per_slot), axis=0, out=row)
+        rows /= cfg.symbols_per_slot
         del events  # free the sounding buffers before the payload event
         estimate = ls_estimate(rows, _REFERENCE_AMPLITUDE * _pilot_values(cfg.subcarriers))
         # Full-band rows already hold a gain on every subcarrier; only the

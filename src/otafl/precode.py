@@ -52,13 +52,14 @@ def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray, *,
     result is the estimate's own array, so callers must not write to it.
     """
     floor = np.asarray(floor, dtype=np.float64)[..., np.newaxis]
-    if not (floor >= 0).all():
-        raise ValueError("floor must be >= 0")
     h = estimate
     mag = np.abs(h) if magnitude is None else magnitude
-    unfloored = floor == 0
-    if unfloored.any() and ((mag == 0) & unfloored).any():
-        raise ValueError("zero channel estimate cannot be inverted without a floor")
+    positive = floor > 0
+    if not positive.all():
+        if not (floor >= 0).all():
+            raise ValueError("floor must be >= 0")
+        if ((mag == 0) & ~positive).any():
+            raise ValueError("zero channel estimate cannot be inverted without a floor")
     weak = mag < floor
     if not weak.any():
         return h
