@@ -6,16 +6,17 @@ The analog scheme sends all updates simultaneously; its slot bill is set by
 the parameter count alone (2 reals per resource element).
 
 Energy is modeled per round as E = c * e + S * e, where e is the energy of
-one 1 ms slot at the configured transmit power, c a fixed per-round overhead
+one slot at the configured transmit power: the power times the grid's slot
+airtime, ``GridConfig.slot_duration_s`` (0.99167 ms on the default grid, half
+that at twice the subcarrier spacing).  c is a fixed per-round overhead
 in slot-energy units (control signaling, synchronization, measurement) and S
 every slot any client sent: M times the shared analog slots, or the sum of
 the digital uploads.  The default c = 94/3 is calibrated so that the
 two-client energy ratio of the reference configuration (87 digital slots per
 client versus 10 shared analog slots) comes out at exactly 4.0; the same
 constant then yields about 7.66 at twenty clients and an asymptote of 8.7.
-A slot bill or round energy past float range raises ValueError.  Every slot
-is billed ``SLOT_DURATION_S`` = 1 ms whatever the grid: a 30 kHz slot lasts
-half as long as a 15 kHz one, yet costs the same joules.
+The slot energy cancels out of every such ratio.  A slot bill or round
+energy past float range raises ValueError.
 """
 
 from __future__ import annotations
@@ -32,7 +33,6 @@ from .weightcodec import slot_plan
 # 256-QAM at coding rate 0.92 ~ 8 * 0.92575.
 DEFAULT_SPECTRAL_EFFICIENCY = 7.4063
 DEFAULT_FIXED_OVERHEAD = 94.0 / 3.0
-SLOT_DURATION_S = 1e-3  # one 14-symbol slot at 15 kHz subcarrier spacing
 DIGITAL_BITS = {"digital_fp32": 32}  # upload bits per parameter
 
 
@@ -57,14 +57,16 @@ class SpectralProfile:
 
 @dataclass(frozen=True)
 class EnergyModel:
-    """Transmit power and the fixed per-round overhead c."""
+    """Transmit power and the fixed per-round overhead c.  A power whose
+    energy over a slot of the default grid, the one ``otafl accounting``
+    bills, is zero or past float range is rejected."""
 
     tx_power_dbm: float = 20.0
     fixed_overhead: float = DEFAULT_FIXED_OVERHEAD
 
     def __post_init__(self):
         try:
-            energy = self.slot_energy_j
+            energy = self.slot_energy_j(GridConfig())
         except OverflowError:
             energy = math.inf
         if not 0 < energy < math.inf:
@@ -73,10 +75,10 @@ class EnergyModel:
             raise FieldError("fixed_overhead",
                              f"must be >= 0 and finite, got {self.fixed_overhead!r}")
 
-    @property
-    def slot_energy_j(self) -> float:
-        """Energy of one transmitted slot in joules."""
-        return 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0) * SLOT_DURATION_S
+    def slot_energy_j(self, grid: GridConfig) -> float:
+        """Energy of one transmitted slot of ``grid`` in joules: the transmit
+        power over the slot's airtime, ``grid.slot_duration_s``."""
+        return 10.0 ** ((self.tx_power_dbm - 30.0) / 10.0) * grid.slot_duration_s
 
 
 def digital_slots_raw(param_count: int, bits_per_param: int, efficiency: float,
@@ -107,11 +109,13 @@ def digital_slots(param_count: int, bits_per_param: int, profile: SpectralProfil
     return total
 
 
-def round_energy(sent_slots: int, model: EnergyModel = EnergyModel()) -> float:
-    """Joules per round: fixed overhead plus every slot any client sent."""
+def round_energy(sent_slots: int, model: EnergyModel = EnergyModel(),
+                 grid: GridConfig = GridConfig()) -> float:
+    """Joules per round: fixed overhead plus every slot any client sent,
+    each a slot of ``grid``."""
     if sent_slots < 1:
         raise ValueError("sent_slots must be >= 1")
-    e = model.slot_energy_j
+    e = model.slot_energy_j(grid)
     energy = model.fixed_overhead * e + sent_slots * e
     if energy == math.inf:
         raise FieldError("tx_power_dbm", f"{model.tx_power_dbm!r} and fixed_overhead "
@@ -123,8 +127,9 @@ def round_bill(mode: str, num_ues: int, param_count: int, grid: GridConfig,
                model: EnergyModel, profile: SpectralProfile | None = None) -> tuple[int, float]:
     """(slots, joules) of one round: ``slot_plan``'s shared slots, sent by
     every client, for ``ota``; each client's upload in turn at ``profile``'s
-    (by default the reference) efficiencies for a digital mode.  Past float
-    range it raises a FieldError for ``profile.efficiencies`` or ``energy.tx_power_dbm``."""
+    (by default the reference) efficiencies for a digital mode.  Each slot is
+    one of ``grid``, billed at its airtime.  Past float range it raises a
+    FieldError for ``profile.efficiencies`` or ``energy.tx_power_dbm``."""
     profile = profile or SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, num_ues)
     if mode == "ota":
         slots = slot_plan(param_count, grid)
@@ -136,7 +141,7 @@ def round_bill(mode: str, num_ues: int, param_count: int, grid: GridConfig,
         except ValueError as exc:
             raise FieldError("profile.efficiencies", str(exc)) from None
     try:  # S: every client sends the shared slots at once, or its own upload
-        return slots, round_energy(num_ues * slots if mode == "ota" else slots, model)
+        return slots, round_energy(num_ues * slots if mode == "ota" else slots, model, grid)
     except FieldError as exc:
         raise FieldError(f"energy.{exc.field}", exc.reason) from None
 
@@ -175,7 +180,8 @@ def gains_table(
     efficiency: float = DEFAULT_SPECTRAL_EFFICIENCY,
     model: EnergyModel = EnergyModel(),
 ) -> list[dict]:
-    """Rows of (M, mode, slots, gain, energy_j) over a range of client counts."""
+    """Rows of (M, mode, slots, gain, energy_j) over a range of client
+    counts, billed on the default grid."""
     rows = []
     per_ue = math.ceil(digital_slots_raw(param_count, bits_per_param, efficiency))
     shared = slot_plan(param_count, GridConfig())

@@ -78,6 +78,12 @@ class GridConfig:
         return self.symbols_per_slot * self.symbol_len
 
     @property
+    def slot_duration_s(self) -> float:
+        """Airtime of one slot in seconds, ``slot_len / sample_rate``:
+        0.99167 ms for the defaults, 14 x (256 + 16) samples at 3.84 MS/s."""
+        return self.slot_len / self.sample_rate
+
+    @property
     def res_per_slot(self) -> int:
         """Resource elements per slot (symbols x subcarriers)."""
         return self.symbols_per_slot * self.subcarriers

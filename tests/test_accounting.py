@@ -11,7 +11,6 @@ import pytest
 from otafl.accounting import (
     DEFAULT_FIXED_OVERHEAD,
     DEFAULT_SPECTRAL_EFFICIENCY,
-    SLOT_DURATION_S,
     EnergyModel,
     SpectralProfile,
     digital_slots,
@@ -158,16 +157,30 @@ def test_a_round_bill_names_the_part_and_field_it_cannot_bill():
 
 
 def test_slot_energy_at_reference_power():
-    # 20 dBm = 0.1 W over 1 ms = 1e-4 J
-    assert EnergyModel().slot_energy_j == pytest.approx(1e-4, rel=1e-12)
-    assert EnergyModel(tx_power_dbm=30.0).slot_energy_j == pytest.approx(1e-3, rel=1e-12)
-    assert SLOT_DURATION_S == 1e-3  # one slot at 15 kHz spacing
+    # 20 dBm = 0.1 W over one default slot, 14 x 272 samples at 3.84 MS/s
+    assert FMT.slot_duration_s == 3808 / 3.84e6
+    assert EnergyModel().slot_energy_j(FMT) == pytest.approx(0.1 * 3808 / 3.84e6, rel=1e-12)
+    assert EnergyModel(tx_power_dbm=30.0).slot_energy_j(FMT) == pytest.approx(
+        3808 / 3.84e6, rel=1e-12)
     assert [f.name for f in dataclasses.fields(EnergyModel)] == ["tx_power_dbm", "fixed_overhead"]
+
+
+def test_a_30_khz_grid_bills_half_the_joules_of_a_15_khz_grid():
+    """A slot at twice the subcarrier spacing lasts half as long, so equal
+    slots cost half the joules; the slot counts, and the energy gain, do
+    not move."""
+    wide = dataclasses.replace(FMT, subcarrier_spacing=30e3)
+    assert wide.slot_duration_s == FMT.slot_duration_s / 2
+    model = EnergyModel()
+    for mode in ("ota", "digital_fp32"):
+        slots, joules = round_bill(mode, 2, P, FMT, model)
+        assert round_bill(mode, 2, P, wide, model) == (slots, joules / 2)
+    assert round_energy(50, model, wide) == round_energy(50, model, FMT) / 2
 
 
 def test_round_energy_formula():
     model = EnergyModel(fixed_overhead=10.0)
-    e = model.slot_energy_j
+    e = model.slot_energy_j(FMT)
     assert round_energy(3 * 87, model) == pytest.approx((10 + 3 * 87) * e, rel=1e-12)
     profile = SpectralProfile.uniform(DEFAULT_SPECTRAL_EFFICIENCY, 3)
     assert round_bill("digital_fp32", 3, P, FMT, model, profile) == (3 * 87, 10 * e + 3 * 87 * e)

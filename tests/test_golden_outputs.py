@@ -33,9 +33,9 @@ SCENARIOS = Path(__file__).resolve().parent.parent / "scenarios"
 
 CLI_DIGESTS = {
     ("run", "baseline.cfg", ()):
-        "1bc95656e979c512157edc4c5d6f49775cb1ecf7c2c07be94d2aa1235cec4f0b",
+        "3c6acb8daab3b5fbaabfa0a42ae6ee238c4249ed2fb9a5cfdbd44e40aa0fe0ab",
     ("run", "digital_baseline.cfg", ()):
-        "1372e0706855cd7490e582a9f0cc18136f372ce0210428e55e28c6d28aea0ca6",
+        "9554bf81f070c5fb3fdd050b9f8bcf1f7d828c85ef742ed7d689b712b93a58f1",
     ("sync-sweep", "sync_stress.cfg", ("--spreads", "256,64,16,4,0", "--seeds", "5")):
         "56714f5b0b9e0484a1d129da7f6a357cd3d823b0e703280821d69438cd729278",
 }

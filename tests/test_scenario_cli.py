@@ -321,8 +321,9 @@ def test_build_train_and_energy_model():
     sc = parse("train.learning_rate = 0.02\ntrain.epochs = 3\nlink.tx_power_dbm = 23")
     train = build(sc).train
     assert train.learning_rate == 0.02 and train.epochs == 3
-    model = build(sc).energy
-    assert model.slot_energy_j == pytest.approx(10 ** ((23 - 30) / 10) * 1e-3)
+    parts = build(sc)
+    assert parts.energy.slot_energy_j(parts.phy.grid) == pytest.approx(
+        10 ** ((23 - 30) / 10) * 3808 / 3.84e6)
 
 
 def test_run_scenario_smoke():
