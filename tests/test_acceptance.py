@@ -335,7 +335,11 @@ def test_criterion_8_determinism(tmp_path):
     here = tmp_path / "in_process.csv"
     assert main([*argv, str(here)]) == 0
     # A fresh interpreter starts with cold reference-signal caches, its own
-    # hash seed and one BLAS thread.
+    # hash seed and one BLAS thread.  At 32 samples x 24 features no product
+    # reaches OpenBLAS's threading threshold, so both sides run one thread
+    # whatever this process is set to, and this checks no thread count:
+    # test_fl.py::test_training_bits_do_not_depend_on_the_blas_thread_count
+    # is the check that covers thread counts.
     fresh = tmp_path / "fresh_interpreter.csv"
     env = {k: v for k, v in os.environ.items() if k != "PYTHONHASHSEED"}
     src = str(Path(otafl.__file__).resolve().parents[1])
