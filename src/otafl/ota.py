@@ -57,7 +57,10 @@ One uplink round, as simulated here:
     normal, each sync uniform and each client's peaks once, and every
     spread gets the bits an aggregation without a share gives it.
     The receiver finds each client's preamble in that client's own search
-    window, every window of an event in one detection pass, demodulates
+    window, every window of a receive stage in one detection pass, after
+    the stage's last event is noised: the comb sounding event and the
+    payload event are one stage each, and the full-band sounding events
+    one stage together.  It then demodulates
     the parameter symbols in one call at the earliest client's timing,
     descales them by M * alpha and, through the codec, by the shared peak
     scales, and applies the recovered average update.
@@ -309,25 +312,30 @@ class _Event:
     symbols long, at ``delays[i] + region``, so a late client's chips can run
     past the region into the bodies.  The buffer spans the latest body.
 
-    :meth:`receive` adds the receiver noise in place.  It pins
+    :meth:`add_noise` adds the receiver noise in place.  It pins
     ``phy.uplink_snr_db`` to the mean power of the noise-free superposition
     after the preamble region -- the pilot slot of a sounding event, the
     payload of a data event.  Pegging to the whole event would let the
     strong constant-amplitude preamble dominate the reference power, so a
     payload attenuated by power control would see a far worse SNR than the
-    knob claims.  Noise goes only where a read can land: the buffer's first
-    ``bound + region + symbols * symbol_len`` samples, ``bound`` being the
-    ``offset_bound`` of ``phy.sync`` at the grid's sample rate, read once
-    when the event is built.  They hold every search window and the latest
-    window the read rule can pick.  The noise is the round noise stream's
+    knob claims.  A read of ``symbols`` symbols covers every nonzero body
+    symbol, and a slot is no shorter than a preamble, so past the preamble
+    region only the first ``max(delays) + symbols * symbol_len`` samples
+    can be nonzero: only those are read for that power, and the rest count
+    as the zeros they are.  Noise goes only where a read can land: the
+    buffer's first ``bound + region + symbols * symbol_len`` samples,
+    ``bound`` being the ``offset_bound`` of ``phy.sync`` at the grid's
+    sample rate, read once when the event is built.  They hold every search
+    window and the latest window the read rule can pick.  The noise is the round noise stream's
     next normal draws, twice that many, read as (real, imaginary) pairs; a
     sounding event is noised whole.  A client arrives at most ``bound``
     samples late, so its preamble is searched for only within ``bound +
     PREAMBLE_LEN`` samples from its slot's start, ``i * slot``: the argmax in
     that window is its arrival offset.  Past the cyclic prefix the windows
-    overlap.  One :func:`detect_frame` pass
-    searches every window of the event, as one bounds-checked view of the
-    buffer with one correlation per window, and each client gets the bits a
+    overlap.  :meth:`search_prefix` is the bounds-checked view of the
+    buffer that holds every window, and :func:`_detect` searches the
+    windows of every event of a receive stage in one :func:`detect_frame`
+    pass, with one correlation per window; each client gets the bits a
     search of its window alone gets.
 
     :meth:`read` demodulates, in one call, the first ``n`` body symbols at
@@ -359,30 +367,65 @@ class _Event:
         end = max(self.delays) + self.region + n * self.phy.grid.symbol_len
         self.rx[self.region:end] *= factor  # the first n symbols of every body
 
-    def receive(self, noise: np.random.Generator, symbols: int) -> tuple[np.ndarray, np.ndarray]:
-        """Noise the buffer in place for a read of ``symbols`` symbols, and
-        detect every client's preamble: offsets and metrics in ``ues`` order."""
-        cfg, bound = self.phy.grid, self.bound
-        if self.phy.uplink_snr_db is not None:
-            info = self.rx[self.region:]
-            power = np.abs(info)
-            power *= power
-            variance = float(power.sum()) / info.size / 10.0 ** (self.phy.uplink_snr_db / 10.0)
-            noised = self.rx[:bound + self.region + symbols * cfg.symbol_len]
-            samples = noise.standard_normal(2 * noised.size)  # a share lends a read-only view
-            samples = np.multiply(samples, np.sqrt(variance / 2.0),
-                                  out=samples if samples.flags.writeable else None)
-            noised += samples.view(np.complex128)
-        end = (len(self.ues) - 1) * self.slot + bound + PREAMBLE_LEN
-        windows = np.ndarray(end, dtype=self.rx.dtype, buffer=self.rx)  # raises past the buffer
-        return detect_frame(TimeSignal(windows, cfg.sample_rate),
-                            _preamble_bank()[self.ues.start:self.ues.stop], self.slot)
+    def add_noise(self, noise: np.random.Generator, symbols: int) -> None:
+        """Noise the buffer in place for a read of ``symbols`` symbols."""
+        if self.phy.uplink_snr_db is None:
+            return
+        cfg = self.phy.grid
+        # |0| = 0: zero-filling the samples no body reaches yet leaves the
+        # pairwise sum the same array, without taking their |x|.
+        power = np.zeros(self.rx.size - self.region)
+        written = power[:max(self.delays) + symbols * cfg.symbol_len]
+        np.abs(self.rx[self.region:self.region + written.size], out=written)
+        written *= written
+        variance = float(power.sum()) / power.size / 10.0 ** (self.phy.uplink_snr_db / 10.0)
+        noised = self.rx[:self.bound + self.region + symbols * cfg.symbol_len]
+        samples = noise.standard_normal(2 * noised.size)  # a share lends a read-only view
+        samples = np.multiply(samples, np.sqrt(variance / 2.0),
+                              out=samples if samples.flags.writeable else None)
+        noised += samples.view(np.complex128)
+
+    def search_prefix(self) -> np.ndarray:
+        """The buffer's first samples that hold every search window, as a
+        view; a prefix longer than the buffer raises."""
+        end = (len(self.ues) - 1) * self.slot + self.bound + PREAMBLE_LEN
+        return np.ndarray(end, dtype=self.rx.dtype, buffer=self.rx)
 
     def read(self, offsets: np.ndarray, n: int) -> np.ndarray:
         """The first ``n`` body symbols, read at the earliest of ``offsets``."""
         cfg = self.phy.grid
         start = min(int(offsets.min()) + self.region, self.rx.size - self.body_len)
         return ofdm_demodulate(TimeSignal(self.rx, cfg.sample_rate), cfg, start, n)
+
+
+def _detect(events: list[_Event]) -> tuple[np.ndarray, np.ndarray]:
+    """Every client's preamble offset and metric in a receive stage, in
+    client order, from one :func:`detect_frame` pass over its ``events``.
+
+    The events carry consecutive clients.  One event is searched as its
+    :meth:`_Event.search_prefix` view, one window per client.  Several
+    events carry one client each (the full-band sounding stage): each
+    event's prefix is copied into one row of a block, which is searched
+    with a stride of one row.  Every window gets the bits a search of it
+    alone gets.
+    """
+    first = events[0]
+    preambles = _preamble_bank()[first.ues.start:events[-1].ues.stop]
+    if len(events) == 1:
+        samples, stride = first.search_prefix(), first.slot
+    else:
+        block = np.stack([event.search_prefix() for event in events])  # equal rows or raise
+        samples, stride = block.reshape(-1), block.shape[1]
+    return detect_frame(TimeSignal(samples, first.phy.grid.sample_rate), preambles, stride)
+
+
+def _receive(events: list[_Event], noise: np.random.Generator,
+             symbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Noise a receive stage's events in order, each for a read of
+    ``symbols`` symbols, then detect every client of the stage at once."""
+    for event in events:
+        event.add_noise(noise, symbols)
+    return _detect(events)
 
 
 def _sounding_signals(cfg: GridConfig, gains: np.ndarray,
@@ -435,12 +478,15 @@ def _payload_frame(
     divisor: np.ndarray,
     chips: np.ndarray,
     peaks: np.ndarray | None,
+    *,
+    magnitude: np.ndarray | None = None,
 ) -> tuple[_Event, float, np.ndarray, np.ndarray]:
     """Noise-free payload event, with the shared power-control factor alpha
     and each client's precoded peak, as :func:`compute_alpha` returns them,
     and the per-subcarrier peaks of every packed update, read-only, one row
     per client of ``ues``.  ``peaks`` holds those rows when an earlier call
-    has read them, and is ``None`` otherwise.
+    has read them, and is ``None`` otherwise.  ``magnitude``, when given, is
+    ``np.abs(divisor)``, which alpha then reads instead of taking it again.
 
     Each client's body, whole payload slots long, is the update
     ``deltas[ue]`` divided in one contiguous pass by ``per_real``, the
@@ -504,7 +550,8 @@ def _payload_frame(
         for body, group in zip(symbols, part):
             event.add_body(group[0], body, used)
     peaks.flags.writeable = False
-    alpha, largest = compute_alpha(peaks, divisor[run])
+    alpha, largest = compute_alpha(
+        peaks, divisor[run], magnitude=None if magnitude is None else magnitude[run])
     event.scale_bodies(alpha, used)  # every nonzero sample so far
     for i, row in enumerate(chips[run]):
         event.add_chips(i, row)
@@ -705,7 +752,7 @@ class RoundShare:
 
 
 class _StreamReader:
-    """Stands in for a round's noise generator in :meth:`_Event.receive`,
+    """Stands in for a round's noise generator in :meth:`_Event.add_noise`,
     reading a share's noise stream from its start: each draw is a read-only
     view of the next kept normals, which the receiver scales into a new
     array in one pass."""
@@ -786,13 +833,8 @@ def ota_aggregate(
             groups = [range(num_ues)]
         else:
             groups = [range(ue, ue + 1) for ue in range(num_ues)]
-        s_offsets = np.zeros(num_ues, dtype=np.int64)
-        s_metrics = np.zeros(num_ues)
-        events = []
-        for ues in groups:
-            events.append(_sounding_frame(ues, phy, offsets, chips, pilots))
-            run = slice(ues.start, ues.stop)
-            s_offsets[run], s_metrics[run] = events[-1].receive(noise, cfg.symbols_per_slot)
+        events = [_sounding_frame(ues, phy, offsets, chips, pilots) for ues in groups]
+        s_offsets, s_metrics = _receive(events, noise, cfg.symbols_per_slot)
         if not (s_metrics >= DETECT_THRESHOLD).all():  # a NaN metric fails too
             # every client did send its preamble and pilots at the reference power
             return _report(np.zeros(param_count), 0.0, s_offsets, s_metrics,
@@ -825,13 +867,13 @@ def ota_aggregate(
                 magnitude=magnitude)
             event, alpha, largest, share.peaks = _payload_frame(
                 range(num_ues), phy, gains, offsets, deltas, share.per_real, divisor, chips,
-                share.peaks)
+                share.peaks, magnitude=magnitude if divisor is estimate else None)
     except ValueError as exc:
         raise ValueError(f"round {round_index}: phy.floor_rel = {phy.floor_rel!r} leaves "
                          f"no usable precoded payload: {exc}") from None
     max_re_power = np.maximum((alpha * largest) ** 2, _REFERENCE_AMPLITUDE**2)
     used = payload_symbols(param_count, cfg)
-    p_offsets, p_metrics = event.receive(noise, used)
+    p_offsets, p_metrics = _receive([event], noise, used)
     if not (p_metrics >= DETECT_THRESHOLD).all():
         return _report(np.zeros(param_count), 0.0, p_offsets, p_metrics, max_re_power,
                        "payload detection failed")

@@ -86,14 +86,16 @@ def channel_invert(
     return block / divisor
 
 
-def compute_alpha(peaks: np.ndarray, divisor: np.ndarray) -> tuple[float, np.ndarray]:
+def compute_alpha(peaks: np.ndarray, divisor: np.ndarray, *,
+                  magnitude: np.ndarray | None = None) -> tuple[float, np.ndarray]:
     """Largest shared scaling every UE can transmit within ``PEAK_POWER``,
     and each UE's precoded peak magnitude.
 
     ``peaks`` holds one row per UE: the per-subcarrier peaks of its payload
     block, max |x| over its symbols.  ``divisor`` holds one floored estimate
-    row per UE, as :func:`inversion_divisor` returns it.  A UE's precoded
-    peak is its largest peak / |d|, so no block is divided.  alpha is common
+    row per UE, as :func:`inversion_divisor` returns it, and ``magnitude``,
+    when given, is ``np.abs(divisor)``.  A UE's precoded peak is its
+    largest peak / |d|, so no block is divided.  alpha is common
     to every UE, so a caller may scale the superposed payload by it once
     instead of scaling each UE's block.
 
@@ -109,7 +111,7 @@ def compute_alpha(peaks: np.ndarray, divisor: np.ndarray) -> tuple[float, np.nda
                          f"(UEs, subcarriers) shape, not {np.shape(divisor)}")
     if peaks.shape[0] == 0:
         raise ValueError("need at least one UE")
-    largest = (peaks / np.abs(divisor)).max(axis=1)
+    largest = (peaks / (np.abs(divisor) if magnitude is None else magnitude)).max(axis=1)
     if not np.isfinite(largest).all():
         raise ValueError("precoded resource grid entries must be finite")
     squared = largest * largest

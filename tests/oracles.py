@@ -17,6 +17,10 @@ pipeline computes another way, or a diagnostic only a test reads.
 - ``payload_frame_per_delay``: the payload event with one modulation call
   per distinct delay, which ``ota._payload_frame`` must reproduce bit for
   bit.
+- ``receive_each_event``: a receive stage with one noising and one
+  detection pass per event, each event's noise power read over every
+  sample after its preamble region, which ``ota._receive`` must reproduce
+  bit for bit.
 - ``peak_spread`` and ``spread_of``: each client's correlation-peak offset
   in a composite signal, and their spread.
 - ``propagated_gap``: the ota - digital model gap of every round, from the
@@ -33,8 +37,8 @@ import numpy as np
 
 from otafl import fl
 from otafl.accounting import SpectralProfile, digital_slots
-from otafl.grid import GridConfig, TimeSignal, detect_frame, ofdm_modulate_into
-from otafl.ota import PhyConfig, _Event
+from otafl.grid import PREAMBLE_LEN, GridConfig, TimeSignal, detect_frame, ofdm_modulate_into
+from otafl.ota import PhyConfig, _Event, _preamble_bank
 from otafl.precode import compute_alpha
 from otafl.scenario import KEYMAP, Scenario
 from otafl.weightcodec import pack_payload, payload_symbols, rail_divisors, slot_plan
@@ -171,6 +175,43 @@ def payload_frame_per_delay(
     for i, row in enumerate(chips[run]):
         event.add_chips(i, row)
     return event, alpha, largest, peaks
+
+
+def receive_one_event(event: _Event, noise: np.random.Generator,
+                      symbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """Noise ``event``'s buffer in place for a read of ``symbols`` symbols,
+    its noise power read over every sample after its preamble region, and
+    detect its clients' preambles in one pass over a view of its buffer:
+    offsets and metrics in ``ues`` order."""
+    cfg, bound = event.phy.grid, event.bound
+    if event.phy.uplink_snr_db is not None:
+        info = event.rx[event.region:]
+        power = np.abs(info)
+        power *= power
+        variance = float(power.sum()) / info.size / 10.0 ** (event.phy.uplink_snr_db / 10.0)
+        noised = event.rx[:bound + event.region + symbols * cfg.symbol_len]
+        samples = noise.standard_normal(2 * noised.size)  # a share lends a read-only view
+        samples = np.multiply(samples, np.sqrt(variance / 2.0),
+                              out=samples if samples.flags.writeable else None)
+        noised += samples.view(np.complex128)
+    end = (len(event.ues) - 1) * event.slot + bound + PREAMBLE_LEN
+    windows = np.ndarray(end, dtype=event.rx.dtype, buffer=event.rx)  # raises past the buffer
+    return detect_frame(TimeSignal(windows, cfg.sample_rate),
+                        _preamble_bank()[event.ues.start:event.ues.stop], event.slot)
+
+
+def receive_each_event(events: list[_Event], noise: np.random.Generator,
+                       symbols: int) -> tuple[np.ndarray, np.ndarray]:
+    """A receive stage one event at a time: each event noised and searched
+    by :func:`receive_one_event` in turn, its clients' offsets and metrics
+    written into the stage's arrays, in client order."""
+    clients = events[-1].ues.stop - events[0].ues.start
+    offsets = np.zeros(clients, dtype=np.int64)
+    metrics = np.zeros(clients)
+    for event in events:
+        run = slice(event.ues.start - events[0].ues.start, event.ues.stop - events[0].ues.start)
+        offsets[run], metrics[run] = receive_one_event(event, noise, symbols)
+    return offsets, metrics
 
 
 def peak_spread(signal: TimeSignal, preambles: list[np.ndarray]) -> list[tuple[int, int]]:

@@ -11,7 +11,7 @@ from otafl import fl, grid, ota, scenario
 from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, gains_table
 from otafl.channel import ChannelModel, superpose
 from otafl.csi import ls_estimate
-from otafl.precode import MARGIN, compute_alpha
+from otafl.precode import DEFAULT_FLOOR_REL, MARGIN, compute_alpha
 from otafl.grid import PREAMBLE_LEN, GridConfig, TimeSignal, ofdm_demodulate
 from otafl.errors import FieldError
 from otafl.ota import (
@@ -37,7 +37,13 @@ from otafl.weightcodec import (
     rail_peaks,
     scale_updates,
 )
-from oracles import gap_share, payload_frame_per_delay, propagated_gap
+from oracles import (
+    gap_share,
+    payload_frame_per_delay,
+    propagated_gap,
+    receive_each_event,
+    receive_one_event,
+)
 
 SMALL_GRID = GridConfig(subcarriers=32, symbols_per_slot=4, fft_size=32, cp_len=8)
 
@@ -229,7 +235,7 @@ def test_receive_finds_a_preamble_at_the_offset_bound(sync):
     masks = np.ones((3, phy.grid.subcarriers), dtype=bool)
     event = ota._sounding_frame(range(3), phy, np.array(delays),
                                 *ota._sounding_signals(phy.grid, gains, masks))
-    offsets, metrics = event.receive(np.random.default_rng(5), phy.grid.symbols_per_slot)
+    offsets, metrics = ota._receive([event], np.random.default_rng(5), phy.grid.symbols_per_slot)
     np.testing.assert_array_equal(offsets, delays)
     assert np.all(metrics >= DETECT_THRESHOLD)
 
@@ -241,15 +247,18 @@ def test_windowed_offsets_match_a_full_frame_scan(monkeypatch, allocation, sprea
     every detected client's windowed offset equals the full-frame argmax
     minus the start of its slot in the event."""
     calls = []
-    original = ota._Event.receive
+    original = ota._detect
 
-    def recording(event, noise, symbols):
-        offsets, metrics = original(event, noise, symbols)
-        rx = TimeSignal(event.rx, event.phy.grid.sample_rate)
-        calls.append((rx, list(event.ues), offsets, metrics))
+    def recording(events):
+        offsets, metrics = original(events)
+        first = events[0].ues.start
+        for event in events:
+            run = slice(event.ues.start - first, event.ues.stop - first)
+            rx = TimeSignal(event.rx, event.phy.grid.sample_rate)
+            calls.append((rx, list(event.ues), offsets[run], metrics[run]))
         return offsets, metrics
 
-    monkeypatch.setattr(ota._Event, "receive", recording)
+    monkeypatch.setattr(ota, "_detect", recording)
     phy = PhyConfig(
         channel=ChannelModel("flat_block"),
         sync=SyncConfig(mode="ptp_off", off_spread=spread),
@@ -672,7 +681,7 @@ def test_receive_adds_noise_in_place(snr_db):
         assert rx.size == bound + region + cfg.symbols_per_slot * cfg.symbol_len
         n = min(rx.size, bound + region + symbols * cfg.symbol_len)
         clean = rx.copy()
-        event.receive(np.random.default_rng(derive_seed(5, 1)), symbols)
+        event.add_noise(np.random.default_rng(derive_seed(5, 1)), symbols)
         assert event.rx is rx  # no second buffer
         variance = np.mean(np.abs(clean[region:]) ** 2) / 10.0 ** (snr_db / 10.0)
         draws = np.random.default_rng(derive_seed(5, 1)).standard_normal(2 * n)
@@ -680,6 +689,81 @@ def test_receive_adds_noise_in_place(snr_db):
         want[:n] += np.sqrt(variance / 2.0) * (draws[0::2] + 1j * draws[1::2])
         np.testing.assert_array_equal(event.rx.view(np.float64), want.view(np.float64))
         assert np.all(event.rx[:n] != clean[:n])
+
+
+@pytest.mark.parametrize("layout", ["mixed", "distinct"])
+@pytest.mark.parametrize("params", [1, 64, 513])
+def test_noise_power_reads_only_the_samples_a_body_can_reach(layout, params):
+    """Taking |x| only over the first ``max(delays) + symbols * symbol_len``
+    samples after the preamble region, and counting the rest as zeros,
+    noises each event as the rule that reads every sample after the region
+    (``oracles.receive_one_event``) does, bit for bit, and detects the same
+    offsets and metrics.  Checked on the payload event, whose one, 64 or
+    513 parameters leave most of its slot zero, and on comb and full-band
+    sounding events, at PTP offsets inside the cyclic prefix and at
+    distinct ones up to 256 samples past it."""
+    num_ues = 5
+    phy, gains, offsets, deltas, scales, divisor = _payload_case(num_ues, params, layout, False,
+                                                                 seed=params)
+    cfg = phy.grid
+    assert (offsets.max() <= cfg.cp_len) == (layout == "mixed")
+    per_real = rail_divisors(scales, params)
+    chips = ota._preamble_chips(gains)
+    signals = ota._sounding_signals(cfg, gains, np.ones(gains.shape, dtype=bool))
+
+    def events():
+        yield ota._payload_frame(range(num_ues), phy, gains, offsets, deltas, per_real, divisor,
+                                 chips, None)[0], ota.payload_symbols(params, cfg)
+        for ues in (range(num_ues), range(num_ues - 1, num_ues)):
+            yield ota._sounding_frame(ues, phy, offsets, *signals), cfg.symbols_per_slot
+
+    for (want, symbols), (got, _) in zip(events(), events()):
+        assert got.rx.tobytes() == want.rx.tobytes()
+        want_out = receive_one_event(want, np.random.default_rng(params), symbols)
+        got_out = ota._receive([got], np.random.default_rng(params), symbols)
+        assert got.rx.tobytes() == want.rx.tobytes()
+        assert [a.tobytes() for a in got_out] == [a.tobytes() for a in want_out]
+
+
+RECEIVE_SYNCS = {
+    "ptp_on": SyncConfig(mode="ptp_on"),
+    "ptp_off_256": SyncConfig(mode="ptp_off", off_spread=256),
+    "ptp_off_slot": SyncConfig(mode="ptp_off", off_spread=GridConfig().slot_len),
+}
+RECEIVE_CASES = [("tdm_full", m, sync, snr_db) for m in (1, 5, 60) for sync in RECEIVE_SYNCS
+                 for snr_db in (20.0, None)] + [("fdm_comb", 5, "ptp_off_256", 20.0)]
+
+
+@pytest.mark.parametrize("allocation,num_ues,sync,snr_db", RECEIVE_CASES)
+def test_stage_detection_matches_one_pass_per_event(monkeypatch, allocation, num_ues, sync,
+                                                    snr_db):
+    """Noising each event of a receive stage and then searching every
+    client of the stage in one pass gives the bits of noising and searching
+    one event at a time (``oracles.receive_each_event``): each stage's
+    offsets and metrics, and every field of the report.  The full-band
+    sounding stage is the one with more than one event."""
+    phy = PhyConfig(channel=ChannelModel("rayleigh_per_subcarrier"), pilot_allocation=allocation,
+                    sync=RECEIVE_SYNCS[sync], uplink_snr_db=snr_db)
+    deltas = _random_deltas(num_ues, 100, seed=num_ues)
+    runs, receive = [], ota._receive
+    for oracle in (True, False):
+        stages = []
+
+        def recording(events, noise, symbols, _oracle=oracle):
+            if _oracle:
+                offsets, metrics = receive_each_event(events, noise, symbols)
+            else:
+                offsets, metrics = receive(events, noise, symbols)
+            stages.append((len(events), offsets.tobytes(), metrics.tobytes()))
+            return offsets, metrics
+
+        monkeypatch.setattr(ota, "_receive", recording)
+        report = ota_aggregate(deltas, phy, master_seed=num_ues)
+        runs.append((stages, [np.asarray(v).tobytes() for v in astuple(report)]))
+    (want_stages, want), (got_stages, got) = runs
+    assert got_stages[0][0] == (num_ues if allocation == "tdm_full" else 1)
+    assert got_stages == want_stages
+    assert got == want
 
 
 def _address(a: np.ndarray) -> int:
@@ -694,9 +778,12 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
     payload fills one symbol of its slot, so the payload event's prefix
     ends well before its buffer does.  ``late_start`` reports every client
     at the last lag of its search window, past the latest true arrival, so
-    the read rule moves each window back inside its buffer."""
-    events = []
-    receive, detect, demodulate = ota._Event.receive, ota.detect_frame, ota.ofdm_demodulate
+    the read rule moves each window back inside its buffer.  The full-band
+    sounding stage is searched as a block of one row per event, each row a
+    copy of its event's first samples, so its windows are located by
+    content rather than by address."""
+    events, stage = [], []  # stage: the events noised since the last search
+    add_noise, detect, demodulate = ota._Event.add_noise, ota.detect_frame, ota.ofdm_demodulate
 
     def window(samples, lo, size):
         """Record ``samples[lo:lo + size]`` against the event buffer it views."""
@@ -705,18 +792,25 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
         event["windows"].append((start, start + size))
         return event
 
-    def receiving(event, noise, symbols):
+    def noising(event, noise, symbols):
         events.append({"rx": event.rx, "windows": [], "clients": len(event.ues)})
         clean = event.rx.copy()
-        out = receive(event, noise, symbols)
+        add_noise(event, noise, symbols)
         events[-1]["noised"] = np.flatnonzero(event.rx != clean)
-        return out
+        stage.append(events[-1])
 
     def detecting(signal, preambles, stride):
         (windows, chips), size = preambles.shape, signal.samples.size
         span = size - (windows - 1) * stride
-        for i in range(windows):
-            window(signal.samples, i * stride, span)
+        if len(stage) == 1:
+            for i in range(windows):
+                window(signal.samples, i * stride, span)
+        else:
+            assert span == stride and len(stage) == windows
+            for row, event in zip(signal.samples.reshape(windows, span), stage):
+                assert row.tobytes() == event["rx"][:span].tobytes()
+                event["windows"].append((0, span))
+        stage.clear()
         offsets, metrics = detect(signal, preambles, stride)
         if case == "late_start":
             offsets = np.full(windows, span - chips)
@@ -726,7 +820,7 @@ def test_every_read_lies_inside_the_noised_prefix(monkeypatch, case):
         window(signal.samples, start, n * cfg.symbol_len)["read"] = start
         return demodulate(signal, cfg, start, n)
 
-    monkeypatch.setattr(ota._Event, "receive", receiving)
+    monkeypatch.setattr(ota._Event, "add_noise", noising)
     monkeypatch.setattr(ota, "detect_frame", detecting)
     monkeypatch.setattr(ota, "ofdm_demodulate", demodulating)
     sync, channel, allocation = {
@@ -767,27 +861,38 @@ def test_search_windows_end_inside_the_buffer_at_the_largest_offset_bound(
         monkeypatch, allocation, num_ues):
     """At the largest offset bound the configuration accepts, one slot, every
     event still receives, and its last search window -- the end of the
-    prefix handed to the detector -- ends inside the event's buffer."""
+    prefix handed to the detector -- ends inside the event's buffer.  The
+    full-band sounding stage hands the detector one row per event, each a
+    copy of that event's prefix."""
     cfg = GridConfig()
     with pytest.raises(FieldError, match="^sync.off_spread "):
         PhyConfig(sync=SyncConfig(mode="ptp_off", off_spread=cfg.slot_len + 1))
     phy = PhyConfig(channel=ChannelModel("flat_block"), pilot_allocation=allocation,
                     sync=SyncConfig(mode="ptp_off", off_spread=cfg.slot_len), uplink_snr_db=20.0)
-    buffers, ends = [], []
-    receive, detect = ota._Event.receive, ota.detect_frame
+    buffers, ends, stage = [], [], []
+    add_noise, detect = ota._Event.add_noise, ota.detect_frame
 
-    def receiving(event, noise, symbols):
+    def noising(event, noise, symbols):
         buffers.append(event.rx)
-        return receive(event, noise, symbols)
+        stage.append(event.rx)
+        add_noise(event, noise, symbols)
 
     def detecting(signal, preambles, stride):
-        rx = buffers[-1]
-        start = (_address(signal.samples) - _address(rx)) // rx.itemsize
-        full = (len(preambles) - 1) * stride + cfg.slot_len + PREAMBLE_LEN  # no window cut short
-        ends.append((start, start + signal.samples.size, full, rx.size))
+        samples, windows = signal.samples, len(preambles)
+        if len(stage) == 1:
+            (rx,) = stage
+            start = (_address(samples) - _address(rx)) // rx.itemsize
+            full = (windows - 1) * stride + cfg.slot_len + PREAMBLE_LEN  # no window cut short
+            ends.append((start, start + samples.size, full, rx.size))
+        else:
+            assert samples.size == windows * stride and len(stage) == windows
+            for row, rx in zip(samples.reshape(windows, stride), stage):
+                assert row.tobytes() == rx[:stride].tobytes()
+                ends.append((0, stride, cfg.slot_len + PREAMBLE_LEN, rx.size))
+        stage.clear()
         return detect(signal, preambles, stride)
 
-    monkeypatch.setattr(ota._Event, "receive", receiving)
+    monkeypatch.setattr(ota._Event, "add_noise", noising)
     monkeypatch.setattr(ota, "detect_frame", detecting)
     for seed in range(3):
         ota_aggregate(_random_deltas(num_ues, 100, seed=seed), phy, master_seed=seed)
@@ -848,11 +953,44 @@ def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
     assert calls == dict(dict.fromkeys(STAGES, 1), interpolate=int(allocation == "fdm_comb"))
 
 
+@pytest.mark.parametrize("floor_rel", [0.0, DEFAULT_FLOOR_REL])
+def test_alpha_reads_the_held_magnitude_only_of_an_unclamped_estimate(monkeypatch, floor_rel):
+    """Alpha is handed the estimate's magnitude, which the floor and the
+    divisor already read, only when nothing was clamped and the divisor is
+    the estimate itself; the report has the bits of an alpha that takes
+    the magnitude again.  At ``floor_rel = 0`` nothing is clamped; at the
+    default floor, Rayleigh fades are."""
+    given = []
+    alpha = ota.compute_alpha
+
+    def recording(peaks, divisor, *, magnitude=None):
+        given.append(magnitude is not None)
+        if magnitude is not None:
+            assert magnitude.tobytes() == np.abs(divisor).tobytes()
+        return alpha(peaks, divisor, magnitude=magnitude)
+
+    def unhanded(peaks, divisor, *, magnitude=None):
+        return alpha(peaks, divisor)
+
+    phy = PhyConfig(channel=ChannelModel("rayleigh_per_subcarrier"), pilot_allocation="tdm_full",
+                    floor_rel=floor_rel, uplink_snr_db=30.0)
+    deltas = _random_deltas(8, 301, seed=4)
+    reports = []
+    for wrapper in (recording, unhanded):
+        monkeypatch.setattr(ota, "compute_alpha", wrapper)
+        report = ota_aggregate(deltas, phy, master_seed=4)
+        assert not report.aborted
+        reports.append([np.asarray(v).tobytes() for v in astuple(report)])
+    assert given == [floor_rel == 0.0]
+    assert reports[0] == reports[1]
+
+
 @pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
 def test_detection_runs_once_per_receive_event(monkeypatch, allocation):
-    """One detection pass searches every client window of a receive event:
-    two passes on the comb (sounding and payload), M + 1 on full-band
-    pilots (one sounding event per client, then the payload)."""
+    """One detection pass searches every client window of a receive stage:
+    two passes whatever the pilots, one for the sounding stage (the comb's
+    one event, or full-band pilots' one event per client) and one for the
+    payload."""
     windows = []
     detect = ota.detect_frame
 
@@ -865,7 +1003,7 @@ def test_detection_runs_once_per_receive_event(monkeypatch, allocation):
                     uplink_snr_db=30.0)
     report = ota_aggregate(_random_deltas(12, 301, seed=3), phy, master_seed=3)
     assert not report.aborted
-    assert windows == {"fdm_comb": [12, 12], "tdm_full": [1] * 12 + [12]}[allocation]
+    assert windows == [12, 12]
 
 
 def test_full_band_estimate_is_the_ls_of_the_averaged_pilot_rows(monkeypatch):
@@ -1009,14 +1147,14 @@ def test_tdm_full_noise_draws_grow_linearly_in_the_client_count(monkeypatch):
     the aggregation is that of a fresh generator after exactly that many
     draws.  The count has a zero second difference over equally spaced M."""
     events, generators = [], []
-    original = ota._Event.receive
+    original = ota._Event.add_noise
 
     def recording(event, noise, symbols):
         events.append(event.rx.size)
         generators.append(noise)
         return original(event, noise, symbols)
 
-    monkeypatch.setattr(ota._Event, "receive", recording)
+    monkeypatch.setattr(ota._Event, "add_noise", recording)
     seeds = _recording_noise_seeds(monkeypatch)
     phy = PhyConfig(channel=ChannelModel("rayleigh_per_subcarrier"), pilot_allocation="tdm_full",
                     sync=SyncConfig(mode="ptp_off", off_spread=0), uplink_snr_db=20.0)
@@ -1317,9 +1455,9 @@ def test_a_sync_sweep_draws_each_seeds_sync_uniforms_and_peaks_once(monkeypatch)
             derived.append(parts)
         return derive(*parts)
 
-    def recording_frame(*args):
+    def recording_frame(*args, **kwargs):
         given.append(args[-1])
-        return frame(*args)
+        return frame(*args, **kwargs)
 
     spy = _CountingNumpy()
     monkeypatch.setattr(ota, "derive_seed", counted_derive)

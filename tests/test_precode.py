@@ -180,7 +180,8 @@ def _estimate_rows(num, width=256, seed=0):
 def test_floor_and_divisor_rows_match_per_row_calls(num_ues, floor_rel):
     """Per-row medians and divisors equal one call per row, and the
     divisor equals the clamp written out with a scalar floor.  Handing both
-    the estimate's magnitude, read once, gives the same bits."""
+    the estimate's magnitude, read once, gives the same bits, and handing
+    alpha the divisor's magnitude gives the same alpha and peaks."""
     est = _estimate_rows(num_ues, seed=num_ues)
     floors = inversion_floor(est, floor_rel)
     divisor = inversion_divisor(est, floors)
@@ -189,6 +190,11 @@ def test_floor_and_divisor_rows_match_per_row_calls(num_ues, floor_rel):
     assert inversion_floor(est, floor_rel, magnitude=magnitude).tobytes() == floors.tobytes()
     np.testing.assert_array_equal(_bits(inversion_divisor(est, floors, magnitude=magnitude)),
                                   _bits(divisor))
+    peaks = np.abs(_estimate_rows(num_ues, seed=num_ues + 1)) + 0.5
+    alpha, largest = compute_alpha(peaks, divisor)
+    given_alpha, given_largest = compute_alpha(peaks, divisor, magnitude=np.abs(divisor))
+    assert np.float64(given_alpha).tobytes() == np.float64(alpha).tobytes()
+    assert given_largest.tobytes() == largest.tobytes()
     for ue, h in enumerate(est):
         floor = inversion_floor(h, floor_rel)
         assert np.float64(floor).view(np.uint64) == floors[ue].view(np.uint64)
