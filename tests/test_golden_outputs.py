@@ -1,4 +1,4 @@
-"""Golden fixture: pinned digests of the shipped scenarios, twenty-one aggregations
+"""Golden fixture: pinned digests of the shipped scenarios, twenty-two aggregations
 and three federated rounds per mode at the criterion-5 shape.
 
 The determinism tests elsewhere compare a run with itself; these pin the
@@ -65,8 +65,8 @@ AGGREGATE_DIGESTS = {
         "49bbc31034bfe8e3c8f2d12f78dcb4fd3342430e20448b4190983c6e7ecebe88",
     ),
     # Transmit-side edges at two payload slots: an odd parameter count (the
-    # zero-padded pack tail) and an inversion floor that clips about a third
-    # of the subcarriers.
+    # zero-padded pack tail), an inversion floor that clips about a third
+    # of the subcarriers, and a zero floor that clips none.
     (5, 10_001, "flat_block", "fdm_comb", ()): (
         "-20.524950084883024",
         "3ad1e01c29b68a8c74773174ac5644f0ce5098bb819fc9d84fbb808c2d760370",
@@ -74,6 +74,10 @@ AGGREGATE_DIGESTS = {
     (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("floor_rel", 0.8),)): (
         "-11.331505441910883",
         "d578b79b80cf0a9ca1b8311a03fe4333048faadfde972819408b2587b6d92221",
+    ),
+    (5, 10_000, "rayleigh_per_subcarrier", "tdm_full", (("floor_rel", 0.0),)): (
+        "-18.849097436192665",
+        "8930db01999ecf20371d9d39c1e1db3f8dd12adf44f1fdc41f45fbd00ca6a20d",
     ),
     # Receive-side order: without PTP the offsets reach 50 samples, so late
     # preambles run into the next client's slot and every sample sums
