@@ -130,24 +130,21 @@ def energy(values: np.ndarray) -> float:
     return float(power.sum())
 
 
-def nmse(estimate: np.ndarray, truth: np.ndarray, truth_energy: float | None = None) -> float:
+def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
     """Normalized mean squared error in dB, pooled over all elements.
 
     10*log10( sum|est - truth|^2 / sum|truth|^2 ), clamped below at
     -300 dB; an exact match reports the floor, an all-zero estimate
-    reports 0 dB.  Real inputs are not cast to complex.  A caller that
-    compares many estimates with one truth may pass its :func:`energy` as
-    ``truth_energy`` and save reading it again.
+    reports 0 dB.  Real inputs are not cast to complex.
     """
     dtype = np.complex128 if np.iscomplexobj(estimate) or np.iscomplexobj(truth) else np.float64
     e, t = np.asarray(estimate, dtype=dtype), np.asarray(truth, dtype=dtype)
     if e.shape != t.shape:
         raise ValueError("estimate and truth must have equal shape")
-    denom = energy(t) if truth_energy is None else truth_energy
+    denom = energy(t)
     if denom == 0.0:
         raise ValueError("truth has zero energy; NMSE undefined")
     ratio = energy(e - t) / denom
     if ratio <= 1e-30:
         return NMSE_FLOOR_DB
     return max(10.0 * np.log10(ratio), NMSE_FLOOR_DB)
-

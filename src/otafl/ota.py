@@ -37,7 +37,7 @@ One uplink round, as simulated here:
     packed block are read by the first aggregation of a share only, which
     leaves them in the share (they depend on the update and the scales
     alone), and the block is precoded by gain / estimate (the floored
-    estimate, whose magnitude the floor and the divisor read once).
+    estimate).
     Clients that share a delay are summed in the frequency domain, every
     delay's sum is modulated in one call, in batches of whole delays that
     keep each array within one client's block or ``_MODULATE_ROWS``
@@ -478,15 +478,12 @@ def _payload_frame(
     divisor: np.ndarray,
     chips: np.ndarray,
     peaks: np.ndarray | None,
-    *,
-    magnitude: np.ndarray | None = None,
 ) -> tuple[_Event, float, np.ndarray, np.ndarray]:
     """Noise-free payload event, with the shared power-control factor alpha
     and each client's precoded peak, as :func:`compute_alpha` returns them,
     and the per-subcarrier peaks of every packed update, read-only, one row
     per client of ``ues``.  ``peaks`` holds those rows when an earlier call
-    has read them, and is ``None`` otherwise.  ``magnitude``, when given, is
-    ``np.abs(divisor)``, which alpha then reads instead of taking it again.
+    has read them, and is ``None`` otherwise.
 
     Each client's body, whole payload slots long, is the update
     ``deltas[ue]`` divided in one contiguous pass by ``per_real``, the
@@ -550,22 +547,20 @@ def _payload_frame(
         for body, group in zip(symbols, part):
             event.add_body(group[0], body, used)
     peaks.flags.writeable = False
-    alpha, largest = compute_alpha(
-        peaks, divisor[run], magnitude=None if magnitude is None else magnitude[run])
+    alpha, largest = compute_alpha(peaks, divisor[run])
     event.scale_bodies(alpha, used)  # every nonzero sample so far
     for i, row in enumerate(chips[run]):
         event.add_chips(i, row)
     return event, alpha, largest, peaks
 
 
-def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray, exact_energy: float) -> float:
-    """NMSE of an aggregate in dB, given the exact average's
-    :func:`~otafl.csi.energy`; against a zero exact average it reads the
+def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
+    """NMSE of an aggregate in dB; against a zero exact average it reads the
     ``NMSE_FLOOR_DB`` floor when the aggregate is exactly zero too, else 0 dB."""
-    if exact_energy == 0.0:
-        return NMSE_FLOOR_DB if np.array_equal(sent, exact) else 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged round fails in _finish_round
-        return nmse(sent, exact, exact_energy)
+        if energy(exact) == 0.0:
+            return NMSE_FLOOR_DB if np.array_equal(sent, exact) else 0.0
+        return nmse(sent, exact)
 
 
 def check_run(phy: PhyConfig, num_ues: int, mode: str = "ota", rounds: int = 1,
@@ -618,11 +613,11 @@ def _channel_side(
     num_ues: int,
     master_seed: int,
     round_index: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray | None, np.ndarray | None]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
     """A round's channel side, read-only: every client's gains, stacked,
     its preamble chips and, when the round sounds on the pilot
-    ``allocation`` (``None`` under perfect CSI), the pilot masks and the
-    modulated pilot rows of :func:`_sounding_signals`.
+    ``allocation`` (``None`` under perfect CSI), the modulated pilot rows
+    of :func:`_sounding_signals`.
 
     None of it depends on the timing offsets, the noise, the floor or the
     updates, so the aggregations of a :class:`RoundShare` read one build.
@@ -634,15 +629,14 @@ def _channel_side(
         for ue in range(num_ues)
     ])
     if allocation is None:
-        masks = pilots = None
+        pilots = None
         chips = _preamble_chips(gains)
     else:
-        masks = _pilot_masks(num_ues, cfg, allocation)
-        chips, pilots = _sounding_signals(cfg, gains, masks)
-    for array in (gains, chips, pilots):  # the masks are cached read-only
+        chips, pilots = _sounding_signals(cfg, gains, _pilot_masks(num_ues, cfg, allocation))
+    for array in (gains, chips, pilots):
         if array is not None:
             array.flags.writeable = False
-    return gains, chips, masks, pilots
+    return gains, chips, pilots
 
 
 def _sounding_allocation(phy: PhyConfig) -> str | None:
@@ -660,7 +654,7 @@ class RoundShare:
     the exact average (read-only, and held by every report the share
     gives) and the shared peak scales.  It builds the channel side of
     :func:`_channel_side` here, even when every update is zero, and holds
-    it read-only as ``gains``, ``chips``, ``masks`` and ``pilots``.  It
+    it read-only as ``gains``, ``chips`` and ``pilots``.  It
     draws the round's sync ``uniforms`` here, one per client from the
     (master seed, round, sync tag) stream, and holds them read-only; each
     aggregation maps them to offsets under its own bound.  The first
@@ -669,8 +663,7 @@ class RoundShare:
     they depend only on the updates and the shared scales, so later
     aggregations pack and precode but do not read them again.  It builds,
     read-only, the ``per_real`` :func:`rail_divisors` of the scales (573 KB
-    at 71 666 parameters) and reads the exact average's ``exact_energy``,
-    the NMSE denominator, once here.  The packed blocks are not kept: at 60
+    at 71 666 parameters).  The packed blocks are not kept: at 60
     clients and 71 666 parameters they would hold 34 MB, and a single
     aggregation gains nothing from them.  It keeps the round's noise stream
     as well: every aggregation reads the stream from its start, as it would
@@ -713,8 +706,6 @@ class RoundShare:
         if not finite.all():
             raise ValueError(f"client {int(np.argmin(finite))}'s update is not finite; "
                              "precoded resource grid entries must be finite")
-        with np.errstate(over="ignore"):  # a diverged round fails in _finish_round
-            self.exact_energy = energy(self.exact_avg)
         self.rails = rails
         self.scales = peak_scales(rails)
         self.per_real = rail_divisors(self.scales, param_count)
@@ -722,7 +713,7 @@ class RoundShare:
         self.deltas = tuple(deltas)
         self._round = (master_seed, round_index)
         self._link = (phy.channel, phy.grid, _sounding_allocation(phy))
-        self.gains, self.chips, self.masks, self.pilots = _channel_side(
+        self.gains, self.chips, self.pilots = _channel_side(
             *self._link, num_ues, *self._round)
         self.peaks = None
         self._rng = None
@@ -808,8 +799,7 @@ def ota_aggregate(
     def _report(recovered, alpha, offsets, metrics, powers, abort_reason=""):
         return AggregateReport(
             recovered, exact_avg, alpha, bool(abort_reason), abort_reason,
-            _aggregate_nmse_db(recovered, exact_avg, share.exact_energy), offsets, metrics,
-            powers,
+            _aggregate_nmse_db(recovered, exact_avg), offsets, metrics, powers,
         )
 
     if not rails.any():
@@ -861,13 +851,10 @@ def ota_aggregate(
     # underflows the precoded peaks can fail here; the error names it.
     try:
         with np.errstate(over="ignore", invalid="ignore"):
-            magnitude = np.abs(estimate)  # one read for the floor and the divisor
-            divisor = inversion_divisor(
-                estimate, inversion_floor(estimate, phy.floor_rel, magnitude=magnitude),
-                magnitude=magnitude)
+            divisor = inversion_divisor(estimate, inversion_floor(estimate, phy.floor_rel))
             event, alpha, largest, share.peaks = _payload_frame(
                 range(num_ues), phy, gains, offsets, deltas, share.per_real, divisor, chips,
-                share.peaks, magnitude=magnitude if divisor is estimate else None)
+                share.peaks)
     except ValueError as exc:
         raise ValueError(f"round {round_index}: phy.floor_rel = {phy.floor_rel!r} leaves "
                          f"no usable precoded payload: {exc}") from None

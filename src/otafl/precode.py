@@ -18,19 +18,16 @@ MARGIN = 0.9
 
 
 def inversion_floor(
-    estimate: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL, *,
-    magnitude: np.ndarray | None = None,
+    estimate: np.ndarray, floor_rel: float = DEFAULT_FLOOR_REL
 ) -> float | np.ndarray:
     """Magnitude floor: ``floor_rel`` times the median estimated |H| over the
     subcarriers, one floor per row of the estimate (a scalar for one row).
-    ``magnitude``, when given, is ``np.abs(estimate)``, read once by a caller
-    that passes it to :func:`inversion_divisor` too.
     ``PhyConfig`` owns this check for a scenario; it stays for direct callers."""
     if not floor_rel >= 0:
         raise ValueError("floor_rel must be >= 0")
     # np.median's partition, middle order statistics and NaN rule, without
     # the numpy.ma import that its NaN check pulls in.
-    mag = np.abs(estimate) if magnitude is None else magnitude
+    mag = np.abs(estimate)
     half, odd = divmod(mag.shape[-1], 2)
     middle = [half] if odd else [half - 1, half]
     part = np.partition(mag, [*middle, -1], axis=-1)
@@ -39,13 +36,11 @@ def inversion_floor(
     return floor_rel * np.where(np.isnan(last), last, median)
 
 
-def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray, *,
-                      magnitude: np.ndarray | None = None) -> np.ndarray:
+def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray) -> np.ndarray:
     """The channel estimate with magnitudes below ``floor`` raised to it.
 
     ``floor`` is a scalar or one value per row of the estimate, as
-    :func:`inversion_floor` returns it, and ``magnitude``, when given, is
-    ``np.abs(estimate)``.  Clamped estimates keep their phase,
+    :func:`inversion_floor` returns it.  Clamped estimates keep their phase,
     which caps the inversion gain at 1/floor in deep fades.  A zero estimate
     with a positive floor becomes the (real) floor itself; a zero estimate
     in a row whose floor is 0 is an error.  When nothing is clamped the
@@ -53,7 +48,7 @@ def inversion_divisor(estimate: np.ndarray, floor: float | np.ndarray, *,
     """
     floor = np.asarray(floor, dtype=np.float64)[..., np.newaxis]
     h = estimate
-    mag = np.abs(h) if magnitude is None else magnitude
+    mag = np.abs(h)
     positive = floor > 0
     if not positive.all():
         if not (floor >= 0).all():
@@ -86,16 +81,14 @@ def channel_invert(
     return block / divisor
 
 
-def compute_alpha(peaks: np.ndarray, divisor: np.ndarray, *,
-                  magnitude: np.ndarray | None = None) -> tuple[float, np.ndarray]:
+def compute_alpha(peaks: np.ndarray, divisor: np.ndarray) -> tuple[float, np.ndarray]:
     """Largest shared scaling every UE can transmit within ``PEAK_POWER``,
     and each UE's precoded peak magnitude.
 
     ``peaks`` holds one row per UE: the per-subcarrier peaks of its payload
     block, max |x| over its symbols.  ``divisor`` holds one floored estimate
-    row per UE, as :func:`inversion_divisor` returns it, and ``magnitude``,
-    when given, is ``np.abs(divisor)``.  A UE's precoded peak is its
-    largest peak / |d|, so no block is divided.  alpha is common
+    row per UE, as :func:`inversion_divisor` returns it.  A UE's precoded
+    peak is its largest peak / |d|, so no block is divided.  alpha is common
     to every UE, so a caller may scale the superposed payload by it once
     instead of scaling each UE's block.
 
@@ -111,7 +104,7 @@ def compute_alpha(peaks: np.ndarray, divisor: np.ndarray, *,
                          f"(UEs, subcarriers) shape, not {np.shape(divisor)}")
     if peaks.shape[0] == 0:
         raise ValueError("need at least one UE")
-    largest = (peaks / (np.abs(divisor) if magnitude is None else magnitude)).max(axis=1)
+    largest = (peaks / np.abs(divisor)).max(axis=1)
     if not np.isfinite(largest).all():
         raise ValueError("precoded resource grid entries must be finite")
     squared = largest * largest

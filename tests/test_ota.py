@@ -11,7 +11,7 @@ from otafl import fl, grid, ota, scenario
 from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, gains_table
 from otafl.channel import ChannelModel, superpose
 from otafl.csi import ls_estimate
-from otafl.precode import DEFAULT_FLOOR_REL, MARGIN, compute_alpha
+from otafl.precode import MARGIN, compute_alpha
 from otafl.grid import PREAMBLE_LEN, GridConfig, TimeSignal, ofdm_demodulate
 from otafl.errors import FieldError
 from otafl.ota import (
@@ -953,38 +953,6 @@ def test_each_array_stage_runs_once_per_aggregation(monkeypatch, allocation):
     assert calls == dict(dict.fromkeys(STAGES, 1), interpolate=int(allocation == "fdm_comb"))
 
 
-@pytest.mark.parametrize("floor_rel", [0.0, DEFAULT_FLOOR_REL])
-def test_alpha_reads_the_held_magnitude_only_of_an_unclamped_estimate(monkeypatch, floor_rel):
-    """Alpha is handed the estimate's magnitude, which the floor and the
-    divisor already read, only when nothing was clamped and the divisor is
-    the estimate itself; the report has the bits of an alpha that takes
-    the magnitude again.  At ``floor_rel = 0`` nothing is clamped; at the
-    default floor, Rayleigh fades are."""
-    given = []
-    alpha = ota.compute_alpha
-
-    def recording(peaks, divisor, *, magnitude=None):
-        given.append(magnitude is not None)
-        if magnitude is not None:
-            assert magnitude.tobytes() == np.abs(divisor).tobytes()
-        return alpha(peaks, divisor, magnitude=magnitude)
-
-    def unhanded(peaks, divisor, *, magnitude=None):
-        return alpha(peaks, divisor)
-
-    phy = PhyConfig(channel=ChannelModel("rayleigh_per_subcarrier"), pilot_allocation="tdm_full",
-                    floor_rel=floor_rel, uplink_snr_db=30.0)
-    deltas = _random_deltas(8, 301, seed=4)
-    reports = []
-    for wrapper in (recording, unhanded):
-        monkeypatch.setattr(ota, "compute_alpha", wrapper)
-        report = ota_aggregate(deltas, phy, master_seed=4)
-        assert not report.aborted
-        reports.append([np.asarray(v).tobytes() for v in astuple(report)])
-    assert given == [floor_rel == 0.0]
-    assert reports[0] == reports[1]
-
-
 @pytest.mark.parametrize("allocation", ["fdm_comb", "tdm_full"])
 def test_detection_runs_once_per_receive_event(monkeypatch, allocation):
     """One detection pass searches every client window of a receive stage:
@@ -1416,8 +1384,8 @@ def test_a_sync_sweeps_spreads_share_one_channel_side(monkeypatch):
     assert generators == [(0, 0, ota._TAG_NOISE), (1, 0, ota._TAG_NOISE)]
 
     share = shares[-1]
-    side = (share.gains, share.chips, share.masks, share.pilots)
-    assert [array.flags.writeable for array in side] == [False] * 4
+    side = (share.gains, share.chips, share.pilots)
+    assert [array.flags.writeable for array in side] == [False] * 3
     with pytest.raises(ValueError, match="read-only"):
         side[0][0, 0] = 0.0
 

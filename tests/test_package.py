@@ -189,6 +189,57 @@ def test_uncalled_public_name_check_sees_a_caller_gained_or_lost(tmp_path):
     assert _uncalled_public_names(tmp_path) == want
 
 
+def _is_dataclass(node: ast.ClassDef) -> bool:
+    for decorator in node.decorator_list:
+        target = decorator.func if isinstance(decorator, ast.Call) else decorator
+        if getattr(target, "id", getattr(target, "attr", None)) == "dataclass":
+            return True
+    return False
+
+
+def _unread_attributes(package_dir: Path = PACKAGE_DIR) -> set[str]:
+    """``module.Class.name`` of every attribute a package class assigns on
+    ``self`` whose name no package module reads as an attribute, of any
+    object.  A dataclass's fields are public data and exempt."""
+    assigned, read = set(), set()
+    for path in sorted(package_dir.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+            if not isinstance(node, ast.ClassDef):
+                continue
+            fields = {item.target.id for item in node.body if isinstance(item, ast.AnnAssign)
+                      and isinstance(item.target, ast.Name)} if _is_dataclass(node) else set()
+            assigned |= {
+                (sub.attr, f"{path.stem}.{node.name}.{sub.attr}") for sub in ast.walk(node)
+                if isinstance(sub, ast.Attribute) and isinstance(sub.ctx, ast.Store)
+                and isinstance(sub.value, ast.Name) and sub.value.id == "self"
+                and sub.attr not in fields
+            }
+    return {qual for name, qual in assigned if name not in read}
+
+
+def test_every_attribute_a_class_sets_on_self_is_read():
+    """State no code reads is state to keep in step for nothing."""
+    assert _unread_attributes() == set()
+
+
+def test_unread_attribute_check_sees_a_reader_gained_or_lost(tmp_path):
+    """An attribute set on ``self`` and never read is flagged, one read
+    anywhere in the package clears it, and a dataclass field is exempt."""
+    for path in PACKAGE_DIR.glob("*.py"):
+        (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
+    with open(tmp_path / "ota.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\nclass _Probe:\n    def __init__(self):\n        self.kept, self.stray = 1, 2\n"
+                 "\n    def value(self):\n        return self.kept\n\n\n"
+                 "@dataclass\nclass _Record:\n    unread: int = 0\n\n    def __post_init__(self):\n"
+                 "        self.unread = 1\n")
+    assert _unread_attributes(tmp_path) == {"ota._Probe.stray"}
+    with open(tmp_path / "cli.py", "a", encoding="utf-8") as fh:
+        fh.write("\n\n_STRAY = ota._Probe().stray\n")
+    assert _unread_attributes(tmp_path) == set()
+
+
 def test_pipeline_free_reasons_hold():
     """A traced name is in ``TRACED`` and a workload name is read by
     ``bench/workloads.py``."""
