@@ -135,15 +135,26 @@ def nmse(estimate: np.ndarray, truth: np.ndarray) -> float:
 
     10*log10( sum|est - truth|^2 / sum|truth|^2 ), clamped below at
     -300 dB; an exact match reports the floor, an all-zero estimate
-    reports 0 dB.  Real inputs are not cast to complex.
+    reports 0 dB.  Real inputs are not cast to complex.  A nonzero truth
+    too small to square, whose energy is zero or subnormal, is first
+    scaled with the estimate by the power of two that brings its largest
+    magnitude into [0.5, 1), which is exact for finite values, so it gets
+    an NMSE too.  An all-zero truth has none and is an error.
     """
     dtype = np.complex128 if np.iscomplexobj(estimate) or np.iscomplexobj(truth) else np.float64
     e, t = np.asarray(estimate, dtype=dtype), np.asarray(truth, dtype=dtype)
     if e.shape != t.shape:
         raise ValueError("estimate and truth must have equal shape")
     denom = energy(t)
-    if denom == 0.0:
-        raise ValueError("truth has zero energy; NMSE undefined")
+    if denom < np.finfo(np.float64).tiny:
+        if not t.any():
+            raise ValueError("truth has zero energy; NMSE undefined")
+        # max|t| < 2**-511 here, so each half of the power of two stays in
+        # float range, and scaling finite values up by it is exact.
+        exponent = int(np.frexp(np.abs(t).max())[1])
+        for step in (exponent // 2, exponent - exponent // 2):
+            e, t = e * 2.0**-step, t * 2.0**-step
+        denom = energy(t)
     ratio = energy(e - t) / denom
     if ratio <= 1e-30:
         return NMSE_FLOOR_DB

@@ -90,7 +90,7 @@ from .accounting import (
     round_bill,
 )
 from .channel import ChannelModel, realize_channel
-from .csi import NMSE_FLOOR_DB, CombLayout, comb_layout, energy, interpolate, ls_estimate, nmse
+from .csi import NMSE_FLOOR_DB, CombLayout, comb_layout, interpolate, ls_estimate, nmse
 from .errors import FieldError, check_choice
 from .grid import (
     PREAMBLE_FAMILY,
@@ -555,11 +555,12 @@ def _payload_frame(
 
 
 def _aggregate_nmse_db(sent: np.ndarray, exact: np.ndarray) -> float:
-    """NMSE of an aggregate in dB; against a zero exact average it reads the
-    ``NMSE_FLOOR_DB`` floor when the aggregate is exactly zero too, else 0 dB."""
+    """NMSE of an aggregate in dB; against an all-zero exact average it
+    reads the ``NMSE_FLOOR_DB`` floor when the aggregate is exactly zero
+    too, else 0 dB.  An exact average too small to square is not zero."""
+    if not exact.any():
+        return NMSE_FLOOR_DB if np.array_equal(sent, exact) else 0.0
     with np.errstate(over="ignore", invalid="ignore"):  # a diverged round fails in _finish_round
-        if energy(exact) == 0.0:
-            return NMSE_FLOOR_DB if np.array_equal(sent, exact) else 0.0
         return nmse(sent, exact)
 
 

@@ -243,6 +243,26 @@ def test_nmse_of_real_vectors_matches_the_complex_cast(size):
     assert nmse(t, t) == NMSE_FLOOR_DB
 
 
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_a_truth_too_small_to_square_keeps_its_nmse(dtype):
+    """A nonzero truth whose energy is subnormal (2**-520) or zero (2**-1000)
+    is scaled up by a power of two first, which is exact, so the NMSE is the
+    unscaled pair's, bit for bit.  A truth whose largest magnitude is
+    subnormal is scaled in range too."""
+    rng = np.random.default_rng(7)
+    t = rng.normal(size=64).astype(dtype)
+    if dtype is complex:
+        t += 1j * rng.normal(size=64)
+    e = t + 0.1 * rng.normal(size=64)
+    want = nmse(e, t)
+    for exponent in (-520, -1000):
+        scale = 2.0**exponent
+        assert energy(t * scale) < np.finfo(np.float64).tiny
+        assert nmse(e * scale, t * scale) == want
+    assert nmse(np.zeros(2, dtype=dtype), np.array([1e-170, 0.0], dtype=dtype)) == 0.0
+    assert nmse(np.zeros(2, dtype=dtype), np.array([5e-324, 0.0], dtype=dtype)) == 0.0
+
+
 def test_nmse_validation():
     with pytest.raises(ValueError):
         nmse(np.ones(3), np.ones(4))

@@ -10,7 +10,7 @@ import pytest
 from otafl import fl, grid, ota, scenario
 from otafl.accounting import DEFAULT_SPECTRAL_EFFICIENCY, SpectralProfile, gains_table
 from otafl.channel import ChannelModel, superpose
-from otafl.csi import ls_estimate
+from otafl.csi import energy, ls_estimate, nmse
 from otafl.precode import MARGIN, compute_alpha
 from otafl.grid import PREAMBLE_LEN, GridConfig, TimeSignal, ofdm_demodulate
 from otafl.errors import FieldError
@@ -1777,6 +1777,22 @@ def test_zero_exact_average_reads_0_db_when_anything_was_sent(monkeypatch):
     _, fp32 = ota.run_digital_round(state, tasks, cfgs, "digital_fp32", profile, SMALL_GRID)
     _, air = run_ota_round(state, tasks, cfgs, _ideal_phy(), master_seed=0)
     assert (fp32.agg_nmse_db, air.agg_nmse_db) == (-300.0, 0.0)
+
+
+def test_an_average_too_small_to_square_keeps_its_nmse():
+    """Scaling every update by 2**-1000 scales the exact and the recovered
+    average by it too, bit for bit, and squares the exact average's energy
+    to zero.  The aggregation still reads the unscaled updates' NMSE, not
+    the 0 dB of an all-zero average, and so does ``csi.nmse`` of the pair."""
+    rng = np.random.default_rng(0)
+    deltas = [0.1 * rng.standard_normal(513) for _ in range(5)]
+    phy = PhyConfig(channel=ChannelModel("rayleigh_per_subcarrier"), pilot_allocation="tdm_full")
+    report = ota_aggregate(deltas, phy, master_seed=2)
+    tiny = ota_aggregate([np.ldexp(d, -1000) for d in deltas], phy, master_seed=2)
+    assert not report.aborted and not tiny.aborted and energy(tiny.exact_avg) == 0.0
+    assert tiny.recovered.tobytes() == np.ldexp(report.recovered, -1000).tobytes()
+    assert repr(float(tiny.agg_nmse_db)) == repr(float(report.agg_nmse_db)) == "-21.387731266501696"
+    assert nmse(tiny.recovered, tiny.exact_avg) == report.agg_nmse_db
 
 
 def test_slots_and_energy_bookkeeping():

@@ -682,6 +682,19 @@ def test_cli_run_with_a_floor_past_float_range_exits_2_naming_key_and_round(tmp_
     assert stdout == "" and not out.exists()
 
 
+@pytest.mark.parametrize("rate", ["1e-140", "1e-300"])
+def test_an_update_too_small_to_square_still_reads_its_nmse(tmp_path, capsys, rate):
+    """At ``train.learning_rate = 1e-300`` every update is nonzero but the
+    exact average's energy squares to zero.  The run's mean NMSE is then
+    the one it reads at 1e-140, not the 0 dB of an all-zero average."""
+    text = (SCENARIOS / "baseline.cfg").read_text(encoding="utf-8")
+    text = text.replace("train.learning_rate = 0.1", f"train.learning_rate = {rate}")
+    scenario = _tiny_file(tmp_path, text=text, name="baseline.cfg")
+    out = tmp_path / "trace.csv"
+    assert main(["run", str(scenario), "--rounds", "3", "--out", str(out)]) == EXIT_OK
+    assert "mean NMSE   : -31.8635017291 dB\n" in capsys.readouterr().out
+
+
 def test_cli_run_all_aborted_exit_code(tmp_path, capsys):
     text = TINY.replace("phy.uplink_snr_db = none", "phy.uplink_snr_db = -30") \
                .replace("rounds = 2", "rounds = 1")
