@@ -1791,7 +1791,8 @@ def test_an_average_too_small_to_square_keeps_its_nmse():
     tiny = ota_aggregate([np.ldexp(d, -1000) for d in deltas], phy, master_seed=2)
     assert not report.aborted and not tiny.aborted and energy(tiny.exact_avg) == 0.0
     assert tiny.recovered.tobytes() == np.ldexp(report.recovered, -1000).tobytes()
-    assert repr(float(tiny.agg_nmse_db)) == repr(float(report.agg_nmse_db)) == "-21.387731266501696"
+    want = repr(float(report.agg_nmse_db))
+    assert repr(float(tiny.agg_nmse_db)) == want == "-21.387731266501696"
     assert nmse(tiny.recovered, tiny.exact_avg) == report.agg_nmse_db
 
 

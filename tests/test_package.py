@@ -230,10 +230,11 @@ def test_unread_attribute_check_sees_a_reader_gained_or_lost(tmp_path):
     for path in PACKAGE_DIR.glob("*.py"):
         (tmp_path / path.name).write_text(path.read_text(encoding="utf-8"), encoding="utf-8")
     with open(tmp_path / "ota.py", "a", encoding="utf-8") as fh:
-        fh.write("\n\nclass _Probe:\n    def __init__(self):\n        self.kept, self.stray = 1, 2\n"
-                 "\n    def value(self):\n        return self.kept\n\n\n"
-                 "@dataclass\nclass _Record:\n    unread: int = 0\n\n    def __post_init__(self):\n"
-                 "        self.unread = 1\n")
+        fh.write("\n\nclass _Probe:\n    def __init__(self):\n"
+                 "        self.kept, self.stray = 1, 2\n\n"
+                 "    def value(self):\n        return self.kept\n\n\n"
+                 "@dataclass\nclass _Record:\n    unread: int = 0\n\n"
+                 "    def __post_init__(self):\n        self.unread = 1\n")
     assert _unread_attributes(tmp_path) == {"ota._Probe.stray"}
     with open(tmp_path / "cli.py", "a", encoding="utf-8") as fh:
         fh.write("\n\n_STRAY = ota._Probe().stray\n")
